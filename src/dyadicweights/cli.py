@@ -9,7 +9,8 @@ With --plot, the subcommands in PLOT_COLUMNS also write plot.svg, drawn from
 results.csv alone by a standard-library SVG writer (no extra package); the
 same CSV gives byte-identical SVG.  A plot that cannot be made (a subcommand
 without plot columns, no plottable rows) or rows dropped from it are reported
-on stderr and leave the exit code unchanged.
+on stderr and leave the exit code unchanged; a run that writes no plot removes
+an older plot.svg from the output directory.
 
 Exit codes: 0 pass/complete, 2 a verification produced a FAIL finding,
 1 usage or configuration error.
@@ -18,6 +19,7 @@ Exit codes: 0 pass/complete, 2 a verification produced a FAIL finding,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -321,7 +323,7 @@ def run_verify_oscillation(cfg: dict):
     except ValueError as exc:
         raise ConfigError(f"admissibility violation: {exc}") from exc
     prof = oscillation.oscillation_functional(ccfg, f)
-    rec = oscillation.verify_oscillation(ccfg, f)
+    rec = oscillation.verify_oscillation(ccfg, f, prof)
     rows = [
         (lam, val, n, prof.boundary_share)
         for lam, val, n in prof.as_rows()
@@ -392,7 +394,7 @@ def run_mean_functional(cfg: dict):
     beta = float(fp.get("beta", 2.0))
     try:
         prof = oscillation.mean_functional(f, w, p, beta, window)
-        rec = oscillation.verify_mean_functional(f, w, p, beta, window)
+        rec = oscillation.verify_mean_functional(f, w, p, beta, window, profile=prof)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = [(lam, val, n, prof.boundary_share) for lam, val, n in prof.as_rows()]
@@ -588,7 +590,6 @@ PLOT_COLUMNS = {
     "verify-bsvy": ("lambda", "functional"),
     "mean-functional": ("lambda", "functional"),
     "sharpness": ("param", "lhs"),
-    "classify-weight": ("depth", "ratio"),
 }
 
 
@@ -665,14 +666,19 @@ def main(argv=None) -> int:
         **summary,
     }
     write_summary(os.path.join(outdir, "summary.json"), summary_full)
+    plot_path = None
     if args.plot and args.subcommand in PLOT_COLUMNS:
         xcol, ycol = PLOT_COLUMNS[args.subcommand]
-        maybe_plot(outdir, csv_path, xcol, ycol)
+        plot_path = maybe_plot(outdir, csv_path, xcol, ycol)
     elif args.plot:
         print(
             f"note: --plot: {args.subcommand} has no plot; plot.svg not written",
             file=sys.stderr,
         )
+    if plot_path is None:
+        # a plot left by an earlier run would not match this results.csv
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(outdir, "plot.svg"))
     verdict = summary.get("verdict", "complete")
     print(f"{args.subcommand}: {verdict} (results in {outdir})")
     return code

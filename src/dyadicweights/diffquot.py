@@ -418,8 +418,8 @@ def point_domination_check(
     at threshold lam(j) = c * lam * 2^(j (1 + n(beta-1/p) - eps)) over the
     three shifted grids; the reported tail estimate flags under-truncation.
     """
-    from dyadicweights.oscillation import level_set
-    from dyadicweights.funcspace import omega_window
+    from dyadicweights.oscillation import LevelMass
+    from dyadicweights.funcspace import cube_key, omega_window
 
     if q < p:
         raise ValueError("needs q >= p")
@@ -465,17 +465,22 @@ def point_domination_check(
 
     lhs = adaptive_quad(outer, lo, hi, rel_tol=1e-4, breakpoints=bps, max_splits=200)
 
+    # one level-set mass per threshold lam_j: cube Q is counted when
+    # omega_Q / |Q|^(beta + 1 - 1/p) > lam_j, with weight |Q|^(beta p - 1) v(Q)
     omega_map = omega_window(f, window)
-    terms = []
-    for j in range(j_max + 1):
-        lam_j = c_threshold * lam * 2.0 ** (j * (1.0 + n * (beta - 1.0 / p) - eps))
-        members, _ = level_set(
-            f, window, lam_j, beta + 1.0 - 1.0 / p, omega_map=omega_map
-        )
-        ssum = sum(
-            float(qc.volume) ** (beta * p - 1.0) * weight.mass(qc) for qc in members
-        )
-        terms.append(2.0 ** (j * n * (beta * p - 1.0)) * ssum)
+    thr, wts = [], []
+    for qc in window.cubes():
+        vol = float(qc.volume)
+        thr.append(omega_map[cube_key(qc)] / vol ** (beta + 1.0 - 1.0 / p))
+        wts.append(vol ** (beta * p - 1.0) * weight.mass(qc))
+    lam_js = [
+        c_threshold * lam * 2.0 ** (j * (1.0 + n * (beta - 1.0 / p) - eps))
+        for j in range(j_max + 1)
+    ]
+    _, ssums = LevelMass(thr, wts).above(lam_js)
+    terms = [
+        2.0 ** (j * n * (beta * p - 1.0)) * float(ssum) for j, ssum in enumerate(ssums)
+    ]
     rhs = sum(terms)
     tail = 0.0
     inconclusive = False

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dyadicweights.diffquot import DiffQuotConfig, diffquot_functional
-from dyadicweights.oscillation import level_set
+from dyadicweights.oscillation import LevelMass, level_set
 from dyadicweights.funcspace import (
     catalog,
     grad_power_mass,
@@ -126,7 +126,7 @@ def _sweep_a1(p, deltas, window, slope_tol):
     i0 = Cube(S0, 2, (0,))
     omega_map = omega_window(f, window)
     members, _ = level_set(f, window, lam_star, b, omega_map=omega_map)
-    lhs, consts, grads, certified, full = [], [], [], [], []
+    lhs, consts, grads, certified = [], [], [], []
     for d in deltas:
         w = PowerWeight(d - 1.0, center=0.5)
         mass_i0 = w.interval_mass(0.5, 4.0)  # equals (7/2)^d / d exactly
@@ -135,11 +135,6 @@ def _sweep_a1(p, deltas, window, slope_tol):
         est = ap_constant(w, 1.0, standard_probes(w, scales=range(-14, 6)))
         consts.append(est.value)
         grads.append(grad_power_mass(f, -1.0, 2.0, p, w))
-        # full-window functional alongside the certifying value
-        total = sum(
-            float(q.volume) ** (beta * p - 1.0) * w.mass(q) for q in members
-        )
-        full.append(lam_star**p * total)
     slope, resid = fit_loglog_slope(deltas, lhs)
     ok = abs(slope - (-1.0)) <= slope_tol and all(certified)
     return SweepResult(
@@ -154,11 +149,7 @@ def _sweep_a1(p, deltas, window, slope_tol):
         expected_slope=-1.0,
         certified=certified,
         verdict="pass" if ok else "fail",
-        extras={
-            "lambda_star": lam_star,
-            "tracked": "one_sided_mass_I0",
-            "full_window": full,
-        },
+        extras={"lambda_star": lam_star, "tracked": "one_sided_mass_I0"},
     )
 
 
@@ -171,11 +162,9 @@ def _sweep_ap(p, deltas, slope_tol, tail_tol):
     """
     if p <= 1:
         raise ValueError("this construction needs p > 1")
-    window = window_1d(-16, 16, -4, 5, shifts=[S13])
-    lhs, consts, grads, certified, full = [], [], [], [], []
+    lhs, consts, grads, certified = [], [], [], []
     for d in deltas:
         a = (p - 1.0) * (1.0 - d)
-        w = PowerWeight(a)
         f = catalog("sharp2_fdelta", delta=d)
         lam = 1.0 / (9.0 * d)
         # membership lower bound (2 - 6*4^-j)/(9 d) exceeds 1/(9 d)
@@ -199,11 +188,6 @@ def _sweep_ap(p, deltas, slope_tol, tail_tol):
         lhs.append(lam**p * total)
         consts.append(d ** (1.0 - p))
         grads.append(1.0 / d)  # closed form of the gradient integral
-        members, _ = level_set(f, window, lam, 0.0)
-        full.append(
-            lam**p
-            * sum(float(q.volume) ** (beta_weight_exp(p)) * w.mass(q) for q in members)
-        )
     slope, resid = fit_loglog_slope(deltas, lhs)
     ok = abs(slope - (-(p + 1.0))) <= slope_tol and all(certified)
     return SweepResult(
@@ -218,13 +202,7 @@ def _sweep_ap(p, deltas, slope_tol, tail_tol):
         expected_slope=-(p + 1.0),
         certified=certified,
         verdict="pass" if ok else "fail",
-        extras={"full_window": full},
     )
-
-
-def beta_weight_exp(p: float) -> float:
-    # the construction runs at beta = 1/p - 1, where beta*p - 1 = -p
-    return -p
 
 
 def _sweep_beta(p, epsilons, slope_tol, tail_tol):
@@ -314,13 +292,7 @@ def _probe_family_sup(
                     vol = float(q.volume)
                     thr.append(om / vol**b)
                     wts.append(vol ** (beta * p - 1.0) * weight.mass(q))
-    if not thr:
-        return 0.0
-    thr = np.asarray(thr)
-    wts = np.asarray(wts)
-    order = np.argsort(-thr)
-    prefix = np.cumsum(wts[order])
-    return float(np.max(thr[order] ** p * prefix))
+    return LevelMass(thr, wts).sup(p)
 
 
 @dataclass

@@ -27,7 +27,6 @@ from dyadicweights.weights import ConstantWeight, PowerWeight, Weight
 class Quadrature:
     """Sampling policy for the generic omega path."""
 
-    scheme: str = "midpoint"
     rel_tol: float = 1e-7
     max_nodes: int = 1 << 18
     leaf_nodes: int = 48
@@ -178,9 +177,6 @@ class TestFunction:
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(float(e) for e in self._edges)
-
-    def has_primitives(self) -> bool:
-        return True
 
     def linear_only_on(self, a: float, b: float) -> bool:
         return all(
@@ -579,7 +575,7 @@ def omega_flagged(f, region, quad: Quadrature | None = None, method: str = "auto
         if method in ("auto", "exact"):
             if f.linear_only_on(a, b):
                 return _double_integral_linear(f, a, b) / length**2, True
-            if getattr(f, "monotone", False) and f.has_primitives():
+            if getattr(f, "monotone", False):
                 return _double_integral_monotone(f, a, b) / length**2, True
             if method == "exact":
                 raise ValueError("no exact omega path for this function")
@@ -642,11 +638,19 @@ def _aligned_cells(f, a: float, b: float, nodes: int):
 
 
 def _direct_double_sum(v: np.ndarray, wts: np.ndarray) -> float:
+    """sum over i, j of wts_i |v_i - v_j| wts_j, by direct O(N^2) summation.
+
+    The summand is symmetric, so each block of rows is summed in full against
+    its own columns and twice against the later columns only.
+    """
     total = 0.0
-    chunk = max(1, (1 << 22) // len(v))
+    chunk = max(1, min(256, (1 << 22) // len(v)))
     for i in range(0, len(v), chunk):
-        blk = np.abs(v[i : i + chunk, None] - v[None, :])
-        total += float((wts[i : i + chunk, None] * blk * wts[None, :]).sum())
+        k = i + chunk
+        rows, w_rows = v[i:k, None], wts[i:k, None]
+        own = w_rows * np.abs(rows - v[None, i:k]) * wts[None, i:k]
+        later = w_rows * np.abs(rows - v[None, k:]) * wts[None, k:]
+        total += float(own.sum()) + 2.0 * float(later.sum())
     return total
 
 
@@ -677,12 +681,8 @@ def omega_bruteforce(f, region, nodes: int = 2048, richardson: bool = True) -> f
     vol = 1.0
     for lo, hi in box:
         vol *= hi - lo
-    cell = vol / v.size
-    total = 0.0
-    chunk = max(1, (1 << 22) // v.size)
-    for i in range(0, v.size, chunk):
-        total += float(np.abs(v[i : i + chunk, None] - v[None, :]).sum())
-    return total * cell * cell / vol ** (1.0 + 1.0 / n)
+    total = _direct_double_sum(v, np.full(v.size, vol / v.size))
+    return total / vol ** (1.0 + 1.0 / n)
 
 
 def omega_indicator(region, e_lo: float, e_hi: float) -> float:
@@ -736,7 +736,7 @@ def omega_window(
 
     exact = isinstance(f, TestFunction) and (
         all(p.is_linear() for p in f.pieces)
-        or (f.monotone and f.has_primitives())
+        or f.monotone
     )
     if exact:
         for q in cubes:

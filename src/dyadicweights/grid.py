@@ -244,21 +244,11 @@ def _forced_generation(edge: Fraction) -> int:
 def dominating_cube(p: AxisCube) -> tuple[Shift, Cube]:
     """Some shifted dyadic cube Q with p inside Q and edge(Q) in (3e/2, 3e].
 
-    Scans the 3^n shifts in lexicographic order of thirds and returns the
-    first hit; existence is guaranteed at the forced generation.
+    The first member of dominating_set, whose shifts run in lexicographic
+    order of thirds; existence is guaranteed at the forced generation.
     """
-    t = _forced_generation(p.edge)
-    h = _pow2(t)
-    sgn = 1 if t % 2 == 0 else -1
-    for shift in all_shifts(p.n):
-        m = tuple(
-            math.floor(lo / h - Fraction(sgn * ti, 3))
-            for lo, ti in zip(p.lower_corner, shift.thirds)
-        )
-        q = Cube(shift, t, m)
-        if _fits(p, q):
-            return shift, q
-    raise AssertionError("no dominating cube found; this should be impossible")
+    q = dominating_set(p)[0]
+    return q.shift, q
 
 
 def dominating_set(p: AxisCube) -> list[Cube]:
@@ -394,6 +384,3 @@ def window_1d(
         ((Fraction(lo), Fraction(hi)),), j_min, j_max, tuple(shifts), budget
     )
 
-
-def enumerate_window(w: GridWindow) -> Iterator[Cube]:
-    return w.cubes()

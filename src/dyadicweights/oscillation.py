@@ -112,8 +112,38 @@ def _boundary_flags(window: GridWindow, cubes: list[Cube]) -> np.ndarray:
     return out
 
 
+class LevelMass:
+    """Weight of the entries whose threshold exceeds a level.
+
+    The one weak-type kernel of the package: entries with a positive
+    threshold are sorted by threshold, descending, and their weights
+    prefix-summed once, so the mass above any level is one binary search
+    and the supremum of lam^p * mass(lam) is read off the sorted
+    thresholds, where it is attained.
+    """
+
+    def __init__(self, thresholds, weights):
+        thresholds = np.asarray(thresholds, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        pos = np.flatnonzero(thresholds > 0)
+        order = np.argsort(-thresholds[pos])
+        self.index = pos[order]  # source index of each sorted entry
+        self.thresholds = thresholds[self.index]
+        # prefix[k] = weight of the k largest thresholds
+        self.prefix = np.concatenate(([0.0], np.cumsum(weights[self.index])))
+
+    def above(self, lams) -> tuple[np.ndarray, np.ndarray]:
+        """(count, mass) of the entries with threshold > lam, per lam."""
+        count = np.searchsorted(-self.thresholds, -np.asarray(lams), side="left")
+        return count, self.prefix[count]
+
+    def sup(self, p: float) -> float:
+        """sup over lam of lam^p * mass(lam), 0 when no threshold is positive."""
+        return float(np.max(self.thresholds**p * self.prefix[1:], initial=0.0))
+
+
 def _sup_profile(
-    thresholds: np.ndarray,
+    levels: LevelMass,
     weights: np.ndarray,
     p: float,
     lambda_count: int,
@@ -126,10 +156,7 @@ def _sup_profile(
     distinct threshold; over a finite window the supremum is attained there,
     so the grid max is the exact truncated supremum (up to the 1e-12 nudge).
     """
-    pos = thresholds > 0
-    thr = thresholds[pos]
-    wts = weights[pos]
-    bnd = boundary[pos]
+    thr = levels.thresholds
     if len(thr) == 0:
         lams = np.logspace(-3, 0, lambda_count)
         return FunctionalProfile(
@@ -141,11 +168,6 @@ def _sup_profile(
             boundary_share=0.0,
             n_cubes=[0] * len(lams),
         )
-    order = np.argsort(-thr)
-    thr, wts, bnd = thr[order], wts[order], bnd[order]
-    prefix = np.cumsum(wts)
-    prefix_b = np.cumsum(np.where(bnd, wts, 0.0))
-
     lo, hi = float(thr[-1]), float(thr[0])
     grid = np.logspace(
         math.log10(lo * 0.5), math.log10(hi * 1.5), lambda_count
@@ -153,9 +175,7 @@ def _sup_profile(
     nudged = np.unique(thr) * (1.0 - 1e-12)
     lams = np.unique(np.concatenate([grid, nudged]))
 
-    # cubes with threshold > lam: thresholds sorted descending
-    idx = np.searchsorted(-thr, -lams, side="left")  # count of thr > lam
-    mass = np.where(idx > 0, prefix[np.maximum(idx - 1, 0)], 0.0)
+    idx, mass = levels.above(lams)
     vals = lams**p * mass
     k = int(np.argmax(vals))
     sup = float(vals[k])
@@ -163,8 +183,10 @@ def _sup_profile(
     nk = int(idx[k])
     share = 0.0
     if nk > 0 and mass[k] > 0:
-        share = float(prefix_b[nk - 1] / mass[k])
-    certifying = [cubes[i] for i in np.flatnonzero(pos)[order][:nk][:64]]
+        inside = levels.index[:nk]
+        on_boundary = np.cumsum(np.where(boundary[inside], weights[inside], 0.0))
+        share = float(on_boundary[-1] / mass[k])
+    certifying = [cubes[i] for i in levels.index[:nk][:64]]
     return FunctionalProfile(
         lambdas=[float(x) for x in lams],
         values=[float(v) for v in vals],
@@ -179,7 +201,12 @@ def _sup_profile(
 def oscillation_functional(
     cfg: OscillationConfig, f, omega_map: dict | None = None
 ) -> FunctionalProfile:
-    """Profile of the weak-type oscillation functional over the window."""
+    """Profile of the weak-type oscillation functional over the window.
+
+    flags["near_threshold"] is the relative supremum spread when every cube
+    within the tolerance of its threshold is counted as a member: strict
+    membership cannot be certified closer than the omega accuracy.
+    """
     window = cfg.window
     omega_map = omega_map or omega_window(f, window, cfg.quadrature)
     cubes = list(window.cubes())
@@ -193,37 +220,19 @@ def oscillation_functional(
         thr[i] = om / vol**b if om > 0 else 0.0
         wts[i] = vol**wexp * cfg.weight.mass(q)
     boundary = _boundary_flags(window, cubes)
-    prof = _sup_profile(thr, wts, cfg.p, cfg.lambda_count, boundary, cubes)
-    prof.flags["near_threshold"] = _threshold_spread(thr, wts, cfg.p, cfg.tolerance)
+    levels = LevelMass(thr, wts)
+    prof = _sup_profile(levels, wts, cfg.p, cfg.lambda_count, boundary, cubes)
+    base = levels.sup(cfg.p)
+    lam = levels.thresholds * (1.0 - 2.0 * cfg.tolerance)
+    inclusive = float(np.max(lam**cfg.p * levels.above(lam)[1], initial=0.0))
+    prof.flags["near_threshold"] = abs(inclusive - base) / max(base, 1e-300)
     return prof
-
-
-def _threshold_spread(thr, wts, p, tol):
-    """Supremum spread when near-threshold cubes are counted both ways.
-
-    Strict membership at a threshold cannot be certified closer than the
-    omega accuracy, so the supremum is recomputed with every cube within tol
-    of its threshold included, and the relative gap reported.
-    """
-    pos = thr > 0
-    if not np.any(pos):
-        return 0.0
-    t, w = thr[pos], wts[pos]
-    order = np.argsort(-t)
-    t, w = t[order], w[order]
-    prefix = np.cumsum(w)
-    base = float(np.max(t**p * prefix))
-    lam = t * (1.0 - 2.0 * tol)
-    idx = np.searchsorted(-t, -lam, side="left")
-    mass = np.where(idx > 0, prefix[np.maximum(idx - 1, 0)], 0.0)
-    inclusive = float(np.max(lam**p * mass))
-    return abs(inclusive - base) / max(base, 1e-300)
 
 
 def verify_oscillation(
     cfg: OscillationConfig,
     f,
-    omega_map: dict | None = None,
+    profile: FunctionalProfile | None = None,
     probes=None,
 ) -> VerificationRecord:
     """Compare the functional supremum against the weighted gradient bound.
@@ -231,9 +240,10 @@ def verify_oscillation(
     rhs = (constant estimate)^alpha * seminorm^p; the constant estimate is a
     certified lower bound from a finite probe family, so PASS ratios witness
     the inequality with the estimated constant, and blow-up under window
-    growth witnesses failure.
+    growth witnesses failure.  A profile already built for (cfg, f) is used
+    as it stands; otherwise it is built here.
     """
-    prof = oscillation_functional(cfg, f, omega_map)
+    prof = profile or oscillation_functional(cfg, f)
     w = cfg.weight
     n = cfg.window.n
     if probes is None:
@@ -358,7 +368,7 @@ def mean_functional(
         thr[i] = m / vol**b if m > 0 else 0.0
         wts[i] = vol**wexp * weight.mass(q)
     boundary = _boundary_flags(window, cubes)
-    return _sup_profile(thr, wts, p, lambda_count, boundary, cubes)
+    return _sup_profile(LevelMass(thr, wts), wts, p, lambda_count, boundary, cubes)
 
 
 def verify_mean_functional(
@@ -369,9 +379,11 @@ def verify_mean_functional(
     window: GridWindow,
     ratio_ceiling: float = 100.0,
     probes=None,
+    profile: FunctionalProfile | None = None,
 ) -> VerificationRecord:
-    """Mean-criterion functional against estimate * ||f||_{L^p_w}^p."""
-    prof = mean_functional(f, weight, p, beta, window)
+    """Mean-criterion functional against estimate * ||f||_{L^p_w}^p; a
+    profile already built by mean_functional for these inputs is reused."""
+    prof = profile or mean_functional(f, weight, p, beta, window)
     if probes is None:
         probes = standard_probes(
             weight, scales=range(window.j_min - 2, window.j_max + 3)

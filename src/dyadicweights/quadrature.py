@@ -100,11 +100,3 @@ def adaptive_quad(
             counter += 1
             heapq.heappush(heap, (-er, counter, s0, s1, fn))
     return total
-
-
-def fixed_gl(f, a: float, b: float, order: int = 15, panels: int = 1) -> float:
-    """Non-adaptive composite Gauss-Legendre rule (panels of equal width)."""
-    if b <= a:
-        return 0.0
-    edges = np.linspace(a, b, panels + 1)
-    return sum(_panel(f, edges[i], edges[i + 1], order) for i in range(panels))

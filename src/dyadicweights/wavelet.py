@@ -18,6 +18,7 @@ import numpy as np
 
 from dyadicweights.funcspace import grad_power_mass, l1_weighted_norm
 from dyadicweights.grid import Cube, Shift
+from dyadicweights.oscillation import LevelMass
 from dyadicweights.records import VerificationRecord
 from dyadicweights.weights import Weight, ap_constant, standard_probes
 
@@ -281,20 +282,17 @@ def seq_norms(
 ) -> tuple[float, float]:
     """Strong and weak weighted sequence norms of a finite coefficient family.
 
-    Entry weights are |I|^(beta-1) v(I).  The weak norm's supremum over the
-    level threshold is attained at coefficient magnitudes, so sorting makes
-    it exact for finite families.
+    Entry weights are |I|^(beta-1) v(I).  The weak norm is
+    (sup over lam of lam^p * weight of entries with |a| > lam)^(1/p); the
+    supremum is attained at coefficient magnitudes, so it is exact for finite
+    families.
     """
     u = np.array(
         [a.volume ** (beta - 1.0) * w.mass(a.cube) for a in atoms]
     )
     mags = np.abs(values)
     strong = float(np.sum(u * mags**p)) ** (1.0 / p)
-    order = np.argsort(-mags)
-    m_sorted = mags[order]
-    cum = np.cumsum(u[order])
-    pos = m_sorted > 0
-    weak = float(np.max(m_sorted[pos] * cum[pos])) if pos.any() else 0.0
+    weak = LevelMass(mags, u).sup(p) ** (1.0 / p)
     return strong, weak
 
 

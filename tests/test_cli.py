@@ -339,6 +339,43 @@ def test_plot_skips_and_drops_reported(tmp_path, capsys):
     assert read(one).decode().count('points="268.00,152.00"') == 1
 
 
+def test_run_without_plot_removes_older_plot(tmp_path, capsys):
+    out = tmp_path / "o"
+    tent = [
+        "verify-cddd",
+        "--set",
+        "function.name=tent",
+        "--set",
+        "grid.j_min=-3",
+        "--set",
+        "grid.j_max=2",
+        "--out",
+        str(out),
+    ]
+    assert main(tent + ["--plot"]) == 0
+    assert (out / "plot.svg").exists()
+    assert main(tent) == 0
+    assert not (out / "plot.svg").exists()
+    # classify-weight has one series per member, so --plot draws nothing and
+    # the older plot goes as well
+    assert main(tent + ["--plot"]) == 0
+    classify = [
+        "classify-weight",
+        "--set",
+        "weight.kind=constant",
+        "--set",
+        "depths=[6, 12]",
+        "--set",
+        "with_quotient=false",
+        "--plot",
+        "--out",
+        str(out),
+    ]
+    assert main(classify) == 0
+    assert not (out / "plot.svg").exists()
+    assert "classify-weight has no plot" in capsys.readouterr().err
+
+
 def test_env_var_default_outdir(tmp_path, monkeypatch):
     monkeypatch.setenv("DYADW_OUT", str(tmp_path / "envout"))
     code = main(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dyadicweights.oscillation import (
+    LevelMass,
     OscillationConfig,
     admissible_beta,
     alpha_exponent,
@@ -130,6 +131,32 @@ def test_functional_matches_bruteforce_enumeration():
         i = prof.lambdas.index(lam)
         assert prof.values[i] == pytest.approx(total, rel=1e-9, abs=1e-300)
     assert prof.sup == pytest.approx(max(prof.values), rel=0)
+
+
+def test_level_mass_matches_direct_loop():
+    # tied and zero thresholds; dyadic weights make every partial sum exact
+    thr = np.array([0.5, 2.0, 0.0, 2.0, 1.0, 0.5, 0.0, 3.0])
+    wts = np.array([1.0, 0.25, 7.0, 0.5, 2.0, 0.125, 5.0, 0.75])
+    levels = LevelMass(thr, wts)
+    assert list(thr[levels.index]) == list(levels.thresholds) == [3, 2, 2, 1, 0.5, 0.5]
+    lams = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+    count, mass = levels.above(lams)
+    for lam, c, m in zip(lams, count, mass):
+        assert c == sum(1 for t in thr if t > lam)
+        assert m == sum(w for t, w in zip(thr, wts) if t > lam)
+    # sup over lam of lam^p * mass(lam) is approached just below a threshold
+    grid = np.concatenate([np.linspace(1e-3, 4.0, 4001), thr[thr > 0] * (1 - 1e-12)])
+    for p in (1.0, 2.0):
+        direct = max(
+            lam**p * sum(w for t, w in zip(thr, wts) if t > lam) for lam in grid
+        )
+        assert levels.sup(p) == pytest.approx(direct, rel=1e-11)
+    # p = 1 peaks at threshold 1 (mass 3.5), p = 2 at the largest threshold
+    assert levels.sup(1.0) == 1.0 * 3.5
+    assert levels.sup(2.0) == 9.0 * 0.75
+    empty = LevelMass(np.zeros(3), np.ones(3))
+    assert empty.sup(1.0) == 0.0
+    assert list(empty.above([0.5])[1]) == [0.0]
 
 
 def test_functional_profile_sup_at_threshold_nudge():

@@ -169,16 +169,20 @@ def test_seq_norms_single_entry():
 
 def test_seq_norms_two_entries_bruteforce():
     atoms = [AtomIndex(1, 0, 0), AtomIndex(1, 0, 5)]
-    vals = np.array([2.0, 1.0])
     w = ConstantWeight(1.0)
-    strong, weak = seq_norms(atoms, vals, 1.0, w, 1.0)
-    assert strong == pytest.approx(3.0, rel=1e-12)
-    # brute force over thresholds: sup_lambda lambda * count(|a| > lambda)
-    best = 0.0
-    for lam in np.linspace(1e-3, 2.5, 10000):
-        best = max(best, lam * np.sum(vals > lam))
-    assert weak == pytest.approx(2.0, rel=1e-12)
-    assert best <= weak + 1e-3
+    # (values, p, strong, weak): at p = 2 the weak norm is
+    # (max(2^2 * 1, 1.5^2 * 2))^(1/2), below the strong norm (4 + 2.25)^(1/2)
+    cases = [([2.0, 1.0], 1.0, 3.0, 2.0), ([2.0, 1.5], 2.0, 2.5, math.sqrt(4.5))]
+    for vals, p, want_strong, want_weak in cases:
+        vals = np.array(vals)
+        strong, weak = seq_norms(atoms, vals, 1.0, w, p)
+        assert strong == pytest.approx(want_strong, rel=1e-12)
+        assert weak == pytest.approx(want_weak, rel=1e-12)
+        # brute force over thresholds: sup_lambda lambda^p * count(|a| > lambda)
+        best = 0.0
+        for lam in np.linspace(1e-3, 2.5, 10000):
+            best = max(best, lam**p * np.sum(vals > lam))
+        assert best <= weak**p + 1e-3
 
 
 def test_weak_norm_below_strong():
