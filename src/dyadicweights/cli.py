@@ -369,7 +369,8 @@ def run_verify_diffquot(cfg: dict):
     rec = diffquot.verify_diffquot(bcfg, f, tol=float(fp.get("tol", 0.05)))
     lams = rec.details.pop("profile_lambdas")
     vals = rec.details.pop("profile_values")
-    rows = [(lam, val, False) for lam, val in zip(lams, vals)]
+    flags = rec.details.pop("profile_truncated")
+    rows = list(zip(lams, vals, flags))
     summary = {
         "verdict": rec.verdict,
         "sup": rec.lhs,
@@ -528,7 +529,7 @@ def run_wavelet_check(cfg: dict):
         j_max=j_max, lo=float(g.get("lo", -8.0)), hi=float(g.get("hi", 10.0))
     )
     atoms, vals = wavelet.coefficients(f, system, idx)
-    rec = wavelet.verify_almost_char(f, w, beta, system, idx)
+    rec = wavelet.verify_almost_char(f, w, beta, system, idx, coeffs=(atoms, vals))
     rows = [(a.e, a.j, a.k, v) for a, v in zip(atoms, vals)]
     moments = [abs(system.moment(k)) for k in range(order)]
     summary = {

@@ -7,7 +7,10 @@ lam * ( Int_window [ Int 1_E(x,y) |x-y|^(gamma-n) dy ]^(p/q) w(x) dx )^(1/p),
 with s = gamma/q, verified against the weighted gradient norm.  The inner
 integral runs over radial shells around x; shells open where a Lipschitz
 bound decides membership, so the |x-y|^(gamma-n) singularity is never probed
-where the indicator provably vanishes.
+where the indicator provably vanishes.  Membership and boundary bisection
+are fused across every outer node of a quadrature panel: one vectorized
+membership call per bisection step resolves the shells of all the panel's
+nodes together.
 """
 
 from __future__ import annotations
@@ -164,127 +167,169 @@ def _radial_bounds(f, lam: float, s: float):
     return r_lo, r_hi
 
 
+def _ball_mean_membership(f, lam: float, b: float):
+    """Membership |f(x) - mean over B(y, |x-y|/20)| > lam |x-y|^(1+b), on
+    broadcast (xs, fx, ys); the diagonal x = y is never a member."""
+
+    def membership(xs, fx, ys):
+        d = np.abs(ys - xs)
+        out = np.zeros(ys.shape, dtype=bool)
+        pos = d > 0
+        if pos.any():
+            m = _ball_means(f, ys[pos], d[pos] / 20.0)
+            fxs = np.broadcast_to(fx, ys.shape)[pos]
+            out[pos] = np.abs(fxs - m) > lam * d[pos] ** (1.0 + b)
+        return out
+
+    return membership
+
+
 def _signed_member_mass(
     membership,
-    x: float,
+    xs: np.ndarray,
+    fx: np.ndarray,
     radii: np.ndarray,
     gamma: float,
     extend_to_zero: bool,
     bisect_iters: int = 40,
-) -> float:
-    """Integral of 1_member r^(gamma-1) over both directions y = x +- r.
+) -> np.ndarray:
+    """Integral of 1_member r^(gamma-1) over both directions y = x +- r, for
+    every node x in ``xs``.
 
-    Membership boundaries between consecutive sample radii are located by
-    bisection (both directions fused into single vectorized calls) and each
-    member run contributes (r2^gamma - r1^gamma)/gamma in closed form.
+    ``radii`` holds one ascending row of sample radii per node, padded with
+    repeats of its last radius (a repeat never flips).  Membership of every
+    row in both directions is one vectorized call, and every boundary
+    between consecutive sample radii, of every row, is bisected together.
+    Each member run contributes (r2^gamma - r1^gamma)/gamma in closed form.
     Sub-grid membership islands are the only approximation; the sample grid
     is geometric and includes the kink radii of the function.
     """
-    k = len(radii)
-    signs = np.concatenate([np.ones(k), -np.ones(k)])
-    rr = np.concatenate([radii, radii])
-    mask = membership(x + signs * rr)
-    if not mask.any():
-        return 0.0
-    total = 0.0
-    # boundaries per direction: flip positions in each half
-    flip_lo, flip_hi, flip_sign, flip_left = [], [], [], []
-    for d in range(2):
-        m = mask[d * k : (d + 1) * k]
-        flips = np.flatnonzero(m[:-1] != m[1:])
-        flip_lo.append(radii[flips].astype(float))
-        flip_hi.append(radii[flips + 1].astype(float))
-        flip_sign.append(np.full(len(flips), 1.0 if d == 0 else -1.0))
-        flip_left.append(m[flips])
-    lo_b = np.concatenate(flip_lo)
-    hi_b = np.concatenate(flip_hi)
-    sg = np.concatenate(flip_sign)
-    left_state = np.concatenate(flip_left)
+    n = len(xs)
+    sign = np.array([1.0, -1.0])[:, None]
+    col = xs[:, None, None]
+    mask = membership(col, fx[:, None, None], col + sign * radii[:, None, :])
+    row, dirn, at = np.nonzero(mask[..., :-1] != mask[..., 1:])
+    lo_b = radii[row, at]
+    hi_b = radii[row, at + 1]
     if len(lo_b):
+        xb, fb = xs[row], fx[row]
+        sg = sign[dirn, 0]
+        left_state = mask[row, dirn, at]
         for _ in range(bisect_iters):
             mid = 0.5 * (lo_b + hi_b)
-            same = membership(x + sg * mid) == left_state
+            same = membership(xb, fb, xb + sg * mid) == left_state
             lo_b = np.where(same, mid, lo_b)
             hi_b = np.where(same, hi_b, mid)
-    cuts_all = 0.5 * (lo_b + hi_b)
-    ncuts = np.cumsum([0] + [len(f) for f in flip_lo])
-    for d in range(2):
-        m = mask[d * k : (d + 1) * k]
-        cuts = np.sort(cuts_all[ncuts[d] : ncuts[d + 1]])
-        edges = np.concatenate(([radii[0]], cuts, [radii[-1]]))
-        seg_member = (np.arange(len(edges) - 1) % 2 == 0) == bool(m[0])
-        if extend_to_zero and m[0]:
-            edges = edges.copy()
-            edges[0] = 0.0
-        with np.errstate(divide="ignore"):
-            powers = edges**gamma
-        mass = (powers[1:] - powers[:-1]) / gamma
-        total += float(np.sum(np.where(seg_member, mass, 0.0)))
-    return total
+    # cut radii per (node, direction), in increasing order, between the
+    # first and last sample radius; unused slots repeat the last radius
+    group = 2 * row + dirn
+    ncuts = np.bincount(group, minlength=2 * n)
+    rank = np.arange(len(row)) - (np.cumsum(ncuts) - ncuts)[group]
+    ncuts = ncuts.reshape(n, 2)
+    edges = np.empty((n, 2, int(ncuts.max()) + 2))
+    edges[...] = radii[:, None, -1:]
+    edges[..., 0] = radii[:, None, 0]
+    if extend_to_zero:
+        edges[..., 0] = np.where(mask[..., 0], 0.0, edges[..., 0])
+    edges[row, dirn, 1 + rank] = 0.5 * (lo_b + hi_b)
+    seg_member = (np.arange(edges.shape[-1] - 1) % 2 == 0) == mask[..., :1]
+    with np.errstate(divide="ignore"):
+        powers = edges**gamma
+    mass = np.where(seg_member, (powers[..., 1:] - powers[..., :-1]) / gamma, 0.0)
+    # sum each run list at its own length, so every row adds up exactly as
+    # it would alone
+    nseg = ncuts + 1
+    sums = np.empty((n, 2))
+    for k in np.unique(nseg):
+        sel = nseg == k
+        sums[sel] = mass[sel][:, :k].sum(axis=1)
+    return 0.0 + sums[:, 0] + sums[:, 1]
 
 
 def inner_integral(
     f,
-    x: float,
+    x,
     lam: float,
     cfg: DiffQuotConfig,
     membership=None,
-) -> tuple[float, dict]:
-    """Integral over y of 1_E(x,y) |x-y|^(gamma - 1) for n = 1.
+) -> tuple:
+    """Integral over y of 1_E(x,y) |x-y|^(gamma - 1) for n = 1, at one node
+    or at an array of nodes.
 
     Radial membership is resolved per direction as a union of intervals
     (geometric sampling, kink radii included, boundaries bisected) and the
     power weight is integrated in closed form on each member interval.
-    Diagnostics carry the truncation tail bound when the integral had to be
-    cut at a finite radius with membership not provably dead.
+    Membership and bisection are fused across all nodes: a quadrature panel
+    costs one membership call per bisection step, not one per node.
+    ``membership(xs, fx, ys)`` decides pairs elementwise on broadcast arrays
+    (fx = f(xs)); the default is the difference-quotient level set.
+
+    A scalar ``x`` returns (float, diag); an array returns (array, diag) with
+    per-node ``tail_bound`` and ``truncated``.  Diagnostics carry the
+    truncation tail bound when the integral had to be cut at a finite radius
+    with membership not provably dead.
     """
     gamma, s = cfg.gamma, cfg.s
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    fx = f.value(xs)
     if membership is None:
-        fx = float(f.value(np.array([x]))[0])
 
-        def membership(ys: np.ndarray) -> np.ndarray:
-            d = np.abs(ys - x)
+        def membership(xs, fx, ys):
+            d = np.abs(ys - xs)
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.abs(f.value(ys) - fx) > lam * d ** (1.0 + s)
 
+    bps = np.asarray(getattr(f, "breakpoints", ()), dtype=float)
     r_lo, r_hi = _radial_bounds(f, lam, s)
-    diag: dict = {"r_lo": r_lo, "r_hi": r_hi, "tail_bound": 0.0, "truncated": False}
+    extend = r_lo == 0.0 and gamma > 0
 
-    def both_directions(lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        kinks = np.array(
-            [abs(b - x) for b in getattr(f, "breakpoints", ()) if lo < abs(b - x) < hi]
-        )
-        base = np.geomspace(lo, hi, cfg.radial_samples)
-        radii = np.unique(np.concatenate([base, kinks]))
-        return _signed_member_mass(
-            membership, x, radii, gamma, extend_to_zero=(r_lo == 0.0 and gamma > 0)
-        )
+    def both_directions(rows: np.ndarray, lo, hi) -> np.ndarray:
+        # lo, hi: one shell for every row, or one per row
+        lo_c, hi_c = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
+        base = np.geomspace(lo, hi, cfg.radial_samples, axis=-1)
+        base = np.broadcast_to(base, (len(rows), cfg.radial_samples))
+        kinks = np.abs(bps - xs[rows, None])
+        kinks = np.where((lo_c < kinks) & (kinks < hi_c), kinks, base[:, -1:])
+        radii = np.sort(np.concatenate([base, kinks], axis=1), axis=1)
+        return _signed_member_mass(membership, xs[rows], fx[rows], radii, gamma, extend)
+
+    n = len(xs)
+    tail_bound = np.zeros(n)
+    truncated = np.zeros(n, dtype=bool)
+    everyone = np.arange(n)
 
     if math.isfinite(r_hi):
         lo = max(r_lo, 1e-12 * max(1.0, r_hi))
-        return both_directions(lo, r_hi), diag
+        vals = both_directions(everyone, lo, r_hi) if r_hi > lo else np.zeros(n)
+    else:
+        # far membership cannot be excluded: extend each node's shells until
+        # its certified weight tail (indicator at most 1) is negligible
+        if gamma >= 0:
+            raise ValueError("divergent far tail: gamma > 0 needs a usable hint")
+        scale = np.maximum(np.maximum(1.0, np.abs(xs)), r_lo)
+        hi = 16.0 * scale
+        vals = both_directions(everyone, np.maximum(r_lo, 1e-12 * scale), hi)
+        active = everyone
+        while len(active):
+            tail = 2.0 * hi[active] ** gamma / abs(gamma)
+            done = tail <= np.maximum(cfg.inner_tol * np.abs(vals[active]), 1e-300)
+            tail_bound[active[done]] = tail[done]
+            active, tail = active[~done], tail[~done]
+            if not len(active):
+                break
+            vals[active] += both_directions(active, hi[active], 4.0 * hi[active])
+            hi[active] *= 4.0
+            cut = hi[active] > 1e12 * scale[active]
+            tail_bound[active[cut]] = tail[cut]
+            truncated[active[cut]] = True
+            active = active[~cut]
 
-    # far membership cannot be excluded: extend until the certified weight
-    # tail (indicator at most 1) is negligible
-    if gamma >= 0:
-        raise ValueError("divergent far tail: gamma > 0 needs a usable hint")
-    scale = max(1.0, abs(x), r_lo)
-    hi = 16.0 * scale
-    lo = max(r_lo, 1e-12 * scale)
-    total = both_directions(lo, hi)
-    while True:
-        tail = 2.0 * hi**gamma / abs(gamma)
-        if tail <= max(cfg.inner_tol * abs(total), 1e-300):
-            diag["tail_bound"] = tail
-            return total, diag
-        total += both_directions(hi, 4.0 * hi)
-        hi *= 4.0
-        if hi > 1e12 * scale:
-            diag["tail_bound"] = tail
-            diag["truncated"] = True
-            return total, diag
+    diag: dict = {"r_lo": r_lo, "r_hi": r_hi, "tail_bound": tail_bound, "truncated": truncated}
+    if np.ndim(x) == 0:
+        diag["tail_bound"] = float(tail_bound[0])
+        diag["truncated"] = bool(truncated[0])
+        return float(vals[0]), diag
+    return vals, diag
 
 
 def diffquot_functional(cfg: DiffQuotConfig, f, lambdas=None) -> FunctionalProfile:
@@ -302,12 +347,9 @@ def diffquot_functional(cfg: DiffQuotConfig, f, lambdas=None) -> FunctionalProfi
 
         def outer(xs: np.ndarray) -> np.ndarray:
             nonlocal truncated
-            out = np.empty_like(xs)
-            for i, x in enumerate(xs):
-                inner, diag = inner_integral(f, float(x), float(lam), cfg)
-                truncated = truncated or diag["truncated"]
-                out[i] = inner ** (cfg.p / cfg.q)
-            return out * w.value(xs)
+            inner, diag = inner_integral(f, xs, float(lam), cfg)
+            truncated = truncated or bool(diag["truncated"].any())
+            return inner ** (cfg.p / cfg.q) * w.value(xs)
 
         integ = adaptive_quad(
             outer, lo, hi, rel_tol=cfg.outer_tol, breakpoints=bps, max_splits=400
@@ -387,6 +429,7 @@ def verify_diffquot(cfg: DiffQuotConfig, f, tol: float = 0.05) -> VerificationRe
             "q": cfg.q,
             "profile_lambdas": prof.lambdas,
             "profile_values": prof.values,
+            "profile_truncated": prof.flags["truncated"],
         },
     )
 
@@ -439,29 +482,14 @@ def point_domination_check(
         exploratory=True,
     )
 
-    def make_membership(x: float):
-        fx = float(f.value(np.array([x]))[0])
-
-        def membership(ys: np.ndarray) -> np.ndarray:
-            d = np.abs(ys - x)
-            out = np.zeros(ys.shape, dtype=bool)
-            idx = np.flatnonzero(d > 0)
-            if len(idx):
-                m = _ball_means(f, ys[idx], d[idx] / 20.0)
-                out[idx] = np.abs(fx - m) > lam * d[idx] ** (1.0 + b)
-            return out
-
-        return membership
-
     lo, hi = cfg.window
     bps = list(getattr(f, "breakpoints", ())) + list(weight.breakpoints())
 
+    membership = _ball_mean_membership(f, lam, b)
+
     def outer(xs):
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            inner, _ = inner_integral(f, float(x), lam, cfg, membership=make_membership(float(x)))
-            out[i] = inner ** (p / q)
-        return out * weight.value(xs)
+        inner, _ = inner_integral(f, xs, lam, cfg, membership=membership)
+        return inner ** (p / q) * weight.value(xs)
 
     lhs = adaptive_quad(outer, lo, hi, rel_tol=1e-4, breakpoints=bps, max_splits=200)
 

@@ -304,10 +304,13 @@ def verify_almost_char(
     index_set: IndexSet,
     ratio_ceiling: float = 100.0,
     probes=None,
+    coeffs=None,
 ) -> VerificationRecord:
     """Weak sequence norm of the scale-deflated coefficients against the
     estimated-constant weighted Sobolev norm, with the strong-norm comparison
-    reported when the truncated strong norm looks convergent.
+    reported when the truncated strong norm looks convergent.  ``coeffs`` is
+    the (atoms, values) pair of ``coefficients(f, system, index_set)`` when
+    already computed; otherwise it is computed here.
     """
     n = 1
     if system.order <= n + 1:
@@ -315,7 +318,7 @@ def verify_almost_char(
     if not (beta < 1.0 - 1.0 / n or beta > 1.0):
         # n = 1: admissible beta is anything below 0 or above 1
         raise ValueError(f"beta={beta} outside the admissible range")
-    atoms, vals = coefficients(f, system, index_set, dual_p=1.0)
+    atoms, vals = coeffs or coefficients(f, system, index_set, dual_p=1.0)
     deflated = vals / np.array([a.volume**beta for a in atoms])
     strong, weak = seq_norms(atoms, deflated, beta, w, 1.0)
     if probes is None:

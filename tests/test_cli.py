@@ -136,6 +136,28 @@ def test_verify_diffquot_linear_run(tmp_path):
     assert summary["ratio"] == pytest.approx(2.0, rel=2e-2)
 
 
+def test_verify_diffquot_tail_flag_written(tmp_path):
+    # gamma < 0 on the tent: at the two larger levels some outer nodes have
+    # no member, so their far tail never becomes negligible and is cut
+    out = tmp_path / "o"
+    main(
+        [
+            "verify-bsvy",
+            "--set", "function.name=tent",
+            "--set", "grid.lo=-2",
+            "--set", "grid.hi=2",
+            "--set", "lambda_lo=0.1",
+            "--set", "lambda_hi=30.0",
+            "--set", "lambda_count=3",
+            "--gamma", "-2.0",
+            "--out", str(out),
+        ]
+    )
+    lines = read(out / "results.csv").decode().splitlines()
+    assert lines[0] == "lambda,functional,tail_flag"
+    assert [line.split(",")[2] for line in lines[1:]] == ["0", "1", "1"]
+
+
 def test_sharpness_cli_matches_spec_shape(tmp_path):
     out = tmp_path / "o"
     code = main(

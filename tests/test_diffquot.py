@@ -293,3 +293,91 @@ def test_point_domination_ramp_mixed_pq():
     )
     assert rec.rhs > 0
     assert math.isfinite(rec.ratio)
+
+
+def _assert_batch_is_single(f, cfg, lam, xs, membership=None):
+    """inner_integral on an array of nodes equals, bit for bit, the same
+    nodes one at a time, in either order of the array."""
+    vals, diag = inner_integral(f, xs, lam, cfg, membership=membership)
+    rvals, rdiag = inner_integral(f, xs[::-1].copy(), lam, cfg, membership=membership)
+    assert np.array_equal(rvals[::-1], vals)
+    for i, x in enumerate(xs):
+        v, d = inner_integral(f, float(x), lam, cfg, membership=membership)
+        assert isinstance(v, float)
+        assert v == vals[i]
+        assert d["tail_bound"] == diag["tail_bound"][i]
+        assert d["truncated"] == diag["truncated"][i]
+    return vals, diag
+
+
+BATCH_NODES = np.array([-3.0, -1.5, -0.4, 0.0, 0.3, 0.9, 2.5, 4.0])
+
+
+def test_inner_integral_batch_tent_kinks_and_empty_rows():
+    f = catalog("tent")
+    cfg = DiffQuotConfig(p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-2, 2))
+    vals, diag = _assert_batch_is_single(f, cfg, 0.5, BATCH_NODES)
+    # rows carry 0 to 3 kink radii inside the certified shell
+    r = np.abs(np.subtract.outer(BATCH_NODES, f.breakpoints))
+    kinks = np.sum((r > diag["r_lo"]) & (r < diag["r_hi"]), axis=1)
+    assert set(kinks.tolist()) == {0, 1, 2, 3}
+    # nodes far outside the support have no member at this level
+    assert np.any(vals == 0.0) and np.any(vals > 0.0)
+
+
+def test_inner_integral_batch_far_tail_rows_stop_apart():
+    f = catalog("tent")
+    cfg = DiffQuotConfig(p=1, q=1, gamma=-2.0, weight=ConstantWeight(1.0), window=(-2, 2))
+    xs = np.concatenate([BATCH_NODES, [-30.0, 100.0]])
+    _, diag = _assert_batch_is_single(f, cfg, 1.0, xs)
+    assert diag["r_hi"] == math.inf
+    # rows leave the x4 extension at different radii, one only at the cap
+    assert len(set(diag["tail_bound"].tolist())) >= 4
+    assert 0 < diag["truncated"].sum() < len(xs)
+
+
+def test_inner_integral_batch_ball_mean_membership():
+    from dyadicweights.diffquot import _ball_mean_membership
+
+    for f, q, b, lam in (
+        (catalog("tent"), 1.0, 1.0, 0.07),
+        (catalog("linear_ramp", slope=1.0, cutoff=2.0), 2.0, -1.0, 0.4),
+    ):
+        cfg = DiffQuotConfig(
+            p=1, q=q, gamma=q * b, weight=ConstantWeight(1.0), window=(-8, 8),
+            exploratory=True,
+        )
+        vals, _ = _assert_batch_is_single(
+            f, cfg, lam, BATCH_NODES, membership=_ball_mean_membership(f, lam, b)
+        )
+        assert np.any(vals > 0.0)
+
+
+def test_point_domination_pinned_values():
+    # lhs and terms of the three point_domination inputs above, as computed
+    # by the per-node inner integral that the batched one replaced
+    cases = (
+        (
+            catalog("constant", c=1.0), 1.0, 1.0, 2.0, 0.5, (-4, 4, -4, 2), 0.5,
+            0.0, [0.0] * 11,
+        ),
+        (
+            catalog("tent"), 1.0, 1.0, 2.0, 0.07, (-8, 8, -5, 3), 0.5,
+            16.43241180825343,
+            [26.478515625, 23.95703125, 19.4140625, 10.515625, 8.75] + [0.0] * 6,
+        ),
+        (
+            catalog("linear_ramp", slope=1.0, cutoff=2.0), 1.0, 2.0, 0.0, 0.4,
+            (-8, 8, -5, 3), 0.25,
+            13.33584786090242,
+            [14.0, 7.0, 6.0, 3.25, 1.625, 0.875, 0.78125, 0.40625, 0.203125,
+             0.109375, 0.099609375],
+        ),
+    )
+    for f, p, q, beta, lam, box, eps, lhs, terms in cases:
+        rec = point_domination_check(
+            f, ConstantWeight(1.0), p, q, beta, lam,
+            window_1d(*box, shifts=all_shifts(1)), eps,
+        )
+        assert rec.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+        assert rec.details["terms"] == pytest.approx(terms, rel=1e-12, abs=0.0)

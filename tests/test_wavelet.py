@@ -228,6 +228,10 @@ def test_verify_almost_char_weighted(db4):
     assert rec.passed
     assert math.isfinite(rec.details["strong_norm"])
     assert rec.details["constant_estimate"] > 1.0
+    # coefficients already computed are used as they stand
+    coeffs = coefficients(f, db4, idx)
+    again = verify_almost_char(f, w, 2.0, db4, idx, coeffs=coeffs)
+    assert (again.lhs, again.rhs, again.details) == (rec.lhs, rec.rhs, rec.details)
 
 
 def test_verify_almost_char_rejects_bad_beta(db4):
