@@ -309,10 +309,15 @@ def inner_integral(
         scale = np.maximum(np.maximum(1.0, np.abs(xs)), r_lo)
         hi = 16.0 * scale
         vals = both_directions(everyone, np.maximum(r_lo, 1e-12 * scale), hi)
+        # a row without members never meets the stop relative to its total;
+        # it stops once its tail bound is at rounding level of the first
+        # shell's
+        floor = np.finfo(float).eps * 2.0 * hi**gamma / abs(gamma)
         active = everyone
         while len(active):
             tail = 2.0 * hi[active] ** gamma / abs(gamma)
-            done = tail <= np.maximum(cfg.inner_tol * np.abs(vals[active]), 1e-300)
+            stop = np.maximum(cfg.inner_tol * np.abs(vals[active]), floor[active])
+            done = tail <= stop
             tail_bound[active[done]] = tail[done]
             active, tail = active[~done], tail[~done]
             if not len(active):

@@ -4,10 +4,9 @@ integral
     omega_Q(f) = |Q|^(-1-1/n) * Int_Q Int_Q |f(x) - f(y)| dx dy.
 
 Catalog functions are piecewise polynomial or piecewise power with
-closed-form antiderivatives, so omega and weighted gradient norms have exact
-paths; a hierarchical sampled path covers everything else and shares samples
-bottom-up across a dyadic window so full-window sweeps stay near-linear in
-the number of cubes.
+closed-form antiderivatives, so weighted gradient norms have exact paths and
+omega is exact on every cube for every one-dimensional catalog function;
+tensor functions (n >= 2) are sampled on the box.
 """
 
 from __future__ import annotations
@@ -18,18 +17,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from dyadicweights.grid import Cube, GridWindow, children
-from dyadicweights.quadrature import adaptive_quad
+from dyadicweights.grid import Cube, GridWindow
+from dyadicweights.quadrature import _gl, adaptive_quad
 from dyadicweights.weights import ConstantWeight, PowerWeight, Weight
 
 
 @dataclass
 class Quadrature:
-    """Sampling policy for the generic omega path."""
+    """Sampling policy of the box-sampled omega path."""
 
     rel_tol: float = 1e-7
     max_nodes: int = 1 << 18
-    leaf_nodes: int = 48
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +163,6 @@ class TestFunction:
     def grad(self, x):
         return self._apply(x, lambda p, t: p.deriv(t))
 
-    def grad_norm(self, x):
-        return np.abs(self.grad(x))
-
     def primitive(self, x):
         return self._apply(x, lambda p, t: p.prim(t), self._prim_off)
 
@@ -195,13 +190,6 @@ class TestFunction:
             s, c = p.as_linear()
             out.append((lo, hi, s, c))
         return out
-
-    def feature_scale(self) -> float:
-        """Smallest gap between breakpoints (sampling resolution hint)."""
-        e = self._edges
-        if len(e) < 2:
-            return math.inf
-        return float(np.min(np.diff(e)))
 
     def __repr__(self):
         ps = ",".join(f"{k}={v}" for k, v in self.params.items())
@@ -530,63 +518,112 @@ def _sorted_pair_sum(values: np.ndarray, weights: np.ndarray) -> float:
     return 2.0 * float(np.sum(w * (v * wcum - vwcum)))
 
 
-def _double_integral_sampled(
-    f, a: float, b: float, quad: Quadrature
-) -> tuple[float, bool]:
-    length = b - a
-    feat = f.feature_scale() if hasattr(f, "feature_scale") else math.inf
-    n0 = 256
-    if math.isfinite(feat) and feat > 0:
-        n0 = max(n0, min(quad.max_nodes // 4, int(8 * length / feat) + 1))
-    prev = None
-    n = n0
-    while True:
-        xs = a + (np.arange(n) + 0.5) * (length / n)
-        v = f.value(xs)
-        w = np.full(n, length / n)
-        est = _sorted_pair_sum(v, w)
-        if prev is not None:
-            if abs(est - prev) <= quad.rel_tol * max(abs(est), 1e-300):
-                return est, True
-        prev = est
-        if n >= quad.max_nodes:
-            return est, False
-        n *= 2
+class _MonotonePart:
+    """One piece of f restricted to [lo, hi], where it is monotone."""
+
+    def __init__(self, piece: Piece, lo: float, hi: float):
+        self.piece, self.lo, self.hi = piece, lo, hi
+        self.ends = piece.eval(np.array([lo, hi]))
+        self.sgn = 1.0 if self.ends[1] >= self.ends[0] else -1.0
+        self.prim_ends = piece.prim(np.array([lo, hi]))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        if piece.kind == "poly":
+            # Gauss-Legendre exact for x f(x), on values of f: differences of
+            # the primitives of the expanded coefficients cancel badly
+            t, w = _gl(len(piece.data) // 2 + 1)
+            fx = piece.eval(mid + half * t)
+            self.mass = half * float(w @ fx)
+            self.moment = half * half * float((w * t) @ fx)
+        else:
+            self.mass = float(self.prim_ends[1] - self.prim_ends[0])
+            xp = piece.xprim(np.array([lo, hi]))
+            self.moment = float(xp[1] - xp[0]) - mid * self.mass
+
+    def self_integral(self) -> float:
+        """Int Int |f(x) - f(y)| over the part squared: 4 |Int (x - mid) f|
+        for monotone f."""
+        return 4.0 * abs(self.moment)
+
+    def inverse(self, v):
+        """Where f takes the values v, clipped to [lo, hi].
+
+        Bisection to 2^-32 of the part suffices: abs_dev is stationary in the
+        inverse point, so its error is second order in the bisection width.
+        """
+        v = np.asarray(v, dtype=float)
+        lo, hi = np.full(v.shape, self.lo), np.full(v.shape, self.hi)
+        for _ in range(32):
+            mid = 0.5 * (lo + hi)
+            below = self.sgn * (self.piece.eval(mid) - v) < 0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        x = np.where(self.sgn * (v - self.ends[1]) >= 0, self.hi, 0.5 * (lo + hi))
+        return np.where(self.sgn * (v - self.ends[0]) <= 0, self.lo, x)
+
+    def abs_dev(self, v):
+        """Int over [lo, hi] of |v - f(y)| dy at every v; v - f changes sign
+        once, at the inverse point."""
+        y = self.inverse(v)
+        h0, h1 = self.prim_ends
+        return self.sgn * (
+            v * (2.0 * y - self.lo - self.hi) + h0 + h1 - 2.0 * self.piece.prim(y)
+        )
 
 
-def omega(f, region, quad: Quadrature | None = None, method: str = "auto"):
-    """Renormalized averaged oscillation of f over a cube.
+def _monotone_parts(f: TestFunction, a: float, b: float) -> list[_MonotonePart]:
+    """The pieces of f clipped to [a, b], polynomial pieces cut at the real
+    parts of the roots of their derivative so f is monotone on every part.
 
-    method 'auto' picks the exact path when the function supports one
-    (piecewise linear, or monotone with closed-form antiderivatives) and the
-    shared sampling path otherwise; returns a float.  Use omega_flagged for
-    the accuracy flag of the sampled path.
+    A root within 1e-12 of a part's end is not cut: f moves by at most
+    ~1e-24 (hi - lo)^2 |f''| on the sliver it would split off.
     """
-    val, _ = omega_flagged(f, region, quad=quad, method=method)
-    return val
+    parts = []
+    for p in f.pieces:
+        lo, hi = max(a, p.x0), min(b, p.x1)
+        if hi <= lo:
+            continue
+        cuts = [lo, hi]
+        if p.kind == "poly" and len(p.data) > 2:
+            slope = [k * c for k, c in enumerate(p.data)][1:]
+            margin = 1e-12 * (hi - lo)
+            roots = np.polynomial.polynomial.polyroots(slope).real
+            inside = {float(r) for r in roots if lo + margin < r < hi - margin}
+            cuts[1:1] = sorted(inside)
+        parts += [_MonotonePart(p, s, t) for s, t in zip(cuts, cuts[1:])]
+    return parts
 
 
-def omega_flagged(f, region, quad: Quadrature | None = None, method: str = "auto"):
-    quad = quad or Quadrature()
-    n = getattr(f, "n", 1)
-    if n == 1:
-        a, b = _region_interval(region)
-        length = b - a
-        if method in ("auto", "exact"):
-            if f.linear_only_on(a, b):
-                return _double_integral_linear(f, a, b) / length**2, True
-            if getattr(f, "monotone", False):
-                return _double_integral_monotone(f, a, b) / length**2, True
-            if method == "exact":
-                raise ValueError("no exact omega path for this function")
-        if method == "bruteforce":
-            return omega_bruteforce(f, region), True
-        # 'sampled' forces the shared hierarchical route even when an exact
-        # path exists (used to validate that route against closed forms)
-        val, ok = _double_integral_sampled(f, a, b, quad)
-        return val / length**2, ok
-    # n >= 2: sampled tensor path
-    box = _region_box(region, n)
+def _cross_integral(p: _MonotonePart, q: _MonotonePart) -> float:
+    """Int over p's interval of Int over q's interval of |f(x) - f(y)|."""
+    (plo, phi), (qlo, qhi) = sorted(p.ends), sorted(q.ends)
+    if phi <= qlo or qhi <= plo:
+        # f(x) - f(y) keeps one sign
+        return abs((q.hi - q.lo) * p.mass - (p.hi - p.lo) * q.mass)
+    # the inner integral is exact through q's inverse; the outer integrand is
+    # smooth between the points where f on p crosses q's end values
+    cuts = [float(p.inverse(v)) for v in (qlo, qhi) if plo < v < phi]
+    return adaptive_quad(
+        lambda x: q.abs_dev(p.piece.eval(x)),
+        p.lo,
+        p.hi,
+        rel_tol=1e-13,
+        breakpoints=cuts,
+    )
+
+
+def _double_integral_piecewise(f: TestFunction, a: float, b: float) -> float:
+    parts = _monotone_parts(f, a, b)
+    total = 0.0
+    for i, p in enumerate(parts):
+        total += p.self_integral()
+        for q in parts[i + 1 :]:
+            total += 2.0 * _cross_integral(p, q)
+    return total
+
+
+def _omega_sampled(f, box: list[tuple[float, float]], quad: Quadrature):
+    """Box-sampled omega: midpoint tensor grids of the box, doubled per axis
+    until two estimates agree to quad.rel_tol or the node budget is spent."""
+    n = len(box)
     vol = 1.0
     for lo, hi in box:
         vol *= hi - lo
@@ -606,6 +643,38 @@ def omega_flagged(f, region, quad: Quadrature | None = None, method: str = "auto
         if (m * 2) ** n > quad.max_nodes:
             return est / vol ** (1.0 + 1.0 / n), False
         m *= 2
+
+
+def omega(f, region, quad: Quadrature | None = None, method: str = "auto"):
+    """Renormalized averaged oscillation of f over a cube; returns a float.
+
+    For n = 1 'auto' and 'exact' take an exact path on every cube: the
+    linear closed form where f is linear on the cube, the monotone one for
+    monotone f, and otherwise a sum over pairs of monotone pieces.  Tensor
+    functions (n >= 2) and method 'sampled' use box sampling; omega_flagged
+    also returns its convergence flag.
+    """
+    val, _ = omega_flagged(f, region, quad=quad, method=method)
+    return val
+
+
+def omega_flagged(f, region, quad: Quadrature | None = None, method: str = "auto"):
+    if method not in ("auto", "exact", "sampled"):
+        raise ValueError(f"unknown omega method {method!r}")
+    n = getattr(f, "n", 1)
+    if n == 1 and method != "sampled":
+        a, b = _region_interval(region)
+        if f.linear_only_on(a, b):
+            total = _double_integral_linear(f, a, b)
+        elif f.monotone:
+            total = _double_integral_monotone(f, a, b)
+        else:
+            total = _double_integral_piecewise(f, a, b)
+        return total / (b - a) ** 2, True
+    if method == "exact":
+        raise ValueError("no exact omega path for n >= 2")
+    box = [_region_interval(region)] if n == 1 else _region_box(region, n)
+    return _omega_sampled(f, box, quad or Quadrature())
 
 
 def _singular_left_ends(f) -> set[float]:
@@ -708,7 +777,7 @@ def _region_box(region, n: int) -> list[tuple[float, float]]:
 
 
 # ---------------------------------------------------------------------------
-# omega over a whole window, samples shared bottom-up
+# omega over a whole window
 # ---------------------------------------------------------------------------
 
 
@@ -719,67 +788,9 @@ def cube_key(q: Cube) -> tuple:
 def omega_window(
     f, window: GridWindow, quad: Quadrature | None = None
 ) -> dict[tuple, float]:
-    """omega for every cube of the window, keyed by cube_key.
-
-    Exact per-cube evaluation when the function supports it; otherwise leaf
-    samples are computed once per top-level cube and merged up the dyadic
-    tree, so the sweep costs O(#cubes * nodes-per-leaf * depth) instead of
-    re-sampling every cube from scratch.
-    """
-    quad = quad or Quadrature()
-    cubes = list(window.cubes())
-    out: dict[tuple, float] = {}
-    if getattr(f, "n", 1) != 1:
-        for q in cubes:
-            out[cube_key(q)] = omega(f, q, quad)
-        return out
-
-    exact = isinstance(f, TestFunction) and (
-        all(p.is_linear() for p in f.pieces)
-        or f.monotone
-    )
-    if exact:
-        for q in cubes:
-            out[cube_key(q)] = omega(f, q, quad, method="exact")
-        return out
-
-    # sampled sweep: group by (shift, top cube), recurse with merged samples
-    feat = f.feature_scale()
-    leaf_extra = 0
-    if math.isfinite(feat) and feat > 0:
-        need = int(math.ceil(math.log2(max(1.0, 2.0 ** window.j_min / feat))))
-        leaf_extra = min(8, max(0, need + 2))
-    j_leaf = window.j_min - leaf_extra
-    keys = {cube_key(q) for q in cubes}
-    tops: dict[tuple, Cube] = {}
-    for q in cubes:
-        if q.j == window.j_max:
-            tops[cube_key(q)] = q
-
-    def recurse(q: Cube) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = map(float, q.interval())
-        if q.j <= j_leaf:
-            k = quad.leaf_nodes
-            xs = lo + (np.arange(k) + 0.5) * ((hi - lo) / k)
-            v = f.value(xs)
-            w = np.full(k, (hi - lo) / k)
-        else:
-            parts = [recurse(c) for c in children(q)]
-            v = np.concatenate([p[0] for p in parts])
-            w = np.concatenate([p[1] for p in parts])
-        key = cube_key(q)
-        if key in keys:
-            out[key] = _sorted_pair_sum(v, w) / (hi - lo) ** 2
-        return v, w
-
-    for q in tops.values():
-        recurse(q)
-    # any window cube not under a top-generation ancestor (possible when the
-    # box clips ancestors): evaluate directly
-    for q in cubes:
-        if cube_key(q) not in out:
-            out[cube_key(q)] = omega(f, q, quad)
-    return out
+    """omega for every cube of the window, keyed by cube_key: exact on every
+    cube for one-dimensional catalog functions, box-sampled for n >= 2."""
+    return {cube_key(q): omega(f, q, quad) for q in window.cubes()}
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,6 @@ class Shift:
     def n(self) -> int:
         return len(self.thirds)
 
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(t, 3) for t in self.thirds)
-
     def __repr__(self):
         return "Shift(" + ",".join(str(t) for t in self.thirds) + ")"
 
@@ -102,10 +99,6 @@ class Cube:
             h * (mi + Fraction(sgn * ti, 3))
             for mi, ti in zip(self.m, self.shift.thirds)
         )
-
-    def upper(self) -> tuple[Fraction, ...]:
-        h = self.edge
-        return tuple(lo + h for lo in self.lower())
 
     def interval(self) -> tuple[Fraction, Fraction]:
         """Endpoints (n = 1 convenience)."""
@@ -203,9 +196,6 @@ class AxisCube:
     @property
     def n(self) -> int:
         return len(self.lower_corner)
-
-    def upper(self) -> tuple[Fraction, ...]:
-        return tuple(lo + self.edge for lo in self.lower_corner)
 
     def scaled(self, k: Fraction) -> "AxisCube":
         """Concentric rescaling by factor k."""

@@ -11,17 +11,12 @@ functional against weighted gradient norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from dyadicweights.funcspace import (
-    Quadrature,
-    grad_power_mass,
-    mean_abs,
-    omega_window,
-)
+from dyadicweights.funcspace import grad_power_mass, mean_abs, omega_window
 from dyadicweights.grid import Cube, GridWindow, Relation, relate
 from dyadicweights.quadrature import adaptive_quad
 from dyadicweights.records import FunctionalProfile, VerificationRecord
@@ -53,7 +48,6 @@ class OscillationConfig:
     tolerance: float = 1e-9
     ratio_ceiling: float = 100.0
     exploratory: bool = False
-    quadrature: Quadrature = field(default_factory=Quadrature)
 
     def __post_init__(self):
         if self.p < 1:
@@ -77,7 +71,6 @@ def level_set(
     lam: float,
     b: float,
     omega_map: dict | None = None,
-    quad: Quadrature | None = None,
     tol: float = 1e-9,
 ):
     """Cubes of the window with omega_Q(f) > lam * |Q|^b (strict).
@@ -88,7 +81,7 @@ def level_set(
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    omega_map = omega_map or omega_window(f, window, quad)
+    omega_map = omega_map or omega_window(f, window)
     members, flagged = [], []
     for q in window.cubes():
         key = (q.shift.thirds, q.j, q.m)
@@ -208,7 +201,7 @@ def oscillation_functional(
     membership cannot be certified closer than the omega accuracy.
     """
     window = cfg.window
-    omega_map = omega_map or omega_window(f, window, cfg.quadrature)
+    omega_map = omega_map or omega_window(f, window)
     cubes = list(window.cubes())
     b = cfg.level_exponent
     wexp = cfg.beta * cfg.p - 1.0

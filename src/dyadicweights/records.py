@@ -45,15 +45,3 @@ class VerificationRecord:
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
-
-    def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
-        out.update(self.details)
-        return out

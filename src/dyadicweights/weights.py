@@ -245,12 +245,6 @@ class ProductWeight(Weight):
             bps.append(b)
         return adaptive_quad(slice_mass, cx - r, cx + r, breakpoints=bps)
 
-    def ess_inf_box(self, box) -> float:
-        out = 1.0
-        for (lo, hi), f in zip(box, self.factors):
-            out *= f.ess_inf(lo, hi)
-        return out
-
     def breakpoints(self):
         return tuple(b for f in self.factors for b in f.breakpoints())
 

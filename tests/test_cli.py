@@ -2,16 +2,45 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from dyadicweights.cli import main, parse_config_text
 
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+# Subcommand and sha256 of results.csv for every shipped config.  A refactor
+# keeps these bytes; a change that moves a reported number updates the digest
+# and states the old and new values.
+CONFIG_RUNS = {
+    "a1_battery.cfg": (
+        "verify-cddd",
+        "fa1c2bd24da84061e41f79e419a7228cb1ff3abe5618ae0dbc92334514768fc1",
+    ),
+    "ap_sharpness.cfg": (
+        "sharpness",
+        "d62a329cba75fe4a1762a1547916d9adc8cf0a057f927f72f4b18d20ddf2bc08",
+    ),
+    "linear_quotient.cfg": (
+        "verify-bsvy",
+        "00cb4c4d4f9613577ae0c918c66b283327c0c4473265e5cacef6e83df48f32d1",
+    ),
+}
+
 
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_config_results_csv_digest(tmp_path, name):
+    subcommand, digest = CONFIG_RUNS[name]
+    main([subcommand, "--config", str(CONFIGS / name), "--out", str(tmp_path)])
+    assert hashlib.sha256(read(tmp_path / "results.csv")).hexdigest() == digest
 
 
 def test_parse_config_text_sections_and_types():
@@ -137,8 +166,33 @@ def test_verify_diffquot_linear_run(tmp_path):
 
 
 def test_verify_diffquot_tail_flag_written(tmp_path):
-    # gamma < 0 on the tent: at the two larger levels some outer nodes have
-    # no member, so their far tail never becomes negligible and is cut
+    # gamma = -0.6 with q = 0.5 on the tent: the far tail shrinks too slowly
+    # for nodes with members to get it below inner_tol of their total before
+    # the 1e12 cap, so they are cut there and the level is flagged
+    out = tmp_path / "o"
+    main(
+        [
+            "verify-bsvy",
+            "--set", "function.name=tent",
+            "--set", "grid.lo=-2",
+            "--set", "grid.hi=2",
+            "--set", "q=0.5",
+            "--set", "lambda_lo=1.0",
+            "--set", "lambda_hi=1.0",
+            "--set", "lambda_count=1",
+            "--gamma", "-0.6",
+            "--out", str(out),
+        ]
+    )
+    lines = read(out / "results.csv").decode().splitlines()
+    assert lines[0] == "lambda,functional,tail_flag"
+    assert [line.split(",")[2] for line in lines[1:]] == ["1"]
+
+
+def test_verify_diffquot_memberless_nodes_not_flagged(tmp_path):
+    # gamma = -2 on the tent: outer nodes with no member stop at the rounding
+    # floor of their first shell's tail bound instead of running to the cap;
+    # the functional is the one computed when they ran to the cap
     out = tmp_path / "o"
     main(
         [
@@ -153,9 +207,11 @@ def test_verify_diffquot_tail_flag_written(tmp_path):
             "--out", str(out),
         ]
     )
-    lines = read(out / "results.csv").decode().splitlines()
-    assert lines[0] == "lambda,functional,tail_flag"
-    assert [line.split(",")[2] for line in lines[1:]] == ["0", "1", "1"]
+    rows = [line.split(",") for line in read(out / "results.csv").decode().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["0", "0", "0"]
+    assert [float(row[1]) for row in rows] == pytest.approx(
+        [1.7513418826234046, 0.46030344772060044, 0.022222217015271477], rel=1e-12
+    )
 
 
 def test_sharpness_cli_matches_spec_shape(tmp_path):

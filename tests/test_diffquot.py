@@ -327,13 +327,19 @@ def test_inner_integral_batch_tent_kinks_and_empty_rows():
 
 def test_inner_integral_batch_far_tail_rows_stop_apart():
     f = catalog("tent")
-    cfg = DiffQuotConfig(p=1, q=1, gamma=-2.0, weight=ConstantWeight(1.0), window=(-2, 2))
     xs = np.concatenate([BATCH_NODES, [-30.0, 100.0]])
-    _, diag = _assert_batch_is_single(f, cfg, 1.0, xs)
-    assert diag["r_hi"] == math.inf
-    # rows leave the x4 extension at different radii, one only at the cap
-    assert len(set(diag["tail_bound"].tolist())) >= 4
-    assert 0 < diag["truncated"].sum() < len(xs)
+    # gamma = -2: rows leave the x4 extension at different radii, the row at
+    # 0 (no member) at the rounding floor of its first shell's tail bound;
+    # gamma = -0.6, q = 0.5: the tail shrinks too slowly, so every row but
+    # the one at 0.9 is cut at the cap
+    for q, gamma, cut in ((1.0, -2.0, 0), (0.5, -0.6, len(xs) - 1)):
+        cfg = DiffQuotConfig(
+            p=1, q=q, gamma=gamma, weight=ConstantWeight(1.0), window=(-2, 2)
+        )
+        _, diag = _assert_batch_is_single(f, cfg, 1.0, xs)
+        assert diag["r_hi"] == math.inf
+        assert len(set(diag["tail_bound"].tolist())) >= 4
+        assert diag["truncated"].sum() == cut
 
 
 def test_inner_integral_batch_ball_mean_membership():

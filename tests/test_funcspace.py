@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dyadicweights import funcspace
+from dyadicweights.cli import build_window, load_config
 from dyadicweights.funcspace import (
+    Piece,
     Quadrature,
     catalog,
     catalog_names,
+    cube_key,
     grad_mass,
     grad_power_mass,
     l1_weighted_norm,
@@ -157,7 +163,7 @@ def test_omega_exact_vs_bruteforce_catalog():
 def test_omega_sampled_vs_bruteforce_smooth():
     f = catalog("smoothed_indicator", width=0.5)
     for (a, b) in ((-1.0, 2.0), (-0.3, 0.4), (0.2, 1.9)):
-        smp, ok = omega_flagged(f, (a, b), Quadrature(rel_tol=1e-9))
+        smp, ok = omega_flagged(f, (a, b), Quadrature(rel_tol=1e-9), method="sampled")
         assert ok
         bf = omega_bruteforce(f, (a, b), nodes=4000)
         assert smp == pytest.approx(bf, rel=3e-6, abs=1e-12)
@@ -194,8 +200,16 @@ def test_omega_window_exact_and_sampled_agree():
     tentf = catalog("tent")
     exact_map = omega_window(tentf, w)
     smooth = catalog("smoothed_indicator", width=0.5)
-    sampled_map = omega_window(smooth, w, Quadrature(leaf_nodes=64))
+    sampled_map = omega_window(smooth, w)
     assert set(exact_map) == set(sampled_map)
+    # one omega call per cube, bit for bit
+    bump = catalog("sharp1_bump")
+    for f, got in (
+        (tentf, exact_map),
+        (smooth, sampled_map),
+        (bump, omega_window(bump, w)),
+    ):
+        assert got == {cube_key(q): omega(f, q) for q in w.cubes()}
     # spot check the sampled sweep against per-cube brute force
     rng = np.random.default_rng(5)
     keys = list(sampled_map)
@@ -206,7 +220,50 @@ def test_omega_window_exact_and_sampled_agree():
 
         q = make_cube(Shift(thirds), j, m)
         bf = omega_bruteforce(smooth, q, nodes=2500)
-        assert sampled_map[key] == pytest.approx(bf, rel=5e-5, abs=1e-12)
+        assert sampled_map[key] == pytest.approx(bf, rel=1e-6, abs=1e-12)
+
+
+def test_omega_exact_on_breakpoint_cubes_of_a1_window():
+    cfg = load_config(str(Path(__file__).parents[1] / "configs" / "a1_battery.cfg"))
+    window = build_window(cfg)
+    for f in (catalog("smoothed_indicator"), catalog("sharp1_bump")):
+        bps = [Fraction(b) for b in f.breakpoints]
+        straddling = [
+            q for q in window.cubes()
+            if any(q.interval()[0] < b < q.interval()[1] for b in bps)
+        ]
+        assert len(straddling) > 60
+        for q in straddling:
+            assert omega(f, q) == pytest.approx(omega_bruteforce(f, q), rel=1e-7)
+
+
+def test_omega_splits_polynomial_pieces_at_interior_extrema():
+    inf = math.inf
+    # x^3 - x turns at -1/sqrt(3) and 1/sqrt(3), inside one piece
+    cubic = funcspace.TestFunction(
+        [
+            Piece(-inf, -1.5, "poly", (-1.875,)),
+            Piece(-1.5, 1.5, "poly", (0.0, -1.0, 0.0, 1.0)),
+            Piece(1.5, inf, "poly", (1.875,)),
+        ]
+    )
+    parabola = funcspace.TestFunction([Piece(-inf, inf, "poly", (0.0, 0.0, 1.0))])
+    for f, a, b in (
+        (cubic, -1.2, 1.3),
+        (cubic, -0.9, 0.2),
+        (cubic, -2.0, 2.5),
+        (parabola, -1.0, 0.5),
+        (parabola, -0.3, 2.0),
+    ):
+        want = omega_bruteforce(f, (a, b), nodes=4000)
+        assert omega(f, (a, b)) == pytest.approx(want, rel=1e-6)
+
+
+def test_omega_method_names():
+    with pytest.raises(ValueError):
+        omega(catalog("tent"), (0.0, 1.0), method="bruteforce")
+    with pytest.raises(ValueError):
+        omega(tensor_tent(), ((0.0, 1.0), (0.0, 1.0)), method="exact")
 
 
 def test_sobolev_seminorm_linear_unit():
