@@ -308,15 +308,23 @@ def inner_integral(
             raise ValueError("divergent far tail: gamma > 0 needs a usable hint")
         scale = np.maximum(np.maximum(1.0, np.abs(xs)), r_lo)
         hi = 16.0 * scale
-        vals = both_directions(everyone, np.maximum(r_lo, 1e-12 * scale), hi)
-        # a row without members never meets the stop relative to its total;
-        # it stops once its tail bound is at rounding level of the first
-        # shell's
+        first = np.maximum(r_lo, 1e-12 * scale)
+        vals = both_directions(everyone, first, hi)
+        # a row with members stops relative to its total, at worst at
+        # rounding level of its first shell's tail bound; a row without
+        # members has no total, so it stops relative to the total its first
+        # shell would hold if every radius in it were a member
         floor = np.finfo(float).eps * 2.0 * hi**gamma / abs(gamma)
+        full = 2.0 * (first**gamma - hi**gamma) / abs(gamma)
         active = everyone
         while len(active):
             tail = 2.0 * hi[active] ** gamma / abs(gamma)
-            stop = np.maximum(cfg.inner_tol * np.abs(vals[active]), floor[active])
+            total = np.abs(vals[active])
+            stop = np.where(
+                total > 0,
+                np.maximum(cfg.inner_tol * total, floor[active]),
+                cfg.inner_tol * full[active],
+            )
             done = tail <= stop
             tail_bound[active[done]] = tail[done]
             active, tail = active[~done], tail[~done]
@@ -467,7 +475,7 @@ def point_domination_check(
     three shifted grids; the reported tail estimate flags under-truncation.
     """
     from dyadicweights.oscillation import LevelMass
-    from dyadicweights.funcspace import cube_key, omega_window
+    from dyadicweights.funcspace import omega_window
 
     if q < p:
         raise ValueError("needs q >= p")
@@ -501,11 +509,13 @@ def point_domination_check(
     # one level-set mass per threshold lam_j: cube Q is counted when
     # omega_Q / |Q|^(beta + 1 - 1/p) > lam_j, with weight |Q|^(beta p - 1) v(Q)
     omega_map = omega_window(f, window)
-    thr, wts = [], []
-    for qc in window.cubes():
-        vol = float(qc.volume)
-        thr.append(omega_map[cube_key(qc)] / vol ** (beta + 1.0 - 1.0 / p))
-        wts.append(vol ** (beta * p - 1.0) * weight.mass(qc))
+    arr = window.arrays
+    vols = arr.vol.tolist()
+    thr = [
+        omega_map[key] / v ** (beta + 1.0 - 1.0 / p) for key, v in zip(arr.keys, vols)
+    ]
+    masses = weight.masses(arr.lo, arr.hi)
+    wts = [v ** (beta * p - 1.0) * m for v, m in zip(vols, masses)]
     lam_js = [
         c_threshold * lam * 2.0 ** (j * (1.0 + n * (beta - 1.0 / p) - eps))
         for j in range(j_max + 1)

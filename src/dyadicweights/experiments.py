@@ -25,7 +25,14 @@ from dyadicweights.funcspace import (
     omega,
     omega_window,
 )
-from dyadicweights.grid import Cube, Shift, all_shifts, cube_at, window_1d
+from dyadicweights.grid import (
+    Cube,
+    Shift,
+    all_shifts,
+    axis_interval,
+    cube_at,
+    window_1d,
+)
 from dyadicweights.weights import (
     ConstantWeight,
     PowerWeight,
@@ -278,20 +285,19 @@ def _probe_family_sup(
         pt = (Fraction(c).limit_denominator(3 * 2**40),)
         for shift in all_shifts(1):
             for j in range(j_min, j_max + 1):
-                base = cube_at(shift, j, pt)
-                for dm in (-1, 0, 1):
-                    q = Cube(shift, j, (base.m[0] + dm,))
-                    key = (shift.thirds, q.j, q.m)
+                (m0,) = cube_at(shift, j, pt).m
+                for m in (m0 - 1, m0, m0 + 1):
+                    key = (shift.thirds, j, m)
                     if key in seen:
                         continue
                     seen.add(key)
-                    lo, hi = map(float, q.interval())
+                    lo, hi = axis_interval(shift.thirds[0], j, m)
                     om = omega(f, (lo, hi))
                     if om <= 0:
                         continue
-                    vol = float(q.volume)
+                    vol = 2.0**j
                     thr.append(om / vol**b)
-                    wts.append(vol ** (beta * p - 1.0) * weight.mass(q))
+                    wts.append(vol ** (beta * p - 1.0) * weight.interval_mass(lo, hi))
     return LevelMass(thr, wts).sup(p)
 
 

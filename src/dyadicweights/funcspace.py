@@ -789,8 +789,15 @@ def omega_window(
     f, window: GridWindow, quad: Quadrature | None = None
 ) -> dict[tuple, float]:
     """omega for every cube of the window, keyed by cube_key: exact on every
-    cube for one-dimensional catalog functions, box-sampled for n >= 2."""
-    return {cube_key(q): omega(f, q, quad) for q in window.cubes()}
+    cube for one-dimensional catalog functions, box-sampled for n >= 2.
+    Cubes are read from the window's array form as float corners."""
+    arr = window.arrays
+    if window.n == 1:
+        regions = zip(arr.lo[:, 0].tolist(), arr.hi[:, 0].tolist())
+    else:
+        boxes = zip(arr.lo.tolist(), arr.hi.tolist())
+        regions = (list(zip(lo, hi)) for lo, hi in boxes)
+    return {key: omega(f, region, quad) for key, region in zip(arr.keys, regions)}
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,21 @@ A grid with shift ``alpha`` in {0, 1/3, 2/3}^n consists of the half-open cubes
 
 Shifts are stored as integer thirds so every corner is a rational with
 denominator 3 * 2^|j|; all geometric decisions in this module are exact
-(no floating point).
+(no floating point).  Floats appear only as outputs for closed forms: the
+correctly rounded value of an exact corner (axis_interval, WindowArrays).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
+
+import numpy as np
 
 THIRDS = (0, 1, 2)
 
@@ -117,6 +122,18 @@ class Cube:
         lo = self.lower()
         box = "x".join(f"[{l},{l + self.edge})" for l in lo)
         return f"Cube({box}; alpha={self.shift.thirds}, j={self.j})"
+
+
+def axis_interval(t: int, j: int, m: int) -> tuple[float, float]:
+    """Float ends of the generation-j cube with index m on an axis shifted by
+    t thirds: the correctly rounded values of (3m + (-1)^j t) 2^j / 3 and
+    (3m + (-1)^j t + 3) 2^j / 3, by int / int true division, which is exact
+    at any size."""
+    c = 3 * m + (t if j % 2 == 0 else -t)
+    if j >= 0:
+        return (c << j) / 3, ((c + 3) << j) / 3
+    den = 3 << -j
+    return c / den, (c + 3) / den
 
 
 def make_cube(shift: Shift, j: int, m: Sequence[int]) -> Cube:
@@ -278,13 +295,47 @@ def dom_multiplicity(base: Sequence[AxisCube], k: Fraction) -> int:
     return max(counts.values())
 
 
+@dataclass(frozen=True, eq=False)
+class WindowArrays:
+    """The cubes of a window as arrays; row i is the i-th cube of
+    ``GridWindow.cubes()``.
+
+    ``thirds`` (N, n) and ``j`` (N,) are int arrays, ``m`` an (N, n) array of
+    Python ints.  ``corner`` holds the exact lower corners as Python ints: the
+    corner of a cube is (3m + (-1)^j t) 2^(j - j_min) in units of
+    2^j_min / 3, and its edge is 3 * 2^(j - j_min) of them.  ``lo`` and
+    ``hi`` are (N, n) floats, each the correctly rounded value of an exact
+    corner, and ``vol`` the (N,) float volumes 2^(j n).  The floats feed
+    only closed forms; every nesting or boundary decision reads ``corner``.
+    """
+
+    thirds: np.ndarray
+    j: np.ndarray
+    m: np.ndarray
+    corner: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    vol: np.ndarray
+    keys: tuple[tuple, ...]  # (thirds, j, m) per row, as funcspace.cube_key
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def cube(self, i: int) -> Cube:
+        """The Cube of row i, built only when a cube is reported."""
+        thirds, j, m = self.keys[i]
+        return Cube(Shift(thirds), j, m)
+
+
 @dataclass(frozen=True)
 class GridWindow:
     """Finite truncation of one or more shifted grids.
 
     Enumeration yields exactly the cubes that overlap the open interior of
     the bounding box and whose generation lies in [j_min, j_max], ordered by
-    (shift, generation descending, index lexicographic).
+    (shift, generation descending, index lexicographic).  ``arrays`` is the
+    same cubes in array form (see WindowArrays), built on first use and
+    kept on the window.
     """
 
     box: tuple[tuple[Fraction, Fraction], ...]
@@ -307,7 +358,7 @@ class GridWindow:
     def n(self) -> int:
         return len(self.box)
 
-    def _index_ranges(self, shift: Shift, j: int) -> list[tuple[int, int]]:
+    def _index_ranges(self, shift: Shift, j: int) -> list[range]:
         h = _pow2(j)
         sgn = 1 if j % 2 == 0 else -1
         ranges = []
@@ -318,45 +369,83 @@ class GridWindow:
             m_hi = math.ceil(x) - 1 if x == math.ceil(x) else math.floor(x)
             y = lo / h - s - 1
             m_lo = math.floor(y) + 1
-            ranges.append((m_lo, m_hi))
+            ranges.append(range(m_lo, m_hi + 1))
         return ranges
 
-    def count(self) -> int:
-        total = 0
-        for shift in self.shifts:
-            for j in range(self.j_min, self.j_max + 1):
-                c = 1
-                for m_lo, m_hi in self._index_ranges(shift, j):
-                    c *= max(0, m_hi - m_lo + 1)
-                total += c
-        return total
-
-    def cubes(self) -> Iterator[Cube]:
+    def _blocks(self) -> Iterator[tuple[Shift, int, list[range]]]:
+        """(shift, j, index ranges) in enumeration order."""
         if self.count() > self.budget:
             raise BudgetError(
                 f"window holds {self.count()} cubes, budget is {self.budget}"
             )
         for shift in self.shifts:
             for j in range(self.j_max, self.j_min - 1, -1):
-                ranges = self._index_ranges(shift, j)
-                yield from self._emit(shift, j, ranges)
+                yield shift, j, self._index_ranges(shift, j)
 
-    def _emit(self, shift: Shift, j: int, ranges) -> Iterator[Cube]:
-        idx = [r[0] for r in ranges]
-        if any(r[0] > r[1] for r in ranges):
-            return
-        n = len(ranges)
-        while True:
-            yield Cube(shift, j, tuple(idx))
-            d = n - 1
-            while d >= 0:
-                idx[d] += 1
-                if idx[d] <= ranges[d][1]:
-                    break
-                idx[d] = ranges[d][0]
-                d -= 1
-            if d < 0:
-                return
+    def count(self) -> int:
+        total = 0
+        for shift in self.shifts:
+            for j in range(self.j_min, self.j_max + 1):
+                total += math.prod(len(r) for r in self._index_ranges(shift, j))
+        return total
+
+    def cubes(self) -> Iterator[Cube]:
+        for shift, j, ranges in self._blocks():
+            for m in itertools.product(*ranges):
+                yield Cube(shift, j, m)
+
+    def boundary_flags(self) -> np.ndarray:
+        """Per row of ``arrays``: whether the cube reaches outside the box.
+
+        Exact: the integer corners are compared with the box scaled into
+        the same units, 2^j_min / 3, by cross-multiplication.
+        """
+        arr = self.arrays
+        unit = 3 / _pow2(self.j_min)
+        edge = np.array([3 << k for k in (arr.j - self.j_min).tolist()], dtype=object)
+        out = np.zeros(len(arr), dtype=bool)
+        for c, (blo, bhi) in zip(arr.corner.T, self.box):
+            lo, hi = Fraction(blo) * unit, Fraction(bhi) * unit
+            out |= c * lo.denominator < lo.numerator
+            out |= (c + edge) * hi.denominator > hi.numerator
+        return out
+
+    @functools.cached_property
+    def arrays(self) -> WindowArrays:
+        keys = []
+        m, corner, lo, hi = [], [], [], []  # row-major, n entries per cube
+        flat = itertools.chain.from_iterable
+        for shift, j, ranges in self._blocks():
+            sgn = 1 if j % 2 == 0 else -1
+            k = j - self.j_min
+            # exact corners and their floats once per index on each axis;
+            # the block's cubes are the product of the axes, last fastest
+            corners = [
+                [(3 * mi + sgn * t) << k for mi in r]
+                for r, t in zip(ranges, shift.thirds)
+            ]
+            ends = [
+                list(zip(*(axis_interval(t, j, mi) for mi in r)))
+                for r, t in zip(ranges, shift.thirds)
+            ]
+            rows = list(itertools.product(*ranges))
+            keys.extend((shift.thirds, j, mi) for mi in rows)
+            m.extend(flat(rows))
+            corner.extend(flat(itertools.product(*corners)))
+            lo.extend(flat(itertools.product(*(e[0] for e in ends))))
+            hi.extend(flat(itertools.product(*(e[1] for e in ends))))
+        n = self.n
+        js = np.array([key[1] for key in keys], dtype=np.int64)
+        return WindowArrays(
+            thirds=np.array([key[0] for key in keys], dtype=np.int64).reshape(-1, n),
+            j=js,
+            m=np.array(m, dtype=object).reshape(-1, n),
+            corner=np.array(corner, dtype=object).reshape(-1, n),
+            lo=np.array(lo, dtype=float).reshape(-1, n),
+            hi=np.array(hi, dtype=float).reshape(-1, n),
+            vol=np.ldexp(1.0, n * js),
+            keys=tuple(keys),
+        )
 
 
 def window_1d(

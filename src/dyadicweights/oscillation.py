@@ -82,27 +82,16 @@ def level_set(
     if lam <= 0:
         raise ValueError("lam must be positive")
     omega_map = omega_map or omega_window(f, window)
+    arr = window.arrays
     members, flagged = [], []
-    for q in window.cubes():
-        key = (q.shift.thirds, q.j, q.m)
+    for i, (key, vol) in enumerate(zip(arr.keys, arr.vol.tolist())):
         om = omega_map[key]
-        thr = lam * float(q.volume) ** b
+        thr = lam * vol**b
         if om > thr:
-            members.append(q)
+            members.append(arr.cube(i))
         if abs(om - thr) <= tol * max(abs(om), abs(thr), 1e-300):
-            flagged.append(q)
+            flagged.append(arr.cube(i))
     return members, flagged
-
-
-def _boundary_flags(window: GridWindow, cubes: list[Cube]) -> np.ndarray:
-    out = np.zeros(len(cubes), dtype=bool)
-    for i, q in enumerate(cubes):
-        lo = q.lower()
-        for d, (blo, bhi) in enumerate(window.box):
-            if lo[d] < blo or lo[d] + q.edge > bhi:
-                out[i] = True
-                break
-    return out
 
 
 class LevelMass:
@@ -141,13 +130,14 @@ def _sup_profile(
     p: float,
     lambda_count: int,
     boundary: np.ndarray,
-    cubes: list,
+    cube,
 ) -> FunctionalProfile:
     """Build the profile of lambda^p * (weight of cubes with threshold > lambda).
 
     The grid is log-spaced over the auto bracket plus a point just below each
     distinct threshold; over a finite window the supremum is attained there,
     so the grid max is the exact truncated supremum (up to the 1e-12 nudge).
+    ``cube(i)`` builds the Cube of entry i; only certifying cubes are built.
     """
     thr = levels.thresholds
     if len(thr) == 0:
@@ -179,7 +169,7 @@ def _sup_profile(
         inside = levels.index[:nk]
         on_boundary = np.cumsum(np.where(boundary[inside], weights[inside], 0.0))
         share = float(on_boundary[-1] / mass[k])
-    certifying = [cubes[i] for i in levels.index[:nk][:64]]
+    certifying = [cube(i) for i in levels.index[:nk][:64]]
     return FunctionalProfile(
         lambdas=[float(x) for x in lams],
         values=[float(v) for v in vals],
@@ -202,19 +192,18 @@ def oscillation_functional(
     """
     window = cfg.window
     omega_map = omega_map or omega_window(f, window)
-    cubes = list(window.cubes())
+    arr = window.arrays
     b = cfg.level_exponent
     wexp = cfg.beta * cfg.p - 1.0
-    thr = np.empty(len(cubes))
-    wts = np.empty(len(cubes))
-    for i, q in enumerate(cubes):
-        vol = float(q.volume)
-        om = omega_map[(q.shift.thirds, q.j, q.m)]
-        thr[i] = om / vol**b if om > 0 else 0.0
-        wts[i] = vol**wexp * cfg.weight.mass(q)
-    boundary = _boundary_flags(window, cubes)
+    vols = arr.vol.tolist()
+    oms = [omega_map[key] for key in arr.keys]
+    masses = cfg.weight.masses(arr.lo, arr.hi)
+    thr = np.array([om / v**b if om > 0 else 0.0 for om, v in zip(oms, vols)])
+    wts = np.array([v**wexp * m for v, m in zip(vols, masses)])
     levels = LevelMass(thr, wts)
-    prof = _sup_profile(levels, wts, cfg.p, cfg.lambda_count, boundary, cubes)
+    prof = _sup_profile(
+        levels, wts, cfg.p, cfg.lambda_count, window.boundary_flags(), arr.cube
+    )
     base = levels.sup(cfg.p)
     lam = levels.thresholds * (1.0 - 2.0 * cfg.tolerance)
     inclusive = float(np.max(lam**cfg.p * levels.above(lam)[1], initial=0.0))
@@ -349,19 +338,18 @@ def mean_functional(
         )
     if not math.isfinite(getattr(f, "value_bound", math.inf)):
         raise ValueError("mean functional needs a bounded function")
-    cubes = list(window.cubes())
+    arr = window.arrays
     b = beta - 1.0 / p
     wexp = beta * p - 1.0
-    thr = np.empty(len(cubes))
-    wts = np.empty(len(cubes))
-    for i, q in enumerate(cubes):
-        lo, hi = map(float, q.interval())
-        vol = float(q.volume)
-        m = mean_abs(f, lo, hi)
-        thr[i] = m / vol**b if m > 0 else 0.0
-        wts[i] = vol**wexp * weight.mass(q)
-    boundary = _boundary_flags(window, cubes)
-    return _sup_profile(LevelMass(thr, wts), wts, p, lambda_count, boundary, cubes)
+    vols = arr.vol.tolist()
+    ends = zip(arr.lo[:, 0].tolist(), arr.hi[:, 0].tolist())
+    means = [mean_abs(f, lo, hi) for lo, hi in ends]
+    masses = weight.masses(arr.lo, arr.hi)
+    thr = np.array([m / v**b if m > 0 else 0.0 for m, v in zip(means, vols)])
+    wts = np.array([v**wexp * m for v, m in zip(vols, masses)])
+    return _sup_profile(
+        LevelMass(thr, wts), wts, p, lambda_count, window.boundary_flags(), arr.cube
+    )
 
 
 def verify_mean_functional(

@@ -17,12 +17,9 @@ from math import comb, sqrt
 import numpy as np
 
 from dyadicweights.funcspace import grad_power_mass, l1_weighted_norm
-from dyadicweights.grid import Cube, Shift
 from dyadicweights.oscillation import LevelMass
 from dyadicweights.records import VerificationRecord
 from dyadicweights.weights import Weight, ap_constant, standard_probes
-
-S0 = Shift((0,))
 
 
 def daubechies_filter(order: int) -> np.ndarray:
@@ -163,20 +160,11 @@ def build_daubechies(order: int, depth: int = 12) -> WaveletSystem:
 # ---------------------------------------------------------------------------
 
 
-def dyadic_cube(j: int, k: int) -> Cube:
-    """The standard cube 2^-j [k + [0,1)) as a grid Cube (shift 0)."""
-    return Cube(S0, -j, (k,))
-
-
 @dataclass(frozen=True)
 class AtomIndex:
     e: int  # 0 scaling, 1 wavelet (n = 1)
     j: int  # scale index: cube edge 2^-j
     k: int  # translation
-
-    @property
-    def cube(self) -> Cube:
-        return dyadic_cube(self.j, self.k)
 
     @property
     def volume(self) -> float:
@@ -273,6 +261,25 @@ def coefficients(
     return atoms, vals
 
 
+def atom_weights(atoms, beta: float, w: Weight) -> np.ndarray:
+    """Entry weights |I|^(beta-1) v(I) of the atoms' cubes I = [k, k+1)/2^j,
+    with float ends k/2^j and (k+1)/2^j by int / int division."""
+    return np.array(
+        [
+            a.volume ** (beta - 1.0)
+            * w.interval_mass(a.k / 2**a.j, (a.k + 1) / 2**a.j)
+            for a in atoms
+        ]
+    )
+
+
+def _norms(u: np.ndarray, values: np.ndarray, p: float) -> tuple[float, float]:
+    mags = np.abs(values)
+    strong = float(np.sum(u * mags**p)) ** (1.0 / p)
+    weak = LevelMass(mags, u).sup(p) ** (1.0 / p)
+    return strong, weak
+
+
 def seq_norms(
     atoms,
     values: np.ndarray,
@@ -287,13 +294,7 @@ def seq_norms(
     supremum is attained at coefficient magnitudes, so it is exact for finite
     families.
     """
-    u = np.array(
-        [a.volume ** (beta - 1.0) * w.mass(a.cube) for a in atoms]
-    )
-    mags = np.abs(values)
-    strong = float(np.sum(u * mags**p)) ** (1.0 / p)
-    weak = LevelMass(mags, u).sup(p) ** (1.0 / p)
-    return strong, weak
+    return _norms(atom_weights(atoms, beta, w), values, p)
 
 
 def verify_almost_char(
@@ -320,7 +321,8 @@ def verify_almost_char(
         raise ValueError(f"beta={beta} outside the admissible range")
     atoms, vals = coeffs or coefficients(f, system, index_set, dual_p=1.0)
     deflated = vals / np.array([a.volume**beta for a in atoms])
-    strong, weak = seq_norms(atoms, deflated, beta, w, 1.0)
+    u = atom_weights(atoms, beta, w)
+    strong, weak = _norms(u, deflated, 1.0)
     if probes is None:
         probes = standard_probes(w, scales=range(-index_set.j_max - 2, 6))
     est = ap_constant(w, 1.0, probes).value
@@ -332,7 +334,6 @@ def verify_almost_char(
 
     # convergence flag for the strong norm: per-generation tail decay
     per_gen: dict[int, float] = {}
-    u = np.array([a.volume ** (beta - 1.0) * w.mass(a.cube) for a in atoms])
     for a, uu, dv in zip(atoms, u, np.abs(deflated)):
         per_gen[a.j] = per_gen.get(a.j, 0.0) + uu * dv
     gens = sorted(per_gen)

@@ -90,6 +90,14 @@ class Weight:
         box = _box_of(region)
         return self._box_mass(box)
 
+    def masses(self, lo: np.ndarray, hi: np.ndarray) -> list[float]:
+        """Masses of N boxes given by (N, n) float corners, one closed-form
+        call per box: interval_mass for n = 1, _box_mass otherwise."""
+        if self.n == 1:
+            pairs = zip(lo[:, 0].tolist(), hi[:, 0].tolist())
+            return [self.interval_mass(a, b) for a, b in pairs]
+        return [self._box_mass(list(zip(a, b))) for a, b in zip(lo.tolist(), hi.tolist())]
+
     def _box_mass(self, box) -> float:
         raise NotImplementedError
 

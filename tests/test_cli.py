@@ -190,9 +190,9 @@ def test_verify_diffquot_tail_flag_written(tmp_path):
 
 
 def test_verify_diffquot_memberless_nodes_not_flagged(tmp_path):
-    # gamma = -2 on the tent: outer nodes with no member stop at the rounding
-    # floor of their first shell's tail bound instead of running to the cap;
-    # the functional is the one computed when they ran to the cap
+    # gamma = -2 on the tent: outer nodes with no member stop below the cap
+    # instead of running to it; the functional is the one computed when they
+    # ran to the cap
     out = tmp_path / "o"
     main(
         [
@@ -212,6 +212,38 @@ def test_verify_diffquot_memberless_nodes_not_flagged(tmp_path):
     assert [float(row[1]) for row in rows] == pytest.approx(
         [1.7513418826234046, 0.46030344772060044, 0.022222217015271477], rel=1e-12
     )
+
+
+def test_verify_diffquot_memberless_nodes_not_flagged_slow_tail(tmp_path):
+    # gamma = -1.2: the tails of memberless nodes shrink too slowly to reach
+    # rounding level before the cap, so they stop at inner_tol of a fully
+    # occupied first shell instead.  Nodes whose only members lie beyond
+    # about 1e9 stop there too: the functional at the two upper levels,
+    # which they alone carried when run to the cap (and flagged), moves
+    # within the bound lam * (hi - lo) * inner_tol * (full first shell)
+    out = tmp_path / "o"
+    main(
+        [
+            "verify-bsvy",
+            "--set", "function.name=tent",
+            "--set", "grid.lo=-2",
+            "--set", "grid.hi=2",
+            "--set", "lambda_lo=0.1",
+            "--set", "lambda_hi=30.0",
+            "--set", "lambda_count=3",
+            "--gamma", "-1.2",
+            "--out", str(out),
+        ]
+    )
+    rows = [line.split(",") for line in read(out / "results.csv").decode().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["0", "0", "0"]
+    values = [float(row[1]) for row in rows]
+    assert values == pytest.approx([3.1338831472689517, 0.03054761931825337, 0.0], rel=1e-12)
+    # the values written when every node ran to the cap
+    assert values == pytest.approx(
+        [3.1338831472689517, 0.030547621515254957, 1.959629854249857e-08], abs=3e-6
+    )
+    assert values[0] == 3.1338831472689517
 
 
 def test_sharpness_cli_matches_spec_shape(tmp_path):

@@ -328,18 +328,50 @@ def test_inner_integral_batch_tent_kinks_and_empty_rows():
 def test_inner_integral_batch_far_tail_rows_stop_apart():
     f = catalog("tent")
     xs = np.concatenate([BATCH_NODES, [-30.0, 100.0]])
-    # gamma = -2: rows leave the x4 extension at different radii, the row at
-    # 0 (no member) at the rounding floor of its first shell's tail bound;
-    # gamma = -0.6, q = 0.5: the tail shrinks too slowly, so every row but
-    # the one at 0.9 is cut at the cap
-    for q, gamma, cut in ((1.0, -2.0, 0), (0.5, -0.6, len(xs) - 1)):
+    # gamma = -2: rows leave the x4 extension at different radii, none cut;
+    # gamma = -0.6, q = 0.5: the tail shrinks too slowly, so every row with
+    # members but the one at 0.9 is cut at the cap, while the row at 0 (no
+    # member) stops at inner_tol of a fully occupied first shell
+    for q, gamma, uncut in ((1.0, -2.0, xs), (0.5, -0.6, [0.0, 0.9])):
         cfg = DiffQuotConfig(
             p=1, q=q, gamma=gamma, weight=ConstantWeight(1.0), window=(-2, 2)
         )
-        _, diag = _assert_batch_is_single(f, cfg, 1.0, xs)
+        vals, diag = _assert_batch_is_single(f, cfg, 1.0, xs)
         assert diag["r_hi"] == math.inf
         assert len(set(diag["tail_bound"].tolist())) >= 4
-        assert diag["truncated"].sum() == cut
+        assert diag["truncated"].tolist() == [x not in uncut for x in xs]
+        assert vals[xs == 0.0] == 0.0
+
+
+def test_inner_integral_memberless_rows_stop_member_rows_unchanged():
+    # q = 1, gamma = -1.2, lam = 1 on the tent: the tails of the rows at 0
+    # and 2 (no member) shrink too slowly to reach rounding level before the
+    # 1e12 cap; they stop once the tail bound is inner_tol of what their
+    # first shell would hold if every radius in it were a member
+    f = catalog("tent")
+    cfg = DiffQuotConfig(
+        p=1, q=1, gamma=-1.2, weight=ConstantWeight(1.0), window=(-2, 2),
+        exploratory=True,
+    )
+    xs = np.array([-1.0, 0.0, 0.3, 0.9, 2.0, 3.5])
+    vals, diag = _assert_batch_is_single(f, cfg, 1.0, xs)
+    assert not diag["truncated"].any()
+    for x in (0.0, 2.0):
+        i = int(np.flatnonzero(xs == x)[0])
+        scale = max(1.0, abs(x), diag["r_lo"])
+        full = 2.0 * (diag["r_lo"] ** -1.2 - (16.0 * scale) ** -1.2) / 1.2
+        assert vals[i] == 0.0
+        assert 0 < diag["tail_bound"][i] <= cfg.inner_tol * full
+    # rows with members run exactly as before the floor existed
+    members = (xs != 0.0) & (xs != 2.0)
+    assert vals[members].tolist() == [
+        0.05616177587836595, 0.0012149993243638383, 0.8857344756746685,
+        0.04448680059153498,
+    ]
+    assert diag["tail_bound"][members].tolist() == [
+        1.8821614068130643e-08, 6.75636159951585e-10, 5.243253353329082e-07,
+        2.209261887275524e-08,
+    ]
 
 
 def test_inner_integral_batch_ball_mean_membership():

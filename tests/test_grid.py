@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dyadicweights.grid import (
@@ -260,6 +261,69 @@ def test_window_enumeration_order_and_uniqueness():
         gens.setdefault(q.shift.thirds, []).append(q.j)
     for js in gens.values():
         assert js == sorted(js, reverse=True)
+    _assert_arrays_are_cubes(w)
+
+
+def _assert_arrays_are_cubes(w: GridWindow):
+    """The array form of a window against its Cubes: same order and keys,
+    exact corners, floats equal bit for bit to float(Fraction) of the
+    corners, and boundary flags equal to a Fraction loop over Cube.lower()."""
+    assert "arrays" not in vars(w)  # built on first use only
+    arr = w.arrays
+    assert w.arrays is arr
+    cubes = list(w.cubes())
+    assert len(arr) == len(cubes) == w.count()
+    assert arr.keys == tuple((q.shift.thirds, q.j, q.m) for q in cubes)
+    assert [arr.cube(i) for i in range(len(arr))] == cubes
+    assert arr.thirds.tolist() == [list(q.shift.thirds) for q in cubes]
+    assert arr.j.tolist() == [q.j for q in cubes]
+    assert arr.m.tolist() == [list(q.m) for q in cubes]
+    unit = Fraction(2) ** w.j_min / 3
+    assert [tuple(c * unit for c in row) for row in arr.corner.tolist()] == [
+        q.lower() for q in cubes
+    ]
+    lo = np.array([[float(x) for x in q.lower()] for q in cubes]).reshape(-1, w.n)
+    hi = np.array([[float(x + q.edge) for x in q.lower()] for q in cubes]).reshape(-1, w.n)
+    assert arr.lo.tobytes() == lo.tobytes()
+    assert arr.hi.tobytes() == hi.tobytes()
+    if w.n == 1:
+        ends = np.array([[float(x) for x in q.interval()] for q in cubes]).reshape(-1, 2)
+        assert np.hstack([arr.lo, arr.hi]).tobytes() == ends.tobytes()
+    assert arr.vol.tobytes() == np.array([float(q.volume) for q in cubes]).tobytes()
+    outside = [
+        any(x < blo or x + q.edge > bhi for x, (blo, bhi) in zip(q.lower(), w.box))
+        for q in cubes
+    ]
+    assert w.boundary_flags().tolist() == outside
+    return arr
+
+
+def test_window_arrays_all_shifts_even_odd_negative_generations():
+    w = window_1d(Fraction(-7, 5), Fraction(9, 4), -4, 3, shifts=all_shifts(1))
+    arr = _assert_arrays_are_cubes(w)
+    assert {0, 1, 2} == set(arr.thirds[:, 0].tolist())
+    assert set(range(-4, 4)) == set(arr.j.tolist())
+    assert arr.m.min() < 0 < arr.m.max()
+    assert 0 < w.boundary_flags().sum() < len(arr)
+
+
+def test_window_arrays_box_ends_on_thirds_and_grid_corners():
+    # -2/3 is a corner of the 1/3-shifted grid at odd generations, 4/3 at
+    # even ones, 0 and 2 corners of the unshifted grid: cubes ending exactly
+    # on the box are inside it
+    for lo, hi in ((Fraction(-2, 3), Fraction(4, 3)), (Fraction(0), Fraction(2))):
+        w = window_1d(lo, hi, -3, 1, shifts=all_shifts(1))
+        arr = _assert_arrays_are_cubes(w)
+        at_lo = [c * Fraction(2) ** w.j_min / 3 == lo for c in arr.corner[:, 0]]
+        assert any(not f for f, a in zip(w.boundary_flags(), at_lo) if a)
+
+
+def test_window_arrays_far_from_origin():
+    # |3m| > 2^53: the float ends are still the correctly rounded corners
+    for lo in (2**53 + Fraction(1, 3), -(2**60) - Fraction(5, 7)):
+        w = window_1d(lo, lo + 3, -3, 1, shifts=all_shifts(1))
+        arr = _assert_arrays_are_cubes(w)
+        assert max(abs(3 * m) for m in arr.m[:, 0]) > 2**53
 
 
 def test_window_2d_all_shifts_counts():
@@ -278,12 +342,18 @@ def test_window_2d_all_shifts_counts():
             ms = [m for m in range(-3, 4) if m + s < 1 and m + s + 1 > 0]
             per_axis.append(len(ms))
         assert cnt == per_axis[0] * per_axis[1]
+    _assert_arrays_are_cubes(w)
+    box = ((Fraction(-1, 3), Fraction(3, 2)), (Fraction(1, 6), Fraction(2)))
+    arr = _assert_arrays_are_cubes(GridWindow(box, -2, 1, tuple(all_shifts(2))))
+    assert arr.lo.shape == arr.hi.shape == arr.m.shape == (len(arr), 2)
 
 
 def test_window_budget_guard():
     w = window_1d(0, 1024, -12, 0, budget=1000)
     with pytest.raises(BudgetError):
         list(w.cubes())
+    with pytest.raises(BudgetError):
+        w.arrays
 
 
 def test_cube_json_roundtrip_fields():
