@@ -208,11 +208,11 @@ def _read_plot_pairs(csv_path: str, xcol: str, ycol: str):
     return pairs, len(rows)
 
 
-def _plot_axis(values, log: bool, lo_px: float, hi_px: float):
-    """Map values onto [lo_px, hi_px]; the axis is logarithmic only when
-    `log` is set and every value is > 0.  Returns (pixels, ticks, log) with
-    ticks as evenly spaced (pixel, label) pairs."""
-    log = log and all(v > 0 for v in values)
+def _plot_axis(values, lo_px: float, hi_px: float):
+    """Map values onto [lo_px, hi_px]; the axis is logarithmic when every
+    value is > 0, linear otherwise.  Returns (pixels, ticks, log) with ticks
+    as evenly spaced (pixel, label) pairs."""
+    log = all(v > 0 for v in values)
     t = [math.log10(v) for v in values] if log else list(values)
     lo, hi = min(t), max(t)
     if hi == lo:  # single point or constant column
@@ -227,7 +227,7 @@ def _plot_axis(values, log: bool, lo_px: float, hi_px: float):
     return pixels, ticks, log
 
 
-def maybe_plot(outdir: str, csv_path: str, xcol: str, ycol: str, logx=True, logy=True):
+def maybe_plot(outdir: str, csv_path: str, xcol: str, ycol: str):
     """Render plot.svg from the CSV alone; plotting never feeds back into
     the numeric pipeline.
 
@@ -253,8 +253,8 @@ def maybe_plot(outdir: str, csv_path: str, xcol: str, ycol: str, logx=True, logy
             f" without finite {xcol} and {ycol}",
             file=sys.stderr,
         )
-    xpx, xticks, xlog = _plot_axis([x for x, _ in pairs], logx, _SVG_LEFT, _SVG_RIGHT)
-    ypx, yticks, ylog = _plot_axis([y for _, y in pairs], logy, _SVG_BOTTOM, _SVG_TOP)
+    xpx, xticks, xlog = _plot_axis([x for x, _ in pairs], _SVG_LEFT, _SVG_RIGHT)
+    ypx, yticks, ylog = _plot_axis([y for _, y in pairs], _SVG_BOTTOM, _SVG_TOP)
     xlabel = escape(xcol) + (" (log)" if xlog else "")
     ylabel = escape(ycol) + (" (log)" if ylog else "")
     ymid = (_SVG_TOP + _SVG_BOTTOM) / 2
@@ -378,7 +378,7 @@ def run_verify_diffquot(cfg: dict):
         "lower_const": rec.details["lower_constant"],
         "admissible": rec.details["admissible"],
         "scale_ok": rec.details["scale_ok"],
-        "truncation": {"tail_decades": bcfg.tail_decades},
+        "truncation": {"tail_decades": diffquot.TAIL_DECADES},
         "details": rec.details,
     }
     return rows, ["lambda", "functional", "tail_flag"], summary, (

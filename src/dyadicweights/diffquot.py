@@ -25,6 +25,13 @@ from dyadicweights.quadrature import adaptive_quad
 from dyadicweights.records import FunctionalProfile, VerificationRecord
 from dyadicweights.weights import Weight
 
+# Relative stop of the inner integral's far-tail extension.
+INNER_TOL = 1e-6
+# Geometric sample radii per shell of the inner integral, before kink radii.
+RADIAL_SAMPLES = 193
+# Decades of the lambda grid, toward the limit, that test the lower constant.
+TAIL_DECADES = 1.0
+
 
 def gamma_admissible(p: float, q: float, gamma: float) -> bool:
     """Admissible difference-quotient exponents: all nonzero gamma for p > 1,
@@ -50,11 +57,7 @@ class DiffQuotConfig:
     lambda_lo: float = 1e-2
     lambda_hi: float = 1e2
     lambda_count: int = 17
-    inner_tol: float = 1e-6
-    outer_tol: float = 1e-3
-    radial_samples: int = 193
     ratio_ceiling: float = 100.0
-    tail_decades: float = 1.0
     exploratory: bool = False
 
     def __post_init__(self):
@@ -191,7 +194,6 @@ def _signed_member_mass(
     radii: np.ndarray,
     gamma: float,
     extend_to_zero: bool,
-    bisect_iters: int = 40,
 ) -> np.ndarray:
     """Integral of 1_member r^(gamma-1) over both directions y = x +- r, for
     every node x in ``xs``.
@@ -200,7 +202,8 @@ def _signed_member_mass(
     repeats of its last radius (a repeat never flips).  Membership of every
     row in both directions is one vectorized call, and every boundary
     between consecutive sample radii, of every row, is bisected together.
-    Each member run contributes (r2^gamma - r1^gamma)/gamma in closed form.
+    Each member run contributes (r2^gamma - r1^gamma)/gamma in closed form;
+    40 bisection steps put each boundary within 2^-40 of its sample gap.
     Sub-grid membership islands are the only approximation; the sample grid
     is geometric and includes the kink radii of the function.
     """
@@ -215,7 +218,7 @@ def _signed_member_mass(
         xb, fb = xs[row], fx[row]
         sg = sign[dirn, 0]
         left_state = mask[row, dirn, at]
-        for _ in range(bisect_iters):
+        for _ in range(40):
             mid = 0.5 * (lo_b + hi_b)
             same = membership(xb, fb, xb + sg * mid) == left_state
             lo_b = np.where(same, mid, lo_b)
@@ -286,8 +289,8 @@ def inner_integral(
     def both_directions(rows: np.ndarray, lo, hi) -> np.ndarray:
         # lo, hi: one shell for every row, or one per row
         lo_c, hi_c = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
-        base = np.geomspace(lo, hi, cfg.radial_samples, axis=-1)
-        base = np.broadcast_to(base, (len(rows), cfg.radial_samples))
+        base = np.geomspace(lo, hi, RADIAL_SAMPLES, axis=-1)
+        base = np.broadcast_to(base, (len(rows), RADIAL_SAMPLES))
         kinks = np.abs(bps - xs[rows, None])
         kinks = np.where((lo_c < kinks) & (kinks < hi_c), kinks, base[:, -1:])
         radii = np.sort(np.concatenate([base, kinks], axis=1), axis=1)
@@ -322,8 +325,8 @@ def inner_integral(
             total = np.abs(vals[active])
             stop = np.where(
                 total > 0,
-                np.maximum(cfg.inner_tol * total, floor[active]),
-                cfg.inner_tol * full[active],
+                np.maximum(INNER_TOL * total, floor[active]),
+                INNER_TOL * full[active],
             )
             done = tail <= stop
             tail_bound[active[done]] = tail[done]
@@ -345,12 +348,12 @@ def inner_integral(
     return vals, diag
 
 
-def diffquot_functional(cfg: DiffQuotConfig, f, lambdas=None) -> FunctionalProfile:
-    """Profile of lam * || inner(.,lam)^(1/q) ||_{L^p_w(window)} over the grid."""
-    if lambdas is None:
-        lambdas = np.logspace(
-            math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count
-        )
+def diffquot_functional(cfg: DiffQuotConfig, f) -> FunctionalProfile:
+    """Profile of lam * || inner(.,lam)^(1/q) ||_{L^p_w(window)} over the grid;
+    the outer integrals are taken to relative tolerance 1e-3."""
+    lambdas = np.logspace(
+        math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count
+    )
     lo, hi = cfg.window
     w = cfg.weight
     bps = list(getattr(f, "breakpoints", ())) + list(w.breakpoints())
@@ -365,7 +368,7 @@ def diffquot_functional(cfg: DiffQuotConfig, f, lambdas=None) -> FunctionalProfi
             return inner ** (cfg.p / cfg.q) * w.value(xs)
 
         integ = adaptive_quad(
-            outer, lo, hi, rel_tol=cfg.outer_tol, breakpoints=bps, max_splits=400
+            outer, lo, hi, rel_tol=1e-3, breakpoints=bps, max_splits=400
         )
         values.append(float(lam) * integ ** (1.0 / cfg.p))
         tails.append(truncated)
@@ -403,8 +406,8 @@ def verify_diffquot(cfg: DiffQuotConfig, f, tol: float = 0.05) -> VerificationRe
     """Two-sided check of the functional against the weighted gradient norm.
 
     The one-sided constant bounds the limit of the profile toward lam = inf
-    (gamma > 0) or lam = 0 (gamma < 0); it is tested on the last decade of
-    the grid in that direction.  The other side uses the configured ceiling.
+    (gamma > 0) or lam = 0 (gamma < 0); it is tested on the last TAIL_DECADES
+    of the grid in that direction.  The other side uses the configured ceiling.
     """
     prof = diffquot_functional(cfg, f)
     lo, hi = cfg.window
@@ -413,10 +416,10 @@ def verify_diffquot(cfg: DiffQuotConfig, f, tol: float = 0.05) -> VerificationRe
     lams = np.asarray(prof.lambdas)
     vals = np.asarray(prof.values)
     if cfg.gamma > 0:
-        cutoff = lams.max() / 10.0**cfg.tail_decades
+        cutoff = lams.max() / 10.0**TAIL_DECADES
         tail = vals[lams >= cutoff]
     else:
-        cutoff = lams.min() * 10.0**cfg.tail_decades
+        cutoff = lams.min() * 10.0**TAIL_DECADES
         tail = vals[lams <= cutoff]
     tail_value = float(np.min(tail)) if len(tail) else 0.0
     ratio = prof.sup / norm if norm > 0 else math.inf
@@ -462,17 +465,16 @@ def point_domination_check(
     window,
     eps: float,
     j_max: int = 10,
-    c_threshold: float = 1.0,
-    calibrated_c: float | None = None,
 ) -> VerificationRecord:
     """Ball-mean level-set functional against a truncated sum of shifted-grid
     oscillation functionals at geometrically growing thresholds.
 
-    Informational: the constant is calibrated, not sharp.  The left side uses
-    membership |f(x) - mean over B(y, |x-y|/20)| > lam |x-y|^(1 + n(beta-1/p));
-    the right side sums 2^(j n (beta p - 1)) times the oscillation functional
-    at threshold lam(j) = c * lam * 2^(j (1 + n(beta-1/p) - eps)) over the
-    three shifted grids; the reported tail estimate flags under-truncation.
+    Informational: the constant is the observed ratio, so only an
+    inconclusive truncation fails.  The left side uses membership
+    |f(x) - mean over B(y, |x-y|/20)| > lam |x-y|^(1 + n(beta-1/p)); the
+    right side sums 2^(j n (beta p - 1)) times the oscillation functional at
+    threshold lam(j) = lam * 2^(j (1 + n(beta-1/p) - eps)) over the three
+    shifted grids; the reported tail estimate flags under-truncation.
     """
     from dyadicweights.oscillation import LevelMass
     from dyadicweights.funcspace import omega_window
@@ -517,7 +519,7 @@ def point_domination_check(
     masses = weight.masses(arr.lo, arr.hi)
     wts = [v ** (beta * p - 1.0) * m for v, m in zip(vols, masses)]
     lam_js = [
-        c_threshold * lam * 2.0 ** (j * (1.0 + n * (beta - 1.0 / p) - eps))
+        lam * 2.0 ** (j * (1.0 + n * (beta - 1.0 / p) - eps))
         for j in range(j_max + 1)
     ]
     _, ssums = LevelMass(thr, wts).above(lam_js)
@@ -537,14 +539,15 @@ def point_domination_check(
     if rhs > 0 and tail > 0.05 * rhs:
         inconclusive = True
     observed_c = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
-    cal = calibrated_c if calibrated_c is not None else observed_c
-    passed = (not inconclusive) and (lhs <= cal * rhs * (1 + 1e-9) or lhs == 0.0)
+    passed = (not inconclusive) and (
+        lhs <= observed_c * rhs * (1 + 1e-9) or lhs == 0.0
+    )
     return VerificationRecord(
         name="point_domination",
         lhs=lhs,
         rhs=rhs,
         ratio=observed_c,
-        tolerance=cal,
+        tolerance=observed_c,
         passed=passed,
         details={
             "inconclusive": inconclusive,
@@ -552,7 +555,7 @@ def point_domination_check(
             "terms": terms,
             "eps": eps,
             "beta": beta,
-            "calibrated_c": cal,
+            "calibrated_c": observed_c,
             "key": (n, beta, p, q),
         },
     )

@@ -645,16 +645,16 @@ def _omega_sampled(f, box: list[tuple[float, float]], quad: Quadrature):
         m *= 2
 
 
-def omega(f, region, quad: Quadrature | None = None, method: str = "auto"):
+def omega(f, region, method: str = "auto"):
     """Renormalized averaged oscillation of f over a cube; returns a float.
 
     For n = 1 'auto' and 'exact' take an exact path on every cube: the
     linear closed form where f is linear on the cube, the monotone one for
     monotone f, and otherwise a sum over pairs of monotone pieces.  Tensor
-    functions (n >= 2) and method 'sampled' use box sampling; omega_flagged
-    also returns its convergence flag.
+    functions (n >= 2) and method 'sampled' use box sampling at the default
+    Quadrature; omega_flagged takes a Quadrature and returns its flag too.
     """
-    val, _ = omega_flagged(f, region, quad=quad, method=method)
+    val, _ = omega_flagged(f, region, method=method)
     return val
 
 
@@ -723,7 +723,7 @@ def _direct_double_sum(v: np.ndarray, wts: np.ndarray) -> float:
     return total
 
 
-def omega_bruteforce(f, region, nodes: int = 2048, richardson: bool = True) -> float:
+def omega_bruteforce(f, region, nodes: int = 2048) -> float:
     """Independent oracle: direct tensor-midpoint double quadrature.
 
     Nodes are aligned to the function's breakpoints (each smooth piece gets
@@ -738,8 +738,6 @@ def omega_bruteforce(f, region, nodes: int = 2048, richardson: bool = True) -> f
             xs, wts = _aligned_cells(f, a, b, k)
             return _direct_double_sum(f.value(xs), wts)
 
-        if not richardson:
-            return level(nodes) / (b - a) ** 2
         coarse, fine = level(nodes // 2), level(nodes)
         return (4.0 * fine - coarse) / 3.0 / (b - a) ** 2
     box = _region_box(region, n)
@@ -785,9 +783,7 @@ def cube_key(q: Cube) -> tuple:
     return (q.shift.thirds, q.j, q.m)
 
 
-def omega_window(
-    f, window: GridWindow, quad: Quadrature | None = None
-) -> dict[tuple, float]:
+def omega_window(f, window: GridWindow) -> dict[tuple, float]:
     """omega for every cube of the window, keyed by cube_key: exact on every
     cube for one-dimensional catalog functions, box-sampled for n >= 2.
     Cubes are read from the window's array form as float corners."""
@@ -797,7 +793,7 @@ def omega_window(
     else:
         boxes = zip(arr.lo.tolist(), arr.hi.tolist())
         regions = (list(zip(lo, hi)) for lo, hi in boxes)
-    return {key: omega(f, region, quad) for key, region in zip(arr.keys, regions)}
+    return {key: omega(f, region) for key, region in zip(arr.keys, regions)}
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,16 @@ def axis_interval(t: int, j: int, m: int) -> tuple[float, float]:
     return c / den, (c + 3) / den
 
 
+def axis_index(t: int, j: int, num: int, den: int) -> int:
+    """Index m of the generation-j cube containing num/den (den > 0) on an
+    axis shifted by t thirds: floor(num / (den 2^j) - (-1)^j t / 3), by
+    integer floor division; equals ``cube_at(shift, j, (num/den,)).m[0]``."""
+    st = t if j % 2 == 0 else -t
+    if j >= 0:
+        return (3 * num - st * (den << j)) // (3 * den << j)
+    return ((3 * num << -j) - st * den) // (3 * den)
+
+
 def make_cube(shift: Shift, j: int, m: Sequence[int]) -> Cube:
     return Cube(shift, j, tuple(m))
 

@@ -22,6 +22,12 @@ from dyadicweights.quadrature import adaptive_quad
 from dyadicweights.records import FunctionalProfile, VerificationRecord
 from dyadicweights.weights import Weight, ap_constant, standard_probes
 
+# Relative margin within which a threshold comparison or an inequality is
+# decided only up to the accuracy of omega and of floating-point sums.
+REL_TOL = 1e-9
+# Largest functional-to-bound ratio a verification record passes.
+RATIO_CEILING = 100.0
+
 
 def admissible_beta(p: float, beta: float, n: int) -> bool:
     """Admissible smoothness offsets: the endpoint column beta = 1/p is
@@ -45,8 +51,7 @@ class OscillationConfig:
     weight: Weight
     window: GridWindow
     lambda_count: int = 64
-    tolerance: float = 1e-9
-    ratio_ceiling: float = 100.0
+    ratio_ceiling: float = RATIO_CEILING
     exploratory: bool = False
 
     def __post_init__(self):
@@ -71,13 +76,12 @@ def level_set(
     lam: float,
     b: float,
     omega_map: dict | None = None,
-    tol: float = 1e-9,
 ):
     """Cubes of the window with omega_Q(f) > lam * |Q|^b (strict).
 
     Returns (members, flagged) where flagged lists the members-or-not whose
-    margin from the threshold is within tol relative, hence decided only up
-    to quadrature accuracy.
+    margin from the threshold is within REL_TOL relative, hence decided only
+    up to quadrature accuracy.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -89,7 +93,7 @@ def level_set(
         thr = lam * vol**b
         if om > thr:
             members.append(arr.cube(i))
-        if abs(om - thr) <= tol * max(abs(om), abs(thr), 1e-300):
+        if abs(om - thr) <= REL_TOL * max(abs(om), abs(thr), 1e-300):
             flagged.append(arr.cube(i))
     return members, flagged
 
@@ -187,7 +191,7 @@ def oscillation_functional(
     """Profile of the weak-type oscillation functional over the window.
 
     flags["near_threshold"] is the relative supremum spread when every cube
-    within the tolerance of its threshold is counted as a member: strict
+    within REL_TOL of its threshold is counted as a member: strict
     membership cannot be certified closer than the omega accuracy.
     """
     window = cfg.window
@@ -205,7 +209,7 @@ def oscillation_functional(
         levels, wts, cfg.p, cfg.lambda_count, window.boundary_flags(), arr.cube
     )
     base = levels.sup(cfg.p)
-    lam = levels.thresholds * (1.0 - 2.0 * cfg.tolerance)
+    lam = levels.thresholds * (1.0 - 2.0 * REL_TOL)
     inclusive = float(np.max(lam**cfg.p * levels.above(lam)[1], initial=0.0))
     prof.flags["near_threshold"] = abs(inclusive - base) / max(base, 1e-300)
     return prof
@@ -358,18 +362,14 @@ def verify_mean_functional(
     p: float,
     beta: float,
     window: GridWindow,
-    ratio_ceiling: float = 100.0,
-    probes=None,
     profile: FunctionalProfile | None = None,
 ) -> VerificationRecord:
-    """Mean-criterion functional against estimate * ||f||_{L^p_w}^p; a
-    profile already built by mean_functional for these inputs is reused."""
+    """Mean-criterion functional against estimate * ||f||_{L^p_w}^p, passed
+    up to RATIO_CEILING; a profile already built by mean_functional for these
+    inputs is reused."""
     prof = profile or mean_functional(f, weight, p, beta, window)
-    if probes is None:
-        probes = standard_probes(
-            weight, scales=range(window.j_min - 2, window.j_max + 3)
-        )
-    est = ap_constant(weight, p, probes)
+    scales = range(window.j_min - 2, window.j_max + 3)
+    est = ap_constant(weight, p, standard_probes(weight, scales=scales))
     radius = getattr(f, "grad_radius", 0.0)
     lo = min(float(window.box[0][0]), -radius)
     hi = max(float(window.box[0][1]), radius)
@@ -384,8 +384,8 @@ def verify_mean_functional(
         lhs=prof.sup,
         rhs=rhs,
         ratio=ratio,
-        tolerance=ratio_ceiling,
-        passed=ratio <= ratio_ceiling,
+        tolerance=RATIO_CEILING,
+        passed=ratio <= RATIO_CEILING,
         details={
             "constant_estimate": est.value,
             "lp_norm_p": fp,
@@ -494,9 +494,9 @@ def check_domination(
     exponent: float,
     w: Weight,
     which: str,
-    tol: float = 1e-9,
 ) -> VerificationRecord:
-    """The two good-cube domination inequalities, evaluated exactly.
+    """The two good-cube domination inequalities, evaluated exactly up to
+    a relative REL_TOL.
 
     which = 'all_over_good': with gamma = exponent < sigma, the full family
     sum is at most 1/(1 - 2^{n(gamma-sigma)}) times the good-cube sum.
@@ -544,8 +544,8 @@ def check_domination(
         lhs=lhs,
         rhs=rhs,
         ratio=ratio,
-        tolerance=tol,
-        passed=lhs <= rhs * (1 + tol),
+        tolerance=REL_TOL,
+        passed=lhs <= rhs * (1 + REL_TOL),
         details={"sigma": sigma, "exponent": exponent, "n_good": len(good)},
     )
 
@@ -564,11 +564,10 @@ def sparse_chain_check(
     window: GridWindow,
     sample_points,
     omega_map: dict | None = None,
-    tol: float = 1e-9,
 ) -> dict:
     """At each sample x, the level-set cubes containing x form a chain whose
     |Q|^{r(beta-1/p)} sum is controlled by the extreme cube via the geometric
-    series 1/(1 - 2^{-n r |beta - 1/p|}).
+    series 1/(1 - 2^{-n r |beta - 1/p|}), up to a relative REL_TOL.
     """
     if beta == 1.0 / p:
         raise ValueError("beta = 1/p is excluded")
@@ -603,7 +602,7 @@ def sparse_chain_check(
                     "chain_len": len(cs),
                     "sum": total,
                     "bound": bound,
-                    "ok": total <= bound * (1 + tol),
+                    "ok": total <= bound * (1 + REL_TOL),
                 }
             )
     checked = [r_ for r_ in results if not r_.get("skipped")]

@@ -16,6 +16,9 @@ import numpy as np
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+# Absolute error floor, so integrals that vanish still terminate.
+ABS_TOL = 1e-14
+
 
 class QuadratureBudgetError(RuntimeError):
     pass
@@ -48,11 +51,11 @@ def adaptive_quad(
     a: float,
     b: float,
     rel_tol: float = 1e-8,
-    abs_tol: float = 1e-14,
     breakpoints=(),
     max_splits: int = 20000,
 ) -> float:
-    """Integrate vectorized ``f`` over [a, b] to the requested tolerance.
+    """Integrate vectorized ``f`` over [a, b] until the summed error estimate
+    is at most max(ABS_TOL, rel_tol * |total|).
 
     Raises QuadratureBudgetError when the split budget is exhausted with the
     global error estimate still above tolerance by a wide margin.
@@ -73,7 +76,7 @@ def adaptive_quad(
         heapq.heappush(heap, (-err, counter, lo, hi, fine))
     width_floor = 4e-16 * (b - a)
     splits = 0
-    while err_sum > max(abs_tol, rel_tol * abs(total)):
+    while err_sum > max(ABS_TOL, rel_tol * abs(total)):
         if not heap:
             break
         neg_err, _, lo, hi, fine = heapq.heappop(heap)
@@ -83,7 +86,7 @@ def adaptive_quad(
             err_sum -= err
             continue
         if splits >= max_splits:
-            if err_sum > 100 * max(abs_tol, rel_tol * abs(total)):
+            if err_sum > 100 * max(ABS_TOL, rel_tol * abs(total)):
                 raise QuadratureBudgetError(
                     f"panel budget exhausted on [{a},{b}]; "
                     f"residual error ~{err_sum:.3e} vs total ~{total:.3e}"

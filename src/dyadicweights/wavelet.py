@@ -111,12 +111,12 @@ class WaveletSystem:
         xs = np.arange(len(self.psi)) * self.dx
         return float(np.sum(xs**k * self.psi) * self.dx)
 
-    def orthonormality_residual(self, max_shift: int | None = None) -> float:
-        if max_shift is None:
-            max_shift = len(self.h) - 1
+    def orthonormality_residual(self) -> float:
+        """Largest deviation of <phi, phi(. - m)> from delta_m over the
+        shifts m = 0 .. len(h) - 1."""
         worst = 0.0
         n = len(self.phi)
-        for m in range(max_shift + 1):
+        for m in range(len(self.h)):
             s = m * 2**self.depth
             if s >= n:
                 break
@@ -303,13 +303,12 @@ def verify_almost_char(
     beta: float,
     system: WaveletSystem,
     index_set: IndexSet,
-    ratio_ceiling: float = 100.0,
-    probes=None,
     coeffs=None,
 ) -> VerificationRecord:
     """Weak sequence norm of the scale-deflated coefficients against the
-    estimated-constant weighted Sobolev norm, with the strong-norm comparison
-    reported when the truncated strong norm looks convergent.  ``coeffs`` is
+    estimated-constant weighted Sobolev norm, passed up to a ratio of 100,
+    with the strong-norm comparison reported when the truncated strong norm
+    looks convergent.  ``coeffs`` is
     the (atoms, values) pair of ``coefficients(f, system, index_set)`` when
     already computed; otherwise it is computed here.
     """
@@ -323,8 +322,7 @@ def verify_almost_char(
     deflated = vals / np.array([a.volume**beta for a in atoms])
     u = atom_weights(atoms, beta, w)
     strong, weak = _norms(u, deflated, 1.0)
-    if probes is None:
-        probes = standard_probes(w, scales=range(-index_set.j_max - 2, 6))
+    probes = standard_probes(w, scales=range(-index_set.j_max - 2, 6))
     est = ap_constant(w, 1.0, probes).value
     lo, hi = index_set.lo, index_set.hi
     l1 = l1_weighted_norm(f, w, lo, hi)
@@ -341,14 +339,14 @@ def verify_almost_char(
     right_ratio = (
         middle / (est**2 * strong) if (tail_decaying and strong > 0) else math.nan
     )
-    passed = left_ratio <= ratio_ceiling
+    ceiling = 100.0
     return VerificationRecord(
         name="almost_characterization",
         lhs=weak,
         rhs=middle,
         ratio=left_ratio,
-        tolerance=ratio_ceiling,
-        passed=bool(passed),
+        tolerance=ceiling,
+        passed=bool(left_ratio <= ceiling),
         details={
             "strong_norm": strong,
             "weak_norm": weak,

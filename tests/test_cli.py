@@ -31,6 +31,26 @@ CONFIG_RUNS = {
 }
 
 
+# The same for runs given by their arguments alone.
+ARGV_RUNS = {
+    "classify-weight": (
+        [
+            "classify-weight",
+            "--set", "weight.kind=power",
+            "--set", "weight.exponent=0.5",
+            "--set", "p=1",
+            "--set", "depths=[6, 12]",
+            "--set", "with_quotient=false",
+        ],
+        "607b7cf0b3f381a762ba0e99a8ff13d84232e2d2eeea3417700b69f852bdece3",
+    ),
+    "sharpness-betalimit": (
+        ["sharpness", "--case", "betalimit"],
+        "a80f348304142198dcad18eaebacb76cf0244aae36f924d7e25126e098d5243d",
+    ),
+}
+
+
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -40,6 +60,13 @@ def read(path):
 def test_config_results_csv_digest(tmp_path, name):
     subcommand, digest = CONFIG_RUNS[name]
     main([subcommand, "--config", str(CONFIGS / name), "--out", str(tmp_path)])
+    assert hashlib.sha256(read(tmp_path / "results.csv")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(ARGV_RUNS))
+def test_argv_results_csv_digest(tmp_path, name):
+    argv, digest = ARGV_RUNS[name]
+    main([*argv, "--out", str(tmp_path)])
     assert hashlib.sha256(read(tmp_path / "results.csv")).hexdigest() == digest
 
 

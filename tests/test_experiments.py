@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dyadicweights import experiments
 from dyadicweights.experiments import (
     classifier_reference,
     fit_loglog_slope,
@@ -67,6 +68,21 @@ def test_betalimit_sweep_slope():
     assert res.passed
     assert abs(res.slope + 3.0) <= 0.15
     assert all(res.certified)
+
+
+def test_betalimit_broken_scaling_is_uncertified(monkeypatch):
+    # omega off by 1% away from the unit cube breaks the scale invariance
+    # the sweep checks; the run reports it instead of raising
+    real = experiments.omega
+    unit = (-1.0 / 3.0, 2.0 / 3.0)
+    monkeypatch.setattr(
+        experiments,
+        "omega",
+        lambda f, region: real(f, region) * (1.0 if region == unit else 1.01),
+    )
+    res = sharpness_sweep("betalimit", 2.0, GRID)
+    assert False in res.certified
+    assert res.verdict == "fail"
 
 
 def test_sweep_rejects_bad_case():

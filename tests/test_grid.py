@@ -17,6 +17,7 @@ from dyadicweights.grid import (
     Shift,
     all_shifts,
     as_axis_cube,
+    axis_index,
     children,
     cube_at,
     dom_multiplicity,
@@ -152,6 +153,27 @@ def test_cube_at_contains_point():
         q = cube_at(shift, j, (x,))
         assert q.j == j
         assert q.contains_point((x,))
+
+
+def test_axis_index_matches_cube_at():
+    # negative centres, centres on thirds, and large denominators, at every
+    # shift and at generations far on both sides of 0
+    points = [
+        Fraction(0),
+        Fraction(-5, 2),
+        Fraction(-1, 3),
+        Fraction(2, 3),
+        Fraction(-7, 3),
+        Fraction(-1, 3 * 2**40),
+        Fraction(10**20 + 1, 3 * 2**60 + 7),
+        Fraction(-(10**15) - 3, 2**45),
+        Fraction(0.1).limit_denominator(3 * 2**40),
+    ]
+    for x in points:
+        for shift in all_shifts(1):
+            for j in range(-48, 27):
+                m = axis_index(shift.thirds[0], j, x.numerator, x.denominator)
+                assert m == cube_at(shift, j, (x,)).m[0], (x, shift, j)
 
 
 def test_dominating_cube_unit_interval():
