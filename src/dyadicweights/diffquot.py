@@ -508,21 +508,21 @@ def point_domination_check(
 
     lhs = adaptive_quad(outer, lo, hi, rel_tol=1e-4, breakpoints=bps, max_splits=200)
 
-    # one level-set mass per threshold lam_j: cube Q is counted when
-    # omega_Q / |Q|^(beta + 1 - 1/p) > lam_j, with weight |Q|^(beta p - 1) v(Q)
+    # one level-set mass per threshold lam_j
     omega_map = omega_window(f, window)
     arr = window.arrays
-    vols = arr.vol.tolist()
-    thr = [
-        omega_map[key] / v ** (beta + 1.0 - 1.0 / p) for key, v in zip(arr.keys, vols)
-    ]
-    masses = weight.masses(arr.lo, arr.hi)
-    wts = [v ** (beta * p - 1.0) * m for v, m in zip(vols, masses)]
+    levels = LevelMass.of_cubes(
+        [omega_map[key] for key in arr.keys],
+        arr.vol.tolist(),
+        weight.masses(arr.lo, arr.hi),
+        beta + 1.0 - 1.0 / p,
+        beta * p - 1.0,
+    )
     lam_js = [
         lam * 2.0 ** (j * (1.0 + n * (beta - 1.0 / p) - eps))
         for j in range(j_max + 1)
     ]
-    _, ssums = LevelMass(thr, wts).above(lam_js)
+    _, ssums = levels.above(lam_js)
     terms = [
         2.0 ** (j * n * (beta * p - 1.0)) * float(ssum) for j, ssum in enumerate(ssums)
     ]

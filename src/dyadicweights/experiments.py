@@ -264,18 +264,16 @@ def _sweep_beta(p, epsilons):
 # ---------------------------------------------------------------------------
 
 
-def _probe_family_sup(
-    f, weight: Weight, p: float, centers, j_min: int, j_max: int
-) -> float:
-    """Sup of the functional restricted to cubes around the probe centers,
-    the larger of its values at beta = 2 and beta = -1.
+def _probe_rows(f, weight: Weight, centers, j_min: int, j_max: int) -> list:
+    """(generation, omega, volume, mass) of each cube around the probe
+    centers with positive omega.
 
     For each shift and generation the cube containing the center and its two
-    index neighbors enter the family; the restricted sup is a lower bound of
-    the full-window value, which is all blow-up detection needs.  Each cube's
-    omega and mass are computed once and serve both betas.
+    index neighbors enter the family, each cube once.  Rows are ordered by
+    center, shift and generation, so the rows of a narrower generation range
+    are those of a wider one with j in that range, in the same order.
     """
-    rows = []  # (omega, volume, mass) of each cube with positive omega
+    rows = []
     seen = set()
     for c in centers:
         pt = Fraction(c).limit_denominator(3 * 2**40)
@@ -291,13 +289,22 @@ def _probe_family_sup(
                     lo, hi = axis_interval(t, j, m)
                     om = omega(f, (lo, hi))
                     if om > 0:
-                        rows.append((om, 2.0**j, weight.interval_mass(lo, hi)))
+                        rows.append((j, om, 2.0**j, weight.interval_mass(lo, hi)))
+    return rows
+
+
+def _rows_sup(rows, p: float) -> float:
+    """Sup of the functional restricted to the probe rows, the larger of its
+    values at beta = 2 and beta = -1; a lower bound of the full-window value,
+    which is all blow-up detection needs."""
+    oms = [r[1] for r in rows]
+    vols = [r[2] for r in rows]
+    masses = [r[3] for r in rows]
     best = 0.0
     for beta in (2.0, -1.0):
         b = beta + 1.0 - 1.0 / p
-        thr = [om / vol**b for om, vol, _ in rows]
-        wts = [vol ** (beta * p - 1.0) * mass for _, vol, mass in rows]
-        best = max(best, LevelMass(thr, wts).sup(p))
+        levels = LevelMass.of_cubes(oms, vols, masses, b, beta * p - 1.0)
+        best = max(best, levels.sup(p))
     return best
 
 
@@ -364,16 +371,22 @@ def weight_classifier(
     ratios["step_probe"] = []
     ratios["tail_ramp"] = []
 
-    for d in depths:
-        j_min, j_max = -d, max(4, d // 2)
-        # fixed battery on probe-anchored families
-        for name, f in fixed.items():
-            norm = grad_power_mass(f, -f.grad_radius - 1, f.grad_radius + 1, p, weight)
-            best = 0.0
-            if norm > 0:
-                sup = _probe_family_sup(f, weight, p, centers + [1.0], j_min, j_max)
-                best = max(best, sup / norm)
-            ratios[name].append(best)
+    ranges = [(-d, max(4, d // 2)) for d in depths]
+    # fixed battery on probe-anchored families: one norm and one set of
+    # rows per member over the widest range, filtered by j per depth
+    for name, f in fixed.items():
+        norm = grad_power_mass(f, -f.grad_radius - 1, f.grad_radius + 1, p, weight)
+        if norm <= 0 or not ranges:
+            ratios[name] = [0.0] * len(ranges)
+            continue
+        lo = min(r[0] for r in ranges)
+        hi = max(r[1] for r in ranges)
+        rows = _probe_rows(f, weight, centers + [1.0], lo, hi)
+        ratios[name] = [
+            _rows_sup([r for r in rows if j_min <= r[0] <= j_max], p) / norm
+            for j_min, j_max in ranges
+        ]
+    for j_min, j_max in ranges:
         # adaptive step probe at each candidate singular center
         wprobe = 2.0**j_min
         best = 0.0
@@ -382,7 +395,7 @@ def weight_classifier(
             norm = grad_power_mass(f, c - wprobe, c + wprobe, p, weight)
             if norm <= 0:
                 continue
-            sup = _probe_family_sup(f, weight, p, [c], j_min, j_max)
+            sup = _rows_sup(_probe_rows(f, weight, [c], j_min, j_max), p)
             best = max(best, sup / norm)
         ratios["step_probe"].append(best)
         # window-scale ramp probing the weight's tail
@@ -391,7 +404,7 @@ def weight_classifier(
         norm = grad_power_mass(f, -big, big, p, weight)
         best = 0.0
         if norm > 0:
-            sup = _probe_family_sup(f, weight, p, centers, 0, j_max + 2)
+            sup = _rows_sup(_probe_rows(f, weight, centers, 0, j_max + 2), p)
             best = max(best, sup / norm)
         ratios["tail_ramp"].append(best)
 

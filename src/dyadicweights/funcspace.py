@@ -4,9 +4,11 @@ integral
     omega_Q(f) = |Q|^(-1-1/n) * Int_Q Int_Q |f(x) - f(y)| dx dy.
 
 Catalog functions are piecewise polynomial or piecewise power with
-closed-form antiderivatives, so weighted gradient norms have exact paths and
-omega is exact on every cube for every one-dimensional catalog function;
-tensor functions (n >= 2) are sampled on the box.
+closed-form antiderivatives, so weighted gradient norms have exact paths.
+omega is exact on every cube for every one-dimensional function, by one of
+two paths: the closed form where f is linear on the cube, and otherwise a
+sum over pairs of the parts of f on which it is monotone.  Tensor functions
+(n >= 2) are sampled on the box.
 """
 
 from __future__ import annotations
@@ -110,7 +112,6 @@ class TestFunction:
         pieces: Sequence[Piece],
         name: str = "f",
         params: dict | None = None,
-        monotone: bool = False,
         lipschitz: float = math.inf,
         grad_radius: float = math.inf,
         value_bound: float = math.inf,
@@ -124,23 +125,16 @@ class TestFunction:
         self.n = 1
         self.name = name
         self.params = dict(params or {})
-        self.monotone = monotone
         self.lipschitz = lipschitz
         self.grad_radius = grad_radius
         self.value_bound = value_bound
         self._edges = np.array([p.x1 for p in self.pieces[:-1]])
-        self._prim_off = self._offsets(lambda p, x: p.prim(x))
-        self._xprim_off = self._offsets(lambda p, x: p.xprim(x))
-
-    def _offsets(self, local):
         # cumulative constants making the antiderivative continuous
         offs = [0.0]
         for left, right in zip(self.pieces, self.pieces[1:]):
             x = left.x1
-            offs.append(
-                offs[-1] + float(local(left, x)) - float(local(right, x))
-            )
-        return np.array(offs)
+            offs.append(offs[-1] + float(left.prim(x)) - float(right.prim(x)))
+        self._prim_off = np.array(offs)
 
     def _apply(self, x, fn, offsets=None):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -165,9 +159,6 @@ class TestFunction:
 
     def primitive(self, x):
         return self._apply(x, lambda p, t: p.prim(t), self._prim_off)
-
-    def xprimitive(self, x):
-        return self._apply(x, lambda p, t: p.xprim(t), self._xprim_off)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -204,7 +195,6 @@ class TensorFunction:
         self.n = len(self.factors)
         self.name = name
         self.params = {}
-        self.monotone = False
         self.lipschitz = math.inf
         bounds = [f.value_bound for f in self.factors]
         lips = [f.lipschitz for f in self.factors]
@@ -265,7 +255,6 @@ def constant(c: float = 0.0) -> TestFunction:
         [Piece(-math.inf, math.inf, "poly", (float(c),))],
         name="constant",
         params={"c": c},
-        monotone=True,
         lipschitz=0.0,
         grad_radius=0.0,
         value_bound=abs(c),
@@ -277,7 +266,6 @@ def linear(slope: float = 1.0) -> TestFunction:
         [Piece(-math.inf, math.inf, "poly", (0.0, float(slope)))],
         name="linear",
         params={"slope": slope},
-        monotone=slope >= 0,
         lipschitz=abs(slope),
         grad_radius=math.inf,
         value_bound=math.inf,
@@ -304,7 +292,6 @@ def linear_ramp(
         ],
         name="linear_ramp",
         params={"slope": slope, "cutoff": cutoff, "center": center},
-        monotone=s >= 0,
         lipschitz=abs(s),
         grad_radius=abs(c) + r,
         value_bound=abs(s) * r,
@@ -322,7 +309,6 @@ def tent() -> TestFunction:
         ],
         name="tent",
         params={},
-        monotone=False,
         lipschitz=1.0,
         grad_radius=2.0,
         value_bound=1.0,
@@ -341,7 +327,6 @@ def indicator(a: float = 0.0, b: float = 1.0) -> TestFunction:
         ],
         name="indicator",
         params={"a": a, "b": b},
-        monotone=False,
         lipschitz=math.inf,
         grad_radius=max(abs(a), abs(b)),
         value_bound=1.0,
@@ -363,7 +348,6 @@ def smoothed_indicator(width: float = 0.25, a: float = 0.0, b: float = 1.0) -> T
         ],
         name="smoothed_indicator",
         params={"width": width, "a": a, "b": b},
-        monotone=False,
         lipschitz=1.5 / w,
         grad_radius=max(abs(a - w), abs(b + w)),
         value_bound=1.0,
@@ -391,7 +375,6 @@ def sharp2_fdelta(delta: float) -> TestFunction:
         ],
         name="sharp2_fdelta",
         params={"delta": delta},
-        monotone=True,
         lipschitz=math.inf,
         grad_radius=1.0,
         value_bound=1.0 / d,
@@ -499,13 +482,6 @@ def _double_integral_linear(f: TestFunction, a: float, b: float) -> float:
         for s2 in segs:
             total += _pair_integral(s1, s2)
     return total
-
-
-def _double_integral_monotone(f: TestFunction, a: float, b: float) -> float:
-    # for nondecreasing f: Int Int |f(x)-f(y)| = 4*Int x f - 2(a+b) Int f
-    F = float(f.primitive(np.array([b]))[0] - f.primitive(np.array([a]))[0])
-    G = float(f.xprimitive(np.array([b]))[0] - f.xprimitive(np.array([a]))[0])
-    return 4.0 * G - 2.0 * (a + b) * F
 
 
 def _sorted_pair_sum(values: np.ndarray, weights: np.ndarray) -> float:
@@ -649,8 +625,8 @@ def omega(f, region, method: str = "auto"):
     """Renormalized averaged oscillation of f over a cube; returns a float.
 
     For n = 1 'auto' and 'exact' take an exact path on every cube: the
-    linear closed form where f is linear on the cube, the monotone one for
-    monotone f, and otherwise a sum over pairs of monotone pieces.  Tensor
+    linear closed form where f is linear on the cube, and otherwise a sum
+    over pairs of the parts of f's pieces on which f is monotone.  Tensor
     functions (n >= 2) and method 'sampled' use box sampling at the default
     Quadrature; omega_flagged takes a Quadrature and returns its flag too.
     """
@@ -666,8 +642,6 @@ def omega_flagged(f, region, quad: Quadrature | None = None, method: str = "auto
         a, b = _region_interval(region)
         if f.linear_only_on(a, b):
             total = _double_integral_linear(f, a, b)
-        elif f.monotone:
-            total = _double_integral_monotone(f, a, b)
         else:
             total = _double_integral_piecewise(f, a, b)
         return total / (b - a) ** 2, True
@@ -799,11 +773,6 @@ def omega_window(f, window: GridWindow) -> dict[tuple, float]:
 # ---------------------------------------------------------------------------
 # weighted gradient norms
 # ---------------------------------------------------------------------------
-
-
-def grad_mass(f, lo: float, hi: float) -> float:
-    """Integral of |f'| over [lo, hi] (exact for linear pieces)."""
-    return grad_power_mass(f, lo, hi, 1.0, ConstantWeight(1.0))
 
 
 def grad_power_mass(f: TestFunction, lo: float, hi: float, p: float, w: Weight) -> float:

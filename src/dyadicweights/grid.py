@@ -310,18 +310,16 @@ class WindowArrays:
     """The cubes of a window as arrays; row i is the i-th cube of
     ``GridWindow.cubes()``.
 
-    ``thirds`` (N, n) and ``j`` (N,) are int arrays, ``m`` an (N, n) array of
-    Python ints.  ``corner`` holds the exact lower corners as Python ints: the
-    corner of a cube is (3m + (-1)^j t) 2^(j - j_min) in units of
+    ``keys`` holds each cube's (thirds, j, m), and ``j`` (N,) its generation
+    as an int array.  ``corner`` holds the exact lower corners as Python
+    ints: the corner of a cube is (3m + (-1)^j t) 2^(j - j_min) in units of
     2^j_min / 3, and its edge is 3 * 2^(j - j_min) of them.  ``lo`` and
     ``hi`` are (N, n) floats, each the correctly rounded value of an exact
     corner, and ``vol`` the (N,) float volumes 2^(j n).  The floats feed
     only closed forms; every nesting or boundary decision reads ``corner``.
     """
 
-    thirds: np.ndarray
     j: np.ndarray
-    m: np.ndarray
     corner: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -423,7 +421,7 @@ class GridWindow:
     @functools.cached_property
     def arrays(self) -> WindowArrays:
         keys = []
-        m, corner, lo, hi = [], [], [], []  # row-major, n entries per cube
+        corner, lo, hi = [], [], []  # row-major, n entries per cube
         flat = itertools.chain.from_iterable
         for shift, j, ranges in self._blocks():
             sgn = 1 if j % 2 == 0 else -1
@@ -438,18 +436,14 @@ class GridWindow:
                 list(zip(*(axis_interval(t, j, mi) for mi in r)))
                 for r, t in zip(ranges, shift.thirds)
             ]
-            rows = list(itertools.product(*ranges))
-            keys.extend((shift.thirds, j, mi) for mi in rows)
-            m.extend(flat(rows))
+            keys.extend((shift.thirds, j, mi) for mi in itertools.product(*ranges))
             corner.extend(flat(itertools.product(*corners)))
             lo.extend(flat(itertools.product(*(e[0] for e in ends))))
             hi.extend(flat(itertools.product(*(e[1] for e in ends))))
         n = self.n
         js = np.array([key[1] for key in keys], dtype=np.int64)
         return WindowArrays(
-            thirds=np.array([key[0] for key in keys], dtype=np.int64).reshape(-1, n),
             j=js,
-            m=np.array(m, dtype=object).reshape(-1, n),
             corner=np.array(corner, dtype=object).reshape(-1, n),
             lo=np.array(lo, dtype=float).reshape(-1, n),
             hi=np.array(hi, dtype=float).reshape(-1, n),

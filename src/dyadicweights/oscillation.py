@@ -77,24 +77,24 @@ def level_set(
     b: float,
     omega_map: dict | None = None,
 ):
-    """Cubes of the window with omega_Q(f) > lam * |Q|^b (strict).
+    """Cubes of the window with omega_Q(f) / |Q|^b > lam (strict), in window
+    order: the level rule of LevelMass.of_cubes, each cube carrying weight 1.
 
-    Returns (members, flagged) where flagged lists the members-or-not whose
-    margin from the threshold is within REL_TOL relative, hence decided only
-    up to quadrature accuracy.
+    Returns (members, flagged) where flagged lists the cubes, members or not,
+    whose threshold omega_Q(f) / |Q|^b is within REL_TOL relative of lam,
+    hence decided only up to the accuracy of omega.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     omega_map = omega_map or omega_window(f, window)
     arr = window.arrays
-    members, flagged = [], []
-    for i, (key, vol) in enumerate(zip(arr.keys, arr.vol.tolist())):
-        om = omega_map[key]
-        thr = lam * vol**b
-        if om > thr:
-            members.append(arr.cube(i))
-        if abs(om - thr) <= REL_TOL * max(abs(om), abs(thr), 1e-300):
-            flagged.append(arr.cube(i))
+    oms = [omega_map[key] for key in arr.keys]
+    levels = LevelMass.of_cubes(oms, arr.vol.tolist(), np.ones(len(arr)), b, 0.0)
+    count, _ = levels.above(lam)
+    thr = levels.thresholds
+    near = np.abs(thr - lam) <= REL_TOL * np.maximum(thr, lam)
+    members = [arr.cube(i) for i in np.sort(levels.index[:count])]
+    flagged = [arr.cube(i) for i in np.sort(levels.index[near])]
     return members, flagged
 
 
@@ -115,8 +115,22 @@ class LevelMass:
         order = np.argsort(-thresholds[pos])
         self.index = pos[order]  # source index of each sorted entry
         self.thresholds = thresholds[self.index]
+        self.weights = weights[self.index]
         # prefix[k] = weight of the k largest thresholds
-        self.prefix = np.concatenate(([0.0], np.cumsum(weights[self.index])))
+        self.prefix = np.concatenate(([0.0], np.cumsum(self.weights)))
+
+    @classmethod
+    def of_cubes(cls, values, vols, masses, b: float, wexp: float) -> LevelMass:
+        """The level rule of every weak-type functional of the package.
+
+        Cube i, with criterion value values[i] (its omega or its mean of |f|),
+        volume vols[i] and weight mass masses[i], enters above lam when
+        values[i] / vols[i]^b > lam, and then carries vols[i]^wexp * masses[i];
+        wexp is beta p - 1 in every functional.
+        """
+        thr = [x / v**b if x > 0 else 0.0 for x, v in zip(values, vols)]
+        wts = [v**wexp * m for v, m in zip(vols, masses)]
+        return cls(thr, wts)
 
     def above(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """(count, mass) of the entries with threshold > lam, per lam."""
@@ -128,22 +142,34 @@ class LevelMass:
         return float(np.max(self.thresholds**p * self.prefix[1:], initial=0.0))
 
 
-def _sup_profile(
-    levels: LevelMass,
-    weights: np.ndarray,
+def _window_profile(
+    window: GridWindow,
+    values,
+    weight: Weight,
     p: float,
+    beta: float,
+    b: float,
     lambda_count: int,
-    boundary: np.ndarray,
-    cube,
 ) -> FunctionalProfile:
-    """Build the profile of lambda^p * (weight of cubes with threshold > lambda).
+    """Profile of lambda^p * (weight of the window's cubes with threshold >
+    lambda), the cubes' criterion values given in window order.
 
     The grid is log-spaced over the auto bracket plus a point just below each
     distinct threshold; over a finite window the supremum is attained there,
     so the grid max is the exact truncated supremum (up to the 1e-12 nudge).
-    ``cube(i)`` builds the Cube of entry i; only certifying cubes are built.
+    Only certifying cubes are built as Cubes.  flags["near_threshold"] is the
+    relative supremum spread when every cube within REL_TOL of its threshold
+    is counted as a member: strict membership cannot be certified closer
+    than the accuracy of the criterion values.
     """
+    arr = window.arrays
+    masses = weight.masses(arr.lo, arr.hi)
+    levels = LevelMass.of_cubes(values, arr.vol.tolist(), masses, b, beta * p - 1.0)
     thr = levels.thresholds
+    base = levels.sup(p)
+    near = thr * (1.0 - 2.0 * REL_TOL)
+    inclusive = float(np.max(near**p * levels.above(near)[1], initial=0.0))
+    flags = {"near_threshold": abs(inclusive - base) / max(base, 1e-300)}
     if len(thr) == 0:
         lams = np.logspace(-3, 0, lambda_count)
         return FunctionalProfile(
@@ -154,6 +180,7 @@ def _sup_profile(
             certifying=[],
             boundary_share=0.0,
             n_cubes=[0] * len(lams),
+            flags=flags,
         )
     lo, hi = float(thr[-1]), float(thr[0])
     grid = np.logspace(
@@ -170,10 +197,10 @@ def _sup_profile(
     nk = int(idx[k])
     share = 0.0
     if nk > 0 and mass[k] > 0:
-        inside = levels.index[:nk]
-        on_boundary = np.cumsum(np.where(boundary[inside], weights[inside], 0.0))
+        boundary = window.boundary_flags()[levels.index[:nk]]
+        on_boundary = np.cumsum(np.where(boundary, levels.weights[:nk], 0.0))
         share = float(on_boundary[-1] / mass[k])
-    certifying = [cube(i) for i in levels.index[:nk][:64]]
+    certifying = [arr.cube(i) for i in levels.index[:nk][:64]]
     return FunctionalProfile(
         lambdas=[float(x) for x in lams],
         values=[float(v) for v in vals],
@@ -182,37 +209,20 @@ def _sup_profile(
         certifying=certifying,
         boundary_share=share,
         n_cubes=[int(i) for i in idx],
+        flags=flags,
     )
 
 
 def oscillation_functional(
     cfg: OscillationConfig, f, omega_map: dict | None = None
 ) -> FunctionalProfile:
-    """Profile of the weak-type oscillation functional over the window.
-
-    flags["near_threshold"] is the relative supremum spread when every cube
-    within REL_TOL of its threshold is counted as a member: strict
-    membership cannot be certified closer than the omega accuracy.
-    """
+    """Profile of the weak-type oscillation functional over the window."""
     window = cfg.window
     omega_map = omega_map or omega_window(f, window)
-    arr = window.arrays
-    b = cfg.level_exponent
-    wexp = cfg.beta * cfg.p - 1.0
-    vols = arr.vol.tolist()
-    oms = [omega_map[key] for key in arr.keys]
-    masses = cfg.weight.masses(arr.lo, arr.hi)
-    thr = np.array([om / v**b if om > 0 else 0.0 for om, v in zip(oms, vols)])
-    wts = np.array([v**wexp * m for v, m in zip(vols, masses)])
-    levels = LevelMass(thr, wts)
-    prof = _sup_profile(
-        levels, wts, cfg.p, cfg.lambda_count, window.boundary_flags(), arr.cube
+    oms = [omega_map[key] for key in window.arrays.keys]
+    return _window_profile(
+        window, oms, cfg.weight, cfg.p, cfg.beta, cfg.level_exponent, cfg.lambda_count
     )
-    base = levels.sup(cfg.p)
-    lam = levels.thresholds * (1.0 - 2.0 * REL_TOL)
-    inclusive = float(np.max(lam**cfg.p * levels.above(lam)[1], initial=0.0))
-    prof.flags["near_threshold"] = abs(inclusive - base) / max(base, 1e-300)
-    return prof
 
 
 def verify_oscillation(
@@ -332,8 +342,9 @@ def mean_functional(
     window: GridWindow,
     lambda_count: int = 64,
 ) -> FunctionalProfile:
-    """Weak-type functional with the average |f| criterion instead of omega:
-    cubes enter at level lam when their mean of |f| exceeds lam |Q|^(beta-1/p).
+    """Weak-type functional with the average |f| criterion instead of omega,
+    over a one-dimensional window: cubes enter at level lam when their mean
+    of |f| exceeds lam |Q|^(beta-1/p).
     """
     if not mean_admissible_beta(p, beta):
         raise ValueError(
@@ -342,18 +353,13 @@ def mean_functional(
         )
     if not math.isfinite(getattr(f, "value_bound", math.inf)):
         raise ValueError("mean functional needs a bounded function")
+    if window.n != 1:
+        raise ValueError("mean functional needs a one-dimensional window")
     arr = window.arrays
-    b = beta - 1.0 / p
-    wexp = beta * p - 1.0
-    vols = arr.vol.tolist()
     ends = zip(arr.lo[:, 0].tolist(), arr.hi[:, 0].tolist())
     means = [mean_abs(f, lo, hi) for lo, hi in ends]
-    masses = weight.masses(arr.lo, arr.hi)
-    thr = np.array([m / v**b if m > 0 else 0.0 for m, v in zip(means, vols)])
-    wts = np.array([v**wexp * m for v, m in zip(vols, masses)])
-    return _sup_profile(
-        LevelMass(thr, wts), wts, p, lambda_count, window.boundary_flags(), arr.cube
-    )
+    b = beta - 1.0 / p
+    return _window_profile(window, means, weight, p, beta, b, lambda_count)
 
 
 def verify_mean_functional(

@@ -21,16 +21,6 @@ class DomainError(ValueError):
     """Non-integrable singularity inside the integration region."""
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: tuple[float, ...]
-    radius: float
-
-    @property
-    def n(self) -> int:
-        return len(self.center)
-
-
 def _as_interval(region) -> tuple[float, float]:
     if isinstance(region, Cube):
         lo, hi = region.interval()
@@ -39,10 +29,6 @@ def _as_interval(region) -> tuple[float, float]:
         if region.n != 1:
             raise ValueError("interval conversion needs n = 1")
         return float(region.lower_corner[0]), float(region.lower_corner[0] + region.edge)
-    if isinstance(region, Ball):
-        if region.n != 1:
-            raise ValueError("interval conversion needs n = 1")
-        return region.center[0] - region.radius, region.center[0] + region.radius
     lo, hi = region
     return float(lo), float(hi)
 
@@ -85,8 +71,6 @@ class Weight:
         if self.n == 1:
             lo, hi = _as_interval(region)
             return self.interval_mass(lo, hi)
-        if isinstance(region, Ball):
-            return self._ball_mass(region)
         box = _box_of(region)
         return self._box_mass(box)
 
@@ -99,9 +83,6 @@ class Weight:
         return [self._box_mass(list(zip(a, b))) for a, b in zip(lo.tolist(), hi.tolist())]
 
     def _box_mass(self, box) -> float:
-        raise NotImplementedError
-
-    def _ball_mass(self, ball: Ball) -> float:
         raise NotImplementedError
 
     def mean(self, region) -> float:
@@ -141,13 +122,6 @@ class ConstantWeight(Weight):
         for lo, hi in box:
             vol *= hi - lo
         return self.c * vol
-
-    def _ball_mass(self, ball):
-        if ball.n == 1:
-            return self.c * 2 * ball.radius
-        if ball.n == 2:
-            return self.c * math.pi * ball.radius**2
-        raise NotImplementedError("ball mass implemented for n <= 2")
 
     def __repr__(self):
         return f"ConstantWeight({self.c})"
@@ -230,28 +204,6 @@ class ProductWeight(Weight):
         for (lo, hi), f in zip(box, self.factors):
             out *= f.interval_mass(lo, hi)
         return out
-
-    def _ball_mass(self, ball):
-        if ball.n != 2:
-            raise NotImplementedError("product ball mass implemented for n = 2")
-        cx, cy = ball.center
-        r = ball.radius
-        w0, w1 = self.factors
-
-        def slice_mass(x):
-            x = np.atleast_1d(x)
-            out = np.empty_like(x)
-            for i, xi in enumerate(x):
-                h = math.sqrt(max(0.0, r * r - (xi - cx) ** 2))
-                out[i] = w0.value(np.array([xi]))[0] * w1.interval_mass(
-                    cy - h, cy + h
-                )
-            return out
-
-        bps = [cx + t for t in (-r, 0.0, r)]
-        for b in w0.breakpoints():
-            bps.append(b)
-        return adaptive_quad(slice_mass, cx - r, cx + r, breakpoints=bps)
 
     def breakpoints(self):
         return tuple(b for f in self.factors for b in f.breakpoints())

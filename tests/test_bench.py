@@ -1,0 +1,55 @@
+"""The benchmark under bench/ patches package functions by (module,
+attribute) and calls the command-line loaders by name; every such name must
+keep resolving, since the benchmark files are not edited with the package."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layer_functions_resolve_and_restore():
+    tracing = _load_tracing()
+    originals = []
+    for module, attr, _ in tracing.LAYER_FUNCTIONS:
+        owner = importlib.import_module("dyadicweights." + module)
+        if "." in attr:
+            cls_name, member = attr.split(".")
+            owner = getattr(owner, cls_name)
+            assert member in vars(owner), (module, attr)
+            originals.append((owner, member, vars(owner)[member]))
+        else:
+            assert callable(getattr(owner, attr)), (module, attr)
+            originals.append((owner, attr, getattr(owner, attr)))
+    with tracing.installed(tracing.Tracer()):
+        for owner, attr, orig in originals:
+            assert vars(owner)[attr] is not orig
+    for owner, attr, orig in originals:
+        assert vars(owner)[attr] is orig
+
+
+def test_bench_runner_names_exist():
+    from dyadicweights import cli, funcspace
+
+    for fn in (
+        funcspace.omega_bruteforce,
+        funcspace.omega_window,
+        funcspace.cube_key,
+        cli.main,
+        cli.load_config,
+        cli._apply_overrides,
+        cli.build_function,
+        cli.build_weight,
+        cli.build_window,
+    ):
+        assert callable(fn)

@@ -48,6 +48,25 @@ ARGV_RUNS = {
         ["sharpness", "--case", "betalimit"],
         "a80f348304142198dcad18eaebacb76cf0244aae36f924d7e25126e098d5243d",
     ),
+    "sharpness-a1": (
+        ["sharpness", "--case", "a1"],
+        "0b0b51e1047a2d670c0c833900e6659ea837dc4919559247c6863e1945e040f5",
+    ),
+    "mean-functional": (
+        ["mean-functional"],
+        "a536269f2dc92c22f996b51872ec0b99e91a69e75881b0fd435213888ca3d04c",
+    ),
+    "classify-weight-three-depths": (
+        [
+            "classify-weight",
+            "--set", "weight.kind=power",
+            "--set", "weight.exponent=0.5",
+            "--set", "p=1",
+            "--set", "depths=[6, 12, 24]",
+            "--set", "with_quotient=false",
+        ],
+        "5a79b08d2b75d8b308006964022c5ddbca8bea160c540a832c6cc4c0bf85a5db",
+    ),
 }
 
 

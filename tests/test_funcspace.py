@@ -17,7 +17,6 @@ from dyadicweights.funcspace import (
     catalog,
     catalog_names,
     cube_key,
-    grad_mass,
     grad_power_mass,
     l1_weighted_norm,
     mean_abs,
@@ -136,10 +135,10 @@ def test_omega_monotone_path_matches_linear_path():
     f = catalog("linear", slope=1.0)  # monotone and piecewise linear
     a, b = -0.7, 2.1
     lin = omega(f, (a, b), method="exact")
-    # force the monotone-primitive route
-    from dyadicweights.funcspace import _double_integral_monotone
+    # force the monotone-parts route
+    from dyadicweights.funcspace import _double_integral_piecewise
 
-    mono = _double_integral_monotone(f, a, b) / (b - a) ** 2
+    mono = _double_integral_piecewise(f, a, b) / (b - a) ** 2
     assert mono == pytest.approx(lin, rel=1e-12)
 
 
@@ -183,7 +182,7 @@ def test_omega_gradient_bound():
             a = float(rng.uniform(-2, 2))
             b = a + float(rng.uniform(0.1, 3))
             om = omega(f, (a, b))
-            gm = grad_mass(f, a, b)
+            gm = grad_power_mass(f, a, b, 1.0, ConstantWeight(1.0))
             assert om <= gm + 1e-6 * max(1.0, gm)
 
 

@@ -297,9 +297,7 @@ def _assert_arrays_are_cubes(w: GridWindow):
     assert len(arr) == len(cubes) == w.count()
     assert arr.keys == tuple((q.shift.thirds, q.j, q.m) for q in cubes)
     assert [arr.cube(i) for i in range(len(arr))] == cubes
-    assert arr.thirds.tolist() == [list(q.shift.thirds) for q in cubes]
     assert arr.j.tolist() == [q.j for q in cubes]
-    assert arr.m.tolist() == [list(q.m) for q in cubes]
     unit = Fraction(2) ** w.j_min / 3
     assert [tuple(c * unit for c in row) for row in arr.corner.tolist()] == [
         q.lower() for q in cubes
@@ -323,9 +321,10 @@ def _assert_arrays_are_cubes(w: GridWindow):
 def test_window_arrays_all_shifts_even_odd_negative_generations():
     w = window_1d(Fraction(-7, 5), Fraction(9, 4), -4, 3, shifts=all_shifts(1))
     arr = _assert_arrays_are_cubes(w)
-    assert {0, 1, 2} == set(arr.thirds[:, 0].tolist())
+    assert {0, 1, 2} == {thirds[0] for thirds, _, _ in arr.keys}
     assert set(range(-4, 4)) == set(arr.j.tolist())
-    assert arr.m.min() < 0 < arr.m.max()
+    ms = [m[0] for _, _, m in arr.keys]
+    assert min(ms) < 0 < max(ms)
     assert 0 < w.boundary_flags().sum() < len(arr)
 
 
@@ -345,7 +344,7 @@ def test_window_arrays_far_from_origin():
     for lo in (2**53 + Fraction(1, 3), -(2**60) - Fraction(5, 7)):
         w = window_1d(lo, lo + 3, -3, 1, shifts=all_shifts(1))
         arr = _assert_arrays_are_cubes(w)
-        assert max(abs(3 * m) for m in arr.m[:, 0]) > 2**53
+        assert max(abs(3 * m[0]) for _, _, m in arr.keys) > 2**53
 
 
 def test_window_2d_all_shifts_counts():
@@ -367,7 +366,8 @@ def test_window_2d_all_shifts_counts():
     _assert_arrays_are_cubes(w)
     box = ((Fraction(-1, 3), Fraction(3, 2)), (Fraction(1, 6), Fraction(2)))
     arr = _assert_arrays_are_cubes(GridWindow(box, -2, 1, tuple(all_shifts(2))))
-    assert arr.lo.shape == arr.hi.shape == arr.m.shape == (len(arr), 2)
+    assert arr.lo.shape == arr.hi.shape == arr.corner.shape == (len(arr), 2)
+    assert {(len(thirds), len(m)) for thirds, _, m in arr.keys} == {(2, 2)}
 
 
 def test_window_budget_guard():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from dyadicweights.oscillation import (
     verify_mean_functional,
 )
 from dyadicweights.funcspace import catalog, omega_window
-from dyadicweights.grid import Shift, all_shifts, children, make_cube, window_1d
+from dyadicweights.grid import (
+    GridWindow,
+    Shift,
+    all_shifts,
+    children,
+    make_cube,
+    window_1d,
+)
 from dyadicweights.weights import ConstantWeight, PowerWeight
 
 S0 = Shift((0,))
@@ -96,6 +104,28 @@ def test_level_set_bump_certifying_interval():
         target = make_cube(S0, 2, (0,))  # [0, 4)
         assert float(target.interval()[0]) == 0.0 and float(target.edge) == 4.0
         assert target in members
+
+
+def test_level_set_counts_match_profile():
+    # level_set and the functional read one level rule: at every lambda of
+    # the profile the level set holds exactly n_cubes cubes, in window order
+    f = catalog("tent")
+    win = window_1d(-3, 3, -3, 1, shifts=all_shifts(1))
+    omega_map = omega_window(f, win)
+    order = {q: i for i, q in enumerate(win.cubes())}
+    for p, beta in ((1.0, 2.0), (2.0, 2.0), (2.0, -1.0)):
+        cfg = OscillationConfig(p=p, beta=beta, weight=ConstantWeight(1.0), window=win)
+        prof = oscillation_functional(cfg, f, omega_map=omega_map)
+        b = cfg.level_exponent
+        for lam, n in zip(prof.lambdas, prof.n_cubes):
+            members, _ = level_set(f, win, lam, b, omega_map=omega_map)
+            assert len(members) == n
+            assert [order[q] for q in members] == sorted(order[q] for q in members)
+        # a cube exactly at its threshold is flagged and not a member
+        q = max(order, key=lambda q: omega_map[(q.shift.thirds, q.j, q.m)])
+        lam = omega_map[(q.shift.thirds, q.j, q.m)] / float(q.volume) ** b
+        members, flagged = level_set(f, win, lam, b, omega_map=omega_map)
+        assert q in flagged and q not in members
 
 
 def test_functional_constant_zero_profile():
@@ -256,6 +286,14 @@ def test_mean_functional_band_rejected():
     win = window_1d(-2, 2, -2, 1)
     with pytest.raises(ValueError):
         mean_functional(f, ConstantWeight(1.0), 1.0, 0.5, win)
+
+
+def test_mean_functional_rejects_two_dimensional_window():
+    # the means are one-dimensional; a 2-D window used to return a wrong sup
+    box = ((Fraction(-2), Fraction(2)),) * 2
+    win = GridWindow(box, -2, 1, (Shift((0, 0)),))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        mean_functional(catalog("tent"), ConstantWeight(1.0), 1.0, 2.0, win)
 
 
 def test_mean_functional_beta_negative_window_stable():

@@ -9,7 +9,6 @@ import pytest
 
 from dyadicweights.grid import Shift, make_cube
 from dyadicweights.weights import (
-    Ball,
     CallableWeight,
     ConstantWeight,
     DomainError,
@@ -76,18 +75,6 @@ def test_product_weight_box_mass():
     w = ProductWeight([PowerWeight(0.5), ConstantWeight(2.0)])
     box_mass = w._box_mass([(0.0, 1.0), (0.0, 3.0)])
     assert box_mass == pytest.approx((2.0 / 3.0) * 6.0, rel=1e-13)
-
-
-def test_ball_mass_constant_2d():
-    w = ConstantWeight(3.0, n=2)
-    assert w.mass(Ball((0.0, 0.0), 2.0)) == pytest.approx(12 * math.pi, rel=1e-12)
-
-
-def test_product_ball_mass_matches_area():
-    w = ProductWeight([ConstantWeight(1.0), ConstantWeight(1.0)])
-    assert w.mass(Ball((0.3, -0.2), 1.5)) == pytest.approx(
-        math.pi * 1.5**2, rel=1e-8
-    )
 
 
 def test_ap_constant_constant_weight_is_one():
