@@ -12,8 +12,8 @@ without plot columns, no plottable rows) or rows dropped from it are reported
 on stderr and leave the exit code unchanged; a run that writes no plot removes
 an older plot.svg from the output directory.
 
-Exit codes: 0 pass/complete, 2 a verification produced a FAIL finding,
-1 usage or configuration error.
+Exit codes: 2 when the summary's verdict is "fail" or "violates", 1 for a
+usage or configuration error, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -32,17 +32,11 @@ from dyadicweights import diffquot, experiments, oscillation, wavelet
 from dyadicweights.funcspace import catalog
 from dyadicweights.grid import BudgetError, GridWindow, Shift, all_shifts, window_1d
 from dyadicweights.quadrature import QuadratureBudgetError
-from dyadicweights.weights import ap_constant, parse_weight_spec, standard_probes
-
-SUBCOMMANDS = (
-    "verify-cddd",
-    "verify-bsvy",
-    "mean-functional",
-    "good-cubes",
-    "sharpness",
-    "classify-weight",
-    "wavelet-check",
-    "ap-constant",
+from dyadicweights.weights import (
+    ap_constant,
+    ap_ratio,
+    parse_weight_spec,
+    standard_probes,
 )
 
 
@@ -160,7 +154,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple]):
+def write_csv(path: str, header: tuple[str, ...], rows: list[tuple]):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -297,19 +291,27 @@ def maybe_plot(outdir: str, csv_path: str, xcol: str, ycol: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (rows, header, summary, exit_code)
+# subcommand implementations; each returns (rows, summary), the rows in the
+# columns of HEADERS[subcommand]
 # ---------------------------------------------------------------------------
 
-
-def _functional_params(cfg: dict) -> dict:
-    return dict(cfg.get("functional", {}))
+HEADERS = {
+    "verify-cddd": ("lambda", "functional", "n_cubes", "boundary_share"),
+    "verify-bsvy": ("lambda", "functional", "tail_flag"),
+    "mean-functional": ("lambda", "functional", "n_cubes", "boundary_share"),
+    "good-cubes": ("trial", "which", "lhs", "rhs", "ok"),
+    "sharpness": ("param", "lhs", "constant", "grad_norm", "certified"),
+    "classify-weight": ("depth", "member", "ratio"),
+    "wavelet-check": ("e", "j", "m", "value"),
+    "ap-constant": ("probe_lo", "probe_hi", "ratio"),
+}
 
 
 def run_verify_oscillation(cfg: dict):
     f = build_function(cfg)
     w = build_weight(cfg)
     window = build_window(cfg)
-    fp = _functional_params(cfg)
+    fp = cfg.get("functional", {})
     try:
         ccfg = oscillation.OscillationConfig(
             p=float(fp.get("p", 1.0)),
@@ -317,7 +319,6 @@ def run_verify_oscillation(cfg: dict):
             weight=w,
             window=window,
             lambda_count=int(fp.get("lambda_count", 64)),
-            ratio_ceiling=float(fp.get("ratio_ceiling", 100.0)),
             exploratory=bool(fp.get("exploratory", False)),
         )
     except ValueError as exc:
@@ -341,15 +342,13 @@ def run_verify_oscillation(cfg: dict):
         },
         "details": rec.details,
     }
-    return rows, ["lambda", "functional", "n_cubes", "boundary_share"], summary, (
-        0 if rec.passed else 2
-    )
+    return rows, summary
 
 
 def run_verify_diffquot(cfg: dict):
     f = build_function(cfg)
     w = build_weight(cfg)
-    fp = _functional_params(cfg)
+    fp = cfg.get("functional", {})
     g = cfg.get("grid", {})
     try:
         bcfg = diffquot.DiffQuotConfig(
@@ -361,7 +360,6 @@ def run_verify_diffquot(cfg: dict):
             lambda_lo=float(fp.get("lambda_lo", 1e0)),
             lambda_hi=float(fp.get("lambda_hi", 1e4)),
             lambda_count=int(fp.get("lambda_count", 13)),
-            ratio_ceiling=float(fp.get("ratio_ceiling", 100.0)),
             exploratory=bool(fp.get("exploratory", False)),
         )
     except ValueError as exc:
@@ -381,16 +379,14 @@ def run_verify_diffquot(cfg: dict):
         "truncation": {"tail_decades": diffquot.TAIL_DECADES},
         "details": rec.details,
     }
-    return rows, ["lambda", "functional", "tail_flag"], summary, (
-        0 if rec.passed else 2
-    )
+    return rows, summary
 
 
 def run_mean_functional(cfg: dict):
     f = build_function(cfg)
     w = build_weight(cfg)
     window = build_window(cfg)
-    fp = _functional_params(cfg)
+    fp = cfg.get("functional", {})
     p = float(fp.get("p", 1.0))
     beta = float(fp.get("beta", 2.0))
     try:
@@ -407,9 +403,7 @@ def run_mean_functional(cfg: dict):
         "truncation": {"boundary_share": prof.boundary_share},
         "details": rec.details,
     }
-    return rows, ["lambda", "functional", "n_cubes", "boundary_share"], summary, (
-        0 if rec.passed else 2
-    )
+    return rows, summary
 
 
 def run_good_cubes(cfg: dict):
@@ -417,7 +411,7 @@ def run_good_cubes(cfg: dict):
 
     from dyadicweights.grid import children, make_cube
 
-    fp = _functional_params(cfg)
+    fp = cfg.get("functional", {})
     trials = int(fp.get("trials", 100))
     seed = int(cfg.get("run", {}).get("seed", 0))
     rng = random.Random(seed)
@@ -450,11 +444,11 @@ def run_good_cubes(cfg: dict):
         "truncation": {},
         "admissibility": {},
     }
-    return rows, ["trial", "which", "lhs", "rhs", "ok"], summary, (0 if all_ok else 2)
+    return rows, summary
 
 
 def run_sharpness(cfg: dict):
-    fp = _functional_params(cfg)
+    fp = cfg.get("functional", {})
     case = str(fp.get("case", "a1"))
     p = float(fp.get("p", 1.0 if case == "a1" else 2.0))
     count = int(fp.get("deltas", 7))
@@ -478,14 +472,12 @@ def run_sharpness(cfg: dict):
         "case": res.case,
         "p": res.p,
     }
-    return rows, ["param", "lhs", "constant", "grad_norm", "certified"], summary, (
-        0 if res.passed else 2
-    )
+    return rows, summary
 
 
 def run_classify_weight(cfg: dict):
     w = build_weight(cfg)
-    fp = _functional_params(cfg)
+    fp = cfg.get("functional", {})
     p = float(fp.get("p", 1.0))
     depths = fp.get("depths", [6, 12, 24, 48])
     rep = experiments.weight_classifier(
@@ -506,14 +498,11 @@ def run_classify_weight(cfg: dict):
         "admissibility": {},
         "truncation": {"depths": rep.schedule},
     }
-    code = 0
-    if rep.verdict == "violates":
-        code = 2
-    return rows, ["depth", "member", "ratio"], summary, code
+    return rows, summary
 
 
 def run_wavelet_check(cfg: dict):
-    fp = _functional_params(cfg)
+    fp = cfg.get("functional", {})
     order = int(fp.get("order", 4))
     depth = int(fp.get("depth", 12))
     beta = float(fp.get("beta", 2.0))
@@ -546,18 +535,16 @@ def run_wavelet_check(cfg: dict):
         },
         "details": rec.details,
     }
-    return rows, ["e", "j", "m", "value"], summary, 0 if rec.passed else 2
+    return rows, summary
 
 
 def run_ap_constant(cfg: dict):
     w = build_weight(cfg)
-    fp = _functional_params(cfg)
+    fp = cfg.get("functional", {})
     p = float(fp.get("p", 1.0))
     scales = range(int(fp.get("scale_min", -10)), int(fp.get("scale_max", 11)))
     probes = standard_probes(w, scales=scales)
     est = ap_constant(w, p, probes)
-    from dyadicweights.weights import ap_ratio
-
     rows = []
     for lo, hi in probes:
         r = ap_ratio(w, p, (lo, hi))
@@ -572,7 +559,7 @@ def run_ap_constant(cfg: dict):
         "admissibility": {},
         "truncation": {},
     }
-    return rows, ["probe_lo", "probe_hi", "ratio"], summary, 0
+    return rows, summary
 
 
 RUNNERS = {
@@ -610,15 +597,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dyadw",
         description="Dyadic-grid weighted functional experiments",
-        epilog=(
-            "CSV schemas: verify-cddd/mean-functional: lambda,functional,"
-            "n_cubes,boundary_share; verify-bsvy: lambda,functional,tail_flag; "
-            "sharpness: param,lhs,constant,grad_norm,certified; classify-weight: "
-            "depth,member,ratio; wavelet-check: e,j,m,value; ap-constant: "
-            "probe_lo,probe_hi,ratio; good-cubes: trial,which,lhs,rhs,ok."
-        ),
+        epilog="CSV schemas: "
+        + "; ".join(f"{name}: {','.join(cols)}" for name, cols in HEADERS.items())
+        + ".",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=RUNNERS)
     parser.add_argument("--config", help="flat TOML-style config file")
     parser.add_argument(
         "--set",
@@ -651,16 +634,14 @@ def main(argv=None) -> int:
                 cfg.setdefault("functional", {})[name] = val
         outdir = args.out or os.environ.get("DYADW_OUT", ".")
         os.makedirs(outdir, exist_ok=True)
-        rows, header, summary, code = RUNNERS[args.subcommand](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        rows, summary = RUNNERS[args.subcommand](cfg)
     except (ValueError, KeyError, BudgetError, QuadratureBudgetError) as exc:
+        # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     csv_path = os.path.join(outdir, "results.csv")
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, HEADERS[args.subcommand], rows)
     summary_full = {
         "subcommand": args.subcommand,
         "inputs": cfg,
@@ -680,9 +661,9 @@ def main(argv=None) -> int:
         # a plot left by an earlier run would not match this results.csv
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(outdir, "plot.svg"))
-    verdict = summary.get("verdict", "complete")
+    verdict = summary["verdict"]
     print(f"{args.subcommand}: {verdict} (results in {outdir})")
-    return code
+    return 2 if verdict in ("fail", "violates") else 0
 
 
 if __name__ == "__main__":

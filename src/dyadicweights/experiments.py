@@ -32,6 +32,7 @@ from dyadicweights.grid import (
     all_shifts,
     axis_index,
     axis_interval,
+    float_box,
     window_1d,
 )
 from dyadicweights.weights import (
@@ -176,7 +177,7 @@ def _sweep_ap(p, deltas):
         cert = True
         for j in (2, 3, 4):
             q = Cube(S13, 2 * j - 1, (0,))
-            lo, hi = map(float, q.interval())
+            ((lo, hi),) = float_box(q)
             edge_ok = math.isclose(hi - lo, 2.0 ** (2 * j - 1))
             cert = cert and edge_ok and omega(f, (lo, hi)) > lam
         certified.append(cert)
@@ -227,7 +228,7 @@ def _sweep_beta(p, epsilons):
         # verify the scaling on the first two cubes; a mismatch uncertifies
         for j in (1, 2):
             q = Cube(S13, -2 * j - 1, (0,))
-            lo, hi = map(float, q.interval())
+            ((lo, hi),) = float_box(q)
             om = omega(f, (lo, hi))
             scale_check = om / (hi - lo) ** eps
             cert = cert and math.isclose(scale_check, unit_omega, rel_tol=1e-9)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from dyadicweights.grid import Cube, GridWindow
+from dyadicweights.grid import Cube, GridWindow, float_box
 from dyadicweights.quadrature import _gl, adaptive_quad
 from dyadicweights.weights import ConstantWeight, PowerWeight, Weight
 
@@ -596,6 +596,12 @@ def _double_integral_piecewise(f: TestFunction, a: float, b: float) -> float:
     return total
 
 
+def _midpoint_grid(box: list[tuple[float, float]], m: int) -> np.ndarray:
+    """Midpoints of the m^n congruent cells of the box, shape (m,) * n + (n,)."""
+    axes = [lo + (np.arange(m) + 0.5) * ((hi - lo) / m) for lo, hi in box]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 def _omega_sampled(f, box: list[tuple[float, float]], quad: Quadrature):
     """Box-sampled omega: midpoint tensor grids of the box, doubled per axis
     until two estimates agree to quad.rel_tol or the node budget is spent."""
@@ -606,9 +612,7 @@ def _omega_sampled(f, box: list[tuple[float, float]], quad: Quadrature):
     m = 32
     prev = None
     while True:
-        axes = [lo + (np.arange(m) + 0.5) * ((hi - lo) / m) for lo, hi in box]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        v = f.value(grid).ravel()
+        v = f.value(_midpoint_grid(box, m)).ravel()
         w = np.full(v.size, vol / v.size)
         est = _sorted_pair_sum(v, w)
         if prev is not None and abs(est - prev) <= quad.rel_tol * max(
@@ -624,30 +628,28 @@ def _omega_sampled(f, box: list[tuple[float, float]], quad: Quadrature):
 def omega(f, region, method: str = "auto"):
     """Renormalized averaged oscillation of f over a cube; returns a float.
 
-    For n = 1 'auto' and 'exact' take an exact path on every cube: the
-    linear closed form where f is linear on the cube, and otherwise a sum
-    over pairs of the parts of f's pieces on which f is monotone.  Tensor
-    functions (n >= 2) and method 'sampled' use box sampling at the default
-    Quadrature; omega_flagged takes a Quadrature and returns its flag too.
+    ``region`` is anything grid.float_box takes.  For n = 1 'auto' takes an
+    exact path on every cube: the linear closed form where f is linear on
+    the cube, and otherwise a sum over pairs of the parts of f's pieces on
+    which f is monotone.  Tensor functions (n >= 2) and method 'sampled' use
+    box sampling at the default Quadrature; omega_flagged takes a Quadrature
+    and returns its flag too.
     """
     val, _ = omega_flagged(f, region, method=method)
     return val
 
 
 def omega_flagged(f, region, quad: Quadrature | None = None, method: str = "auto"):
-    if method not in ("auto", "exact", "sampled"):
+    if method not in ("auto", "sampled"):
         raise ValueError(f"unknown omega method {method!r}")
-    n = getattr(f, "n", 1)
-    if n == 1 and method != "sampled":
-        a, b = _region_interval(region)
+    box = float_box(region)
+    if getattr(f, "n", 1) == 1 and method == "auto":
+        ((a, b),) = box
         if f.linear_only_on(a, b):
             total = _double_integral_linear(f, a, b)
         else:
             total = _double_integral_piecewise(f, a, b)
         return total / (b - a) ** 2, True
-    if method == "exact":
-        raise ValueError("no exact omega path for n >= 2")
-    box = [_region_interval(region)] if n == 1 else _region_box(region, n)
     return _omega_sampled(f, box, quad or Quadrature())
 
 
@@ -705,8 +707,9 @@ def omega_bruteforce(f, region, nodes: int = 2048) -> float:
     midpoint error is removed by one Richardson step.
     """
     n = getattr(f, "n", 1)
+    box = float_box(region)
     if n == 1:
-        a, b = _region_interval(region)
+        ((a, b),) = box
 
         def level(k):
             xs, wts = _aligned_cells(f, a, b, k)
@@ -714,11 +717,8 @@ def omega_bruteforce(f, region, nodes: int = 2048) -> float:
 
         coarse, fine = level(nodes // 2), level(nodes)
         return (4.0 * fine - coarse) / 3.0 / (b - a) ** 2
-    box = _region_box(region, n)
     m = max(2, int(round(nodes ** (1.0 / n))))
-    axes = [lo + (np.arange(m) + 0.5) * ((hi - lo) / m) for lo, hi in box]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    v = f.value(grid).ravel()
+    v = f.value(_midpoint_grid(box, m)).ravel()
     vol = 1.0
     for lo, hi in box:
         vol *= hi - lo
@@ -728,24 +728,9 @@ def omega_bruteforce(f, region, nodes: int = 2048) -> float:
 
 def omega_indicator(region, e_lo: float, e_hi: float) -> float:
     """Closed form for f = 1_E, E an interval: 2 |Q|^(-2) |Q ∩ E| |Q \\ E|."""
-    a, b = _region_interval(region)
+    ((a, b),) = float_box(region)
     inter = max(0.0, min(b, e_hi) - max(a, e_lo))
     return 2.0 * inter * ((b - a) - inter) / (b - a) ** 2
-
-
-def _region_interval(region) -> tuple[float, float]:
-    if isinstance(region, Cube):
-        lo, hi = region.interval()
-        return float(lo), float(hi)
-    lo, hi = region
-    return float(lo), float(hi)
-
-
-def _region_box(region, n: int) -> list[tuple[float, float]]:
-    if isinstance(region, Cube):
-        los = region.lower()
-        return [(float(l), float(l + region.edge)) for l in los]
-    return [(float(lo), float(hi)) for lo, hi in region]
 
 
 # ---------------------------------------------------------------------------
@@ -819,16 +804,14 @@ def grad_power_mass(f: TestFunction, lo: float, hi: float, p: float, w: Weight) 
 
 def sobolev_seminorm(f, w: Weight, p: float, window) -> float:
     """(Integral over the window of |grad f|^p w)^(1/p)."""
-    n = getattr(f, "n", 1)
-    if n == 1:
-        lo, hi = _region_interval(window)
+    box = float_box(window)
+    if getattr(f, "n", 1) == 1:
+        ((lo, hi),) = box
         return grad_power_mass(f, lo, hi, p, w) ** (1.0 / p)
-    box = _region_box(window, n)
     m = 256
 
     def refine(m):
-        axes = [lo + (np.arange(m) + 0.5) * ((hi - lo) / m) for lo, hi in box]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        grid = _midpoint_grid(box, m)
         g = f.grad_norm(grid) ** p * w.value(grid)
         cell = 1.0
         for lo, hi in box:
@@ -839,11 +822,11 @@ def sobolev_seminorm(f, w: Weight, p: float, window) -> float:
     return ((4 * b - a) / 3) ** (1.0 / p)
 
 
-def l1_weighted_norm(f, w: Weight, lo: float, hi: float) -> float:
-    """Integral of |f| w over [lo, hi] by adaptive quadrature."""
+def weighted_lp_mass(f, w: Weight, p: float, lo: float, hi: float) -> float:
+    """Integral of |f|^p w over [lo, hi] by adaptive quadrature."""
     bps = list(getattr(f, "breakpoints", ())) + list(w.breakpoints())
     return adaptive_quad(
-        lambda x: np.abs(f.value(x)) * w.value(x), lo, hi, breakpoints=bps
+        lambda x: np.abs(f.value(x)) ** p * w.value(x), lo, hi, breakpoints=bps
     )
 
 

@@ -7,7 +7,8 @@ A grid with shift ``alpha`` in {0, 1/3, 2/3}^n consists of the half-open cubes
 Shifts are stored as integer thirds so every corner is a rational with
 denominator 3 * 2^|j|; all geometric decisions in this module are exact
 (no floating point).  Floats appear only as outputs for closed forms: the
-correctly rounded value of an exact corner (axis_interval, WindowArrays).
+correctly rounded value of an exact corner (axis_interval, float_box,
+WindowArrays).
 """
 
 from __future__ import annotations
@@ -235,6 +236,22 @@ class AxisCube:
 
 def as_axis_cube(q: Cube) -> AxisCube:
     return AxisCube(q.lower(), q.edge)
+
+
+def float_box(region) -> list[tuple[float, float]]:
+    """The float (lo, hi) pair of each axis of a region: one (lo, hi) pair, a
+    box given as a sequence of pairs, a Cube or an AxisCube.  Each end is the
+    correctly rounded value of the exact end (float of a Fraction)."""
+    try:  # a (lo, hi) pair, one per cube in the hot loops, costs one unpack
+        lo, hi = region
+        return [(float(lo), float(hi))]
+    except (TypeError, ValueError):
+        pass
+    if isinstance(region, (Cube, AxisCube)):
+        edge = region.edge
+        corner = region.lower() if isinstance(region, Cube) else region.lower_corner
+        return [(float(lo), float(lo + edge)) for lo in corner]
+    return [(float(lo), float(hi)) for lo, hi in region]
 
 
 def _fits(p: AxisCube, q: Cube) -> bool:

@@ -16,17 +16,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from dyadicweights.funcspace import grad_power_mass, mean_abs, omega_window
-from dyadicweights.grid import Cube, GridWindow, Relation, relate
-from dyadicweights.quadrature import adaptive_quad
-from dyadicweights.records import FunctionalProfile, VerificationRecord
+from dyadicweights.funcspace import (
+    grad_power_mass,
+    mean_abs,
+    omega_window,
+    sobolev_seminorm,
+    weighted_lp_mass,
+)
+from dyadicweights.grid import AxisCube, Cube, GridWindow, Relation, relate
+from dyadicweights.records import RATIO_CEILING, FunctionalProfile, VerificationRecord
 from dyadicweights.weights import Weight, ap_constant, standard_probes
 
 # Relative margin within which a threshold comparison or an inequality is
 # decided only up to the accuracy of omega and of floating-point sums.
 REL_TOL = 1e-9
-# Largest functional-to-bound ratio a verification record passes.
-RATIO_CEILING = 100.0
 
 
 def admissible_beta(p: float, beta: float, n: int) -> bool:
@@ -51,7 +54,6 @@ class OscillationConfig:
     weight: Weight
     window: GridWindow
     lambda_count: int = 64
-    ratio_ceiling: float = RATIO_CEILING
     exploratory: bool = False
 
     def __post_init__(self):
@@ -254,8 +256,6 @@ def verify_oscillation(
             )
             probes = [q for q in probes if q[1] - q[0] <= 8 * span]
         else:
-            from dyadicweights.grid import AxisCube
-
             probes = [
                 AxisCube((Fraction(-(2**k)),) * n, Fraction(2 ** (k + 1)))
                 for k in range(-6, max(1, cfg.window.j_max) + 1)
@@ -268,21 +268,16 @@ def verify_oscillation(
             lo, hi = min(lo, -radius), max(hi, radius)
         grad_p = grad_power_mass(f, lo, hi, cfg.p, w)
     else:
-        from dyadicweights.funcspace import sobolev_seminorm
-
-        box = [(float(b[0]), float(b[1])) for b in cfg.window.box]
-        grad_p = sobolev_seminorm(f, w, cfg.p, box) ** cfg.p
+        grad_p = sobolev_seminorm(f, w, cfg.p, cfg.window.box) ** cfg.p
     if est.unbounded:
         # the constant estimate certifies nothing; report the bare gradient
         # ratio and record a failure finding
-        ratio = prof.sup / grad_p if grad_p > 0 else math.inf
         return VerificationRecord(
             name="oscillation_functional",
             lhs=prof.sup,
             rhs=grad_p,
-            ratio=ratio,
-            tolerance=cfg.ratio_ceiling,
-            passed=False,
+            ceiling=RATIO_CEILING,
+            certified=False,
             details={
                 "sup": prof.sup,
                 "constant_estimate": math.inf,
@@ -293,8 +288,6 @@ def verify_oscillation(
                 "beta": cfg.beta,
             },
         )
-    rhs = est.value**cfg.alpha * grad_p
-    ratio = prof.sup / rhs if rhs > 0 else (0.0 if prof.sup == 0 else math.inf)
     details = {
         "sup": prof.sup,
         "argmax_lambda": prof.argmax_lambda,
@@ -313,14 +306,12 @@ def verify_oscillation(
             if grad_p > 0
             else 0.0
         )
-    passed = ratio <= cfg.ratio_ceiling
     return VerificationRecord(
         name="oscillation_functional",
         lhs=prof.sup,
-        rhs=rhs,
-        ratio=ratio,
-        tolerance=cfg.ratio_ceiling,
-        passed=passed,
+        rhs=est.value**cfg.alpha * grad_p,
+        ceiling=RATIO_CEILING,
+        certified=True,
         details=details,
     )
 
@@ -340,11 +331,11 @@ def mean_functional(
     p: float,
     beta: float,
     window: GridWindow,
-    lambda_count: int = 64,
 ) -> FunctionalProfile:
     """Weak-type functional with the average |f| criterion instead of omega,
     over a one-dimensional window: cubes enter at level lam when their mean
-    of |f| exceeds lam |Q|^(beta-1/p).
+    of |f| exceeds lam |Q|^(beta-1/p).  The lambda grid has 64 log-spaced
+    points besides the thresholds.
     """
     if not mean_admissible_beta(p, beta):
         raise ValueError(
@@ -359,7 +350,7 @@ def mean_functional(
     ends = zip(arr.lo[:, 0].tolist(), arr.hi[:, 0].tolist())
     means = [mean_abs(f, lo, hi) for lo, hi in ends]
     b = beta - 1.0 / p
-    return _window_profile(window, means, weight, p, beta, b, lambda_count)
+    return _window_profile(window, means, weight, p, beta, b, 64)
 
 
 def verify_mean_functional(
@@ -379,19 +370,13 @@ def verify_mean_functional(
     radius = getattr(f, "grad_radius", 0.0)
     lo = min(float(window.box[0][0]), -radius)
     hi = max(float(window.box[0][1]), radius)
-    bps = list(getattr(f, "breakpoints", ())) + list(weight.breakpoints())
-    fp = adaptive_quad(
-        lambda x: np.abs(f.value(x)) ** p * weight.value(x), lo, hi, breakpoints=bps
-    )
-    rhs = est.value * fp
-    ratio = prof.sup / rhs if rhs > 0 else (0.0 if prof.sup == 0 else math.inf)
+    fp = weighted_lp_mass(f, weight, p, lo, hi)
     return VerificationRecord(
         name="mean_functional",
         lhs=prof.sup,
-        rhs=rhs,
-        ratio=ratio,
-        tolerance=RATIO_CEILING,
-        passed=ratio <= RATIO_CEILING,
+        rhs=est.value * fp,
+        ceiling=RATIO_CEILING,
+        certified=True,
         details={
             "constant_estimate": est.value,
             "lp_norm_p": fp,
@@ -544,14 +529,12 @@ def check_domination(
         rhs = factor * sum(cube_weight(q, alpha, w) for q in maximal)
     else:
         raise ValueError(f"unknown check {which!r}")
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
     return VerificationRecord(
         name=f"good_cube_domination[{which}]",
         lhs=lhs,
         rhs=rhs,
-        ratio=ratio,
-        tolerance=REL_TOL,
-        passed=lhs <= rhs * (1 + REL_TOL),
+        ceiling=1.0 + REL_TOL,
+        certified=True,
         details={"sigma": sigma, "exponent": exponent, "n_good": len(good)},
     )
 

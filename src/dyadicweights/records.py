@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+# Largest lhs/rhs ratio a check passes when its bound carries a constant that
+# is only estimated.
+RATIO_CEILING = 100.0
 
 
 @dataclass
@@ -32,15 +37,35 @@ class FunctionalProfile:
 
 @dataclass
 class VerificationRecord:
-    """One inequality instance: left side, right side, ratio, and verdict."""
+    """One inequality instance lhs <= C rhs and its verdict, by the one rule
+    every check of the package shares.
+
+    ratio = lhs / rhs, 0 when lhs = 0 (0 <= C * 0 holds for every C) and inf
+    when rhs = 0 < lhs.  The record passes when it is certified and its ratio
+    is at most ``ceiling``; ``certified`` is False when a premise of the
+    comparison fails (an unbounded constant estimate, a missed lower
+    constant, an inconclusive truncation).
+    """
 
     name: str
     lhs: float
     rhs: float
-    ratio: float
-    tolerance: float
-    passed: bool
+    ceiling: float
+    certified: bool
     details: dict = field(default_factory=dict)
+    ratio: float = field(init=False)
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        if self.lhs == 0:
+            self.ratio = 0.0
+        else:
+            self.ratio = self.lhs / self.rhs if self.rhs > 0 else math.inf
+        self.passed = bool(self.certified) and self.within_ceiling
+
+    @property
+    def within_ceiling(self) -> bool:
+        return bool(self.ratio <= self.ceiling)
 
     @property
     def verdict(self) -> str:

@@ -16,9 +16,9 @@ from math import comb, sqrt
 
 import numpy as np
 
-from dyadicweights.funcspace import grad_power_mass, l1_weighted_norm
+from dyadicweights.funcspace import grad_power_mass, weighted_lp_mass
 from dyadicweights.oscillation import LevelMass
-from dyadicweights.records import VerificationRecord
+from dyadicweights.records import RATIO_CEILING, VerificationRecord
 from dyadicweights.weights import Weight, ap_constant, standard_probes
 
 
@@ -306,7 +306,7 @@ def verify_almost_char(
     coeffs=None,
 ) -> VerificationRecord:
     """Weak sequence norm of the scale-deflated coefficients against the
-    estimated-constant weighted Sobolev norm, passed up to a ratio of 100,
+    estimated-constant weighted Sobolev norm, passed up to RATIO_CEILING,
     with the strong-norm comparison reported when the truncated strong norm
     looks convergent.  ``coeffs`` is
     the (atoms, values) pair of ``coefficients(f, system, index_set)`` when
@@ -325,10 +325,9 @@ def verify_almost_char(
     probes = standard_probes(w, scales=range(-index_set.j_max - 2, 6))
     est = ap_constant(w, 1.0, probes).value
     lo, hi = index_set.lo, index_set.hi
-    l1 = l1_weighted_norm(f, w, lo, hi)
+    l1 = weighted_lp_mass(f, w, 1.0, lo, hi)
     grad1 = grad_power_mass(f, lo, hi, 1.0, w)
     middle = est * (l1 + grad1)
-    left_ratio = weak / middle if middle > 0 else math.inf
 
     # convergence flag for the strong norm: per-generation tail decay
     per_gen: dict[int, float] = {}
@@ -339,14 +338,12 @@ def verify_almost_char(
     right_ratio = (
         middle / (est**2 * strong) if (tail_decaying and strong > 0) else math.nan
     )
-    ceiling = 100.0
     return VerificationRecord(
         name="almost_characterization",
         lhs=weak,
         rhs=middle,
-        ratio=left_ratio,
-        tolerance=ceiling,
-        passed=bool(left_ratio <= ceiling),
+        ceiling=RATIO_CEILING,
+        certified=True,
         details={
             "strong_norm": strong,
             "weak_norm": weak,

@@ -13,35 +13,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from dyadicweights.grid import AxisCube, Cube
+from dyadicweights.grid import float_box
 from dyadicweights.quadrature import adaptive_quad
 
 
 class DomainError(ValueError):
     """Non-integrable singularity inside the integration region."""
-
-
-def _as_interval(region) -> tuple[float, float]:
-    if isinstance(region, Cube):
-        lo, hi = region.interval()
-        return float(lo), float(hi)
-    if isinstance(region, AxisCube):
-        if region.n != 1:
-            raise ValueError("interval conversion needs n = 1")
-        return float(region.lower_corner[0]), float(region.lower_corner[0] + region.edge)
-    lo, hi = region
-    return float(lo), float(hi)
-
-
-def _box_of(region) -> list[tuple[float, float]]:
-    if isinstance(region, Cube):
-        los = region.lower()
-        return [(float(l), float(l + region.edge)) for l in los]
-    if isinstance(region, AxisCube):
-        return [
-            (float(l), float(l + region.edge)) for l in region.lower_corner
-        ]
-    raise ValueError(f"not a box region: {region!r}")
 
 
 class Weight:
@@ -67,12 +44,22 @@ class Weight:
 
     # -- region dispatch ---------------------------------------------------
 
-    def mass(self, region) -> float:
+    def _mass_and_volume(self, region) -> tuple[float, float]:
+        """w(region) and |region| for anything grid.float_box takes:
+        interval_mass for n = 1, _box_mass otherwise."""
+        box = float_box(region)
+        if len(box) != self.n:
+            raise ValueError(f"{len(box)}-dimensional region, weight on R^{self.n}")
+        vol = 1.0
+        for lo, hi in box:
+            vol *= hi - lo
         if self.n == 1:
-            lo, hi = _as_interval(region)
-            return self.interval_mass(lo, hi)
-        box = _box_of(region)
-        return self._box_mass(box)
+            ((lo, hi),) = box
+            return self.interval_mass(lo, hi), vol
+        return self._box_mass(box), vol
+
+    def mass(self, region) -> float:
+        return self._mass_and_volume(region)[0]
 
     def masses(self, lo: np.ndarray, hi: np.ndarray) -> list[float]:
         """Masses of N boxes given by (N, n) float corners, one closed-form
@@ -86,14 +73,8 @@ class Weight:
         raise NotImplementedError
 
     def mean(self, region) -> float:
-        if self.n == 1:
-            lo, hi = _as_interval(region)
-            return self.interval_mass(lo, hi) / (hi - lo)
-        box = _box_of(region)
-        vol = 1.0
-        for lo, hi in box:
-            vol *= hi - lo
-        return self._box_mass(box) / vol
+        mass, vol = self._mass_and_volume(region)
+        return mass / vol
 
 
 class ConstantWeight(Weight):
@@ -279,8 +260,9 @@ def ap_ratio(w: Weight, p: float, region) -> float:
     """The per-cube constant ratio (exact arithmetic via closed-form masses)."""
     if w.n != 1 and not isinstance(w, (ConstantWeight, ProductWeight)):
         raise NotImplementedError("multi-d ratios need product structure")
+    box = float_box(region)
     if w.n == 1:
-        lo, hi = _as_interval(region)
+        ((lo, hi),) = box
         if p == 1:
             inf = w.ess_inf(lo, hi)
             if inf == 0.0:
@@ -294,7 +276,6 @@ def ap_ratio(w: Weight, p: float, region) -> float:
             return math.inf
         return w.mean(region) * dual ** (p - 1.0)
     # product structure: per-dimension ratios multiply
-    box = _box_of(region)
     if isinstance(w, ConstantWeight):
         return 1.0
     out = 1.0
@@ -397,7 +378,7 @@ def check_ap_properties(
                 )
 
     for q in probes:
-        lo, hi = _as_interval(q)
+        ((lo, hi),) = float_box(q)
         length = hi - lo
         wq = w.interval_mass(lo, hi)
         for _ in range(3):
@@ -420,7 +401,7 @@ def check_ap_properties(
     if p > 1:
         pprime = p / (p - 1.0)
         for q in probes:
-            lo, hi = _as_interval(q)
+            ((lo, hi),) = float_box(q)
             checks["dual"] += 1
             try:
                 dual_mass = w.interval_power_mass(lo, hi, 1.0 - pprime)

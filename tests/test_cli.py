@@ -12,21 +12,28 @@ from dyadicweights.cli import main, parse_config_text
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
-# Subcommand and sha256 of results.csv for every shipped config.  A refactor
-# keeps these bytes; a change that moves a reported number updates the digest
-# and states the old and new values.
+# Subcommand, sha256 of results.csv, exit code and sha256 of summary.json for
+# every shipped config.  A refactor keeps these bytes and this code; a change
+# that moves a reported number or verdict updates the pin and states the old
+# and new values.
 CONFIG_RUNS = {
     "a1_battery.cfg": (
         "verify-cddd",
         "fa1c2bd24da84061e41f79e419a7228cb1ff3abe5618ae0dbc92334514768fc1",
+        0,
+        "1a85088bb1fe93602537b5e601837729121ed961bc1bcf725932e477543e5558",
     ),
     "ap_sharpness.cfg": (
         "sharpness",
         "d62a329cba75fe4a1762a1547916d9adc8cf0a057f927f72f4b18d20ddf2bc08",
+        0,
+        "dbbd291eabdcbc6ad149db4d3745d7ff01bb5f0bbbb445916a9d9f544d520ced",
     ),
     "linear_quotient.cfg": (
         "verify-bsvy",
         "00cb4c4d4f9613577ae0c918c66b283327c0c4473265e5cacef6e83df48f32d1",
+        0,
+        "1992f77c47a16c36c298b9827bc1ec0127b27f81d5d4f74eb6c1b84a0b06a30b",
     ),
 }
 
@@ -43,18 +50,26 @@ ARGV_RUNS = {
             "--set", "with_quotient=false",
         ],
         "607b7cf0b3f381a762ba0e99a8ff13d84232e2d2eeea3417700b69f852bdece3",
+        2,
+        "62f0022dc422898820e6311c20bbe622ed2b0bb68cb5ec6e94f5551069bad220",
     ),
     "sharpness-betalimit": (
         ["sharpness", "--case", "betalimit"],
         "a80f348304142198dcad18eaebacb76cf0244aae36f924d7e25126e098d5243d",
+        0,
+        "f170bcdef8ee22c7e25a9e4a47ed4ddfd050ee71f2d224699aba3cb1059d3632",
     ),
     "sharpness-a1": (
         ["sharpness", "--case", "a1"],
         "0b0b51e1047a2d670c0c833900e6659ea837dc4919559247c6863e1945e040f5",
+        0,
+        "24395618514e6bcdfa8c8c24ff9095caee685e1a94d93f9307802d4ccd1ccde4",
     ),
     "mean-functional": (
         ["mean-functional"],
         "a536269f2dc92c22f996b51872ec0b99e91a69e75881b0fd435213888ca3d04c",
+        0,
+        "67d0c0055707bbe65fc32fc88e721e4385fc14ce9a3104c568b43f2190deaee4",
     ),
     "classify-weight-three-depths": (
         [
@@ -66,6 +81,8 @@ ARGV_RUNS = {
             "--set", "with_quotient=false",
         ],
         "5a79b08d2b75d8b308006964022c5ddbca8bea160c540a832c6cc4c0bf85a5db",
+        2,
+        "28cfb07042b7aafa9b59a648779399d36a856a2f1e560fb300564f7d9a956f04",
     ),
 }
 
@@ -75,18 +92,36 @@ def read(path):
         return fh.read()
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(read(path)).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
 def test_config_results_csv_digest(tmp_path, name):
-    subcommand, digest = CONFIG_RUNS[name]
-    main([subcommand, "--config", str(CONFIGS / name), "--out", str(tmp_path)])
-    assert hashlib.sha256(read(tmp_path / "results.csv")).hexdigest() == digest
+    subcommand, digest, code, summary_digest = CONFIG_RUNS[name]
+    got = main([subcommand, "--config", str(CONFIGS / name), "--out", str(tmp_path)])
+    assert sha256(tmp_path / "results.csv") == digest
+    assert got == code
+    assert sha256(tmp_path / "summary.json") == summary_digest
 
 
 @pytest.mark.parametrize("name", sorted(ARGV_RUNS))
 def test_argv_results_csv_digest(tmp_path, name):
-    argv, digest = ARGV_RUNS[name]
-    main([*argv, "--out", str(tmp_path)])
-    assert hashlib.sha256(read(tmp_path / "results.csv")).hexdigest() == digest
+    argv, digest, code, summary_digest = ARGV_RUNS[name]
+    got = main([*argv, "--out", str(tmp_path)])
+    assert sha256(tmp_path / "results.csv") == digest
+    assert got == code
+    assert sha256(tmp_path / "summary.json") == summary_digest
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["verify-cddd", "verify-bsvy", "mean-functional", "wavelet-check"]
+)
+def test_zero_function_passes_with_ratio_zero(tmp_path, subcommand):
+    # both sides of every inequality are 0: 0 <= C * 0 holds, ratio 0
+    code = main([subcommand, "--set", "function.name=constant", "--out", str(tmp_path)])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["verdict"], summary["ratio"], code) == ("pass", 0.0, 0)
 
 
 def test_parse_config_text_sections_and_types():

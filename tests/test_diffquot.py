@@ -23,6 +23,7 @@ from dyadicweights.diffquot import (
 )
 from dyadicweights.funcspace import catalog
 from dyadicweights.grid import all_shifts, window_1d
+from dyadicweights.records import RATIO_CEILING
 from dyadicweights.weights import ConstantWeight, PowerWeight
 
 
@@ -261,7 +262,7 @@ def test_verify_diffquot_fdelta_weighted_stable():
         rec = verify_diffquot(cfg, f, tol=0.10)
         ratios.append(rec.ratio)
         assert rec.details["lower_ok"], rec.details
-        assert rec.ratio <= cfg.ratio_ceiling
+        assert rec.ratio <= RATIO_CEILING
     assert abs(ratios[1] - ratios[0]) <= 0.2 * ratios[0]
 
 

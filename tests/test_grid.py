@@ -23,6 +23,7 @@ from dyadicweights.grid import (
     dom_multiplicity,
     dominating_cube,
     dominating_set,
+    float_box,
     make_cube,
     parent,
     relate,
@@ -389,3 +390,18 @@ def test_as_axis_cube_matches():
     a = as_axis_cube(q)
     assert a.lower_corner == q.lower()
     assert a.edge == q.edge
+
+
+def test_float_box_region_forms():
+    third = Fraction(1, 3)
+    # a pair, a box of pairs of any dimension, a Cube and an AxisCube, each
+    # end the correctly rounded float of its exact value
+    assert float_box((0.25, third)) == [(0.25, float(third))]
+    assert float_box([(0, third)]) == [(0.0, float(third))]
+    box = ((0, 1), (third, 2), (-1, 5))
+    assert float_box(box) == [(0.0, 1.0), (float(third), 2.0), (-1.0, 5.0)]
+    assert float_box(np.array([[0.0, 1.0], [2.0, 3.0]])) == [(0.0, 1.0), (2.0, 3.0)]
+    for q in (make_cube(S13, -3, (2,)), make_cube(Shift((1, 2)), 1, (2, -1))):
+        want = [(float(lo), float(lo + q.edge)) for lo in q.lower()]
+        assert float_box(q) == want
+        assert float_box(as_axis_cube(q)) == want

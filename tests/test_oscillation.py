@@ -34,6 +34,7 @@ from dyadicweights.grid import (
     make_cube,
     window_1d,
 )
+from dyadicweights.records import VerificationRecord
 from dyadicweights.weights import ConstantWeight, PowerWeight
 
 S0 = Shift((0,))
@@ -526,3 +527,14 @@ def test_cli_budget_error_exit_code(tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_verification_record_rule():
+    def rec(lhs, rhs, certified=True):
+        return VerificationRecord("r", lhs, rhs, ceiling=2.0, certified=certified)
+
+    assert (rec(0.0, 0.0).ratio, rec(0.0, 0.0).passed) == (0.0, True)
+    assert (rec(1.0, 0.0).ratio, rec(1.0, 0.0).passed) == (math.inf, False)
+    assert (rec(3.0, 2.0).ratio, rec(3.0, 2.0).passed) == (1.5, True)
+    assert not rec(5.0, 2.0).passed
+    assert not rec(1.0, 2.0, certified=False).passed
