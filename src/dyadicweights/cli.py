@@ -109,19 +109,25 @@ def build_function(cfg: dict):
     spec = dict(cfg.get("function", {}))
     name = spec.pop("name", "tent")
     try:
-        return catalog(name, **spec)
+        f = catalog(name, **spec)
     except KeyError as exc:
         raise ConfigError(f"unknown catalog function {name!r}") from exc
     except TypeError as exc:
         raise ConfigError(f"bad parameters for {name!r}: {exc}") from exc
+    if f.n != 1:
+        raise ConfigError(f"{name!r} lives on R^{f.n}; the runners' windows are 1-D")
+    return f
 
 
 def build_weight(cfg: dict):
     spec = dict(cfg.get("weight", {"kind": "constant"}))
     try:
-        return parse_weight_spec(spec)
+        w = parse_weight_spec(spec)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad weight spec: {exc}") from exc
+    if w.n != 1:
+        raise ConfigError(f"weight on R^{w.n}; the runners' windows are 1-D")
+    return w
 
 
 def build_window(cfg: dict) -> GridWindow:
@@ -162,21 +168,28 @@ def write_csv(path: str, header: tuple[str, ...], rows: list[tuple]):
 
 
 def write_summary(path: str, summary: dict):
+    """Strict JSON: a non-finite float is written as the string results.csv
+    uses for it ("inf", "-inf", "nan")."""
+    strict = _strict(summary)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False, default=repr)
         fh.write("\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
+def _strict(obj):
+    """obj with NumPy scalars and arrays as Python values, Fractions as
+    strings and every non-finite float spelled by _fmt."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else _fmt(obj)
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, Fraction):
         return str(obj)
-    return repr(obj)
+    return obj
 
 
 _SVG_W, _SVG_H = 480, 336
@@ -338,7 +351,7 @@ def run_verify_oscillation(cfg: dict):
         "admissibility": {"beta_admissible": ccfg.admissible},
         "truncation": {
             "boundary_share": prof.boundary_share,
-            "near_threshold_spread": prof.flags.get("near_threshold", 0.0),
+            "near_threshold_spread": prof.flags["near_threshold"],
         },
         "details": rec.details,
     }
@@ -555,7 +568,7 @@ def run_ap_constant(cfg: dict):
         "ratio": None,
         "estimate": est.value,
         "unbounded": est.unbounded,
-        "probe_count": est.probe_count,
+        "probe_count": len(probes),
         "admissibility": {},
         "truncation": {},
     }

@@ -24,7 +24,12 @@ import numpy as np
 from dyadicweights.funcspace import grad_power_mass, omega_window
 from dyadicweights.oscillation import LevelMass
 from dyadicweights.quadrature import adaptive_quad
-from dyadicweights.records import RATIO_CEILING, FunctionalProfile, VerificationRecord
+from dyadicweights.records import (
+    RATIO_CEILING,
+    FunctionalProfile,
+    VerificationRecord,
+    ratio,
+)
 from dyadicweights.weights import Weight
 
 # Relative stop of the inner integral's far-tail extension.
@@ -373,17 +378,13 @@ def diffquot_functional(cfg: DiffQuotConfig, f) -> FunctionalProfile:
         tails.append(truncated)
     values = [float(v) for v in values]
     k = int(np.argmax(values))
-    prof = FunctionalProfile(
+    return FunctionalProfile(
         lambdas=[float(l) for l in lambdas],
         values=values,
         sup=values[k],
         argmax_lambda=float(lambdas[k]),
-        certifying=[],
-        boundary_share=0.0,
-        n_cubes=[0] * len(values),
+        flags={"truncated": tails},
     )
-    prof.flags["truncated"] = tails
-    return prof
 
 
 def lower_constant(n: int, q: float, gamma: float) -> float:
@@ -422,8 +423,8 @@ def verify_diffquot(cfg: DiffQuotConfig, f, tol: float = 0.05) -> VerificationRe
         cutoff = lams.min() * 10.0**TAIL_DECADES
         tail = vals[lams <= cutoff]
     tail_value = float(np.min(tail)) if len(tail) else 0.0
-    tail_ratio = tail_value / norm if norm > 0 else math.inf
-    lower_ok = bool(tail_ratio >= lc * (1.0 - tol))
+    tail_ratio = ratio(tail_value, norm)
+    lower_ok = bool(norm == 0 or tail_ratio >= lc * (1.0 - tol))
     rec = VerificationRecord(
         name="diffquot_functional",
         lhs=prof.sup,

@@ -24,7 +24,12 @@ from dyadicweights.funcspace import (
     weighted_lp_mass,
 )
 from dyadicweights.grid import AxisCube, Cube, GridWindow, Relation, relate
-from dyadicweights.records import RATIO_CEILING, FunctionalProfile, VerificationRecord
+from dyadicweights.records import (
+    RATIO_CEILING,
+    FunctionalProfile,
+    VerificationRecord,
+    ratio,
+)
 from dyadicweights.weights import Weight, ap_constant, standard_probes
 
 # Relative margin within which a threshold comparison or an inequality is
@@ -159,10 +164,9 @@ def _window_profile(
     The grid is log-spaced over the auto bracket plus a point just below each
     distinct threshold; over a finite window the supremum is attained there,
     so the grid max is the exact truncated supremum (up to the 1e-12 nudge).
-    Only certifying cubes are built as Cubes.  flags["near_threshold"] is the
-    relative supremum spread when every cube within REL_TOL of its threshold
-    is counted as a member: strict membership cannot be certified closer
-    than the accuracy of the criterion values.
+    flags["near_threshold"] is the relative supremum spread when every cube
+    within REL_TOL of its threshold is counted as a member: strict membership
+    cannot be certified closer than the accuracy of the criterion values.
     """
     arr = window.arrays
     masses = weight.masses(arr.lo, arr.hi)
@@ -174,23 +178,11 @@ def _window_profile(
     flags = {"near_threshold": abs(inclusive - base) / max(base, 1e-300)}
     if len(thr) == 0:
         lams = np.logspace(-3, 0, lambda_count)
-        return FunctionalProfile(
-            lambdas=list(lams),
-            values=[0.0] * len(lams),
-            sup=0.0,
-            argmax_lambda=float(lams[0]),
-            certifying=[],
-            boundary_share=0.0,
-            n_cubes=[0] * len(lams),
-            flags=flags,
-        )
-    lo, hi = float(thr[-1]), float(thr[0])
-    grid = np.logspace(
-        math.log10(lo * 0.5), math.log10(hi * 1.5), lambda_count
-    )
-    nudged = np.unique(thr) * (1.0 - 1e-12)
-    lams = np.unique(np.concatenate([grid, nudged]))
-
+    else:
+        lo, hi = float(thr[-1]), float(thr[0])
+        grid = np.logspace(math.log10(lo * 0.5), math.log10(hi * 1.5), lambda_count)
+        nudged = np.unique(thr) * (1.0 - 1e-12)
+        lams = np.unique(np.concatenate([grid, nudged]))
     idx, mass = levels.above(lams)
     vals = lams**p * mass
     k = int(np.argmax(vals))
@@ -202,13 +194,11 @@ def _window_profile(
         boundary = window.boundary_flags()[levels.index[:nk]]
         on_boundary = np.cumsum(np.where(boundary, levels.weights[:nk], 0.0))
         share = float(on_boundary[-1] / mass[k])
-    certifying = [arr.cube(i) for i in levels.index[:nk][:64]]
     return FunctionalProfile(
         lambdas=[float(x) for x in lams],
         values=[float(v) for v in vals],
         sup=sup,
         argmax_lambda=arg,
-        certifying=certifying,
         boundary_share=share,
         n_cubes=[int(i) for i in idx],
         flags=flags,
@@ -235,11 +225,13 @@ def verify_oscillation(
 ) -> VerificationRecord:
     """Compare the functional supremum against the weighted gradient bound.
 
-    rhs = (constant estimate)^alpha * seminorm^p; the constant estimate is a
-    certified lower bound from a finite probe family, so PASS ratios witness
-    the inequality with the estimated constant, and blow-up under window
-    growth witnesses failure.  A profile already built for (cfg, f) is used
-    as it stands; otherwise it is built here.
+    rhs = (constant estimate)^alpha * seminorm^p by ApEstimate.bound; the
+    constant estimate is a certified lower bound from a finite probe family,
+    so PASS ratios witness the inequality with the estimated constant, and
+    blow-up under window growth witnesses failure.  An unbounded estimate
+    leaves the record uncertified, with the bare seminorm^p as rhs.  A
+    profile already built for (cfg, f) is used as it stands; otherwise it is
+    built here.
     """
     prof = profile or oscillation_functional(cfg, f)
     w = cfg.weight
@@ -262,32 +254,10 @@ def verify_oscillation(
             ]
     est = ap_constant(w, cfg.p, probes)
     if n == 1:
-        lo, hi = (float(cfg.window.box[0][0]), float(cfg.window.box[0][1]))
-        radius = getattr(f, "grad_radius", math.inf)
-        if math.isfinite(radius):
-            lo, hi = min(lo, -radius), max(hi, radius)
-        grad_p = grad_power_mass(f, lo, hi, cfg.p, w)
+        grad_p = grad_power_mass(f, *_norm_interval(f, cfg.window), cfg.p, w)
     else:
         grad_p = sobolev_seminorm(f, w, cfg.p, cfg.window.box) ** cfg.p
-    if est.unbounded:
-        # the constant estimate certifies nothing; report the bare gradient
-        # ratio and record a failure finding
-        return VerificationRecord(
-            name="oscillation_functional",
-            lhs=prof.sup,
-            rhs=grad_p,
-            ceiling=RATIO_CEILING,
-            certified=False,
-            details={
-                "sup": prof.sup,
-                "constant_estimate": math.inf,
-                "constant_unbounded": True,
-                "grad_norm_p": grad_p,
-                "boundary_share": prof.boundary_share,
-                "p": cfg.p,
-                "beta": cfg.beta,
-            },
-        )
+    rhs, certified = est.bound(grad_p, cfg.alpha)
     details = {
         "sup": prof.sup,
         "argmax_lambda": prof.argmax_lambda,
@@ -299,21 +269,30 @@ def verify_oscillation(
         "p": cfg.p,
         "beta": cfg.beta,
     }
+    if not certified:
+        details["constant_unbounded"] = True
     if cfg.p > 1 and (1.0 / cfg.p - 1.0) <= cfg.beta < 1.0 / cfg.p:
+        # on the critical band alpha = p', so rhs carries the p' power
         gap = 1.0 / cfg.p - cfg.beta
-        details["critical_band_ratio"] = (
-            prof.sup * gap / (est.value ** (cfg.p / (cfg.p - 1.0)) * grad_p)
-            if grad_p > 0
-            else 0.0
-        )
+        details["critical_band_ratio"] = ratio(prof.sup * gap, rhs)
     return VerificationRecord(
         name="oscillation_functional",
         lhs=prof.sup,
-        rhs=est.value**cfg.alpha * grad_p,
+        rhs=rhs,
         ceiling=RATIO_CEILING,
-        certified=True,
+        certified=certified,
         details=details,
     )
+
+
+def _norm_interval(f, window: GridWindow) -> tuple[float, float]:
+    """The one-dimensional window's interval widened to [-r, r], r the
+    function's grad_radius when finite, so the norm covers its support."""
+    lo, hi = float(window.box[0][0]), float(window.box[0][1])
+    radius = getattr(f, "grad_radius", math.inf)
+    if math.isfinite(radius):
+        lo, hi = min(lo, -radius), max(hi, radius)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +340,20 @@ def verify_mean_functional(
     window: GridWindow,
     profile: FunctionalProfile | None = None,
 ) -> VerificationRecord:
-    """Mean-criterion functional against estimate * ||f||_{L^p_w}^p, passed
-    up to RATIO_CEILING; a profile already built by mean_functional for these
-    inputs is reused."""
+    """Mean-criterion functional against estimate * ||f||_{L^p_w}^p by
+    ApEstimate.bound, passed up to RATIO_CEILING; a profile already built by
+    mean_functional for these inputs is reused."""
     prof = profile or mean_functional(f, weight, p, beta, window)
     scales = range(window.j_min - 2, window.j_max + 3)
     est = ap_constant(weight, p, standard_probes(weight, scales=scales))
-    radius = getattr(f, "grad_radius", 0.0)
-    lo = min(float(window.box[0][0]), -radius)
-    hi = max(float(window.box[0][1]), radius)
-    fp = weighted_lp_mass(f, weight, p, lo, hi)
+    fp = weighted_lp_mass(f, weight, p, *_norm_interval(f, window))
+    rhs, certified = est.bound(fp, 1.0)
     return VerificationRecord(
         name="mean_functional",
         lhs=prof.sup,
-        rhs=est.value * fp,
+        rhs=rhs,
         ceiling=RATIO_CEILING,
-        certified=True,
+        certified=certified,
         details={
             "constant_estimate": est.value,
             "lp_norm_p": fp,

@@ -10,29 +10,34 @@ from dataclasses import dataclass, field
 RATIO_CEILING = 100.0
 
 
+def ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs, 0 when lhs = 0 (0 <= C * 0 holds for every C) and inf
+    when rhs = 0 < lhs."""
+    if lhs == 0:
+        return 0.0
+    return lhs / rhs if rhs > 0 else math.inf
+
+
 @dataclass
 class FunctionalProfile:
     """Values of a supremum-type functional over an evaluation grid of lambda.
 
     ``sup`` is the maximum over the stored grid and ``argmax_lambda`` the
-    grid point attaining it.  ``certifying`` lists the objects (cubes, or
-    sample descriptors) that realize the defining strict inequality at the
-    argmax.  ``boundary_share`` reports the fraction of the functional value
-    carried by cubes touching the window boundary, as a truncation diagnostic.
+    grid point attaining it.  ``boundary_share`` reports the fraction of the
+    functional value carried by cubes touching the window boundary, as a
+    truncation diagnostic.
     """
 
     lambdas: list[float]
     values: list[float]
     sup: float
     argmax_lambda: float
-    certifying: list = field(default_factory=list)
     boundary_share: float = 0.0
     n_cubes: list[int] = field(default_factory=list)
     flags: dict = field(default_factory=dict)
 
     def as_rows(self):
-        counts = self.n_cubes if self.n_cubes else [0] * len(self.lambdas)
-        return list(zip(self.lambdas, self.values, counts))
+        return list(zip(self.lambdas, self.values, self.n_cubes))
 
 
 @dataclass
@@ -40,9 +45,8 @@ class VerificationRecord:
     """One inequality instance lhs <= C rhs and its verdict, by the one rule
     every check of the package shares.
 
-    ratio = lhs / rhs, 0 when lhs = 0 (0 <= C * 0 holds for every C) and inf
-    when rhs = 0 < lhs.  The record passes when it is certified and its ratio
-    is at most ``ceiling``; ``certified`` is False when a premise of the
+    ratio is ratio(lhs, rhs).  The record passes when it is certified and its
+    ratio is at most ``ceiling``; ``certified`` is False when a premise of the
     comparison fails (an unbounded constant estimate, a missed lower
     constant, an inconclusive truncation).
     """
@@ -57,10 +61,7 @@ class VerificationRecord:
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        if self.lhs == 0:
-            self.ratio = 0.0
-        else:
-            self.ratio = self.lhs / self.rhs if self.rhs > 0 else math.inf
+        self.ratio = ratio(self.lhs, self.rhs)
         self.passed = bool(self.certified) and self.within_ceiling
 
     @property

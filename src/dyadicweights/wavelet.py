@@ -306,11 +306,11 @@ def verify_almost_char(
     coeffs=None,
 ) -> VerificationRecord:
     """Weak sequence norm of the scale-deflated coefficients against the
-    estimated-constant weighted Sobolev norm, passed up to RATIO_CEILING,
-    with the strong-norm comparison reported when the truncated strong norm
-    looks convergent.  ``coeffs`` is
-    the (atoms, values) pair of ``coefficients(f, system, index_set)`` when
-    already computed; otherwise it is computed here.
+    estimated-constant weighted Sobolev norm of ApEstimate.bound, passed up
+    to RATIO_CEILING, with the strong-norm comparison reported when the
+    truncated strong norm looks convergent.  ``coeffs`` is the (atoms,
+    values) pair of ``coefficients(f, system, index_set)`` when already
+    computed; otherwise it is computed here.
     """
     n = 1
     if system.order <= n + 1:
@@ -323,11 +323,11 @@ def verify_almost_char(
     u = atom_weights(atoms, beta, w)
     strong, weak = _norms(u, deflated, 1.0)
     probes = standard_probes(w, scales=range(-index_set.j_max - 2, 6))
-    est = ap_constant(w, 1.0, probes).value
+    est = ap_constant(w, 1.0, probes)
     lo, hi = index_set.lo, index_set.hi
     l1 = weighted_lp_mass(f, w, 1.0, lo, hi)
     grad1 = grad_power_mass(f, lo, hi, 1.0, w)
-    middle = est * (l1 + grad1)
+    middle, certified = est.bound(l1 + grad1, 1.0)
 
     # convergence flag for the strong norm: per-generation tail decay
     per_gen: dict[int, float] = {}
@@ -335,19 +335,18 @@ def verify_almost_char(
         per_gen[a.j] = per_gen.get(a.j, 0.0) + uu * dv
     gens = sorted(per_gen)
     tail_decaying = len(gens) >= 3 and per_gen[gens[-1]] < per_gen[gens[-2]] < per_gen[gens[-3]]
-    right_ratio = (
-        middle / (est**2 * strong) if (tail_decaying and strong > 0) else math.nan
-    )
+    strong_rhs, _ = est.bound(strong, 2.0)
+    right_ratio = middle / strong_rhs if (tail_decaying and strong > 0) else math.nan
     return VerificationRecord(
         name="almost_characterization",
         lhs=weak,
         rhs=middle,
         ceiling=RATIO_CEILING,
-        certified=True,
+        certified=certified,
         details={
             "strong_norm": strong,
             "weak_norm": weak,
-            "constant_estimate": est,
+            "constant_estimate": est.value,
             "sobolev_norm": l1 + grad1,
             "right_ratio": right_ratio,
             "strong_convergent": bool(tail_decaying),

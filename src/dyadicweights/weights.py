@@ -64,6 +64,8 @@ class Weight:
     def masses(self, lo: np.ndarray, hi: np.ndarray) -> list[float]:
         """Masses of N boxes given by (N, n) float corners, one closed-form
         call per box: interval_mass for n = 1, _box_mass otherwise."""
+        if lo.shape[1] != self.n:
+            raise ValueError(f"{lo.shape[1]}-dimensional boxes, weight on R^{self.n}")
         if self.n == 1:
             pairs = zip(lo[:, 0].tolist(), hi[:, 0].tolist())
             return [self.interval_mass(a, b) for a, b in pairs]
@@ -249,11 +251,19 @@ class CallableWeight(Weight):
 class ApEstimate:
     """Certified lower bound for the weight constant from a finite probe set."""
 
-    p: float
     value: float
-    certifying: object = None
-    probe_count: int = 0
-    unbounded: bool = False
+
+    @property
+    def unbounded(self) -> bool:
+        return math.isinf(self.value)
+
+    def bound(self, norm: float, exponent: float) -> tuple[float, bool]:
+        """Right side C^exponent * norm of a check against the estimated
+        constant C, and whether the check is certified.  An unbounded
+        estimate certifies nothing; its right side is the bare norm."""
+        if self.unbounded:
+            return norm, False
+        return self.value**exponent * norm, True
 
 
 def ap_ratio(w: Weight, p: float, region) -> float:
@@ -290,16 +300,12 @@ def ap_constant(w: Weight, p: float, probes: Sequence) -> ApEstimate:
         raise ValueError("p must be >= 1")
     if not probes:
         raise ValueError("probe family must be nonempty")
-    best, cert, unbounded = 0.0, None, False
+    best = 0.0
     for q in probes:
-        r = ap_ratio(w, p, q)
-        if math.isinf(r):
-            unbounded = True
-            best, cert = math.inf, q
+        best = max(best, ap_ratio(w, p, q))
+        if math.isinf(best):
             break
-        if r > best:
-            best, cert = r, q
-    return ApEstimate(p=p, value=best, certifying=cert, probe_count=len(probes), unbounded=unbounded)
+    return ApEstimate(best)
 
 
 def standard_probes(
@@ -437,6 +443,8 @@ def parse_weight_spec(spec: dict) -> Weight:
     if kind == "power":
         return PowerWeight(float(spec["exponent"]), float(spec.get("center", 0.0)))
     if kind == "product":
+        if not all(isinstance(s, dict) for s in spec["factors"]):
+            raise ValueError("product factors must be weight spec mappings")
         return ProductWeight([parse_weight_spec(s) for s in spec["factors"]])
     if kind == "table":
         xs = np.asarray(spec["xs"], dtype=float)

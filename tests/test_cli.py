@@ -84,6 +84,41 @@ ARGV_RUNS = {
         2,
         "28cfb07042b7aafa9b59a648779399d36a856a2f1e560fb300564f7d9a956f04",
     ),
+    # |x|^(1/2) is not A_1: the constant estimate is unbounded, so each check
+    # is uncertified and fails against the bare norm
+    "mean-functional-unbounded": (
+        [
+            "mean-functional",
+            "--set", "weight.kind=power",
+            "--set", "weight.exponent=0.5",
+            "--set", "p=1",
+        ],
+        "3b70508333d7c19cc47f2495b45d694dbd97b5017d420bbf6a2ad2deb3f51dd0",
+        2,
+        "cc90c97fda522b01ebd149bf7945fc5cd83c69d23dd163d8360fb69beec1c956",
+    ),
+    "wavelet-check-unbounded": (
+        [
+            "wavelet-check",
+            "--set", "weight.kind=power",
+            "--set", "weight.exponent=0.5",
+            "--set", "p=1",
+        ],
+        "ad280c56f069f45ef7b7f70c0bd05d9e81a7f2ff007e9cea7fcfdd1627ec8294",
+        2,
+        "468421fb1eb16c64c3abff824efb3d26640d31e90ed23b9d94f3b86dbfdc59ce",
+    ),
+    "verify-cddd-unbounded": (
+        [
+            "verify-cddd",
+            "--set", "weight.kind=power",
+            "--set", "weight.exponent=0.5",
+            "--set", "p=1",
+        ],
+        "e4416c8fa41560e432a0063da6d56040603a9a68696e66d8bea7e4379e23ad38",
+        2,
+        "2a8d7aedfb9a88b4ed9d80d7a3bed74587efa20d0aa3e360a77add21f7d4c132",
+    ),
 }
 
 
@@ -96,6 +131,15 @@ def sha256(path) -> str:
     return hashlib.sha256(read(path)).hexdigest()
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def load_strict(path) -> dict:
+    """summary.json parsed as strict JSON: NaN and Infinity are errors."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
 def test_config_results_csv_digest(tmp_path, name):
     subcommand, digest, code, summary_digest = CONFIG_RUNS[name]
@@ -103,6 +147,7 @@ def test_config_results_csv_digest(tmp_path, name):
     assert sha256(tmp_path / "results.csv") == digest
     assert got == code
     assert sha256(tmp_path / "summary.json") == summary_digest
+    load_strict(tmp_path / "summary.json")
 
 
 @pytest.mark.parametrize("name", sorted(ARGV_RUNS))
@@ -112,6 +157,7 @@ def test_argv_results_csv_digest(tmp_path, name):
     assert sha256(tmp_path / "results.csv") == digest
     assert got == code
     assert sha256(tmp_path / "summary.json") == summary_digest
+    load_strict(tmp_path / "summary.json")
 
 
 @pytest.mark.parametrize(
@@ -120,8 +166,30 @@ def test_argv_results_csv_digest(tmp_path, name):
 def test_zero_function_passes_with_ratio_zero(tmp_path, subcommand):
     # both sides of every inequality are 0: 0 <= C * 0 holds, ratio 0
     code = main([subcommand, "--set", "function.name=constant", "--out", str(tmp_path)])
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = load_strict(tmp_path / "summary.json")
     assert (summary["verdict"], summary["ratio"], code) == ("pass", 0.0, 0)
+    if subcommand == "verify-bsvy":
+        assert summary["details"]["tail_ratio"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ["weight.kind=product", "weight.factors=[a,b]"],
+        ["function.name=tensor_tent"],
+        ["weight.kind=constant", "weight.n=2"],
+    ],
+    ids=["product-factors", "tensor-function", "two-dimensional-weight"],
+)
+def test_inputs_off_the_line_exit_one_with_one_error_line(tmp_path, capsys, sets):
+    # a flat config cannot nest factor specs, and the runners' windows are
+    # 1-D: each input is refused before any work, not met by a traceback
+    argv = ["verify-cddd", "--out", str(tmp_path)]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_parse_config_text_sections_and_types():

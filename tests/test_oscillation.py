@@ -318,6 +318,25 @@ def test_verify_mean_functional_record():
     assert rec.lhs > 0 and rec.rhs > 0
 
 
+def test_unbounded_estimate_leaves_both_functionals_uncertified():
+    # |x|^(1/2) is not A_1: the right side is the bare norm and nothing passes
+    f = catalog("tent")
+    weight = PowerWeight(0.5)
+    window = window_1d(-4, 4, -4, 2)
+    cfg = OscillationConfig(p=1.0, beta=2.0, weight=weight, window=window)
+    osc = verify_oscillation(cfg, f)
+    mean = verify_mean_functional(f, weight, 1.0, 2.0, window)
+    for rec, norm in ((osc, "grad_norm_p"), (mean, "lp_norm_p")):
+        assert (rec.certified, rec.passed) == (False, False)
+        assert rec.rhs == rec.details[norm] > 0
+        assert math.isinf(rec.details["constant_estimate"])
+        assert rec.ratio == rec.lhs / rec.rhs
+    assert osc.details["constant_unbounded"] is True
+    assert "constant_unbounded" not in verify_oscillation(
+        OscillationConfig(p=1.0, beta=2.0, weight=ConstantWeight(1.0), window=window), f
+    ).details
+
+
 # ---------------------------------------------------------------------------
 # good/bad cubes
 # ---------------------------------------------------------------------------

@@ -234,6 +234,17 @@ def test_verify_almost_char_weighted(db4):
     assert (again.lhs, again.rhs, again.details) == (rec.lhs, rec.rhs, rec.details)
 
 
+def test_verify_almost_char_unbounded_estimate_uncertified(db4):
+    # |x|^(1/2) is not A_1: the right side is the bare Sobolev norm
+    f = catalog("tent")
+    rec = verify_almost_char(
+        f, PowerWeight(0.5), 2.0, db4, IndexSet(j_max=2, lo=-4.0, hi=6.0)
+    )
+    assert (rec.certified, rec.passed) == (False, False)
+    assert rec.rhs == rec.details["sobolev_norm"] > 0
+    assert math.isinf(rec.details["constant_estimate"])
+
+
 def test_verify_almost_char_rejects_bad_beta(db4):
     f = catalog("tent")
     with pytest.raises(ValueError):

@@ -118,6 +118,18 @@ def test_ap_constant_p1_unbounded_for_vanishing_weight():
     assert est.unbounded and math.isinf(est.value)
 
 
+def test_ap_estimate_bound_rule():
+    # a bounded estimate C gives C^exponent * norm, certified; an unbounded
+    # one gives the bare norm, uncertified
+    w = PowerWeight(-0.5)
+    bounded = ap_constant(w, 1.0, standard_probes(w))
+    c = bounded.value
+    assert bounded.bound(3.0, 2.0) == (c**2.0 * 3.0, True)
+    assert bounded.bound(3.0, 1.0) == (c * 3.0, True)
+    unbounded = ap_constant(PowerWeight(0.5), 1.0, [(-1.0, 1.0)])
+    assert unbounded.bound(3.0, 2.0) == (3.0, False)
+
+
 def test_power_ap_member_criterion():
     assert power_ap_member(-0.5, 1.0)
     assert not power_ap_member(0.5, 1.0)
@@ -215,3 +227,11 @@ def test_parse_weight_specs():
     assert w4.interval_mass(0.0, 2.0) == pytest.approx(3.0, rel=1e-9)
     with pytest.raises(ValueError):
         parse_weight_spec({"kind": "nope"})
+    with pytest.raises(ValueError, match="weight spec mappings"):
+        parse_weight_spec({"kind": "product", "factors": ["a", "b"]})
+
+
+def test_masses_reject_boxes_of_another_dimension():
+    w = ConstantWeight(1.0, n=2)
+    with pytest.raises(ValueError, match="1-dimensional boxes"):
+        w.masses(np.zeros((3, 1)), np.ones((3, 1)))
