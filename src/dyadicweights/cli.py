@@ -412,6 +412,7 @@ def run_mean_functional(cfg: dict):
         "verdict": rec.verdict,
         "sup": prof.sup,
         "ratio": rec.ratio,
+        "rhs": rec.rhs,
         "admissibility": {"beta_band_ok": oscillation.mean_admissible_beta(p, beta)},
         "truncation": {"boundary_share": prof.boundary_share},
         "details": rec.details,
@@ -538,6 +539,7 @@ def run_wavelet_check(cfg: dict):
         "verdict": rec.verdict,
         "sup": rec.lhs,
         "ratio": rec.ratio,
+        "rhs": rec.rhs,
         "moment_residuals": moments,
         "orthonormality_residual": system.orthonormality_residual(),
         "refinement_residual": system.refinement_residual(),

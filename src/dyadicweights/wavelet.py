@@ -204,14 +204,19 @@ class IndexSet:
         if self.j_max < 0 or self.hi <= self.lo:
             raise ValueError("need j_max >= 0 and a nonempty window")
 
+    def translations(self, system: WaveletSystem, j: int) -> range:
+        """The consecutive k of generation j: every atom whose support
+        [k, k + 2N - 1]/2^j meets the window."""
+        scale = 2.0**j
+        return range(
+            math.floor(self.lo * scale) - (len(system.h) - 1),
+            math.ceil(self.hi * scale) + 1,
+        )
+
     def atoms(self, system: WaveletSystem) -> list[AtomIndex]:
-        support = len(system.h) - 1
         out = []
         for j in range(0, self.j_max + 1):
-            scale = 2.0**j
-            k_lo = math.floor(self.lo * scale) - support
-            k_hi = math.ceil(self.hi * scale)
-            for k in range(k_lo, k_hi + 1):
+            for k in self.translations(system, j):
                 if j == 0:
                     out.append(AtomIndex(0, 0, k))
                 out.append(AtomIndex(1, j, k))
@@ -253,11 +258,63 @@ def coefficient(f, system: WaveletSystem, idx: AtomIndex, dual_p: float = 1.0) -
     return amp * raw
 
 
+def _cell_masses(system: WaveletSystem) -> np.ndarray:
+    """(step + 1, 2S) matrix whose column s (S + s) is the P1 mass matrix
+    of one unit cell, (dx/6) tridiag(1, 4, 1) with corners 2, applied to the
+    samples of support cell s of phi (psi): a cell's samples of f dotted
+    with a column give the exact product integral of the interpolants over
+    that cell."""
+    step = 2**system.depth
+    span = len(system.h) - 1
+    out = np.empty((2 * span, step + 1))
+    for i, base in enumerate((system.phi, system.psi)):
+        cells = np.lib.stride_tricks.sliding_window_view(base, step + 1)[::step]
+        m = out[i * span : (i + 1) * span]
+        np.multiply(cells, 2.0, out=m)
+        m[:, 1:-1] *= 2.0
+        m[:, 1:] += cells[:, :-1]
+        m[:, :-1] += cells[:, 1:]
+    out *= system.dx / 6.0
+    return out.T
+
+
 def coefficients(
     f, system: WaveletSystem, index_set: IndexSet, dual_p: float = 1.0
 ) -> tuple[list[AtomIndex], np.ndarray]:
+    """Every coefficient of ``index_set``, in the order of its atoms, computed
+    generation by generation from unit cells [m, m + 1]/2^j.
+
+    The atoms of generation j have consecutive k, and atom k covers the S
+    support cells k .. k + S - 1.  f is evaluated once per block of S cells,
+    on the per-atom abscissae bit for bit (dx is a power of two).  One
+    product with the precomputed P1 mass vectors of the S support cells
+    gives each cell's pairing with each support cell of phi and psi (the
+    two share the blocks at j = 0), and atom k sums its S diagonal entries.
+    ``coefficient`` is the per-atom oracle; the two agree to rounding.
+    """
     atoms = index_set.atoms(system)
-    vals = np.array([coefficient(f, system, a, dual_p) for a in atoms])
+    step = 2**system.depth
+    span = len(system.h) - 1  # S, the support length in cells
+    masses = _cell_masses(system)
+    vals = np.empty(len(atoms))
+    start = 0
+    for j in range(index_set.j_max + 1):
+        ks = index_set.translations(system, j)
+        kinds = 2 if j == 0 else 1  # phi and psi share the blocks at j = 0
+        cols = masses[:, (2 - kinds) * span :]
+        scale = 2.0**j
+        cells = len(ks) + span - 1
+        pair = np.empty((cells, kinds * span))
+        for m0 in range(0, cells, span):
+            n_cells = min(span, cells - m0)
+            xs = (np.arange(n_cells * step + 1) * system.dx + (ks.start + m0)) / scale
+            view = np.lib.stride_tricks.sliding_window_view(f.value(xs), step + 1)
+            pair[m0 : m0 + n_cells] = view[::step] @ cols
+        amp = 2.0 ** (j / dual_p)  # L^p amplitude at n = 1
+        for i in range(kinds):
+            raw = sum(pair[s : s + len(ks), i * span + s] for s in range(span))
+            vals[start + i : start + kinds * len(ks) : kinds] = amp * (raw / scale)
+        start += kinds * len(ks)
     return atoms, vals
 
 

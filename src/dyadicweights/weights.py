@@ -366,11 +366,16 @@ def check_ap_properties(
           from a generator seeded with 0.
     (iii) p > 1: the extremal test function w^{1-p'} reproduces the per-cube
           ratio through an independent arithmetic path to 1e-9.
+    The right sides of (i) and (ii) come from ApEstimate.bound.  Against an
+    unbounded estimate they certify nothing: such a check is counted in
+    ``vacuous``, never becomes a finding or a pass, and ``certified`` is
+    False.
     """
     rng = np.random.default_rng(0)
-    estimate = ap_constant(w, p, probes).value
+    est = ap_constant(w, p, probes)
     findings = []
     checks = {"maximal": 0, "doubling": 0, "dual": 0}
+    vacuous = 0
 
     if p == 1:
         radii = [2.0**k for k in range(-8, 5)]
@@ -378,9 +383,12 @@ def check_ap_properties(
             checks["maximal"] += 1
             mv = maximal_value(w, x, radii)
             vx = float(w.value(np.array([x]))[0])
-            if mv > estimate * vx * (1 + 0.05):
+            bound, certified = est.bound(vx, 1.0)
+            if not certified:
+                vacuous += 1
+            elif mv > bound * (1 + 0.05):
                 findings.append(
-                    {"check": "maximal", "x": x, "maximal": mv, "bound": estimate * vx}
+                    {"check": "maximal", "x": x, "maximal": mv, "bound": bound}
                 )
 
     for q in probes:
@@ -398,8 +406,10 @@ def check_ap_properties(
                 s_mass += w.interval_mass(a0, a0 + length / 4)
                 s_len += length / 4
             lhs = wq
-            rhs = estimate * (length / s_len) ** p * s_mass
-            if lhs > rhs * (1 + 1e-6):
+            rhs, certified = est.bound((length / s_len) ** p * s_mass, 1.0)
+            if not certified:
+                vacuous += 1
+            elif lhs > rhs * (1 + 1e-6):
                 findings.append(
                     {"check": "doubling", "interval": (lo, hi), "lhs": lhs, "rhs": rhs}
                 )
@@ -427,7 +437,14 @@ def check_ap_properties(
                     {"check": "dual", "interval": (lo, hi), "rel_err": rel}
                 )
 
-    return {"estimate": estimate, "p": p, "findings": findings, "checks": checks}
+    return {
+        "estimate": est.value,
+        "p": p,
+        "findings": findings,
+        "checks": checks,
+        "certified": vacuous == 0,
+        "vacuous": vacuous,
+    }
 
 
 # ---------------------------------------------------------------------------

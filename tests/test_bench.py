@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 BENCH = Path(__file__).parents[1] / "bench"
 
 
@@ -39,7 +41,7 @@ def test_traced_layer_functions_resolve_and_restore():
 
 
 def test_bench_runner_names_exist():
-    from dyadicweights import cli, funcspace
+    from dyadicweights import cli, funcspace, wavelet
 
     for fn in (
         funcspace.omega_bruteforce,
@@ -51,5 +53,14 @@ def test_bench_runner_names_exist():
         cli.build_function,
         cli.build_weight,
         cli.build_window,
+        wavelet.coefficients,
     ):
         assert callable(fn)
+    # the trace counts the atoms in out[0] of every coefficients call
+    atoms, vals = wavelet.coefficients(
+        funcspace.catalog("tent"),
+        wavelet.build_daubechies(2, depth=8),
+        wavelet.IndexSet(j_max=1, lo=-1.0, hi=1.0),
+    )
+    assert all(isinstance(a, wavelet.AtomIndex) for a in atoms)
+    assert isinstance(vals, np.ndarray) and len(vals) == len(atoms) > 0

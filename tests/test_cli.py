@@ -69,7 +69,7 @@ ARGV_RUNS = {
         ["mean-functional"],
         "a536269f2dc92c22f996b51872ec0b99e91a69e75881b0fd435213888ca3d04c",
         0,
-        "67d0c0055707bbe65fc32fc88e721e4385fc14ce9a3104c568b43f2190deaee4",
+        "ba420dd9262f496b825e1dc81702b5f3977257a17511db334d3c4ba154d3f54c",
     ),
     "classify-weight-three-depths": (
         [
@@ -95,7 +95,7 @@ ARGV_RUNS = {
         ],
         "3b70508333d7c19cc47f2495b45d694dbd97b5017d420bbf6a2ad2deb3f51dd0",
         2,
-        "cc90c97fda522b01ebd149bf7945fc5cd83c69d23dd163d8360fb69beec1c956",
+        "aba0f9be0b07310051ec79bdf7d5489e540645dae54ba3a0b44275e0ef9b7752",
     ),
     "wavelet-check-unbounded": (
         [
@@ -104,9 +104,9 @@ ARGV_RUNS = {
             "--set", "weight.exponent=0.5",
             "--set", "p=1",
         ],
-        "ad280c56f069f45ef7b7f70c0bd05d9e81a7f2ff007e9cea7fcfdd1627ec8294",
+        "c852cffefd5ad2d278bb27244715adbe84c78098e5f9533f45df51851553a87d",
         2,
-        "468421fb1eb16c64c3abff824efb3d26640d31e90ed23b9d94f3b86dbfdc59ce",
+        "cd00f1db245ea562faaaf51a99b074c4510f8945fe26163ad21dad11fedbbdbb",
     ),
     "verify-cddd-unbounded": (
         [

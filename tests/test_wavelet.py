@@ -159,6 +159,62 @@ def test_coefficient_linearity(db4):
     assert cc == pytest.approx(2.0 * cf - 0.5 * cg, rel=1e-9, abs=1e-12)
 
 
+# catalog name -> parameters; sharp2_fdelta has a power piece
+COEFFICIENT_FUNCTIONS = {
+    "tent": {},
+    "smoothed_indicator": {"width": 0.3},
+    "sharp1_bump": {},
+    "sharp2_fdelta": {"delta": 0.5},
+}
+
+
+@pytest.mark.parametrize("fname", sorted(COEFFICIENT_FUNCTIONS))
+@pytest.mark.parametrize(
+    "order, depth, dual_p",
+    [(1, 16, 1.0), (2, 8, 2.0), (4, 12, 1.0), (10, 8, 2.0)],
+    ids=["haar-d16-p1", "db2-d8-p2", "db4-d12-p1", "db10-d8-p2"],
+)
+def test_coefficients_match_per_atom_oracle(fname, order, depth, dual_p):
+    # the window starts left of 0, so every generation's k-range starts at a
+    # negative k; order 1 has a one-cell support, order 10 nineteen cells
+    system = build_daubechies(order, depth)
+    f = catalog(fname, **COEFFICIENT_FUNCTIONS[fname])
+    index_set = IndexSet(j_max=2, lo=-1.5, hi=1.25)
+    atoms, vals = coefficients(f, system, index_set, dual_p=dual_p)
+    assert atoms == index_set.atoms(system)
+    assert atoms[0].k < 0
+    oracle = np.array([coefficient(f, system, a, dual_p) for a in atoms])
+    assert np.max(np.abs(vals - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+def test_coefficients_one_value_call_per_block_of_support_cells(db4):
+    # f is evaluated once per block of S = 2N - 1 unit cells of a generation,
+    # never once per atom; the spacing dx/2^j of a call names its generation
+    class Counting:
+        n = 1
+        breakpoints = ()
+
+        def __init__(self, f):
+            self.f = f
+            self.calls = []
+
+        def value(self, x):
+            self.calls.append((x[1] - x[0], len(x)))
+            return self.f.value(x)
+
+    f = Counting(catalog("tent"))
+    index_set = IndexSet(j_max=4, lo=-8.0, hi=10.0)
+    coefficients(f, db4, index_set)
+    span = len(db4.h) - 1
+    assert all(size <= len(db4.phi) for _, size in f.calls)
+    per_gen = {j: 0 for j in range(index_set.j_max + 1)}
+    for spacing, _ in f.calls:
+        per_gen[round(math.log2(db4.dx / spacing))] += 1
+    for j, calls in per_gen.items():
+        cells = len(index_set.translations(db4, j)) + span - 1
+        assert 0 < calls <= math.ceil(cells / span)
+
+
 def test_seq_norms_single_entry():
     atoms = [AtomIndex(1, 0, 0)]
     vals = np.array([1.0])

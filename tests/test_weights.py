@@ -172,6 +172,7 @@ def test_check_ap_properties_constant_weight():
         )
         assert rep["estimate"] == pytest.approx(1.0, rel=1e-12)
         assert rep["findings"] == []
+        assert (rep["certified"], rep["vacuous"]) == (True, 0)
 
 
 def test_check_ap_properties_maximal_bound_a1_weight():
@@ -185,6 +186,25 @@ def test_check_ap_properties_maximal_bound_a1_weight():
     assert 0.95 * (1 + math.sqrt(2)) <= est <= (1 + math.sqrt(2)) * (1 + 1e-9)
     mv = maximal_value(w, 2.0, [2.0**k for k in range(-8, 5)])
     assert mv <= est * float(w.value(np.array([2.0]))[0]) * 1.05
+
+
+@pytest.mark.parametrize(
+    "exponent, p, sample_points",
+    [(0.5, 1.0, (0.0, 0.1, 1.0)), (1.5, 2.0, ())],
+    ids=["power-0.5-A1", "power-1.5-A2"],
+)
+def test_check_ap_properties_unbounded_estimate_certifies_nothing(
+    exponent, p, sample_points
+):
+    # neither weight is in its class: every maximal and doubling check would
+    # compare against inf * value, so none of them is a pass
+    w = PowerWeight(exponent)
+    probes = standard_probes(w, scales=range(-4, 4))
+    rep = check_ap_properties(w, p, probes=probes, sample_points=sample_points)
+    assert math.isinf(rep["estimate"])
+    assert rep["certified"] is False
+    assert rep["vacuous"] == rep["checks"]["maximal"] + rep["checks"]["doubling"] > 0
+    assert all(f["check"] == "dual" for f in rep["findings"])
 
 
 def test_check_ap_properties_dual_path():
