@@ -8,9 +8,10 @@ with s = gamma/q, verified against the weighted gradient norm.  The inner
 integral runs over radial shells around x; shells open where a Lipschitz
 bound decides membership, so the |x-y|^(gamma-n) singularity is never probed
 where the indicator provably vanishes.  Membership and boundary bisection
-are fused across every outer node of a quadrature panel: one vectorized
-membership call per bisection step resolves the shells of all the panel's
-nodes together.
+are fused across every outer node of a quadrature refinement step (all the
+initial panels, then the two halves of each split): one vectorized
+membership call per bisection step resolves the shells of all those nodes
+together.
 """
 
 from __future__ import annotations
@@ -266,8 +267,9 @@ def inner_integral(
     Radial membership is resolved per direction as a union of intervals
     (geometric sampling, kink radii included, boundaries bisected) and the
     power weight is integrated in closed form on each member interval.
-    Membership and bisection are fused across all nodes: a quadrature panel
-    costs one membership call per bisection step, not one per node.
+    Membership and bisection are fused across all nodes: a quadrature
+    refinement step costs one membership call per bisection step, not one
+    per node.
     ``membership(xs, fx, ys)`` decides pairs elementwise on broadcast arrays
     (fx = f(xs)); the default is the difference-quotient level set.
 

@@ -1,7 +1,12 @@
 """Adaptive 1-d panel quadrature used by the weight and functional modules.
 
 Gauss-Legendre panels under global error control: the panel with the largest
-error estimate is split until the summed estimate meets the tolerance.  Known
+error estimate is split until the summed estimate meets the tolerance.  Each
+panel's estimate is its 15-point rule against its 7-point rule.  The
+integrand is called once per refinement step, on the nodes of every panel
+of that step: once for all the initial spans between breakpoints, then once
+for the two halves of each split.  So ``f`` must be elementwise; the totals
+and the heap order are those of evaluating each panel on its own.  Known
 singular points are passed as breakpoints so panels never straddle them;
 Gauss nodes are interior, so integrable endpoint singularities converge under
 refinement, and indicator-type jumps are chased only until their contribution
@@ -30,20 +35,24 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[order]
 
 
-def _panel(f, a: float, b: float, order: int) -> float:
-    x, w = _gl(order)
-    h = 0.5 * (b - a)
-    v = np.asarray(f(a + h * (x + 1.0)), dtype=float)
+def _panels(f, spans) -> list[tuple[float, float]]:
+    """(fine, |fine - coarse|) of the 15- and 7-point rules on every span,
+    from one call of ``f`` on the nodes of all of them."""
+    x7, w7 = _gl(7)
+    x15, w15 = _gl(15)
+    x = np.concatenate([x7, x15])
+    lo, hi = np.array(spans).T
+    h = 0.5 * (hi - lo)
+    v = np.asarray(f((lo[:, None] + h[:, None] * (x + 1.0)).ravel()), dtype=float)
     # nodes are interior, but float rounding can land one exactly on an
     # integrable singularity; such isolated hits carry zero measure
-    v = np.where(np.isfinite(v), v, 0.0)
-    return h * float(np.dot(w, v))
-
-
-def _eval(f, a: float, b: float) -> tuple[float, float]:
-    coarse = _panel(f, a, b, 7)
-    fine = _panel(f, a, b, 15)
-    return fine, abs(fine - coarse)
+    v = np.where(np.isfinite(v), v, 0.0).reshape(len(spans), len(x))
+    out = []
+    for hk, vk in zip(h.tolist(), v):
+        coarse = hk * float(np.dot(w7, vk[:7]))
+        fine = hk * float(np.dot(w15, vk[7:]))
+        out.append((fine, abs(fine - coarse)))
+    return out
 
 
 def adaptive_quad(
@@ -68,8 +77,8 @@ def adaptive_quad(
     total = 0.0
     err_sum = 0.0
     counter = 0
-    for lo, hi in zip(pts, pts[1:]):
-        fine, err = _eval(f, lo, hi)
+    spans = list(zip(pts, pts[1:]))
+    for (lo, hi), (fine, err) in zip(spans, _panels(f, spans)):
         total += fine
         err_sum += err
         counter += 1
@@ -96,8 +105,8 @@ def adaptive_quad(
         mid = 0.5 * (lo + hi)
         total -= fine
         err_sum -= err
-        for s0, s1 in ((lo, mid), (mid, hi)):
-            fn, er = _eval(f, s0, s1)
+        halves = [(lo, mid), (mid, hi)]
+        for (s0, s1), (fn, er) in zip(halves, _panels(f, halves)):
             total += fn
             err_sum += er
             counter += 1

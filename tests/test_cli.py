@@ -84,6 +84,21 @@ ARGV_RUNS = {
         2,
         "28cfb07042b7aafa9b59a648779399d36a856a2f1e560fb300564f7d9a956f04",
     ),
+    # the quotient member runs diffquot_functional under a power weight:
+    # inner integrals, the adaptive outer quadrature and the piece table
+    "classify-weight-quotient": (
+        [
+            "classify-weight",
+            "--set", "weight.kind=power",
+            "--set", "weight.exponent=0.5",
+            "--set", "p=1",
+            "--set", "depths=[6, 12]",
+            "--set", "with_quotient=true",
+        ],
+        "5627f8df27c1c54f2bac8a988b9251a2856f60da08ed1b673525993b63665721",
+        2,
+        "ce2067fd9ba84f9101f660d58b209e83d0a70ebc7f620a5b4ec1d69dbd4b77b5",
+    ),
     # |x|^(1/2) is not A_1: the constant estimate is unbounded, so each check
     # is uncertified and fails against the bare norm
     "mean-functional-unbounded": (

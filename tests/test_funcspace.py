@@ -338,3 +338,97 @@ def test_primitive_matches_quadrature():
         got = f.primitive(np.array([b]))[0] - f.primitive(np.array([a]))[0]
         want = adaptive_quad(f.value, a, b, breakpoints=f.breakpoints)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the piece table of TestFunction against the pieces one at a time
+# ---------------------------------------------------------------------------
+
+CATALOG_PARAMS = {
+    "sharp2_fdelta": {"delta": 0.3},
+    "sharp3_fbeta": {"beta": 0.5, "p": 1.5},
+}
+
+
+def _one_d_catalog():
+    """Every catalog function on the line; a tensor one by its factors."""
+    for name in catalog_names():
+        f = catalog(name, **CATALOG_PARAMS.get(name, {}))
+        yield from getattr(f, "factors", [f])
+
+
+def _per_piece(f, method: str, x: float) -> float:
+    # the piece whose half-open [x0, x1) holds x
+    i = next(k for k, p in enumerate(f.pieces) if p.x0 <= x < p.x1)
+    p = f.pieces[i]
+    if method == "value":
+        return p.eval(np.array([x]))[0]
+    if method == "grad":
+        return p.deriv(np.array([x]))[0]
+    return p.prim(np.array([x]))[0] + f._prim_off[i]
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("method", ["value", "grad", "primitive"])
+def test_piece_table_bit_for_bit_with_pieces(method):
+    rng = np.random.default_rng(12)
+    fns = list(_one_d_catalog())
+    assert any(p.kind == "power" for f in fns for p in f.pieces)
+    for f in fns:
+        bps = np.array(f.breakpoints)
+        xs = np.concatenate(
+            [
+                rng.uniform(-4.0, 4.0, 300),
+                bps,
+                np.nextafter(bps, -np.inf),
+                np.nextafter(bps, np.inf),
+                [0.0, 1.0, -2.5],
+            ]
+        )
+        want = np.array([_per_piece(f, method, x) for x in xs])
+        fn = getattr(f, method)
+        got = fn(xs)
+        assert type(got) is np.ndarray and got.shape == xs.shape
+        assert np.array_equal(_bits(got), _bits(want)), (f.name, method)
+        # a 2-d batch is the 1-d batch reshaped
+        grid = fn(xs[:300].reshape(20, 15))
+        assert grid.shape == (20, 15)
+        assert np.array_equal(_bits(grid.ravel()), _bits(want[:300]))
+        # a Python float and a 0-d array both give a NumPy scalar
+        for x, w in zip(xs[-6:], want[-6:]):
+            for arg in (float(x), np.array(x)):
+                got1 = fn(arg)
+                assert type(got1) is np.float64
+                assert _bits(got1) == _bits(w), (f.name, method, x)
+
+
+# ---------------------------------------------------------------------------
+# the sorted pair sum of the brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def _direct_double_sum(v: np.ndarray, wts: np.ndarray) -> float:
+    """sum over i, j of wts_i |v_i - v_j| wts_j, by direct O(N^2) summation."""
+    return float(np.sum(wts[:, None] * np.abs(v[:, None] - v[None, :]) * wts[None, :]))
+
+
+def test_sorted_pair_sum_matches_direct_double_sum():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 100, 500):
+        v = rng.normal(size=n)
+        w = rng.uniform(0.1, 1.0, size=n)
+        v[: n // 3] = v[0]  # ties
+        want = _direct_double_sum(v, w)
+        got = funcspace._sorted_pair_sum(v, w)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+    # the values of a catalog function on aligned cells, as the oracle uses
+    f = catalog("sharp2_fdelta", delta=0.3)
+    xs, wts = funcspace._aligned_cells(f, -0.5, 1.7, 400)
+    assert len(xs) <= 500
+    v = f.value(xs)
+    assert funcspace._sorted_pair_sum(v, wts) == pytest.approx(
+        _direct_double_sum(v, wts), rel=1e-12
+    )
