@@ -116,9 +116,6 @@ class Cube:
     def contains_point(self, x: Sequence[Fraction]) -> bool:
         return all(lo <= xi < lo + self.edge for lo, xi in zip(self.lower(), x))
 
-    def to_json(self) -> dict:
-        return {"shift": list(self.shift.thirds), "j": self.j, "m": list(self.m)}
-
     def __repr__(self):
         lo = self.lower()
         box = "x".join(f"[{l},{l + self.edge})" for l in lo)

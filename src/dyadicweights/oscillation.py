@@ -561,6 +561,7 @@ def sparse_chain_check(
             else:
                 qx = max(cs, key=lambda q: q.j)
             bound = geom * float(qx.volume) ** (r * dev)
+            rec = VerificationRecord("sparse_chain", total, bound, 1.0 + REL_TOL, True)
             results.append(
                 {
                     "x": x,
@@ -568,7 +569,7 @@ def sparse_chain_check(
                     "chain_len": len(cs),
                     "sum": total,
                     "bound": bound,
-                    "ok": total <= bound * (1 + REL_TOL),
+                    "ok": rec.passed,
                 }
             )
     checked = [r_ for r_ in results if not r_.get("skipped")]

@@ -71,3 +71,17 @@ class VerificationRecord:
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
+
+    def summary(self) -> dict:
+        """Both sides, ratio, ceiling, certification and verdict: the keys
+        every summary of a checked run writes."""
+        return {
+            "verdict": self.verdict,
+            "check": self.name,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "ratio": self.ratio,
+            "ceiling": self.ceiling,
+            "certified": bool(self.certified),
+            "details": self.details,
+        }

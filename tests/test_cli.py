@@ -21,7 +21,7 @@ CONFIG_RUNS = {
         "verify-cddd",
         "fa1c2bd24da84061e41f79e419a7228cb1ff3abe5618ae0dbc92334514768fc1",
         0,
-        "1a85088bb1fe93602537b5e601837729121ed961bc1bcf725932e477543e5558",
+        "3b94f295ce1a54210209646cfea03d4bb16ee63375f7141b66742f3805bda4c2",
     ),
     "ap_sharpness.cfg": (
         "sharpness",
@@ -33,7 +33,7 @@ CONFIG_RUNS = {
         "verify-bsvy",
         "00cb4c4d4f9613577ae0c918c66b283327c0c4473265e5cacef6e83df48f32d1",
         0,
-        "1992f77c47a16c36c298b9827bc1ec0127b27f81d5d4f74eb6c1b84a0b06a30b",
+        "c07d537e9a3c9339a4c3ecfe58b5cb004aa82f5292f9960032fad19f7967d961",
     ),
 }
 
@@ -69,7 +69,7 @@ ARGV_RUNS = {
         ["mean-functional"],
         "a536269f2dc92c22f996b51872ec0b99e91a69e75881b0fd435213888ca3d04c",
         0,
-        "ba420dd9262f496b825e1dc81702b5f3977257a17511db334d3c4ba154d3f54c",
+        "37d26424b878eb4495d58ea9d676b9ddbf2d79cb167f18372998df76e887f1f0",
     ),
     "classify-weight-three-depths": (
         [
@@ -110,7 +110,7 @@ ARGV_RUNS = {
         ],
         "3b70508333d7c19cc47f2495b45d694dbd97b5017d420bbf6a2ad2deb3f51dd0",
         2,
-        "aba0f9be0b07310051ec79bdf7d5489e540645dae54ba3a0b44275e0ef9b7752",
+        "358d97b40887358c41116354c066effe422619c7325bdaf6f15c16052add126a",
     ),
     "wavelet-check-unbounded": (
         [
@@ -121,7 +121,7 @@ ARGV_RUNS = {
         ],
         "c852cffefd5ad2d278bb27244715adbe84c78098e5f9533f45df51851553a87d",
         2,
-        "cd00f1db245ea562faaaf51a99b074c4510f8945fe26163ad21dad11fedbbdbb",
+        "f6a4e1ca6ed669b74e4a58cb075564e87c3b72b36f5976076d81e26f789546f1",
     ),
     "verify-cddd-unbounded": (
         [
@@ -132,7 +132,13 @@ ARGV_RUNS = {
         ],
         "e4416c8fa41560e432a0063da6d56040603a9a68696e66d8bea7e4379e23ad38",
         2,
-        "2a8d7aedfb9a88b4ed9d80d7a3bed74587efa20d0aa3e360a77add21f7d4c132",
+        "5d8393565925087e96fe82ca360d99ebae2548de1a10e93dd12de83d7a330242",
+    ),
+    "good-cubes": (
+        ["good-cubes", "--set", "trials=20"],
+        "bd43079ceee05c643d6f3fb42f73eca95b0eb29a7929c7bbbc5fa9a946af305a",
+        0,
+        "d546e2a8d0accf3b614496b4a15fafb4c1185d8bc46c675182caf00bdac511ce",
     ),
 }
 
@@ -502,6 +508,47 @@ def test_good_cubes_cli(tmp_path):
     assert code == 0
     rows = read(out / "results.csv").decode().splitlines()
     assert len(rows) == 41
+    # the summary is the record with the largest ratio
+    ratios = [float(r.split(",")[2]) / float(r.split(",")[3]) for r in rows[1:]]
+    summary = load_strict(out / "summary.json")
+    assert summary["ratio"] == max(ratios)
+    assert (summary["verdict"], summary["certified"]) == ("pass", True)
+    assert summary["check"].startswith("good_cube_domination[")
+
+
+@pytest.mark.parametrize(
+    "subcommand",
+    ["verify-cddd", "verify-bsvy", "mean-functional", "wavelet-check", "good-cubes"],
+)
+def test_checked_runs_write_both_sides_of_their_record(tmp_path, subcommand):
+    argv = [subcommand, "--out", str(tmp_path)]
+    if subcommand == "good-cubes":
+        argv += ["--set", "trials=4"]
+    main(argv)
+    summary = load_strict(tmp_path / "summary.json")
+    keys = {"verdict", "check", "lhs", "rhs", "ratio", "ceiling", "certified"}
+    assert keys | {"details"} <= set(summary)
+    lhs, rhs = summary["lhs"], summary["rhs"]
+    assert summary["ratio"] == (0.0 if lhs == 0 else lhs / rhs)
+    passed = summary["certified"] and summary["ratio"] <= summary["ceiling"]
+    assert summary["verdict"] == ("pass" if passed else "fail")
+
+
+def test_good_cubes_refuses_zero_trials(tmp_path):
+    assert main(["good-cubes", "--set", "trials=0", "--out", str(tmp_path)]) == 1
+
+
+def test_mean_functional_reports_near_threshold_spread(tmp_path):
+    from dyadicweights import oscillation
+    from dyadicweights.cli import build_function, build_weight, build_window
+
+    assert main(["mean-functional", "--out", str(tmp_path)]) == 0
+    summary = load_strict(tmp_path / "summary.json")
+    prof = oscillation.mean_functional(
+        build_function({}), build_weight({}), 1.0, 2.0, build_window({})
+    )
+    spread = summary["truncation"]["near_threshold_spread"]
+    assert spread == prof.flags["near_threshold"]
 
 
 def test_unknown_subcommand_exit_code():

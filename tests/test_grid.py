@@ -379,12 +379,6 @@ def test_window_budget_guard():
         w.arrays
 
 
-def test_cube_json_roundtrip_fields():
-    q = make_cube(S13, 2, (5,))
-    j = q.to_json()
-    assert j == {"shift": [1], "j": 2, "m": [5]}
-
-
 def test_as_axis_cube_matches():
     q = make_cube(S13, 1, (2,))
     a = as_axis_cube(q)

@@ -557,3 +557,13 @@ def test_verification_record_rule():
     assert (rec(3.0, 2.0).ratio, rec(3.0, 2.0).passed) == (1.5, True)
     assert not rec(5.0, 2.0).passed
     assert not rec(1.0, 2.0, certified=False).passed
+    assert rec(5.0, 2.0).summary() == {
+        "verdict": "fail",
+        "check": "r",
+        "lhs": 5.0,
+        "rhs": 2.0,
+        "ratio": 2.5,
+        "ceiling": 2.0,
+        "certified": True,
+        "details": {},
+    }
