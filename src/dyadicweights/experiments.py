@@ -24,6 +24,7 @@ from dyadicweights.funcspace import (
     catalog,
     grad_power_mass,
     omega,
+    omega_intervals,
     omega_window,
 )
 from dyadicweights.grid import (
@@ -272,10 +273,13 @@ def _probe_rows(f, weight: Weight, centers, j_min: int, j_max: int) -> list:
     For each shift and generation the cube containing the center and its two
     index neighbors enter the family, each cube once.  Rows are ordered by
     center, shift and generation, so the rows of a narrower generation range
-    are those of a wider one with j in that range, in the same order.
+    are those of a wider one with j in that range, in the same order.  The
+    family's omega values come from one omega_intervals call: one array pass
+    over the cubes inside one linear piece of f, the scalar exact path on
+    the others.
     """
-    rows = []
     seen = set()
+    gens, los, his = [], [], []
     for c in centers:
         pt = Fraction(c).limit_denominator(3 * 2**40)
         for shift in all_shifts(1):
@@ -288,10 +292,15 @@ def _probe_rows(f, weight: Weight, centers, j_min: int, j_max: int) -> list:
                         continue
                     seen.add(key)
                     lo, hi = axis_interval(t, j, m)
-                    om = omega(f, (lo, hi))
-                    if om > 0:
-                        rows.append((j, om, 2.0**j, weight.interval_mass(lo, hi)))
-    return rows
+                    gens.append(j)
+                    los.append(lo)
+                    his.append(hi)
+    oms = omega_intervals(f, los, his).tolist()
+    return [
+        (j, om, 2.0**j, weight.interval_mass(lo, hi))
+        for j, om, lo, hi in zip(gens, oms, los, his)
+        if om > 0
+    ]
 
 
 def _rows_sup(rows, p: float) -> float:

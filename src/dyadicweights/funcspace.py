@@ -7,8 +7,9 @@ Catalog functions are piecewise polynomial or piecewise power with
 closed-form antiderivatives, so weighted gradient norms have exact paths.
 omega is exact on every cube for every one-dimensional function, by one of
 two paths: the closed form where f is linear on the cube, and otherwise a
-sum over pairs of the parts of f on which it is monotone.  Tensor functions
-(n >= 2) are sampled on the box.
+sum over pairs of the parts of f on which it is monotone.  `omega_intervals`
+takes many intervals at once and computes those inside one linear piece of
+f in one array pass.  Tensor functions (n >= 2) are sampled on the box.
 
 A `TestFunction` evaluates its value, derivative and antiderivative from a
 piece table built once: one `searchsorted` picks each point's piece, one
@@ -158,16 +159,34 @@ class TestFunction:
         prim = rows([[c[k] / (k + 1) for k in range(len(c))] for c in polys])
         self._prim_rows = np.vstack([prim, self._prim_off])
         self._power = [i for i, p in enumerate(self.pieces) if p.kind == "power"]
+        # (slope, intercept) of each linear piece, nan on the other pieces
+        nan = (math.nan, math.nan)
+        self._lines = np.array(
+            [p.as_linear() if p.is_linear() else nan for p in self.pieces]
+        )
 
     def _table(self, x, table: np.ndarray, power, offsets=None):
         """Evaluate from the Horner rows ``table``; on a power piece p the
         value is ``power(p, t)``, plus ``offsets`` of that piece if given."""
         arr = np.asarray(x, dtype=float)
         idx = np.searchsorted(self._edges, arr, side="right")
+        # a padded leading zero times +-inf is nan, so infinite points take
+        # the rows with 0 in their place, then their own Horner chain that
+        # takes 0 * x as 0 and so starts at each piece's first nonzero row
+        inf = np.isinf(arr)
+        at_inf = inf.any()
+        finite = np.where(inf, 0.0, arr) if at_inf else arr
         out = np.zeros(arr.shape)
         for row in table:
-            out *= arr
+            out *= finite
             out += row[idx]
+        if at_inf:
+            x, at = arr[inf], idx[inf]
+            val = np.zeros(x.shape)
+            with np.errstate(invalid="ignore"):
+                for row in table:
+                    val = np.where(val == 0.0, row[at], val * x + row[at])
+            out[inf] = val
         for i in self._power:
             mask = idx == i
             if mask.any():
@@ -508,6 +527,73 @@ def _double_integral_linear(f: TestFunction, a: float, b: float) -> float:
     return total
 
 
+def _linear_piece(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Index of the linear piece of f that holds [lo, hi], -1 where none does.
+    An end on a breakpoint belongs to the piece on the interval's side."""
+    k = np.searchsorted(f._edges, lo, side="right")
+    one = k == np.searchsorted(f._edges, hi, side="left")
+    return np.where(one & ~np.isnan(f._lines[k, 0]), k, -1)
+
+
+def _pow(x: np.ndarray, e: int) -> np.ndarray:
+    """x ** e by Python's float power (C pow): NumPy's SIMD power differs from
+    it in the last bit on some inputs, and the scalar path uses Python's."""
+    return np.array([v**e for v in x.tolist()])
+
+
+def _self_integral_sloped(a, b, s, c) -> np.ndarray:
+    """_double_integral_linear for the one segment (a, b, s, c) of slope s != 0,
+    for arrays of segments, by the same float steps: the values u = s x + c at
+    both ends, sorted, the branch of _abs_moment_int that its one cut takes,
+    its 0.0 + accumulations, and the division by |s| |s|."""
+    ua, ub = s * a + c, s * b + c
+    swap = ub < ua
+    u0, u1 = np.where(swap, ub, ua), np.where(swap, ua, ub)
+    d = u1 - u0
+    mid = 0.5 * (u0 + u1)
+    sq = u1 * u1 - u0 * u0
+    area = 0.5 * sq
+    cube = _pow(d, 3)
+    moment = np.where(
+        mid <= u0,
+        area * d - 0.5 * d * sq,
+        np.where(mid >= u1, 0.5 * d * sq - area * d, cube / 6.0 + cube / 6.0),
+    )
+    # u0 == u1 leaves the cut empty and the moment at its initial 0.0
+    moment = np.where(u0 < u1, 0.0 + moment, 0.0)
+    return 0.0 + moment / (np.abs(s) * np.abs(s))
+
+
+def omega_intervals(f: TestFunction, lo, hi) -> np.ndarray:
+    """omega of the one-dimensional f on each interval [lo[i], hi[i]].
+
+    The intervals inside one linear piece of f take one array pass over the
+    closed form (_self_integral_sloped; 0 on a constant piece), divided by
+    (hi - lo) ** 2 in Python's float power.  Every other interval takes the
+    scalar exact path one at a time: the closed form over pairs of linear
+    segments where f is piecewise linear on it, else the monotone parts.
+    Each value is bit for bit the one the scalar path gives on that interval
+    alone.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not np.all(lo < hi):
+        raise ValueError("omega needs lo < hi on every interval")
+    piece = _linear_piece(f, lo, hi)
+    out = np.zeros(lo.shape)
+    s, c = f._lines[piece].T
+    sloped = (piece >= 0) & (s != 0.0)
+    a, b = lo[sloped], hi[sloped]
+    out[sloped] = _self_integral_sloped(a, b, s[sloped], c[sloped]) / _pow(b - a, 2)
+    for i in np.flatnonzero(piece < 0):
+        a, b = float(lo[i]), float(hi[i])
+        if f.linear_only_on(a, b):
+            total = _double_integral_linear(f, a, b)
+        else:
+            total = _double_integral_piecewise(f, a, b)
+        out[i] = total / (b - a) ** 2
+    return out
+
+
 def _sorted_pair_sum(values: np.ndarray, weights: np.ndarray) -> float:
     """Sum over all pairs of w_i w_j |v_i - v_j| (values need not be sorted)."""
     order = np.argsort(values, kind="stable")
@@ -653,11 +739,13 @@ def omega(f, region, method: str = "auto"):
     """Renormalized averaged oscillation of f over a cube; returns a float.
 
     ``region`` is anything grid.float_box takes.  For n = 1 'auto' takes an
-    exact path on every cube: the linear closed form where f is linear on
-    the cube, and otherwise a sum over pairs of the parts of f's pieces on
-    which f is monotone.  Tensor functions (n >= 2) and method 'sampled' use
-    box sampling at the default Quadrature; omega_flagged takes a Quadrature
-    and returns its flag too.
+    exact path on every cube, through omega_intervals on the one interval:
+    the array pass of the linear closed form where the cube lies inside one
+    linear piece of f, and otherwise the scalar path, the closed form summed
+    over pairs of linear segments or a sum over pairs of the parts of f's
+    pieces on which f is monotone.  Tensor functions (n >= 2) and method
+    'sampled' use box sampling at the default Quadrature; omega_flagged
+    takes a Quadrature and returns its flag too.
     """
     val, _ = omega_flagged(f, region, method=method)
     return val
@@ -669,11 +757,7 @@ def omega_flagged(f, region, quad: Quadrature | None = None, method: str = "auto
     box = float_box(region)
     if getattr(f, "n", 1) == 1 and method == "auto":
         ((a, b),) = box
-        if f.linear_only_on(a, b):
-            total = _double_integral_linear(f, a, b)
-        else:
-            total = _double_integral_piecewise(f, a, b)
-        return total / (b - a) ** 2, True
+        return omega_intervals(f, [a], [b]).item(), True
     return _omega_sampled(f, box, quad or Quadrature())
 
 
@@ -754,13 +838,16 @@ def cube_key(q: Cube) -> tuple:
 def omega_window(f, window: GridWindow) -> dict[tuple, float]:
     """omega for every cube of the window, keyed by cube_key: exact on every
     cube for one-dimensional catalog functions, box-sampled for n >= 2.
-    Cubes are read from the window's array form as float corners."""
+    Cubes are read from the window's array form as float corners.  For
+    n = 1 one omega_intervals call covers the window: the cubes inside one
+    linear piece of f take one array pass, the others (those that meet a
+    breakpoint or a nonlinear piece) the scalar exact path one at a time."""
     arr = window.arrays
     if window.n == 1:
-        regions = zip(arr.lo[:, 0].tolist(), arr.hi[:, 0].tolist())
-    else:
-        boxes = zip(arr.lo.tolist(), arr.hi.tolist())
-        regions = (list(zip(lo, hi)) for lo, hi in boxes)
+        oms = omega_intervals(f, arr.lo[:, 0], arr.hi[:, 0])
+        return dict(zip(arr.keys, oms.tolist()))
+    boxes = zip(arr.lo.tolist(), arr.hi.tolist())
+    regions = (list(zip(lo, hi)) for lo, hi in boxes)
     return {key: omega(f, region) for key, region in zip(arr.keys, regions)}
 
 

@@ -134,6 +134,30 @@ ARGV_RUNS = {
         2,
         "5d8393565925087e96fe82ca360d99ebae2548de1a10e93dd12de83d7a330242",
     ),
+    # the a1 window under a cubic-edged plateau: most cubes lie inside one
+    # linear piece, the rest meet a breakpoint or a cubic piece
+    "verify-cddd-smoothed": (
+        [
+            "verify-cddd",
+            "--config", str(CONFIGS / "a1_battery.cfg"),
+            "--set", "function.name=smoothed_indicator",
+        ],
+        "549f41f449d459787b7e38123422f5fab413f769b11fb06f53a6b8b08da20087",
+        0,
+        "1f659df1b224a9d5fe904519a63fec4ce66b2e6af2ad232485a8881ab2f18f6a",
+    ),
+    # the a1 window under a ramp of non-dyadic slope
+    "verify-cddd-ramp": (
+        [
+            "verify-cddd",
+            "--config", str(CONFIGS / "a1_battery.cfg"),
+            "--set", "function.name=linear_ramp",
+            "--set", "function.slope=0.3",
+        ],
+        "1ebfba6725eb05ff61ba50766588dacb11eaaf70a645218ebb340128b26a3f2f",
+        0,
+        "bef21c78550564fdd68f3bd6838d9a392c0d68552b3687f880444ccf0e738600",
+    ),
     "good-cubes": (
         ["good-cubes", "--set", "trials=20"],
         "bd43079ceee05c643d6f3fb42f73eca95b0eb29a7929c7bbbc5fa9a946af305a",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -405,6 +406,32 @@ def test_piece_table_bit_for_bit_with_pieces(method):
                 assert _bits(got1) == _bits(w), (f.name, method, x)
 
 
+@pytest.mark.parametrize(
+    "f, value, grad, primitive",
+    [
+        (catalog("constant", c=1.0), (1.0, 1.0), (0.0, 0.0), (-math.inf, math.inf)),
+        (catalog("tent"), (0.0, 0.0), (0.0, 0.0), (0.0, 1.0)),
+        (
+            catalog("linear_ramp", slope=1.0, cutoff=10.0),
+            (-10.0, 10.0),
+            (0.0, 0.0),
+            (math.inf, math.inf),
+        ),
+    ],
+    ids=["constant", "tent", "linear_ramp"],
+)
+def test_piece_table_at_infinity(f, value, grad, primitive):
+    xs = np.array([-math.inf, 0.3, math.inf, -2.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, want in ((f.value, value), (f.grad, grad), (f.primitive, primitive)):
+            got = fn(xs)
+            assert (got[0], got[2]) == want, (f.name, fn.__name__)
+            # the finite points keep their bits
+            assert np.array_equal(_bits(got[[1, 3]]), _bits(fn(xs[[1, 3]])))
+            assert (fn(-math.inf), fn(math.inf)) == want
+
+
 # ---------------------------------------------------------------------------
 # the sorted pair sum of the brute-force oracle
 # ---------------------------------------------------------------------------
@@ -432,3 +459,148 @@ def test_sorted_pair_sum_matches_direct_double_sum():
     assert funcspace._sorted_pair_sum(v, wts) == pytest.approx(
         _direct_double_sum(v, wts), rel=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# omega of many intervals: one array pass inside linear pieces
+# ---------------------------------------------------------------------------
+
+
+def _scalar_omega(f, a: float, b: float) -> float:
+    """The per-interval exact path: the closed form over pairs of linear
+    segments where f is linear on [a, b], else the monotone parts."""
+    if f.linear_only_on(a, b):
+        total = funcspace._double_integral_linear(f, a, b)
+    else:
+        total = funcspace._double_integral_piecewise(f, a, b)
+    return total / (b - a) ** 2
+
+
+def _assert_intervals_bit_for_bit(f, lo, hi):
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    got = funcspace.omega_intervals(f, lo, hi)
+    want = [_scalar_omega(f, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    assert np.array_equal(_bits(got), _bits(want)), f
+
+
+def _random_lines(rng, edges):
+    """Linear pieces between the edges with non-dyadic slopes and
+    intercepts; the slopes alternate in sign and the last but one is 0."""
+    inf = math.inf
+    ends = [-inf, *edges, inf]
+    n = len(ends) - 1
+    slopes = rng.uniform(0.1, 3.0, n) * (-1.0) ** np.arange(n)
+    slopes[-2] = 0.0
+    cuts = rng.uniform(-2.0, 2.0, n)
+    pieces = [
+        Piece(x0, x1, "poly", (float(c), float(s)))
+        for x0, x1, s, c in zip(ends, ends[1:], slopes, cuts)
+    ]
+    return funcspace.TestFunction(pieces)
+
+
+def test_omega_intervals_bit_for_bit_inside_linear_pieces():
+    rng = np.random.default_rng(31)
+    edges = [-1.3, 0.7, 2.9]
+    for _ in range(4):
+        f = _random_lines(rng, edges)
+        ends = [-6.0, *edges, 7.0]
+        lo, hi = [], []
+        for x0, x1 in zip(ends, ends[1:]):
+            a = rng.uniform(x0, x1, 400)
+            b = a + (x1 - a) * rng.uniform(1e-9, 1.0, 400)
+            lo += a.tolist()
+            hi += b.tolist()
+        assert (funcspace._linear_piece(f, np.array(lo), np.array(hi)) >= 0).all()
+        assert np.any(f._lines[:, 0] < 0) and np.any(f._lines[:, 0] == 0)
+        _assert_intervals_bit_for_bit(f, lo, hi)
+
+
+def test_omega_intervals_bit_for_bit_degenerate_branches():
+    inf = math.inf
+    rng = np.random.default_rng(32)
+    # a tiny slope: both ends map to one value, u0 == u1
+    tiny = funcspace.TestFunction([Piece(-inf, inf, "poly", (1.0, 1e-19))])
+    a = rng.uniform(-1.0, 1.0, 200)
+    lo, hi = a, a + 1e-3
+    assert np.all(tiny._lines[0, 0] * lo + 1.0 == tiny._lines[0, 0] * hi + 1.0)
+    _assert_intervals_bit_for_bit(tiny, lo, hi)
+    # d of a few ulps beside a large intercept: the midpoint rounds onto an end
+    big = funcspace.TestFunction([Piece(-inf, inf, "poly", (1e8 / 3.0, -1.0))])
+    a = rng.uniform(-1.0, 1.0, 400)
+    lo, hi = a, a + 2.0**-28 * rng.integers(1, 3, 400)
+    u1, u0 = 1e8 / 3.0 - lo, 1e8 / 3.0 - hi
+    mid = 0.5 * (u0 + u1)
+    assert np.any((u0 < u1) & (mid <= u0)) and np.any((u0 < u1) & (mid >= u1))
+    _assert_intervals_bit_for_bit(big, lo, hi)
+
+
+def test_omega_intervals_bit_for_bit_at_and_across_breakpoints():
+    rng = np.random.default_rng(33)
+    fns = [
+        catalog("tent"),
+        catalog("linear_ramp", slope=0.3, cutoff=2.7, center=0.1),
+        _random_lines(rng, [-1.3, 0.7, 2.9]),
+    ]
+    for f in fns:
+        bps = np.tile(f.breakpoints, 50)
+        h = rng.uniform(0.01, 0.6, bps.size)
+        across = (bps - h, bps + 0.5 * h)
+        for lo, hi in ((bps - h, bps), (bps, bps + h)):
+            assert (funcspace._linear_piece(f, lo, hi) >= 0).all()
+            _assert_intervals_bit_for_bit(f, lo, hi)
+        assert (funcspace._linear_piece(f, *across) < 0).all()
+        _assert_intervals_bit_for_bit(f, *across)
+
+
+def test_omega_intervals_bit_for_bit_on_nonlinear_pieces():
+    rng = np.random.default_rng(34)
+    for f in (
+        catalog("smoothed_indicator", width=0.37),
+        catalog("sharp2_fdelta", delta=0.3),
+    ):
+        lo = rng.uniform(-1.0, 2.0, 60)
+        hi = lo + rng.uniform(0.01, 1.5, 60)
+        pieces = funcspace._linear_piece(f, lo, hi)
+        assert np.any(pieces < 0) and np.any(pieces >= 0)
+        _assert_intervals_bit_for_bit(f, lo, hi)
+
+
+def test_omega_intervals_refuses_empty_intervals():
+    f = catalog("tent")
+    for lo, hi in (([0.2, 0.5], [0.3, 0.5]), ([0.4], [0.3]), ([math.nan], [1.0])):
+        with pytest.raises(ValueError):
+            funcspace.omega_intervals(f, lo, hi)
+    with pytest.raises(ValueError):
+        omega(f, (1.5, 1.5))
+
+
+def test_omega_intervals_split_on_the_a1_window():
+    cfg = load_config(str(Path(__file__).parents[1] / "configs" / "a1_battery.cfg"))
+    arr = build_window(cfg).arrays
+    lo, hi = arr.lo[:, 0], arr.hi[:, 0]
+    # cubes outside one linear piece: they meet a breakpoint or a cubic edge
+    for f, scalar in ((catalog("tent"), 51), (catalog("smoothed_indicator"), 137)):
+        assert len(lo) == 6158
+        assert np.count_nonzero(funcspace._linear_piece(f, lo, hi) < 0) == scalar
+
+
+def test_omega_inside_a_linear_piece_against_closed_form():
+    # omega over [a, b] of a function of slope s there is |s| (b - a) / 3
+    cfg = load_config(str(Path(__file__).parents[1] / "configs" / "a1_battery.cfg"))
+    arr = build_window(cfg).arrays
+    lo, hi = arr.lo[:, 0], arr.hi[:, 0]
+    for f in (
+        catalog("linear_ramp", slope=0.3),
+        catalog("linear_ramp", slope=-1.7, cutoff=5.0, center=0.4),
+        catalog("tent"),
+        _random_lines(np.random.default_rng(35), [-1.3, 0.7, 2.9]),
+    ):
+        piece = funcspace._linear_piece(f, lo, hi)
+        s = f._lines[piece, 0]
+        inside = (piece >= 0) & (s != 0.0)
+        assert inside.sum() > 300
+        width = hi[inside] - lo[inside]
+        want = np.abs(s[inside]) * width / 3.0
+        got = funcspace.omega_intervals(f, lo[inside], hi[inside])
+        assert np.all(np.abs(got - want) <= 1e-12 * want), f
