@@ -7,8 +7,9 @@ lam * ( Int_window [ Int 1_E(x,y) |x-y|^(gamma-n) dy ]^(p/q) w(x) dx )^(1/p),
 with s = gamma/q, verified against the weighted gradient norm.  The inner
 integral runs over radial shells around x; shells open where a Lipschitz
 bound decides membership, so the |x-y|^(gamma-n) singularity is never probed
-where the indicator provably vanishes.  Membership and boundary bisection
-are fused across every outer node of a quadrature refinement step (all the
+where the indicator provably vanishes.  The outer quadratures of every
+lam of the grid run in lock step, and membership and boundary bisection are
+fused across every outer node of a refinement step, of every lam (all the
 initial panels, then the two halves of each split): one vectorized
 membership call per bisection step resolves the shells of all those nodes
 together.
@@ -24,7 +25,7 @@ import numpy as np
 
 from dyadicweights.funcspace import grad_power_mass, omega_window
 from dyadicweights.oscillation import LevelMass
-from dyadicweights.quadrature import adaptive_quad
+from dyadicweights.quadrature import adaptive_quad, adaptive_quads
 from dyadicweights.records import (
     RATIO_CEILING,
     FunctionalProfile,
@@ -39,6 +40,10 @@ INNER_TOL = 1e-6
 RADIAL_SAMPLES = 193
 # Decades of the lambda grid, toward the limit, that test the lower constant.
 TAIL_DECADES = 1.0
+# Points per membership call on the sample radii of an inner integral: the
+# rows are evaluated in blocks of at most this many (node, direction, radius)
+# points, which bounds the temporaries of a wide refinement step.
+MASK_POINTS = 2**15
 
 
 def gamma_admissible(p: float, q: float, gamma: float) -> bool:
@@ -175,18 +180,19 @@ def _radial_bounds(f, lam: float, s: float):
     return r_lo, r_hi
 
 
-def _ball_mean_membership(f, lam: float, b: float):
+def _ball_mean_membership(f, b: float):
     """Membership |f(x) - mean over B(y, |x-y|/20)| > lam |x-y|^(1+b), on
-    broadcast (xs, fx, ys); the diagonal x = y is never a member."""
+    broadcast (xs, fx, ys, lam); the diagonal x = y is never a member."""
 
-    def membership(xs, fx, ys):
+    def membership(xs, fx, ys, lam):
         d = np.abs(ys - xs)
         out = np.zeros(ys.shape, dtype=bool)
         pos = d > 0
         if pos.any():
             m = ball_mean(f, ys[pos], d[pos] / 20.0)
             fxs = np.broadcast_to(fx, ys.shape)[pos]
-            out[pos] = np.abs(fxs - m) > lam * d[pos] ** (1.0 + b)
+            lams = np.broadcast_to(lam, ys.shape)[pos]
+            out[pos] = np.abs(fxs - m) > lams * d[pos] ** (1.0 + b)
         return out
 
     return membership
@@ -196,36 +202,50 @@ def _signed_member_mass(
     membership,
     xs: np.ndarray,
     fx: np.ndarray,
+    lam: np.ndarray,
     radii: np.ndarray,
     gamma: float,
-    extend_to_zero: bool,
+    extend_to_zero: np.ndarray,
 ) -> np.ndarray:
     """Integral of 1_member r^(gamma-1) over both directions y = x +- r, for
-    every node x in ``xs``.
+    every node x in ``xs`` at its level ``lam``.
 
     ``radii`` holds one ascending row of sample radii per node, padded with
     repeats of its last radius (a repeat never flips).  Membership of every
-    row in both directions is one vectorized call, and every boundary
-    between consecutive sample radii, of every row, is bisected together.
+    row in both directions is evaluated in blocks of rows of at most
+    MASK_POINTS points, and every boundary between consecutive sample radii,
+    of every row, is bisected together: one membership call per step.
+    Rows flagged in ``extend_to_zero`` count a member first radius as a
+    member run from radius 0.
     Each member run contributes (r2^gamma - r1^gamma)/gamma in closed form;
     40 bisection steps put each boundary within 2^-40 of its sample gap.
     Sub-grid membership islands are the only approximation; the sample grid
     is geometric and includes the kink radii of the function.
     """
-    n = len(xs)
+    n, width = radii.shape
     sign = np.array([1.0, -1.0])[:, None]
-    col = xs[:, None, None]
-    mask = membership(col, fx[:, None, None], col + sign * radii[:, None, :])
+    block = max(1, MASK_POINTS // (2 * width))
+    mask = np.concatenate(
+        [
+            membership(
+                xs[i : i + block, None, None],
+                fx[i : i + block, None, None],
+                xs[i : i + block, None, None] + sign * radii[i : i + block, None, :],
+                lam[i : i + block, None, None],
+            )
+            for i in range(0, n, block)
+        ]
+    )
     row, dirn, at = np.nonzero(mask[..., :-1] != mask[..., 1:])
     lo_b = radii[row, at]
     hi_b = radii[row, at + 1]
     if len(lo_b):
-        xb, fb = xs[row], fx[row]
+        xb, fb, lb = xs[row], fx[row], lam[row]
         sg = sign[dirn, 0]
         left_state = mask[row, dirn, at]
         for _ in range(40):
             mid = 0.5 * (lo_b + hi_b)
-            same = membership(xb, fb, xb + sg * mid) == left_state
+            same = membership(xb, fb, xb + sg * mid, lb) == left_state
             lo_b = np.where(same, mid, lo_b)
             hi_b = np.where(same, hi_b, mid)
     # cut radii per (node, direction), in increasing order, between the
@@ -237,8 +257,8 @@ def _signed_member_mass(
     edges = np.empty((n, 2, int(ncuts.max()) + 2))
     edges[...] = radii[:, None, -1:]
     edges[..., 0] = radii[:, None, 0]
-    if extend_to_zero:
-        edges[..., 0] = np.where(mask[..., 0], 0.0, edges[..., 0])
+    from_zero = mask[..., 0] & extend_to_zero[:, None]
+    edges[..., 0] = np.where(from_zero, 0.0, edges[..., 0])
     edges[row, dirn, 1 + rank] = 0.5 * (lo_b + hi_b)
     seg_member = (np.arange(edges.shape[-1] - 1) % 2 == 0) == mask[..., :1]
     with np.errstate(divide="ignore"):
@@ -257,60 +277,75 @@ def _signed_member_mass(
 def inner_integral(
     f,
     x,
-    lam: float,
+    lam,
     cfg: DiffQuotConfig,
     membership=None,
 ) -> tuple:
     """Integral over y of 1_E(x,y) |x-y|^(gamma - 1) for n = 1, at one node
-    or at an array of nodes.
+    or at an array of nodes, at one level ``lam`` or at one level per node.
 
     Radial membership is resolved per direction as a union of intervals
     (geometric sampling, kink radii included, boundaries bisected) and the
     power weight is integrated in closed form on each member interval.
-    Membership and bisection are fused across all nodes: a quadrature
-    refinement step costs one membership call per bisection step, not one
-    per node.
-    ``membership(xs, fx, ys)`` decides pairs elementwise on broadcast arrays
-    (fx = f(xs)); the default is the difference-quotient level set.
+    Membership and bisection are fused across all nodes and levels: a
+    quadrature refinement step costs one membership call per bisection
+    step, not one per node.  The certified shell is taken once per distinct
+    level, and each node gets the shell of its own level.
+    ``membership(xs, fx, ys, lam)`` decides pairs elementwise on broadcast
+    arrays (fx = f(xs), lam the nodes' levels); the default is the
+    difference-quotient level set.
 
     A scalar ``x`` returns (float, diag); an array returns (array, diag) with
-    per-node ``tail_bound`` and ``truncated``.  Diagnostics carry the
-    truncation tail bound when the integral had to be cut at a finite radius
-    with membership not provably dead.
+    per-node ``tail_bound`` and ``truncated``.  ``r_lo`` and ``r_hi`` have
+    the shape of ``lam``.  Diagnostics carry the truncation tail bound when
+    the integral had to be cut at a finite radius with membership not
+    provably dead.
     """
     gamma, s = cfg.gamma, cfg.s
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    lams = np.broadcast_to(np.asarray(lam, dtype=float), xs.shape)
     fx = f.value(xs)
     if membership is None:
 
-        def membership(xs, fx, ys):
+        def membership(xs, fx, ys, lam):
             d = np.abs(ys - xs)
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.abs(f.value(ys) - fx) > lam * d ** (1.0 + s)
 
     bps = np.asarray(getattr(f, "breakpoints", ()), dtype=float)
-    r_lo, r_hi = _radial_bounds(f, lam, s)
-    extend = r_lo == 0.0 and gamma > 0
+    levels, level_of = np.unique(lams, return_inverse=True)
+    bounds = np.array([_radial_bounds(f, float(v), s) for v in levels]).reshape(-1, 2)
+    r_lo, r_hi = bounds[level_of, 0], bounds[level_of, 1]
+    extend = (r_lo == 0.0) & (gamma > 0)
 
-    def both_directions(rows: np.ndarray, lo, hi) -> np.ndarray:
-        # lo, hi: one shell for every row, or one per row
-        lo_c, hi_c = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
-        base = np.geomspace(lo, hi, RADIAL_SAMPLES, axis=-1)
-        base = np.broadcast_to(base, (len(rows), RADIAL_SAMPLES))
+    def both_directions(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # one shell (lo, hi) per row; the sample radii of a shell are formed
+        # once, however many rows share it
+        shells, shell_of = np.unique(np.stack([lo, hi], axis=1), axis=0, return_inverse=True)
+        base = np.geomspace(shells[:, 0], shells[:, 1], RADIAL_SAMPLES, axis=-1)
         kinks = np.abs(bps - xs[rows, None])
-        kinks = np.where((lo_c < kinks) & (kinks < hi_c), kinks, base[:, -1:])
-        radii = np.sort(np.concatenate([base, kinks], axis=1), axis=1)
-        return _signed_member_mass(membership, xs[rows], fx[rows], radii, gamma, extend)
+        inside = (lo[:, None] < kinks) & (kinks < hi[:, None])
+        # geomspace ends exactly on hi, so an unused kink slot repeats it
+        kinks = np.where(inside, kinks, hi[:, None])
+        radii = np.concatenate([base[shell_of], kinks], axis=1)
+        radii.sort(axis=1)
+        return _signed_member_mass(
+            membership, xs[rows], fx[rows], lams[rows], radii, gamma, extend[rows]
+        )
 
     n = len(xs)
+    vals = np.zeros(n)
     tail_bound = np.zeros(n)
     truncated = np.zeros(n, dtype=bool)
-    everyone = np.arange(n)
 
-    if math.isfinite(r_hi):
-        lo = max(r_lo, 1e-12 * max(1.0, r_hi))
-        vals = both_directions(everyone, lo, r_hi) if r_hi > lo else np.zeros(n)
-    else:
+    finite = np.isfinite(r_hi)
+    lo = np.maximum(r_lo, 1e-12 * np.maximum(1.0, r_hi))
+    shell = np.flatnonzero(finite & (r_hi > lo))
+    if len(shell):
+        vals[shell] = both_directions(shell, lo[shell], r_hi[shell])
+
+    active = np.flatnonzero(~finite)
+    if len(active):
         # far membership cannot be excluded: extend each node's shells until
         # its certified weight tail (indicator at most 1) is negligible
         if gamma >= 0:
@@ -318,14 +353,13 @@ def inner_integral(
         scale = np.maximum(np.maximum(1.0, np.abs(xs)), r_lo)
         hi = 16.0 * scale
         first = np.maximum(r_lo, 1e-12 * scale)
-        vals = both_directions(everyone, first, hi)
+        vals[active] = both_directions(active, first[active], hi[active])
         # a row with members stops relative to its total, at worst at
         # rounding level of its first shell's tail bound; a row without
         # members has no total, so it stops relative to the total its first
         # shell would hold if every radius in it were a member
         floor = np.finfo(float).eps * 2.0 * hi**gamma / abs(gamma)
         full = 2.0 * (first**gamma - hi**gamma) / abs(gamma)
-        active = everyone
         while len(active):
             tail = 2.0 * hi[active] ** gamma / abs(gamma)
             total = np.abs(vals[active])
@@ -347,6 +381,8 @@ def inner_integral(
             active = active[~cut]
 
     diag: dict = {"r_lo": r_lo, "r_hi": r_hi, "tail_bound": tail_bound, "truncated": truncated}
+    if np.ndim(lam) == 0:
+        diag["r_lo"], diag["r_hi"] = (float(v) for v in bounds[0])
     if np.ndim(x) == 0:
         diag["tail_bound"] = float(tail_bound[0])
         diag["truncated"] = bool(truncated[0])
@@ -354,38 +390,44 @@ def inner_integral(
     return vals, diag
 
 
+def _warn_at_split_cap(what: str, lam: float) -> None:
+    print(
+        f"warning: {what} at lambda={lam!r} stopped at its split cap"
+        " with the error estimate above tolerance",
+        file=sys.stderr,
+    )
+
+
 def diffquot_functional(cfg: DiffQuotConfig, f) -> FunctionalProfile:
     """Profile of lam * || inner(.,lam)^(1/q) ||_{L^p_w(window)} over the grid;
-    the outer integrals are taken to relative tolerance 1e-3."""
+    the outer integrals are taken to relative tolerance 1e-3, in lock step
+    over the grid, so each refinement step is one inner-integral call."""
     lambdas = np.logspace(
         math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count
     )
     lo, hi = cfg.window
     w = cfg.weight
     bps = list(getattr(f, "breakpoints", ())) + list(w.breakpoints())
-    values, tails = [], []
-    for lam in lambdas:
-        truncated = False
+    truncated = np.zeros(len(lambdas), dtype=bool)
 
-        def outer(xs: np.ndarray) -> np.ndarray:
-            nonlocal truncated
-            inner, diag = inner_integral(f, xs, float(lam), cfg)
-            truncated = truncated or bool(diag["truncated"].any())
-            return inner ** (cfg.p / cfg.q) * w.value(xs)
+    def outer(xs: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        inner, diag = inner_integral(f, xs, lambdas[owner], cfg)
+        truncated[owner[diag["truncated"]]] = True
+        return inner ** (cfg.p / cfg.q) * w.value(xs)
 
-        integ = adaptive_quad(
-            outer, lo, hi, rel_tol=1e-3, breakpoints=bps, max_splits=400
-        )
-        values.append(float(lam) * integ ** (1.0 / cfg.p))
-        tails.append(truncated)
-    values = [float(v) for v in values]
+    outers = adaptive_quads(outer, [(lo, hi, 1e-3, bps, 400)] * len(lambdas))
+    values = []
+    for lam, (integ, met) in zip(lambdas.tolist(), outers):
+        if not met:
+            _warn_at_split_cap("diffquot outer integral", lam)
+        values.append(float(lam * integ ** (1.0 / cfg.p)))
     k = int(np.argmax(values))
     return FunctionalProfile(
-        lambdas=[float(l) for l in lambdas],
+        lambdas=lambdas.tolist(),
         values=values,
         sup=values[k],
         argmax_lambda=float(lambdas[k]),
-        flags={"truncated": tails},
+        flags={"truncated": truncated.tolist()},
     )
 
 
@@ -498,13 +540,15 @@ def point_domination_check(
     lo, hi = cfg.window
     bps = list(getattr(f, "breakpoints", ())) + list(weight.breakpoints())
 
-    membership = _ball_mean_membership(f, lam, b)
+    membership = _ball_mean_membership(f, b)
 
-    def outer(xs):
+    def outer(xs, _owner):
         inner, _ = inner_integral(f, xs, lam, cfg, membership=membership)
         return inner ** (p / q) * weight.value(xs)
 
-    lhs = adaptive_quad(outer, lo, hi, rel_tol=1e-4, breakpoints=bps, max_splits=200)
+    [(lhs, met)] = adaptive_quads(outer, [(lo, hi, 1e-4, bps, 200)])
+    if not met:
+        _warn_at_split_cap("point_domination left side", lam)
 
     # one level-set mass per threshold lam_j
     omega_map = omega_window(f, window)

@@ -6,11 +6,14 @@ panel's estimate is its 15-point rule against its 7-point rule.  The
 integrand is called once per refinement step, on the nodes of every panel
 of that step: once for all the initial spans between breakpoints, then once
 for the two halves of each split.  So ``f`` must be elementwise; the totals
-and the heap order are those of evaluating each panel on its own.  Known
-singular points are passed as breakpoints so panels never straddle them;
-Gauss nodes are interior, so integrable endpoint singularities converge under
-refinement, and indicator-type jumps are chased only until their contribution
-to the global error is below budget.
+and the heap order are those of evaluating each panel on its own.
+``adaptive_quads`` runs many problems in lock step: each step is one call on
+the panels of every unfinished problem, and each problem keeps the totals,
+heap order and error sums it has alone.  Known singular points are passed
+as breakpoints so panels never straddle them; Gauss nodes are interior, so
+integrable endpoint singularities converge under refinement, and
+indicator-type jumps are chased only until their contribution to the global
+error is below budget.
 """
 
 from __future__ import annotations
@@ -55,22 +58,17 @@ def _panels(f, spans) -> list[tuple[float, float]]:
     return out
 
 
-def adaptive_quad(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-8,
-    breakpoints=(),
-    max_splits: int = 20000,
-) -> float:
-    """Integrate vectorized ``f`` over [a, b] until the summed error estimate
-    is at most max(ABS_TOL, rel_tol * |total|).
+def _refine(a, b, rel_tol, breakpoints, max_splits):
+    """One problem's refinement loop, a step at a time.
 
-    Raises QuadratureBudgetError when the split budget is exhausted with the
-    global error estimate still above tolerance by a wide margin.
+    Yields the spans it needs panels for (the initial spans between
+    breakpoints, then the two halves of each split) and receives their
+    ``(fine, err)`` panels.  Returns ``(total, met)``: ``met`` is False when
+    the split budget ran out with the error estimate above tolerance, but
+    within the 100x margin that raises QuadratureBudgetError.
     """
     if b <= a:
-        return 0.0
+        return 0.0, True
     a, b = float(a), float(b)
     pts = sorted({a, b, *(float(t) for t in breakpoints if a < t < b)})
     heap = []
@@ -78,7 +76,7 @@ def adaptive_quad(
     err_sum = 0.0
     counter = 0
     spans = list(zip(pts, pts[1:]))
-    for (lo, hi), (fine, err) in zip(spans, _panels(f, spans)):
+    for (lo, hi), (fine, err) in zip(spans, (yield spans)):
         total += fine
         err_sum += err
         counter += 1
@@ -100,15 +98,76 @@ def adaptive_quad(
                     f"panel budget exhausted on [{a},{b}]; "
                     f"residual error ~{err_sum:.3e} vs total ~{total:.3e}"
                 )
-            break
+            return total, False
         splits += 1
         mid = 0.5 * (lo + hi)
         total -= fine
         err_sum -= err
         halves = [(lo, mid), (mid, hi)]
-        for (s0, s1), (fn, er) in zip(halves, _panels(f, halves)):
+        for (s0, s1), (fn, er) in zip(halves, (yield halves)):
             total += fn
             err_sum += er
             counter += 1
             heapq.heappush(heap, (-er, counter, s0, s1, fn))
-    return total
+    return total, True
+
+
+def adaptive_quad(
+    f,
+    a: float,
+    b: float,
+    rel_tol: float = 1e-8,
+    breakpoints=(),
+    max_splits: int = 20000,
+) -> float:
+    """Integrate vectorized ``f`` over [a, b] until the summed error estimate
+    is at most max(ABS_TOL, rel_tol * |total|).
+
+    Raises QuadratureBudgetError when the split budget is exhausted with the
+    global error estimate still above tolerance by a wide margin.
+    """
+    steps = _refine(a, b, rel_tol, breakpoints, max_splits)
+    try:
+        spans = next(steps)
+        while True:
+            spans = steps.send(_panels(f, spans))
+    except StopIteration as done:
+        return done.value[0]
+
+
+def adaptive_quads(f, problems) -> list[tuple[float, bool]]:
+    """Run the refinement of every problem ``(a, b, rel_tol, breakpoints,
+    max_splits)`` in lock step: each step makes one call ``f(x, owner)`` on
+    the nodes of every unfinished problem's spans, ``owner`` giving each
+    node's problem index.
+
+    Returns ``(total, met)`` per problem; each total is bit for bit what
+    ``adaptive_quad`` gives for that problem alone, and ``met`` is False
+    where the split budget ran out with the error above tolerance (by less
+    than the margin that raises QuadratureBudgetError).
+    """
+    results: list = [None] * len(problems)
+    pending = {}
+    for k, problem in enumerate(problems):
+        steps = _refine(*problem)
+        try:
+            pending[k] = (steps, next(steps))
+        except StopIteration as done:
+            results[k] = done.value
+    while pending:
+        step = list(pending.items())
+        spans = [span for _, (_, wanted) in step for span in wanted]
+        span_owner = np.repeat([k for k, _ in step], [len(w) for _, (_, w) in step])
+        panels = _panels(
+            lambda x: f(x, np.repeat(span_owner, x.size // len(spans))), spans
+        )
+        start = 0
+        for k, (steps, wanted) in step:
+            mine = panels[start : start + len(wanted)]
+            start += len(wanted)
+            try:
+                pending[k] = (steps, steps.send(mine))
+            except StopIteration as done:
+                del pending[k]
+                results[k] = done.value
+    return results

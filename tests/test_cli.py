@@ -158,6 +158,23 @@ ARGV_RUNS = {
         0,
         "bef21c78550564fdd68f3bd6838d9a392c0d68552b3687f880444ccf0e738600",
     ),
+    # gamma = -1.2 on the tent: no certified outer radius, so every inner
+    # integral takes the far-tail extension, with memberless nodes
+    "verify-bsvy-far-tail": (
+        [
+            "verify-bsvy",
+            "--set", "function.name=tent",
+            "--set", "grid.lo=-2",
+            "--set", "grid.hi=2",
+            "--set", "lambda_lo=0.1",
+            "--set", "lambda_hi=30.0",
+            "--set", "lambda_count=3",
+            "--gamma", "-1.2",
+        ],
+        "b9c53629d7e206dcba01c4053eb0f1b69e8b42ecb3964bb8ec1fa60de7b3c024",
+        2,
+        "08746e8563917ae55df414267bbb30ad3d2422655927f9b6a93cdbc5dcebcf93",
+    ),
     "good-cubes": (
         ["good-cubes", "--set", "trials=20"],
         "bd43079ceee05c643d6f3fb42f73eca95b0eb29a7929c7bbbc5fa9a946af305a",

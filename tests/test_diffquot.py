@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from dyadicweights import diffquot, quadrature
 from dyadicweights.diffquot import (
     INNER_TOL,
+    MASK_POINTS,
     DiffQuotConfig,
     ball_mean,
     diffquot_functional,
@@ -297,9 +299,44 @@ def test_point_domination_ramp_mixed_pq():
     assert math.isfinite(rec.ratio)
 
 
+class CountedMembership:
+    """A membership that counts its calls and asserts that none sees more
+    than MASK_POINTS points."""
+
+    def __init__(self, membership):
+        self.membership = membership
+        self.calls = 0
+
+    def __call__(self, xs, fx, ys, lam):
+        self.calls += 1
+        assert ys.size <= MASK_POINTS
+        return self.membership(xs, fx, ys, lam)
+
+
+def _level_set(f, s):
+    """The default membership, written out: |f(y) - f(x)| > lam |x-y|^(1+s)."""
+
+    def membership(xs, fx, ys, lam):
+        d = np.abs(ys - xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.abs(f.value(ys) - fx) > lam * d ** (1.0 + s)
+
+    return membership
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 def _assert_batch_is_single(f, cfg, lam, xs, membership=None):
     """inner_integral on an array of nodes equals, bit for bit, the same
-    nodes one at a time, in either order of the array."""
+    nodes one at a time, in either order of the array.  With one level per
+    node, interleaving lam with two other levels, it equals the calls at
+    each level alone, in values, tail_bound and truncated."""
+    if membership is not None:
+        membership = CountedMembership(membership)
     vals, diag = inner_integral(f, xs, lam, cfg, membership=membership)
     rvals, rdiag = inner_integral(f, xs[::-1].copy(), lam, cfg, membership=membership)
     assert np.array_equal(rvals[::-1], vals)
@@ -309,6 +346,19 @@ def _assert_batch_is_single(f, cfg, lam, xs, membership=None):
         assert v == vals[i]
         assert d["tail_bound"] == diag["tail_bound"][i]
         assert d["truncated"] == diag["truncated"][i]
+    levels = [lam, 3.7 * lam, lam / 9.0]
+    mixed, mdiag = inner_integral(
+        f, np.repeat(xs, 3), np.tile(levels, len(xs)), cfg, membership=membership
+    )
+    for k, level in enumerate(levels):
+        alone, adiag = (vals, diag) if k == 0 else inner_integral(
+            f, xs, level, cfg, membership=membership
+        )
+        _assert_same_bits(mixed[k::3], alone)
+        for key in ("tail_bound", "truncated"):
+            _assert_same_bits(mdiag[key][k::3], adiag[key])
+        for key in ("r_lo", "r_hi"):
+            assert np.all(mdiag[key][k::3] == adiag[key])
     return vals, diag
 
 
@@ -388,9 +438,75 @@ def test_inner_integral_batch_ball_mean_membership():
             exploratory=True,
         )
         vals, _ = _assert_batch_is_single(
-            f, cfg, lam, BATCH_NODES, membership=_ball_mean_membership(f, lam, b)
+            f, cfg, lam, BATCH_NODES, membership=_ball_mean_membership(f, b)
         )
         assert np.any(vals > 0.0)
+
+
+def test_inner_integral_first_membership_call_in_blocks():
+    # 600 rows of about 195 radii in two directions: the first membership
+    # call is split into blocks of at most MASK_POINTS points, and the
+    # result is the one-level, one-call result bit for bit
+    f = catalog("tent")
+    cfg = DiffQuotConfig(p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-2, 2))
+    xs = np.linspace(-2.5, 2.5, 200)
+    lams = np.tile([0.3, 1.0, 4.0], len(xs))
+    nodes = np.repeat(xs, 3)
+    counted = CountedMembership(_level_set(f, cfg.s))
+    vals, _ = inner_integral(f, nodes, lams, cfg, membership=counted)
+    width = 193 + len(f.breakpoints)
+    blocks = -(-len(nodes) // (MASK_POINTS // (2 * width)))
+    assert blocks > 1
+    assert counted.calls == blocks + 40
+    default, _ = inner_integral(f, nodes, lams, cfg)
+    _assert_same_bits(vals, default)
+    for k, lam in enumerate((0.3, 1.0, 4.0)):
+        alone, _ = inner_integral(f, xs, lam, cfg)
+        _assert_same_bits(vals[k::3], alone)
+
+
+def _small_split_cap(monkeypatch, cap):
+    """Run the outer quadratures of diffquot with a split cap of ``cap``."""
+
+    def capped(f, problems):
+        return quadrature.adaptive_quads(
+            f, [(a, b, tol, bps, cap) for a, b, tol, bps, _ in problems]
+        )
+
+    monkeypatch.setattr(diffquot, "adaptive_quads", capped)
+
+
+def test_functional_warns_once_per_lambda_at_the_split_cap(monkeypatch, capsys):
+    # with five splits the outer integrals at lam = 1 and 10 stop above
+    # their tolerance, within the margin that raises: one warning line each
+    f = catalog("tent")
+    cfg = DiffQuotConfig(
+        p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-2, 4),
+        lambda_lo=1e0, lambda_hi=1e4, lambda_count=5,
+    )
+    full = diffquot_functional(cfg, f)
+    assert capsys.readouterr().err == ""
+    _small_split_cap(monkeypatch, 5)
+    capped = diffquot_functional(cfg, f)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    for line, lam in zip(lines, ("1.0", "10.0")):
+        assert line.startswith("warning: ") and f"lambda={lam} " in line
+    # the capped levels moved, the converged ones did not
+    moved = [a != b for a, b in zip(full.values, capped.values)]
+    assert moved == [True, True, False, False, False]
+
+
+def test_point_domination_warns_at_the_split_cap(monkeypatch, capsys):
+    f = catalog("tent")
+    window = window_1d(-8, 8, -5, 3, shifts=all_shifts(1))
+    args = (f, ConstantWeight(1.0), 1.0, 1.0, 2.0, 0.07, window, 0.5)
+    point_domination_check(*args)
+    assert capsys.readouterr().err == ""
+    _small_split_cap(monkeypatch, 1)
+    point_domination_check(*args)
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: ") and "lambda=0.07 " in line
 
 
 def test_point_domination_pinned_values():

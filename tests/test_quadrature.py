@@ -1,5 +1,6 @@
 """Adaptive quadrature: one integrand call per refinement step, with the
-same totals as evaluating every panel on its own."""
+same totals as evaluating every panel on its own; many problems in lock
+step, each with the total it has alone."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dyadicweights.quadrature import (
     QuadratureBudgetError,
     _gl,
     adaptive_quad,
+    adaptive_quads,
 )
 
 
@@ -118,3 +120,79 @@ def test_budget_error_fires_where_it_did():
     want, _ = reference_quad(g, -1.0, 2.0, max_splits=60)
     assert adaptive_quad(g, -1.0, 2.0, max_splits=60) == want
 
+
+
+def by_owner(fs):
+    """f(x, owner) that evaluates each node with its own problem's
+    integrand, counting calls and checking each node's owner."""
+
+    def f(x, owner):
+        f.calls += 1
+        assert owner.shape == x.shape
+        out = np.empty_like(x)
+        for k in np.unique(owner):
+            sel = owner == k
+            out[sel] = fs[k](x[sel])
+        return out
+
+    f.calls = 0
+    return f
+
+
+def test_lock_step_totals_are_each_problem_alone():
+    names = ["smooth", "kinked", "endpoint-singular", "cusp-breakpoints"]
+    problems = [(CASES[n][1], CASES[n][2], 1e-8, CASES[n][3], 20000) for n in names]
+    f = by_owner([CASES[n][0] for n in names])
+    got = adaptive_quads(f, problems)
+    splits = []
+    for n, (a, b, tol, bps, cap), (total, met) in zip(names, problems, got):
+        want, k = reference_quad(CASES[n][0], a, b, tol, bps, cap)
+        splits.append(k)
+        assert type(total) is float
+        assert total == want  # bit for bit
+        assert total == adaptive_quad(CASES[n][0], a, b, tol, bps, cap)
+        assert met
+    assert len(set(splits)) > 1
+    assert f.calls == max(1 + k for k in splits)
+
+
+def test_empty_and_first_step_problems_leave_the_others_alone():
+    smooth, kinked = CASES["smooth"][0], CASES["kinked"][0]
+    problems = [
+        (1.0, 0.0, 1e-8, (), 20000),  # b <= a: no panel at all
+        (-1.0, 2.0, 1e-3, (), 20000),  # converges on its first step
+        (-1.0, 2.0, 1e-8, (), 20000),
+        (0.5, 0.5, 1e-8, (), 20000),
+    ]
+    f = by_owner([smooth, smooth, kinked, smooth])
+    got = adaptive_quads(f, problems)
+    assert got[0] == (0.0, True) and got[3] == (0.0, True)
+    first, k = reference_quad(smooth, -1.0, 2.0, rel_tol=1e-3)
+    assert k == 0 and got[1] == (first, True)
+    want, k = reference_quad(kinked, -1.0, 2.0)
+    assert got[2] == (want, True)
+    assert f.calls == 1 + k
+    assert adaptive_quads(by_owner([]), []) == []
+
+
+def test_split_cap_below_the_error_margin_is_reported():
+    # kinked at 1e-6 needs 8 splits; a cap of 5 stops above tolerance but
+    # within 100x of it, so the total comes back with met False
+    kinked, smooth = CASES["kinked"][0], CASES["smooth"][0]
+    problems = [(-1.0, 2.0, 1e-6, (), 5), (-1.0, 2.0, 1e-8, (), 20000)]
+    f = by_owner([kinked, smooth])
+    (capped, met), (other, other_met) = adaptive_quads(f, problems)
+    assert not met and other_met
+    assert capped == adaptive_quad(kinked, -1.0, 2.0, rel_tol=1e-6, max_splits=5)
+    assert other == reference_quad(smooth, -1.0, 2.0)[0]
+    _, k = reference_quad(kinked, -1.0, 2.0, rel_tol=1e-6)
+    assert k == 8
+    assert adaptive_quads(f, [(-1.0, 2.0, 1e-6, (), 8)] * 2)[0][1]
+
+
+def test_budget_error_propagates_from_lock_step():
+    bad = lambda x: x**-1.5  # noqa: E731
+    f = by_owner([CASES["smooth"][0], bad])
+    with pytest.raises(QuadratureBudgetError):
+        adaptive_quads(f, [(-1.0, 2.0, 1e-8, (), 20000), (0.0, 1.0, 1e-8, (), 50)])
+    assert f.calls == 1 + 50
