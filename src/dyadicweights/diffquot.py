@@ -25,7 +25,7 @@ import numpy as np
 
 from dyadicweights.funcspace import grad_power_mass, omega_window
 from dyadicweights.oscillation import LevelMass
-from dyadicweights.quadrature import adaptive_quad, adaptive_quads
+from dyadicweights.quadrature import adaptive_quads
 from dyadicweights.records import (
     RATIO_CEILING,
     FunctionalProfile,
@@ -108,17 +108,11 @@ def in_level_set(f, x: float, y: float, lam: float, s: float) -> bool:
 
 
 def ball_mean(f, centers, radii) -> np.ndarray:
-    """Average of f over (c - r, c + r) for each center c and radius r, given
-    as arrays of one shape: by the primitive of f where it has one,
-    otherwise by adaptive quadrature per ball."""
+    """Average of the one-dimensional f over (c - r, c + r) for each center c
+    and radius r, given as arrays of one shape, by the primitive of f."""
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    if hasattr(f, "primitive"):
-        masses = f.primitive(centers + radii) - f.primitive(centers - radii)
-    else:
-        balls = zip(centers.flat, radii.flat)
-        masses = [adaptive_quad(f.value, c - r, c + r) for c, r in balls]
-        masses = np.reshape(masses, centers.shape)
+    masses = f.primitive(centers + radii) - f.primitive(centers - radii)
     return masses / (2.0 * radii)
 
 

@@ -2,12 +2,14 @@
 and the empirical weight classifier.
 
 The sweeps evaluate the functional on the explicit certifying cube families
-of each construction (exactly, in log space where cube scales overflow
-doubles), so the scaling exponents are exhibited free of window-truncation
-noise.  The classifier probes a weight with scale-adaptive transition
-functions: for a weight in the class every probe ratio stays bounded by a
-constant, while a failing weight lets the probe place oscillation where the
-weight cannot pay for it, and the ratio blows up at a known rate.
+of each construction (in log space where cube scales overflow doubles; the
+infinite families of the ap and betalimit cases stop once the omitted tail
+is below TAIL_TOL = 1e-10 of their total), so the scaling exponents are
+exhibited free of window-truncation noise.  The classifier probes a weight
+with scale-adaptive transition functions: for a weight in the class every
+probe ratio stays bounded by a constant, while a failing weight lets the
+probe place oscillation where the weight cannot pay for it, and the ratio
+blows up at a known rate.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dyadicweights.funcspace import (
     grad_power_mass,
     omega,
     omega_intervals,
-    omega_window,
 )
 from dyadicweights.grid import (
     Cube,
@@ -97,10 +98,21 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float]:
     return float(coef[0]), resid
 
 
-def _log_geometric_sum(log_first: float, log_ratio: float, terms: int) -> float:
-    """sum of exp(log_first + k*log_ratio) for k = 0..terms-1, stably."""
-    if log_ratio >= 0:
-        raise ValueError("needs a decaying series")
+def _family_total(a: float, r: float) -> float:
+    """Sum over k = 0, 1, ... of c * 2^(-(2k+3) r), c = ((1/3)^(a+1) +
+    (2/3)^(a+1)) / (a+1): the |I|^-p v(I) terms of the ap and betalimit
+    certifying families, for weight exponent a and decay rate r > 0.
+
+    The geometric sum is taken in log space, so cube scales far beyond
+    float range contribute, and stops once the omitted tail is below
+    TAIL_TOL of the total.
+    """
+    logc = math.log((1.0 / 3.0) ** (a + 1.0) + (2.0 / 3.0) ** (a + 1.0)) - math.log(
+        a + 1.0
+    )
+    log_ratio = -2.0 * r * math.log(2.0)
+    log_first = logc - 3.0 * r * math.log(2.0)
+    terms = max(8, int(math.ceil(math.log(TAIL_TOL) / log_ratio)))
     ratio = math.exp(log_ratio)
     return math.exp(log_first) * (1.0 - ratio**terms) / (1.0 - ratio)
 
@@ -129,8 +141,7 @@ def _sweep_a1(p, deltas):
     b = beta + 1.0 - 1.0 / p
     window = window_1d(-8, 8, 0, 3)
     i0 = Cube(S0, 2, (0,))
-    omega_map = omega_window(f, window)
-    members, _ = level_set(f, window, lam_star, b, omega_map=omega_map)
+    members, _ = level_set(f, window, lam_star, b)
     lhs, consts, grads, certified = [], [], [], []
     for d in deltas:
         w = PowerWeight(d - 1.0, center=0.5)
@@ -162,8 +173,8 @@ def _sweep_ap(p, deltas):
     """Weight |x|^((p-1)(1-delta)) with the power-ramp function; certifying
     family [-2^(2j-1)/3, 2^(2j)/3) in the 1/3-shifted grid at level 1/(9 delta).
 
-    Terms decay like 2^(-2 j delta (p-1)); they are summed in log space, so
-    cube scales far beyond float range contribute exactly.
+    Terms decay like 2^(-2 j delta (p-1)); _family_total sums them in log
+    space, so cube scales far beyond float range contribute.
     """
     if p <= 1:
         raise ValueError("this construction needs p > 1")
@@ -182,15 +193,8 @@ def _sweep_ap(p, deltas):
             edge_ok = math.isclose(hi - lo, 2.0 ** (2 * j - 1))
             cert = cert and edge_ok and omega(f, (lo, hi)) > lam
         certified.append(cert)
-        # term_j = |I_j|^{-p} v(I_j) = c * 2^{-(2j-1) d (p-1)}
-        logc = math.log((1.0 / 3.0) ** (a + 1.0) + (2.0 / 3.0) ** (a + 1.0)) - math.log(
-            a + 1.0
-        )
-        log_ratio = -2.0 * d * (p - 1.0) * math.log(2.0)
-        log_first = logc + 3.0 * (-d * (p - 1.0)) * math.log(2.0)
-        terms = max(8, int(math.ceil(math.log(TAIL_TOL) / log_ratio)))
-        total = _log_geometric_sum(log_first, log_ratio, terms)
-        lhs.append(lam**p * total)
+        # term_j = |I_j|^{-p} v(I_j) = c * 2^{-(2j-1) d (p-1)}, j >= 2
+        lhs.append(lam**p * _family_total(a, d * (p - 1.0)))
         consts.append(d ** (1.0 - p))
         grads.append(1.0 / d)  # closed form of the gradient integral
     slope, resid = fit_loglog_slope(deltas, lhs)
@@ -234,14 +238,7 @@ def _sweep_beta(p, epsilons):
             scale_check = om / (hi - lo) ** eps
             cert = cert and math.isclose(scale_check, unit_omega, rel_tol=1e-9)
         certified.append(cert)
-        logc = math.log((1.0 / 3.0) ** (a + 1.0) + (2.0 / 3.0) ** (a + 1.0)) - math.log(
-            a + 1.0
-        )
-        log_ratio = -2.0 * eps * math.log(2.0)
-        log_first = logc - 3.0 * eps * math.log(2.0)
-        terms = max(8, int(math.ceil(math.log(TAIL_TOL) / log_ratio)))
-        total = _log_geometric_sum(log_first, log_ratio, terms)
-        lhs.append(lam**p * total)
+        lhs.append(lam**p * _family_total(a, eps))
         consts.append(eps ** (1.0 - p))
         grads.append(1.0 / eps)
     slope, resid = fit_loglog_slope(epsilons, lhs)

@@ -90,14 +90,9 @@ class Piece:
         return coef * np.maximum(x - c, 0.0) ** (e + 1.0) / (e + 1.0)
 
     def xprim(self, x):
-        """Local antiderivative of t*f(t)."""
+        """Local antiderivative of t*f(t) on a power piece (polynomial parts
+        take their moment by Gauss-Legendre in _MonotonePart)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "poly":
-            # integral of sum c_k t^(k+1)
-            out = np.zeros_like(x)
-            for k in range(len(self.data) - 1, -1, -1):
-                out = out * x + self.data[k] / (k + 2)
-            return out * x * x
         coef, e, c = self.data
         d = np.maximum(x - c, 0.0)
         return coef * (d ** (e + 2.0) / (e + 2.0) + c * d ** (e + 1.0) / (e + 1.0))
@@ -735,30 +730,23 @@ def _omega_sampled(f, box: list[tuple[float, float]], quad: Quadrature):
         m *= 2
 
 
-def omega(f, region, method: str = "auto"):
-    """Renormalized averaged oscillation of f over a cube; returns a float.
+def omega(f, region) -> float:
+    """Renormalized averaged oscillation of f over one region; returns a float.
 
-    ``region`` is anything grid.float_box takes.  For n = 1 'auto' takes an
-    exact path on every cube, through omega_intervals on the one interval:
-    the array pass of the linear closed form where the cube lies inside one
-    linear piece of f, and otherwise the scalar path, the closed form summed
-    over pairs of linear segments or a sum over pairs of the parts of f's
-    pieces on which f is monotone.  Tensor functions (n >= 2) and method
-    'sampled' use box sampling at the default Quadrature; omega_flagged
-    takes a Quadrature and returns its flag too.
+    ``region`` is anything grid.float_box takes.  For n = 1 the value is
+    exact, through omega_intervals on the one interval: the array pass of the
+    linear closed form where the region lies inside one linear piece of f,
+    and otherwise the scalar path, the closed form summed over pairs of
+    linear segments or a sum over pairs of the parts of f's pieces on which
+    f is monotone.  Tensor functions (n >= 2) are box-sampled by
+    _omega_sampled at the default Quadrature, which also returns whether
+    the sampling converged.
     """
-    val, _ = omega_flagged(f, region, method=method)
-    return val
-
-
-def omega_flagged(f, region, quad: Quadrature | None = None, method: str = "auto"):
-    if method not in ("auto", "sampled"):
-        raise ValueError(f"unknown omega method {method!r}")
     box = float_box(region)
-    if getattr(f, "n", 1) == 1 and method == "auto":
+    if getattr(f, "n", 1) == 1:
         ((a, b),) = box
-        return omega_intervals(f, [a], [b]).item(), True
-    return _omega_sampled(f, box, quad or Quadrature())
+        return omega_intervals(f, [a], [b]).item()
+    return _omega_sampled(f, box, Quadrature())[0]
 
 
 def _singular_left_ends(f) -> set[float]:
@@ -927,10 +915,9 @@ def weighted_lp_mass(f, w: Weight, p: float, lo: float, hi: float) -> float:
 
 
 def mean_abs(f, lo: float, hi: float) -> float:
-    """Average of |f| over [lo, hi] (exact for monotone nonnegative pieces)."""
-    segs_ok = f.linear_only_on(lo, hi)
-    allpos = True
-    if segs_ok:
+    """Average of |f| over [lo, hi]: exact where f is piecewise linear on
+    it, by adaptive quadrature otherwise."""
+    if f.linear_only_on(lo, hi):
         total = 0.0
         for a, b, s, c in f.segments(lo, hi):
             v0, v1 = s * a + c, s * b + c

@@ -27,10 +27,10 @@ from dyadicweights.oscillation import (
 from dyadicweights.experiments import sharpness_sweep, weight_classifier
 from dyadicweights.funcspace import (
     Quadrature,
+    _omega_sampled,
     catalog,
     omega,
     omega_bruteforce,
-    omega_flagged,
     omega_indicator,
 )
 from dyadicweights.grid import (
@@ -40,6 +40,7 @@ from dyadicweights.grid import (
     children,
     dom_multiplicity,
     dominating_cube,
+    float_box,
     make_cube,
     relate,
     window_1d,
@@ -496,11 +497,10 @@ def test_11_omega_oracle_equivalence():
         if want_i > 1e-12:
             closed_worst = max(closed_worst, abs(got_i - want_i) / want_i)
     # the sampled route must reach the linear closed form too
-    smp, ok_flag = omega_flagged(
+    smp, ok_flag = _omega_sampled(
         catalog("linear", slope=1.0),
-        (0.0, 1.0),
+        float_box((0.0, 1.0)),
         Quadrature(rel_tol=1e-12, max_nodes=1 << 19),
-        method="sampled",
     )
     sampled_err = abs(smp - 1.0 / 3.0) * 3.0
     elapsed = time.time() - t0

@@ -22,14 +22,13 @@ from dyadicweights.funcspace import (
     mean_abs,
     omega,
     omega_bruteforce,
-    omega_flagged,
     omega_indicator,
     omega_window,
     sobolev_seminorm,
     tensor_tent,
     weighted_lp_mass,
 )
-from dyadicweights.grid import Shift, window_1d
+from dyadicweights.grid import Shift, float_box, window_1d
 from dyadicweights.weights import ConstantWeight, PowerWeight
 
 
@@ -163,7 +162,8 @@ def test_omega_exact_vs_bruteforce_catalog():
 def test_omega_sampled_vs_bruteforce_smooth():
     f = catalog("smoothed_indicator", width=0.5)
     for (a, b) in ((-1.0, 2.0), (-0.3, 0.4), (0.2, 1.9)):
-        smp, ok = omega_flagged(f, (a, b), Quadrature(rel_tol=1e-9), method="sampled")
+        box = float_box((a, b))
+        smp, ok = funcspace._omega_sampled(f, box, Quadrature(rel_tol=1e-9))
         assert ok
         bf = omega_bruteforce(f, (a, b), nodes=4000)
         assert smp == pytest.approx(bf, rel=3e-6, abs=1e-12)
@@ -190,7 +190,9 @@ def test_omega_gradient_bound():
 def test_omega_2d_tensor_tent_vs_bruteforce():
     f = tensor_tent()
     box = ((0.0, 2.0), (0.0, 2.0))
-    val, ok = omega_flagged(f, box, Quadrature(rel_tol=1e-5, max_nodes=1 << 16))
+    val, ok = funcspace._omega_sampled(
+        f, float_box(box), Quadrature(rel_tol=1e-5, max_nodes=1 << 16)
+    )
     bf = omega_bruteforce(f, box, nodes=120**2)
     assert val == pytest.approx(bf, rel=5e-4)
 
@@ -259,13 +261,6 @@ def test_omega_splits_polynomial_pieces_at_interior_extrema():
         assert omega(f, (a, b)) == pytest.approx(want, rel=1e-6)
 
 
-def test_omega_method_names():
-    with pytest.raises(ValueError):
-        omega(catalog("tent"), (0.0, 1.0), method="bruteforce")
-    with pytest.raises(ValueError):
-        omega(catalog("tent"), (0.0, 1.0), method="exact")
-
-
 def test_sobolev_seminorm_linear_unit():
     f = catalog("linear", slope=1.0)
     w = ConstantWeight(1.0)
@@ -317,6 +312,22 @@ def test_mean_abs_indicator():
     f = catalog("indicator", a=0.0, b=1.0)
     assert mean_abs(f, -1.0, 3.0) == pytest.approx(0.25, rel=1e-13)
     assert mean_abs(f, 0.0, 0.5) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_mean_abs_sign_changing_segment():
+    # f(x) = x on [-1, 3]: one linear segment crossing zero at 0
+    f = catalog("linear_ramp")
+    assert mean_abs(f, -1.0, 3.0) == pytest.approx(1.25, rel=1e-15)
+
+
+def test_mean_abs_nonlinear_piece_against_primitive():
+    # smoothed_indicator is >= 0 with cubic edges, so |f| = f and the mean
+    # is the difference of the exact primitive
+    f = catalog("smoothed_indicator")
+    for lo, hi in ((-0.5, 1.7), (-0.2, 0.1), (0.9, 1.3)):
+        prim = f.primitive(np.array([lo, hi]))
+        want = (prim[1] - prim[0]) / (hi - lo)
+        assert mean_abs(f, lo, hi) == pytest.approx(want, rel=1e-10)
 
 
 def test_primitive_continuity():

@@ -71,6 +71,19 @@ def test_callable_mass_additivity():
     )
 
 
+def test_table_weight_ess_inf_and_ap_ratios():
+    # w = 1 + |x|/4 on (-1, 1): mean 1.125, minimum 1 at 0, and mean of 1/w
+    # equal to 4 ln(5/4)
+    w = parse_weight_spec({"kind": "table", "xs": [-4, 0, 4], "values": [2, 1, 2]})
+    assert w.ess_inf(-1.0, 1.0) == 1.0
+    assert w.interval_power_mass(-1.0, 1.0, -1.0) == pytest.approx(
+        8.0 * math.log(1.25), rel=1e-12
+    )
+    assert ap_ratio(w, 1.0, (-1.0, 1.0)) == pytest.approx(1.125, rel=1e-12)
+    want = 1.125 * 4.0 * math.log(1.25)
+    assert ap_ratio(w, 2.0, (-1.0, 1.0)) == pytest.approx(want, rel=1e-8)
+
+
 def test_product_weight_box_mass():
     w = ProductWeight([PowerWeight(0.5), ConstantWeight(2.0)])
     box_mass = w._box_mass([(0.0, 1.0), (0.0, 3.0)])
