@@ -5,11 +5,11 @@ integral
 
 Catalog functions are piecewise polynomial or piecewise power with
 closed-form antiderivatives, so weighted gradient norms have exact paths.
-omega is exact on every cube for every one-dimensional function, by one of
-two paths: the closed form where f is linear on the cube, and otherwise a
-sum over pairs of the parts of f on which it is monotone.  `omega_intervals`
-takes many intervals at once and computes those inside one linear piece of
-f in one array pass.  Tensor functions (n >= 2) are sampled on the box.
+omega is exact for every one-dimensional function: `omega_intervals` and
+`mean_abs` take many intervals at once, and those on which f is piecewise
+linear take one array pass over a table of their linear segments
+(`_segment_table`); the others sum over pairs of the parts of f on which it
+is monotone.  Tensor functions (n >= 2) are sampled on the box.
 
 A `TestFunction` evaluates its value, derivative and antiderivative from a
 piece table built once: one `searchsorted` picks each point's piece, one
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,12 +98,12 @@ class Piece:
         d = np.maximum(x - c, 0.0)
         return coef * (d ** (e + 2.0) / (e + 2.0) + c * d ** (e + 1.0) / (e + 1.0))
 
-    def is_linear(self) -> bool:
-        return self.kind == "poly" and len(self.data) <= 2
-
-    def as_linear(self) -> tuple[float, float]:
+    def line(self) -> tuple[float, float]:
+        """(slope, intercept) of a linear piece, nan on any other piece."""
+        if self.kind != "poly" or len(self.data) > 2:
+            return math.nan, math.nan
         c = tuple(self.data) + (0.0, 0.0)
-        return c[1], c[0]  # slope, intercept
+        return c[1], c[0]
 
 
 class TestFunction:
@@ -118,6 +119,11 @@ class TestFunction:
         value_bound: float = math.inf,
     ):
         self.pieces = sorted(pieces, key=lambda p: p.x0)
+        for p in self.pieces:
+            if not p.x0 < p.x1:
+                raise ValueError(f"piece [{p.x0}, {p.x1}) is empty")
+            if p.kind not in ("poly", "power"):
+                raise ValueError(f"unknown piece kind {p.kind!r}")
         if self.pieces[0].x0 != -math.inf or self.pieces[-1].x1 != math.inf:
             raise ValueError("pieces must cover the whole line")
         for a, b in zip(self.pieces, self.pieces[1:]):
@@ -154,11 +160,8 @@ class TestFunction:
         prim = rows([[c[k] / (k + 1) for k in range(len(c))] for c in polys])
         self._prim_rows = np.vstack([prim, self._prim_off])
         self._power = [i for i, p in enumerate(self.pieces) if p.kind == "power"]
-        # (slope, intercept) of each linear piece, nan on the other pieces
-        nan = (math.nan, math.nan)
-        self._lines = np.array(
-            [p.as_linear() if p.is_linear() else nan for p in self.pieces]
-        )
+        # rows x0, x1, slope, intercept (nan if not linear) of each piece
+        self._lines = np.array([(p.x0, p.x1, *p.line()) for p in self.pieces]).T
 
     def _table(self, x, table: np.ndarray, power, offsets=None):
         """Evaluate from the Horner rows ``table``; on a power piece p the
@@ -201,24 +204,6 @@ class TestFunction:
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(float(e) for e in self._edges)
-
-    def linear_only_on(self, a: float, b: float) -> bool:
-        return all(
-            p.is_linear() for p in self.pieces if p.x1 > a and p.x0 < b
-        )
-
-    def segments(self, a: float, b: float) -> list[tuple[float, float, float, float]]:
-        """Linear segments (x0, x1, slope, intercept) covering [a, b]."""
-        out = []
-        for p in self.pieces:
-            lo, hi = max(a, p.x0), min(b, p.x1)
-            if hi <= lo:
-                continue
-            if not p.is_linear():
-                raise ValueError("segments() requires linear pieces on the range")
-            s, c = p.as_linear()
-            out.append((lo, hi, s, c))
-        return out
 
     def __repr__(self):
         ps = ",".join(f"{k}={v}" for k, v in self.params.items())
@@ -462,130 +447,141 @@ def catalog_names() -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _abs_moment(z: float, t0: float, t1: float) -> float:
-    """Integral of |z - t| dt over [t0, t1] (t0 <= t1)."""
-    if z <= t0:
-        return 0.5 * (t1 * t1 - t0 * t0) - z * (t1 - t0)
-    if z >= t1:
-        return z * (t1 - t0) - 0.5 * (t1 * t1 - t0 * t0)
-    return 0.5 * ((z - t0) ** 2 + (t1 - z) ** 2)
-
-
-def _abs_moment_int(u0: float, u1: float, t0: float, t1: float) -> float:
-    """Integral over u in [u0, u1] of (integral of |u - t| dt over [t0, t1])."""
-    total = 0.0
-    cuts = [u0, min(max(t0, u0), u1), min(max(t1, u0), u1), u1]
-    for a, b in zip(cuts, cuts[1:]):
-        if b <= a:
-            continue
-        mid = 0.5 * (a + b)
-        if mid <= t0:
-            A = 0.5 * (t1 * t1 - t0 * t0)
-            B = t1 - t0
-            total += A * (b - a) - 0.5 * B * (b * b - a * a)
-        elif mid >= t1:
-            A = 0.5 * (t1 * t1 - t0 * t0)
-            B = t1 - t0
-            total += 0.5 * B * (b * b - a * a) - A * (b - a)
-        else:
-            total += ((b - t0) ** 3 - (a - t0) ** 3) / 6.0 + (
-                (t1 - a) ** 3 - (t1 - b) ** 3
-            ) / 6.0
-    return total
-
-
-def _pair_integral(seg1, seg2) -> float:
-    """Exact Int_{S1} Int_{S2} |f(x) - g(y)| dy dx for affine f, g."""
-    a1, b1, s1, c1 = seg1
-    a2, b2, s2, c2 = seg2
-    L1, L2 = b1 - a1, b2 - a2
-    if s1 == 0.0 and s2 == 0.0:
-        return L1 * L2 * abs(c1 - c2)
-    if s2 == 0.0:
-        # integrate |f(x) - c2| dx: substitute u = f(x)
-        u0, u1 = sorted((s1 * a1 + c1, s1 * b1 + c1))
-        return L2 * _abs_moment(c2, u0, u1) / abs(s1)
-    if s1 == 0.0:
-        t0, t1 = sorted((s2 * a2 + c2, s2 * b2 + c2))
-        return L1 * _abs_moment(c1, t0, t1) / abs(s2)
-    u0, u1 = sorted((s1 * a1 + c1, s1 * b1 + c1))
-    t0, t1 = sorted((s2 * a2 + c2, s2 * b2 + c2))
-    return _abs_moment_int(u0, u1, t0, t1) / (abs(s1) * abs(s2))
-
-
-def _double_integral_linear(f: TestFunction, a: float, b: float) -> float:
-    segs = f.segments(a, b)
-    total = 0.0
-    for s1 in segs:
-        for s2 in segs:
-            total += _pair_integral(s1, s2)
-    return total
-
-
-def _linear_piece(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Index of the linear piece of f that holds [lo, hi], -1 where none does.
-    An end on a breakpoint belongs to the piece on the interval's side."""
-    k = np.searchsorted(f._edges, lo, side="right")
-    one = k == np.searchsorted(f._edges, hi, side="left")
-    return np.where(one & ~np.isnan(f._lines[k, 0]), k, -1)
+def _segment_table(f: TestFunction, lo: np.ndarray, hi: np.ndarray):
+    """The linear segments of f on each interval [lo[i], hi[i]], as
+    ``(groups, other)``.  A group ``(rows, seg)`` holds the intervals that
+    meet k pieces of f, all linear, and the (4, rows, k) array of each
+    segment's ends (its piece clipped to the interval), slope and intercept
+    in piece order.  ``other`` lists the intervals that meet a piece that is
+    not linear.  An end on a breakpoint meets only the piece on its side."""
+    if not np.all(lo < hi):
+        raise ValueError("need lo < hi on every interval")
+    first = np.searchsorted(f._edges, lo, side="right")
+    count = np.searchsorted(f._edges, hi, side="left") + 1 - first
+    # nonlinear pieces before each piece, so a span's count is one difference;
+    # key is the segment count, 0 for an interval that meets a nonlinear piece
+    bent = np.concatenate(([0], np.cumsum(np.isnan(f._lines[2]))))
+    key = np.where(bent[first + count] == bent[first], count, 0)
+    groups = []
+    for k in (np.flatnonzero(np.bincount(key)[1:]) + 1).tolist():
+        rows = np.flatnonzero(key == k)
+        seg = np.take(f._lines, first[rows, None] + np.arange(k), axis=1)
+        seg[0, :, 0], seg[1, :, -1] = lo[rows], hi[rows]
+        groups.append((rows, seg))
+    return groups, np.flatnonzero(key == 0).tolist()
 
 
 def _pow(x: np.ndarray, e: int) -> np.ndarray:
-    """x ** e by Python's float power (C pow): NumPy's SIMD power differs from
-    it in the last bit on some inputs, and the scalar path uses Python's."""
-    return np.array([v**e for v in x.tolist()])
+    """x ** e by Python's float power (C pow), from which NumPy's SIMD power
+    can differ in the last bit; blocks of 256 floats keep peak memory down."""
+    flat, out = x.ravel(), np.empty(x.size)
+    for i in range(0, x.size, 256):
+        out[i : i + 256] = [v**e for v in flat[i : i + 256].tolist()]
+    return out.reshape(x.shape)
+
+
+def _sorted_values(a, b, s, c):
+    """The values of s x + c at x = a and x = b, the smaller first."""
+    ua, ub = s * a + c, s * b + c
+    swap = ub < ua
+    return np.where(swap, ub, ua), np.where(swap, ua, ub)
 
 
 def _self_integral_sloped(a, b, s, c) -> np.ndarray:
-    """_double_integral_linear for the one segment (a, b, s, c) of slope s != 0,
-    for arrays of segments, by the same float steps: the values u = s x + c at
-    both ends, sorted, the branch of _abs_moment_int that its one cut takes,
-    its 0.0 + accumulations, and the division by |s| |s|."""
-    ua, ub = s * a + c, s * b + c
-    swap = ub < ua
-    u0, u1 = np.where(swap, ub, ua), np.where(swap, ua, ub)
-    d = u1 - u0
-    mid = 0.5 * (u0 + u1)
-    sq = u1 * u1 - u0 * u0
-    area = 0.5 * sq
-    cube = _pow(d, 3)
-    moment = np.where(
-        mid <= u0,
-        area * d - 0.5 * d * sq,
-        np.where(mid >= u1, 0.5 * d * sq - area * d, cube / 6.0 + cube / 6.0),
-    )
-    # u0 == u1 leaves the cut empty and the moment at its initial 0.0
-    moment = np.where(u0 < u1, 0.0 + moment, 0.0)
-    return 0.0 + moment / (np.abs(s) * np.abs(s))
+    """Int Int |f(x) - f(y)| over [a, b] squared for f = s x + c, s != 0, per
+    row: _spread_int on the sorted end values u0, u1 against themselves,
+    whose one cut is [u0, u1], divided by |s| |s|."""
+    u0, u1 = _sorted_values(a, b, s, c)
+    d, mid, sq = u1 - u0, 0.5 * (u0 + u1), u1 * u1 - u0 * u0
+    area, cube = 0.5 * sq, _pow(d, 3)
+    above = np.where(mid >= u1, 0.5 * d * sq - area * d, cube / 6.0 + cube / 6.0)
+    moment = np.where(mid <= u0, area * d - 0.5 * d * sq, above)
+    # where u0 == u1 the cut is empty and the moment is 0.0, as when skipped
+    return (0.0 + moment) / (np.abs(s) * np.abs(s))
+
+
+def _spread(z, t0, t1):
+    """Int |z - t| dt over [t0, t1] (t0 <= t1), per row."""
+    area, width = 0.5 * (t1 * t1 - t0 * t0), t1 - t0
+    inside = 0.5 * (_pow(z - t0, 2) + _pow(t1 - z, 2))
+    above = np.where(z >= t1, z * width - area, inside)
+    return np.where(z <= t0, area - z * width, above)
+
+
+def _spread_int(u0, u1, t0, t1):
+    """Int over u in [u0, u1] of _spread(u, t0, t1), per row: [u0, u1] is cut
+    at t0 and t1 and each cut's closed form is added in order."""
+    # min(max(t, u0), u1) for t = t0, t1, with Python's choice on ties
+    inner = (np.where(u0 > t, u0, t) for t in (t0, t1))
+    cuts = np.stack([u0, *(np.where(u1 < t, u1, t) for t in inner), u1])
+    area, width = 0.5 * (t1 * t1 - t0 * t0), t1 - t0
+    up, down = _pow(cuts - t0, 3), _pow(t1 - cuts, 3)
+    a, b = cuts[:-1], cuts[1:]
+    mid, step, sq = 0.5 * (a + b), b - a, b * b - a * a
+    inside = (up[1:] - up[:-1]) / 6.0 + (down[:-1] - down[1:]) / 6.0
+    above = np.where(mid >= t1, 0.5 * width * sq - area * step, inside)
+    parts = np.where(mid <= t0, area * step - 0.5 * width * sq, above)
+    # an empty cut adds +-0.0, which leaves the sum as skipping it would
+    return 0.0 + parts[0] + parts[1] + parts[2]
+
+
+def _cross_segments(one, two) -> np.ndarray:
+    """Int over segment one of Int over segment two of |f(x) - f(y)| per row,
+    a segment being (a, b, slope, intercept).  Against a flat segment the
+    values of the other are the variable, divided by its |slope|.  Each case
+    is computed on its own rows only."""
+    (a1, b1, s1, c1), (a2, b2, s2, c2) = one, two
+    u0, u1 = _sorted_values(a1, b1, s1, c1)
+    t0, t1 = _sorted_values(a2, b2, s2, c2)
+    flat1, flat2 = s1 == 0.0, s2 == 0.0
+    out = (b1 - a1) * (b2 - a2) * np.abs(c1 - c2)  # both flat
+    if (i := flat2 & ~flat1).any():
+        out[i] = (b2 - a2)[i] * _spread(c2[i], u0[i], u1[i]) / np.abs(s1[i])
+    if (i := flat1 & ~flat2).any():
+        out[i] = (b1 - a1)[i] * _spread(c1[i], t0[i], t1[i]) / np.abs(s2[i])
+    if (i := ~(flat1 | flat2)).any():
+        out[i] = _spread_int(u0[i], u1[i], t0[i], t1[i]) / (np.abs(s1[i]) * np.abs(s2[i]))
+    return out
 
 
 def omega_intervals(f: TestFunction, lo, hi) -> np.ndarray:
     """omega of the one-dimensional f on each interval [lo[i], hi[i]].
 
-    The intervals inside one linear piece of f take one array pass over the
-    closed form (_self_integral_sloped; 0 on a constant piece), divided by
-    (hi - lo) ** 2 in Python's float power.  Every other interval takes the
-    scalar exact path one at a time: the closed form over pairs of linear
-    segments where f is piecewise linear on it, else the monotone parts.
-    Each value is bit for bit the one the scalar path gives on that interval
-    alone.
+    Where f is piecewise linear on the interval, omega sums the integral of
+    |f(x) - f(y)| over every ordered pair of its segments, p-major as a double
+    loop would, and divides by (hi - lo) ** 2.  One array pass computes the
+    pairs: a segment with itself by the one-cut closed form, two segments by
+    the general cut arithmetic.  An interval that meets a piece of f that is
+    not linear takes the monotone-parts sum on its own.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if not np.all(lo < hi):
-        raise ValueError("omega needs lo < hi on every interval")
-    piece = _linear_piece(f, lo, hi)
+    groups, other = _segment_table(f, lo, hi)
     out = np.zeros(lo.shape)
-    s, c = f._lines[piece].T
-    sloped = (piece >= 0) & (s != 0.0)
-    a, b = lo[sloped], hi[sloped]
-    out[sloped] = _self_integral_sloped(a, b, s[sloped], c[sloped]) / _pow(b - a, 2)
-    for i in np.flatnonzero(piece < 0):
-        a, b = float(lo[i]), float(hi[i])
-        if f.linear_only_on(a, b):
-            total = _double_integral_linear(f, a, b)
-        else:
-            total = _double_integral_piecewise(f, a, b)
-        out[i] = total / (b - a) ** 2
+    if groups:
+        # each segment with itself, then each pair (p, q), p != q, of the
+        # segments of one interval, all groups in one array
+        own = np.hstack([seg.reshape(4, -1) for _, seg in groups])
+        diag = np.zeros(own.shape[1])
+        sloped = own[2] != 0.0
+        diag[sloped] = _self_integral_sloped(*own[:, sloped])
+        off = [np.nonzero(~np.eye(seg.shape[2], dtype=bool)) for _, seg in groups]
+        one, two = (
+            np.hstack([seg[:, :, i[j]].reshape(4, -1) for (_, seg), i in zip(groups, off)])
+            for j in (0, 1)
+        )
+        cross = _cross_segments(one, two)
+        start = stop = 0
+        for (rows, seg), (p, q) in zip(groups, off):
+            m, k = seg.shape[1:]
+            pairs = np.empty((m, k, k))
+            pairs[:, range(k), range(k)] = diag[start : start + m * k].reshape(m, k)
+            pairs[:, p, q] = cross[stop : stop + m * p.size].reshape(m, -1)
+            start, stop = start + m * k, stop + m * p.size
+            out[rows] = reduce(np.add, pairs.reshape(m, -1).T, np.zeros(m))
+    for i in other:
+        out[i] = _double_integral_piecewise(f, float(lo[i]), float(hi[i]))
+    live = np.flatnonzero(out)  # 0.0 stays 0.0 without the division
+    out[live] /= _pow(hi[live] - lo[live], 2)
     return out
 
 
@@ -734,13 +730,9 @@ def omega(f, region) -> float:
     """Renormalized averaged oscillation of f over one region; returns a float.
 
     ``region`` is anything grid.float_box takes.  For n = 1 the value is
-    exact, through omega_intervals on the one interval: the array pass of the
-    linear closed form where the region lies inside one linear piece of f,
-    and otherwise the scalar path, the closed form summed over pairs of
-    linear segments or a sum over pairs of the parts of f's pieces on which
-    f is monotone.  Tensor functions (n >= 2) are box-sampled by
-    _omega_sampled at the default Quadrature, which also returns whether
-    the sampling converged.
+    exact, by omega_intervals on the one interval.  Tensor functions (n >= 2)
+    are box-sampled by _omega_sampled at the default Quadrature, which also
+    returns whether the sampling converged.
     """
     box = float_box(region)
     if getattr(f, "n", 1) == 1:
@@ -827,9 +819,9 @@ def omega_window(f, window: GridWindow) -> dict[tuple, float]:
     """omega for every cube of the window, keyed by cube_key: exact on every
     cube for one-dimensional catalog functions, box-sampled for n >= 2.
     Cubes are read from the window's array form as float corners.  For
-    n = 1 one omega_intervals call covers the window: the cubes inside one
-    linear piece of f take one array pass, the others (those that meet a
-    breakpoint or a nonlinear piece) the scalar exact path one at a time."""
+    n = 1 one omega_intervals call covers the window: the cubes on which f
+    is piecewise linear take one array pass, those that meet a nonlinear
+    piece the monotone-parts path one at a time."""
     arr = window.arrays
     if window.n == 1:
         oms = omega_intervals(f, arr.lo[:, 0], arr.hi[:, 0])
@@ -851,10 +843,10 @@ def grad_power_mass(f: TestFunction, lo: float, hi: float, p: float, w: Weight) 
         a, b = max(lo, piece.x0), min(hi, piece.x1)
         if b <= a:
             continue
-        if piece.is_linear():
-            s, _ = piece.as_linear()
-            if s == 0.0:
-                continue
+        s, _ = piece.line()
+        if s == 0.0:
+            continue
+        if not math.isnan(s):
             total += abs(s) ** p * w.interval_mass(a, b)
             continue
         if piece.kind == "power" and isinstance(w, (PowerWeight, ConstantWeight)):
@@ -914,22 +906,25 @@ def weighted_lp_mass(f, w: Weight, p: float, lo: float, hi: float) -> float:
     )
 
 
-def mean_abs(f, lo: float, hi: float) -> float:
-    """Average of |f| over [lo, hi]: exact where f is piecewise linear on
-    it, by adaptive quadrature otherwise."""
-    if f.linear_only_on(lo, hi):
-        total = 0.0
-        for a, b, s, c in f.segments(lo, hi):
-            v0, v1 = s * a + c, s * b + c
-            if v0 >= 0 and v1 >= 0:
-                total += 0.5 * (v0 + v1) * (b - a)
-            elif v0 <= 0 and v1 <= 0:
-                total += -0.5 * (v0 + v1) * (b - a)
-            else:
-                z = -c / s
-                total += 0.5 * abs(v0) * (z - a) + 0.5 * abs(v1) * (b - z)
-        return total / (hi - lo)
-    bps = list(getattr(f, "breakpoints", ()))
-    return adaptive_quad(lambda x: np.abs(f.value(x)), lo, hi, breakpoints=bps) / (
-        hi - lo
-    )
+def mean_abs(f: TestFunction, lo, hi) -> np.ndarray:
+    """Average of |f| over each interval [lo[i], hi[i]]: exact, in one array
+    pass over the segment table, where f is piecewise linear on it (a
+    segment on which f changes sign is split at its zero); by adaptive
+    quadrature, one interval at a time, where it meets another piece."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    groups, other = _segment_table(f, lo, hi)
+    out = np.zeros(lo.shape)
+    for rows, (a, b, s, c) in groups:
+        v0, v1 = s * a + c, s * b + c
+        with np.errstate(divide="ignore", invalid="ignore"):  # z only where v changes sign
+            z = -c / s
+            parts = np.select(
+                [(v0 >= 0) & (v1 >= 0), (v0 <= 0) & (v1 <= 0)],
+                [0.5 * (v0 + v1) * (b - a), -0.5 * (v0 + v1) * (b - a)],
+                0.5 * np.abs(v0) * (z - a) + 0.5 * np.abs(v1) * (b - z),
+            )
+        out[rows] = reduce(np.add, parts.T, np.zeros(rows.size))
+    for i in other:
+        a, b = float(lo[i]), float(hi[i])
+        out[i] = adaptive_quad(lambda x: np.abs(f.value(x)), a, b, breakpoints=f.breakpoints)
+    return out / (hi - lo)

@@ -326,8 +326,7 @@ def mean_functional(
     if window.n != 1:
         raise ValueError("mean functional needs a one-dimensional window")
     arr = window.arrays
-    ends = zip(arr.lo[:, 0].tolist(), arr.hi[:, 0].tolist())
-    means = [mean_abs(f, lo, hi) for lo, hi in ends]
+    means = mean_abs(f, arr.lo[:, 0], arr.hi[:, 0]).tolist()
     b = beta - 1.0 / p
     return _window_profile(window, means, weight, p, beta, b, 64)
 

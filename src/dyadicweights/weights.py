@@ -194,7 +194,12 @@ class ProductWeight(Weight):
 
 
 class CallableWeight(Weight):
-    """Weight on R given by a pointwise oracle; masses by adaptive quadrature."""
+    """Weight on R given by a pointwise oracle; masses by adaptive quadrature.
+
+    The breakpoints are where the oracle's formula changes, as the knots of
+    a table weight.  A weight that is 0 at two consecutive breakpoints is
+    taken to be 0 between them, as a table weight is.
+    """
 
     def __init__(
         self,
@@ -222,19 +227,29 @@ class CallableWeight(Weight):
         key = ("pm", lo, hi, s)
         got = self._cache.get(key)
         if got is None:
+            if s < 0 and self._vanishes_on_a_stretch(lo, hi):
+                raise DomainError(f"w^{s} is infinite on a stretch of [{lo}, {hi}]")
             got = adaptive_quad(
                 lambda x: self.value(x) ** s, lo, hi, breakpoints=self._breaks
             )
             self._cache[key] = got
         return got
 
+    def _vanishes_on_a_stretch(self, lo, hi) -> bool:
+        """Whether w is 0 at two consecutive breakpoints whose stretch
+        overlaps [lo, hi]: quadrature nodes that land there give w^s = inf
+        for s < 0, and the quadrature counts such values as 0."""
+        b = np.array(sorted(self._breaks))
+        zero = self.value(b) == 0.0
+        overlap = np.maximum(b[:-1], lo) < np.minimum(b[1:], hi)
+        return bool(np.any(zero[:-1] & zero[1:] & overlap))
+
     def ess_inf(self, lo, hi):
-        # dense grid with one refinement; conservative (min of both levels)
-        lvl = []
-        for m in (513, 1025):
-            xs = np.linspace(lo, hi, m)
-            lvl.append(float(np.min(self.value(xs))))
-        return min(lvl)
+        # dense grid with one refinement plus the breakpoints inside, where a
+        # table weight takes its minimum; conservative (min of all points)
+        inside = [b for b in self._breaks if lo <= b <= hi]
+        xs = np.concatenate([np.linspace(lo, hi, 513), np.linspace(lo, hi, 1025), inside])
+        return float(np.min(self.value(xs)))
 
     def breakpoints(self):
         return self._breaks

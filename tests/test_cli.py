@@ -212,6 +212,13 @@ def test_config_results_csv_digest(tmp_path, name):
     load_strict(tmp_path / "summary.json")
 
 
+def test_a1_battery_digest_is_the_benchmark_reference():
+    # the cddd-exact benchmark checks its seed-0 results.csv against this
+    # reference; a re-pin here must re-pin it too, or the benchmark fails
+    ref = json.loads((CONFIGS.parent / "bench" / "reference.json").read_text())
+    assert CONFIG_RUNS["a1_battery.cfg"][1] == ref["cddd-exact"]["0"]["csv_sha256"]
+
+
 @pytest.mark.parametrize("name", sorted(ARGV_RUNS))
 def test_argv_results_csv_digest(tmp_path, name):
     argv, digest, code, summary_digest = ARGV_RUNS[name]

@@ -84,6 +84,30 @@ def test_table_weight_ess_inf_and_ap_ratios():
     assert ap_ratio(w, 2.0, (-1.0, 1.0)) == pytest.approx(want, rel=1e-8)
 
 
+def test_table_weight_zero_at_a_knot_between_grid_points():
+    # w falls linearly to 0 at the knot 0.1, which neither grid of ess_inf on
+    # [-1, 1] hits; the minimum 0 makes the p = 1 ratio infinite
+    w = parse_weight_spec({"kind": "table", "xs": [-4, 0.1, 4], "values": [2, 0, 2]})
+    assert w.ess_inf(-1.0, 1.0) == 0.0
+    assert ap_ratio(w, 1.0, (-1.0, 1.0)) == math.inf
+    assert w.ess_inf(0.2, 1.0) > 0.0
+
+
+def test_table_weight_zero_on_a_stretch_has_no_dual_mass():
+    # w = 0 on [-0.5, 0.5], so w^s = inf there for s < 0
+    w = parse_weight_spec(
+        {"kind": "table", "xs": [-4, -0.5, 0.5, 4], "values": [2, 0, 0, 2]}
+    )
+    for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (-0.2, 0.2)):
+        with pytest.raises(DomainError):
+            w.interval_power_mass(lo, hi, -1.0)
+        assert ap_ratio(w, 2.0, (lo, hi)) == math.inf
+    # positive powers, and negative ones away from the zero set, keep a mass
+    # w = 4 (|x| - 0.5) / 7 on 0.5 < |x| < 4: w^2 has mass 2 (4/7)^2 0.5^3 / 3
+    assert w.interval_power_mass(-1.0, 1.0, 2.0) == pytest.approx(4.0 / 147.0, rel=1e-9)
+    assert math.isfinite(w.interval_power_mass(1.0, 4.0, -1.0))
+
+
 def test_product_weight_box_mass():
     w = ProductWeight([PowerWeight(0.5), ConstantWeight(2.0)])
     box_mass = w._box_mass([(0.0, 1.0), (0.0, 3.0)])
