@@ -4,15 +4,22 @@
 
 and the weak-type functional  sup over lam of
 lam * ( Int_window [ Int 1_E(x,y) |x-y|^(gamma-n) dy ]^(p/q) w(x) dx )^(1/p),
-with s = gamma/q, verified against the weighted gradient norm.  The inner
-integral runs over radial shells around x; shells open where a Lipschitz
-bound decides membership, so the |x-y|^(gamma-n) singularity is never probed
-where the indicator provably vanishes.  The outer quadratures of every
-lam of the grid run in lock step, and membership and boundary bisection are
-fused across every outer node of a refinement step, of every lam (all the
-initial panels, then the two halves of each split): one vectorized
-membership call per bisection step resolves the shells of all those nodes
-together.
+with s = gamma/q, verified against the weighted gradient norm.
+
+The inner integral has two paths.  For the level set itself on f whose
+pieces are all linear (tent, linear, linear_ramp) it is exact: on each piece
+of the ray y = x +- r membership is a linear function of r against
+lam r^(1+s), whose roots are closed form or found by Newton's method, and
+runs to infinity are integrated in closed form, so nothing is sampled or
+truncated.  Any other membership (the ball-mean sets of the pointwise
+domination check) or f with a cubic or power piece is sampled: radial shells
+open where a Lipschitz bound decides membership, so the |x-y|^(gamma-n)
+singularity is never probed where the indicator provably vanishes, and the
+far tail is extended until it is negligible or cut and flagged.  The outer
+quadratures of every lam of the grid run in lock step, so a refinement step
+is one inner-integral call for the nodes of every lam; on the sampled path
+membership and boundary bisection are fused across all of them, one
+vectorized membership call per bisection step.
 """
 
 from __future__ import annotations
@@ -97,16 +104,6 @@ class DiffQuotConfig:
         return self.gamma / self.q
 
 
-def in_level_set(f, x: float, y: float, lam: float, s: float) -> bool:
-    """Exact membership predicate of (x, y) in E(lam, s)[f]."""
-    if x == y:
-        raise ValueError("x = y is excluded")
-    d = abs(x - y)
-    fx = float(f.value(np.array([x]))[0])
-    fy = float(f.value(np.array([y]))[0])
-    return abs(fx - fy) > lam * d ** (1.0 + s)
-
-
 def ball_mean(f, centers, radii) -> np.ndarray:
     """Average of the one-dimensional f over (c - r, c + r) for each center c
     and radius r, given as arrays of one shape, by the primitive of f."""
@@ -114,28 +111,6 @@ def ball_mean(f, centers, radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     masses = f.primitive(centers + radii) - f.primitive(centers - radii)
     return masses / (2.0 * radii)
-
-
-def split_and_mean_sets(
-    f, x: float, y: float, lam: float, s: float
-) -> tuple[bool, bool, bool]:
-    """Membership of (x,y) in E(lam), and in the two halved-threshold sets
-    built through the ball mean over B(y, |x-y|/20).
-
-    The triangle inequality through the common mean guarantees the pointwise
-    split: membership in E implies membership in at least one of the others.
-    """
-    if x == y:
-        raise ValueError("x = y is excluded")
-    d = abs(x - y)
-    fx = float(f.value(np.array([x]))[0])
-    fy = float(f.value(np.array([y]))[0])
-    fb = float(ball_mean(f, [y], [d / 20.0])[0])
-    denom = d ** (1.0 + s)
-    in_e = abs(fx - fy) > lam * denom
-    in_e1 = abs(fx - fb) > 0.5 * lam * denom
-    in_e2 = abs(fy - fb) > 0.5 * lam * denom
-    return in_e, in_e1, in_e2
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +189,10 @@ def _signed_member_mass(
     Each member run contributes (r2^gamma - r1^gamma)/gamma in closed form;
     40 bisection steps put each boundary within 2^-40 of its sample gap.
     Sub-grid membership islands are the only approximation; the sample grid
-    is geometric and includes the kink radii of the function.
+    is geometric and includes the kink radii of the function.  This is the
+    sampled path of `inner_integral`: an explicit membership, or f with a
+    piece that is not linear; the level set of an all-linear f never gets
+    here.
     """
     n, width = radii.shape
     sign = np.array([1.0, -1.0])[:, None]
@@ -268,6 +246,133 @@ def _signed_member_mass(
     return 0.0 + sums[:, 0] + sums[:, 1]
 
 
+def _member_runs(a, b, lo, hi, lam, t: float, gamma: float):
+    """Runs of r in [lo, hi] on which a + b r > lam r^t, where a + b r >= 0,
+    as (m1, m2) arrays of shape (2, rows), an empty run having m1 = m2.
+
+    h = a + b r - lam r^t is concave (t > 1 or t < 0) or convex (0 < t < 1)
+    in r > 0, so it changes sign at most once on each side of its extremum
+    r* = (b / (lam t))^(1/(t-1)): one run per side.  Where h has one sign
+    change at most (t = 0 or 1, a = 0, b = 0) its root is closed form;
+    elsewhere each root is found by Newton's method from the end of its side
+    where h h'' > 0, from which the iterates move monotonically to the root,
+    or from a radius nearer the root where one term of h dominates the other
+    two, so that the sign of h is certain there.  A root past the float range
+    whose term root^gamma of the mass would not underflow raises ValueError."""
+    closed = (a == 0) | (b == 0)
+    if t in (0.0, 1.0):
+        # h = a1 + b1 r is linear
+        a1, b1 = (a - lam, b) if t == 0.0 else (a, b - lam)
+        root = np.where(b1 != 0, -a1 / b1, np.where(a1 > 0, 0.0, math.inf))
+        rising = b1 >= 0
+    else:
+        # b = 0: lam r^t < a; a = 0: lam r^(t-1) < b; a nonpositive a or b
+        # gives the root 0 or inf that leaves the run empty
+        flat = b == 0
+        base = np.where(flat, np.maximum(a, 0.0), np.maximum(b, 0.0)) / lam
+        power = np.where(flat, 1.0 / t, 1.0 / (t - 1.0))
+        root = base**power
+        # a root past the float range that is an end of its run (not cut off
+        # by a finite end of the part) drops its term root^gamma from the mass
+        lost = (base > 0) & ((root == 0) & (lo == 0) | (root == math.inf) & (hi == math.inf))
+        if np.any(lost & (gamma * power * np.log(base) > -708.0)):
+            raise ValueError("a membership root lies outside the float range")
+        rising = (t < 0) | (~flat & (t < 1))
+    one = np.where(rising, np.clip(root, lo, hi), lo)
+    two = np.where(rising, hi, np.clip(root, lo, hi))
+    m1, m2 = np.stack([one, lo]), np.stack([two, lo])
+    if t in (0.0, 1.0) or closed.all():
+        return m1, m2
+
+    rows = np.flatnonzero(~closed)
+    a, b, lo, hi, lam = a[rows], b[rows], lo[rows], hi[rows], lam[rows]
+    rstar = np.abs(b / (lam * t)) ** (1.0 / (t - 1.0))
+    mid = np.where(b * t > 0, np.clip(rstar, lo, hi), hi)
+    p, q = np.stack([lo, mid]), np.stack([mid, hi])
+    h = lambda r: a + b * r - lam * r**t  # noqa: E731
+    hp = h(p)
+    # an unbounded side has b > 0: h tends to -inf for t > 1, to +inf else
+    hq = np.where(q == math.inf, -1.0 if t > 1 else 1.0, h(np.where(q == math.inf, 1.0, q)))
+    used = q > p
+    rise = used & (hp <= 0) & (hq > 0)
+    fall = used & (hp > 0) & (hq <= 0)
+    every = used & (hp > 0) & (hq > 0)
+    concave = t > 1 or t < 0
+    from_p = rise == concave
+    # within ``near`` lam r^t (t < 0) or a (0 < t < 1) is at least twice the
+    # other two terms, beyond ``far`` lam r^t (t > 1) or b r (0 < t < 1), so
+    # h has there the sign of the end it starts from; t > 1 may start at 0,
+    # where h' = b
+    aa, bb = np.abs(a), np.abs(b)
+    near, far = 0.0, math.inf
+    if t < 0:
+        near = np.minimum((2 * aa / lam) ** (1 / t), (2 * bb / lam) ** (1 / (t - 1)))
+    elif t < 1:
+        near = np.minimum((aa / (2 * lam)) ** (1 / t), aa / (2 * bb))
+        far = np.maximum((2 * lam / bb) ** (1 / (1 - t)), 2 * aa / bb)
+    else:
+        far = np.maximum((2 * aa / lam) ** (1 / t), (2 * bb / lam) ** (1 / (t - 1)))
+    start = np.where(from_p, np.maximum(p, near), np.minimum(q, far))
+    change = rise | fall
+    side, row = np.nonzero(change)
+    r = start[side, row]
+    if not np.all(np.isfinite(r) & (r > 0) | (r == 0) & (t > 1)):
+        raise ValueError("a membership root lies outside the float range")
+    toward = np.where(from_p[side, row], 1.0, -1.0)
+    ra, rb, rl = a[row], b[row], lam[row]
+    for _ in range(100):
+        new = r - (ra + rb * r - rl * r**t) / (rb - rl * t * r ** (t - 1.0))
+        moved = (new - r) * toward > 0
+        if not moved.any():
+            break
+        r = np.where(moved, new, r)
+    else:
+        raise ValueError("Newton's method did not settle on a membership root")
+    root = np.zeros(p.shape)
+    root[side, row] = np.clip(r, p[side, row], q[side, row])
+    m1[:, rows] = np.where(rise, root, p)
+    m2[:, rows] = np.where(fall, root, np.where(rise | every, q, p))
+    return m1, m2
+
+
+def _linear_runs(f, xs: np.ndarray, fx: np.ndarray, lams: np.ndarray, s: float, gamma: float):
+    """The member runs of every node x in ``xs`` at its level, exactly, for f
+    whose pieces are all linear: (node, direction, r1, r2) arrays, one entry
+    per run y = x + direction * r, r in (r1, r2), an empty run having r1 = r2,
+    in the same order per node however many nodes there are.
+
+    On the ray each piece of f spans a radius interval, on which
+    f(y) - f(x) = alpha + beta r, with alpha exactly 0 on the piece that holds
+    x (and, for continuous f, the piece that ends at x).  Each span is split
+    at the zero of alpha + beta r, so membership on each part is
+    u(r) > lam r^(1+s) with u = |alpha + beta r| linear: `_member_runs`."""
+    x0, x1, slope, icpt = (row[None, None, :] for row in f._lines)
+    x = xs[:, None, None]
+    sign = np.array([1.0, -1.0])[:, None]
+    # signed radius of each end of each piece in each direction
+    end0, end1 = sign * (x0 - x), sign * (x1 - x)
+    lo, hi = np.maximum(np.minimum(end0, end1), 0.0), np.maximum(end0, end1)
+    alpha = icpt + slope * x - fx[:, None, None]
+    alpha = np.where((lo == 0.0) & (math.isfinite(f.lipschitz) | (sign > 0)), 0.0, alpha)
+    beta = sign * slope
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # 0.0 - alpha/beta is +0.0 where alpha = 0
+        cut = np.where(beta != 0, np.clip(0.0 - alpha / beta, lo, hi), hi)
+    part_lo, part_hi = np.stack([lo, cut], -1), np.stack([cut, hi], -1)
+    # the sign of alpha + beta r on each part
+    sg = np.stack(
+        [np.where(beta != 0, -np.sign(beta), np.sign(alpha)), np.broadcast_to(np.sign(beta), lo.shape)],
+        -1,
+    )
+    keep = (part_hi > part_lo) & (sg != 0)
+    node, direction = np.nonzero(keep)[:2]
+    a = (sg * alpha[..., None])[keep]
+    b = (sg * beta[..., None])[keep]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r1, r2 = _member_runs(a, b, part_lo[keep], part_hi[keep], lams[node], 1.0 + s, gamma)
+    return np.repeat(node, 2), np.repeat(sign[direction, 0], 2), r1.T.ravel(), r2.T.ravel()
+
+
 def inner_integral(
     f,
     x,
@@ -278,27 +383,42 @@ def inner_integral(
     """Integral over y of 1_E(x,y) |x-y|^(gamma - 1) for n = 1, at one node
     or at an array of nodes, at one level ``lam`` or at one level per node.
 
-    Radial membership is resolved per direction as a union of intervals
-    (geometric sampling, kink radii included, boundaries bisected) and the
-    power weight is integrated in closed form on each member interval.
-    Membership and bisection are fused across all nodes and levels: a
-    quadrature refinement step costs one membership call per bisection
-    step, not one per node.  The certified shell is taken once per distinct
-    level, and each node gets the shell of its own level.
-    ``membership(xs, fx, ys, lam)`` decides pairs elementwise on broadcast
-    arrays (fx = f(xs), lam the nodes' levels); the default is the
+    Radial membership is resolved per direction as a union of intervals,
+    and the power weight is integrated in closed form on each member
+    interval.  ``membership(xs, fx, ys, lam)`` decides pairs elementwise on
+    broadcast arrays (fx = f(xs), lam the nodes' levels); the default is the
     difference-quotient level set.
 
+    The default membership on a `TestFunction` whose pieces are all linear
+    takes the exact path (`_linear_runs`): its intervals are exact to
+    rounding, with runs to infinity in closed form, so ``tail_bound`` is 0
+    and ``truncated`` False.  Every other input is sampled (geometric
+    sampling, kink radii included, boundaries bisected: `_signed_member_mass`)
+    inside a certified shell, taken once per distinct level; membership and
+    bisection are fused across all nodes and levels, so a quadrature
+    refinement step costs one membership call per bisection step, not one
+    per node.
+
     A scalar ``x`` returns (float, diag); an array returns (array, diag) with
-    per-node ``tail_bound`` and ``truncated``.  ``r_lo`` and ``r_hi`` have
-    the shape of ``lam``.  Diagnostics carry the truncation tail bound when
-    the integral had to be cut at a finite radius with membership not
-    provably dead.
+    per-node ``tail_bound`` and ``truncated``.  On the sampled path
+    ``r_lo`` and ``r_hi``, the certified shell, have the shape of ``lam``.
+    Diagnostics carry the truncation tail bound when the integral had to be
+    cut at a finite radius with membership not provably dead.
     """
     gamma, s = cfg.gamma, cfg.s
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     lams = np.broadcast_to(np.asarray(lam, dtype=float), xs.shape)
     fx = f.value(xs)
+    lines = getattr(f, "_lines", None)
+    if membership is None and lines is not None and np.isfinite(lines[2]).all():
+        node, _, r1, r2 = _linear_runs(f, xs, fx, lams, s, gamma)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mass = np.where(r2 > r1, (r2**gamma - r1**gamma) / gamma, 0.0)
+        # each run is added after the one before it, so every node's sum is
+        # the same however many nodes the call holds
+        vals = np.bincount(node, weights=mass, minlength=len(xs))
+        none = np.zeros(len(xs), dtype=bool)
+        return _node_shaped(x, vals, {"tail_bound": np.zeros(len(xs)), "truncated": none})
     if membership is None:
 
         def membership(xs, fx, ys, lam):
@@ -377,9 +497,14 @@ def inner_integral(
     diag: dict = {"r_lo": r_lo, "r_hi": r_hi, "tail_bound": tail_bound, "truncated": truncated}
     if np.ndim(lam) == 0:
         diag["r_lo"], diag["r_hi"] = (float(v) for v in bounds[0])
+    return _node_shaped(x, vals, diag)
+
+
+def _node_shaped(x, vals: np.ndarray, diag: dict) -> tuple:
+    """(vals, diag) as arrays for an array ``x``, as scalars for a scalar."""
     if np.ndim(x) == 0:
-        diag["tail_bound"] = float(tail_bound[0])
-        diag["truncated"] = bool(truncated[0])
+        diag["tail_bound"] = float(diag["tail_bound"][0])
+        diag["truncated"] = bool(diag["truncated"][0])
         return float(vals[0]), diag
     return vals, diag
 

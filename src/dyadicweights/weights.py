@@ -258,6 +258,26 @@ class CallableWeight(Weight):
         return f"CallableWeight({self.label})"
 
 
+class TableWeight(CallableWeight):
+    """The piecewise-linear weight through the knots (xs, values), constant
+    beyond the end knots.  Next to a zero knot it vanishes to first order or
+    on a stretch, so w^s is not integrable across a zero knot for s <= -1."""
+
+    def __init__(self, xs, values):
+        xs, values = np.asarray(xs, dtype=float), np.asarray(values, dtype=float)
+        super().__init__(
+            lambda x: np.interp(np.asarray(x, dtype=float), xs, values),
+            breakpoints=tuple(xs),
+            label="table",
+        )
+
+    def interval_power_mass(self, lo, hi, s):
+        knots = np.array(self._breaks)
+        if s <= -1 and np.any((self.value(knots) == 0.0) & (lo <= knots) & (knots <= hi)):
+            raise DomainError(f"w^{s} is not integrable at a zero knot in [{lo}, {hi}]")
+        return super().interval_power_mass(lo, hi, s)
+
+
 # ---------------------------------------------------------------------------
 # Muckenhoupt constants
 # ---------------------------------------------------------------------------
@@ -470,13 +490,7 @@ def parse_weight_spec(spec: dict) -> Weight:
             raise ValueError("product factors must be weight spec mappings")
         return ProductWeight([parse_weight_spec(s) for s in spec["factors"]])
     if kind == "table":
-        xs = np.asarray(spec["xs"], dtype=float)
-        vals = np.asarray(spec["values"], dtype=float)
-        if np.any(vals < 0):
+        if np.any(np.asarray(spec["values"], dtype=float) < 0):
             raise ValueError("table weight values must be nonnegative")
-
-        def fn(x):
-            return np.interp(np.asarray(x, dtype=float), xs, vals)
-
-        return CallableWeight(fn, breakpoints=tuple(xs), label="table")
+        return TableWeight(spec["xs"], spec["values"])
     raise ValueError(f"unknown weight kind {kind!r}")

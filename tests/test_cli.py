@@ -31,9 +31,9 @@ CONFIG_RUNS = {
     ),
     "linear_quotient.cfg": (
         "verify-bsvy",
-        "00cb4c4d4f9613577ae0c918c66b283327c0c4473265e5cacef6e83df48f32d1",
+        "bdb69d697f73f9da197f55f1d75dae7d572bde116b1dcd2b642409b52a118de2",
         0,
-        "c07d537e9a3c9339a4c3ecfe58b5cb004aa82f5292f9960032fad19f7967d961",
+        "d1a7abac69f801bc5c6f65710a66d0c4cedcc6926ae691d2ee998c437be26f85",
     ),
 }
 
@@ -95,7 +95,7 @@ ARGV_RUNS = {
             "--set", "depths=[6, 12]",
             "--set", "with_quotient=true",
         ],
-        "5627f8df27c1c54f2bac8a988b9251a2856f60da08ed1b673525993b63665721",
+        "d827269632f07ce14eb8ef2aaed3730da40c7e2ace2410cf92d3749651c955fc",
         2,
         "ce2067fd9ba84f9101f660d58b209e83d0a70ebc7f620a5b4ec1d69dbd4b77b5",
     ),
@@ -158,8 +158,8 @@ ARGV_RUNS = {
         0,
         "bef21c78550564fdd68f3bd6838d9a392c0d68552b3687f880444ccf0e738600",
     ),
-    # gamma = -1.2 on the tent: no certified outer radius, so every inner
-    # integral takes the far-tail extension, with memberless nodes
+    # gamma = -1.2 on the tent: every member run past the last kink radius
+    # reaches to infinity, taken in closed form, with memberless nodes
     "verify-bsvy-far-tail": (
         [
             "verify-bsvy",
@@ -171,9 +171,9 @@ ARGV_RUNS = {
             "--set", "lambda_count=3",
             "--gamma", "-1.2",
         ],
-        "b9c53629d7e206dcba01c4053eb0f1b69e8b42ecb3964bb8ec1fa60de7b3c024",
+        "1a7a6abe13915251a627d95a1e9fb51930c08ece4f606a87152207adc5d7b7e0",
         2,
-        "08746e8563917ae55df414267bbb30ad3d2422655927f9b6a93cdbc5dcebcf93",
+        "f02ba644e553f2bd796088a89cce1bc4f38c2e7b5f7c4eb569b188b38763fca9",
     ),
     "good-cubes": (
         ["good-cubes", "--set", "trials=20"],
@@ -384,33 +384,38 @@ def test_verify_diffquot_linear_run(tmp_path):
 
 
 def test_verify_diffquot_tail_flag_written(tmp_path):
-    # gamma = -0.6 with q = 0.5 on the tent: the far tail shrinks too slowly
-    # for nodes with members to get it below inner_tol of their total before
-    # the 1e12 cap, so they are cut there and the level is flagged
-    out = tmp_path / "o"
-    main(
-        [
-            "verify-bsvy",
-            "--set", "function.name=tent",
-            "--set", "grid.lo=-2",
-            "--set", "grid.hi=2",
-            "--set", "q=0.5",
-            "--set", "lambda_lo=1.0",
-            "--set", "lambda_hi=1.0",
-            "--set", "lambda_count=1",
-            "--gamma", "-0.6",
-            "--out", str(out),
-        ]
-    )
-    lines = read(out / "results.csv").decode().splitlines()
-    assert lines[0] == "lambda,functional,tail_flag"
-    assert [line.split(",")[2] for line in lines[1:]] == ["1"]
+    # gamma = -0.6 with q = 0.5 on the cubic-edged plateau, which takes the
+    # sampled path: the far tail shrinks too slowly for nodes with members to
+    # get it below inner_tol of their total before the 1e12 cap, so they are
+    # cut there and the level is flagged.  The tent (all pieces linear) takes
+    # the exact path, which has no tail to cut, and writes 0
+    for name, flag in (("smoothed_indicator", "1"), ("tent", "0")):
+        out = tmp_path / name
+        main(
+            [
+                "verify-bsvy",
+                "--set", f"function.name={name}",
+                "--set", "grid.lo=-2",
+                "--set", "grid.hi=2",
+                "--set", "q=0.5",
+                "--set", "lambda_lo=1.0",
+                "--set", "lambda_hi=1.0",
+                "--set", "lambda_count=1",
+                "--gamma", "-0.6",
+                "--out", str(out),
+            ]
+        )
+        lines = read(out / "results.csv").decode().splitlines()
+        assert lines[0] == "lambda,functional,tail_flag"
+        assert [line.split(",")[2] for line in lines[1:]] == [flag]
 
 
 def test_verify_diffquot_memberless_nodes_not_flagged(tmp_path):
-    # gamma = -2 on the tent: outer nodes with no member stop below the cap
-    # instead of running to it; the functional is the one computed when they
-    # ran to the cap
+    # gamma = -2 on the tent, which takes the exact path: nodes with no
+    # member add 0 and no level is flagged.  At lam = 30 every member lies on
+    # the flat tails, r > 30 / f(x), so the functional is
+    # 30 * (Int tent^2) / 900 = 1/45.  The sampled path, whose memberless
+    # nodes stopped below the cap, wrote values within INNER_TOL of these
     out = tmp_path / "o"
     main(
         [
@@ -427,18 +432,23 @@ def test_verify_diffquot_memberless_nodes_not_flagged(tmp_path):
     )
     rows = [line.split(",") for line in read(out / "results.csv").decode().splitlines()[1:]]
     assert [row[2] for row in rows] == ["0", "0", "0"]
-    assert [float(row[1]) for row in rows] == pytest.approx(
-        [1.7513418826234046, 0.46030344772060044, 0.022222217015271477], rel=1e-12
+    values = [float(row[1]) for row in rows]
+    assert values == pytest.approx(
+        [1.7513423774970793, 0.4603035287326635, 0.022222222222222223], rel=1e-12
+    )
+    assert values[2] == pytest.approx(1 / 45, rel=1e-15)
+    assert values == pytest.approx(
+        [1.7513418826234046, 0.46030344772060044, 0.022222217015271477], rel=1e-6
     )
 
 
 def test_verify_diffquot_memberless_nodes_not_flagged_slow_tail(tmp_path):
-    # gamma = -1.2: the tails of memberless nodes shrink too slowly to reach
-    # rounding level before the cap, so they stop at inner_tol of a fully
-    # occupied first shell instead.  Nodes whose only members lie beyond
-    # about 1e9 stop there too: the functional at the two upper levels,
-    # which they alone carried when run to the cap (and flagged), moves
-    # within the bound lam * (hi - lo) * inner_tol * (full first shell)
+    # gamma = -1.2 on the tent, which takes the exact path: the members of
+    # nodes near the ends of the support lie beyond about 1e9, in runs to
+    # infinity taken in closed form.  They alone carry the functional at
+    # lam = 30, where the sampled path stopped those nodes as memberless and
+    # wrote 0; the exact values are those the sampled path wrote when it ran
+    # every node to the 1e12 cap (and flagged the levels), within 3e-6
     out = tmp_path / "o"
     main(
         [
@@ -456,12 +466,14 @@ def test_verify_diffquot_memberless_nodes_not_flagged_slow_tail(tmp_path):
     rows = [line.split(",") for line in read(out / "results.csv").decode().splitlines()[1:]]
     assert [row[2] for row in rows] == ["0", "0", "0"]
     values = [float(row[1]) for row in rows]
-    assert values == pytest.approx([3.1338831472689517, 0.03054761931825337, 0.0], rel=1e-12)
+    assert values == pytest.approx(
+        [3.1338850159823552, 0.030547633290456341, 1.9596315892612141e-08], rel=1e-12
+    )
     # the values written when every node ran to the cap
     assert values == pytest.approx(
         [3.1338831472689517, 0.030547621515254957, 1.959629854249857e-08], abs=3e-6
     )
-    assert values[0] == 3.1338831472689517
+    assert values[0] == 3.1338850159823552
 
 
 def test_sharpness_cli_matches_spec_shape(tmp_path):

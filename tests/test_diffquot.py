@@ -15,18 +15,18 @@ from dyadicweights.diffquot import (
     ball_mean,
     diffquot_functional,
     gamma_admissible,
-    in_level_set,
     inner_integral,
     lower_constant,
     point_domination_check,
     scale_condition,
-    split_and_mean_sets,
     verify_diffquot,
 )
 from dyadicweights.funcspace import catalog
 from dyadicweights.grid import all_shifts, window_1d
 from dyadicweights.records import RATIO_CEILING
 from dyadicweights.weights import ConstantWeight, PowerWeight
+
+from oracles import in_level_set, split_and_mean_sets
 
 
 def test_gamma_admissible_ranges():
@@ -102,21 +102,26 @@ def test_inner_integral_constant_zero():
 
 
 def test_inner_integral_linear_positive_gamma():
-    # pure linear, gamma = q = p = 1: E-radius 1/lam, integral 2/lam
+    # pure linear, gamma = q = p = 1: E-radius 1/lam, integral 2/lam; the
+    # exact path to rounding, the sampled path to its bisection
     f = catalog("linear", slope=1.0)
     cfg = DiffQuotConfig(p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-1, 1))
-    for lam in (3.0, 40.0, 500.0):
-        val, diag = inner_integral(f, 0.1, lam, cfg)
-        assert val == pytest.approx(2.0 / lam, rel=1e-5)
+    for membership, rel in ((None, 1e-14), (_level_set(f, cfg.s), 1e-5)):
+        for lam in (3.0, 40.0, 500.0):
+            val, diag = inner_integral(f, 0.1, lam, cfg, membership=membership)
+            assert val == pytest.approx(2.0 / lam, rel=rel)
 
 
 def test_inner_integral_linear_negative_gamma():
-    # gamma = -2, q = 1: membership |x-y| > sqrt(lam), integral 1/lam
+    # gamma = -2, q = 1: membership |x-y| > sqrt(lam), integral 1/lam; the
+    # exact path takes the unbounded run in closed form, the sampled path
+    # extends its shells until the tail is below INNER_TOL
     f = catalog("linear", slope=1.0)
     cfg = DiffQuotConfig(p=1, q=1, gamma=-2.0, weight=ConstantWeight(1.0), window=(-1, 1))
-    for lam in (0.5, 4.0, 90.0):
-        val, diag = inner_integral(f, -0.3, lam, cfg)
-        assert val == pytest.approx(1.0 / lam, rel=1e-5)
+    for membership, rel in ((None, 1e-14), (_level_set(f, cfg.s), 1e-5)):
+        for lam in (0.5, 4.0, 90.0):
+            val, diag = inner_integral(f, -0.3, lam, cfg, membership=membership)
+            assert val == pytest.approx(1.0 / lam, rel=rel)
 
 
 def test_ball_mean_linear_exact():
@@ -358,7 +363,8 @@ def _assert_batch_is_single(f, cfg, lam, xs, membership=None):
         for key in ("tail_bound", "truncated"):
             _assert_same_bits(mdiag[key][k::3], adiag[key])
         for key in ("r_lo", "r_hi"):
-            assert np.all(mdiag[key][k::3] == adiag[key])
+            if key in adiag:
+                assert np.all(mdiag[key][k::3] == adiag[key])
     return vals, diag
 
 
@@ -368,8 +374,10 @@ BATCH_NODES = np.array([-3.0, -1.5, -0.4, 0.0, 0.3, 0.9, 2.5, 4.0])
 def test_inner_integral_batch_tent_kinks_and_empty_rows():
     f = catalog("tent")
     cfg = DiffQuotConfig(p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-2, 2))
-    vals, diag = _assert_batch_is_single(f, cfg, 0.5, BATCH_NODES)
-    # rows carry 0 to 3 kink radii inside the certified shell
+    exact, _ = _assert_batch_is_single(f, cfg, 0.5, BATCH_NODES)
+    vals, diag = _assert_batch_is_single(f, cfg, 0.5, BATCH_NODES, _level_set(f, cfg.s))
+    assert np.array_equal(exact == 0.0, vals == 0.0)
+    # sampled rows carry 0 to 3 kink radii inside the certified shell
     r = np.abs(np.subtract.outer(BATCH_NODES, f.breakpoints))
     kinks = np.sum((r > diag["r_lo"]) & (r < diag["r_hi"]), axis=1)
     assert set(kinks.tolist()) == {0, 1, 2, 3}
@@ -388,7 +396,7 @@ def test_inner_integral_batch_far_tail_rows_stop_apart():
         cfg = DiffQuotConfig(
             p=1, q=q, gamma=gamma, weight=ConstantWeight(1.0), window=(-2, 2)
         )
-        vals, diag = _assert_batch_is_single(f, cfg, 1.0, xs)
+        vals, diag = _assert_batch_is_single(f, cfg, 1.0, xs, _level_set(f, cfg.s))
         assert diag["r_hi"] == math.inf
         assert len(set(diag["tail_bound"].tolist())) >= 4
         assert diag["truncated"].tolist() == [x not in uncut for x in xs]
@@ -406,7 +414,7 @@ def test_inner_integral_memberless_rows_stop_member_rows_unchanged():
         exploratory=True,
     )
     xs = np.array([-1.0, 0.0, 0.3, 0.9, 2.0, 3.5])
-    vals, diag = _assert_batch_is_single(f, cfg, 1.0, xs)
+    vals, diag = _assert_batch_is_single(f, cfg, 1.0, xs, _level_set(f, cfg.s))
     assert not diag["truncated"].any()
     for x in (0.0, 2.0):
         i = int(np.flatnonzero(xs == x)[0])
@@ -452,17 +460,253 @@ def test_inner_integral_first_membership_call_in_blocks():
     xs = np.linspace(-2.5, 2.5, 200)
     lams = np.tile([0.3, 1.0, 4.0], len(xs))
     nodes = np.repeat(xs, 3)
-    counted = CountedMembership(_level_set(f, cfg.s))
+    level_set = _level_set(f, cfg.s)
+    counted = CountedMembership(level_set)
     vals, _ = inner_integral(f, nodes, lams, cfg, membership=counted)
     width = 193 + len(f.breakpoints)
     blocks = -(-len(nodes) // (MASK_POINTS // (2 * width)))
     assert blocks > 1
     assert counted.calls == blocks + 40
-    default, _ = inner_integral(f, nodes, lams, cfg)
-    _assert_same_bits(vals, default)
     for k, lam in enumerate((0.3, 1.0, 4.0)):
-        alone, _ = inner_integral(f, xs, lam, cfg)
+        alone, _ = inner_integral(f, xs, lam, cfg, membership=level_set)
         _assert_same_bits(vals[k::3], alone)
+
+
+# ---------------------------------------------------------------------------
+# the exact path: default membership on f whose pieces are all linear
+# ---------------------------------------------------------------------------
+
+LINEAR_FUNCTIONS = (
+    catalog("tent"),
+    catalog("linear", slope=1.0),
+    catalog("linear_ramp", slope=1.0, cutoff=2.0),
+)
+# (q, gamma) at p = 2: s = 1 and 0.5; s = -0.5 and s = -1, admissible for
+# p > 1 only; s = -2, whose runs reach to infinity
+EXPONENTS = ((1.0, 1.0), (2.0, 1.0), (2.0, -1.0), (1.5, -1.5), (1.0, -2.0))
+
+
+def _cfg(q, gamma):
+    return DiffQuotConfig(p=2, q=q, gamma=gamma, weight=ConstantWeight(1.0), window=(-2, 2))
+
+
+def _runs(f, x, lam, s):
+    """The exact path's member runs at x, as sorted (direction, r1, r2)
+    triples, runs that meet at a piece end or an extremum joined."""
+    xs = np.array([float(x)])
+    _, direction, r1, r2 = diffquot._linear_runs(f, xs, f.value(xs), np.array([lam]), s, s)
+    keep = r2 > r1
+    runs = []
+    for d, a, b in sorted(zip(direction[keep].tolist(), r1[keep].tolist(), r2[keep].tolist())):
+        if runs and runs[-1][0] == d and runs[-1][2] == a:
+            a = runs.pop()[1]
+        runs.append((d, a, b))
+    return runs
+
+
+def test_exact_path_never_samples(monkeypatch):
+    # default membership on f whose pieces are all linear takes no sampled
+    # shell: the sampled kernel is never called, by inner_integral or by the
+    # functional around it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact path fell back to sampling")
+
+    monkeypatch.setattr(diffquot, "_signed_member_mass", refuse)
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-3, 4, 30)
+    for f in LINEAR_FUNCTIONS + (catalog("constant", c=1.0), catalog("indicator")):
+        for q, gamma in EXPONENTS:
+            vals, diag = inner_integral(f, xs, 10 ** rng.uniform(-1, 1, 30), _cfg(q, gamma))
+            assert not diag["truncated"].any() and not diag["tail_bound"].any()
+            assert "r_lo" not in diag
+    cfg = DiffQuotConfig(
+        p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-2, 4),
+        lambda_lo=1e0, lambda_hi=1e4, lambda_count=5,
+    )
+    assert diffquot_functional(cfg, catalog("tent")).sup > 0
+    with pytest.raises(AssertionError, match="fell back"):
+        inner_integral(catalog("sharp1_bump"), xs, 1.0, _cfg(1.0, 1.0))
+
+
+def test_exact_path_batch_is_single_and_one_level_per_node():
+    for f in LINEAR_FUNCTIONS:
+        for q, gamma in EXPONENTS:
+            _assert_batch_is_single(f, _cfg(q, gamma), 0.8, BATCH_NODES)
+
+
+def test_exact_path_matches_sampled_path():
+    # the sampled path (the default membership written out, so that it
+    # samples) agrees within its far-tail bound on s < 1.  At s = 1 it is
+    # checked too, except on the tent, whose non-member islands near the
+    # kinks it can step over (test_sampled_path_steps_over_an_island_...);
+    # there the scalar level set checks the runs (test_exact_runs_match_...)
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([BATCH_NODES, rng.uniform(-3, 4, 40)])
+    lams = 10 ** rng.uniform(-1, 1, len(xs))
+    for f in LINEAR_FUNCTIONS:
+        for q, gamma in EXPONENTS:
+            if f.name == "tent" and gamma / q == 1.0:
+                continue
+            cfg = _cfg(q, gamma)
+            exact, _ = inner_integral(f, xs, lams, cfg)
+            sampled, diag = inner_integral(f, xs, lams, cfg, membership=_level_set(f, cfg.s))
+            assert not diag["truncated"].any()
+            assert np.all(np.abs(exact - sampled) <= 1e-9 * exact + 2 * diag["tail_bound"])
+            assert np.array_equal(exact == 0.0, sampled == 0.0)
+
+
+def test_exact_path_on_a_kink_where_the_pieces_round_apart():
+    # linear_ramp(0.3, 0.7, 0.1) at its kink 0.8: the sloped piece ends
+    # 2.8e-17 below the flat piece's value there.  f is continuous (finite
+    # Lipschitz hint), so that is no jump; at -1 < s < 0 a jump would be a
+    # member run from r = 0, of infinite mass for gamma < 0
+    f = catalog("linear_ramp", slope=0.3, cutoff=0.7, center=0.1)
+    x = f.breakpoints[1]
+    lines = f._lines
+    assert lines[3, 1] + lines[2, 1] * x != float(f.value(x))
+    cfg = _cfg(2.0, -1.0)
+    exact, _ = inner_integral(f, x, 0.05, cfg)
+    sampled, diag = inner_integral(f, x, 0.05, cfg, membership=_level_set(f, cfg.s))
+    assert 0 < exact < math.inf
+    assert abs(exact - sampled) <= 1e-9 * exact + 2 * diag["tail_bound"]
+
+
+def test_sampled_path_steps_over_an_island_the_exact_path_keeps():
+    # tent at x just right of the kink at 1, s = 1: to the left, f(y) - f(x)
+    # vanishes at r = 2(x - 1), where a narrow non-member island opens.  The
+    # scalar level set sees it, the exact path leaves it out, and the sampled
+    # path, whose radii straddle it, counts it as member
+    f = catalog("tent")
+    x, lam = 1.000708815108327, 19.154542606414445
+    cfg = _cfg(1.0, 1.0)
+    runs = sorted(r for r in _runs(f, x, lam, 1.0) if r[0] < 0)
+    assert len(runs) == 2
+    (_, _, gap_lo), (_, gap_hi, _) = runs
+    assert gap_lo < 2 * (x - 1) < gap_hi
+    assert not in_level_set(f, x, x - 0.5 * (gap_lo + gap_hi), lam, 1.0)
+    exact, _ = inner_integral(f, x, lam, cfg)
+    sampled, _ = inner_integral(f, x, lam, cfg, membership=_level_set(f, 1.0))
+    assert sampled - exact == pytest.approx(gap_hi - gap_lo, rel=1e-6)
+
+
+def _assert_runs_match_level_set(f, x, lam, s, radii):
+    """The runs agree with the scalar in_level_set at every radius of a
+    dense grid and at the midpoint of every run and every gap between runs,
+    but within 1e-9 of a run end (relative), in both directions."""
+    runs = _runs(f, x, lam, s)
+    for direction in (1.0, -1.0):
+        ends = sorted((a, b) for d, a, b in runs if d == direction)
+        edges = [e for run in ends for e in run]
+        mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:]) if 0 < a < b < math.inf]
+        for r in np.concatenate([radii, mids]):
+            if any(abs(r - e) <= 1e-9 * e for e in edges):
+                continue
+            member = any(a < r < b for a, b in ends)
+            assert in_level_set(f, x, x + direction * r, lam, s) == member, (x, lam, s, r)
+
+
+def test_exact_runs_match_scalar_level_set_on_dense_radii():
+    # tent, linear and linear_ramp; s > 0, -1 < s < 0, s = -1 and s < -1;
+    # nodes on a kink of the tent (0, 1) or of the ramp (-2), on a flat
+    # piece (-2.5) and inside a sloped one (1.3)
+    radii = np.geomspace(1e-6, 1e4, 160)
+    for f in LINEAR_FUNCTIONS:
+        for s in (1.0, 0.5, -0.5, -1.0, -2.0):
+            for x, lam in zip((-2.5, -2.0, 0.0, 1.0, 1.3), (0.3, 2.0, 5.0, 0.5, 12.0)):
+                _assert_runs_match_level_set(f, x, lam, s, radii)
+
+
+def test_exact_path_closed_forms_and_unbounded_runs():
+    # linear f, slope 1: members r < lam^(-1/s) for s > 0, r > lam^(-1/s)
+    # for s < 0 (a run to infinity; r > lam at s = -1)
+    f = catalog("linear", slope=1.0)
+    for q, gamma in EXPONENTS:
+        s = gamma / q
+        for lam in (0.05, 0.7, 30.0):
+            val, diag = inner_integral(f, 0.3, lam, _cfg(q, gamma))
+            want = 2.0 * lam ** (-gamma / s) / abs(gamma)
+            assert val == pytest.approx(want, rel=1e-14)
+            assert diag["tail_bound"] == 0.0 and not diag["truncated"]
+    # x = 5 on the tent's flat right tail: f(y) - f(x) = 0 on its own piece
+    # (beta = 0), so the only members lie toward the tent, at r in (3, 5)
+    tent = catalog("tent")
+    val, _ = inner_integral(tent, 5.0, 1.0, _cfg(1.0, -2.0))
+    runs = _runs(tent, 5.0, 1.0, -2.0)
+    assert val > 0 and all(d == -1.0 and 3.0 <= a < b <= 5.0 for d, a, b in runs)
+    # x = 0.5 inside the tent: both flat tails (beta = 0) are members from
+    # 0.1 r^-1 < f(x) = 0.5 on, out to infinity, in closed form
+    val, _ = inner_integral(tent, 0.5, 0.1, _cfg(1.0, -2.0))
+    runs = _runs(tent, 0.5, 0.1, -2.0)
+    assert [(d, b) for d, _, b in runs if b == math.inf] == [(-1.0, math.inf), (1.0, math.inf)]
+    assert math.isfinite(val) and val > 0
+
+
+def test_exact_path_memberless_rows_are_zero():
+    # constant f, and nodes whose level is above every difference quotient
+    cfg = _cfg(2.0, -1.0)
+    vals, _ = inner_integral(catalog("constant", c=3.0), BATCH_NODES, 0.5, cfg)
+    assert vals.tolist() == [0.0] * len(BATCH_NODES)
+    tent = catalog("tent")
+    vals, _ = inner_integral(tent, np.array([0.0, 1.0, 2.0, 0.3]), np.array([1e3, 1e3, 1e3, 1e-3]), cfg)
+    assert vals[:3].tolist() == [0.0, 0.0, 0.0] and vals[3] > 0
+
+
+def test_exact_path_refuses_a_root_past_the_float_range():
+    # s = -0.001: the first member radius of the tent's slope, (1/lam)^1000,
+    # underflows, though its term r^gamma = 1/lam does not; at s = -1.001
+    # the flat tails' roots overflow as well, but their terms underflow
+    xs = np.array([0.5, 1.5])
+    with pytest.raises(ValueError, match="float range"):
+        inner_integral(catalog("tent"), xs, 0.1, _cfg(1.0, -0.001))
+    vals, _ = inner_integral(catalog("tent"), xs, 0.01, _cfg(1.0, -1.001))
+    assert np.all(np.isfinite(vals) & (vals > 0))
+
+
+def test_member_runs_roots_on_every_side():
+    # a + b r > lam r^t on [lo, hi] for every shape of h = a + b r - lam r^t:
+    # concave (t > 1, t < 0) and convex (0 < t < 1), with its extremum inside,
+    # outside or absent, both signs of a and b, ends at 0 and at infinity.
+    # Each run end inside (lo, hi) is a root of h to rounding, h > 0 at the
+    # midpoint of each run and h <= 0 at the midpoint of each gap
+    rng = np.random.default_rng(9)
+    n = 4000
+    a = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-3, 3, n)
+    b = rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-3, 3, n)
+    lam = 10 ** rng.uniform(-3, 3, n)
+    # the part of [0, inf) on which a + b r >= 0, cut once more at random
+    zero = -a / b
+    lo = np.where(b > 0, np.maximum(zero, 0.0), 0.0)
+    hi = np.where(b > 0, math.inf, np.where(a > 0, zero, 0.0))
+    cut = rng.uniform(0, 1, n) < 0.5
+    lo = np.where(cut & np.isfinite(hi), lo + 0.3 * (hi - lo), lo)
+    ok = hi > lo
+    a, b, lam, lo, hi = a[ok], b[ok], lam[ok], lo[ok], hi[ok]
+    for t in (3.0, 2.0, 1.2, 1.0, 0.7, 0.3, 0.0, -0.2, -1.0, -3.0):
+        with np.errstate(all="ignore"):
+            r1, r2 = diffquot._member_runs(a, b, lo, hi, lam, t, t - 1.0)
+        assert np.all((lo <= r1) & (r1 <= r2) & (r2 <= hi))
+        h = lambda r, i: a[i] + b[i] * r - lam[i] * r**t  # noqa: E731
+        scale = lambda r, i: abs(a[i]) + abs(b[i]) * r + lam[i] * r**t  # noqa: E731
+        # the two runs meet where h has its maximum inside both
+        joined = (r2[0] > r1[0]) & (r2[1] > r1[1]) & (r2[0] == r1[1])
+        for k in range(2):
+            i = np.flatnonzero(r2[k] > r1[k])
+            for end in (r1[k], r2[k]):
+                inner = i[(lo[i] < end[i]) & (end[i] < hi[i]) & ~joined[i]]
+                assert np.all(np.abs(h(end[inner], inner)) <= 1e-12 * scale(end[inner], inner))
+            m = np.where(np.isfinite(r2[k, i]), 0.5 * (r1[k, i] + r2[k, i]), 2 * r1[k, i] + 1)
+            assert np.all(h(m, i) > 0)
+        # between the runs and beside them, on the finite parts: no member
+        ends = np.concatenate([r1, r2, [lo, hi]])
+        top = 2 * np.max(np.where(np.isfinite(ends), ends, 0.0), axis=0) + 1
+        bounds = np.sort(np.where(np.isfinite(ends), ends, top), axis=0)
+        for g0, g1 in zip(bounds[:-1], bounds[1:]):
+            mid = 0.5 * (g0 + g1)
+            inside = np.zeros(len(a), dtype=bool)
+            for k in range(2):
+                inside |= (r1[k] < mid) & (mid < r2[k])
+            gap = ~inside & (g1 > g0)
+            assert np.all(h(mid[gap], np.flatnonzero(gap)) <= 1e-12 * scale(mid[gap], np.flatnonzero(gap)))
 
 
 def _small_split_cap(monkeypatch, cap):

@@ -108,6 +108,34 @@ def test_table_weight_zero_on_a_stretch_has_no_dual_mass():
     assert math.isfinite(w.interval_power_mass(1.0, 4.0, -1.0))
 
 
+def test_table_weight_zero_knot_has_no_dual_mass_below_minus_one():
+    # w falls linearly to 0 at a knot inside [lo, hi] or at one of its ends,
+    # so w^s is not integrable there for s <= -1, and A_p ratios with
+    # -1/(p-1) <= -1 (p <= 2) are infinite; p = 3 (s = -1/2) keeps a mass
+    w = parse_weight_spec({"kind": "table", "xs": [-4, 0.1, 4], "values": [2, 0, 2]})
+    with pytest.raises(DomainError):
+        w.interval_power_mass(-1.0, 1.0, -1.0)
+    assert ap_ratio(w, 2.0, (-1.0, 1.0)) == math.inf
+    assert ap_ratio(w, 1.5, (-1.0, 1.0)) == math.inf
+    # (at p = 3 the quadrature's nodes next to the zero knot round w to 0,
+    # and count 0^-1/2 as 0)
+    with np.errstate(divide="ignore"):
+        assert math.isfinite(ap_ratio(w, 3.0, (-1.0, 1.0)))
+    assert math.isfinite(ap_ratio(w, 2.0, (0.2, 1.0)))
+    # the end 0.5 of (0.5, 1) is the end of a zero stretch
+    w = parse_weight_spec(
+        {"kind": "table", "xs": [-4, -0.5, 0.5, 4], "values": [2, 0, 0, 2]}
+    )
+    assert ap_ratio(w, 2.0, (0.5, 1.0)) == math.inf
+    # w = 4 (x - 0.5) / 7 there: the mean of w^-1/2 is 2 (7/4)^(1/2) / 0.5^(1/2)
+    # over the length 0.5, and the ratio is its square times the mean of w
+    mean_w = 4.0 / 7.0 * 0.25
+    mean_dual = 2.0 * math.sqrt(7.0 / 4.0) * math.sqrt(0.5) / 0.5
+    with np.errstate(divide="ignore"):
+        got = ap_ratio(w, 3.0, (0.5, 1.0))
+    assert got == pytest.approx(mean_w * mean_dual**2, rel=1e-6)
+
+
 def test_product_weight_box_mass():
     w = ProductWeight([PowerWeight(0.5), ConstantWeight(2.0)])
     box_mass = w._box_mass([(0.0, 1.0), (0.0, 3.0)])
