@@ -314,7 +314,7 @@ def maybe_plot(outdir: str, csv_path: str, xcol: str, ycol: str):
 
 HEADERS = {
     "verify-cddd": ("lambda", "functional", "n_cubes", "boundary_share"),
-    "verify-bsvy": ("lambda", "functional", "tail_flag"),
+    "verify-bsvy": ("lambda", "functional"),
     "mean-functional": ("lambda", "functional", "n_cubes", "boundary_share"),
     "good-cubes": ("trial", "which", "lhs", "rhs", "ok"),
     "sharpness": ("param", "lhs", "constant", "grad_norm", "certified"),
@@ -378,8 +378,7 @@ def run_verify_diffquot(cfg: dict):
     rec = diffquot.verify_diffquot(bcfg, f, tol=float(fp.get("tol", 0.05)))
     lams = rec.details.pop("profile_lambdas")
     vals = rec.details.pop("profile_values")
-    flags = rec.details.pop("profile_truncated")
-    rows = list(zip(lams, vals, flags))
+    rows = list(zip(lams, vals))
     summary = {
         **rec.summary(),
         "sup": rec.lhs,

@@ -14,12 +14,14 @@ runs to infinity are integrated in closed form, so nothing is sampled or
 truncated.  Any other membership (the ball-mean sets of the pointwise
 domination check) or f with a cubic or power piece is sampled: radial shells
 open where a Lipschitz bound decides membership, so the |x-y|^(gamma-n)
-singularity is never probed where the indicator provably vanishes, and the
-far tail is extended until it is negligible or cut and flagged.  The outer
-quadratures of every lam of the grid run in lock step, so a refinement step
-is one inner-integral call for the nodes of every lam; on the sampled path
-membership and boundary bisection are fused across all of them, one
-vectorized membership call per bisection step.
+singularity is never probed where the indicator provably vanishes.  A shell
+with no certified outer radius is sampled only out to where y lies on an
+end piece of f; past that the exact runs of the level set are added in
+closed form, so no tail is cut.  The outer quadratures of every lam of the
+grid run in lock step, so a refinement step is one inner-integral call for
+the nodes of every lam; on the sampled path membership and boundary
+bisection are fused across all of them, one vectorized membership call per
+bisection step.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from dyadicweights.records import (
 )
 from dyadicweights.weights import Weight
 
-# Relative stop of the inner integral's far-tail extension.
-INNER_TOL = 1e-6
 # Geometric sample radii per shell of the inner integral, before kink radii.
 RADIAL_SAMPLES = 193
 # Decades of the lambda grid, toward the limit, that test the lower constant.
@@ -51,6 +51,11 @@ TAIL_DECADES = 1.0
 # rows are evaluated in blocks of at most this many (node, direction, radius)
 # points, which bounds the temporaries of a wide refinement step.
 MASK_POINTS = 2**15
+# The ball of the ball-mean membership has radius |x-y| / BALL.  Past REACH
+# times a node's larger distance to the outermost breakpoints of f, y and
+# that ball around it lie on an end piece of f.
+BALL = 20.0
+REACH = BALL / (BALL - 1.0)
 
 
 def gamma_admissible(p: float, q: float, gamma: float) -> bool:
@@ -122,7 +127,8 @@ def _radial_bounds(f, lam: float, s: float):
     """Certified radii (r_lo, r_hi) outside which membership is impossible.
 
     Bounds use inflated Lipschitz/value hints so they stay valid for the
-    ball-mean variants as well (the mean sits within 1.05 |x-y| of x).
+    ball-mean variants as well (the mean sits within 1.05 |x-y| of x).  A
+    Lipschitz hint of 0 (constant f) makes every radius a non-member.
     """
     lip = 1.05 * getattr(f, "lipschitz", math.inf)
     bound = 2.0 * getattr(f, "value_bound", math.inf)
@@ -133,7 +139,7 @@ def _radial_bounds(f, lam: float, s: float):
             raise ValueError(
                 "negative-exponent shells need a finite Lipschitz hint"
             )
-        r_lo = (lam / lip) ** (1.0 / (-s))
+        r_lo = (lam / lip) ** (1.0 / (-s)) if lip > 0 else math.inf
     else:
         r_lo = 0.0
 
@@ -150,7 +156,7 @@ def _radial_bounds(f, lam: float, s: float):
 
 
 def _ball_mean_membership(f, b: float):
-    """Membership |f(x) - mean over B(y, |x-y|/20)| > lam |x-y|^(1+b), on
+    """Membership |f(x) - mean over B(y, |x-y|/BALL)| > lam |x-y|^(1+b), on
     broadcast (xs, fx, ys, lam); the diagonal x = y is never a member."""
 
     def membership(xs, fx, ys, lam):
@@ -158,7 +164,7 @@ def _ball_mean_membership(f, b: float):
         out = np.zeros(ys.shape, dtype=bool)
         pos = d > 0
         if pos.any():
-            m = ball_mean(f, ys[pos], d[pos] / 20.0)
+            m = ball_mean(f, ys[pos], d[pos] / BALL)
             fxs = np.broadcast_to(fx, ys.shape)[pos]
             lams = np.broadcast_to(lam, ys.shape)[pos]
             out[pos] = np.abs(fxs - m) > lams * d[pos] ** (1.0 + b)
@@ -335,11 +341,14 @@ def _member_runs(a, b, lo, hi, lam, t: float, gamma: float):
     return m1, m2
 
 
-def _linear_runs(f, xs: np.ndarray, fx: np.ndarray, lams: np.ndarray, s: float, gamma: float):
-    """The member runs of every node x in ``xs`` at its level, exactly, for f
-    whose pieces are all linear: (node, direction, r1, r2) arrays, one entry
-    per run y = x + direction * r, r in (r1, r2), an empty run having r1 = r2,
-    in the same order per node however many nodes there are.
+def _linear_runs(
+    f, xs: np.ndarray, fx: np.ndarray, lams: np.ndarray, s: float, gamma: float, r_min: np.ndarray
+):
+    """The member runs at r > ``r_min`` of every node x in ``xs`` at its
+    level, exactly, where the pieces of f the ray meets there are all linear
+    (a non-linear one raises ValueError): (node, direction, r1, r2) arrays,
+    one entry per run y = x + direction * r, r in (r1, r2), an empty run
+    having r1 = r2, in the same order per node however many nodes there are.
 
     On the ray each piece of f spans a radius interval, on which
     f(y) - f(x) = alpha + beta r, with alpha exactly 0 on the piece that holds
@@ -355,6 +364,9 @@ def _linear_runs(f, xs: np.ndarray, fx: np.ndarray, lams: np.ndarray, s: float, 
     alpha = icpt + slope * x - fx[:, None, None]
     alpha = np.where((lo == 0.0) & (math.isfinite(f.lipschitz) | (sign > 0)), 0.0, alpha)
     beta = sign * slope
+    lo = np.maximum(lo, r_min[:, None, None])
+    if np.any(np.isnan(slope) & (hi > lo)):
+        raise ValueError("f has a piece that is not linear past r_min")
     with np.errstate(divide="ignore", invalid="ignore"):
         # 0.0 - alpha/beta is +0.0 where alpha = 0
         cut = np.where(beta != 0, np.clip(0.0 - alpha / beta, lo, hi), hi)
@@ -371,6 +383,15 @@ def _linear_runs(f, xs: np.ndarray, fx: np.ndarray, lams: np.ndarray, s: float, 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r1, r2 = _member_runs(a, b, part_lo[keep], part_hi[keep], lams[node], 1.0 + s, gamma)
     return np.repeat(node, 2), np.repeat(sign[direction, 0], 2), r1.T.ravel(), r2.T.ravel()
+
+
+def _run_mass(node: np.ndarray, r1: np.ndarray, r2: np.ndarray, gamma: float, n: int) -> np.ndarray:
+    """Integral of r^(gamma-1) over the runs (r1, r2) of each of ``n`` nodes,
+    (r2^gamma - r1^gamma)/gamma per run.  Each run is added after the one
+    before it, so every node's sum is the same however many nodes there are."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = np.where(r2 > r1, (r2**gamma - r1**gamma) / gamma, 0.0)
+    return np.bincount(node, weights=mass, minlength=n)
 
 
 def inner_integral(
@@ -391,34 +412,33 @@ def inner_integral(
 
     The default membership on a `TestFunction` whose pieces are all linear
     takes the exact path (`_linear_runs`): its intervals are exact to
-    rounding, with runs to infinity in closed form, so ``tail_bound`` is 0
-    and ``truncated`` False.  Every other input is sampled (geometric
-    sampling, kink radii included, boundaries bisected: `_signed_member_mass`)
-    inside a certified shell, taken once per distinct level; membership and
-    bisection are fused across all nodes and levels, so a quadrature
-    refinement step costs one membership call per bisection step, not one
-    per node.
+    rounding, with runs to infinity in closed form.  Every other input is
+    sampled (geometric sampling, kink radii included, boundaries bisected:
+    `_signed_member_mass`) inside a certified shell, taken once per distinct
+    level; membership and bisection are fused across all nodes and levels,
+    so a quadrature refinement step costs one membership call per bisection
+    step, not one per node.  A shell with no certified outer radius (gamma
+    < 0 only) is sampled out to ``reach``, REACH times the node's larger
+    distance to the outermost breakpoints of f, and the exact runs of the
+    level set past ``reach`` are added, f being linear there.  So a
+    ``membership`` must agree with the level set
+    |f(y) - f(x)| > lam |x-y|^(1+s) at every |x-y| > ``reach``, as the
+    ball-mean membership does: its ball then lies on one linear end piece.
 
-    A scalar ``x`` returns (float, diag); an array returns (array, diag) with
-    per-node ``tail_bound`` and ``truncated``.  On the sampled path
-    ``r_lo`` and ``r_hi``, the certified shell, have the shape of ``lam``.
-    Diagnostics carry the truncation tail bound when the integral had to be
-    cut at a finite radius with membership not provably dead.
+    A scalar ``x`` returns (float, diag), an array (array, diag).  On the
+    sampled path ``diag`` holds ``r_lo`` and ``r_hi``, the certified shell,
+    in the shape of ``lam``; on the exact path it is empty.
     """
     gamma, s = cfg.gamma, cfg.s
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     lams = np.broadcast_to(np.asarray(lam, dtype=float), xs.shape)
+    n = len(xs)
     fx = f.value(xs)
     lines = getattr(f, "_lines", None)
     if membership is None and lines is not None and np.isfinite(lines[2]).all():
-        node, _, r1, r2 = _linear_runs(f, xs, fx, lams, s, gamma)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mass = np.where(r2 > r1, (r2**gamma - r1**gamma) / gamma, 0.0)
-        # each run is added after the one before it, so every node's sum is
-        # the same however many nodes the call holds
-        vals = np.bincount(node, weights=mass, minlength=len(xs))
-        none = np.zeros(len(xs), dtype=bool)
-        return _node_shaped(x, vals, {"tail_bound": np.zeros(len(xs)), "truncated": none})
+        node, _, r1, r2 = _linear_runs(f, xs, fx, lams, s, gamma, np.zeros(n))
+        vals = _run_mass(node, r1, r2, gamma, n)
+        return (float(vals[0]) if np.ndim(x) == 0 else vals), {}
     if membership is None:
 
         def membership(xs, fx, ys, lam):
@@ -447,66 +467,29 @@ def inner_integral(
             membership, xs[rows], fx[rows], lams[rows], radii, gamma, extend[rows]
         )
 
-    n = len(xs)
     vals = np.zeros(n)
-    tail_bound = np.zeros(n)
-    truncated = np.zeros(n, dtype=bool)
-
+    lo = np.where(r_lo > 0, r_lo, 1e-12 * np.maximum(1.0, r_hi))
     finite = np.isfinite(r_hi)
-    lo = np.maximum(r_lo, 1e-12 * np.maximum(1.0, r_hi))
     shell = np.flatnonzero(finite & (r_hi > lo))
     if len(shell):
         vals[shell] = both_directions(shell, lo[shell], r_hi[shell])
-
-    active = np.flatnonzero(~finite)
-    if len(active):
-        # far membership cannot be excluded: extend each node's shells until
-        # its certified weight tail (indicator at most 1) is negligible
+    far = np.flatnonzero(~finite)
+    if len(far):
         if gamma >= 0:
             raise ValueError("divergent far tail: gamma > 0 needs a usable hint")
-        scale = np.maximum(np.maximum(1.0, np.abs(xs)), r_lo)
-        hi = 16.0 * scale
-        first = np.maximum(r_lo, 1e-12 * scale)
-        vals[active] = both_directions(active, first[active], hi[active])
-        # a row with members stops relative to its total, at worst at
-        # rounding level of its first shell's tail bound; a row without
-        # members has no total, so it stops relative to the total its first
-        # shell would hold if every radius in it were a member
-        floor = np.finfo(float).eps * 2.0 * hi**gamma / abs(gamma)
-        full = 2.0 * (first**gamma - hi**gamma) / abs(gamma)
-        while len(active):
-            tail = 2.0 * hi[active] ** gamma / abs(gamma)
-            total = np.abs(vals[active])
-            stop = np.where(
-                total > 0,
-                np.maximum(INNER_TOL * total, floor[active]),
-                INNER_TOL * full[active],
-            )
-            done = tail <= stop
-            tail_bound[active[done]] = tail[done]
-            active, tail = active[~done], tail[~done]
-            if not len(active):
-                break
-            vals[active] += both_directions(active, hi[active], 4.0 * hi[active])
-            hi[active] *= 4.0
-            cut = hi[active] > 1e12 * scale[active]
-            tail_bound[active[cut]] = tail[cut]
-            truncated[active[cut]] = True
-            active = active[~cut]
+        reach = REACH * np.abs(np.subtract.outer(xs[far], bps)).max(axis=1, initial=0.0)
+        near = reach > lo[far]
+        if near.any():
+            vals[far[near]] = both_directions(far[near], lo[far[near]], reach[near])
+        node, _, r1, r2 = _linear_runs(
+            f, xs[far], fx[far], lams[far], s, gamma, np.maximum(lo[far], reach)
+        )
+        vals[far] += _run_mass(node, r1, r2, gamma, len(far))
 
-    diag: dict = {"r_lo": r_lo, "r_hi": r_hi, "tail_bound": tail_bound, "truncated": truncated}
+    diag = {"r_lo": r_lo, "r_hi": r_hi}
     if np.ndim(lam) == 0:
         diag["r_lo"], diag["r_hi"] = (float(v) for v in bounds[0])
-    return _node_shaped(x, vals, diag)
-
-
-def _node_shaped(x, vals: np.ndarray, diag: dict) -> tuple:
-    """(vals, diag) as arrays for an array ``x``, as scalars for a scalar."""
-    if np.ndim(x) == 0:
-        diag["tail_bound"] = float(diag["tail_bound"][0])
-        diag["truncated"] = bool(diag["truncated"][0])
-        return float(vals[0]), diag
-    return vals, diag
+    return (float(vals[0]) if np.ndim(x) == 0 else vals), diag
 
 
 def _warn_at_split_cap(what: str, lam: float) -> None:
@@ -527,11 +510,9 @@ def diffquot_functional(cfg: DiffQuotConfig, f) -> FunctionalProfile:
     lo, hi = cfg.window
     w = cfg.weight
     bps = list(getattr(f, "breakpoints", ())) + list(w.breakpoints())
-    truncated = np.zeros(len(lambdas), dtype=bool)
 
     def outer(xs: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        inner, diag = inner_integral(f, xs, lambdas[owner], cfg)
-        truncated[owner[diag["truncated"]]] = True
+        inner, _ = inner_integral(f, xs, lambdas[owner], cfg)
         return inner ** (cfg.p / cfg.q) * w.value(xs)
 
     outers = adaptive_quads(outer, [(lo, hi, 1e-3, bps, 400)] * len(lambdas))
@@ -546,7 +527,6 @@ def diffquot_functional(cfg: DiffQuotConfig, f) -> FunctionalProfile:
         values=values,
         sup=values[k],
         argmax_lambda=float(lambdas[k]),
-        flags={"truncated": truncated.tolist()},
     )
 
 
@@ -605,7 +585,6 @@ def verify_diffquot(cfg: DiffQuotConfig, f, tol: float = 0.05) -> VerificationRe
             "q": cfg.q,
             "profile_lambdas": prof.lambdas,
             "profile_values": prof.values,
-            "profile_truncated": prof.flags["truncated"],
         },
     )
     rec.details["upper_ok"] = rec.within_ceiling

@@ -3,10 +3,10 @@ and the empirical weight classifier.
 
 The sweeps evaluate the functional on the explicit certifying cube families
 of each construction (in log space where cube scales overflow doubles; the
-infinite families of the ap and betalimit cases stop once the omitted tail
-is below TAIL_TOL = 1e-10 of their total), so the scaling exponents are
-exhibited free of window-truncation noise.  The classifier probes a weight
-with scale-adaptive transition functions: for a weight in the class every
+infinite families of the ap and betalimit cases are geometric series,
+summed in closed form), so the scaling exponents are exhibited free of
+window-truncation noise.  The classifier probes a weight with
+scale-adaptive transition functions: for a weight in the class every
 probe ratio stays bounded by a constant, while a failing weight lets the
 probe place oscillation where the weight cannot pay for it, and the ratio
 blows up at a known rate.
@@ -48,9 +48,6 @@ from dyadicweights.weights import (
 
 S0 = Shift((0,))
 S13 = Shift((1,))
-# The geometric tails of the ap and betalimit families are summed until the
-# next term is below this share of the first.
-TAIL_TOL = 1e-10
 
 
 @dataclass
@@ -103,18 +100,16 @@ def _family_total(a: float, r: float) -> float:
     (2/3)^(a+1)) / (a+1): the |I|^-p v(I) terms of the ap and betalimit
     certifying families, for weight exponent a and decay rate r > 0.
 
-    The geometric sum is taken in log space, so cube scales far beyond
-    float range contribute, and stops once the omitted tail is below
-    TAIL_TOL of the total.
+    The first term is formed in log space, so cube scales far beyond
+    float range contribute, and the series is summed in closed form,
+    first / (1 - ratio).
     """
     logc = math.log((1.0 / 3.0) ** (a + 1.0) + (2.0 / 3.0) ** (a + 1.0)) - math.log(
         a + 1.0
     )
     log_ratio = -2.0 * r * math.log(2.0)
     log_first = logc - 3.0 * r * math.log(2.0)
-    terms = max(8, int(math.ceil(math.log(TAIL_TOL) / log_ratio)))
-    ratio = math.exp(log_ratio)
-    return math.exp(log_first) * (1.0 - ratio**terms) / (1.0 - ratio)
+    return math.exp(log_first) / (1.0 - math.exp(log_ratio))
 
 
 def sharpness_sweep(case: str, p: float, grid) -> SweepResult:
@@ -173,8 +168,9 @@ def _sweep_ap(p, deltas):
     """Weight |x|^((p-1)(1-delta)) with the power-ramp function; certifying
     family [-2^(2j-1)/3, 2^(2j)/3) in the 1/3-shifted grid at level 1/(9 delta).
 
-    Terms decay like 2^(-2 j delta (p-1)); _family_total sums them in log
-    space, so cube scales far beyond float range contribute.
+    Terms decay like 2^(-2 j delta (p-1)); _family_total sums them in closed
+    form from a first term taken in log space, so cube scales far beyond
+    float range contribute.
     """
     if p <= 1:
         raise ValueError("this construction needs p > 1")

@@ -9,11 +9,11 @@ for the two halves of each split.  So ``f`` must be elementwise; the totals
 and the heap order are those of evaluating each panel on its own.
 ``adaptive_quads`` runs many problems in lock step: each step is one call on
 the panels of every unfinished problem, and each problem keeps the totals,
-heap order and error sums it has alone.  Known singular points are passed
-as breakpoints so panels never straddle them; Gauss nodes are interior, so
-integrable endpoint singularities converge under refinement, and
-indicator-type jumps are chased only until their contribution to the global
-error is below budget.
+heap order and error sums it has alone; ``adaptive_quad`` is that driver on
+one problem.  Known singular points are passed as breakpoints so panels
+never straddle them; Gauss nodes are interior, so integrable endpoint
+singularities converge under refinement, and indicator-type jumps are chased
+only until their contribution to the global error is below budget.
 """
 
 from __future__ import annotations
@@ -123,16 +123,14 @@ def adaptive_quad(
     """Integrate vectorized ``f`` over [a, b] until the summed error estimate
     is at most max(ABS_TOL, rel_tol * |total|).
 
-    Raises QuadratureBudgetError when the split budget is exhausted with the
-    global error estimate still above tolerance by a wide margin.
+    This is `adaptive_quads` on one problem.  Raises QuadratureBudgetError
+    when the split budget is exhausted with the global error estimate still
+    above tolerance by a wide margin.
     """
-    steps = _refine(a, b, rel_tol, breakpoints, max_splits)
-    try:
-        spans = next(steps)
-        while True:
-            spans = steps.send(_panels(f, spans))
-    except StopIteration as done:
-        return done.value[0]
+    [(total, _)] = adaptive_quads(
+        lambda x, _owner: f(x), [(a, b, rel_tol, breakpoints, max_splits)]
+    )
+    return total
 
 
 def adaptive_quads(f, problems) -> list[tuple[float, bool]]:
@@ -141,10 +139,10 @@ def adaptive_quads(f, problems) -> list[tuple[float, bool]]:
     the nodes of every unfinished problem's spans, ``owner`` giving each
     node's problem index.
 
-    Returns ``(total, met)`` per problem; each total is bit for bit what
-    ``adaptive_quad`` gives for that problem alone, and ``met`` is False
-    where the split budget ran out with the error above tolerance (by less
-    than the margin that raises QuadratureBudgetError).
+    Returns ``(total, met)`` per problem; each total is bit for bit what the
+    problem gives when run alone, and ``met`` is False where the split
+    budget ran out with the error above tolerance (by less than the margin
+    that raises QuadratureBudgetError).
     """
     results: list = [None] * len(problems)
     pending = {}

@@ -25,13 +25,13 @@ CONFIG_RUNS = {
     ),
     "ap_sharpness.cfg": (
         "sharpness",
-        "d62a329cba75fe4a1762a1547916d9adc8cf0a057f927f72f4b18d20ddf2bc08",
+        "9d98cc58867146d09acca6fa7fa64085b2714b1113b4e987357fa69cd8ee627f",
         0,
-        "dbbd291eabdcbc6ad149db4d3745d7ff01bb5f0bbbb445916a9d9f544d520ced",
+        "e4bfa5e83a5592c22b12fe3f008b6fd2a1970e9be9fc92d10ca774270a5eb326",
     ),
     "linear_quotient.cfg": (
         "verify-bsvy",
-        "bdb69d697f73f9da197f55f1d75dae7d572bde116b1dcd2b642409b52a118de2",
+        "23ef43ce4ed0a1a563ac4ce12b890560c89ab7427493ab16515c0f5a67525206",
         0,
         "d1a7abac69f801bc5c6f65710a66d0c4cedcc6926ae691d2ee998c437be26f85",
     ),
@@ -55,9 +55,9 @@ ARGV_RUNS = {
     ),
     "sharpness-betalimit": (
         ["sharpness", "--case", "betalimit"],
-        "a80f348304142198dcad18eaebacb76cf0244aae36f924d7e25126e098d5243d",
+        "8f8d2a50f22b2b6e01fda38260f1f4a5063f8aa4efdcb0c65d37a638f37ad269",
         0,
-        "f170bcdef8ee22c7e25a9e4a47ed4ddfd050ee71f2d224699aba3cb1059d3632",
+        "8cb283a39bde6cd95d37f28e8083387a20fc16fd6308999099f2568c62e77554",
     ),
     "sharpness-a1": (
         ["sharpness", "--case", "a1"],
@@ -171,7 +171,7 @@ ARGV_RUNS = {
             "--set", "lambda_count=3",
             "--gamma", "-1.2",
         ],
-        "1a7a6abe13915251a627d95a1e9fb51930c08ece4f606a87152207adc5d7b7e0",
+        "280a7184f6932bffd340661d24ac349741ba78ce1b6d69cea39e9700297a9942",
         2,
         "f02ba644e553f2bd796088a89cce1bc4f38c2e7b5f7c4eb569b188b38763fca9",
     ),
@@ -383,13 +383,14 @@ def test_verify_diffquot_linear_run(tmp_path):
     assert summary["ratio"] == pytest.approx(2.0, rel=2e-2)
 
 
-def test_verify_diffquot_tail_flag_written(tmp_path):
-    # gamma = -0.6 with q = 0.5 on the cubic-edged plateau, which takes the
-    # sampled path: the far tail shrinks too slowly for nodes with members to
-    # get it below inner_tol of their total before the 1e12 cap, so they are
-    # cut there and the level is flagged.  The tent (all pieces linear) takes
-    # the exact path, which has no tail to cut, and writes 0
-    for name, flag in (("smoothed_indicator", "1"), ("tent", "0")):
+def test_verify_bsvy_sampled_far_tail_in_closed_form(tmp_path):
+    # gamma = -0.6 with q = 0.5 (s = -1.2) on the cubic-edged plateau, which
+    # takes the sampled path with no certified outer radius: it samples out
+    # to reach and adds the exact runs on the flat end pieces past it, so no
+    # tail is cut (the x4 extension to a 1e12 cap wrote 12.423448253687395
+    # and flagged the level).  The tent (all pieces linear) takes the exact
+    # path.  Neither writes a tail column
+    for name, value in (("smoothed_indicator", 12.423465818878256), ("tent", 3.185987387699436)):
         out = tmp_path / name
         main(
             [
@@ -406,16 +407,16 @@ def test_verify_diffquot_tail_flag_written(tmp_path):
             ]
         )
         lines = read(out / "results.csv").decode().splitlines()
-        assert lines[0] == "lambda,functional,tail_flag"
-        assert [line.split(",")[2] for line in lines[1:]] == [flag]
+        assert lines[0] == "lambda,functional"
+        assert float(lines[1].split(",")[1]) == pytest.approx(value, rel=1e-12)
 
 
 def test_verify_diffquot_memberless_nodes_not_flagged(tmp_path):
     # gamma = -2 on the tent, which takes the exact path: nodes with no
-    # member add 0 and no level is flagged.  At lam = 30 every member lies on
-    # the flat tails, r > 30 / f(x), so the functional is
-    # 30 * (Int tent^2) / 900 = 1/45.  The sampled path, whose memberless
-    # nodes stopped below the cap, wrote values within INNER_TOL of these
+    # member add 0.  At lam = 30 every member lies on the flat tails,
+    # r > 30 / f(x), so the functional is 30 * (Int tent^2) / 900 = 1/45.
+    # The far-tail extension of the sampled path, whose memberless nodes
+    # stopped below its cap, wrote values within 1e-6 of these
     out = tmp_path / "o"
     main(
         [
@@ -431,7 +432,6 @@ def test_verify_diffquot_memberless_nodes_not_flagged(tmp_path):
         ]
     )
     rows = [line.split(",") for line in read(out / "results.csv").decode().splitlines()[1:]]
-    assert [row[2] for row in rows] == ["0", "0", "0"]
     values = [float(row[1]) for row in rows]
     assert values == pytest.approx(
         [1.7513423774970793, 0.4603035287326635, 0.022222222222222223], rel=1e-12
@@ -446,9 +446,9 @@ def test_verify_diffquot_memberless_nodes_not_flagged_slow_tail(tmp_path):
     # gamma = -1.2 on the tent, which takes the exact path: the members of
     # nodes near the ends of the support lie beyond about 1e9, in runs to
     # infinity taken in closed form.  They alone carry the functional at
-    # lam = 30, where the sampled path stopped those nodes as memberless and
-    # wrote 0; the exact values are those the sampled path wrote when it ran
-    # every node to the 1e12 cap (and flagged the levels), within 3e-6
+    # lam = 30, where the far-tail extension of the sampled path stopped
+    # those nodes as memberless and wrote 0; the exact values are those it
+    # wrote when it ran every node to its 1e12 cap, within 3e-6
     out = tmp_path / "o"
     main(
         [
@@ -464,7 +464,6 @@ def test_verify_diffquot_memberless_nodes_not_flagged_slow_tail(tmp_path):
         ]
     )
     rows = [line.split(",") for line in read(out / "results.csv").decode().splitlines()[1:]]
-    assert [row[2] for row in rows] == ["0", "0", "0"]
     values = [float(row[1]) for row in rows]
     assert values == pytest.approx(
         [3.1338850159823552, 0.030547633290456341, 1.9596315892612141e-08], rel=1e-12

@@ -9,7 +9,6 @@ import pytest
 
 from dyadicweights import diffquot, quadrature
 from dyadicweights.diffquot import (
-    INNER_TOL,
     MASK_POINTS,
     DiffQuotConfig,
     ball_mean,
@@ -114,8 +113,8 @@ def test_inner_integral_linear_positive_gamma():
 
 def test_inner_integral_linear_negative_gamma():
     # gamma = -2, q = 1: membership |x-y| > sqrt(lam), integral 1/lam; the
-    # exact path takes the unbounded run in closed form, the sampled path
-    # extends its shells until the tail is below INNER_TOL
+    # exact path takes the unbounded run in closed form, and so does the
+    # sampled path, as linear f has no breakpoint to sample out to
     f = catalog("linear", slope=1.0)
     cfg = DiffQuotConfig(p=1, q=1, gamma=-2.0, weight=ConstantWeight(1.0), window=(-1, 1))
     for membership, rel in ((None, 1e-14), (_level_set(f, cfg.s), 1e-5)):
@@ -339,7 +338,7 @@ def _assert_batch_is_single(f, cfg, lam, xs, membership=None):
     """inner_integral on an array of nodes equals, bit for bit, the same
     nodes one at a time, in either order of the array.  With one level per
     node, interleaving lam with two other levels, it equals the calls at
-    each level alone, in values, tail_bound and truncated."""
+    each level alone, in values and certified shells."""
     if membership is not None:
         membership = CountedMembership(membership)
     vals, diag = inner_integral(f, xs, lam, cfg, membership=membership)
@@ -349,8 +348,6 @@ def _assert_batch_is_single(f, cfg, lam, xs, membership=None):
         v, d = inner_integral(f, float(x), lam, cfg, membership=membership)
         assert isinstance(v, float)
         assert v == vals[i]
-        assert d["tail_bound"] == diag["tail_bound"][i]
-        assert d["truncated"] == diag["truncated"][i]
     levels = [lam, 3.7 * lam, lam / 9.0]
     mixed, mdiag = inner_integral(
         f, np.repeat(xs, 3), np.tile(levels, len(xs)), cfg, membership=membership
@@ -360,8 +357,6 @@ def _assert_batch_is_single(f, cfg, lam, xs, membership=None):
             f, xs, level, cfg, membership=membership
         )
         _assert_same_bits(mixed[k::3], alone)
-        for key in ("tail_bound", "truncated"):
-            _assert_same_bits(mdiag[key][k::3], adiag[key])
         for key in ("r_lo", "r_hi"):
             if key in adiag:
                 assert np.all(mdiag[key][k::3] == adiag[key])
@@ -383,55 +378,6 @@ def test_inner_integral_batch_tent_kinks_and_empty_rows():
     assert set(kinks.tolist()) == {0, 1, 2, 3}
     # nodes far outside the support have no member at this level
     assert np.any(vals == 0.0) and np.any(vals > 0.0)
-
-
-def test_inner_integral_batch_far_tail_rows_stop_apart():
-    f = catalog("tent")
-    xs = np.concatenate([BATCH_NODES, [-30.0, 100.0]])
-    # gamma = -2: rows leave the x4 extension at different radii, none cut;
-    # gamma = -0.6, q = 0.5: the tail shrinks too slowly, so every row with
-    # members but the one at 0.9 is cut at the cap, while the row at 0 (no
-    # member) stops at inner_tol of a fully occupied first shell
-    for q, gamma, uncut in ((1.0, -2.0, xs), (0.5, -0.6, [0.0, 0.9])):
-        cfg = DiffQuotConfig(
-            p=1, q=q, gamma=gamma, weight=ConstantWeight(1.0), window=(-2, 2)
-        )
-        vals, diag = _assert_batch_is_single(f, cfg, 1.0, xs, _level_set(f, cfg.s))
-        assert diag["r_hi"] == math.inf
-        assert len(set(diag["tail_bound"].tolist())) >= 4
-        assert diag["truncated"].tolist() == [x not in uncut for x in xs]
-        assert vals[xs == 0.0] == 0.0
-
-
-def test_inner_integral_memberless_rows_stop_member_rows_unchanged():
-    # q = 1, gamma = -1.2, lam = 1 on the tent: the tails of the rows at 0
-    # and 2 (no member) shrink too slowly to reach rounding level before the
-    # 1e12 cap; they stop once the tail bound is inner_tol of what their
-    # first shell would hold if every radius in it were a member
-    f = catalog("tent")
-    cfg = DiffQuotConfig(
-        p=1, q=1, gamma=-1.2, weight=ConstantWeight(1.0), window=(-2, 2),
-        exploratory=True,
-    )
-    xs = np.array([-1.0, 0.0, 0.3, 0.9, 2.0, 3.5])
-    vals, diag = _assert_batch_is_single(f, cfg, 1.0, xs, _level_set(f, cfg.s))
-    assert not diag["truncated"].any()
-    for x in (0.0, 2.0):
-        i = int(np.flatnonzero(xs == x)[0])
-        scale = max(1.0, abs(x), diag["r_lo"])
-        full = 2.0 * (diag["r_lo"] ** -1.2 - (16.0 * scale) ** -1.2) / 1.2
-        assert vals[i] == 0.0
-        assert 0 < diag["tail_bound"][i] <= INNER_TOL * full
-    # rows with members run exactly as before the floor existed
-    members = (xs != 0.0) & (xs != 2.0)
-    assert vals[members].tolist() == [
-        0.05616177587836595, 0.0012149993243638383, 0.8857344756746685,
-        0.04448680059153498,
-    ]
-    assert diag["tail_bound"][members].tolist() == [
-        1.8821614068130643e-08, 6.75636159951585e-10, 5.243253353329082e-07,
-        2.209261887275524e-08,
-    ]
 
 
 def test_inner_integral_batch_ball_mean_membership():
@@ -472,6 +418,119 @@ def test_inner_integral_first_membership_call_in_blocks():
         _assert_same_bits(vals[k::3], alone)
 
 
+def test_sampled_far_tail_closed_form_on_the_plateau():
+    # smoothed_indicator, q = 0.5, gamma = -0.6 (s = -1.2), lam = 1: at
+    # x = 0.3 on the plateau the members are the radii past 1 on both end
+    # pieces, |0 - 1| > r^-0.2, so the integral is 2 / |gamma| = 10/3
+    f = catalog("smoothed_indicator")
+    cfg = DiffQuotConfig(
+        p=1, q=0.5, gamma=-0.6, weight=ConstantWeight(1.0), window=(-2, 2),
+        exploratory=True,
+    )
+    val, diag = inner_integral(f, 0.3, 1.0, cfg)
+    assert diag["r_hi"] == math.inf
+    assert val == pytest.approx(10.0 / 3.0, rel=1e-15)
+    # on the rising edge; a sum over 20M log-spaced radii gives 0.0037495441
+    val, _ = inner_integral(f, -0.2, 1.0, cfg)
+    assert val == pytest.approx(0.0037495441, rel=2e-6)
+
+
+def test_unbounded_shell_matches_the_exact_path():
+    # the tent and the ramp with the level set written out, s <= -1: the
+    # sampled stretch up to reach plus the exact runs past it give the
+    # exact path's values to rounding.  The nodes at -30 and 100 meet the
+    # support at radii near 100, where the bisection's 2^-40 of a sample gap
+    # is about 2e-12, so they are held to 1e-11
+    rng = np.random.default_rng(12)
+    xs = np.concatenate([BATCH_NODES, [-30.0, 100.0], rng.uniform(-3, 4, 30)])
+    rel = np.where(np.abs(xs) < 10, 1e-13, 1e-11)
+    for f in (catalog("tent"), catalog("linear_ramp", slope=1.0, cutoff=2.0)):
+        for q, gamma, lam in ((1.0, -1.2, 1.0), (1.0, -2.0, 0.5), (0.5, -0.6, 3.0)):
+            cfg = DiffQuotConfig(
+                p=1, q=q, gamma=gamma, weight=ConstantWeight(1.0), window=(-2, 2),
+                exploratory=True,
+            )
+            exact, _ = inner_integral(f, xs, lam, cfg)
+            sampled, diag = _assert_batch_is_single(f, cfg, lam, xs, _level_set(f, cfg.s))
+            assert diag["r_hi"] == math.inf
+            assert np.all(np.abs(sampled - exact) <= rel * exact)
+            assert np.any(exact > 0)
+
+
+def test_sampler_never_sees_a_radius_past_reach():
+    # with no certified outer radius the membership is asked only up to
+    # REACH times the node's larger distance to the outermost breakpoints
+    from dyadicweights.diffquot import REACH, _ball_mean_membership
+
+    xs = np.array([-3.0, -0.4, 0.3, 0.9, 2.5, 40.0])
+    for f in (catalog("tent"), catalog("smoothed_indicator")):
+        reach = REACH * np.max(np.abs(np.subtract.outer(xs, f.breakpoints)), axis=1)
+        for q, b in ((1.0, -1.2), (2.0, -1.0)):
+            cfg = DiffQuotConfig(
+                p=1, q=q, gamma=q * b, weight=ConstantWeight(1.0), window=(-2, 2),
+                exploratory=True,
+            )
+            for membership in (_level_set(f, b), _ball_mean_membership(f, b)):
+                seen = []
+
+                def watched(xn, fx, ys, lam, membership=membership):
+                    d = np.abs(ys - xn)
+                    seen.append((np.broadcast_to(xn, d.shape).ravel(), d.ravel()))
+                    return membership(xn, fx, ys, lam)
+
+                inner_integral(f, xs, 1.0, cfg, membership=watched)
+                nodes = np.concatenate([n for n, _ in seen])
+                radii = np.concatenate([r for _, r in seen])
+                limit = reach[np.searchsorted(xs, nodes)]
+                assert radii.max() > 1.0
+                assert np.all(radii <= limit * (1 + 1e-12))
+
+
+def test_non_linear_end_piece_raises():
+    # x^2 past 0: with no certified outer radius the far runs need a linear
+    # end piece
+    from dyadicweights.funcspace import Piece, TestFunction
+
+    f = TestFunction(
+        [Piece(-math.inf, 0.0, "poly", (0.0,)), Piece(0.0, math.inf, "poly", (0.0, 0.0, 1.0))],
+        lipschitz=1.0,
+    )
+    cfg = DiffQuotConfig(
+        p=1, q=1, gamma=-2.0, weight=ConstantWeight(1.0), window=(-2, 2),
+        exploratory=True,
+    )
+    with pytest.raises(ValueError, match="not linear"):
+        inner_integral(f, 0.5, 1.0, cfg)
+
+
+def test_unbounded_shell_at_nonnegative_gamma_raises():
+    # gamma = 0 on linear f: no value bound, so no certified outer radius,
+    # and the far tail r^-1 diverges
+    f = catalog("linear", slope=1.0)
+    cfg = DiffQuotConfig(
+        p=1, q=1, gamma=0.0, weight=ConstantWeight(1.0), window=(-2, 2),
+        exploratory=True,
+    )
+    with pytest.raises(ValueError, match="divergent"):
+        inner_integral(f, 0.5, 1.0, cfg, membership=_level_set(f, 0.0))
+
+
+def test_sampled_shell_starts_at_its_certified_radius():
+    # the tent with the level set written out, s < 0 and a large certified
+    # outer radius: the shell starts at r_lo, where the members begin, not
+    # at a floor of 1e-12 r_hi above it (84% and 64% short before)
+    f = catalog("tent")
+    for q, gamma, x, lam in ((2.96, -0.908, 0.403, 0.00225), (1.0, -0.293, 0.231, 0.00194)):
+        cfg = DiffQuotConfig(
+            p=2, q=q, gamma=gamma, weight=ConstantWeight(1.0), window=(-2, 2),
+            exploratory=True,
+        )
+        exact, _ = inner_integral(f, x, lam, cfg)
+        sampled, diag = inner_integral(f, x, lam, cfg, membership=_level_set(f, cfg.s))
+        assert diag["r_lo"] < 1e-12 * diag["r_hi"] < math.inf
+        assert abs(sampled - exact) <= 2e-6 * exact
+
+
 # ---------------------------------------------------------------------------
 # the exact path: default membership on f whose pieces are all linear
 # ---------------------------------------------------------------------------
@@ -494,7 +553,9 @@ def _runs(f, x, lam, s):
     """The exact path's member runs at x, as sorted (direction, r1, r2)
     triples, runs that meet at a piece end or an extremum joined."""
     xs = np.array([float(x)])
-    _, direction, r1, r2 = diffquot._linear_runs(f, xs, f.value(xs), np.array([lam]), s, s)
+    _, direction, r1, r2 = diffquot._linear_runs(
+        f, xs, f.value(xs), np.array([lam]), s, s, np.zeros(1)
+    )
     keep = r2 > r1
     runs = []
     for d, a, b in sorted(zip(direction[keep].tolist(), r1[keep].tolist(), r2[keep].tolist())):
@@ -517,8 +578,7 @@ def test_exact_path_never_samples(monkeypatch):
     for f in LINEAR_FUNCTIONS + (catalog("constant", c=1.0), catalog("indicator")):
         for q, gamma in EXPONENTS:
             vals, diag = inner_integral(f, xs, 10 ** rng.uniform(-1, 1, 30), _cfg(q, gamma))
-            assert not diag["truncated"].any() and not diag["tail_bound"].any()
-            assert "r_lo" not in diag
+            assert diag == {}
     cfg = DiffQuotConfig(
         p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-2, 4),
         lambda_lo=1e0, lambda_hi=1e4, lambda_count=5,
@@ -536,7 +596,7 @@ def test_exact_path_batch_is_single_and_one_level_per_node():
 
 def test_exact_path_matches_sampled_path():
     # the sampled path (the default membership written out, so that it
-    # samples) agrees within its far-tail bound on s < 1.  At s = 1 it is
+    # samples) agrees to its bisection on s < 1.  At s = 1 it is
     # checked too, except on the tent, whose non-member islands near the
     # kinks it can step over (test_sampled_path_steps_over_an_island_...);
     # there the scalar level set checks the runs (test_exact_runs_match_...)
@@ -550,8 +610,7 @@ def test_exact_path_matches_sampled_path():
             cfg = _cfg(q, gamma)
             exact, _ = inner_integral(f, xs, lams, cfg)
             sampled, diag = inner_integral(f, xs, lams, cfg, membership=_level_set(f, cfg.s))
-            assert not diag["truncated"].any()
-            assert np.all(np.abs(exact - sampled) <= 1e-9 * exact + 2 * diag["tail_bound"])
+            assert np.all(np.abs(exact - sampled) <= 1e-9 * exact)
             assert np.array_equal(exact == 0.0, sampled == 0.0)
 
 
@@ -566,9 +625,9 @@ def test_exact_path_on_a_kink_where_the_pieces_round_apart():
     assert lines[3, 1] + lines[2, 1] * x != float(f.value(x))
     cfg = _cfg(2.0, -1.0)
     exact, _ = inner_integral(f, x, 0.05, cfg)
-    sampled, diag = inner_integral(f, x, 0.05, cfg, membership=_level_set(f, cfg.s))
+    sampled, _ = inner_integral(f, x, 0.05, cfg, membership=_level_set(f, cfg.s))
     assert 0 < exact < math.inf
-    assert abs(exact - sampled) <= 1e-9 * exact + 2 * diag["tail_bound"]
+    assert abs(exact - sampled) <= 1e-9 * exact
 
 
 def test_sampled_path_steps_over_an_island_the_exact_path_keeps():
@@ -626,7 +685,7 @@ def test_exact_path_closed_forms_and_unbounded_runs():
             val, diag = inner_integral(f, 0.3, lam, _cfg(q, gamma))
             want = 2.0 * lam ** (-gamma / s) / abs(gamma)
             assert val == pytest.approx(want, rel=1e-14)
-            assert diag["tail_bound"] == 0.0 and not diag["truncated"]
+            assert diag == {}
     # x = 5 on the tent's flat right tail: f(y) - f(x) = 0 on its own piece
     # (beta = 0), so the only members lie toward the tent, at r in (3, 5)
     tent = catalog("tent")
@@ -755,10 +814,18 @@ def test_point_domination_warns_at_the_split_cap(monkeypatch, capsys):
 
 def test_point_domination_pinned_values():
     # lhs and terms of the three point_domination inputs above, as computed
-    # by the per-node inner integral that the batched one replaced
+    # by the per-node inner integral that the batched one replaced (the
+    # ramp's lhs, at s = -1 with no certified outer radius, since its far
+    # tail is taken exactly past reach: 13.33584786090242 before), and of a
+    # constant f at beta < 1/p, whose Lipschitz hint 0 makes the shell's
+    # inner radius (lam / 0)^(1/-s) infinite: no member, not a division by 0
     cases = (
         (
             catalog("constant", c=1.0), 1.0, 1.0, 2.0, 0.5, (-4, 4, -4, 2), 0.5,
+            0.0, [0.0] * 11,
+        ),
+        (
+            catalog("constant", c=1.0), 2.0, 2.0, 0.25, 0.5, (-4, 4, -4, 2), 0.5,
             0.0, [0.0] * 11,
         ),
         (
@@ -769,7 +836,7 @@ def test_point_domination_pinned_values():
         (
             catalog("linear_ramp", slope=1.0, cutoff=2.0), 1.0, 2.0, 0.0, 0.4,
             (-8, 8, -5, 3), 0.25,
-            13.33584786090242,
+            13.335848876072731,
             [14.0, 7.0, 6.0, 3.25, 1.625, 0.875, 0.78125, 0.40625, 0.203125,
              0.109375, 0.099609375],
         ),
