@@ -653,7 +653,7 @@ def point_domination_check(
     arr = window.arrays
     levels = LevelMass.of_cubes(
         [omega_map[key] for key in arr.keys],
-        arr.vol.tolist(),
+        arr.vol,
         weight.masses(arr.lo, arr.hi),
         beta + 1.0 - 1.0 / p,
         beta * p - 1.0,

@@ -269,7 +269,7 @@ def _probe_rows(f, weight: Weight, centers, j_min: int, j_max: int) -> list:
     are those of a wider one with j in that range, in the same order.  The
     family's omega values come from one omega_intervals call: one array pass
     over the cubes inside one linear piece of f, the scalar exact path on
-    the others.
+    the others; their masses from one Weight.masses call.
     """
     seen = set()
     gens, los, his = [], [], []
@@ -288,11 +288,14 @@ def _probe_rows(f, weight: Weight, centers, j_min: int, j_max: int) -> list:
                     gens.append(j)
                     los.append(lo)
                     his.append(hi)
-    oms = omega_intervals(f, los, his).tolist()
+    oms = omega_intervals(f, los, his)
+    keep = np.flatnonzero(oms > 0)
+    lo, hi = np.array(los)[keep, None], np.array(his)[keep, None]
+    masses = weight.masses(lo, hi).tolist()
+    gens = [gens[i] for i in keep.tolist()]
     return [
-        (j, om, 2.0**j, weight.interval_mass(lo, hi))
-        for j, om, lo, hi in zip(gens, oms, los, his)
-        if om > 0
+        (j, om, 2.0**j, mass)
+        for j, om, mass in zip(gens, oms[keep].tolist(), masses)
     ]
 
 

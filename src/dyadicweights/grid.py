@@ -381,35 +381,35 @@ class GridWindow:
         return len(self.box)
 
     def _index_ranges(self, shift: Shift, j: int) -> list[range]:
-        h = _pow2(j)
-        sgn = 1 if j % 2 == 0 else -1
+        # positive overlap with the open box on each axis: the indices m from
+        # floor(lo/h - s) to ceil(hi/h - s) - 1 = -floor(s - hi/h) - 1, with
+        # h = 2^j and s = (-1)^j t/3, by integer floor division
         ranges = []
-        for (lo, hi), ti in zip(self.box, shift.thirds):
-            s = Fraction(sgn * ti, 3)
-            # positive-overlap condition: lower < hi and lower + h > lo
-            x = hi / h - s
-            m_hi = math.ceil(x) - 1 if x == math.ceil(x) else math.floor(x)
-            y = lo / h - s - 1
-            m_lo = math.floor(y) + 1
+        for (lo, hi), t in zip(self.box, shift.thirds):
+            (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+            m_lo = axis_index(t, j, a, b)
+            m_hi = -axis_index(-t, j, -c, d) - 1
             ranges.append(range(m_lo, m_hi + 1))
         return ranges
 
-    def _blocks(self) -> Iterator[tuple[Shift, int, list[range]]]:
-        """(shift, j, index ranges) in enumeration order."""
-        if self.count() > self.budget:
-            raise BudgetError(
-                f"window holds {self.count()} cubes, budget is {self.budget}"
-            )
-        for shift in self.shifts:
-            for j in range(self.j_max, self.j_min - 1, -1):
-                yield shift, j, self._index_ranges(shift, j)
+    def _block_list(self) -> list[tuple[Shift, int, list[range]]]:
+        """(shift, j, index ranges) of every block in enumeration order."""
+        return [
+            (shift, j, self._index_ranges(shift, j))
+            for shift in self.shifts
+            for j in range(self.j_max, self.j_min - 1, -1)
+        ]
+
+    def _blocks(self) -> list[tuple[Shift, int, list[range]]]:
+        """_block_list, after checking the cube count against the budget."""
+        blocks = self._block_list()
+        total = sum(math.prod(map(len, ranges)) for _, _, ranges in blocks)
+        if total > self.budget:
+            raise BudgetError(f"window holds {total} cubes, budget is {self.budget}")
+        return blocks
 
     def count(self) -> int:
-        total = 0
-        for shift in self.shifts:
-            for j in range(self.j_min, self.j_max + 1):
-                total += math.prod(len(r) for r in self._index_ranges(shift, j))
-        return total
+        return sum(math.prod(map(len, ranges)) for _, _, ranges in self._block_list())
 
     def cubes(self) -> Iterator[Cube]:
         for shift, j, ranges in self._blocks():
@@ -424,7 +424,9 @@ class GridWindow:
         """
         arr = self.arrays
         unit = 3 / _pow2(self.j_min)
-        edge = np.array([3 << k for k in (arr.j - self.j_min).tolist()], dtype=object)
+        # the edge of each generation, gathered onto the rows as Python ints
+        edges = np.array([3 << k for k in range(self.j_max - self.j_min + 1)], dtype=object)
+        edge = edges[arr.j - self.j_min]
         out = np.zeros(len(arr), dtype=bool)
         for c, (blo, bhi) in zip(arr.corner.T, self.box):
             lo, hi = Fraction(blo) * unit, Fraction(bhi) * unit
@@ -434,36 +436,48 @@ class GridWindow:
 
     @functools.cached_property
     def arrays(self) -> WindowArrays:
-        keys = []
-        corner, lo, hi = [], [], []  # row-major, n entries per cube
-        flat = itertools.chain.from_iterable
+        keys, js, corner, lo, hi = [], [], [], [], []
         for shift, j, ranges in self._blocks():
-            sgn = 1 if j % 2 == 0 else -1
-            k = j - self.j_min
-            # exact corners and their floats once per index on each axis;
+            axes = [
+                _axis_arrays(t, j, j - self.j_min, r)
+                for r, t in zip(ranges, shift.thirds)
+            ]
             # the block's cubes are the product of the axes, last fastest
-            corners = [
-                [(3 * mi + sgn * t) << k for mi in r]
-                for r, t in zip(ranges, shift.thirds)
-            ]
-            ends = [
-                list(zip(*(axis_interval(t, j, mi) for mi in r)))
-                for r, t in zip(ranges, shift.thirds)
-            ]
-            keys.extend((shift.thirds, j, mi) for mi in itertools.product(*ranges))
-            corner.extend(flat(itertools.product(*corners)))
-            lo.extend(flat(itertools.product(*(e[0] for e in ends))))
-            hi.extend(flat(itertools.product(*(e[1] for e in ends))))
-        n = self.n
-        js = np.array([key[1] for key in keys], dtype=np.int64)
+            idx = np.indices([len(r) for r in ranges]).reshape(self.n, -1)
+            corner.append(np.stack([a[0][i] for a, i in zip(axes, idx)], axis=1))
+            lo.append(np.stack([a[1][i] for a, i in zip(axes, idx)], axis=1))
+            hi.append(np.stack([a[2][i] for a, i in zip(axes, idx)], axis=1))
+            js.append(np.full(idx.shape[1], j, dtype=np.int64))
+            keys.extend(itertools.product((shift.thirds,), (j,), itertools.product(*ranges)))
+        js = np.concatenate(js)
         return WindowArrays(
             j=js,
-            corner=np.array(corner, dtype=object).reshape(-1, n),
-            lo=np.array(lo, dtype=float).reshape(-1, n),
-            hi=np.array(hi, dtype=float).reshape(-1, n),
-            vol=np.ldexp(1.0, n * js),
+            corner=np.concatenate(corner).astype(object),
+            lo=np.concatenate(lo),
+            hi=np.concatenate(hi),
+            vol=np.ldexp(1.0, self.n * js),
             keys=tuple(keys),
         )
+
+
+def _axis_arrays(t: int, j: int, k: int, r: range):
+    """Exact corners, in units of 2^(j - k) / 3, and float lower and upper
+    ends of the generation-j cubes with the indices r on an axis shifted by
+    t thirds.  In int64, c = 3m + (-1)^j t, the corner is c 2^k and the ends
+    are (c 2^j) / 3 and (c + 3) 2^j / 3, or c / (3 2^-j) for j < 0: int64 ->
+    float64 true division is Python's int / int bit for bit while both
+    operands are below 2^53.  Past that, Python ints and axis_interval."""
+    st = t if j % 2 == 0 else -t
+    bound = max(abs(3 * r.start + st), abs(3 * r.stop + st))  # |c| and |c + 3|
+    if (bound << max(j, 0)) < 2**53 and (3 << max(-j, 0)) < 2**53 and (bound << k) < 2**63:
+        c = 3 * np.arange(r.start, r.stop, dtype=np.int64) + st
+        if j >= 0:
+            return c << k, (c << j) / 3, ((c + 3) << j) / 3
+        den = 3 << -j
+        return c << k, c / den, (c + 3) / den
+    ends = np.array([axis_interval(t, j, m) for m in r], dtype=float).reshape(-1, 2)
+    corners = np.array([(3 * m + st) << k for m in r], dtype=object)
+    return corners, ends[:, 0], ends[:, 1]
 
 
 def window_1d(

@@ -96,7 +96,7 @@ def level_set(
     omega_map = omega_map or omega_window(f, window)
     arr = window.arrays
     oms = [omega_map[key] for key in arr.keys]
-    levels = LevelMass.of_cubes(oms, arr.vol.tolist(), np.ones(len(arr)), b, 0.0)
+    levels = LevelMass.of_cubes(oms, arr.vol, np.ones(len(arr)), b, 0.0)
     count, _ = levels.above(lam)
     thr = levels.thresholds
     near = np.abs(thr - lam) <= REL_TOL * np.maximum(thr, lam)
@@ -135,9 +135,13 @@ class LevelMass:
         values[i] / vols[i]^b > lam, and then carries vols[i]^wexp * masses[i];
         wexp is beta p - 1 in every functional.
         """
-        thr = [x / v**b if x > 0 else 0.0 for x, v in zip(values, vols)]
-        wts = [v**wexp * m for v, m in zip(vols, masses)]
-        return cls(thr, wts)
+        values = np.asarray(values, dtype=float)
+        # the powers by Python's float **, once per distinct volume
+        uniq, inv = np.unique(np.asarray(vols, dtype=float), return_inverse=True)
+        vb = np.array([v**b for v in uniq.tolist()])[inv]
+        vw = np.array([v**wexp for v in uniq.tolist()])[inv]
+        thr = np.where(values > 0, values / vb, 0.0)
+        return cls(thr, vw * np.asarray(masses, dtype=float))
 
     def above(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """(count, mass) of the entries with threshold > lam, per lam."""
@@ -170,7 +174,7 @@ def _window_profile(
     """
     arr = window.arrays
     masses = weight.masses(arr.lo, arr.hi)
-    levels = LevelMass.of_cubes(values, arr.vol.tolist(), masses, b, beta * p - 1.0)
+    levels = LevelMass.of_cubes(values, arr.vol, masses, b, beta * p - 1.0)
     thr = levels.thresholds
     base = levels.sup(p)
     near = thr * (1.0 - 2.0 * REL_TOL)

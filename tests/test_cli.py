@@ -219,6 +219,42 @@ def test_a1_battery_digest_is_the_benchmark_reference():
     assert CONFIG_RUNS["a1_battery.cfg"][1] == ref["cddd-exact"]["0"]["csv_sha256"]
 
 
+@pytest.mark.parametrize("function", ["tent", "smoothed_indicator"])
+def test_verify_cddd_takes_no_per_cube_scalar_path(tmp_path, monkeypatch, function):
+    # the window arrays come from NumPy blocks, never axis_interval, and the
+    # window masses from one array pass: the scalar mass calls are one per
+    # probe of the constant estimate and at most one per piece of f in the
+    # gradient norm, against 6,158 window cubes
+    from dyadicweights import grid, oscillation
+    from dyadicweights.funcspace import catalog
+    from dyadicweights.weights import PowerWeight
+
+    calls = {"axis_interval": 0, "mass": 0, "probes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def ap_constant(w, p, probes, _orig=oscillation.ap_constant):
+        calls["probes"] += len(probes)
+        return _orig(w, p, probes)
+
+    monkeypatch.setattr(grid, "axis_interval", counted("axis_interval", grid.axis_interval))
+    monkeypatch.setattr(
+        PowerWeight, "interval_power_mass", counted("mass", PowerWeight.interval_power_mass)
+    )
+    monkeypatch.setattr(oscillation, "ap_constant", ap_constant)
+    argv = ["verify-cddd", "--config", str(CONFIGS / "a1_battery.cfg")]
+    argv += ["--set", f"function.name={function}", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert calls["axis_interval"] == 0
+    assert 0 < calls["probes"] <= calls["mass"]
+    assert calls["mass"] <= calls["probes"] + len(catalog(function).pieces)
+
+
 @pytest.mark.parametrize("name", sorted(ARGV_RUNS))
 def test_argv_results_csv_digest(tmp_path, name):
     argv, digest, code, summary_digest = ARGV_RUNS[name]

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from dyadicweights import experiments
+from dyadicweights.funcspace import omega_intervals
+from dyadicweights.grid import axis_index, axis_interval
 from dyadicweights.experiments import (
     classifier_reference,
     fit_loglog_slope,
     sharpness_sweep,
     weight_classifier,
 )
-from dyadicweights.weights import ConstantWeight, PowerWeight
+from dyadicweights.weights import ConstantWeight, PowerWeight, TableWeight
 
 GRID = [2.0**-k for k in range(2, 9)]
 
@@ -155,3 +159,37 @@ def test_classifier_quotient_member_tracks_blowup():
     assert rep.verdict == "violates"
     bs = rep.ratios["quotient_step"]
     assert bs[-1] > 4.0 * bs[0]
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        PowerWeight(0.5),
+        PowerWeight(-0.75, 0.3),
+        ConstantWeight(2.0),
+        TableWeight([-1, 0, 2], [1, 0, 3]),
+    ],
+    ids=repr,
+)
+def test_probe_rows_masses_match_the_scalar_path(weight):
+    # the family masses come from one Weight.masses pass; each row keeps the
+    # bits of interval_mass on its cube, with the ends from axis_interval
+    f = experiments._linear_plateau()
+    centers = [0.0, 0.3, 1.0]
+    rows = experiments._probe_rows(f, weight, centers, -12, 3)
+    want = []
+    for c in centers:
+        pt = Fraction(c).limit_denominator(3 * 2**40)
+        for t in (0, 1, 2):
+            for j in range(-12, 4):
+                m0 = axis_index(t, j, pt.numerator, pt.denominator)
+                want.extend((t, j, m) for m in (m0 - 1, m0, m0 + 1))
+    want = list(dict.fromkeys(want))
+    oms = omega_intervals(f, *zip(*(axis_interval(*k) for k in want)))
+    want = [
+        (j, om, 2.0**j, weight.interval_mass(*axis_interval(t, j, m)))
+        for (t, j, m), om in zip(want, oms.tolist())
+        if om > 0
+    ]
+    assert len(rows) == len(want) > 0
+    assert np.array(rows).tobytes() == np.array(want).tobytes()

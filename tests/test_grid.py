@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dyadicweights import grid
 from dyadicweights.grid import (
     AxisCube,
     BudgetError,
@@ -346,6 +347,38 @@ def test_window_arrays_far_from_origin():
         w = window_1d(lo, lo + 3, -3, 1, shifts=all_shifts(1))
         arr = _assert_arrays_are_cubes(w)
         assert max(abs(3 * m[0]) for _, _, m in arr.keys) > 2**53
+
+
+def test_window_arrays_mix_int64_blocks_and_python_fallback(monkeypatch):
+    # near 2^49 the generations j >= -2 fit the int64 path (|3m| 2^max(j,0)
+    # below 2^53) and j = -3 does not: both kinds of block in one window
+    calls = []
+    axis_interval = grid.axis_interval
+    monkeypatch.setattr(grid, "axis_interval", lambda *a: calls.append(a) or axis_interval(*a))
+    lo = 2**49 + Fraction(2, 7)
+    arr = _assert_arrays_are_cubes(window_1d(lo, lo + 3, -3, 2, shifts=all_shifts(1)))
+    assert {j for _, j, _ in calls} == {-3}
+    assert len(calls) == int(np.sum(arr.j == -3)) > 0
+
+
+def test_window_index_ranges_are_the_cubes_meeting_the_open_box():
+    # the integer floor divisions of _index_ranges against Fraction corners:
+    # the end indices of each range meet the open box, the next ones do not
+    rng = random.Random(7)
+    for _ in range(30):
+        lo = Fraction(rng.randint(-300, 300), rng.randint(1, 12))
+        hi = lo + Fraction(rng.randint(1, 300), rng.randint(1, 12))
+        w = window_1d(lo, hi, -4, 3)
+        for shift in all_shifts(1):
+            for j in range(-4, 4):
+                (r,) = w._index_ranges(shift, j)
+
+                def meets(m):
+                    a, b = Cube(shift, j, (m,)).interval()
+                    return a < hi and b > lo
+
+                assert meets(r.start) and meets(r.stop - 1)
+                assert not meets(r.start - 1) and not meets(r.stop)
 
 
 def test_window_2d_all_shifts_counts():

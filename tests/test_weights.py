@@ -323,3 +323,76 @@ def test_masses_reject_boxes_of_another_dimension():
     w = ConstantWeight(1.0, n=2)
     with pytest.raises(ValueError, match="1-dimensional boxes"):
         w.masses(np.zeros((3, 1)), np.ones((3, 1)))
+
+
+def _rows(rng, centers):
+    """Interval rows: the cubes of a three-shift window, random rows, rows
+    with hi < lo and hi == lo, and rows ending on each centre."""
+    from dyadicweights.grid import all_shifts, window_1d
+
+    arr = window_1d(-4, 4, -6, 2, shifts=all_shifts(1)).arrays
+    lo = np.concatenate([arr.lo[:, 0], rng.uniform(-6, 6, 400)])
+    hi = np.concatenate([arr.hi[:, 0], lo[len(arr) :] + rng.exponential(1.0, 400)])
+    c = np.asarray(centers, dtype=float)
+    lo = np.concatenate([lo, hi[:50], lo[:50], c - 0.5, c, c])
+    hi = np.concatenate([hi, lo[:50], lo[:50], c, c + 0.25, c])
+    return lo, hi
+
+
+def _row_by_row(fn, lo, hi, *args) -> np.ndarray:
+    return np.array([fn(a, b, *args) for a, b in zip(lo.tolist(), hi.tolist())])
+
+
+def test_masses_match_the_scalar_path_bit_for_bit():
+    # the array pass against interval_power_mass / interval_mass called row
+    # by row: a > 0 and -1 < a < 0, centres on a cube end (0 and 1/3),
+    # inside a cube and outside the window
+    rng = np.random.default_rng(20)
+    centers = (0.0, 1.0 / 3.0, 0.3, -9.5, 12.0)
+    lo, hi = _rows(rng, centers)
+    for a in (2.0, 0.5, 0.25, -0.25, -0.5, -0.75, -0.9):
+        for c in centers:
+            w = PowerWeight(a, c)
+            got = w.masses(lo[:, None], hi[:, None])
+            assert got.tobytes() == _row_by_row(w.interval_mass, lo, hi).tobytes()
+            for s in (0.5, 1.05, -0.9 / a):  # e = a s > -1
+                got = w.power_masses(lo, hi, s)
+                want = _row_by_row(w.interval_power_mass, lo, hi, s)
+                assert got.tobytes() == want.tobytes(), (a, c, s)
+    for c in (0.5, 2.0):
+        w = ConstantWeight(c)
+        got = w.masses(lo[:, None], hi[:, None])
+        assert got.tobytes() == _row_by_row(w.interval_mass, lo, hi).tobytes()
+    w2, live = ConstantWeight(1.5, n=2), hi > lo
+    boxes_lo = np.stack([lo[live], lo[live][::-1]], axis=1)
+    boxes_hi = np.stack([hi[live], hi[live][::-1]], axis=1)
+    want = np.array([w2.mass(list(zip(a, b))) for a, b in zip(boxes_lo, boxes_hi)])
+    assert w2.masses(boxes_lo, boxes_hi).tobytes() == want.tobytes()
+
+
+def test_power_masses_raise_where_the_scalar_path_raises():
+    # e = a s <= -1: a live row with the centre inside or on an end raises
+    # DomainError, as interval_power_mass does on that row; rows with
+    # hi <= lo and rows away from the centre do not
+    rng = np.random.default_rng(21)
+    lo, hi = _rows(rng, ())
+    for a, s in ((0.75, -2.0), (-0.5, 3.0), (0.5, -4.0)):
+        for c in (0.0, 1.0 / 3.0, 0.3, 12.0, -9.5):
+            w = PowerWeight(a, c)
+            for rows in (slice(None), hi <= lo, (hi < c) | (lo > c)):
+                raised = []
+                for x, y in zip(lo[rows].tolist(), hi[rows].tolist()):
+                    try:
+                        w.interval_power_mass(x, y, s)
+                    except DomainError:
+                        raised.append((x, y))
+                if raised:
+                    with pytest.raises(DomainError):
+                        w.power_masses(lo[rows], hi[rows], s)
+                else:
+                    want = _row_by_row(w.interval_power_mass, lo[rows], hi[rows], s)
+                    assert w.power_masses(lo[rows], hi[rows], s).tobytes() == want.tobytes()
+    with pytest.raises(DomainError, match="endpoint"):
+        PowerWeight(0.75, 1.0).power_masses(np.array([0.0, 1.0]), np.array([0.5, 2.0]), -2.0)
+    with pytest.raises(DomainError, match="across"):
+        PowerWeight(0.75, 1.0).power_masses(np.array([3.0, 0.5]), np.array([4.0, 2.0]), -2.0)
