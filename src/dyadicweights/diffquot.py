@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dyadicweights.funcspace import grad_power_mass, omega_window
+from dyadicweights.funcspace import grad_power_mass, omega_boxes
 from dyadicweights.oscillation import LevelMass
 from dyadicweights.quadrature import adaptive_quads
 from dyadicweights.records import (
@@ -649,10 +649,9 @@ def point_domination_check(
         _warn_at_split_cap("point_domination left side", lam)
 
     # one level-set mass per threshold lam_j
-    omega_map = omega_window(f, window)
     arr = window.arrays
     levels = LevelMass.of_cubes(
-        [omega_map[key] for key in arr.keys],
+        omega_boxes(f, arr.lo, arr.hi),
         arr.vol,
         weight.masses(arr.lo, arr.hi),
         beta + 1.0 - 1.0 / p,

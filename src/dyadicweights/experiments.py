@@ -25,16 +25,15 @@ from dyadicweights.oscillation import LevelMass, level_set
 from dyadicweights.funcspace import (
     catalog,
     grad_power_mass,
-    omega,
+    omega_boxes,
     omega_intervals,
 )
 from dyadicweights.grid import (
+    THIRDS,
     Cube,
     Shift,
-    all_shifts,
     axis_index,
     axis_interval,
-    float_box,
     window_1d,
 )
 from dyadicweights.weights import (
@@ -47,7 +46,6 @@ from dyadicweights.weights import (
 )
 
 S0 = Shift((0,))
-S13 = Shift((1,))
 
 
 @dataclass
@@ -136,7 +134,8 @@ def _sweep_a1(p, deltas):
     b = beta + 1.0 - 1.0 / p
     window = window_1d(-8, 8, 0, 3)
     i0 = Cube(S0, 2, (0,))
-    members, _ = level_set(f, window, lam_star, b)
+    arr = window.arrays
+    members, _ = level_set(omega_boxes(f, arr.lo, arr.hi), window, lam_star, b)
     lhs, consts, grads, certified = [], [], [], []
     for d in deltas:
         w = PowerWeight(d - 1.0, center=0.5)
@@ -174,21 +173,19 @@ def _sweep_ap(p, deltas):
     """
     if p <= 1:
         raise ValueError("this construction needs p > 1")
+    # membership lower bound (2 - 6*4^-j)/(9 d) exceeds 1/(9 d) exactly
+    # when j >= 2; verify the first cubes' edges and their computed
+    # oscillation as well
+    gens = (3, 5, 7)  # 2j - 1 for j = 2, 3, 4, in the 1/3-shifted grid
+    ends = [axis_interval(1, g, 0) for g in gens]
+    edges_ok = all(math.isclose(hi - lo, 2.0**g) for g, (lo, hi) in zip(gens, ends))
     lhs, consts, grads, certified = [], [], [], []
     for d in deltas:
         a = (p - 1.0) * (1.0 - d)
         f = catalog("sharp2_fdelta", delta=d)
         lam = 1.0 / (9.0 * d)
-        # membership lower bound (2 - 6*4^-j)/(9 d) exceeds 1/(9 d)
-        # exactly when j >= 2; verify the first cubes' edges and their
-        # computed oscillation as well
-        cert = True
-        for j in (2, 3, 4):
-            q = Cube(S13, 2 * j - 1, (0,))
-            ((lo, hi),) = float_box(q)
-            edge_ok = math.isclose(hi - lo, 2.0 ** (2 * j - 1))
-            cert = cert and edge_ok and omega(f, (lo, hi)) > lam
-        certified.append(cert)
+        oms = omega_intervals(f, *zip(*ends))
+        certified.append(edges_ok and bool(np.all(oms > lam)))
         # term_j = |I_j|^{-p} v(I_j) = c * 2^{-(2j-1) d (p-1)}, j >= 2
         lhs.append(lam**p * _family_total(a, d * (p - 1.0)))
         consts.append(d ** (1.0 - p))
@@ -216,21 +213,19 @@ def _sweep_beta(p, epsilons):
     oscillation check certifies every member of the family."""
     if p <= 1:
         raise ValueError("this construction needs p > 1")
+    # scale invariance: omega over Q_j equals |Q_j|^eps times the omega of
+    # the unit profile over (-1/3, 2/3); one exact check covers all j, and a
+    # mismatch of the scaling on the first two cubes, j = 1, 2, uncertifies
+    ends = [(-1.0 / 3.0, 2.0 / 3.0), axis_interval(1, -3, 0), axis_interval(1, -5, 0)]
     lhs, consts, grads, certified = [], [], [], []
     for eps in epsilons:
         beta = 1.0 / p - 1.0 + eps
         a = (p - 1.0) * (1.0 - eps)
         f = catalog("sharp3_fbeta", beta=beta, p=p)
         lam = 1.0 / (27.0 * eps)
-        # scale invariance: omega over Q_j equals |Q_j|^eps times the omega
-        # of the unit profile over (-1/3, 2/3); one exact check covers all j
-        unit_omega = omega(f, (-1.0 / 3.0, 2.0 / 3.0))
+        unit_omega, *oms = omega_intervals(f, *zip(*ends)).tolist()
         cert = unit_omega > lam
-        # verify the scaling on the first two cubes; a mismatch uncertifies
-        for j in (1, 2):
-            q = Cube(S13, -2 * j - 1, (0,))
-            ((lo, hi),) = float_box(q)
-            om = omega(f, (lo, hi))
+        for om, (lo, hi) in zip(oms, ends[1:]):
             scale_check = om / (hi - lo) ** eps
             cert = cert and math.isclose(scale_check, unit_omega, rel_tol=1e-9)
         certified.append(cert)
@@ -259,53 +254,52 @@ def _sweep_beta(p, epsilons):
 # ---------------------------------------------------------------------------
 
 
-def _probe_rows(f, weight: Weight, centers, j_min: int, j_max: int) -> list:
-    """(generation, omega, volume, mass) of each cube around the probe
-    centers with positive omega.
+def _probe_family(centers, j_min: int, j_max: int):
+    """(generation, lo, hi) arrays of the cubes around the probe centers, the
+    ends (N, 1) by axis_interval.
 
     For each shift and generation the cube containing the center and its two
     index neighbors enter the family, each cube once.  Rows are ordered by
-    center, shift and generation, so the rows of a narrower generation range
-    are those of a wider one with j in that range, in the same order.  The
-    family's omega values come from one omega_intervals call: one array pass
-    over the cubes inside one linear piece of f, the scalar exact path on
-    the others; their masses from one Weight.masses call.
+    center, shift and generation, so the family of a narrower generation
+    range is that of a wider one masked by j, in the same order.
     """
     seen = set()
-    gens, los, his = [], [], []
+    gens, ends = [], []
     for c in centers:
         pt = Fraction(c).limit_denominator(3 * 2**40)
-        for shift in all_shifts(1):
-            (t,) = shift.thirds
+        for t in THIRDS:
             for j in range(j_min, j_max + 1):
                 m0 = axis_index(t, j, pt.numerator, pt.denominator)
                 for m in (m0 - 1, m0, m0 + 1):
-                    key = (t, j, m)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    lo, hi = axis_interval(t, j, m)
-                    gens.append(j)
-                    los.append(lo)
-                    his.append(hi)
-    oms = omega_intervals(f, los, his)
-    keep = np.flatnonzero(oms > 0)
-    lo, hi = np.array(los)[keep, None], np.array(his)[keep, None]
-    masses = weight.masses(lo, hi).tolist()
-    gens = [gens[i] for i in keep.tolist()]
-    return [
-        (j, om, 2.0**j, mass)
-        for j, om, mass in zip(gens, oms[keep].tolist(), masses)
-    ]
+                    if (t, j, m) not in seen:
+                        seen.add((t, j, m))
+                        gens.append(j)
+                        ends.append(axis_interval(t, j, m))
+    ends = np.array(ends, dtype=float).reshape(-1, 2)
+    return np.array(gens, dtype=np.int64), ends[:, :1], ends[:, 1:]
+
+
+def _generations(rows, j_min: int, j_max: int):
+    """The rows, arrays led by the generations, with j in [j_min, j_max]."""
+    sel = (j_min <= rows[0]) & (rows[0] <= j_max)
+    return tuple(a[sel] for a in rows)
+
+
+def _probe_rows(f, weight: Weight, family):
+    """(generation, omega, volume, mass) arrays of the cubes of a probe
+    family with positive omega: omega by one omega_boxes call (one array
+    pass over the cubes inside one linear piece of f, the scalar exact path
+    on the others), the masses by one Weight.masses call."""
+    oms = omega_boxes(f, family[1], family[2])
+    j, lo, hi = (a[oms > 0] for a in family)
+    return j, oms[oms > 0], np.ldexp(1.0, j), weight.masses(lo, hi)
 
 
 def _rows_sup(rows, p: float) -> float:
     """Sup of the functional restricted to the probe rows, the larger of its
     values at beta = 2 and beta = -1; a lower bound of the full-window value,
     which is all blow-up detection needs."""
-    oms = [r[1] for r in rows]
-    vols = [r[2] for r in rows]
-    masses = [r[3] for r in rows]
+    _, oms, vols, masses = rows
     best = 0.0
     for beta in (2.0, -1.0):
         b = beta + 1.0 - 1.0 / p
@@ -378,18 +372,22 @@ def weight_classifier(
     ratios["tail_ramp"] = []
 
     ranges = [(-d, max(4, d // 2)) for d in depths]
-    # fixed battery on probe-anchored families: one norm and one set of
-    # rows per member over the widest range, filtered by j per depth
+    # each centre set's family is built once, over its widest generation
+    # range, and masked by j per depth
+    j_lo = min((r[0] for r in ranges), default=0)
+    j_hi = max((r[1] for r in ranges), default=-1)
+    fixed_family = _probe_family(centers + [1.0], j_lo, j_hi)
+    step_families = {c: _probe_family([c], j_lo, j_hi) for c in centers}
+    tail_family = _probe_family(centers, 0, j_hi + 2)
+    # fixed battery: one norm and one set of rows per member
     for name, f in fixed.items():
         norm = grad_power_mass(f, -f.grad_radius - 1, f.grad_radius + 1, p, weight)
         if norm <= 0 or not ranges:
             ratios[name] = [0.0] * len(ranges)
             continue
-        lo = min(r[0] for r in ranges)
-        hi = max(r[1] for r in ranges)
-        rows = _probe_rows(f, weight, centers + [1.0], lo, hi)
+        rows = _probe_rows(f, weight, fixed_family)
         ratios[name] = [
-            _rows_sup([r for r in rows if j_min <= r[0] <= j_max], p) / norm
+            _rows_sup(_generations(rows, j_min, j_max), p) / norm
             for j_min, j_max in ranges
         ]
     for j_min, j_max in ranges:
@@ -401,7 +399,8 @@ def weight_classifier(
             norm = grad_power_mass(f, c - wprobe, c + wprobe, p, weight)
             if norm <= 0:
                 continue
-            sup = _rows_sup(_probe_rows(f, weight, [c], j_min, j_max), p)
+            family = _generations(step_families[c], j_min, j_max)
+            sup = _rows_sup(_probe_rows(f, weight, family), p)
             best = max(best, sup / norm)
         ratios["step_probe"].append(best)
         # window-scale ramp probing the weight's tail
@@ -410,7 +409,8 @@ def weight_classifier(
         norm = grad_power_mass(f, -big, big, p, weight)
         best = 0.0
         if norm > 0:
-            sup = _rows_sup(_probe_rows(f, weight, centers, 0, j_max + 2), p)
+            family = _generations(tail_family, 0, j_max + 2)
+            sup = _rows_sup(_probe_rows(f, weight, family), p)
             best = max(best, sup / norm)
         ratios["tail_ramp"].append(best)
 

@@ -726,19 +726,23 @@ def _omega_sampled(f, box: list[tuple[float, float]], quad: Quadrature):
         m *= 2
 
 
-def omega(f, region) -> float:
-    """Renormalized averaged oscillation of f over one region; returns a float.
-
-    ``region`` is anything grid.float_box takes.  For n = 1 the value is
-    exact, by omega_intervals on the one interval.  Tensor functions (n >= 2)
-    are box-sampled by _omega_sampled at the default Quadrature, which also
-    returns whether the sampling converged.
-    """
-    box = float_box(region)
+def omega_boxes(f, lo, hi) -> np.ndarray:
+    """omega of f on each box with corners lo[i] and hi[i], (N, n) arrays:
+    exact for n = 1, by one omega_intervals call, and box-sampled by
+    _omega_sampled at the default Quadrature, one box at a time, for tensor
+    functions (n >= 2), whose convergence flag is dropped."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if getattr(f, "n", 1) == 1:
-        ((a, b),) = box
-        return omega_intervals(f, [a], [b]).item()
-    return _omega_sampled(f, box, Quadrature())[0]
+        return omega_intervals(f, lo[:, 0], hi[:, 0])
+    boxes = [list(zip(a, b)) for a, b in zip(lo.tolist(), hi.tolist())]
+    return np.array([_omega_sampled(f, box, Quadrature())[0] for box in boxes])
+
+
+def omega(f, region) -> float:
+    """Renormalized averaged oscillation of f over one region: the one row
+    of omega_boxes.  ``region`` is anything grid.float_box takes."""
+    lo, hi = zip(*float_box(region))
+    return omega_boxes(f, [lo], [hi]).item()
 
 
 def _singular_left_ends(f) -> set[float]:
@@ -816,19 +820,12 @@ def cube_key(q: Cube) -> tuple:
 
 
 def omega_window(f, window: GridWindow) -> dict[tuple, float]:
-    """omega for every cube of the window, keyed by cube_key: exact on every
-    cube for one-dimensional catalog functions, box-sampled for n >= 2.
-    Cubes are read from the window's array form as float corners.  For
-    n = 1 one omega_intervals call covers the window: the cubes on which f
-    is piecewise linear take one array pass, those that meet a nonlinear
-    piece the monotone-parts path one at a time."""
-    arr = window.arrays
-    if window.n == 1:
-        oms = omega_intervals(f, arr.lo[:, 0], arr.hi[:, 0])
-        return dict(zip(arr.keys, oms.tolist()))
-    boxes = zip(arr.lo.tolist(), arr.hi.tolist())
-    regions = (list(zip(lo, hi)) for lo, hi in boxes)
-    return {key: omega(f, region) for key, region in zip(arr.keys, regions)}
+    """The dict view of omega over a window that the benchmark reads:
+    omega_boxes on the window's arrays, keyed by cube_key of each cube of
+    ``window.cubes()``, in that order.  The package itself reads the
+    array."""
+    oms = omega_boxes(f, window.arrays.lo, window.arrays.hi).tolist()
+    return dict(zip(map(cube_key, window.cubes()), oms))
 
 
 # ---------------------------------------------------------------------------

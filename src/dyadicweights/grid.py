@@ -324,28 +324,35 @@ class WindowArrays:
     """The cubes of a window as arrays; row i is the i-th cube of
     ``GridWindow.cubes()``.
 
-    ``keys`` holds each cube's (thirds, j, m), and ``j`` (N,) its generation
-    as an int array.  ``corner`` holds the exact lower corners as Python
-    ints: the corner of a cube is (3m + (-1)^j t) 2^(j - j_min) in units of
-    2^j_min / 3, and its edge is 3 * 2^(j - j_min) of them.  ``lo`` and
-    ``hi`` are (N, n) floats, each the correctly rounded value of an exact
-    corner, and ``vol`` the (N,) float volumes 2^(j n).  The floats feed
-    only closed forms; every nesting or boundary decision reads ``corner``.
+    ``j`` (N,) holds each cube's generation as an int array, and ``j_min``
+    the window's lowest generation.  ``corner`` holds the exact lower
+    corners as Python ints: the corner of a cube is (3m + (-1)^j t)
+    2^(j - j_min) in units of 2^j_min / 3, and its edge is 3 * 2^(j - j_min)
+    of them.  ``lo`` and ``hi`` are (N, n) floats, each the correctly
+    rounded value of an exact corner, and ``vol`` the (N,) float volumes
+    2^(j n).  The floats feed only closed forms; every nesting or boundary
+    decision reads ``corner``.
     """
 
+    j_min: int
     j: np.ndarray
     corner: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     vol: np.ndarray
-    keys: tuple[tuple, ...]  # (thirds, j, m) per row, as funcspace.cube_key
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.j)
 
     def cube(self, i: int) -> Cube:
-        """The Cube of row i, built only when a cube is reported."""
-        thirds, j, m = self.keys[i]
+        """The Cube of row i, built only when a cube is reported.  Per axis,
+        c = corner >> (j - j_min) is 3m + (-1)^j t, so t = (-1)^j c mod 3
+        and m = (c - (-1)^j t) / 3, exactly."""
+        j = int(self.j[i])
+        sgn = 1 if j % 2 == 0 else -1
+        c = [x >> (j - self.j_min) for x in self.corner[i].tolist()]
+        thirds = tuple(sgn * x % 3 for x in c)
+        m = tuple((x - sgn * t) // 3 for x, t in zip(c, thirds))
         return Cube(Shift(thirds), j, m)
 
 
@@ -436,7 +443,7 @@ class GridWindow:
 
     @functools.cached_property
     def arrays(self) -> WindowArrays:
-        keys, js, corner, lo, hi = [], [], [], [], []
+        js, corner, lo, hi = [], [], [], []
         for shift, j, ranges in self._blocks():
             axes = [
                 _axis_arrays(t, j, j - self.j_min, r)
@@ -448,15 +455,14 @@ class GridWindow:
             lo.append(np.stack([a[1][i] for a, i in zip(axes, idx)], axis=1))
             hi.append(np.stack([a[2][i] for a, i in zip(axes, idx)], axis=1))
             js.append(np.full(idx.shape[1], j, dtype=np.int64))
-            keys.extend(itertools.product((shift.thirds,), (j,), itertools.product(*ranges)))
         js = np.concatenate(js)
         return WindowArrays(
+            j_min=self.j_min,
             j=js,
             corner=np.concatenate(corner).astype(object),
             lo=np.concatenate(lo),
             hi=np.concatenate(hi),
             vol=np.ldexp(1.0, self.n * js),
-            keys=tuple(keys),
         )
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from dyadicweights.funcspace import (
     grad_power_mass,
     mean_abs,
-    omega_window,
+    omega_boxes,
     sobolev_seminorm,
     weighted_lp_mass,
 )
@@ -77,15 +77,11 @@ class OscillationConfig:
         return self.beta + 1.0 - 1.0 / self.p
 
 
-def level_set(
-    f,
-    window: GridWindow,
-    lam: float,
-    b: float,
-    omega_map: dict | None = None,
-):
+def level_set(oms, window: GridWindow, lam: float, b: float):
     """Cubes of the window with omega_Q(f) / |Q|^b > lam (strict), in window
-    order: the level rule of LevelMass.of_cubes, each cube carrying weight 1.
+    order, from the omega values ``oms`` of f in the row order of
+    ``window.arrays``: the level rule of LevelMass.of_cubes, each cube
+    carrying weight 1.
 
     Returns (members, flagged) where flagged lists the cubes, members or not,
     whose threshold omega_Q(f) / |Q|^b is within REL_TOL relative of lam,
@@ -93,9 +89,7 @@ def level_set(
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    omega_map = omega_map or omega_window(f, window)
     arr = window.arrays
-    oms = [omega_map[key] for key in arr.keys]
     levels = LevelMass.of_cubes(oms, arr.vol, np.ones(len(arr)), b, 0.0)
     count, _ = levels.above(lam)
     thr = levels.thresholds
@@ -209,13 +203,10 @@ def _window_profile(
     )
 
 
-def oscillation_functional(
-    cfg: OscillationConfig, f, omega_map: dict | None = None
-) -> FunctionalProfile:
+def oscillation_functional(cfg: OscillationConfig, f) -> FunctionalProfile:
     """Profile of the weak-type oscillation functional over the window."""
     window = cfg.window
-    omega_map = omega_map or omega_window(f, window)
-    oms = [omega_map[key] for key in window.arrays.keys]
+    oms = omega_boxes(f, window.arrays.lo, window.arrays.hi)
     return _window_profile(
         window, oms, cfg.weight, cfg.p, cfg.beta, cfg.level_exponent, cfg.lambda_count
     )
@@ -525,26 +516,25 @@ def check_domination(
 
 
 def sparse_chain_check(
-    f,
+    oms,
     lam: float,
     beta: float,
     p: float,
     r: float,
     window: GridWindow,
     sample_points,
-    omega_map: dict | None = None,
 ) -> dict:
     """At each sample x, the level-set cubes containing x form a chain whose
     |Q|^{r(beta-1/p)} sum is controlled by the extreme cube via the geometric
-    series 1/(1 - 2^{-n r |beta - 1/p|}), up to a relative REL_TOL.
+    series 1/(1 - 2^{-n r |beta - 1/p|}), up to a relative REL_TOL.  The
+    level set is read from the omega values ``oms`` of f in the row order of
+    ``window.arrays``.
     """
     if beta == 1.0 / p:
         raise ValueError("beta = 1/p is excluded")
     n = window.n
     dev = beta - 1.0 / p
-    members, _ = level_set(
-        f, window, lam, beta + 1.0 - 1.0 / p, omega_map=omega_map
-    )
+    members, _ = level_set(oms, window, lam, beta + 1.0 - 1.0 / p)
     geom = 1.0 / (1.0 - 2.0 ** (-n * r * abs(dev)))
     calibrated = abs(dev) * geom
     results = []

@@ -151,6 +151,8 @@ class PowerWeight(Weight):
             )
         if e <= -1 and (lo == c or hi == c):
             raise DomainError(f"|x-{c}|^{e} has endpoint singularity")
+        if e == -1:  # log((near + (hi - lo)) / near), near the closer end's distance
+            return math.log1p((hi - lo) / (c - hi if hi <= c else lo - c))
 
         def prim(d):  # integral of t^e over [0, d]
             return d ** (e + 1) / (e + 1)
@@ -177,7 +179,12 @@ class PowerWeight(Weight):
             if len(bad):
                 self.interval_power_mass(float(lo[bad[0]]), float(hi[bad[0]]), s)
         lo, hi = lo[live], hi[live]
+        out = np.zeros(len(live))
         left, right = hi <= c, lo >= c
+        if e == -1:  # the log form, by math.log1p as the scalar path
+            ratio = (hi - lo) / np.where(left, c - hi, lo - c)
+            out[live] = [math.log1p(x) for x in ratio.tolist()]
+            return out
         e1 = e + 1
         # prim(first) -/+ prim(second), the operands of interval_power_mass
         d = np.concatenate([
@@ -188,7 +195,6 @@ class PowerWeight(Weight):
         uniq, inv = np.unique(d, return_inverse=True)
         prim = np.array([x**e1 / e1 for x in uniq.tolist()])[inv]
         first, second = prim[: len(lo)], prim[len(lo) :]
-        out = np.zeros(len(live))
         out[live] = np.where(left | right, first - second, first + second)
         return out
 

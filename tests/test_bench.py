@@ -64,3 +64,26 @@ def test_bench_runner_names_exist():
     )
     assert all(isinstance(a, wavelet.AtomIndex) for a in atoms)
     assert isinstance(vals, np.ndarray) and len(vals) == len(atoms) > 0
+
+
+def test_omega_window_is_the_dict_view_of_omega_boxes():
+    # bench/run.py reads omega by cube_key from omega_window, while the
+    # package reads the array of omega_boxes in the row order of the window
+    from fractions import Fraction
+
+    from dyadicweights import funcspace
+    from dyadicweights.grid import GridWindow, all_shifts, window_1d
+
+    box = ((Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(1)))
+    tent, linear = funcspace.catalog("tent"), funcspace.catalog("linear", slope=1.0)
+    cases = (
+        (tent, window_1d(-2, 2, -3, 1, shifts=all_shifts(1))),
+        (funcspace.TensorFunction([tent, linear]), GridWindow(box, 0, 0, tuple(all_shifts(2)[:2]))),
+    )
+    for f, w in cases:
+        got = funcspace.omega_window(f, w)
+        assert isinstance(got, dict)
+        assert list(got) == [funcspace.cube_key(q) for q in w.cubes()]
+        want = funcspace.omega_boxes(f, w.arrays.lo, w.arrays.hi)
+        assert np.array(list(got.values())).tobytes() == want.tobytes()
+        assert max(got.values()) > 0

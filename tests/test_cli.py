@@ -593,6 +593,14 @@ def test_ap_constant_cli(tmp_path):
     assert code == 0
     summary = json.loads(read(out / "summary.json"))
     assert summary["estimate"] > 2.0
+    # |x - 1/2| at p = 2: the dual power e = -1 takes the log form, and the
+    # weight sits on the edge of the class, so the estimate is unbounded
+    out = tmp_path / "log"
+    argv = ["ap-constant", "--out", str(out), "--set", "p=2"]
+    for spec in ("kind=power", "exponent=1.0", "center=0.5"):
+        argv += ["--set", "weight." + spec]
+    assert main(argv) == 0
+    assert json.loads(read(out / "summary.json"))["verdict"] == "unbounded"
 
 
 def test_good_cubes_cli(tmp_path):

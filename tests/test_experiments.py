@@ -77,12 +77,11 @@ def test_betalimit_sweep_slope():
 def test_betalimit_broken_scaling_is_uncertified(monkeypatch):
     # omega off by 1% away from the unit cube breaks the scale invariance
     # the sweep checks; the run reports it instead of raising
-    real = experiments.omega
-    unit = (-1.0 / 3.0, 2.0 / 3.0)
+    real = experiments.omega_intervals
     monkeypatch.setattr(
         experiments,
-        "omega",
-        lambda f, region: real(f, region) * (1.0 if region == unit else 1.01),
+        "omega_intervals",
+        lambda f, lo, hi: real(f, lo, hi) * np.where(np.equal(lo, -1.0 / 3.0), 1.0, 1.01),
     )
     res = sharpness_sweep("betalimit", 2.0, GRID)
     assert False in res.certified
@@ -172,24 +171,34 @@ def test_classifier_quotient_member_tracks_blowup():
     ids=repr,
 )
 def test_probe_rows_masses_match_the_scalar_path(weight):
-    # the family masses come from one Weight.masses pass; each row keeps the
-    # bits of interval_mass on its cube, with the ends from axis_interval
+    # one family over the widest generation range, masked by j, against a
+    # family built fresh for each range by a loop of axis_index and
+    # axis_interval calls; the masses come from one Weight.masses pass, each
+    # row keeping the bits of interval_mass on its cube.  The centre
+    # 2^20 + 0.1 takes axis_index past int64.
     f = experiments._linear_plateau()
-    centers = [0.0, 0.3, 1.0]
-    rows = experiments._probe_rows(f, weight, centers, -12, 3)
-    want = []
-    for c in centers:
-        pt = Fraction(c).limit_denominator(3 * 2**40)
-        for t in (0, 1, 2):
-            for j in range(-12, 4):
-                m0 = axis_index(t, j, pt.numerator, pt.denominator)
-                want.extend((t, j, m) for m in (m0 - 1, m0, m0 + 1))
-    want = list(dict.fromkeys(want))
-    oms = omega_intervals(f, *zip(*(axis_interval(*k) for k in want)))
-    want = [
-        (j, om, 2.0**j, weight.interval_mass(*axis_interval(t, j, m)))
-        for (t, j, m), om in zip(want, oms.tolist())
-        if om > 0
-    ]
-    assert len(rows) == len(want) > 0
-    assert np.array(rows).tobytes() == np.array(want).tobytes()
+    centers = [0.0, 0.3, 1.0, 2.0**20 + 0.1]
+    family = experiments._probe_family(centers, -12, 3)
+    for j_min, j_max in ((-12, 3), (-6, 1), (0, 3)):
+        want = []
+        for c in centers:
+            pt = Fraction(c).limit_denominator(3 * 2**40)
+            for t in (0, 1, 2):
+                for j in range(j_min, j_max + 1):
+                    m0 = axis_index(t, j, pt.numerator, pt.denominator)
+                    want.extend((t, j, m) for m in (m0 - 1, m0, m0 + 1))
+        want = list(dict.fromkeys(want))
+        assert len(want) < len(family[0]) or (j_min, j_max) == (-12, 3)
+        ends = [axis_interval(*k) for k in want]
+        part = experiments._generations(family, j_min, j_max)
+        assert part[0].tolist() == [j for _, j, _ in want]
+        assert np.hstack(part[1:]).tobytes() == np.array(ends).tobytes()
+        rows = experiments._probe_rows(f, weight, part)
+        oms = omega_intervals(f, *zip(*ends))
+        want_rows = [
+            (j, om, 2.0**j, weight.interval_mass(lo, hi))
+            for (_, j, _), (lo, hi), om in zip(want, ends, oms.tolist())
+            if om > 0
+        ]
+        assert len(rows[0]) == len(want_rows) > 0
+        assert np.column_stack(rows).tobytes() == np.array(want_rows).tobytes()

@@ -17,13 +17,12 @@ from dyadicweights.funcspace import (
     Quadrature,
     catalog,
     catalog_names,
-    cube_key,
     grad_power_mass,
     mean_abs,
     omega,
+    omega_boxes,
     omega_bruteforce,
     omega_indicator,
-    omega_window,
     sobolev_seminorm,
     tensor_tent,
     weighted_lp_mass,
@@ -209,32 +208,21 @@ def test_omega_2d_tensor_tent_vs_bruteforce():
     assert val == pytest.approx(bf, rel=5e-4)
 
 
-def test_omega_window_exact_and_sampled_agree():
+def test_omega_boxes_on_a_window_is_omega_per_cube():
     w = window_1d(-2, 2, -3, 1, shifts=[Shift((0,)), Shift((1,))])
-    tentf = catalog("tent")
-    exact_map = omega_window(tentf, w)
+    arr = w.arrays
+    cubes = list(w.cubes())
     smooth = catalog("smoothed_indicator", width=0.5)
-    sampled_map = omega_window(smooth, w)
-    assert set(exact_map) == set(sampled_map)
-    # one omega call per cube, bit for bit
-    bump = catalog("sharp1_bump")
-    for f, got in (
-        (tentf, exact_map),
-        (smooth, sampled_map),
-        (bump, omega_window(bump, w)),
-    ):
-        assert got == {cube_key(q): omega(f, q) for q in w.cubes()}
-    # spot check the sampled sweep against per-cube brute force
+    # one omega call per cube, bit for bit, in the row order of the arrays
+    for f in (catalog("tent"), smooth, catalog("sharp1_bump")):
+        got = omega_boxes(f, arr.lo, arr.hi)
+        assert got.tolist() == [omega(f, q) for q in cubes]
+    # spot check the nonlinear pieces against per-cube brute force
+    got = omega_boxes(smooth, arr.lo, arr.hi)
     rng = np.random.default_rng(5)
-    keys = list(sampled_map)
-    for idx in rng.choice(len(keys), size=12, replace=False):
-        key = keys[idx]
-        thirds, j, m = key
-        from dyadicweights.grid import make_cube
-
-        q = make_cube(Shift(thirds), j, m)
-        bf = omega_bruteforce(smooth, q, nodes=2500)
-        assert sampled_map[key] == pytest.approx(bf, rel=1e-6, abs=1e-12)
+    for i in rng.choice(len(cubes), size=12, replace=False):
+        bf = omega_bruteforce(smooth, cubes[i], nodes=2500)
+        assert got[i] == pytest.approx(bf, rel=1e-6, abs=1e-12)
 
 
 def test_omega_exact_on_breakpoint_cubes_of_a1_window():

@@ -289,15 +289,14 @@ def test_window_enumeration_order_and_uniqueness():
 
 
 def _assert_arrays_are_cubes(w: GridWindow):
-    """The array form of a window against its Cubes: same order and keys,
-    exact corners, floats equal bit for bit to float(Fraction) of the
+    """The array form of a window against its Cubes: same order, each row's
+    Cube decoded from its corner and generation, exact corners, floats equal bit for bit to float(Fraction) of the
     corners, and boundary flags equal to a Fraction loop over Cube.lower()."""
     assert "arrays" not in vars(w)  # built on first use only
     arr = w.arrays
     assert w.arrays is arr
     cubes = list(w.cubes())
     assert len(arr) == len(cubes) == w.count()
-    assert arr.keys == tuple((q.shift.thirds, q.j, q.m) for q in cubes)
     assert [arr.cube(i) for i in range(len(arr))] == cubes
     assert arr.j.tolist() == [q.j for q in cubes]
     unit = Fraction(2) ** w.j_min / 3
@@ -323,9 +322,10 @@ def _assert_arrays_are_cubes(w: GridWindow):
 def test_window_arrays_all_shifts_even_odd_negative_generations():
     w = window_1d(Fraction(-7, 5), Fraction(9, 4), -4, 3, shifts=all_shifts(1))
     arr = _assert_arrays_are_cubes(w)
-    assert {0, 1, 2} == {thirds[0] for thirds, _, _ in arr.keys}
+    cubes = [arr.cube(i) for i in range(len(arr))]
+    assert {0, 1, 2} == {q.shift.thirds[0] for q in cubes}
     assert set(range(-4, 4)) == set(arr.j.tolist())
-    ms = [m[0] for _, _, m in arr.keys]
+    ms = [q.m[0] for q in cubes]
     assert min(ms) < 0 < max(ms)
     assert 0 < w.boundary_flags().sum() < len(arr)
 
@@ -346,7 +346,7 @@ def test_window_arrays_far_from_origin():
     for lo in (2**53 + Fraction(1, 3), -(2**60) - Fraction(5, 7)):
         w = window_1d(lo, lo + 3, -3, 1, shifts=all_shifts(1))
         arr = _assert_arrays_are_cubes(w)
-        assert max(abs(3 * m[0]) for _, _, m in arr.keys) > 2**53
+        assert max(abs(3 * arr.cube(i).m[0]) for i in range(len(arr))) > 2**53
 
 
 def test_window_arrays_mix_int64_blocks_and_python_fallback(monkeypatch):
@@ -401,7 +401,9 @@ def test_window_2d_all_shifts_counts():
     box = ((Fraction(-1, 3), Fraction(3, 2)), (Fraction(1, 6), Fraction(2)))
     arr = _assert_arrays_are_cubes(GridWindow(box, -2, 1, tuple(all_shifts(2))))
     assert arr.lo.shape == arr.hi.shape == arr.corner.shape == (len(arr), 2)
-    assert {(len(thirds), len(m)) for thirds, _, m in arr.keys} == {(2, 2)}
+    cubes = [arr.cube(i) for i in range(len(arr))]
+    assert {(len(q.shift.thirds), len(q.m)) for q in cubes} == {(2, 2)}
+    assert len({q.shift.thirds for q in cubes}) == 9
 
 
 def test_window_budget_guard():

@@ -25,7 +25,7 @@ from dyadicweights.oscillation import (
     verify_oscillation,
     verify_mean_functional,
 )
-from dyadicweights.funcspace import catalog, omega_window
+from dyadicweights.funcspace import catalog, omega_boxes
 from dyadicweights.grid import (
     GridWindow,
     Shift,
@@ -38,6 +38,11 @@ from dyadicweights.records import VerificationRecord
 from dyadicweights.weights import ConstantWeight, PowerWeight
 
 S0 = Shift((0,))
+
+
+def _oms(f, win: GridWindow) -> np.ndarray:
+    """omega of f on the window's cubes, in the row order of its arrays."""
+    return omega_boxes(f, win.arrays.lo, win.arrays.hi)
 
 
 def test_admissible_beta_sets():
@@ -61,7 +66,7 @@ def test_level_set_constant_empty():
     f = catalog("constant", c=5.0)
     w = window_1d(-2, 2, -3, 1)
     for lam in (0.01, 1.0, 100.0):
-        members, flagged = level_set(f, w, lam, 0.0)
+        members, flagged = level_set(_oms(f, w), w, lam, 0.0)
         assert members == []
 
 
@@ -70,7 +75,7 @@ def test_level_set_linear_edge_rule():
     f = catalog("linear", slope=1.0)
     w = window_1d(-8, 8, -4, 3)
     lam = 0.07
-    members, _ = level_set(f, w, lam, 0.0)
+    members, _ = level_set(_oms(f, w), w, lam, 0.0)
     for q in w.cubes():
         h = float(q.edge)
         if h / 3.0 > lam:
@@ -82,10 +87,10 @@ def test_level_set_linear_edge_rule():
 def test_level_set_shrinks_in_lambda():
     f = catalog("tent")
     w = window_1d(-4, 4, -4, 2)
-    omega_map = omega_window(f, w)
+    oms = _oms(f, w)
     prev = None
     for lam in (0.01, 0.05, 0.2, 1.0):
-        members, _ = level_set(f, w, lam, 0.5, omega_map=omega_map)
+        members, _ = level_set(oms, w, lam, 0.5)
         cur = set(members)
         if prev is not None:
             assert cur.issubset(prev)
@@ -101,7 +106,7 @@ def test_level_set_bump_certifying_interval():
         lam = 4.0 ** (-beta - 3.0 + 1.0 / p)
         b = beta + 1.0 - 1.0 / p
         w = window_1d(-8, 8, 0, 3)
-        members, _ = level_set(f, w, lam, b)
+        members, _ = level_set(_oms(f, w), w, lam, b)
         target = make_cube(S0, 2, (0,))  # [0, 4)
         assert float(target.interval()[0]) == 0.0 and float(target.edge) == 4.0
         assert target in members
@@ -112,20 +117,22 @@ def test_level_set_counts_match_profile():
     # the profile the level set holds exactly n_cubes cubes, in window order
     f = catalog("tent")
     win = window_1d(-3, 3, -3, 1, shifts=all_shifts(1))
-    omega_map = omega_window(f, win)
-    order = {q: i for i, q in enumerate(win.cubes())}
+    oms = _oms(f, win)
+    cubes = list(win.cubes())
+    order = {q: i for i, q in enumerate(cubes)}
     for p, beta in ((1.0, 2.0), (2.0, 2.0), (2.0, -1.0)):
         cfg = OscillationConfig(p=p, beta=beta, weight=ConstantWeight(1.0), window=win)
-        prof = oscillation_functional(cfg, f, omega_map=omega_map)
+        prof = oscillation_functional(cfg, f)
         b = cfg.level_exponent
         for lam, n in zip(prof.lambdas, prof.n_cubes):
-            members, _ = level_set(f, win, lam, b, omega_map=omega_map)
+            members, _ = level_set(oms, win, lam, b)
             assert len(members) == n
             assert [order[q] for q in members] == sorted(order[q] for q in members)
         # a cube exactly at its threshold is flagged and not a member
-        q = max(order, key=lambda q: omega_map[(q.shift.thirds, q.j, q.m)])
-        lam = omega_map[(q.shift.thirds, q.j, q.m)] / float(q.volume) ** b
-        members, flagged = level_set(f, win, lam, b, omega_map=omega_map)
+        i = int(np.argmax(oms))
+        q = cubes[i]
+        lam = oms[i] / float(q.volume) ** b
+        members, flagged = level_set(oms, win, lam, b)
         assert q in flagged and q not in members
 
 
@@ -146,15 +153,15 @@ def test_functional_matches_bruteforce_enumeration():
     weight = ConstantWeight(1.0)
     p, beta = 1.0, 2.0
     cfg = OscillationConfig(p=p, beta=beta, weight=weight, window=win)
-    omega_map = omega_window(f, win)
-    prof = oscillation_functional(cfg, f, omega_map=omega_map)
+    oms = _oms(f, win)
+    prof = oscillation_functional(cfg, f)
     b = beta + 1.0 - 1.0 / p
     rng = np.random.default_rng(0)
     lams = list(rng.choice(prof.lambdas, size=8)) + [prof.argmax_lambda]
     for lam in lams:
         total = 0.0
-        for q in win.cubes():
-            om = omega_map[(q.shift.thirds, q.j, q.m)]
+        for i, q in enumerate(win.cubes()):
+            om = oms[i]
             vol = float(q.volume)
             if om > lam * vol**b:
                 total += vol ** (beta * p - 1.0) * weight.mass(q)
@@ -474,9 +481,8 @@ def test_classify_rejects_cross_shift():
 
 def test_sparse_chain_empty_level_set():
     f = catalog("constant", c=2.0)
-    rep = sparse_chain_check(
-        f, 1.0, 0.0, 1.0, 1.0, window_1d(-2, 2, -3, 1), [0.1, 0.7]
-    )
+    win = window_1d(-2, 2, -3, 1)
+    rep = sparse_chain_check(_oms(f, win), 1.0, 0.0, 1.0, 1.0, win, [0.1, 0.7])
     assert rep["all_ok"]
     assert rep["n_checked"] == 0
 
@@ -484,7 +490,7 @@ def test_sparse_chain_empty_level_set():
 def test_sparse_chain_linear_ramp():
     f = catalog("linear_ramp", slope=1.0, cutoff=8.0)
     win = window_1d(-8, 8, -6, 3)
-    rep = sparse_chain_check(f, 0.01, 0.0, 1.0, 1.0, win, [0.12, -0.77, 3.4])
+    rep = sparse_chain_check(_oms(f, win), 0.01, 0.0, 1.0, 1.0, win, [0.12, -0.77, 3.4])
     assert rep["all_ok"]
     assert rep["n_checked"] > 0
 
@@ -494,10 +500,7 @@ def test_sparse_chain_tent_maximal_variant():
     win = window_1d(-8, 8, -6, 3)
     rng = np.random.default_rng(1)
     pts = [float(x) for x in rng.uniform(-3, 3, size=100)]
-    omega_map = omega_window(f, win)
-    rep = sparse_chain_check(
-        f, 0.001, 2.0, 1.0, 1.0, win, pts, omega_map=omega_map
-    )
+    rep = sparse_chain_check(_oms(f, win), 0.001, 2.0, 1.0, 1.0, win, pts)
     assert rep["all_ok"]
     assert rep["n_checked"] >= 50
 

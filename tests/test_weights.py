@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dyadicweights.grid import Shift, make_cube
+from dyadicweights.quadrature import adaptive_quad
 from dyadicweights.weights import (
     CallableWeight,
     ConstantWeight,
@@ -376,7 +377,7 @@ def test_power_masses_raise_where_the_scalar_path_raises():
     # hi <= lo and rows away from the centre do not
     rng = np.random.default_rng(21)
     lo, hi = _rows(rng, ())
-    for a, s in ((0.75, -2.0), (-0.5, 3.0), (0.5, -4.0)):
+    for a, s in ((0.75, -2.0), (-0.5, 3.0), (0.5, -4.0), (1.0, -1.0)):
         for c in (0.0, 1.0 / 3.0, 0.3, 12.0, -9.5):
             w = PowerWeight(a, c)
             for rows in (slice(None), hi <= lo, (hi < c) | (lo > c)):
@@ -396,3 +397,20 @@ def test_power_masses_raise_where_the_scalar_path_raises():
         PowerWeight(0.75, 1.0).power_masses(np.array([0.0, 1.0]), np.array([0.5, 2.0]), -2.0)
     with pytest.raises(DomainError, match="across"):
         PowerWeight(0.75, 1.0).power_masses(np.array([3.0, 0.5]), np.array([4.0, 2.0]), -2.0)
+
+
+def test_power_mass_at_e_minus_one_is_the_log_form():
+    # e = a s = -1 with the centre outside [lo, hi]: the integral of
+    # 1 / |x - c|, against adaptive quadrature, and the array pass bit for
+    # bit the scalar one
+    w = PowerWeight(1.0, center=0.5)
+    lo = np.array([1.0, -2.0, 0.75, 0.5 + 1e-9, 100.0])
+    hi = np.array([3.0, 0.25, 0.75 + 2.0**-20, 2.0, 100.0 + 1e-6])
+    got = w.power_masses(lo, hi, -1.0)
+    assert got.tobytes() == _row_by_row(w.interval_power_mass, lo, hi, -1.0).tobytes()
+    for g, a, b in zip(got.tolist(), lo.tolist(), hi.tolist()):
+        want = adaptive_quad(lambda x: w.value(x) ** -1.0, a, b, rel_tol=1e-13)
+        assert g == pytest.approx(want, rel=1e-11)
+    assert PowerWeight(0.5, -1.0).interval_power_mass(0.0, 3.0, -2.0) == pytest.approx(
+        math.log(4.0), rel=1e-15
+    )
