@@ -36,16 +36,13 @@ from dyadicweights import diffquot, experiments, oscillation, wavelet
 from dyadicweights.funcspace import catalog
 from dyadicweights.grid import BudgetError, GridWindow, Shift, all_shifts, window_1d
 from dyadicweights.quadrature import QuadratureBudgetError
+from dyadicweights.records import ConfigError
 from dyadicweights.weights import (
     ap_constant,
     ap_ratio,
     parse_weight_spec,
     standard_probes,
 )
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +534,7 @@ def run_wavelet_check(cfg: dict):
         "sup": rec.lhs,
         "moment_residuals": moments,
         "orthonormality_residual": system.orthonormality_residual(),
-        "refinement_residual": system.refinement_residual(),
+        "refinement_residual": system.refinement_residual,
         "admissibility": {"order_ok": order > 2, "beta_ok": beta < 0 or beta > 1},
         "truncation": {
             "boundary_atoms": rec.details["boundary_atoms"],

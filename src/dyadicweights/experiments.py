@@ -36,6 +36,7 @@ from dyadicweights.grid import (
     axis_interval,
     window_1d,
 )
+from dyadicweights.records import ConfigError
 from dyadicweights.weights import (
     ConstantWeight,
     PowerWeight,
@@ -279,6 +280,14 @@ def _probe_family(centers, j_min: int, j_max: int):
     return np.array(gens, dtype=np.int64), ends[:, :1], ends[:, 1:]
 
 
+def _resolved_depth(center: float, depth: int) -> int:
+    """The deepest d <= depth at which the probe cubes of generation -d
+    around the center have distinct float ends (0 when none has)."""
+    while depth > 0 and not np.less(*_probe_family([center], -depth, -depth)[1:]).all():
+        depth -= 1
+    return depth
+
+
 def _generations(rows, j_min: int, j_max: int):
     """The rows, arrays led by the generations, with j in [j_min, j_max]."""
     sel = (j_min <= rows[0]) & (rows[0] <= j_max)
@@ -372,10 +381,18 @@ def weight_classifier(
     ratios["tail_ramp"] = []
 
     ranges = [(-d, max(4, d // 2)) for d in depths]
-    # each centre set's family is built once, over its widest generation
-    # range, and masked by j per depth
     j_lo = min((r[0] for r in ranges), default=0)
     j_hi = max((r[1] for r in ranges), default=-1)
+    for c in centers + [1.0]:
+        # far from 0 the deepest probe cubes can be narrower than the float spacing
+        if (resolved := _resolved_depth(c, -j_lo)) < -j_lo:
+            raise ConfigError(
+                f"probe cubes of depth {-j_lo} around centre {c!r} are narrower than "
+                f"the float spacing there; the deepest depth whose probe cubes have "
+                f"distinct float ends there is {resolved}"
+            )
+    # each centre set's family is built once, over its widest generation
+    # range, and masked by j per depth
     fixed_family = _probe_family(centers + [1.0], j_lo, j_hi)
     step_families = {c: _probe_family([c], j_lo, j_hi) for c in centers}
     tail_family = _probe_family(centers, 0, j_hi + 2)

@@ -5,6 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+
+class ConfigError(ValueError):
+    """An input the runners cannot act on, reported as one error line."""
+
+
 # Largest lhs/rhs ratio a check passes when its bound carries a constant that
 # is only estimated.
 RATIO_CEILING = 100.0

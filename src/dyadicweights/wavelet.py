@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, sqrt
 
 import numpy as np
 
-from dyadicweights.funcspace import grad_power_mass, weighted_lp_mass
+from dyadicweights.funcspace import TestFunction, grad_power_mass, weighted_lp_mass
 from dyadicweights.oscillation import LevelMass
 from dyadicweights.records import RATIO_CEILING, VerificationRecord
 from dyadicweights.weights import Weight, ap_constant, standard_probes
@@ -66,7 +67,8 @@ class CascadeError(RuntimeError):
 
 @dataclass
 class WaveletSystem:
-    """Sampled scaling function and wavelet on [0, 2N-1], spacing 2^-depth."""
+    """Sampled scaling function and wavelet on [0, 2N-1], spacing 2^-depth,
+    with the largest residual of the refinement equation on the samples."""
 
     order: int
     depth: int
@@ -74,10 +76,7 @@ class WaveletSystem:
     g: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return 0.0, float(len(self.h) - 1)
+    refinement_residual: float
 
     @property
     def dx(self) -> float:
@@ -85,27 +84,6 @@ class WaveletSystem:
 
     def base(self, e: int) -> np.ndarray:
         return self.phi if e == 0 else self.psi
-
-    def sample_value(self, e: int, u: np.ndarray) -> np.ndarray:
-        """Linear interpolation of the sampled mother function at points u."""
-        arr = self.base(e)
-        pos = np.asarray(u, dtype=float) / self.dx
-        idx = np.clip(np.floor(pos).astype(int), 0, len(arr) - 2)
-        frac = pos - idx
-        inside = (pos >= 0) & (pos <= len(arr) - 1)
-        out = arr[idx] * (1 - frac) + arr[idx + 1] * frac
-        return np.where(inside, out, 0.0)
-
-    def refinement_residual(self) -> float:
-        coarse = self.phi[::2]
-        rec = np.zeros(len(coarse))
-        idx = np.arange(len(coarse))
-        for k, hk in enumerate(self.h):
-            src = 2 * idx - k * 2 ** (self.depth - 1)
-            src2 = 2 * src
-            ok = (src2 >= 0) & (src2 < len(self.phi))
-            rec[idx[ok]] += sqrt(2.0) * hk * self.phi[src2[ok]]
-        return float(np.max(np.abs(rec - coarse)))
 
     def moment(self, k: int) -> float:
         xs = np.arange(len(self.psi)) * self.dx
@@ -123,6 +101,20 @@ class WaveletSystem:
             ip = float(np.sum(self.phi[s:] * self.phi[: n - s]) * self.dx)
             worst = max(worst, abs(ip - (1.0 if m == 0 else 0.0)))
         return worst
+
+
+def _refinement_residual(h: np.ndarray, phi: np.ndarray, depth: int) -> float:
+    """Largest deviation of phi at the even samples from the refinement
+    sum sqrt(2) sum_k h_k phi(2x - k) over the samples."""
+    coarse = phi[::2]
+    rec = np.zeros(len(coarse))
+    idx = np.arange(len(coarse))
+    for k, hk in enumerate(h):
+        src = 2 * idx - k * 2 ** (depth - 1)
+        src2 = 2 * src
+        ok = (src2 >= 0) & (src2 < len(phi))
+        rec[idx[ok]] += sqrt(2.0) * hk * phi[src2[ok]]
+    return float(np.max(np.abs(rec - coarse)))
 
 
 def build_daubechies(order: int, depth: int = 12) -> WaveletSystem:
@@ -149,10 +141,10 @@ def build_daubechies(order: int, depth: int = 12) -> WaveletSystem:
         src = 2 * idx - k * 2**depth
         ok = (src >= 0) & (src < len(phi))
         psi[idx[ok]] += sqrt(2.0) * gk * phi[src[ok]]
-    system = WaveletSystem(order=order, depth=depth, h=h, g=g, phi=phi, psi=psi)
-    if system.refinement_residual() > 1e-8:
+    residual = _refinement_residual(h, phi, depth)
+    if residual > 1e-8:
         raise CascadeError("refinement residual above 1e-8; cascade unreliable")
-    return system
+    return WaveletSystem(order, depth, h, g, phi, psi, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -165,30 +157,6 @@ class AtomIndex:
     e: int  # 0 scaling, 1 wavelet (n = 1)
     j: int  # scale index: cube edge 2^-j
     k: int  # translation
-
-    @property
-    def volume(self) -> float:
-        return 2.0**-self.j
-
-
-def normalized_atom(system: WaveletSystem, idx: AtomIndex, p: float):
-    """Value oracle of the L^p-normalized atom 2^(j/p) psi^e(2^j x - k)."""
-    amp = 2.0 ** (idx.j / p) if math.isfinite(p) else 1.0
-    scale = 2.0**idx.j
-
-    def value(x):
-        u = scale * np.asarray(x, dtype=float) - idx.k
-        return amp * system.sample_value(idx.e, u)
-
-    return value
-
-
-def atom_lp_norm(system: WaveletSystem, idx: AtomIndex, p: float) -> float:
-    """L^p norm of the normalized atom computed from the samples."""
-    base = system.base(idx.e)
-    if math.isinf(p):
-        return float(np.max(np.abs(base)))
-    return float(np.sum(np.abs(base) ** p) * system.dx) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -223,22 +191,10 @@ class IndexSet:
         return out
 
     def boundary_flags(self, system: WaveletSystem, atoms) -> np.ndarray:
-        support = len(system.h) - 1
-        flags = np.zeros(len(atoms), dtype=bool)
-        for i, a in enumerate(atoms):
-            s_lo = a.k * 2.0**-a.j
-            s_hi = (a.k + support) * 2.0**-a.j
-            if s_lo < self.lo or s_hi > self.hi:
-                flags[i] = True
-        return flags
-
-
-def _product_integral(fv: np.ndarray, gv: np.ndarray, dx: float) -> float:
-    """Exact integral of the product of the two piecewise-linear interpolants
-    through the shared sample values."""
-    a0, a1 = fv[:-1], fv[1:]
-    b0, b1 = gv[:-1], gv[1:]
-    return float(np.sum(a0 * b0 + 0.5 * (a0 * (b1 - b0) + b0 * (a1 - a0)) + (a1 - a0) * (b1 - b0) / 3.0) * dx)
+        """Whether each atom's support [k, k + 2N - 1]/2^j leaves the window."""
+        ks = np.array([a.k for a in atoms], dtype=float)
+        scale = np.ldexp(1.0, [a.j for a in atoms])
+        return (ks / scale < self.lo) | ((ks + len(system.h) - 1) / scale > self.hi)
 
 
 def coefficient(f, system: WaveletSystem, idx: AtomIndex, dual_p: float = 1.0) -> float:
@@ -253,9 +209,10 @@ def coefficient(f, system: WaveletSystem, idx: AtomIndex, dual_p: float = 1.0) -
     us = np.arange(len(base)) * system.dx
     xs = (us + idx.k) / scale
     fv = f.value(xs)
+    a0, a1, b0, b1 = fv[:-1], fv[1:], base[:-1], base[1:]
+    cells = a0 * b0 + 0.5 * (a0 * (b1 - b0) + b0 * (a1 - a0)) + (a1 - a0) * (b1 - b0) / 3.0
     amp = 2.0 ** (idx.j / dual_p)  # L^p amplitude at n = 1
-    raw = _product_integral(fv, base, system.dx) / scale
-    return amp * raw
+    return amp * (float(np.sum(cells) * system.dx) / scale)
 
 
 def _cell_masses(system: WaveletSystem) -> np.ndarray:
@@ -278,38 +235,76 @@ def _cell_masses(system: WaveletSystem) -> np.ndarray:
     return out.T
 
 
+def _taylor_rows(coef: np.ndarray, x0: np.ndarray, scale: float) -> np.ndarray:
+    """Rows b with sum_k coef[r, k] x^k = sum_k b[r, k] u^k at
+    x = x0[r] + u / scale: a Taylor shift to x0 by repeated synthetic
+    division, then the substitution u = scale (x - x0)."""
+    b = coef.copy()
+    deg = b.shape[1]
+    for k in range(deg - 1):
+        for i in range(deg - 2, k - 1, -1):
+            b[:, i] += x0 * b[:, i + 1]
+    return b / scale ** np.arange(deg)
+
+
+def _anchored_pieces(f: TestFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Per piece of f its point nearest 0 and its ascending coefficients in
+    x minus that anchor, shifted in exact arithmetic and rounded once, so a
+    cell far from 0 loses no digits to the monomial form in x (all zero on a
+    power piece)."""
+    anchors = [min(max(p.x0, 0.0), p.x1) for p in f.pieces]
+    exact = np.array([[Fraction(c) for c in row] for row in f._value_rows[::-1].T])
+    shifted = _taylor_rows(exact, np.array([Fraction(a) for a in anchors]), 1)
+    return np.array(anchors), shifted.astype(float)
+
+
 def coefficients(
-    f, system: WaveletSystem, index_set: IndexSet, dual_p: float = 1.0
+    f: TestFunction, system: WaveletSystem, index_set: IndexSet, dual_p: float = 1.0
 ) -> tuple[list[AtomIndex], np.ndarray]:
     """Every coefficient of ``index_set``, in the order of its atoms, computed
-    generation by generation from unit cells [m, m + 1]/2^j.
+    generation by generation from unit cells [c, c + 1]/2^j.
 
-    The atoms of generation j have consecutive k, and atom k covers the S
-    support cells k .. k + S - 1.  f is evaluated once per block of S cells,
-    on the per-atom abscissae bit for bit (dx is a power of two).  One
-    product with the precomputed P1 mass vectors of the S support cells
-    gives each cell's pairing with each support cell of phi and psi (the
-    two share the blocks at j = 0), and atom k sums its S diagonal entries.
-    ``coefficient`` is the per-atom oracle; the two agree to rounding.
+    Atom k of generation j covers the S support cells k .. k + S - 1 and sums
+    its S diagonal entries of ``pair``, each cell's P1 pairing with every
+    support cell of phi and psi (``_cell_masses``).  A cell whose two ends
+    lie in one polynomial piece of f (the piece rule of
+    ``TestFunction._table``) takes its row in closed form: with b the
+    piece's coefficients in u = 2^j x - c, the row is b @ M, where
+    M[k] = (u_i^k) @ masses over the sample abscissae u_i.  Only the other
+    cells, which a breakpoint or a power piece meets, evaluate f, on the
+    per-atom abscissae bit for bit.  ``coefficient`` is the per-atom
+    oracle; the two agree to rounding, and a psi atom inside one piece comes
+    out at rounding level, not as an exact 0.
     """
     atoms = index_set.atoms(system)
     step = 2**system.depth
     span = len(system.h) - 1  # S, the support length in cells
     masses = _cell_masses(system)
+    us = np.arange(step + 1) * system.dx
+    anchors, coef = _anchored_pieces(f)
+    # u_i^k (exact), contiguous: the strided product sums 10x less accurately
+    moments = np.vander(us, coef.shape[1], increasing=True).T.copy() @ masses
+    poly = np.array([p.kind == "poly" for p in f.pieces])
     vals = np.empty(len(atoms))
     start = 0
     for j in range(index_set.j_max + 1):
         ks = index_set.translations(system, j)
-        kinds = 2 if j == 0 else 1  # phi and psi share the blocks at j = 0
-        cols = masses[:, (2 - kinds) * span :]
+        kinds = 2 if j == 0 else 1  # phi and psi share the cells at j = 0
+        cols = slice((2 - kinds) * span, None)
         scale = 2.0**j
-        cells = len(ks) + span - 1
-        pair = np.empty((cells, kinds * span))
-        for m0 in range(0, cells, span):
-            n_cells = min(span, cells - m0)
-            xs = (np.arange(n_cells * step + 1) * system.dx + (ks.start + m0)) / scale
-            view = np.lib.stride_tricks.sliding_window_view(f.value(xs), step + 1)
-            pair[m0 : m0 + n_cells] = view[::step] @ cols
+        corners = np.arange(ks.start, ks.stop + span - 1)
+        piece = np.searchsorted(f._edges, corners / scale, side="right")
+        right = np.searchsorted(f._edges, (corners + 1) / scale, side="right")
+        closed = (piece == right) & poly[piece]
+        pair = np.empty((len(corners), kinds * span))
+        at = piece[closed]
+        taylor = _taylor_rows(coef[at], corners[closed] / scale - anchors[at], scale)
+        pair[closed] = taylor @ moments[:, cols]
+        sampled = np.flatnonzero(~closed)
+        for first in range(0, len(sampled), span):
+            rows = sampled[first : first + span]
+            xs = (us + corners[rows, None]) / scale
+            pair[rows] = f.value(xs) @ masses[:, cols]
         amp = 2.0 ** (j / dual_p)  # L^p amplitude at n = 1
         for i in range(kinds):
             raw = sum(pair[s : s + len(ks), i * span + s] for s in range(span))
@@ -318,16 +313,20 @@ def coefficients(
     return atoms, vals
 
 
+def _volume_powers(gens: np.ndarray, e: float) -> np.ndarray:
+    """|I|^e = (2^-j)^e per generation j in ``gens``, one power per distinct j."""
+    uniq, inv = np.unique(gens, return_inverse=True)
+    return np.array([(2.0 ** -int(j)) ** e for j in uniq])[inv]
+
+
 def atom_weights(atoms, beta: float, w: Weight) -> np.ndarray:
     """Entry weights |I|^(beta-1) v(I) of the atoms' cubes I = [k, k+1)/2^j,
-    with float ends k/2^j and (k+1)/2^j by int / int division."""
-    return np.array(
-        [
-            a.volume ** (beta - 1.0)
-            * w.interval_mass(a.k / 2**a.j, (a.k + 1) / 2**a.j)
-            for a in atoms
-        ]
-    )
+    with float ends k/2^j and (k+1)/2^j (exact: |k| < 2^53) and the masses
+    by one ``Weight.masses`` call."""
+    gens = np.array([a.j for a in atoms])
+    ks = np.array([a.k for a in atoms], dtype=float)
+    lo, hi = np.ldexp(ks, -gens), np.ldexp(ks + 1.0, -gens)
+    return _volume_powers(gens, beta - 1.0) * w.masses(lo[:, None], hi[:, None])
 
 
 def _norms(u: np.ndarray, values: np.ndarray, p: float) -> tuple[float, float]:
@@ -335,23 +334,6 @@ def _norms(u: np.ndarray, values: np.ndarray, p: float) -> tuple[float, float]:
     strong = float(np.sum(u * mags**p)) ** (1.0 / p)
     weak = LevelMass(mags, u).sup(p) ** (1.0 / p)
     return strong, weak
-
-
-def seq_norms(
-    atoms,
-    values: np.ndarray,
-    beta: float,
-    w: Weight,
-    p: float,
-) -> tuple[float, float]:
-    """Strong and weak weighted sequence norms of a finite coefficient family.
-
-    Entry weights are |I|^(beta-1) v(I).  The weak norm is
-    (sup over lam of lam^p * weight of entries with |a| > lam)^(1/p); the
-    supremum is attained at coefficient magnitudes, so it is exact for finite
-    families.
-    """
-    return _norms(atom_weights(atoms, beta, w), values, p)
 
 
 def verify_almost_char(
@@ -376,7 +358,8 @@ def verify_almost_char(
         # n = 1: admissible beta is anything below 0 or above 1
         raise ValueError(f"beta={beta} outside the admissible range")
     atoms, vals = coeffs or coefficients(f, system, index_set, dual_p=1.0)
-    deflated = vals / np.array([a.volume**beta for a in atoms])
+    gens = np.array([a.j for a in atoms])
+    deflated = vals / _volume_powers(gens, beta)
     u = atom_weights(atoms, beta, w)
     strong, weak = _norms(u, deflated, 1.0)
     probes = standard_probes(w, scales=range(-index_set.j_max - 2, 6))
@@ -387,11 +370,8 @@ def verify_almost_char(
     middle, certified = est.bound(l1 + grad1, 1.0)
 
     # convergence flag for the strong norm: per-generation tail decay
-    per_gen: dict[int, float] = {}
-    for a, uu, dv in zip(atoms, u, np.abs(deflated)):
-        per_gen[a.j] = per_gen.get(a.j, 0.0) + uu * dv
-    gens = sorted(per_gen)
-    tail_decaying = len(gens) >= 3 and per_gen[gens[-1]] < per_gen[gens[-2]] < per_gen[gens[-3]]
+    per_gen = np.bincount(gens, weights=u * np.abs(deflated))
+    tail_decaying = len(per_gen) >= 3 and per_gen[-1] < per_gen[-2] < per_gen[-3]
     strong_rhs, _ = est.bound(strong, 2.0)
     right_ratio = middle / strong_rhs if (tail_decaying and strong > 0) else math.nan
     return VerificationRecord(

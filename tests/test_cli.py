@@ -119,9 +119,9 @@ ARGV_RUNS = {
             "--set", "weight.exponent=0.5",
             "--set", "p=1",
         ],
-        "c852cffefd5ad2d278bb27244715adbe84c78098e5f9533f45df51851553a87d",
+        "3b1a5e992a2ee85ea2f015672c97b81f312f044654505b7f342eda35ebd6dbe7",
         2,
-        "f6a4e1ca6ed669b74e4a58cb075564e87c3b72b36f5976076d81e26f789546f1",
+        "a572f3496c9235ec9ab6c8224bdedabdba138561aeac8de6dab666d57769aa8f",
     ),
     "verify-cddd-unbounded": (
         [
@@ -548,6 +548,28 @@ def test_classify_weight_cli(tmp_path):
     summary = json.loads(read(out / "summary.json"))
     assert summary["verdict"] == "violates"
     assert summary["analytic_reference"] is False
+
+
+@pytest.mark.parametrize("center, code", [(100.0, 1), (10.0, 2)], ids=["100", "10"])
+def test_classify_weight_far_center(tmp_path, capsys, center, code):
+    # at centre 100 the depth-48 probe cubes (width 2^-48) are narrower than
+    # the float spacing 2^-46 there: the run is refused before any family is
+    # built, with one error line naming the centre and the deepest depth
+    # that resolves there; at centre 10 the same run goes through
+    argv = [
+        "classify-weight",
+        "--set", "weight.kind=power",
+        "--set", "weight.exponent=0.5",
+        "--set", f"weight.center={center}",
+        "--out", str(tmp_path),
+    ]
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 1:
+        assert len(err) == 1 and err[0].startswith("error: probe cubes of depth 48")
+        assert "centre 100.0" in err[0] and err[0].endswith("there is 46")
+    else:
+        assert json.loads(read(tmp_path / "summary.json"))["verdict"] == "violates"
 
 
 def test_wavelet_check_cli(tmp_path):

@@ -11,16 +11,22 @@ from dyadicweights.funcspace import catalog
 from dyadicweights.wavelet import (
     AtomIndex,
     IndexSet,
-    atom_lp_norm,
+    _volume_powers,
+    atom_weights,
     build_daubechies,
     coefficient,
     coefficients,
     daubechies_filter,
-    normalized_atom,
-    seq_norms,
     verify_almost_char,
 )
 from dyadicweights.weights import ConstantWeight, PowerWeight
+from oracles import (
+    atom_lp_norm,
+    exact_coefficient,
+    normalized_atom,
+    sample_value,
+    seq_norms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +58,14 @@ def test_filter_qmf_orthogonality():
 def test_haar_scaling_function_exact():
     sys1 = build_daubechies(1, depth=10)
     xs = np.array([0.1, 0.5, 0.9])
-    assert np.allclose(sys1.sample_value(0, xs), 1.0)
-    assert sys1.sample_value(0, np.array([1.2]))[0] == 0.0
+    assert np.allclose(sample_value(sys1, 0, xs), 1.0)
+    assert sample_value(sys1, 0, np.array([1.2]))[0] == 0.0
 
 
 def test_refinement_residual(db4, db2):
-    assert db4.refinement_residual() < 1e-8
-    assert db2.refinement_residual() < 1e-8
+    # computed once, by build_daubechies, and stored on the system
+    assert db4.refinement_residual < 1e-8
+    assert db2.refinement_residual < 1e-8
 
 
 def test_vanishing_moments(db4, db2):
@@ -159,12 +166,15 @@ def test_coefficient_linearity(db4):
     assert cc == pytest.approx(2.0 * cf - 0.5 * cg, rel=1e-9, abs=1e-12)
 
 
-# catalog name -> parameters; sharp2_fdelta has a power piece
+# test id -> (catalog name, parameters); sharp2_fdelta has a power piece,
+# the jumps of indicator fall inside cells (a = 0.3) or on cell ends
 COEFFICIENT_FUNCTIONS = {
-    "tent": {},
-    "smoothed_indicator": {"width": 0.3},
-    "sharp1_bump": {},
-    "sharp2_fdelta": {"delta": 0.5},
+    "tent": ("tent", {}),
+    "smoothed_indicator": ("smoothed_indicator", {"width": 0.3}),
+    "sharp1_bump": ("sharp1_bump", {}),
+    "sharp2_fdelta": ("sharp2_fdelta", {"delta": 0.5}),
+    "indicator-a0.3": ("indicator", {"a": 0.3}),
+    "indicator-a0-b1": ("indicator", {"a": 0.0, "b": 1.0}),
 }
 
 
@@ -178,7 +188,8 @@ def test_coefficients_match_per_atom_oracle(fname, order, depth, dual_p):
     # the window starts left of 0, so every generation's k-range starts at a
     # negative k; order 1 has a one-cell support, order 10 nineteen cells
     system = build_daubechies(order, depth)
-    f = catalog(fname, **COEFFICIENT_FUNCTIONS[fname])
+    name, params = COEFFICIENT_FUNCTIONS[fname]
+    f = catalog(name, **params)
     index_set = IndexSet(j_max=2, lo=-1.5, hi=1.25)
     atoms, vals = coefficients(f, system, index_set, dual_p=dual_p)
     assert atoms == index_set.atoms(system)
@@ -187,32 +198,89 @@ def test_coefficients_match_per_atom_oracle(fname, order, depth, dual_p):
     assert np.max(np.abs(vals - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
-def test_coefficients_one_value_call_per_block_of_support_cells(db4):
-    # f is evaluated once per block of S = 2N - 1 unit cells of a generation,
-    # never once per atom; the spacing dx/2^j of a call names its generation
-    class Counting:
-        n = 1
-        breakpoints = ()
+@pytest.mark.parametrize("fname", sorted(COEFFICIENT_FUNCTIONS))
+def test_coefficients_sample_f_only_on_cells_a_breakpoint_or_power_piece_meets(
+    db4, fname
+):
+    # a unit cell [c, c + 1]/2^j goes to f.value, on a row of its own with
+    # the per-atom abscissae (u + c)/2^j, exactly when a breakpoint e lies in
+    # c/2^j < e <= (c + 1)/2^j or the cell overlaps a power piece; every
+    # other cell is inside one polynomial piece and takes its closed form
+    name, params = COEFFICIENT_FUNCTIONS[fname]
+    f = catalog(name, **params)
+    value, seen = f.value, []
 
-        def __init__(self, f):
-            self.f = f
-            self.calls = []
+    def recording(x):
+        seen.append(np.array(x))
+        return value(x)
 
-        def value(self, x):
-            self.calls.append((x[1] - x[0], len(x)))
-            return self.f.value(x)
-
-    f = Counting(catalog("tent"))
+    f.value = recording
     index_set = IndexSet(j_max=4, lo=-8.0, hi=10.0)
     coefficients(f, db4, index_set)
     span = len(db4.h) - 1
-    assert all(size <= len(db4.phi) for _, size in f.calls)
-    per_gen = {j: 0 for j in range(index_set.j_max + 1)}
-    for spacing, _ in f.calls:
-        per_gen[round(math.log2(db4.dx / spacing))] += 1
-    for j, calls in per_gen.items():
-        cells = len(index_set.translations(db4, j)) + span - 1
-        assert 0 < calls <= math.ceil(cells / span)
+    us = np.arange(2**db4.depth + 1) * db4.dx
+    rows = []
+    for x in seen:
+        assert x.ndim == 2 and x.shape[1] == len(us) and len(x) <= span
+        for row in x:
+            j = round(math.log2(db4.dx / (row[1] - row[0])))
+            c = int(row[0] * 2**j)
+            assert row.tobytes() == ((us + c) / 2.0**j).tobytes()
+            rows.append((j, c))
+    want = []
+    for j in range(index_set.j_max + 1):
+        ks = index_set.translations(db4, j)
+        for c in range(ks.start, ks.stop + span - 1):
+            lo, hi = c / 2**j, (c + 1) / 2**j
+            jump = any(lo < e <= hi for e in f.breakpoints)
+            power = any(
+                p.kind == "power" and max(lo, p.x0) < min(hi, p.x1) for p in f.pieces
+            )
+            if jump or power:
+                want.append((j, c))
+    assert rows == want
+    if fname == "tent":
+        # the benchmark's input: three cells per generation, at 0, 1 and 2
+        assert len(seen) <= 15 and sum(x.size for x in seen) <= 65_000
+
+
+def test_closed_form_cells_far_from_0_match_exact_arithmetic():
+    # the cubic edge [39.7, 40) of this plateau has monomial coefficients in
+    # x up to 5e6, so evaluating it at the samples loses about 1e-12; the
+    # closed form shifts each piece to its point nearest 0 exactly first
+    system = build_daubechies(2, 8)
+    f = catalog("smoothed_indicator", width=0.3, a=40.0, b=41.0)
+    atoms, vals = coefficients(f, system, IndexSet(j_max=4, lo=39.5, hi=41.5))
+    inside = [  # atoms whose three support cells all lie inside the edge
+        i for i, a in enumerate(atoms)
+        if a.j == 4 and 39.7 <= a.k / 16 and (a.k + 3) / 16 < 40.0
+    ]
+    assert inside
+    for i in inside:
+        want = exact_coefficient(f, system, atoms[i])
+        assert abs(vals[i] - want) <= 1e-15 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize(
+    "w",
+    [PowerWeight(0.5, center=0.25), PowerWeight(-0.5, center=0.25), ConstantWeight(2.0)],
+    ids=["power-a0.5", "power-a-0.5", "constant"],
+)
+def test_atom_weights_match_the_scalar_loop_bit_for_bit(db4, w):
+    # the centre 1/4 is an atom end from generation 2 on
+    atoms = IndexSet(j_max=4, lo=-8.0, hi=10.0).atoms(db4)
+    for beta in (2.0, 1.5, -1.0):
+        want = np.array(
+            [
+                (2.0**-a.j) ** (beta - 1.0)
+                * w.interval_mass(a.k / 2**a.j, (a.k + 1) / 2**a.j)
+                for a in atoms
+            ]
+        )
+        assert atom_weights(atoms, beta, w).tobytes() == want.tobytes()
+        vols = np.array([(2.0**-a.j) ** beta for a in atoms])
+        gens = np.array([a.j for a in atoms])
+        assert _volume_powers(gens, beta).tobytes() == vols.tobytes()
 
 
 def test_seq_norms_single_entry():
