@@ -8,8 +8,10 @@ closed-form antiderivatives, so weighted gradient norms have exact paths.
 omega is exact for every one-dimensional function: `omega_intervals` and
 `mean_abs` take many intervals at once, and those on which f is piecewise
 linear take one array pass over a table of their linear segments
-(`_segment_table`); the others sum over pairs of the parts of f on which it
-is monotone.  Tensor functions (n >= 2) are sampled on the box.
+(`_segment_table`).  On the others omega sums over pairs of the parts of f
+on which it is monotone, in one array pass over a table of the parts of all
+of them (`_part_table`) with one quadrature call for the pairs whose values
+overlap.  Tensor functions (n >= 2) are sampled on the box.
 
 A `TestFunction` evaluates its value, derivative and antiderivative from a
 piece table built once: one `searchsorted` picks each point's piece, one
@@ -21,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from dyadicweights.grid import Cube, GridWindow, float_box
-from dyadicweights.quadrature import _gl, adaptive_quad
+from dyadicweights.quadrature import _gl, adaptive_quad, adaptive_quads
 from dyadicweights.weights import ConstantWeight, PowerWeight, Weight
 
 
@@ -92,7 +94,7 @@ class Piece:
 
     def xprim(self, x):
         """Local antiderivative of t*f(t) on a power piece (polynomial parts
-        take their moment by Gauss-Legendre in _MonotonePart)."""
+        take their moment by Gauss-Legendre in _monotone_sums)."""
         x = np.asarray(x, dtype=float)
         coef, e, c = self.data
         d = np.maximum(x - c, 0.0)
@@ -204,6 +206,18 @@ class TestFunction:
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(float(e) for e in self._edges)
+
+    @cached_property
+    def _critical(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(start, x)``: the distinct real parts of the roots of piece i's
+        derivative, sorted, are x[start[i]:start[i + 1]]; polynomial pieces of
+        degree 2 or more have them, the others none."""
+        roots = [np.zeros(0)] * len(self.pieces)
+        for i, p in enumerate(self.pieces):
+            if p.kind == "poly" and len(p.data) > 2:
+                slope = [k * c for k, c in enumerate(p.data)][1:]
+                roots[i] = np.unique(np.polynomial.polynomial.polyroots(slope).real)
+        return np.cumsum([0] + [r.size for r in roots]), np.concatenate(roots)
 
     def __repr__(self):
         ps = ",".join(f"{k}={v}" for k, v in self.params.items())
@@ -438,10 +452,6 @@ def catalog(name: str, **params):
     return _CATALOG[name](**params)
 
 
-def catalog_names() -> list[str]:
-    return sorted(_CATALOG)
-
-
 # ---------------------------------------------------------------------------
 # omega: exact paths
 # ---------------------------------------------------------------------------
@@ -551,8 +561,8 @@ def omega_intervals(f: TestFunction, lo, hi) -> np.ndarray:
     |f(x) - f(y)| over every ordered pair of its segments, p-major as a double
     loop would, and divides by (hi - lo) ** 2.  One array pass computes the
     pairs: a segment with itself by the one-cut closed form, two segments by
-    the general cut arithmetic.  An interval that meets a piece of f that is
-    not linear takes the monotone-parts sum on its own.
+    the general cut arithmetic.  The intervals that meet a piece of f that
+    is not linear take the monotone-parts sum, all in one more array pass.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     groups, other = _segment_table(f, lo, hi)
@@ -578,8 +588,8 @@ def omega_intervals(f: TestFunction, lo, hi) -> np.ndarray:
             pairs[:, p, q] = cross[stop : stop + m * p.size].reshape(m, -1)
             start, stop = start + m * k, stop + m * p.size
             out[rows] = reduce(np.add, pairs.reshape(m, -1).T, np.zeros(m))
-    for i in other:
-        out[i] = _double_integral_piecewise(f, float(lo[i]), float(hi[i]))
+    if other:
+        out[other] = _monotone_sums(f, lo[other], hi[other])
     live = np.flatnonzero(out)  # 0.0 stays 0.0 without the division
     out[live] /= _pow(hi[live] - lo[live], 2)
     return out
@@ -595,106 +605,131 @@ def _sorted_pair_sum(values: np.ndarray, weights: np.ndarray) -> float:
     return 2.0 * float(np.sum(w * (v * wcum - vwcum)))
 
 
-class _MonotonePart:
-    """One piece of f restricted to [lo, hi], where it is monotone."""
-
-    def __init__(self, piece: Piece, lo: float, hi: float):
-        self.piece, self.lo, self.hi = piece, lo, hi
-        self.ends = piece.eval(np.array([lo, hi]))
-        self.sgn = 1.0 if self.ends[1] >= self.ends[0] else -1.0
-        self.prim_ends = piece.prim(np.array([lo, hi]))
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        if piece.kind == "poly":
-            # Gauss-Legendre exact for x f(x), on values of f: differences of
-            # the primitives of the expanded coefficients cancel badly
-            t, w = _gl(len(piece.data) // 2 + 1)
-            fx = piece.eval(mid + half * t)
-            self.mass = half * float(w @ fx)
-            self.moment = half * half * float((w * t) @ fx)
-        else:
-            self.mass = float(self.prim_ends[1] - self.prim_ends[0])
-            xp = piece.xprim(np.array([lo, hi]))
-            self.moment = float(xp[1] - xp[0]) - mid * self.mass
-
-    def self_integral(self) -> float:
-        """Int Int |f(x) - f(y)| over the part squared: 4 |Int (x - mid) f|
-        for monotone f."""
-        return 4.0 * abs(self.moment)
-
-    def inverse(self, v):
-        """Where f takes the values v, clipped to [lo, hi].
-
-        Bisection to 2^-32 of the part suffices: abs_dev is stationary in the
-        inverse point, so its error is second order in the bisection width.
-        """
-        v = np.asarray(v, dtype=float)
-        lo, hi = np.full(v.shape, self.lo), np.full(v.shape, self.hi)
-        for _ in range(32):
-            mid = 0.5 * (lo + hi)
-            below = self.sgn * (self.piece.eval(mid) - v) < 0
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        x = np.where(self.sgn * (v - self.ends[1]) >= 0, self.hi, 0.5 * (lo + hi))
-        return np.where(self.sgn * (v - self.ends[0]) <= 0, self.lo, x)
-
-    def abs_dev(self, v):
-        """Int over [lo, hi] of |v - f(y)| dy at every v; v - f changes sign
-        once, at the inverse point."""
-        y = self.inverse(v)
-        h0, h1 = self.prim_ends
-        return self.sgn * (
-            v * (2.0 * y - self.lo - self.hi) + h0 + h1 - 2.0 * self.piece.prim(y)
-        )
+def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges start[i] + (0, ..., count[i] - 1) end to end, and each i."""
+    owner = np.repeat(np.arange(count.size), count)
+    return start[owner] + np.arange(owner.size) - (np.cumsum(count) - count)[owner], owner
 
 
-def _monotone_parts(f: TestFunction, a: float, b: float) -> list[_MonotonePart]:
-    """The pieces of f clipped to [a, b], polynomial pieces cut at the real
-    parts of the roots of their derivative so f is monotone on every part.
+def _part_table(f: TestFunction, lo: np.ndarray, hi: np.ndarray):
+    """The parts of f on each interval [lo[i], hi[i]] on which it is
+    monotone, as arrays (row, piece, a, b) in row, then x order: each piece
+    clipped to the interval, a polynomial piece cut at every critical point
+    more than 1e-12 of its clipped width inside it.  f moves by at most
+    ~1e-24 width^2 |f''| on the sliver a cut nearer an end would split off."""
+    first = np.searchsorted(f._edges, lo, side="right")
+    piece, row = _ranges(first, np.searchsorted(f._edges, hi, side="left") + 1 - first)
+    a, b = f._lines[0][piece], f._lines[1][piece]
+    head = np.append(True, row[1:] != row[:-1])
+    a[head], b[np.append(head[1:], True)] = lo, hi
+    start, crit = f._critical
+    at, seg = _ranges(start[piece], start[piece + 1] - start[piece])
+    x, margin = crit[at], 1e-12 * (b - a)[seg]
+    inside = (a[seg] + margin < x) & (x < b[seg] - margin)
+    # each clipped piece's left end, then its cuts, which are sorted
+    owner = np.concatenate([np.arange(piece.size), seg[inside]])
+    order = np.argsort(owner, kind="stable")
+    owner, left = owner[order], np.concatenate([a, x[inside]])[order]
+    right = np.append(left[1:], 0.0)
+    right[np.append(owner[1:] != owner[:-1], True)] = b
+    return row[owner], piece[owner], left, right
 
-    A root within 1e-12 of a part's end is not cut: f moves by at most
-    ~1e-24 (hi - lo)^2 |f''| on the sliver it would split off.
+
+def _monotone_sums(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Int Int |f(x) - f(y)| over [lo[i], hi[i]] squared for every row, as
+    the sum over pairs of the parts of f there on which it is monotone, in
+    one array pass over the parts of all rows.
+
+    A part with itself gives 4 |Int (x - mid) f|.  Two parts whose value
+    ranges are disjoint give |len(q) Int_p f - len(p) Int_q f|.  Any other
+    pair takes Int over p of Int over q of |f(x) - f(y)|: the inner integral
+    is exact through q's inverse, found by bisection to 2^-32 of q (the inner
+    integral is stationary in that point, so its error is second order), and
+    the outer integrals are one adaptive_quads call, each cut where f on p
+    crosses q's end values.  A row adds each part's own term, then twice
+    each pair with a later part, as a double loop over its parts would.
     """
-    parts = []
-    for p in f.pieces:
-        lo, hi = max(a, p.x0), min(b, p.x1)
-        if hi <= lo:
-            continue
-        cuts = [lo, hi]
-        if p.kind == "poly" and len(p.data) > 2:
-            slope = [k * c for k, c in enumerate(p.data)][1:]
-            margin = 1e-12 * (hi - lo)
-            roots = np.polynomial.polynomial.polyroots(slope).real
-            inside = {float(r) for r in roots if lo + margin < r < hi - margin}
-            cuts[1:1] = sorted(inside)
-        parts += [_MonotonePart(p, s, t) for s, t in zip(cuts, cuts[1:])]
-    return parts
+    row, piece, a, b = _part_table(f, lo, hi)
+    every = np.arange(a.size)
 
+    def on(table, power, k):
+        """x -> ``table`` by Horner on the pieces of the parts k (of x's
+        shape), ``power`` on power pieces: each part's own piece, so an end
+        on a breakpoint takes the same piece as the part's inside."""
+        own = piece[k]
+        cols, masks = table[:, own], [(f.pieces[i], own == i) for i in f._power]
 
-def _cross_integral(p: _MonotonePart, q: _MonotonePart) -> float:
-    """Int over p's interval of Int over q's interval of |f(x) - f(y)|."""
-    (plo, phi), (qlo, qhi) = sorted(p.ends), sorted(q.ends)
-    if phi <= qlo or qhi <= plo:
-        # f(x) - f(y) keeps one sign
-        return abs((q.hi - q.lo) * p.mass - (p.hi - p.lo) * q.mass)
-    # the inner integral is exact through q's inverse; the outer integrand is
-    # smooth between the points where f on p crosses q's end values
-    cuts = [float(p.inverse(v)) for v in (qlo, qhi) if plo < v < phi]
-    return adaptive_quad(
-        lambda x: q.abs_dev(p.piece.eval(x)),
-        p.lo,
-        p.hi,
-        rel_tol=1e-13,
-        breakpoints=cuts,
-    )
+        def at(x):
+            out = np.zeros(x.shape)
+            for c in cols:
+                out *= x
+                out += c
+            for pc, mask in masks:
+                out[mask] = power(pc, x[mask])
+            return out
 
+        return at
 
-def _double_integral_piecewise(f: TestFunction, a: float, b: float) -> float:
-    parts = _monotone_parts(f, a, b)
-    total = 0.0
-    for i, p in enumerate(parts):
-        total += p.self_integral()
-        for q in parts[i + 1 :]:
-            total += 2.0 * _cross_integral(p, q)
-    return total
+    # Piece.prim: the rows of f.primitive with -0.0 for the offsets, an exact add
+    local = np.vstack([f._prim_rows[:-1], np.full(len(f.pieces), -0.0)])
+    value, prim = partial(on, f._value_rows, Piece.eval), partial(on, local, Piece.prim)
+    ends, both = np.stack([a, b]), np.stack([every, every])
+    (e0, e1), (h0, h1) = value(both)(ends), prim(both)(ends)
+    sgn, low, high = np.where(e1 >= e0, 1.0, -1.0), np.minimum(e0, e1), np.maximum(e0, e1)
+    # masses, and first moments about the midpoint: primitives on power
+    # parts, Gauss-Legendre exact for x f(x) on polynomial parts (differences
+    # of the primitives of the expanded coefficients cancel badly)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    mass, moment = h1 - h0, np.zeros(a.size)
+    rule = np.array([len(pc.data) // 2 + 1 if pc.kind == "poly" else 0 for pc in f.pieces])
+    rule = rule[piece]  # Gauss-Legendre order, 0 on power pieces
+    if (power := np.flatnonzero(rule == 0)).size:
+        # no Horner rows: the table is 0 off the power pieces
+        xp = on(f._value_rows[:0], Piece.xprim, both[:, power])(ends[:, power])
+        moment[power] = (xp[1] - xp[0]) - mid[power] * mass[power]
+    for k in np.unique(rule[rule > 0]).tolist():
+        i = np.flatnonzero(rule == k)
+        t, w = _gl(k)
+        fx = value(i[:, None].repeat(k, 1))(mid[i, None] + half[i, None] * t)
+        mass[i] = half[i] * np.vecdot(fx, w)
+        moment[i] = half[i] * half[i] * np.vecdot(fx, w * t)
+
+    def inverse(k, v):
+        """Where part k takes the values v, clipped to the part."""
+        x0, x1, s, val = a[k], b[k], sgn[k], value(k)
+        for _ in range(32):
+            m = 0.5 * (x0 + x1)
+            below = s * (val(m) - v) < 0
+            x0, x1 = np.where(below, m, x0), np.where(below, x1, m)
+        x = np.where(s * (v - e1[k]) >= 0, b[k], 0.5 * (x0 + x1))
+        return np.where(s * (v - e0[k]) <= 0, a[k], x)
+
+    def abs_dev(k, v):
+        """Int over part k of |v - f(y)| dy; v - f changes sign once there."""
+        y = inverse(k, v)
+        return sgn[k] * (v * (2.0 * y - a[k] - b[k]) + h0[k] + h1[k] - 2.0 * prim(k)(y))
+
+    # the pairs (p, q), p <= q, of each row's parts in double-loop order
+    q, p = _ranges(every, np.cumsum(np.bincount(row))[row] - every)
+    term = 4.0 * np.abs(moment[p])
+    cross = np.flatnonzero(p != q)
+    i, j = p[cross], q[cross]
+    pair = np.abs((b[j] - a[j]) * mass[i] - (b[i] - a[i]) * mass[j])
+    if (meet := np.flatnonzero((low[i] < high[j]) & (low[j] < high[i]))).size:
+        i, j = i[meet], j[meet]
+        v = np.stack([low[j], high[j]], axis=1)
+        cut = (low[i, None] < v) & (v < high[i, None])
+        at = np.split(inverse(i[np.nonzero(cut)[0]], v[cut]), np.cumsum(cut.sum(1))[:-1])
+        problems = [(a[k], b[k], 1e-13, c, 20000) for k, c in zip(i.tolist(), at)]
+        quads = adaptive_quads(lambda x, o: abs_dev(j[o], value(i[o])(x)), problems)
+        pair[meet] = [total for total, _ in quads]
+    term[cross] = 2.0 * pair
+    # each row's terms added left to right; the zeros that pad them are exact
+    r = row[p]
+    size = np.bincount(r)
+    table = np.zeros((size.size, size.max()))
+    table[r, np.arange(r.size) - (np.cumsum(size) - size)[r]] = term
+    return reduce(np.add, table.T, np.zeros(size.size))
 
 
 def _midpoint_grid(box: list[tuple[float, float]], m: int) -> np.ndarray:
@@ -803,13 +838,6 @@ def omega_bruteforce(f, region, nodes: int = 2048) -> float:
     return total / vol ** (1.0 + 1.0 / n)
 
 
-def omega_indicator(region, e_lo: float, e_hi: float) -> float:
-    """Closed form for f = 1_E, E an interval: 2 |Q|^(-2) |Q ∩ E| |Q \\ E|."""
-    ((a, b),) = float_box(region)
-    inter = max(0.0, min(b, e_hi) - max(a, e_lo))
-    return 2.0 * inter * ((b - a) - inter) / (b - a) ** 2
-
-
 # ---------------------------------------------------------------------------
 # omega over a whole window
 # ---------------------------------------------------------------------------
@@ -906,8 +934,9 @@ def weighted_lp_mass(f, w: Weight, p: float, lo: float, hi: float) -> float:
 def mean_abs(f: TestFunction, lo, hi) -> np.ndarray:
     """Average of |f| over each interval [lo[i], hi[i]]: exact, in one array
     pass over the segment table, where f is piecewise linear on it (a
-    segment on which f changes sign is split at its zero); by adaptive
-    quadrature, one interval at a time, where it meets another piece."""
+    segment on which f changes sign is split at its zero); where it meets
+    another piece, by one adaptive_quads call over all such intervals, each
+    value as one adaptive_quad on its interval alone would give."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     groups, other = _segment_table(f, lo, hi)
     out = np.zeros(lo.shape)
@@ -921,7 +950,8 @@ def mean_abs(f: TestFunction, lo, hi) -> np.ndarray:
                 0.5 * np.abs(v0) * (z - a) + 0.5 * np.abs(v1) * (b - z),
             )
         out[rows] = reduce(np.add, parts.T, np.zeros(rows.size))
-    for i in other:
-        a, b = float(lo[i]), float(hi[i])
-        out[i] = adaptive_quad(lambda x: np.abs(f.value(x)), a, b, breakpoints=f.breakpoints)
+    if other:
+        problems = [(a, b, 1e-8, f.breakpoints, 20000) for a, b in zip(lo[other], hi[other])]
+        quads = adaptive_quads(lambda x, _owner: np.abs(f.value(x)), problems)
+        out[other] = [total for total, _ in quads]
     return out / (hi - lo)

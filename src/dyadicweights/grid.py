@@ -231,10 +231,6 @@ class AxisCube:
         )
 
 
-def as_axis_cube(q: Cube) -> AxisCube:
-    return AxisCube(q.lower(), q.edge)
-
-
 def float_box(region) -> list[tuple[float, float]]:
     """The float (lo, hi) pair of each axis of a region: one (lo, hi) pair, a
     box given as a sequence of pairs, a Cube or an AxisCube.  Each end is the

@@ -419,37 +419,6 @@ def classify_good(
     return good, bad
 
 
-def max_antichain_weight_bruteforce(
-    family: list[Cube], sigma: float, w: Weight, inside: Cube
-) -> float:
-    """Exhaustive oracle: heaviest pairwise-disjoint subfamily strictly
-    inside the given cube (cross-checks the tree recursion).
-
-    Enumerates antichains as cliques of the disjointness graph; fine for
-    family sizes in the teens.
-    """
-    cands = [q for q in family if relate(q, inside) is Relation.P_INSIDE_Q]
-    k = len(cands)
-    wgt = [cube_weight(q, sigma, w) for q in cands]
-    disjoint = [
-        [relate(cands[i], cands[j]) is Relation.DISJOINT for j in range(k)]
-        for i in range(k)
-    ]
-    best = 0.0
-
-    def extend(start: int, chosen: list[int], total: float):
-        nonlocal best
-        best = max(best, total)
-        for i in range(start, k):
-            if all(disjoint[i][j] for j in chosen):
-                chosen.append(i)
-                extend(i + 1, chosen, total + wgt[i])
-                chosen.pop()
-
-    extend(0, [], 0.0)
-    return best
-
-
 def check_domination(
     family: list[Cube],
     sigma: float,

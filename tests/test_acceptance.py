@@ -16,7 +16,6 @@ from dyadicweights.oscillation import (
     check_domination,
     classify_good,
     cube_weight,
-    max_antichain_weight_bruteforce,
     verify_oscillation,
 )
 from dyadicweights.experiments import sharpness_sweep, weight_classifier
@@ -26,7 +25,6 @@ from dyadicweights.funcspace import (
     catalog,
     omega,
     omega_bruteforce,
-    omega_indicator,
 )
 from dyadicweights.grid import (
     AxisCube,
@@ -49,7 +47,7 @@ from dyadicweights.weights import (
     standard_probes,
 )
 
-from oracles import split_and_mean_sets
+from oracles import max_antichain_weight_bruteforce, omega_indicator, split_and_mean_sets
 
 
 def report(num: int, ok: bool, label: str, **fields):

@@ -16,20 +16,19 @@ from dyadicweights.funcspace import (
     Piece,
     Quadrature,
     catalog,
-    catalog_names,
     grad_power_mass,
     mean_abs,
     omega,
     omega_boxes,
     omega_bruteforce,
-    omega_indicator,
     sobolev_seminorm,
     tensor_tent,
     weighted_lp_mass,
 )
-from dyadicweights.grid import Shift, float_box, window_1d
+from dyadicweights.grid import Shift, axis_interval, float_box, window_1d
 from dyadicweights.quadrature import adaptive_quad
 from dyadicweights.weights import ConstantWeight, PowerWeight
+from oracles import catalog_names, double_integral_piecewise, omega_indicator
 
 
 def test_catalog_names_exist():
@@ -146,10 +145,8 @@ def test_omega_monotone_path_matches_linear_path():
     f = catalog("linear", slope=1.0)  # monotone and piecewise linear
     a, b = -0.7, 2.1
     lin = omega(f, (a, b))
-    # force the monotone-parts route
-    from dyadicweights.funcspace import _double_integral_piecewise
-
-    mono = _double_integral_piecewise(f, a, b) / (b - a) ** 2
+    # the monotone-parts oracle
+    mono = double_integral_piecewise(f, a, b) / (b - a) ** 2
     assert mono == pytest.approx(lin, rel=1e-12)
 
 
@@ -548,7 +545,7 @@ def _ref_omega(f, a: float, b: float) -> float:
     f is piecewise linear there, else the monotone parts."""
     segs = _ref_segments(f, a, b)
     if segs is None:
-        total = funcspace._double_integral_piecewise(f, a, b)
+        total = double_integral_piecewise(f, a, b)
     else:
         total = 0.0
         for s1 in segs:
@@ -727,6 +724,87 @@ def test_one_batch_call_equals_one_call_per_interval():
             batch = fn(f, lo, hi)
             alone = [fn(f, [a], [b])[0] for a, b in zip(lo.tolist(), hi.tolist())]
             assert np.array_equal(_bits(batch), _bits(alone)), (f, fn.__name__)
+
+
+def _a1_window():
+    cfg = load_config(str(Path(__file__).parents[1] / "configs" / "a1_battery.cfg"))
+    arr = build_window(cfg).arrays
+    return arr.lo[:, 0], arr.hi[:, 0]
+
+
+def _random_polys(rng, degrees, edges):
+    """Polynomial pieces of the given degrees between the edges, with
+    non-dyadic coefficients, and constant pieces outside."""
+    inf = math.inf
+    ends = [-inf, *edges, inf]
+    data = [(0.4,), *(tuple(rng.uniform(-2.0, 2.0, d + 1)) for d in degrees), (-0.3,)]
+    return funcspace.TestFunction(
+        [Piece(x0, x1, "poly", c) for x0, x1, c in zip(ends, ends[1:], data)]
+    )
+
+
+def _monotone_pass_cases():
+    lo, hi = _a1_window()
+    for name, rows in (("smoothed_indicator", 137), ("sharp1_bump", 422)):
+        f = catalog(name)
+        other = _pieces_met(f, lo, hi)[1]
+        assert other == rows
+        yield f, lo, hi
+    # the sharpness sweeps' intervals, which meet a power piece
+    ap = [axis_interval(1, g, 0) for g in (3, 5, 7)]
+    for d in (0.05, 0.3, 0.7):
+        yield (catalog("sharp2_fdelta", delta=d), *zip(*ap))
+    beta = [(-1.0 / 3.0, 2.0 / 3.0), axis_interval(1, -3, 0), axis_interval(1, -5, 0)]
+    for p, eps in ((1.5, 0.05), (2.0, 0.3), (3.0, 0.6)):
+        yield (catalog("sharp3_fbeta", beta=1.0 / p - 1.0 + eps, p=p), *zip(*beta))
+    # cubic to quintic pieces, cut at their critical points
+    rng = np.random.default_rng(37)
+    for degrees in ((3, 4), (4, 3), (2, 5)):
+        f = _random_polys(rng, degrees, [-1.1, 0.45, 1.7])
+        lo = rng.uniform(-2.5, 2.5, 200)
+        hi = lo + rng.uniform(1e-3, 3.0, 200)
+        row, piece, _, _ = funcspace._part_table(f, lo, hi)
+        assert row.size > np.unique(np.stack([row, piece]), axis=1).shape[1]
+        yield f, lo, hi
+
+
+def test_monotone_pass_matches_the_per_interval_oracle_bit_for_bit():
+    # the one array pass over all intervals' monotone parts against the
+    # oracle that takes one interval at a time
+    for f, lo, hi in _monotone_pass_cases():
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        other = funcspace._segment_table(f, lo, hi)[1]
+        assert other
+        _assert_bit_for_bit(funcspace.omega_intervals, _ref_omega, f, lo[other], hi[other])
+
+
+def test_nonlinear_omega_finds_roots_once_and_takes_one_quadrature_call(monkeypatch):
+    # critical points are found once per polynomial piece of f, on first
+    # use; after that the a1 window's omega calls no root finder, and one
+    # quadrature driver call covers every pair of parts whose values overlap
+    from dyadicweights import quadrature
+
+    lo, hi = _a1_window()
+    calls = {"polyroots": 0, "adaptive_quads": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    poly = np.polynomial.polynomial
+    monkeypatch.setattr(poly, "polyroots", counted("polyroots", poly.polyroots))
+    quads = counted("adaptive_quads", quadrature.adaptive_quads)
+    monkeypatch.setattr(funcspace, "adaptive_quads", quads)
+    monkeypatch.setattr(quadrature, "adaptive_quads", quads)
+    for name, roots, solves in (("smoothed_indicator", 2, 1), ("tent", 0, 0)):
+        f = catalog(name)
+        for want in (roots, 0):
+            calls.update(polyroots=0, adaptive_quads=0)
+            funcspace.omega_intervals(f, lo, hi)
+            assert calls == {"polyroots": want, "adaptive_quads": solves}, name
 
 
 def test_segment_table_clips_pieces_to_each_interval():

@@ -17,7 +17,6 @@ from dyadicweights.grid import (
     Relation,
     Shift,
     all_shifts,
-    as_axis_cube,
     axis_index,
     children,
     cube_at,
@@ -30,6 +29,7 @@ from dyadicweights.grid import (
     relate,
     window_1d,
 )
+from oracles import as_axis_cube
 
 S0 = Shift((0,))
 S13 = Shift((1,))

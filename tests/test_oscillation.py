@@ -19,7 +19,6 @@ from dyadicweights.oscillation import (
     classify_good,
     cube_weight,
     level_set,
-    max_antichain_weight_bruteforce,
     mean_functional,
     sparse_chain_check,
     verify_oscillation,
@@ -36,6 +35,7 @@ from dyadicweights.grid import (
 )
 from dyadicweights.records import VerificationRecord
 from dyadicweights.weights import ConstantWeight, PowerWeight
+from oracles import max_antichain_weight_bruteforce
 
 S0 = Shift((0,))
 
