@@ -17,10 +17,12 @@ open where a Lipschitz bound decides membership, so the |x-y|^(gamma-n)
 singularity is never probed where the indicator provably vanishes.  A shell
 with no certified outer radius is sampled only out to where y lies on an
 end piece of f; past that the exact runs of the level set are added in
-closed form, so no tail is cut.  The outer quadratures of every lam of the
-grid run in lock step, so a refinement step is one inner-integral call for
-the nodes of every lam; on the sampled path membership and boundary
-bisection are fused across all of them, one vectorized membership call per
+closed form, so no tail is cut.  The outer quadratures of every (f, lam)
+problem of a call run in lock step, so a refinement step is one exact
+`_linear_runs` call, over a per-node piece table, on the nodes of every f
+whose pieces are all linear, and one inner-integral call on the nodes of
+each other f; on the sampled path membership and boundary bisection are
+fused across all of that f's nodes, one vectorized membership call per
 bisection step.
 """
 
@@ -283,10 +285,12 @@ def _member_runs(a, b, lo, hi, lam, t: float, gamma: float):
         lost = (base > 0) & ((root == 0) & (lo == 0) | (root == math.inf) & (hi == math.inf))
         if np.any(lost & (gamma * power * np.log(base) > -708.0)):
             raise ValueError("a membership root lies outside the float range")
+        del base, power, lost
         rising = (t < 0) | (~flat & (t < 1))
     one = np.where(rising, np.clip(root, lo, hi), lo)
     two = np.where(rising, hi, np.clip(root, lo, hi))
     m1, m2 = np.stack([one, lo]), np.stack([two, lo])
+    del one, two, root, rising
     if t in (0.0, 1.0) or closed.all():
         return m1, m2
 
@@ -342,47 +346,82 @@ def _member_runs(a, b, lo, hi, lam, t: float, gamma: float):
 
 
 def _linear_runs(
-    f, xs: np.ndarray, fx: np.ndarray, lams: np.ndarray, s: float, gamma: float, r_min: np.ndarray
+    lines: np.ndarray, continuous, xs: np.ndarray, fx: np.ndarray, lams: np.ndarray, s: float,
+    gamma: float, r_min: np.ndarray,
 ):
     """The member runs at r > ``r_min`` of every node x in ``xs`` at its
-    level, exactly, where the pieces of f the ray meets there are all linear
-    (a non-linear one raises ValueError): (node, direction, r1, r2) arrays,
-    one entry per run y = x + direction * r, r in (r1, r2), an empty run
-    having r1 = r2, in the same order per node however many nodes there are.
+    level, exactly, where the pieces of the node's f the ray meets there are
+    all linear (a non-linear one raises ValueError): (node, direction, r1, r2)
+    arrays, one entry per run y = x + direction * r, r in (r1, r2), an empty
+    run having r1 = r2, in the same order per node however many nodes, and
+    whichever functions, there are.
+
+    ``lines`` is the piece table (x0, x1, slope, intercept) of each node's f,
+    of shape (4, nodes, pieces), or (4, 1, pieces) when every node has the
+    same f; a function with fewer pieces is padded with empty pieces at +inf
+    (x0 = x1 = +inf, slope and intercept 0), which no ray meets.
+    ``continuous`` says, per node or once, whether f is continuous (has a
+    finite Lipschitz hint).
 
     On the ray each piece of f spans a radius interval, on which
     f(y) - f(x) = alpha + beta r, with alpha exactly 0 on the piece that holds
     x (and, for continuous f, the piece that ends at x).  Each span is split
     at the zero of alpha + beta r, so membership on each part is
-    u(r) > lam r^(1+s) with u = |alpha + beta r| linear: `_member_runs`."""
-    x0, x1, slope, icpt = (row[None, None, :] for row in f._lines)
+    u(r) > lam r^(1+s) with u = |alpha + beta r| linear: `_member_runs`.
+    Arrays are updated in place and dropped once used, which keeps the
+    temporaries of a wide refinement step down."""
+    x0, x1 = lines[:2, :, None, :]
     x = xs[:, None, None]
     sign = np.array([1.0, -1.0])[:, None]
-    # signed radius of each end of each piece in each direction
-    end0, end1 = sign * (x0 - x), sign * (x1 - x)
-    lo, hi = np.maximum(np.minimum(end0, end1), 0.0), np.maximum(end0, end1)
-    alpha = icpt + slope * x - fx[:, None, None]
-    alpha = np.where((lo == 0.0) & (math.isfinite(f.lipschitz) | (sign > 0)), 0.0, alpha)
-    beta = sign * slope
-    lo = np.maximum(lo, r_min[:, None, None])
-    if np.any(np.isnan(slope) & (hi > lo)):
+    # signed radius of each end of each piece in each direction, then the
+    # nearer and the farther end
+    lo, hi = sign * (x0 - x), sign * (x1 - x)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
+    np.maximum(lo, 0.0, out=lo)
+    held = (lo == 0.0) & (np.reshape(continuous, (-1, 1, 1)) | (sign > 0))
+    np.maximum(lo, r_min[:, None, None], out=lo)
+    # the spans the ray meets past r_min
+    node, way, piece = span = np.nonzero(hi > lo)
+    lo, hi, held = lo[span], hi[span], held[span]
+    beta, alpha = np.broadcast_to(lines[2:], (2, len(xs), lines.shape[2]))[:, node, piece]
+    del span, piece
+    if np.any(np.isnan(beta)):
         raise ValueError("f has a piece that is not linear past r_min")
+    # alpha = intercept + slope x - f(x), beta = direction * slope
+    alpha += beta * xs[node]
+    alpha -= fx[node]
+    alpha[held] = 0.0
+    direction = sign[way, 0]
+    beta *= direction
+    del held, way
+    flat = beta == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        # 0.0 - alpha/beta is +0.0 where alpha = 0
-        cut = np.where(beta != 0, np.clip(0.0 - alpha / beta, lo, hi), hi)
-    part_lo, part_hi = np.stack([lo, cut], -1), np.stack([cut, hi], -1)
+        cut = np.divide(alpha, beta)
+    # 0.0 - alpha/beta is +0.0 where alpha = 0
+    np.clip(np.subtract(0.0, cut, out=cut), lo, hi, out=cut)
+    np.copyto(cut, hi, where=flat)
+    # the parts below and above the cut on which alpha + beta r is not 0
+    at, up = np.nonzero(np.stack([(cut > lo) & (~flat | (alpha != 0)), (hi > cut) & ~flat], -1))
+    up = up == 1
+    a, b = alpha[at], beta[at]
+    del alpha, beta, flat
     # the sign of alpha + beta r on each part
-    sg = np.stack(
-        [np.where(beta != 0, -np.sign(beta), np.sign(alpha)), np.broadcast_to(np.sign(beta), lo.shape)],
-        -1,
-    )
-    keep = (part_hi > part_lo) & (sg != 0)
-    node, direction = np.nonzero(keep)[:2]
-    a = (sg * alpha[..., None])[keep]
-    b = (sg * beta[..., None])[keep]
+    sg = np.sign(b)
+    np.negative(sg, out=sg, where=~up)
+    np.copyto(sg, np.sign(a), where=b == 0)
+    a *= sg
+    b *= sg
+    del sg
+    # each part runs from lo to the cut or from the cut to hi
+    node, direction = node[at], direction[at]
+    cut, lo, hi = cut[at], lo[at], hi[at]
+    np.copyto(lo, cut, where=up)
+    np.copyto(hi, cut, where=~up)
+    del at, up, cut
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r1, r2 = _member_runs(a, b, part_lo[keep], part_hi[keep], lams[node], 1.0 + s, gamma)
-    return np.repeat(node, 2), np.repeat(sign[direction, 0], 2), r1.T.ravel(), r2.T.ravel()
+        r1, r2 = _member_runs(a, b, lo, hi, lams[node], 1.0 + s, gamma)
+    del a, b, lo, hi
+    return np.repeat(node, 2), np.repeat(direction, 2), r1.T.ravel(), r2.T.ravel()
 
 
 def _run_mass(node: np.ndarray, r1: np.ndarray, r2: np.ndarray, gamma: float, n: int) -> np.ndarray:
@@ -436,7 +475,8 @@ def inner_integral(
     fx = f.value(xs)
     lines = getattr(f, "_lines", None)
     if membership is None and lines is not None and np.isfinite(lines[2]).all():
-        node, _, r1, r2 = _linear_runs(f, xs, fx, lams, s, gamma, np.zeros(n))
+        continuous = math.isfinite(f.lipschitz)
+        node, _, r1, r2 = _linear_runs(lines[:, None], continuous, xs, fx, lams, s, gamma, np.zeros(n))
         vals = _run_mass(node, r1, r2, gamma, n)
         return (float(vals[0]) if np.ndim(x) == 0 else vals), {}
     if membership is None:
@@ -482,7 +522,8 @@ def inner_integral(
         if near.any():
             vals[far[near]] = both_directions(far[near], lo[far[near]], reach[near])
         node, _, r1, r2 = _linear_runs(
-            f, xs[far], fx[far], lams[far], s, gamma, np.maximum(lo[far], reach)
+            lines[:, None], math.isfinite(f.lipschitz), xs[far], fx[far], lams[far], s, gamma,
+            np.maximum(lo[far], reach),
         )
         vals[far] += _run_mass(node, r1, r2, gamma, len(far))
 
@@ -492,42 +533,70 @@ def inner_integral(
     return (float(vals[0]) if np.ndim(x) == 0 else vals), diag
 
 
-def _warn_at_split_cap(what: str, lam: float) -> None:
+def _warn_at_split_cap(what: str, f, lam: float) -> None:
     print(
-        f"warning: {what} at lambda={lam!r} stopped at its split cap"
+        f"warning: {what} of {f!r} at lambda={lam!r} stopped at its split cap"
         " with the error estimate above tolerance",
         file=sys.stderr,
     )
 
 
 def diffquot_functional(cfg: DiffQuotConfig, f) -> FunctionalProfile:
-    """Profile of lam * || inner(.,lam)^(1/q) ||_{L^p_w(window)} over the grid;
-    the outer integrals are taken to relative tolerance 1e-3, in lock step
-    over the grid, so each refinement step is one inner-integral call."""
-    lambdas = np.logspace(
-        math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count
-    )
-    lo, hi = cfg.window
-    w = cfg.weight
-    bps = list(getattr(f, "breakpoints", ())) + list(w.breakpoints())
+    """Profile of lam * || inner(.,lam)^(1/q) ||_{L^p_w(window)} over the grid:
+    `diffquot_functionals` on f alone."""
+    return diffquot_functionals(cfg, [f])[0]
+
+
+def diffquot_functionals(cfg: DiffQuotConfig, fs) -> list[FunctionalProfile]:
+    """The `diffquot_functional` profile of each f in ``fs``, each bit for bit
+    what it is alone.
+
+    The outer integrals are taken to relative tolerance 1e-3, in lock step
+    over every (f, lam) problem, so each refinement step is one exact
+    `_linear_runs` call on the nodes of every f whose pieces are all linear,
+    over a per-node piece table, and one `inner_integral` call on the nodes
+    of each other f.  An outer integral that stops at its split cap above
+    tolerance prints one warning line naming its f and lam."""
+    lambdas = np.logspace(math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count)
+    lines = [getattr(f, "_lines", None) for f in fs]
+    exact = np.array([t is not None and bool(np.isfinite(t[2]).all()) for t in lines], dtype=bool)
+    # the piece tables of the exact fs, padded with empty pieces at +inf
+    table = np.zeros((4, len(fs), max((lines[k].shape[1] for k in np.flatnonzero(exact)), default=0)))
+    table[:2] = math.inf
+    for k in np.flatnonzero(exact):
+        table[:, k, : lines[k].shape[1]] = lines[k]
+    continuous = np.array([e and math.isfinite(f.lipschitz) for f, e in zip(fs, exact)], dtype=bool)
 
     def outer(xs: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        inner, _ = inner_integral(f, xs, lambdas[owner], cfg)
-        return inner ** (cfg.p / cfg.q) * w.value(xs)
+        of, lams = owner // len(lambdas), lambdas[owner % len(lambdas)]
+        inner, fx = np.empty(len(xs)), np.empty(len(xs))
+        for k in np.unique(of).tolist():
+            at = of == k
+            if exact[k]:
+                fx[at] = fs[k].value(xs[at])
+            else:
+                inner[at], _ = inner_integral(fs[k], xs[at], lams[at], cfg)
+        rows = np.flatnonzero(exact[of])
+        if len(rows):
+            node, _, r1, r2 = _linear_runs(
+                table[:, of[rows]], continuous[of[rows]], xs[rows], fx[rows], lams[rows],
+                cfg.s, cfg.gamma, np.zeros(len(rows)),
+            )
+            inner[rows] = _run_mass(node, r1, r2, cfg.gamma, len(rows))
+        return inner ** (cfg.p / cfg.q) * cfg.weight.value(xs)
 
-    outers = adaptive_quads(outer, [(lo, hi, 1e-3, bps, 400)] * len(lambdas))
-    values = []
-    for lam, (integ, met) in zip(lambdas.tolist(), outers):
-        if not met:
-            _warn_at_split_cap("diffquot outer integral", lam)
-        values.append(float(lam * integ ** (1.0 / cfg.p)))
-    k = int(np.argmax(values))
-    return FunctionalProfile(
-        lambdas=lambdas.tolist(),
-        values=values,
-        sup=values[k],
-        argmax_lambda=float(lambdas[k]),
-    )
+    bps = [list(getattr(f, "breakpoints", ())) + list(cfg.weight.breakpoints()) for f in fs]
+    outers = adaptive_quads(outer, [(*cfg.window, 1e-3, b, 400) for b in bps for _ in lambdas])
+    profiles = []
+    for i, f in enumerate(fs):
+        values = []
+        for lam, (integ, met) in zip(lambdas.tolist(), outers[i * len(lambdas) :]):
+            if not met:
+                _warn_at_split_cap("diffquot outer integral", f, lam)
+            values.append(float(lam * integ ** (1.0 / cfg.p)))
+        k = int(np.argmax(values))
+        profiles.append(FunctionalProfile(lambdas.tolist(), values, values[k], float(lambdas[k])))
+    return profiles
 
 
 def lower_constant(n: int, q: float, gamma: float) -> float:
@@ -646,7 +715,7 @@ def point_domination_check(
 
     [(lhs, met)] = adaptive_quads(outer, [(lo, hi, 1e-4, bps, 200)])
     if not met:
-        _warn_at_split_cap("point_domination left side", lam)
+        _warn_at_split_cap("point_domination left side", f, lam)
 
     # one level-set mass per threshold lam_j
     arr = window.arrays

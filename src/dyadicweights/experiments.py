@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dyadicweights.diffquot import DiffQuotConfig, diffquot_functional
+from dyadicweights.diffquot import DiffQuotConfig, diffquot_functionals
 from dyadicweights.oscillation import LevelMass, level_set
 from dyadicweights.funcspace import (
     catalog,
@@ -432,23 +432,23 @@ def weight_classifier(
         ratios["tail_ramp"].append(best)
 
     if with_quotient:
+        cfg = DiffQuotConfig(
+            p=p,
+            q=max(p, 1.0),
+            gamma=1.0,
+            weight=weight,
+            window=(-2.0, 2.0),
+            lambda_lo=1e-1,
+            lambda_hi=1e1,
+            lambda_count=5,
+            exploratory=True,
+        )
+        # centred at 0, not at weight.center: bench/reference.json pins the values this gives
+        widths = [2.0**-d for d in depths]
+        probes = [catalog("linear_ramp", slope=0.5 / wp, cutoff=wp) for wp in widths]
         vals = []
-        for d in depths:
-            wprobe = 2.0**-d
-            f = catalog("linear_ramp", slope=0.5 / wprobe, cutoff=wprobe)
-            cfg = DiffQuotConfig(
-                p=p,
-                q=max(p, 1.0),
-                gamma=1.0,
-                weight=weight,
-                window=(-2.0, 2.0),
-                lambda_lo=1e-1,
-                lambda_hi=1e1,
-                lambda_count=5,
-                exploratory=True,
-            )
-            prof = diffquot_functional(cfg, f)
-            norm = grad_power_mass(f, -wprobe, wprobe, p, weight)
+        for wp, f, prof in zip(widths, probes, diffquot_functionals(cfg, probes)):
+            norm = grad_power_mass(f, -wp, wp, p, weight)
             vals.append(prof.sup**p / norm if norm > 0 else 0.0)
         ratios["quotient_step"] = vals
 

@@ -84,8 +84,9 @@ ARGV_RUNS = {
         2,
         "28cfb07042b7aafa9b59a648779399d36a856a2f1e560fb300564f7d9a956f04",
     ),
-    # the quotient member runs diffquot_functional under a power weight:
-    # inner integrals, the adaptive outer quadrature and the piece table
+    # the quotient member runs diffquot_functionals under a power weight:
+    # every depth's probe in one lock-step outer quadrature over the
+    # (f, lambda) problems, the stacked exact kernel and the piece table
     "classify-weight-quotient": (
         [
             "classify-weight",

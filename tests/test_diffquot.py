@@ -13,6 +13,7 @@ from dyadicweights.diffquot import (
     DiffQuotConfig,
     ball_mean,
     diffquot_functional,
+    diffquot_functionals,
     gamma_admissible,
     inner_integral,
     lower_constant,
@@ -20,6 +21,7 @@ from dyadicweights.diffquot import (
     scale_condition,
     verify_diffquot,
 )
+from dyadicweights.experiments import _linear_plateau
 from dyadicweights.funcspace import catalog
 from dyadicweights.grid import all_shifts, window_1d
 from dyadicweights.records import RATIO_CEILING
@@ -554,7 +556,8 @@ def _runs(f, x, lam, s):
     triples, runs that meet at a piece end or an extremum joined."""
     xs = np.array([float(x)])
     _, direction, r1, r2 = diffquot._linear_runs(
-        f, xs, f.value(xs), np.array([lam]), s, s, np.zeros(1)
+        f._lines[:, None], math.isfinite(f.lipschitz), xs, f.value(xs), np.array([lam]), s, s,
+        np.zeros(1),
     )
     keep = r2 > r1
     runs = []
@@ -768,6 +771,44 @@ def test_member_runs_roots_on_every_side():
             assert np.all(h(mid[gap], np.flatnonzero(gap)) <= 1e-12 * scale(mid[gap], np.flatnonzero(gap)))
 
 
+def _profile_by_inner_integral(cfg, f):
+    """The values, sup and argmax of the functional of f alone, with one
+    `inner_integral` call per refinement step (the single-f exact path)."""
+    lambdas = np.logspace(math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count)
+
+    def outer(xs, owner):
+        inner, _ = inner_integral(f, xs, lambdas[owner], cfg)
+        return inner ** (cfg.p / cfg.q) * cfg.weight.value(xs)
+
+    bps = list(f.breakpoints) + list(cfg.weight.breakpoints())
+    outers = quadrature.adaptive_quads(outer, [(*cfg.window, 1e-3, bps, 400)] * len(lambdas))
+    values = [float(lam * integ ** (1.0 / cfg.p)) for lam, (integ, _) in zip(lambdas.tolist(), outers)]
+    k = int(np.argmax(values))
+    return values, values[k], float(lambdas[k])
+
+
+def test_functionals_of_several_functions_are_each_alone_bit_for_bit():
+    # tent and the classifier's step probes at depths 6 and 48 take the
+    # stacked exact kernel, their four and three pieces padded with empty
+    # ones to the plateau's five; smoothed_indicator takes the sampled path
+    fs = [
+        catalog("tent"),
+        catalog("linear_ramp", slope=0.5 / 2.0**-6, cutoff=2.0**-6),
+        catalog("linear_ramp", slope=0.5 / 2.0**-48, cutoff=2.0**-48),
+        _linear_plateau(),
+        catalog("smoothed_indicator"),
+    ]
+    cfg = DiffQuotConfig(
+        p=1, q=1, gamma=1.0, weight=PowerWeight(0.5), window=(-2.0, 2.0),
+        lambda_lo=1e-1, lambda_hi=1e1, lambda_count=5, exploratory=True,
+    )
+    alone = {repr(f): _profile_by_inner_integral(cfg, f) for f in fs}
+    for order in (fs, fs[::-1]):
+        for f, prof in zip(order, diffquot_functionals(cfg, order)):
+            assert (prof.values, prof.sup, prof.argmax_lambda) == alone[repr(f)]
+    assert diffquot_functionals(cfg, []) == []
+
+
 def _small_split_cap(monkeypatch, cap):
     """Run the outer quadratures of diffquot with a split cap of ``cap``."""
 
@@ -781,8 +822,10 @@ def _small_split_cap(monkeypatch, cap):
 
 def test_functional_warns_once_per_lambda_at_the_split_cap(monkeypatch, capsys):
     # with five splits the outer integrals at lam = 1 and 10 stop above
-    # their tolerance, within the margin that raises: one warning line each
+    # their tolerance, within the margin that raises: one warning line each,
+    # which names its function and level, in a call with two functions too
     f = catalog("tent")
+    g = catalog("linear_ramp", slope=0.5, cutoff=1.0, center=0.3)
     cfg = DiffQuotConfig(
         p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-2, 4),
         lambda_lo=1e0, lambda_hi=1e4, lambda_count=5,
@@ -795,9 +838,18 @@ def test_functional_warns_once_per_lambda_at_the_split_cap(monkeypatch, capsys):
     assert len(lines) == 2
     for line, lam in zip(lines, ("1.0", "10.0")):
         assert line.startswith("warning: ") and f"lambda={lam} " in line
+        assert " of tent() at " in line
     # the capped levels moved, the converged ones did not
     moved = [a != b for a, b in zip(full.values, capped.values)]
     assert moved == [True, True, False, False, False]
+    # the ramp stops at its cap at lam = 1 only
+    both = diffquot_functionals(cfg, [f, g])
+    lines = capsys.readouterr().err.splitlines()
+    want = [("tent()", "1.0"), ("tent()", "10.0"), (repr(g), "1.0")]
+    assert len(lines) == len(want)
+    for line, (name, lam) in zip(lines, want):
+        assert line.startswith("warning: ") and f" of {name} at lambda={lam} " in line
+    assert both[0] == capped
 
 
 def test_point_domination_warns_at_the_split_cap(monkeypatch, capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadicweights import experiments
+from dyadicweights import diffquot, experiments
 from dyadicweights.funcspace import omega_intervals
 from dyadicweights.grid import axis_index, axis_interval
 from dyadicweights.experiments import (
@@ -158,6 +158,33 @@ def test_classifier_quotient_member_tracks_blowup():
     assert rep.verdict == "violates"
     bs = rep.ratios["quotient_step"]
     assert bs[-1] > 4.0 * bs[0]
+
+
+def test_classifier_quotient_step_is_one_linear_runs_call_per_refinement_step(monkeypatch):
+    # the bench input: every depth's probe shares one adaptive_quads call,
+    # and each of its refinement steps makes one _linear_runs call on the
+    # nodes of all of them (a quadrature per depth makes 37)
+    calls = {"quads": 0, "steps": 0, "runs": 0}
+    quads, runs = diffquot.adaptive_quads, diffquot._linear_runs
+
+    def counted_quads(f, problems):
+        calls["quads"] += 1
+
+        def step(x, owner):
+            calls["steps"] += 1
+            return f(x, owner)
+
+        return quads(step, problems)
+
+    def counted_runs(*args):
+        calls["runs"] += 1
+        return runs(*args)
+
+    monkeypatch.setattr(diffquot, "adaptive_quads", counted_quads)
+    monkeypatch.setattr(diffquot, "_linear_runs", counted_runs)
+    rep = weight_classifier(PowerWeight(0.5), 1.0)
+    assert rep.verdict == "violates"
+    assert calls == {"quads": 1, "steps": 10, "runs": 10}
 
 
 @pytest.mark.parametrize(
