@@ -161,11 +161,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _cell_format(t: type) -> str:
+    """The %-format that spells a value of type t as _fmt does."""
+    if issubclass(t, (int, np.integer)):  # bool too: "%d" % True is "1"
+        return "%d"
+    if issubclass(t, (float, np.floating)):
+        return "%.17g"
+    return "%s"
+
+
 def write_csv(path: str, header: tuple[str, ...], rows: list[tuple]):
+    """One line per row, each cell as _fmt spells it, by one %-format per
+    row type signature, the rows streamed to the file."""
+    formats: dict[tuple[type, ...], str] = {}
+
+    def line(row: tuple) -> str:
+        sig = tuple(map(type, row))
+        fmt = formats.get(sig)
+        if fmt is None:
+            fmt = formats[sig] = ",".join(map(_cell_format, sig)) + "\n"
+        return fmt % tuple(row)
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(map(line, rows))
 
 
 def write_summary(path: str, summary: dict):

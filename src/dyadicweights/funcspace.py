@@ -923,8 +923,57 @@ def sobolev_seminorm(f, w: Weight, p: float, window) -> float:
     return ((4 * b - a) / 3) ** (1.0 / p)
 
 
+def _linear_l1_mass(f: TestFunction, w: Weight, lo: float, hi: float) -> float | None:
+    """Integral of |f| w over the finite [lo, hi] in closed form when f is
+    linear on every piece that meets it and w is |x - c|^a or a constant;
+    None otherwise.  Each segment is cut at f's zero and at c, so on each
+    part f keeps its sign and, with t = |x - c|, f = A + B t; the part then
+    gives |A mass(|x - c|^a) + B mass(|x - c|^(a + 1))|.  A constant weight
+    is a = 0, for which any c will do: each part takes its own left end,
+    where A is f's value, so A and B t do not cancel.
+
+    A part farther from c than its own length would lose about
+    2 log10(distance / length) digits there, as A = f(c) and B t then
+    cancel.  On such a part |x - c|^a is analytic inside the Bernstein
+    ellipse of parameter 3 + sqrt(8) around it, so it takes 15-node
+    Gauss-Legendre instead, exact to rounding."""
+    if isinstance(w, PowerWeight):
+        a, scale, centre = w.a, 1.0, w.center
+    elif isinstance(w, ConstantWeight) and w.n == 1:
+        a, scale, centre = 0.0, w.c, math.nan
+    else:
+        return None
+    total = 0.0
+    for piece in f.pieces:
+        x0, x1 = max(lo, piece.x0), min(hi, piece.x1)
+        if x1 <= x0:
+            continue
+        s, b = piece.line()
+        if math.isnan(s):
+            return None
+        inner = [x for x in (centre, -b / s if s else math.nan) if x0 < x < x1]
+        cuts = sorted([x0, x1, *inner])
+        for u, v in zip(cuts, cuts[1:]):
+            c = u if math.isnan(centre) else centre
+            if min(abs(u - c), abs(v - c)) > v - u:
+                t, wts = _gl(15)
+                x = 0.5 * (u + v) + 0.5 * (v - u) * t
+                part = 0.5 * (v - u) * float(wts @ ((s * x + b) * np.abs(x - c) ** a))
+            else:
+                side = 1.0 if u >= c else -1.0
+                part = (s * c + b) * PowerWeight(a, c).interval_mass(u, v)
+                part += side * s * PowerWeight(a + 1.0, c).interval_mass(u, v)
+            total += abs(part)
+    return scale * total
+
+
 def weighted_lp_mass(f, w: Weight, p: float, lo: float, hi: float) -> float:
-    """Integral of |f|^p w over [lo, hi] by adaptive quadrature."""
+    """Integral of |f|^p w over [lo, hi]: in closed form at p = 1 where
+    ``_linear_l1_mass`` applies, otherwise by adaptive quadrature."""
+    if p == 1 and isinstance(f, TestFunction) and math.isfinite(hi - lo):
+        exact = _linear_l1_mass(f, w, lo, hi)
+        if exact is not None:
+            return exact
     bps = list(getattr(f, "breakpoints", ())) + list(w.breakpoints())
     return adaptive_quad(
         lambda x: np.abs(f.value(x)) ** p * w.value(x), lo, hi, breakpoints=bps

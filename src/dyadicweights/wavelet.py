@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,17 +105,24 @@ class WaveletSystem:
         return worst
 
 
+def _add_taps(dst: np.ndarray, src: np.ndarray, taps, step: int, base: int, shift: int):
+    """dst[m] += sqrt(2) tap_k src[step m + base - k shift] for each tap k in
+    order, wherever that source index lies in src: one strided slice per tap."""
+    for k, tk in enumerate(taps):
+        off = base - k * shift
+        m0 = max(0, -(off // step))
+        m1 = min(len(dst), (len(src) - 1 - off) // step + 1)
+        if m1 > m0:
+            first = off + step * m0
+            dst[m0:m1] += sqrt(2.0) * tk * src[first : first + step * (m1 - m0 - 1) + 1 : step]
+
+
 def _refinement_residual(h: np.ndarray, phi: np.ndarray, depth: int) -> float:
     """Largest deviation of phi at the even samples from the refinement
     sum sqrt(2) sum_k h_k phi(2x - k) over the samples."""
     coarse = phi[::2]
     rec = np.zeros(len(coarse))
-    idx = np.arange(len(coarse))
-    for k, hk in enumerate(h):
-        src = 2 * idx - k * 2 ** (depth - 1)
-        src2 = 2 * src
-        ok = (src2 >= 0) & (src2 < len(phi))
-        rec[idx[ok]] += sqrt(2.0) * hk * phi[src2[ok]]
+    _add_taps(rec, phi, h, 4, 0, 2**depth)
     return float(np.max(np.abs(rec - coarse)))
 
 
@@ -126,21 +135,13 @@ def build_daubechies(order: int, depth: int = 12) -> WaveletSystem:
     g = np.array([(-1.0) ** k * h[last - k] for k in range(last + 1)])
     phi = _integer_values(h)
     for d in range(1, depth + 1):
-        prev = phi
-        cur = np.zeros(2 * (len(prev) - 1) + 1)
-        cur[0::2] = prev
-        odd = np.arange(1, len(cur), 2)
-        for k, hk in enumerate(h):
-            src = odd - k * 2 ** (d - 1)
-            ok = (src >= 0) & (src < len(prev))
-            cur[odd[ok]] += sqrt(2.0) * hk * prev[src[ok]]
+        cur = np.zeros(2 * (len(phi) - 1) + 1)
+        cur[0::2] = phi
+        # odd sample 2m + 1 reads the previous level at 2m + 1 - k 2^(d-1)
+        _add_taps(cur[1::2], phi, h, 2, 1, 2 ** (d - 1))
         phi = cur
     psi = np.zeros(len(phi))
-    idx = np.arange(len(phi))
-    for k, gk in enumerate(g):
-        src = 2 * idx - k * 2**depth
-        ok = (src >= 0) & (src < len(phi))
-        psi[idx[ok]] += sqrt(2.0) * gk * phi[src[ok]]
+    _add_taps(psi, phi, g, 2, 0, 2**depth)
     residual = _refinement_residual(h, phi, depth)
     if residual > 1e-8:
         raise CascadeError("refinement residual above 1e-8; cascade unreliable")
@@ -152,11 +153,14 @@ def build_daubechies(order: int, depth: int = 12) -> WaveletSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtomIndex:
+class AtomIndex(NamedTuple):
     e: int  # 0 scaling, 1 wavelet (n = 1)
     j: int  # scale index: cube edge 2^-j
     k: int  # translation
+
+
+# AtomIndex from an (e, j, k) tuple, without the Python-level __new__
+_atom = partial(tuple.__new__, AtomIndex)
 
 
 @dataclass(frozen=True)
@@ -182,13 +186,17 @@ class IndexSet:
         )
 
     def atoms(self, system: WaveletSystem) -> list[AtomIndex]:
-        out = []
+        """Generation by generation, k ascending; at j = 0 the scaling atom of
+        each k comes just before its wavelet atom."""
+        es, js, ks = [], [], []
         for j in range(0, self.j_max + 1):
-            for k in self.translations(system, j):
-                if j == 0:
-                    out.append(AtomIndex(0, 0, k))
-                out.append(AtomIndex(1, j, k))
-        return out
+            ts = self.translations(system, j)
+            kinds = 2 if j == 0 else 1
+            es.append(np.tile(np.arange(2 - kinds, 2), len(ts)))
+            js.append(np.full(kinds * len(ts), j))
+            ks.append(np.repeat(np.arange(ts.start, ts.stop), kinds))
+        cols = (np.concatenate(c).tolist() for c in (es, js, ks))
+        return list(map(_atom, zip(*cols)))
 
     def boundary_flags(self, system: WaveletSystem, atoms) -> np.ndarray:
         """Whether each atom's support [k, k + 2N - 1]/2^j leaves the window."""

@@ -15,7 +15,6 @@ import numpy as np
 
 from dyadicweights.grid import float_box
 from dyadicweights.quadrature import adaptive_quad
-from dyadicweights.records import VerificationRecord
 
 
 class DomainError(ValueError):
@@ -427,105 +426,6 @@ def power_ap_member(a: float, p: float) -> bool:
     if p == 1:
         return -1.0 < a <= 0.0
     return -1.0 < a < p - 1.0
-
-
-def maximal_value(w: Weight, x: float, radii: Sequence[float]) -> float:
-    """Discretized centered/one-sided maximal function at x over given radii."""
-    best = 0.0
-    for u in radii:
-        for v in radii:
-            best = max(best, w.mean((x - u, x + v)))
-    return best
-
-
-def check_ap_properties(
-    w: Weight,
-    p: float,
-    probes: Sequence,
-    sample_points: Sequence[float] = (),
-) -> dict:
-    """Run the three classical weight-constant checks, one VerificationRecord
-    each; the certified records that fail are the findings.
-
-    The estimate is the probe-family constant ap_constant(w, p, probes).
-    (i)   p = 1: a discretized maximal-function value at each sample point is
-          at most estimate * w(x), to ceiling 1.05; the 5% tolerance absorbs
-          the mismatch between the probe-family estimate and the discretized
-          supremum, which approach the true constant from below along
-          different interval families.
-    (ii)  doubling over measurable subsets: w(Q) <= estimate * (|Q|/|S|)^p w(S),
-          to ceiling 1 + 1e-6, for unions S of dyadic subcubes of Q drawn
-          from a generator seeded with 0.
-    (iii) p > 1: the extremal test function w^{1-p'} reproduces the per-cube
-          ratio through an independent arithmetic path, |extremal - direct|
-          <= 1e-9 |direct|; a probe without a finite dual mass or direct
-          ratio makes no record.
-    The right sides of (i) and (ii) come from ApEstimate.bound.  Against an
-    unbounded estimate they certify nothing: such a record is counted in
-    ``vacuous``, never becomes a finding or a pass, and ``certified`` is
-    False.  ``checks`` counts the records of each name.
-    """
-    rng = np.random.default_rng(0)
-    est = ap_constant(w, p, probes)
-    records = []
-
-    def add(name, lhs, rhs, ceiling, certified, **details):
-        records.append(VerificationRecord(name, lhs, rhs, ceiling, certified, details))
-
-    if p == 1:
-        radii = [2.0**k for k in range(-8, 5)]
-        for x in sample_points:
-            mv = maximal_value(w, x, radii)
-            vx = float(w.value(np.array([x]))[0])
-            rhs, certified = est.bound(vx, 1.0)
-            add("maximal", mv, rhs, 1.05, certified, x=x)
-
-    for q in probes:
-        ((lo, hi),) = float_box(q)
-        length = hi - lo
-        wq = w.interval_mass(lo, hi)
-        for _ in range(3):
-            # random union of depth-2 dyadic subintervals
-            k = int(rng.integers(1, 4))
-            picks = sorted(rng.choice(4, size=k, replace=False))
-            s_mass, s_len = 0.0, 0.0
-            for i in picks:
-                a0 = lo + i * length / 4
-                s_mass += w.interval_mass(a0, a0 + length / 4)
-                s_len += length / 4
-            rhs, certified = est.bound((length / s_len) ** p * s_mass, 1.0)
-            add("doubling", wq, rhs, 1.0 + 1e-6, certified, interval=(lo, hi))
-
-    if p > 1:
-        pprime = p / (p - 1.0)
-        for q in probes:
-            ((lo, hi),) = float_box(q)
-            try:
-                dual_mass = w.interval_power_mass(lo, hi, 1.0 - pprime)
-            except DomainError:
-                continue
-            if not math.isfinite(dual_mass) or dual_mass <= 0:
-                continue
-            direct = ap_ratio(w, p, (lo, hi))
-            if not math.isfinite(direct):
-                continue
-            mean_f = dual_mass / (hi - lo)
-            # extremal f = w^{1-p'}: integral of |f|^p w equals dual_mass
-            extremal = mean_f**p * w.interval_mass(lo, hi) / dual_mass
-            gap = abs(extremal - direct)
-            add("dual", gap, abs(direct), 1e-9, True, interval=(lo, hi))
-
-    return {
-        "estimate": est.value,
-        "p": p,
-        "findings": [r for r in records if r.certified and not r.passed],
-        "checks": {
-            name: sum(r.name == name for r in records)
-            for name in ("maximal", "doubling", "dual")
-        },
-        "certified": all(r.certified for r in records),
-        "vacuous": sum(not r.certified for r in records),
-    }
 
 
 # ---------------------------------------------------------------------------

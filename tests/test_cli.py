@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dyadicweights.cli import main, parse_config_text
+from dyadicweights.cli import main, parse_config_text, write_csv
+from oracles import fmt_join_csv
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -69,7 +73,7 @@ ARGV_RUNS = {
         ["mean-functional"],
         "a536269f2dc92c22f996b51872ec0b99e91a69e75881b0fd435213888ca3d04c",
         0,
-        "37d26424b878eb4495d58ea9d676b9ddbf2d79cb167f18372998df76e887f1f0",
+        "cdb032d34f9e9150423141fa26c06dc3d0a44f7a02b7ddb8de24e7152fdd7bb3",
     ),
     "classify-weight-three-depths": (
         [
@@ -111,7 +115,7 @@ ARGV_RUNS = {
         ],
         "3b70508333d7c19cc47f2495b45d694dbd97b5017d420bbf6a2ad2deb3f51dd0",
         2,
-        "358d97b40887358c41116354c066effe422619c7325bdaf6f15c16052add126a",
+        "bc1c6d2782efce51ecef79bc999f50695ad7985e199c24ddda5a11f3e38ca5b1",
     ),
     "wavelet-check-unbounded": (
         [
@@ -122,7 +126,7 @@ ARGV_RUNS = {
         ],
         "3b1a5e992a2ee85ea2f015672c97b81f312f044654505b7f342eda35ebd6dbe7",
         2,
-        "a572f3496c9235ec9ab6c8224bdedabdba138561aeac8de6dab666d57769aa8f",
+        "5edae592d9f93179834e302c8c4eb34695470b6e0916ca06cbafad6bfeb3035d",
     ),
     "verify-cddd-unbounded": (
         [
@@ -264,6 +268,27 @@ def test_argv_results_csv_digest(tmp_path, name):
     assert got == code
     assert sha256(tmp_path / "summary.json") == summary_digest
     load_strict(tmp_path / "summary.json")
+
+
+def test_write_csv_bytes_match_the_fmt_join(tmp_path):
+    header = ("flag", "npflag", "n", "npn", "x", "npx", "x32", "text", "none", "frac", "mixed")
+    rows = [
+        (True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(1 / 3), np.float32(0.1),
+         "a b", None, Fraction(1, 3), 1),
+        (False, np.bool_(True), -(2**70), np.int64(0), math.inf, -math.inf, np.float32(-0.0),
+         "", None, Fraction(-5, 2), 2.5),
+        (True, np.bool_(True), 0, np.int64(2**62), math.nan, np.float64(-0.0), np.float32(math.inf),
+         "%d", None, Fraction(7), 4),
+        [False, np.bool_(False), 1, np.int64(1), -0.0, np.float64(5e-324), np.float32(math.nan),
+         "z", None, Fraction(0), "text"],
+        (True, np.bool_(False), 5, np.int64(5), 5e-324, np.float64(1e300), np.float32(3.5),
+         "q", None, Fraction(1, 7), None),
+        (True, np.bool_(False), 6, np.int64(6), 1.0, np.float64(2.0), np.float32(0.5),
+         "r", None, Fraction(2), np.float64(0.1)),
+    ]
+    path = tmp_path / "out.csv"
+    write_csv(str(path), header, rows)
+    assert read(path) == fmt_join_csv(header, rows)
 
 
 @pytest.mark.parametrize(

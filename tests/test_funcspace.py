@@ -27,7 +27,7 @@ from dyadicweights.funcspace import (
 )
 from dyadicweights.grid import Shift, axis_interval, float_box, window_1d
 from dyadicweights.quadrature import adaptive_quad
-from dyadicweights.weights import ConstantWeight, PowerWeight
+from dyadicweights.weights import ConstantWeight, PowerWeight, TableWeight
 from oracles import catalog_names, double_integral_piecewise, omega_indicator
 
 
@@ -303,6 +303,70 @@ def test_l1_weighted_norm_tent():
     f = catalog("tent")
     w = ConstantWeight(2.0)
     assert weighted_lp_mass(f, w, 1.0, -1.0, 3.0) == pytest.approx(2.0, rel=1e-10)
+
+
+def _substituted_l1_mass(f, a: float, c: float, lo: float, hi: float) -> float:
+    """Integral of |f| |x - c|^a over [lo, hi] by mpmath quadrature, part by
+    part between f's breakpoints, f's zeros and c, each part in the variable
+    y = |x - c|^(a + 1), which takes the weight's singularity out of the
+    integrand: dx |x - c|^a = dy / (a + 1)."""
+    import mpmath
+
+    cuts = {lo, hi, c, *f.breakpoints}
+    for piece in f.pieces:
+        s, b = piece.line()
+        if s:
+            cuts.add(-b / s)
+    cuts = sorted(x for x in cuts if lo <= x <= hi)
+    total = mpmath.mpf(0)
+    with mpmath.workdps(30):
+        m = 1 / (mpmath.mpf(a) + 1)
+        for u, v in zip(cuts, cuts[1:]):
+            s, b = f.pieces[int(np.searchsorted(f._edges, 0.5 * (u + v), side="right"))].line()
+            side = 1 if u >= c else -1
+            y0, y1 = sorted(abs(mpmath.mpf(x) - c) ** (a + 1) for x in (u, v))
+
+            def g(y, s=s, b=b, side=side):
+                return abs(s * (c + side * y**m) + b)
+
+            total += mpmath.quad(g, [y0, y1]) * m
+    return float(total)
+
+
+@pytest.mark.parametrize("name", ["tent", "linear_ramp", "indicator"])
+def test_weighted_l1_mass_closed_form_against_substituted_quadrature(name, monkeypatch):
+    f = catalog(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the linear L1 mass took the quadrature path")
+
+    monkeypatch.setattr(funcspace, "adaptive_quad", refuse)
+    for a in (-0.5, -0.75, 0.5):
+        # the last two centres lie farther from every part than its length
+        for c in (0.0, 3 / 16, -0.25, 0.7, 50.0, -5000.0):
+            for lo, hi in ((-8.0, 10.0), (0.1, 0.9)):
+                got = weighted_lp_mass(f, PowerWeight(a, c), 1.0, lo, hi)
+                want = _substituted_l1_mass(f, a, c, lo, hi)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (a, c, lo, hi)
+    got = weighted_lp_mass(f, ConstantWeight(2.5), 1.0, -8.0, 10.0)
+    assert got == pytest.approx(2.5 * _substituted_l1_mass(f, 0.0, 0.0, -8.0, 10.0), rel=1e-13)
+
+
+def test_weighted_lp_mass_keeps_the_quadrature_off_the_closed_form(monkeypatch):
+    calls = []
+    quad = funcspace.adaptive_quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(funcspace, "adaptive_quad", counted)
+    w = PowerWeight(-0.5, 0.25)
+    # p = 2, a cubic-edged f, and a weight with breakpoints of its own
+    weighted_lp_mass(catalog("tent"), w, 2.0, -2.0, 2.0)
+    weighted_lp_mass(catalog("smoothed_indicator"), w, 1.0, -2.0, 2.0)
+    weighted_lp_mass(catalog("tent"), TableWeight([-1.0, 0.0, 1.0], [1.0, 2.0, 1.0]), 1.0, -2.0, 2.0)
+    assert len(calls) == 3
 
 
 def test_mean_abs_indicator():

@@ -23,6 +23,7 @@ from dyadicweights.weights import ConstantWeight, PowerWeight
 from oracles import (
     atom_lp_norm,
     exact_coefficient,
+    masked_cascade,
     normalized_atom,
     sample_value,
     seq_norms,
@@ -53,6 +54,28 @@ def test_filter_qmf_orthogonality():
         assert np.dot(h, h) == pytest.approx(1.0, abs=1e-10)
         for m in range(1, order):
             assert abs(np.dot(h[2 * m :], h[: len(h) - 2 * m])) < 1e-10
+
+
+@pytest.mark.parametrize("depth", [8, 12, 16])
+def test_cascade_matches_the_masked_oracle_bit_for_bit(depth):
+    for order in range(1, 11):
+        system = build_daubechies(order, depth)
+        phi, psi, residual = masked_cascade(order, depth)
+        assert system.phi.tobytes() == phi.tobytes(), order
+        assert system.psi.tobytes() == psi.tobytes(), order
+        assert system.refinement_residual == residual, order
+
+
+def test_atoms_in_generation_order_with_scaling_atoms_first():
+    system = build_daubechies(2, depth=8)
+    atoms = IndexSet(j_max=2, lo=-1.0, hi=1.0).atoms(system)
+    want = []
+    for j in range(3):
+        for k in range(-(2**j) - 3, 2**j + 1):
+            want += [AtomIndex(0, 0, k)] if j == 0 else []
+            want.append(AtomIndex(1, j, k))
+    assert atoms == want
+    assert all(type(v) is int for a in atoms for v in a)
 
 
 def test_haar_scaling_function_exact():

@@ -17,12 +17,11 @@ from dyadicweights.weights import (
     ProductWeight,
     ap_constant,
     ap_ratio,
-    check_ap_properties,
-    maximal_value,
     parse_weight_spec,
     power_ap_member,
     standard_probes,
 )
+from oracles import check_ap_properties, maximal_value
 
 
 def test_constant_mass_unit_cube():
