@@ -37,12 +37,7 @@ from dyadicweights.funcspace import catalog
 from dyadicweights.grid import BudgetError, GridWindow, Shift, all_shifts, window_1d
 from dyadicweights.quadrature import QuadratureBudgetError
 from dyadicweights.records import ConfigError
-from dyadicweights.weights import (
-    ap_constant,
-    ap_ratio,
-    parse_weight_spec,
-    standard_probes,
-)
+from dyadicweights.weights import ApEstimate, ap_ratios, parse_weight_spec, standard_probes
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +564,10 @@ def run_ap_constant(cfg: dict):
     p = float(fp.get("p", 1.0))
     scales = range(int(fp.get("scale_min", -10)), int(fp.get("scale_max", 11)))
     probes = standard_probes(w, scales=scales)
-    est = ap_constant(w, p, probes)
-    rows = []
-    for lo, hi in probes:
-        r = ap_ratio(w, p, (lo, hi))
-        rows.append((lo, hi, r if math.isfinite(r) else math.inf))
+    ratios = list(ap_ratios(w, p, probes))
+    # ap_constant's running max, which no ratio after an inf can change
+    est = ApEstimate(max([0.0, *ratios]))
+    rows = [(lo, hi, r if math.isfinite(r) else math.inf) for (lo, hi), r in zip(probes, ratios)]
     summary = {
         "verdict": "unbounded" if est.unbounded else "complete",
         "sup": est.value,

@@ -343,7 +343,7 @@ def _linear_plateau() -> object:
             Piece(-math.inf, -w, "poly", (0.0,)),
             Piece(-w, 0.0, "poly", (1.0, 1.0 / w)),
             Piece(0.0, 1.0, "poly", (1.0,)),
-            Piece(1.0, 1.0 + w, "poly", (1.0 + 1.0 / w, -1.0 / w)),
+            Piece(1.0, 1.0 + w, "poly", (1.0, -1.0 / w)),
             Piece(1.0 + w, math.inf, "poly", (0.0,)),
         ],
         name="linear_plateau",

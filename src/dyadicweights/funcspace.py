@@ -15,8 +15,9 @@ overlap.  Tensor functions (n >= 2) are sampled on the box.
 
 A `TestFunction` evaluates its value, derivative and antiderivative from a
 piece table built once: one `searchsorted` picks each point's piece, one
-vectorized Horner step per table row evaluates every polynomial piece at
-once, and the few power pieces are filled in by mask.
+vectorized Horner step per table row in x minus the piece's anchor (its
+point nearest 0) evaluates every polynomial piece at once, and the few
+power pieces are filled in by mask.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class Quadrature:
 class Piece:
     """One definition piece on [x0, x1); kind 'poly' or 'power'.
 
-    poly:  data = coefficient tuple (c0, c1, ...), f(x) = sum c_k x^k
+    poly:  data = coefficient tuple (c0, c1, ...) in powers of x - anchor,
+           f(x) = sum c_k (x - anchor)^k
     power: data = (coef, expo, center), f(x) = coef * (x - center)^expo,
            valid for x >= center only.
     """
@@ -60,12 +62,18 @@ class Piece:
     kind: str
     data: tuple
 
+    @property
+    def anchor(self) -> float:
+        """The piece's point nearest 0, about which a poly piece is stored,
+        so a piece far from 0 keeps small coefficients."""
+        return min(max(self.x0, 0.0), self.x1)
+
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "poly":
-            out = np.zeros_like(x)
+            t, out = x - self.anchor, np.zeros_like(x)
             for c in reversed(self.data):
-                out = out * x + c
+                out = out * t + c
             return out
         coef, e, c = self.data
         return coef * np.maximum(x - c, 0.0) ** e
@@ -73,9 +81,9 @@ class Piece:
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "poly":
-            out = np.zeros_like(x)
+            t, out = x - self.anchor, np.zeros_like(x)
             for k in range(len(self.data) - 1, 0, -1):
-                out = out * x + k * self.data[k]
+                out = out * t + k * self.data[k]
             return out
         coef, e, c = self.data
         d = np.maximum(x - c, 1e-300)
@@ -85,10 +93,10 @@ class Piece:
         """Local antiderivative of f (constant of integration arbitrary)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "poly":
-            out = np.zeros_like(x)
+            t, out = x - self.anchor, np.zeros_like(x)
             for k in range(len(self.data) - 1, -1, -1):
-                out = out * x + self.data[k] / (k + 1)
-            return out * x
+                out = out * t + self.data[k] / (k + 1)
+            return out * t
         coef, e, c = self.data
         return coef * np.maximum(x - c, 0.0) ** (e + 1.0) / (e + 1.0)
 
@@ -101,11 +109,11 @@ class Piece:
         return coef * (d ** (e + 2.0) / (e + 2.0) + c * d ** (e + 1.0) / (e + 1.0))
 
     def line(self) -> tuple[float, float]:
-        """(slope, intercept) of a linear piece, nan on any other piece."""
+        """(slope, intercept at 0) of a linear piece, nan on any other piece."""
         if self.kind != "poly" or len(self.data) > 2:
             return math.nan, math.nan
-        c = tuple(self.data) + (0.0, 0.0)
-        return c[1], c[0]
+        c0, c1 = (*self.data, 0.0)[:2]
+        return c1, c0 - c1 * self.anchor
 
 
 class TestFunction:
@@ -144,10 +152,12 @@ class TestFunction:
             x = left.x1
             offs.append(offs[-1] + float(left.prim(x)) - float(right.prim(x)))
         self._prim_off = np.array(offs)
-        # Horner rows, highest degree first, one column per piece; a piece of
-        # lower degree is padded with leading zeros and a power piece is all
-        # zeros, so a row step out = out * x + row[piece] repeats the float
-        # operations of Piece.eval, .deriv and .prim (+ offset) exactly
+        # Horner rows in t = x - anchor, highest degree first, one column per
+        # piece; a piece of lower degree is padded with leading zeros and a
+        # power piece is all zeros, so a row step out = out * t + row[piece]
+        # repeats the float operations of Piece.eval, .deriv and .prim
+        # (+ offset) exactly
+        self._anchors = np.array([p.anchor for p in self.pieces])
         polys = [p.data if p.kind == "poly" else () for p in self.pieces]
 
         def rows(coeffs) -> np.ndarray:
@@ -162,7 +172,7 @@ class TestFunction:
         prim = rows([[c[k] / (k + 1) for k in range(len(c))] for c in polys])
         self._prim_rows = np.vstack([prim, self._prim_off])
         self._power = [i for i, p in enumerate(self.pieces) if p.kind == "power"]
-        # rows x0, x1, slope, intercept (nan if not linear) of each piece
+        # rows x0, x1, slope, intercept at 0 (nan if not linear) of each piece
         self._lines = np.array([(p.x0, p.x1, *p.line()) for p in self.pieces]).T
 
     def _table(self, x, table: np.ndarray, power, offsets=None):
@@ -172,13 +182,14 @@ class TestFunction:
         idx = np.searchsorted(self._edges, arr, side="right")
         # a padded leading zero times +-inf is nan, so infinite points take
         # the rows with 0 in their place, then their own Horner chain that
-        # takes 0 * x as 0 and so starts at each piece's first nonzero row
+        # takes 0 * t as 0 and so starts at each piece's first nonzero row
+        # (t = x - anchor is x there, anchors being finite)
         inf = np.isinf(arr)
         at_inf = inf.any()
-        finite = np.where(inf, 0.0, arr) if at_inf else arr
+        t = (np.where(inf, 0.0, arr) if at_inf else arr) - self._anchors[idx]
         out = np.zeros(arr.shape)
         for row in table:
-            out *= finite
+            out *= t
             out += row[idx]
         if at_inf:
             x, at = arr[inf], idx[inf]
@@ -216,7 +227,7 @@ class TestFunction:
         for i, p in enumerate(self.pieces):
             if p.kind == "poly" and len(p.data) > 2:
                 slope = [k * c for k, c in enumerate(p.data)][1:]
-                roots[i] = np.unique(np.polynomial.polynomial.polyroots(slope).real)
+                roots[i] = np.unique(np.polynomial.polynomial.polyroots(slope).real + p.anchor)
         return np.cumsum([0] + [r.size for r in roots]), np.concatenate(roots)
 
     def __repr__(self):
@@ -272,19 +283,14 @@ class TensorFunction:
 # ---------------------------------------------------------------------------
 
 
-def _smoothstep_coeffs(lo: float, width: float, rising: bool) -> tuple:
-    """Cubic 3u^2 - 2u^3 on u = (x-lo)/width, expanded in x (or mirrored)."""
+def _smoothstep_coeffs(x0: float, x1: float, width: float, rising: bool) -> tuple:
+    """The cubic 3u^2 - 2u^3 on u = (x - x0)/width (1 minus it if not
+    rising), in powers of x minus the anchor of the piece [x0, x1): its
+    Taylor coefficients at u0, the anchor's u."""
     w = width
-    # s(u) = 3u^2 - 2u^3, u = (x - lo)/w
-    c2, c3 = 3.0 / w**2, -2.0 / w**3
-    # expand around x: u^2 -> (x-lo)^2/w^2 etc.
-    a0 = c2 * lo**2 - c3 * lo**3
-    a1 = -2 * c2 * lo + 3 * c3 * lo**2
-    a2 = c2 - 3 * c3 * lo
-    a3 = c3
-    if rising:
-        return (a0, a1, a2, a3)
-    return (1.0 - a0, -a1, -a2, -a3)
+    u = (Piece(x0, x1, "poly", ()).anchor - x0) / w
+    c = (u * u * (3.0 - 2.0 * u), 6.0 * u * (1.0 - u) / w, (3.0 - 6.0 * u) / w**2, -2.0 / w**3)
+    return c if rising else (1.0 - c[0], -c[1], -c[2], -c[3])
 
 
 def constant(c: float = 0.0) -> TestFunction:
@@ -324,7 +330,7 @@ def linear_ramp(
     return TestFunction(
         [
             Piece(-math.inf, c - r, "poly", (-s * r,)),
-            Piece(c - r, c + r, "poly", (-s * c, s)),
+            Piece(c - r, c + r, "poly", (s * min(max(-c, -r), r), s)),
             Piece(c + r, math.inf, "poly", (s * r,)),
         ],
         name="linear_ramp",
@@ -341,7 +347,7 @@ def tent() -> TestFunction:
         [
             Piece(-math.inf, 0.0, "poly", (0.0,)),
             Piece(0.0, 1.0, "poly", (0.0, 1.0)),
-            Piece(1.0, 2.0, "poly", (2.0, -1.0)),
+            Piece(1.0, 2.0, "poly", (1.0, -1.0)),
             Piece(2.0, math.inf, "poly", (0.0,)),
         ],
         name="tent",
@@ -378,9 +384,9 @@ def smoothed_indicator(width: float = 0.25, a: float = 0.0, b: float = 1.0) -> T
     return TestFunction(
         [
             Piece(-math.inf, a - w, "poly", (0.0,)),
-            Piece(a - w, a, "poly", _smoothstep_coeffs(a - w, w, rising=True)),
+            Piece(a - w, a, "poly", _smoothstep_coeffs(a - w, a, w, rising=True)),
             Piece(a, b, "poly", (1.0,)),
-            Piece(b, b + w, "poly", _smoothstep_coeffs(b, w, rising=False)),
+            Piece(b, b + w, "poly", _smoothstep_coeffs(b, b + w, w, rising=False)),
             Piece(b + w, math.inf, "poly", (0.0,)),
         ],
         name="smoothed_indicator",
@@ -653,16 +659,18 @@ def _monotone_sums(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     every = np.arange(a.size)
 
     def on(table, power, k):
-        """x -> ``table`` by Horner on the pieces of the parts k (of x's
-        shape), ``power`` on power pieces: each part's own piece, so an end
-        on a breakpoint takes the same piece as the part's inside."""
+        """x -> ``table`` by Horner in x minus the anchor on the pieces of
+        the parts k (of x's shape), ``power`` on power pieces: each part's
+        own piece, so an end on a breakpoint takes the same piece as the
+        part's inside."""
         own = piece[k]
         cols, masks = table[:, own], [(f.pieces[i], own == i) for i in f._power]
+        anchor = f._anchors[own]
 
         def at(x):
-            out = np.zeros(x.shape)
+            out, t = np.zeros(x.shape), x - anchor
             for c in cols:
-                out *= x
+                out *= t
                 out += c
             for pc, mask in masks:
                 out[mask] = power(pc, x[mask])

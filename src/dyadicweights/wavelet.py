@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import comb, sqrt
 from typing import NamedTuple
@@ -244,26 +243,15 @@ def _cell_masses(system: WaveletSystem) -> np.ndarray:
 
 
 def _taylor_rows(coef: np.ndarray, x0: np.ndarray, scale: float) -> np.ndarray:
-    """Rows b with sum_k coef[r, k] x^k = sum_k b[r, k] u^k at
-    x = x0[r] + u / scale: a Taylor shift to x0 by repeated synthetic
-    division, then the substitution u = scale (x - x0)."""
+    """Rows b with sum_k coef[r, k] t^k = sum_k b[r, k] u^k at
+    t = x0[r] + u / scale: a Taylor shift to x0 by repeated synthetic
+    division, then the substitution u = scale (t - x0)."""
     b = coef.copy()
     deg = b.shape[1]
     for k in range(deg - 1):
         for i in range(deg - 2, k - 1, -1):
             b[:, i] += x0 * b[:, i + 1]
     return b / scale ** np.arange(deg)
-
-
-def _anchored_pieces(f: TestFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Per piece of f its point nearest 0 and its ascending coefficients in
-    x minus that anchor, shifted in exact arithmetic and rounded once, so a
-    cell far from 0 loses no digits to the monomial form in x (all zero on a
-    power piece)."""
-    anchors = [min(max(p.x0, 0.0), p.x1) for p in f.pieces]
-    exact = np.array([[Fraction(c) for c in row] for row in f._value_rows[::-1].T])
-    shifted = _taylor_rows(exact, np.array([Fraction(a) for a in anchors]), 1)
-    return np.array(anchors), shifted.astype(float)
 
 
 def coefficients(
@@ -277,7 +265,8 @@ def coefficients(
     support cell of phi and psi (``_cell_masses``).  A cell whose two ends
     lie in one polynomial piece of f (the piece rule of
     ``TestFunction._table``) takes its row in closed form: with b the
-    piece's coefficients in u = 2^j x - c, the row is b @ M, where
+    piece's coefficients in u = 2^j x - c, one Taylor shift of its row of
+    f's table from the piece's anchor to the cell, the row is b @ M, where
     M[k] = (u_i^k) @ masses over the sample abscissae u_i.  Only the other
     cells, which a breakpoint or a power piece meets, evaluate f, on the
     per-atom abscissae bit for bit.  ``coefficient`` is the per-atom
@@ -289,7 +278,8 @@ def coefficients(
     span = len(system.h) - 1  # S, the support length in cells
     masses = _cell_masses(system)
     us = np.arange(step + 1) * system.dx
-    anchors, coef = _anchored_pieces(f)
+    # ascending coefficients in x minus each piece's anchor, 0 on power pieces
+    anchors, coef = f._anchors, f._value_rows[::-1].T
     # u_i^k (exact), contiguous: the strided product sums 10x less accurately
     moments = np.vander(us, coef.shape[1], increasing=True).T.copy() @ masses
     poly = np.array([p.kind == "poly" for p in f.pieces])

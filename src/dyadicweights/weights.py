@@ -384,15 +384,21 @@ def ap_ratio(w: Weight, p: float, region) -> float:
     return out
 
 
-def ap_constant(w: Weight, p: float, probes: Sequence) -> ApEstimate:
-    """Max constant ratio over the probe family (monotone in the family)."""
+def ap_ratios(w: Weight, p: float, probes: Sequence):
+    """ap_ratio on each probe of a nonempty family in turn, for p >= 1."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if not probes:
         raise ValueError("probe family must be nonempty")
-    best = 0.0
     for q in probes:
-        best = max(best, ap_ratio(w, p, q))
+        yield ap_ratio(w, p, q)
+
+
+def ap_constant(w: Weight, p: float, probes: Sequence) -> ApEstimate:
+    """Max constant ratio over the probe family (monotone in the family)."""
+    best = 0.0
+    for r in ap_ratios(w, p, probes):
+        best = max(best, r)
         if math.isinf(best):
             break
     return ApEstimate(best)

@@ -109,16 +109,18 @@ def seq_norms(atoms, values: np.ndarray, beta: float, w: Weight, p: float) -> tu
 
 def exact_coefficient(f, system: WaveletSystem, idx: AtomIndex) -> float:
     """The pairing ``wavelet.coefficient`` forms at dual_p = 1, in exact
-    arithmetic: f's polynomial pieces, their float coefficients taken
-    exactly, at the atom's sample abscissae, against the atom's samples,
-    both linearly interpolated between samples."""
+    arithmetic: f's polynomial pieces, their float coefficients in powers
+    of x minus the piece's anchor taken exactly, at the atom's sample
+    abscissae, against the atom's samples, both linearly interpolated
+    between samples."""
     base = [Fraction(v) for v in system.base(idx.e)]
     dx = Fraction(system.dx)
     fv = []
     for i in range(len(base)):
         x = (i * dx + idx.k) / 2**idx.j
         piece = f.pieces[int(np.searchsorted(f._edges, float(x), side="right"))]
-        fv.append(sum(Fraction(c) * x**k for k, c in enumerate(piece.data)))
+        t = x - Fraction(piece.anchor)
+        fv.append(sum(Fraction(c) * t**k for k, c in enumerate(piece.data)))
     total = Fraction(0)
     for a0, a1, b0, b1 in zip(fv, fv[1:], base, base[1:]):
         total += a0 * b0 + (a0 * (b1 - b0) + b0 * (a1 - a0)) / 2 + (a1 - a0) * (b1 - b0) / 3
@@ -234,7 +236,7 @@ def monotone_parts(f: TestFunction, a: float, b: float) -> list[MonotonePart]:
         if p.kind == "poly" and len(p.data) > 2:
             slope = [k * c for k, c in enumerate(p.data)][1:]
             margin = 1e-12 * (hi - lo)
-            roots = np.polynomial.polynomial.polyroots(slope).real
+            roots = np.polynomial.polynomial.polyroots(slope).real + p.anchor
             inside = {float(r) for r in roots if lo + margin < r < hi - margin}
             cuts[1:1] = sorted(inside)
         parts += [MonotonePart(p, s, t) for s, t in zip(cuts, cuts[1:])]

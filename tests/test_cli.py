@@ -65,7 +65,7 @@ ARGV_RUNS = {
     ),
     "sharpness-a1": (
         ["sharpness", "--case", "a1"],
-        "0b0b51e1047a2d670c0c833900e6659ea837dc4919559247c6863e1945e040f5",
+        "30cda39c811f9770d8d8c0b74911caebe3849a894ffddeb0bc6d7df0d1343c44",
         0,
         "24395618514e6bcdfa8c8c24ff9095caee685e1a94d93f9307802d4ccd1ccde4",
     ),
@@ -147,9 +147,9 @@ ARGV_RUNS = {
             "--config", str(CONFIGS / "a1_battery.cfg"),
             "--set", "function.name=smoothed_indicator",
         ],
-        "549f41f449d459787b7e38123422f5fab413f769b11fb06f53a6b8b08da20087",
+        "1bbb5a63b7ca92fc4e0c7576f6f9cf62e01b7bb582e9d04ef6013235b56a7caa",
         0,
-        "1f659df1b224a9d5fe904519a63fec4ce66b2e6af2ad232485a8881ab2f18f6a",
+        "a7cf2b7059a32143a73a4073b34d7e4ad70fbb471d55f83e20e9cc1a7f992452",
     ),
     # the a1 window under a ramp of non-dyadic slope
     "verify-cddd-ramp": (
@@ -179,6 +179,31 @@ ARGV_RUNS = {
         "280a7184f6932bffd340661d24ac349741ba78ce1b6d69cea39e9700297a9942",
         2,
         "f02ba644e553f2bd796088a89cce1bc4f38c2e7b5f7c4eb569b188b38763fca9",
+    ),
+    "ap-constant": (
+        [
+            "ap-constant",
+            "--set", "weight.kind=power",
+            "--set", "weight.exponent=-0.5",
+            "--p", "1.0",
+        ],
+        "a40dad83966eeb9c72a69e79fec31915e65c1b83f3582828d19df23bbc2839d8",
+        0,
+        "75361b7a86bed69c8385da823b38387d7a727cf9f141a4af99481202adcd52cb",
+    ),
+    # |x - 1/2| at p = 2: the dual power e = -1 takes the log form, and the
+    # estimate is unbounded
+    "ap-constant-unbounded": (
+        [
+            "ap-constant",
+            "--set", "p=2",
+            "--set", "weight.kind=power",
+            "--set", "weight.exponent=1.0",
+            "--set", "weight.center=0.5",
+        ],
+        "d89c3772321f109d0316f326972b6ec32d256e9987265fb368c57aaad5fb9f19",
+        0,
+        "96d8808e096be2acfd4cf4fe3251ae5b5045aa8475d59d37bee7b62c88ec2255",
     ),
     "good-cubes": (
         ["good-cubes", "--set", "trials=20"],
@@ -649,6 +674,24 @@ def test_ap_constant_cli(tmp_path):
         argv += ["--set", "weight." + spec]
     assert main(argv) == 0
     assert json.loads(read(out / "summary.json"))["verdict"] == "unbounded"
+
+
+def test_ap_constant_cli_takes_one_ratio_per_probe(tmp_path, monkeypatch):
+    # the rows and the estimate share one ap_ratio call per probe
+    from dyadicweights import weights
+
+    calls = []
+
+    def counted(w, p, region, _orig=weights.ap_ratio):
+        calls.append(region)
+        return _orig(w, p, region)
+
+    monkeypatch.setattr(weights, "ap_ratio", counted)
+    for name in ("ap-constant", "ap-constant-unbounded"):
+        calls.clear()
+        assert main([*ARGV_RUNS[name][0], "--out", str(tmp_path)]) == 0
+        probes = load_strict(tmp_path / "summary.json")["probe_count"]
+        assert len(calls) == probes
 
 
 def test_good_cubes_cli(tmp_path):

@@ -547,10 +547,10 @@ def _ref_segments(f, a: float, b: float):
         lo, hi = max(a, p.x0), min(b, p.x1)
         if hi <= lo:
             continue
-        if p.kind != "poly" or len(p.data) > 2:
+        s, c = p.line()
+        if math.isnan(s):
             return None
-        c = tuple(p.data) + (0.0, 0.0)
-        out.append((lo, hi, c[1], c[0]))
+        out.append((lo, hi, s, c))
     return out
 
 
@@ -648,7 +648,8 @@ def _assert_bit_for_bit(fn, ref, f, lo, hi):
 
 def _random_lines(rng, edges):
     """Linear pieces between the edges with non-dyadic slopes and
-    intercepts; the slopes alternate in sign and the last but one is 0."""
+    intercepts, each intercept the piece's value at its anchor; the slopes
+    alternate in sign and the last but one is 0."""
     inf = math.inf
     ends = [-inf, *edges, inf]
     n = len(ends) - 1
@@ -931,3 +932,52 @@ def test_omega_inside_a_linear_piece_against_closed_form():
         want = np.abs(s[s != 0.0]) * width / 3.0
         got = funcspace.omega_intervals(f, lo[inside], hi[inside])
         assert np.all(np.abs(got - want) <= 1e-12 * want), f
+
+
+# ---------------------------------------------------------------------------
+# pieces stored about their anchors: a function far from 0 keeps its digits
+# ---------------------------------------------------------------------------
+
+
+def test_translated_smoothed_indicator_keeps_its_omega():
+    # omega is translation invariant: on the dyadic intervals of length
+    # 2^-1 .. 2^-5 in [-1/2, 3/2], shifted by A (exactly, A an integer), the
+    # plateau on [A, A + 1] matches the one on [0, 1].  Each node or cut at
+    # magnitude A rounds by ulp(A), so the bound is ulp(A) over the
+    # shortest interval
+    j = np.repeat(np.arange(1, 6), 2 ** np.arange(2, 7))
+    lo = np.concatenate([np.arange(-(2 ** (k - 1)), 3 * 2 ** (k - 1)) for k in range(1, 6)])
+    lo, hi = np.ldexp(lo, -j), np.ldexp(lo + 1.0, -j)
+    base = funcspace.omega_intervals(catalog("smoothed_indicator"), lo, hi)
+    assert np.count_nonzero(base) > 20
+    for a in (40.0, 1024.0, 2.0**16):
+        f = catalog("smoothed_indicator", width=0.25, a=a, b=a + 1.0)
+        got = funcspace.omega_intervals(f, lo + a, hi + a)
+        assert np.max(np.abs(got - base)) <= math.ulp(a) / 2.0**-5, a
+
+
+def test_edge_far_from_0_against_exact_smoothstep():
+    # the rising edge [39.75, 40) against 3u^2 - 2u^3, u = (x - 39.75)/0.25,
+    # in exact arithmetic at the float points, to 2 ulp of the value
+    f = catalog("smoothed_indicator", width=0.25, a=40.0, b=41.0)
+    xs = np.random.default_rng(38).uniform(39.75, 40.0, 400)
+    for x, got in zip(xs.tolist(), f.value(xs).tolist()):
+        u = (Fraction(x) - Fraction(39.75)) * 4
+        want = 3 * u**2 - 2 * u**3
+        assert abs(Fraction(got) - want) <= 2 * Fraction(math.ulp(float(want))), x
+
+
+def test_smoothed_indicator_is_mirror_symmetric_on_the_a1_window():
+    # the default plateau is symmetric about 1/2, so omega on each window
+    # cube I equals omega on 1 - I wherever that, in floats, is a window
+    # cube too; 73 such pairs have omega > 0
+    lo, hi = _a1_window()
+    index = {(a, b): i for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))}
+    pairs = np.array(
+        [(i, index[1.0 - b, 1.0 - a]) for (a, b), i in index.items() if (1.0 - b, 1.0 - a) in index]
+    )
+    om = funcspace.omega_intervals(catalog("smoothed_indicator"), lo, hi)
+    one, two = om[pairs[:, 0]], om[pairs[:, 1]]
+    live = np.maximum(one, two) > 0.0
+    assert np.count_nonzero(live) == 73
+    assert np.all(np.abs(one - two)[live] <= 1e-13 * np.maximum(one, two)[live])

@@ -268,9 +268,10 @@ def test_coefficients_sample_f_only_on_cells_a_breakpoint_or_power_piece_meets(
 
 
 def test_closed_form_cells_far_from_0_match_exact_arithmetic():
-    # the cubic edge [39.7, 40) of this plateau has monomial coefficients in
-    # x up to 5e6, so evaluating it at the samples loses about 1e-12; the
-    # closed form shifts each piece to its point nearest 0 exactly first
+    # the cubic edge [39.7, 40) of this plateau, in monomials of x, would
+    # have coefficients up to 5e6 and lose about 1e-12 at the samples; f's
+    # table stores it about its anchor 39.7, so the closed form needs only
+    # the shift from there to each cell
     system = build_daubechies(2, 8)
     f = catalog("smoothed_indicator", width=0.3, a=40.0, b=41.0)
     atoms, vals = coefficients(f, system, IndexSet(j_max=4, lo=39.5, hi=41.5))
