@@ -11,9 +11,8 @@ pieces are all linear (tent, linear, linear_ramp) it is exact: on each piece
 of the ray y = x +- r membership is a linear function of r against
 lam r^(1+s), whose roots are closed form or found by Newton's method, and
 runs to infinity are integrated in closed form, so nothing is sampled or
-truncated.  Any other membership (the ball-mean sets of the pointwise
-domination check) or f with a cubic or power piece is sampled: radial shells
-open where a Lipschitz bound decides membership, so the |x-y|^(gamma-n)
+truncated.  f with a cubic or power piece is sampled: radial shells open
+where a Lipschitz bound decides membership, so the |x-y|^(gamma-n)
 singularity is never probed where the indicator provably vanishes.  A shell
 with no certified outer radius is sampled only out to where y lies on an
 end piece of f; past that the exact runs of the level set are added in
@@ -34,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dyadicweights.funcspace import grad_power_mass, omega_boxes
-from dyadicweights.oscillation import LevelMass
+from dyadicweights.funcspace import grad_power_mass
 from dyadicweights.quadrature import adaptive_quads
 from dyadicweights.records import (
     RATIO_CEILING,
@@ -53,11 +51,12 @@ TAIL_DECADES = 1.0
 # rows are evaluated in blocks of at most this many (node, direction, radius)
 # points, which bounds the temporaries of a wide refinement step.
 MASK_POINTS = 2**15
-# The ball of the ball-mean membership has radius |x-y| / BALL.  Past REACH
-# times a node's larger distance to the outermost breakpoints of f, y and
-# that ball around it lie on an end piece of f.
-BALL = 20.0
-REACH = BALL / (BALL - 1.0)
+# Past REACH times a node's larger distance to the outermost breakpoints of
+# f, y and a ball of radius |x-y| / 20 around it lie on an end piece of f.
+# It stays 20/19 although no package path takes a ball mean: the sampled
+# verify-bsvy pins depend on it, and the ball-mean oracle of the tests, run
+# through the ``membership`` seam of `inner_integral`, needs it.
+REACH = 20.0 / 19.0
 
 
 def gamma_admissible(p: float, q: float, gamma: float) -> bool:
@@ -111,15 +110,6 @@ class DiffQuotConfig:
         return self.gamma / self.q
 
 
-def ball_mean(f, centers, radii) -> np.ndarray:
-    """Average of the one-dimensional f over (c - r, c + r) for each center c
-    and radius r, given as arrays of one shape, by the primitive of f."""
-    centers = np.asarray(centers, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    masses = f.primitive(centers + radii) - f.primitive(centers - radii)
-    return masses / (2.0 * radii)
-
-
 # ---------------------------------------------------------------------------
 # inner radial integral
 # ---------------------------------------------------------------------------
@@ -129,8 +119,9 @@ def _radial_bounds(f, lam: float, s: float):
     """Certified radii (r_lo, r_hi) outside which membership is impossible.
 
     Bounds use inflated Lipschitz/value hints so they stay valid for the
-    ball-mean variants as well (the mean sits within 1.05 |x-y| of x).  A
-    Lipschitz hint of 0 (constant f) makes every radius a non-member.
+    ball-mean membership of the test oracle as well (the mean sits within
+    1.05 |x-y| of x).  A Lipschitz hint of 0 (constant f) makes every radius
+    a non-member.
     """
     lip = 1.05 * getattr(f, "lipschitz", math.inf)
     bound = 2.0 * getattr(f, "value_bound", math.inf)
@@ -157,24 +148,6 @@ def _radial_bounds(f, lam: float, s: float):
     return r_lo, r_hi
 
 
-def _ball_mean_membership(f, b: float):
-    """Membership |f(x) - mean over B(y, |x-y|/BALL)| > lam |x-y|^(1+b), on
-    broadcast (xs, fx, ys, lam); the diagonal x = y is never a member."""
-
-    def membership(xs, fx, ys, lam):
-        d = np.abs(ys - xs)
-        out = np.zeros(ys.shape, dtype=bool)
-        pos = d > 0
-        if pos.any():
-            m = ball_mean(f, ys[pos], d[pos] / BALL)
-            fxs = np.broadcast_to(fx, ys.shape)[pos]
-            lams = np.broadcast_to(lam, ys.shape)[pos]
-            out[pos] = np.abs(fxs - m) > lams * d[pos] ** (1.0 + b)
-        return out
-
-    return membership
-
-
 def _signed_member_mass(
     membership,
     xs: np.ndarray,
@@ -198,8 +171,8 @@ def _signed_member_mass(
     40 bisection steps put each boundary within 2^-40 of its sample gap.
     Sub-grid membership islands are the only approximation; the sample grid
     is geometric and includes the kink radii of the function.  This is the
-    sampled path of `inner_integral`: an explicit membership, or f with a
-    piece that is not linear; the level set of an all-linear f never gets
+    sampled path of `inner_integral`: f with a piece that is not linear, or
+    an explicit membership; the level set of an all-linear f never gets
     here.
     """
     n, width = radii.shape
@@ -445,12 +418,17 @@ def inner_integral(
 
     Radial membership is resolved per direction as a union of intervals,
     and the power weight is integrated in closed form on each member
-    interval.  ``membership(xs, fx, ys, lam)`` decides pairs elementwise on
-    broadcast arrays (fx = f(xs), lam the nodes' levels); the default is the
-    difference-quotient level set.
+    interval.  The members are those of the difference-quotient level set.
 
-    The default membership on a `TestFunction` whose pieces are all linear
-    takes the exact path (`_linear_runs`): its intervals are exact to
+    ``membership(xs, fx, ys, lam)`` is a seam for the tests only, which no
+    package path passes: it decides pairs elementwise on broadcast arrays
+    (fx = f(xs), lam the nodes' levels) in place of the level set.  The
+    tests pass it to force the sampled path on linear f, to count
+    membership calls, and to run the ball-mean membership of their
+    pointwise domination oracle.
+
+    The level set of a `TestFunction` whose pieces are all linear takes the
+    exact path (`_linear_runs`): its intervals are exact to
     rounding, with runs to infinity in closed form.  Every other input is
     sampled (geometric sampling, kink radii included, boundaries bisected:
     `_signed_member_mass`) inside a certified shell, taken once per distinct
@@ -462,7 +440,8 @@ def inner_integral(
     level set past ``reach`` are added, f being linear there.  So a
     ``membership`` must agree with the level set
     |f(y) - f(x)| > lam |x-y|^(1+s) at every |x-y| > ``reach``, as the
-    ball-mean membership does: its ball then lies on one linear end piece.
+    oracle's ball-mean membership does: its ball then lies on one linear end
+    piece.
 
     A scalar ``x`` returns (float, diag), an array (array, diag).  On the
     sampled path ``diag`` holds ``r_lo`` and ``r_hi``, the certified shell,
@@ -657,110 +636,4 @@ def verify_diffquot(cfg: DiffQuotConfig, f, tol: float = 0.05) -> VerificationRe
         },
     )
     rec.details["upper_ok"] = rec.within_ceiling
-    return rec
-
-
-# ---------------------------------------------------------------------------
-# pointwise domination against shifted-grid functionals
-# ---------------------------------------------------------------------------
-
-
-def point_domination_check(
-    f,
-    weight: Weight,
-    p: float,
-    q: float,
-    beta: float,
-    lam: float,
-    window,
-    eps: float,
-) -> VerificationRecord:
-    """Ball-mean level-set functional against a truncated sum of shifted-grid
-    oscillation functionals at geometrically growing thresholds.
-
-    Informational: the constant is the observed ratio, so any finite ratio
-    passes and only an inconclusive truncation fails.  The left side uses
-    membership |f(x) - mean over B(y, |x-y|/20)| > lam |x-y|^(1 + n(beta-1/p)); the
-    right side sums 2^(j n (beta p - 1)) times the oscillation functional at
-    threshold lam(j) = lam * 2^(j (1 + n(beta-1/p) - eps)) over the three
-    shifted grids, for j = 0..10; the reported tail estimate flags
-    under-truncation.
-    """
-    if q < p:
-        raise ValueError("needs q >= p")
-    if beta == 1.0 / p:
-        raise ValueError("beta = 1/p excluded")
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0,1)")
-    n = 1
-    b = n * (beta - 1.0 / p)
-
-    cfg = DiffQuotConfig(
-        p=p,
-        q=q,
-        gamma=q * b,
-        weight=weight,
-        window=(float(window.box[0][0]), float(window.box[0][1])),
-        exploratory=True,
-    )
-
-    lo, hi = cfg.window
-    bps = list(getattr(f, "breakpoints", ())) + list(weight.breakpoints())
-
-    membership = _ball_mean_membership(f, b)
-
-    def outer(xs, _owner):
-        inner, _ = inner_integral(f, xs, lam, cfg, membership=membership)
-        return inner ** (p / q) * weight.value(xs)
-
-    [(lhs, met)] = adaptive_quads(outer, [(lo, hi, 1e-4, bps, 200)])
-    if not met:
-        _warn_at_split_cap("point_domination left side", f, lam)
-
-    # one level-set mass per threshold lam_j
-    arr = window.arrays
-    levels = LevelMass.of_cubes(
-        omega_boxes(f, arr.lo, arr.hi),
-        arr.vol,
-        weight.masses(arr.lo, arr.hi),
-        beta + 1.0 - 1.0 / p,
-        beta * p - 1.0,
-    )
-    lam_js = [
-        lam * 2.0 ** (j * (1.0 + n * (beta - 1.0 / p) - eps))
-        for j in range(11)
-    ]
-    _, ssums = levels.above(lam_js)
-    terms = [
-        2.0 ** (j * n * (beta * p - 1.0)) * float(ssum) for j, ssum in enumerate(ssums)
-    ]
-    rhs = sum(terms)
-    tail = 0.0
-    inconclusive = False
-    nz = [t for t in terms if t > 0]
-    if len(nz) >= 2 and terms[-1] > 0:
-        decay = terms[-1] / terms[-2] if terms[-2] > 0 else 1.0
-        if decay < 1.0:
-            tail = terms[-1] * decay / (1.0 - decay)
-        else:
-            inconclusive = True
-    if rhs > 0 and tail > 0.05 * rhs:
-        inconclusive = True
-    # the largest float as ceiling passes exactly the finite ratios
-    rec = VerificationRecord(
-        name="point_domination",
-        lhs=lhs,
-        rhs=rhs,
-        ceiling=sys.float_info.max,
-        certified=not inconclusive,
-        details={
-            "inconclusive": inconclusive,
-            "tail_estimate": tail,
-            "terms": terms,
-            "eps": eps,
-            "beta": beta,
-            "key": (n, beta, p, q),
-        },
-    )
-    rec.details["calibrated_c"] = rec.ratio
     return rec

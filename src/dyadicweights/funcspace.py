@@ -146,17 +146,11 @@ class TestFunction:
         self.grad_radius = grad_radius
         self.value_bound = value_bound
         self._edges = np.array([p.x1 for p in self.pieces[:-1]])
-        # cumulative constants making the antiderivative continuous
-        offs = [0.0]
-        for left, right in zip(self.pieces, self.pieces[1:]):
-            x = left.x1
-            offs.append(offs[-1] + float(left.prim(x)) - float(right.prim(x)))
-        self._prim_off = np.array(offs)
         # Horner rows in t = x - anchor, highest degree first, one column per
         # piece; a piece of lower degree is padded with leading zeros and a
         # power piece is all zeros, so a row step out = out * t + row[piece]
-        # repeats the float operations of Piece.eval, .deriv and .prim
-        # (+ offset) exactly
+        # repeats the float operations of Piece.eval and .deriv exactly, and
+        # of Piece.prim after one more step that adds -0.0
         self._anchors = np.array([p.anchor for p in self.pieces])
         polys = [p.data if p.kind == "poly" else () for p in self.pieces]
 
@@ -169,15 +163,14 @@ class TestFunction:
 
         self._value_rows = rows(polys)
         self._grad_rows = rows([[k * c[k] for k in range(1, len(c))] for c in polys])
-        prim = rows([[c[k] / (k + 1) for k in range(len(c))] for c in polys])
-        self._prim_rows = np.vstack([prim, self._prim_off])
+        self._prim_rows = rows([[c[k] / (k + 1) for k in range(len(c))] for c in polys])
         self._power = [i for i, p in enumerate(self.pieces) if p.kind == "power"]
         # rows x0, x1, slope, intercept at 0 (nan if not linear) of each piece
         self._lines = np.array([(p.x0, p.x1, *p.line()) for p in self.pieces]).T
 
-    def _table(self, x, table: np.ndarray, power, offsets=None):
+    def _table(self, x, table: np.ndarray, power):
         """Evaluate from the Horner rows ``table``; on a power piece p the
-        value is ``power(p, t)``, plus ``offsets`` of that piece if given."""
+        value is ``power(p, x)``."""
         arr = np.asarray(x, dtype=float)
         idx = np.searchsorted(self._edges, arr, side="right")
         # a padded leading zero times +-inf is nan, so infinite points take
@@ -201,8 +194,7 @@ class TestFunction:
         for i in self._power:
             mask = idx == i
             if mask.any():
-                val = power(self.pieces[i], arr[mask])
-                out[mask] = val if offsets is None else val + offsets[i]
+                out[mask] = power(self.pieces[i], arr[mask])
         return out[()] if out.ndim == 0 else out
 
     def value(self, x):
@@ -210,9 +202,6 @@ class TestFunction:
 
     def grad(self, x):
         return self._table(x, self._grad_rows, Piece.deriv)
-
-    def primitive(self, x):
-        return self._table(x, self._prim_rows, Piece.prim, self._prim_off)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -678,8 +667,8 @@ def _monotone_sums(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
 
         return at
 
-    # Piece.prim: the rows of f.primitive with -0.0 for the offsets, an exact add
-    local = np.vstack([f._prim_rows[:-1], np.full(len(f.pieces), -0.0)])
+    # Piece.prim: the primitive rows, then a step that adds -0.0, an exact add
+    local = np.vstack([f._prim_rows, np.full(len(f.pieces), -0.0)])
     value, prim = partial(on, f._value_rows, Piece.eval), partial(on, local, Piece.prim)
     ends, both = np.stack([a, b]), np.stack([every, every])
     (e0, e1), (h0, h1) = value(both)(ends), prim(both)(ends)

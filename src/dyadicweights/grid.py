@@ -113,9 +113,6 @@ class Cube:
         lo = self.lower()[0]
         return lo, lo + self.edge
 
-    def contains_point(self, x: Sequence[Fraction]) -> bool:
-        return all(lo <= xi < lo + self.edge for lo, xi in zip(self.lower(), x))
-
     def __repr__(self):
         lo = self.lower()
         box = "x".join(f"[{l},{l + self.edge})" for l in lo)
@@ -222,14 +219,6 @@ class AxisCube:
     def n(self) -> int:
         return len(self.lower_corner)
 
-    def scaled(self, k: Fraction) -> "AxisCube":
-        """Concentric rescaling by factor k."""
-        k = Fraction(k)
-        half = self.edge / 2
-        return AxisCube(
-            tuple(lo + half - k * half for lo in self.lower_corner), k * self.edge
-        )
-
 
 def float_box(region) -> list[tuple[float, float]]:
     """The float (lo, hi) pair of each axis of a region: one (lo, hi) pair, a
@@ -245,74 +234,6 @@ def float_box(region) -> list[tuple[float, float]]:
         corner = region.lower() if isinstance(region, Cube) else region.lower_corner
         return [(float(lo), float(lo + edge)) for lo in corner]
     return [(float(lo), float(hi)) for lo, hi in region]
-
-
-def _fits(p: AxisCube, q: Cube) -> bool:
-    qlo = q.lower()
-    return all(
-        ql <= pl and pl + p.edge <= ql + q.edge
-        for ql, pl in zip(qlo, p.lower_corner)
-    )
-
-
-def _forced_generation(edge: Fraction) -> int:
-    # unique t with 2^t in (3*edge/2, 3*edge]
-    target = 3 * edge
-    t = target.numerator.bit_length() - target.denominator.bit_length()
-    # 2^t <= target < 2^(t+2); fix up to the half-open window
-    while _pow2(t) > target:
-        t -= 1
-    while _pow2(t + 1) <= target:
-        t += 1
-    assert 2 * _pow2(t) > target >= _pow2(t)
-    return t
-
-
-def dominating_cube(p: AxisCube) -> tuple[Shift, Cube]:
-    """Some shifted dyadic cube Q with p inside Q and edge(Q) in (3e/2, 3e].
-
-    The first member of dominating_set, whose shifts run in lexicographic
-    order of thirds; existence is guaranteed at the forced generation.
-    """
-    q = dominating_set(p)[0]
-    return q.shift, q
-
-
-def dominating_set(p: AxisCube) -> list[Cube]:
-    """All shifted dyadic cubes containing p with edge in (3e/2, 3e]."""
-    t = _forced_generation(p.edge)
-    h = _pow2(t)
-    sgn = 1 if t % 2 == 0 else -1
-    out = []
-    for shift in all_shifts(p.n):
-        m = tuple(
-            math.floor(lo / h - Fraction(sgn * ti, 3))
-            for lo, ti in zip(p.lower_corner, shift.thirds)
-        )
-        q = Cube(shift, t, m)
-        if _fits(p, q):
-            out.append(q)
-    return out
-
-
-def dom_multiplicity(base: Sequence[AxisCube], k: Fraction) -> int:
-    """Max overlap count of dominating cubes over a K-scaled disjoint family.
-
-    ``base`` must be pairwise disjoint cubes of one common edge length; the
-    family examined is their concentric rescaling by k.  Returns
-    max over P in Dom(S) of #{Q in S : P in Dom(Q)}, which is at most 3^n k^n.
-    """
-    if not base:
-        raise ValueError("empty family")
-    k = Fraction(k)
-    scaled = [b.scaled(k) for b in base]
-    doms = [dominating_set(s) for s in scaled]
-    counts: dict[tuple, int] = {}
-    for dlist in doms:
-        for q in dlist:
-            key = (q.shift.thirds, q.j, q.m)
-            counts[key] = counts.get(key, 0) + 1
-    return max(counts.values())
 
 
 @dataclass(frozen=True, eq=False)

@@ -477,70 +477,3 @@ def check_domination(
         certified=True,
         details={"sigma": sigma, "exponent": exponent, "n_good": len(good)},
     )
-
-
-# ---------------------------------------------------------------------------
-# chain sparsity of level sets
-# ---------------------------------------------------------------------------
-
-
-def sparse_chain_check(
-    oms,
-    lam: float,
-    beta: float,
-    p: float,
-    r: float,
-    window: GridWindow,
-    sample_points,
-) -> dict:
-    """At each sample x, the level-set cubes containing x form a chain whose
-    |Q|^{r(beta-1/p)} sum is controlled by the extreme cube via the geometric
-    series 1/(1 - 2^{-n r |beta - 1/p|}), up to a relative REL_TOL.  The
-    level set is read from the omega values ``oms`` of f in the row order of
-    ``window.arrays``.
-    """
-    if beta == 1.0 / p:
-        raise ValueError("beta = 1/p is excluded")
-    n = window.n
-    dev = beta - 1.0 / p
-    members, _ = level_set(oms, window, lam, beta + 1.0 - 1.0 / p)
-    geom = 1.0 / (1.0 - 2.0 ** (-n * r * abs(dev)))
-    calibrated = abs(dev) * geom
-    results = []
-    for x in sample_points:
-        pt = (Fraction(x).limit_denominator(10**9),) * n if n == 1 else x
-        chain = [q for q in members if q.contains_point(pt)]
-        by_shift: dict = {}
-        for q in chain:
-            by_shift.setdefault(q.shift.thirds, []).append(q)
-        if not chain:
-            results.append({"x": x, "skipped": True})
-            continue
-        for thirds, cs in by_shift.items():
-            total = sum(float(q.volume) ** (r * dev) for q in cs)
-            if dev < 0:
-                qx = min(cs, key=lambda q: q.j)
-            else:
-                qx = max(cs, key=lambda q: q.j)
-            bound = geom * float(qx.volume) ** (r * dev)
-            rec = VerificationRecord("sparse_chain", total, bound, 1.0 + REL_TOL, True)
-            results.append(
-                {
-                    "x": x,
-                    "shift": thirds,
-                    "chain_len": len(cs),
-                    "sum": total,
-                    "bound": bound,
-                    "ok": rec.passed,
-                }
-            )
-    checked = [r_ for r_ in results if not r_.get("skipped")]
-    return {
-        "lam": lam,
-        "geometric_factor": geom,
-        "calibrated_constant": calibrated,
-        "results": results,
-        "all_ok": all(r_["ok"] for r_ in checked) if checked else True,
-        "n_checked": len(checked),
-        "n_skipped": len(results) - len(checked),
-    }

@@ -204,24 +204,6 @@ class IndexSet:
         return (ks / scale < self.lo) | ((ks + len(system.h) - 1) / scale > self.hi)
 
 
-def coefficient(f, system: WaveletSystem, idx: AtomIndex, dual_p: float = 1.0) -> float:
-    """Lebesgue pairing of f with the L^dual_p-normalized atom.
-
-    The atom is exact at its sample grid; f is evaluated there and both are
-    treated as piecewise linear between samples, so the cell integrals are
-    closed forms.
-    """
-    base = system.base(idx.e)
-    scale = 2.0**idx.j
-    us = np.arange(len(base)) * system.dx
-    xs = (us + idx.k) / scale
-    fv = f.value(xs)
-    a0, a1, b0, b1 = fv[:-1], fv[1:], base[:-1], base[1:]
-    cells = a0 * b0 + 0.5 * (a0 * (b1 - b0) + b0 * (a1 - a0)) + (a1 - a0) * (b1 - b0) / 3.0
-    amp = 2.0 ** (idx.j / dual_p)  # L^p amplitude at n = 1
-    return amp * (float(np.sum(cells) * system.dx) / scale)
-
-
 def _cell_masses(system: WaveletSystem) -> np.ndarray:
     """(step + 1, 2S) matrix whose column s (S + s) is the P1 mass matrix
     of one unit cell, (dx/6) tridiag(1, 4, 1) with corners 2, applied to the
@@ -255,9 +237,10 @@ def _taylor_rows(coef: np.ndarray, x0: np.ndarray, scale: float) -> np.ndarray:
 
 
 def coefficients(
-    f: TestFunction, system: WaveletSystem, index_set: IndexSet, dual_p: float = 1.0
+    f: TestFunction, system: WaveletSystem, index_set: IndexSet
 ) -> tuple[list[AtomIndex], np.ndarray]:
-    """Every coefficient of ``index_set``, in the order of its atoms, computed
+    """The Lebesgue pairing of f with each L^1-normalized atom 2^j
+    psi^e(2^j x - k) of ``index_set``, in the order of its atoms, computed
     generation by generation from unit cells [c, c + 1]/2^j.
 
     Atom k of generation j covers the S support cells k .. k + S - 1 and sums
@@ -269,8 +252,8 @@ def coefficients(
     f's table from the piece's anchor to the cell, the row is b @ M, where
     M[k] = (u_i^k) @ masses over the sample abscissae u_i.  Only the other
     cells, which a breakpoint or a power piece meets, evaluate f, on the
-    per-atom abscissae bit for bit.  ``coefficient`` is the per-atom
-    oracle; the two agree to rounding, and a psi atom inside one piece comes
+    per-atom abscissae bit for bit.  The per-atom oracle of the tests
+    samples f on every cell; the two agree to rounding, and a psi atom inside one piece comes
     out at rounding level, not as an exact 0.
     """
     atoms = index_set.atoms(system)
@@ -303,7 +286,7 @@ def coefficients(
             rows = sampled[first : first + span]
             xs = (us + corners[rows, None]) / scale
             pair[rows] = f.value(xs) @ masses[:, cols]
-        amp = 2.0 ** (j / dual_p)  # L^p amplitude at n = 1
+        amp = 2.0**j  # L^1 amplitude at n = 1
         for i in range(kinds):
             raw = sum(pair[s : s + len(ks), i * span + s] for s in range(span))
             vals[start + i : start + kinds * len(ks) : kinds] = amp * (raw / scale)
@@ -355,7 +338,7 @@ def verify_almost_char(
     if not (beta < 1.0 - 1.0 / n or beta > 1.0):
         # n = 1: admissible beta is anything below 0 or above 1
         raise ValueError(f"beta={beta} outside the admissible range")
-    atoms, vals = coeffs or coefficients(f, system, index_set, dual_p=1.0)
+    atoms, vals = coeffs or coefficients(f, system, index_set)
     gens = np.array([a.j for a in atoms])
     deflated = vals / _volume_powers(gens, beta)
     u = atom_weights(atoms, beta, w)

@@ -409,7 +409,9 @@ def standard_probes(
     scales: Sequence[int] = range(-10, 11),
     centers: Sequence[float] | None = None,
 ) -> list[tuple[float, float]]:
-    """Dyadic-scale intervals around 0 and the weight's singular centers."""
+    """Dyadic-scale intervals around 0 and the weight's singular centers, each
+    once, in the order they are first formed: the families of two centers
+    can meet (|x - 1/2| has (0, 1) around 0 and around 1/2)."""
     if centers is None:
         centers = (0.0,) + tuple(w.breakpoints())
     probes = []
@@ -424,7 +426,7 @@ def standard_probes(
             for r in (2.0, 4.0, 8.0):
                 probes.append((c - h, c + r * h))
                 probes.append((c - r * h, c + h))
-    return probes
+    return list(dict.fromkeys(probes))
 
 
 def power_ap_member(a: float, p: float) -> bool:

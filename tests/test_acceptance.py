@@ -31,8 +31,6 @@ from dyadicweights.grid import (
     Relation,
     Shift,
     children,
-    dom_multiplicity,
-    dominating_cube,
     float_box,
     make_cube,
     relate,
@@ -47,7 +45,8 @@ from dyadicweights.weights import (
     standard_probes,
 )
 
-from oracles import max_antichain_weight_bruteforce, omega_indicator, split_and_mean_sets
+from oracles import dom_multiplicity, dominating_cube, max_antichain_weight_bruteforce
+from oracles import omega_indicator, split_and_mean_sets
 
 
 def report(num: int, ok: bool, label: str, **fields):

@@ -201,9 +201,9 @@ ARGV_RUNS = {
             "--set", "weight.exponent=1.0",
             "--set", "weight.center=0.5",
         ],
-        "d89c3772321f109d0316f326972b6ec32d256e9987265fb368c57aaad5fb9f19",
+        "b264602e787ee7535b8ae45249c3c568f368aec10b8b1ca48be26e79c4b6670f",
         0,
-        "96d8808e096be2acfd4cf4fe3251ae5b5045aa8475d59d37bee7b62c88ec2255",
+        "d2ffc17b23b570f2b1c1d2abc9d104238df0bb141387fe0d52972ae9f0c4c037",
     ),
     "good-cubes": (
         ["good-cubes", "--set", "trials=20"],

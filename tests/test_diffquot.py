@@ -11,13 +11,11 @@ from dyadicweights import diffquot, quadrature
 from dyadicweights.diffquot import (
     MASK_POINTS,
     DiffQuotConfig,
-    ball_mean,
     diffquot_functional,
     diffquot_functionals,
     gamma_admissible,
     inner_integral,
     lower_constant,
-    point_domination_check,
     scale_condition,
     verify_diffquot,
 )
@@ -27,7 +25,9 @@ from dyadicweights.grid import all_shifts, window_1d
 from dyadicweights.records import RATIO_CEILING
 from dyadicweights.weights import ConstantWeight, PowerWeight
 
-from oracles import in_level_set, split_and_mean_sets
+import oracles
+from oracles import ball_mean, ball_mean_membership, in_level_set, point_domination_check
+from oracles import split_and_mean_sets
 
 
 def test_gamma_admissible_ranges():
@@ -383,8 +383,6 @@ def test_inner_integral_batch_tent_kinks_and_empty_rows():
 
 
 def test_inner_integral_batch_ball_mean_membership():
-    from dyadicweights.diffquot import _ball_mean_membership
-
     for f, q, b, lam in (
         (catalog("tent"), 1.0, 1.0, 0.07),
         (catalog("linear_ramp", slope=1.0, cutoff=2.0), 2.0, -1.0, 0.4),
@@ -394,7 +392,7 @@ def test_inner_integral_batch_ball_mean_membership():
             exploratory=True,
         )
         vals, _ = _assert_batch_is_single(
-            f, cfg, lam, BATCH_NODES, membership=_ball_mean_membership(f, b)
+            f, cfg, lam, BATCH_NODES, membership=ball_mean_membership(f, b)
         )
         assert np.any(vals > 0.0)
 
@@ -462,7 +460,7 @@ def test_unbounded_shell_matches_the_exact_path():
 def test_sampler_never_sees_a_radius_past_reach():
     # with no certified outer radius the membership is asked only up to
     # REACH times the node's larger distance to the outermost breakpoints
-    from dyadicweights.diffquot import REACH, _ball_mean_membership
+    from dyadicweights.diffquot import REACH
 
     xs = np.array([-3.0, -0.4, 0.3, 0.9, 2.5, 40.0])
     for f in (catalog("tent"), catalog("smoothed_indicator")):
@@ -472,7 +470,7 @@ def test_sampler_never_sees_a_radius_past_reach():
                 p=1, q=q, gamma=q * b, weight=ConstantWeight(1.0), window=(-2, 2),
                 exploratory=True,
             )
-            for membership in (_level_set(f, b), _ball_mean_membership(f, b)):
+            for membership in (_level_set(f, b), ball_mean_membership(f, b)):
                 seen = []
 
                 def watched(xn, fx, ys, lam, membership=membership):
@@ -810,14 +808,16 @@ def test_functionals_of_several_functions_are_each_alone_bit_for_bit():
 
 
 def _small_split_cap(monkeypatch, cap):
-    """Run the outer quadratures of diffquot with a split cap of ``cap``."""
+    """Run the outer quadratures of diffquot and of the point domination
+    oracle with a split cap of ``cap``."""
 
     def capped(f, problems):
         return quadrature.adaptive_quads(
             f, [(a, b, tol, bps, cap) for a, b, tol, bps, _ in problems]
         )
 
-    monkeypatch.setattr(diffquot, "adaptive_quads", capped)
+    for module in (diffquot, oracles):
+        monkeypatch.setattr(module, "adaptive_quads", capped)
 
 
 def test_functional_warns_once_per_lambda_at_the_split_cap(monkeypatch, capsys):

@@ -20,7 +20,6 @@ from dyadicweights.oscillation import (
     cube_weight,
     level_set,
     mean_functional,
-    sparse_chain_check,
     verify_oscillation,
     verify_mean_functional,
 )
@@ -35,7 +34,7 @@ from dyadicweights.grid import (
 )
 from dyadicweights.records import VerificationRecord
 from dyadicweights.weights import ConstantWeight, PowerWeight
-from oracles import max_antichain_weight_bruteforce
+from oracles import max_antichain_weight_bruteforce, sparse_chain_check
 
 S0 = Shift((0,))
 

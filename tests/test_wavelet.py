@@ -14,7 +14,6 @@ from dyadicweights.wavelet import (
     _volume_powers,
     atom_weights,
     build_daubechies,
-    coefficient,
     coefficients,
     daubechies_filter,
     verify_almost_char,
@@ -22,6 +21,7 @@ from dyadicweights.wavelet import (
 from dyadicweights.weights import ConstantWeight, PowerWeight
 from oracles import (
     atom_lp_norm,
+    coefficient,
     exact_coefficient,
     masked_cascade,
     normalized_atom,
@@ -209,14 +209,17 @@ COEFFICIENT_FUNCTIONS = {
 )
 def test_coefficients_match_per_atom_oracle(fname, order, depth, dual_p):
     # the window starts left of 0, so every generation's k-range starts at a
-    # negative k; order 1 has a one-cell support, order 10 nineteen cells
+    # negative k; order 1 has a one-cell support, order 10 nineteen cells.
+    # The L^1 coefficients, rescaled by 2^(j/dual_p - j), meet the oracle's
+    # L^dual_p-normalized ones
     system = build_daubechies(order, depth)
     name, params = COEFFICIENT_FUNCTIONS[fname]
     f = catalog(name, **params)
     index_set = IndexSet(j_max=2, lo=-1.5, hi=1.25)
-    atoms, vals = coefficients(f, system, index_set, dual_p=dual_p)
+    atoms, vals = coefficients(f, system, index_set)
     assert atoms == index_set.atoms(system)
     assert atoms[0].k < 0
+    vals = vals * 2.0 ** (np.array([a.j for a in atoms]) * (1.0 / dual_p - 1.0))
     oracle = np.array([coefficient(f, system, a, dual_p) for a in atoms])
     assert np.max(np.abs(vals - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
@@ -347,8 +350,10 @@ def test_parseval_sanity_monotone(db2):
     norms = []
     for jmax in (2, 4, 6):
         idx = IndexSet(j_max=jmax, lo=-6.0, hi=8.0)
-        atoms, vals = coefficients(f, db2, idx, dual_p=2.0)
-        norms.append(float(np.sum(vals**2)))
+        atoms, vals = coefficients(f, db2, idx)
+        # the L^2 coefficients are the L^1 ones times 2^(-j/2)
+        l2 = vals * 2.0 ** (-0.5 * np.array([a.j for a in atoms]))
+        norms.append(float(np.sum(l2**2)))
     l2sq = 2.0 / 3.0  # integral of tent^2
     assert norms[0] <= norms[1] <= norms[2] <= l2sq * (1 + 1e-3)
     assert norms[2] >= 0.95 * l2sq

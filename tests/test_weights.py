@@ -157,6 +157,14 @@ def test_ap_estimate_monotone_in_probes():
     assert big >= small >= 1.0 - 1e-12
 
 
+def test_standard_probes_have_no_repeats():
+    # the families around 0 and around 1/2 share (0, 0.5), (-0.5, 0.5),
+    # (0, 1) and (-0.5, 1); each is kept once, where it is first formed
+    probes = standard_probes(PowerWeight(1.0, 0.5))
+    assert len(probes) == len(set(probes)) == 374
+    assert probes[:3] == [(-2.0**-10, 2.0**-10), (0.0, 2.0**-9), (-(2.0**-9), 0.0)]
+
+
 def test_ap_constant_a2_power_scaling():
     # |x|^{(p-1)(1-d)} at p = 2: probe estimate should reach ~ d^{1-p} = 1/d
     p = 2.0
