@@ -541,7 +541,7 @@ def run_wavelet_check(cfg: dict):
     )
     atoms, vals = wavelet.coefficients(f, system, idx)
     rec = wavelet.verify_almost_char(f, w, beta, system, idx, coeffs=(atoms, vals))
-    rows = [(a.e, a.j, a.k, v) for a, v in zip(atoms, vals)]
+    rows = list(zip(*(c.tolist() for c in idx.arrays(system)), vals))
     moments = [abs(system.moment(k)) for k in range(order)]
     summary = {
         **rec.summary(),
@@ -564,8 +564,8 @@ def run_ap_constant(cfg: dict):
     p = float(fp.get("p", 1.0))
     scales = range(int(fp.get("scale_min", -10)), int(fp.get("scale_max", 11)))
     probes = standard_probes(w, scales=scales)
-    ratios = list(ap_ratios(w, p, probes))
-    # ap_constant's running max, which no ratio after an inf can change
+    ratios = ap_ratios(w, p, probes).tolist()
+    # ap_constant on the same ratios
     est = ApEstimate(max([0.0, *ratios]))
     rows = [(lo, hi, r if math.isfinite(r) else math.inf) for (lo, hi), r in zip(probes, ratios)]
     summary = {

@@ -140,7 +140,7 @@ def _sweep_a1(p, deltas):
     lhs, consts, grads, certified = [], [], [], []
     for d in deltas:
         w = PowerWeight(d - 1.0, center=0.5)
-        mass_i0 = w.interval_mass(0.5, 4.0)  # equals (7/2)^d / d exactly
+        mass_i0 = w.mass((0.5, 4.0))  # equals (7/2)^d / d exactly
         certified.append(i0 in members)
         lhs.append(lam_star**p * float(i0.volume) ** (beta * p - 1.0) * mass_i0)
         est = ap_constant(w, 1.0, standard_probes(w, scales=range(-14, 6)))

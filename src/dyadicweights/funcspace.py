@@ -31,7 +31,7 @@ import numpy as np
 
 from dyadicweights.grid import Cube, GridWindow, float_box
 from dyadicweights.quadrature import _gl, adaptive_quad, adaptive_quads
-from dyadicweights.weights import ConstantWeight, PowerWeight, Weight
+from dyadicweights.weights import ConstantWeight, PowerWeight, Weight, power_integrals
 
 
 @dataclass
@@ -859,17 +859,21 @@ def omega_window(f, window: GridWindow) -> dict[tuple, float]:
 
 
 def grad_power_mass(f: TestFunction, lo: float, hi: float, p: float, w: Weight) -> float:
-    """Integral of |f'|^p * w over [lo, hi]; exact piece-by-piece when possible."""
+    """Integral of |f'|^p * w over [lo, hi]; exact piece-by-piece when
+    possible, with the masses under the linear pieces from one w.masses
+    call, and the pieces added in order."""
+    spans = [(max(lo, piece.x0), min(hi, piece.x1)) for piece in f.pieces]
+    slopes = [piece.line()[0] for piece in f.pieces]
+    ends = np.array([
+        (a, b) for (a, b), s in zip(spans, slopes) if b > a and s != 0.0 and not math.isnan(s)
+    ]).reshape(-1, 2)
+    masses = iter(w.masses(ends[:, :1], ends[:, 1:]).tolist())
     total = 0.0
-    for piece in f.pieces:
-        a, b = max(lo, piece.x0), min(hi, piece.x1)
-        if b <= a:
-            continue
-        s, _ = piece.line()
-        if s == 0.0:
+    for piece, (a, b), s in zip(f.pieces, spans, slopes):
+        if b <= a or s == 0.0:
             continue
         if not math.isnan(s):
-            total += abs(s) ** p * w.interval_mass(a, b)
+            total += abs(s) ** p * next(masses)
             continue
         if piece.kind == "power" and isinstance(w, (PowerWeight, ConstantWeight)):
             coef, e, c = piece.data
@@ -887,7 +891,7 @@ def grad_power_mass(f: TestFunction, lo: float, hi: float, p: float, w: Weight) 
                 total += (
                     abs(coef * e) ** p
                     * wcoef
-                    * PowerWeight(combined, c).interval_mass(a, b)
+                    * PowerWeight(combined, c).mass((a, b))
                 )
                 continue
         bps = list(f.breakpoints) + list(w.breakpoints())
@@ -933,14 +937,15 @@ def _linear_l1_mass(f: TestFunction, w: Weight, lo: float, hi: float) -> float |
     2 log10(distance / length) digits there, as A = f(c) and B t then
     cancel.  On such a part |x - c|^a is analytic inside the Bernstein
     ellipse of parameter 3 + sqrt(8) around it, so it takes 15-node
-    Gauss-Legendre instead, exact to rounding."""
+    Gauss-Legendre instead, exact to rounding.  The other parts take one
+    power_integrals call for each of a and a + 1; the parts add in order."""
     if isinstance(w, PowerWeight):
         a, scale, centre = w.a, 1.0, w.center
     elif isinstance(w, ConstantWeight) and w.n == 1:
         a, scale, centre = 0.0, w.c, math.nan
     else:
         return None
-    total = 0.0
+    parts, closed = [], []  # closed: (part index, A, B, u, v, c)
     for piece in f.pieces:
         x0, x1 = max(lo, piece.x0), min(hi, piece.x1)
         if x1 <= x0:
@@ -955,12 +960,19 @@ def _linear_l1_mass(f: TestFunction, w: Weight, lo: float, hi: float) -> float |
             if min(abs(u - c), abs(v - c)) > v - u:
                 t, wts = _gl(15)
                 x = 0.5 * (u + v) + 0.5 * (v - u) * t
-                part = 0.5 * (v - u) * float(wts @ ((s * x + b) * np.abs(x - c) ** a))
+                parts.append(0.5 * (v - u) * float(wts @ ((s * x + b) * np.abs(x - c) ** a)))
             else:
                 side = 1.0 if u >= c else -1.0
-                part = (s * c + b) * PowerWeight(a, c).interval_mass(u, v)
-                part += side * s * PowerWeight(a + 1.0, c).interval_mass(u, v)
-            total += abs(part)
+                closed.append((len(parts), s * c + b, side * s, u, v, c))
+                parts.append(math.nan)
+    if closed:
+        k, lin, slope, u, v, c = (np.array(col) for col in zip(*closed))
+        exact = lin * power_integrals(a, c, u, v) + slope * power_integrals(a + 1.0, c, u, v)
+        for i, part in zip(k.tolist(), exact.tolist()):
+            parts[i] = part
+    total = 0.0
+    for part in parts:
+        total += abs(part)
     return scale * total
 
 

@@ -23,7 +23,7 @@ from dyadicweights.funcspace import (
     sobolev_seminorm,
     weighted_lp_mass,
 )
-from dyadicweights.grid import AxisCube, Cube, GridWindow, Relation, relate
+from dyadicweights.grid import AxisCube, Cube, GridWindow, Relation, float_box, relate
 from dyadicweights.records import (
     RATIO_CEILING,
     FunctionalProfile,
@@ -381,8 +381,16 @@ def _containment_forest(family: list[Cube]) -> list[list[int]]:
     return children
 
 
-def cube_weight(q: Cube, sigma: float, w: Weight) -> float:
-    return float(q.volume) ** (sigma - 1.0) * w.mass(q)
+def _cube_masses(family: list[Cube], w: Weight) -> dict:
+    """w(q) of each cube of the family, by one Weight.masses call over the
+    cubes' float boxes."""
+    box = np.array([float_box(q) for q in family])
+    return dict(zip(family, w.masses(box[..., 0], box[..., 1]).tolist()))
+
+
+def _cube_weights(cubes, sigma: float, mass: dict) -> list[float]:
+    """|q|^(sigma - 1) w(q) of each cube, w(q) read from ``mass``."""
+    return [float(q.volume) ** (sigma - 1.0) * mass[q] for q in cubes]
 
 
 def classify_good(
@@ -396,13 +404,18 @@ def classify_good(
     """
     if not family:
         return [], []
+    return _classify(family, sigma, _cube_masses(family, w))
+
+
+def _classify(family: list[Cube], sigma: float, mass: dict) -> tuple[list[Cube], list[Cube]]:
+    """classify_good with the masses of the family's cubes given."""
     shifts = {q.shift.thirds for q in family}
     if len(shifts) > 1:
         raise ValueError("good/bad classification needs a same-shift family")
     if len(set(family)) != len(family):
         raise ValueError("family has repeated cubes")
     children = _containment_forest(family)
-    wgt = [cube_weight(q, sigma, w) for q in family]
+    wgt = _cube_weights(family, sigma, mass)
     best = [0.0] * len(family)
     order = sorted(range(len(family)), key=lambda i: family[i].j)
     for i in order:  # ascending generation: children first
@@ -438,14 +451,15 @@ def check_domination(
     if not family:
         raise ValueError("empty family")
     n = family[0].n
-    good, _ = classify_good(family, sigma, w)
+    mass = _cube_masses(family, w)
+    good, _ = _classify(family, sigma, mass)
     if which == "all_over_good":
         gamma = exponent
         if gamma >= sigma:
             raise ValueError("needs exponent < sigma")
-        lhs = sum(cube_weight(q, gamma, w) for q in family)
+        lhs = sum(_cube_weights(family, gamma, mass))
         factor = 1.0 / (1.0 - 2.0 ** (n * (gamma - sigma)))
-        rhs = factor * sum(cube_weight(q, gamma, w) for q in good)
+        rhs = factor * sum(_cube_weights(good, gamma, mass))
     elif which == "good_chain":
         alpha = exponent
         if alpha <= sigma:
@@ -464,9 +478,9 @@ def check_domination(
                 q == r or relate(q, r) is Relation.P_INSIDE_Q for r in maximal
             )
         ]
-        lhs = sum(cube_weight(q, alpha, w) for q in covered)
+        lhs = sum(_cube_weights(covered, alpha, mass))
         factor = 1.0 / (1.0 - 2.0 ** (n * (sigma - alpha)))
-        rhs = factor * sum(cube_weight(q, alpha, w) for q in maximal)
+        rhs = factor * sum(_cube_weights(maximal, alpha, mass))
     else:
         raise ValueError(f"unknown check {which!r}")
     return VerificationRecord(

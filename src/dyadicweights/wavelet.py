@@ -11,7 +11,7 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from math import comb, sqrt
 from typing import NamedTuple
@@ -170,6 +170,8 @@ class IndexSet:
     j_max: int
     lo: float
     hi: float
+    # arrays() by filter length
+    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.j_max < 0 or self.hi <= self.lo:
@@ -184,24 +186,34 @@ class IndexSet:
             math.ceil(self.hi * scale) + 1,
         )
 
-    def atoms(self, system: WaveletSystem) -> list[AtomIndex]:
-        """Generation by generation, k ascending; at j = 0 the scaling atom of
-        each k comes just before its wavelet atom."""
-        es, js, ks = [], [], []
-        for j in range(0, self.j_max + 1):
-            ts = self.translations(system, j)
-            kinds = 2 if j == 0 else 1
-            es.append(np.tile(np.arange(2 - kinds, 2), len(ts)))
-            js.append(np.full(kinds * len(ts), j))
-            ks.append(np.repeat(np.arange(ts.start, ts.stop), kinds))
-        cols = (np.concatenate(c).tolist() for c in (es, js, ks))
-        return list(map(_atom, zip(*cols)))
+    def arrays(self, system: WaveletSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The atoms' (e, j, k) as read-only int arrays, generation by
+        generation, k ascending; at j = 0 the scaling atom of each k comes
+        just before its wavelet atom.  Built once per index set and filter
+        length."""
+        taps = len(system.h)
+        if taps not in self._arrays:
+            es, js, ks = [], [], []
+            for j in range(0, self.j_max + 1):
+                ts = self.translations(system, j)
+                kinds = 2 if j == 0 else 1
+                es.append(np.tile(np.arange(2 - kinds, 2), len(ts)))
+                js.append(np.full(kinds * len(ts), j))
+                ks.append(np.repeat(np.arange(ts.start, ts.stop), kinds))
+            self._arrays[taps] = tuple(np.concatenate(c) for c in (es, js, ks))
+            for c in self._arrays[taps]:
+                c.flags.writeable = False
+        return self._arrays[taps]
 
-    def boundary_flags(self, system: WaveletSystem, atoms) -> np.ndarray:
+    def atoms(self, system: WaveletSystem) -> list[AtomIndex]:
+        """The rows of ``arrays`` as AtomIndex tuples."""
+        return list(map(_atom, zip(*(c.tolist() for c in self.arrays(system)))))
+
+    def boundary_flags(self, system: WaveletSystem) -> np.ndarray:
         """Whether each atom's support [k, k + 2N - 1]/2^j leaves the window."""
-        ks = np.array([a.k for a in atoms], dtype=float)
-        scale = np.ldexp(1.0, [a.j for a in atoms])
-        return (ks / scale < self.lo) | ((ks + len(system.h) - 1) / scale > self.hi)
+        _, j, k = self.arrays(system)
+        scale = np.ldexp(1.0, j)
+        return (k / scale < self.lo) | ((k + len(system.h) - 1) / scale > self.hi)
 
 
 def _cell_masses(system: WaveletSystem) -> np.ndarray:
@@ -300,14 +312,13 @@ def _volume_powers(gens: np.ndarray, e: float) -> np.ndarray:
     return np.array([(2.0 ** -int(j)) ** e for j in uniq])[inv]
 
 
-def atom_weights(atoms, beta: float, w: Weight) -> np.ndarray:
+def atom_weights(j: np.ndarray, k: np.ndarray, beta: float, w: Weight) -> np.ndarray:
     """Entry weights |I|^(beta-1) v(I) of the atoms' cubes I = [k, k+1)/2^j,
-    with float ends k/2^j and (k+1)/2^j (exact: |k| < 2^53) and the masses
-    by one ``Weight.masses`` call."""
-    gens = np.array([a.j for a in atoms])
-    ks = np.array([a.k for a in atoms], dtype=float)
-    lo, hi = np.ldexp(ks, -gens), np.ldexp(ks + 1.0, -gens)
-    return _volume_powers(gens, beta - 1.0) * w.masses(lo[:, None], hi[:, None])
+    from the atoms' j and k arrays, with float ends k/2^j and (k+1)/2^j
+    (exact: |k| < 2^53) and the masses by one ``Weight.masses`` call."""
+    ks = k.astype(float)
+    lo, hi = np.ldexp(ks, -j), np.ldexp(ks + 1.0, -j)
+    return _volume_powers(j, beta - 1.0) * w.masses(lo[:, None], hi[:, None])
 
 
 def _norms(u: np.ndarray, values: np.ndarray, p: float) -> tuple[float, float]:
@@ -338,10 +349,10 @@ def verify_almost_char(
     if not (beta < 1.0 - 1.0 / n or beta > 1.0):
         # n = 1: admissible beta is anything below 0 or above 1
         raise ValueError(f"beta={beta} outside the admissible range")
-    atoms, vals = coeffs or coefficients(f, system, index_set)
-    gens = np.array([a.j for a in atoms])
+    _, vals = coeffs or coefficients(f, system, index_set)
+    _, gens, ks = index_set.arrays(system)
     deflated = vals / _volume_powers(gens, beta)
-    u = atom_weights(atoms, beta, w)
+    u = atom_weights(gens, ks, beta, w)
     strong, weak = _norms(u, deflated, 1.0)
     probes = standard_probes(w, scales=range(-index_set.j_max - 2, 6))
     est = ap_constant(w, 1.0, probes)
@@ -368,7 +379,7 @@ def verify_almost_char(
             "sobolev_norm": l1 + grad1,
             "right_ratio": right_ratio,
             "strong_convergent": bool(tail_decaying),
-            "n_atoms": len(atoms),
-            "boundary_atoms": int(index_set.boundary_flags(system, atoms).sum()),
+            "n_atoms": len(vals),
+            "boundary_atoms": int(index_set.boundary_flags(system).sum()),
         },
     )

@@ -8,81 +8,95 @@ therefore track scaling of the estimate rather than absolute values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from dyadicweights.grid import float_box
-from dyadicweights.quadrature import adaptive_quad
+from dyadicweights.quadrature import adaptive_quads
 
 
 class DomainError(ValueError):
     """Non-integrable singularity inside the integration region."""
 
 
+def power_integrals(e: float, center, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integral of |x - center|^e over each row [lo[i], hi[i]], in one array
+    pass; ``center`` is one float or one per row.  Rows with hi <= lo give
+    0.0, and rows whose integral diverges (e <= -1 with the centre in
+    [lo, hi]) give +inf.
+
+    With the primitive prim(d) = d^(e+1) / (e+1) of t^e, a row across the
+    centre gives prim of the distance from lo plus prim of the distance
+    from hi, and a row on one side prim of the farther end's distance less
+    prim of the nearer one's; at e = -1 that row gives
+    log1p(length / nearer distance), by math.log1p.  Each prim is Python's
+    float ** (NumPy's SIMD power can differ from it in the last bit); on a
+    long array it is taken once per distinct distance, since the cubes of a
+    window share their ends."""
+    c = center
+    out = np.zeros(lo.shape)
+    live = hi > lo
+    across = live & (lo < c) & (c < hi)
+    if e <= -1:
+        at_centre = live & (lo <= c) & (c <= hi)
+        out[at_centre] = math.inf
+        live &= ~at_centre
+    to_lo, to_hi = np.abs(c - lo)[live], np.abs(hi - c)[live]
+    if e == -1:
+        ratio = (hi - lo)[live] / np.minimum(to_lo, to_hi)
+        out[live] = [math.log1p(x) for x in ratio.tolist()]
+        return out
+    e1 = e + 1
+    dist = np.concatenate([to_lo, to_hi])
+    if len(dist) > 64:  # below that np.unique costs more than it saves
+        # return_inverse also keeps np.unique from importing numpy.ma (1.7 MB)
+        uniq, inv = np.unique(dist, return_inverse=True)
+        prim = np.array([x**e1 / e1 for x in uniq.tolist()])[inv]
+    else:
+        prim = np.array([x**e1 / e1 for x in dist.tolist()])
+    a, b = prim[: len(to_lo)], prim[len(to_lo) :]
+    out[live] = np.where(across[live], a + b, np.where(to_lo > to_hi, a - b, b - a))
+    return out
+
+
 class Weight:
-    """Base class; concrete weights implement value() and 1-d masses."""
+    """Base class.  A weight on R implements value(), ess_inf() and the mass
+    kernel power_masses(); masses() of boxes is the one mass entry point."""
 
     n: int = 1
 
     def value(self, x):
         raise NotImplementedError
 
-    def interval_mass(self, lo: float, hi: float) -> float:
+    def power_masses(self, lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
+        """Integral of w^s over each row [lo[i], hi[i]] of (N,) ends: 0.0
+        where hi <= lo, +inf where the integral diverges."""
         raise NotImplementedError
 
-    def interval_power_mass(self, lo: float, hi: float, s: float) -> float:
-        """Integral of w^s over [lo, hi]."""
-        raise NotImplementedError
-
-    def ess_inf(self, lo: float, hi: float) -> float:
+    def ess_inf(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Essential infimum of w over each row [lo[i], hi[i]]."""
         raise NotImplementedError
 
     def breakpoints(self) -> tuple[float, ...]:
         return ()
 
-    # -- region dispatch ---------------------------------------------------
-
-    def _mass_and_volume(self, region) -> tuple[float, float]:
-        """w(region) and |region| for anything grid.float_box takes:
-        interval_mass for n = 1, _box_mass otherwise."""
-        box = float_box(region)
-        if len(box) != self.n:
-            raise ValueError(f"{len(box)}-dimensional region, weight on R^{self.n}")
-        vol = 1.0
-        for lo, hi in box:
-            vol *= hi - lo
-        if self.n == 1:
-            ((lo, hi),) = box
-            return self.interval_mass(lo, hi), vol
-        return self._box_mass(box), vol
-
-    def mass(self, region) -> float:
-        return self._mass_and_volume(region)[0]
-
-    def masses(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Masses of N boxes given by (N, n) float corners, each bit for bit
-        the mass of its box."""
+    def _check_boxes(self, lo: np.ndarray) -> None:
         if lo.shape[1] != self.n:
             raise ValueError(f"{lo.shape[1]}-dimensional boxes, weight on R^{self.n}")
-        return self._masses(lo, hi)
 
-    def _masses(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        # one closed-form or quadrature call per box: interval_mass for
-        # n = 1, _box_mass otherwise
-        if self.n == 1:
-            pairs = zip(lo[:, 0].tolist(), hi[:, 0].tolist())
-            return np.array([self.interval_mass(a, b) for a, b in pairs], dtype=float)
-        boxes = zip(lo.tolist(), hi.tolist())
-        return np.array([self._box_mass(list(zip(a, b))) for a, b in boxes], dtype=float)
+    def masses(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Masses of N boxes given by (N, n) float corners: the kernel at
+        s = 1 for a weight on R."""
+        self._check_boxes(lo)
+        return self.power_masses(lo[:, 0], hi[:, 0], 1.0)
 
-    def _box_mass(self, box) -> float:
-        raise NotImplementedError
-
-    def mean(self, region) -> float:
-        mass, vol = self._mass_and_volume(region)
-        return mass / vol
+    def mass(self, region) -> float:
+        """w(region) for anything grid.float_box takes: a one-row masses."""
+        lo, hi = np.array(float_box(region)).T
+        return float(self.masses(lo[None], hi[None])[0])
 
 
 class ConstantWeight(Weight):
@@ -97,29 +111,19 @@ class ConstantWeight(Weight):
         shape = x.shape[:-1] if self.n > 1 else x.shape
         return np.full(shape, self.c)
 
-    def interval_mass(self, lo, hi):
-        return self.c * max(0.0, hi - lo)
+    def power_masses(self, lo, hi, s):
+        return self.c**s * np.maximum(hi - lo, 0.0)
 
-    def interval_power_mass(self, lo, hi, s):
-        return self.c**s * max(0.0, hi - lo)
-
-    def _masses(self, lo, hi):
-        # interval_mass and _box_mass, in one array pass
-        if self.n == 1:
-            return self.c * np.maximum(hi[:, 0] - lo[:, 0], 0.0)
-        vol = np.ones(len(lo))
-        for i in range(self.n):
-            vol = vol * (hi[:, i] - lo[:, i])
+    def masses(self, lo, hi):
+        # c times the volume, its edges multiplied in axis order
+        self._check_boxes(lo)
+        vol = np.maximum(hi[:, 0] - lo[:, 0], 0.0)
+        for i in range(1, self.n):
+            vol = vol * np.maximum(hi[:, i] - lo[:, i], 0.0)
         return self.c * vol
 
     def ess_inf(self, lo, hi):
-        return self.c
-
-    def _box_mass(self, box):
-        vol = 1.0
-        for lo, hi in box:
-            vol *= hi - lo
-        return self.c * vol
+        return np.full(np.shape(lo), self.c)
 
     def __repr__(self):
         return f"ConstantWeight({self.c})"
@@ -139,79 +143,21 @@ class PowerWeight(Weight):
         with np.errstate(divide="ignore"):
             return np.abs(np.asarray(x, dtype=float) - self.center) ** self.a
 
-    def interval_power_mass(self, lo, hi, s):
-        if hi <= lo:
-            return 0.0
-        e = self.a * s
-        c = self.center
-        if e <= -1 and lo < c < hi:
-            raise DomainError(
-                f"|x-{c}|^{e} is not integrable across its center"
-            )
-        if e <= -1 and (lo == c or hi == c):
-            raise DomainError(f"|x-{c}|^{e} has endpoint singularity")
-        if e == -1:  # log((near + (hi - lo)) / near), near the closer end's distance
-            return math.log1p((hi - lo) / (c - hi if hi <= c else lo - c))
-
-        def prim(d):  # integral of t^e over [0, d]
-            return d ** (e + 1) / (e + 1)
-
-        if hi <= c:
-            return prim(c - lo) - prim(c - hi)
-        if lo >= c:
-            return prim(hi - c) - prim(lo - c)
-        return prim(c - lo) + prim(hi - c)
-
-    def power_masses(self, lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
-        """interval_power_mass of each row [lo[i], hi[i]], bit for bit, in one
-        array pass: the same float steps, with the three centre cases taken
-        by np.where and each prim(d) = d^(e+1) / (e+1) by Python's float **
-        (NumPy's SIMD power can differ from it in the last bit), once per
-        distinct d, since the cubes of a window share their ends.  Rows with
-        hi <= lo give 0.0; DomainError is raised where the scalar path
-        raises it."""
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        e, c = self.a * s, self.center
-        live = hi > lo
-        if e <= -1:
-            bad = np.flatnonzero(live & (lo <= c) & (c <= hi))
-            if len(bad):
-                self.interval_power_mass(float(lo[bad[0]]), float(hi[bad[0]]), s)
-        lo, hi = lo[live], hi[live]
-        out = np.zeros(len(live))
-        left, right = hi <= c, lo >= c
-        if e == -1:  # the log form, by math.log1p as the scalar path
-            ratio = (hi - lo) / np.where(left, c - hi, lo - c)
-            out[live] = [math.log1p(x) for x in ratio.tolist()]
-            return out
-        e1 = e + 1
-        # prim(first) -/+ prim(second), the operands of interval_power_mass
-        d = np.concatenate([
-            np.where(right, hi - c, c - lo),
-            np.where(left, c - hi, np.where(right, lo - c, hi - c)),
-        ])
-        # return_inverse also keeps np.unique from importing numpy.ma (1.7 MB)
-        uniq, inv = np.unique(d, return_inverse=True)
-        prim = np.array([x**e1 / e1 for x in uniq.tolist()])[inv]
-        first, second = prim[: len(lo)], prim[len(lo) :]
-        out[live] = np.where(left | right, first - second, first + second)
-        return out
-
-    def _masses(self, lo, hi):
-        return self.power_masses(lo[:, 0], hi[:, 0], 1.0)
-
-    def interval_mass(self, lo, hi):
-        return self.interval_power_mass(lo, hi, 1.0)
+    def power_masses(self, lo, hi, s):
+        return power_integrals(self.a * s, self.center, lo, hi)
 
     def ess_inf(self, lo, hi):
+        # the distance to the centre from the nearer end (a > 0, 0 across
+        # the centre) or the farther end (a < 0), raised by Python's **
         c, a = self.center, self.a
         if a == 0:
-            return 1.0
+            return np.ones(lo.shape)
+        near, far = np.abs(lo - c), np.abs(hi - c)
+        d = np.minimum(near, far) if a > 0 else np.maximum(near, far)
+        out = np.array([x**a for x in d.tolist()])
         if a > 0:
-            if lo <= c <= hi:
-                return 0.0
-            return min(abs(lo - c), abs(hi - c)) ** a
-        return max(abs(lo - c), abs(hi - c)) ** a
+            out[(lo <= c) & (c <= hi)] = 0.0
+        return out
 
     def breakpoints(self):
         return (self.center,)
@@ -237,10 +183,12 @@ class ProductWeight(Weight):
             out = out * f.value(x[..., i])
         return out
 
-    def _box_mass(self, box):
-        out = 1.0
-        for (lo, hi), f in zip(box, self.factors):
-            out *= f.interval_mass(lo, hi)
+    def masses(self, lo, hi):
+        # the factors' kernels at s = 1, multiplied in axis order
+        self._check_boxes(lo)
+        out = self.factors[0].power_masses(lo[:, 0], hi[:, 0], 1.0)
+        for i, f in enumerate(self.factors[1:], 1):
+            out = out * f.power_masses(lo[:, i], hi[:, i], 1.0)
         return out
 
     def breakpoints(self):
@@ -264,46 +212,53 @@ class CallableWeight(Weight):
         self.fn = fn
         self._breaks = tuple(float(b) for b in breakpoints)
         self.label = label
+        # (lo, hi, s) -> mass: classify asks every battery member for the
+        # same cubes
         self._cache: dict = {}
 
     def value(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
-    def interval_mass(self, lo, hi):
-        key = ("m", lo, hi)
-        got = self._cache.get(key)
-        if got is None:
-            got = adaptive_quad(self.value, lo, hi, breakpoints=self._breaks)
-            self._cache[key] = got  # idempotent fill
-        return got
+    def power_masses(self, lo, hi, s):
+        """The rows not yet in the cache by one adaptive_quads call, each
+        total bit for bit one adaptive_quad on its row alone; rows where
+        ``_diverges`` holds give +inf."""
+        keys = [(a, b, s) for a, b in zip(lo.tolist(), hi.tolist())]
+        todo = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        a, b, _ = np.array(todo).reshape(-1, 3).T
+        infinite = (self._diverges(a, b, s) & (b > a)).tolist()
+        self._cache.update((key, math.inf) for key, inf in zip(todo, infinite) if inf)
+        todo = [key for key, inf in zip(todo, infinite) if not inf]
+        problems = [(x, y, 1e-8, self._breaks, 20000) for x, y, _ in todo]
+        quads = adaptive_quads(lambda x, _owner: self.value(x) ** s, problems)
+        for (x, y, _), (total, met) in zip(todo, quads):
+            if not met:
+                print(
+                    f"warning: integral of {self!r}^{s!r} over [{x!r}, {y!r}] stopped"
+                    " at its split cap with the error estimate above tolerance",
+                    file=sys.stderr,
+                )
+            self._cache[x, y, s] = total
+        return np.array([self._cache[key] for key in keys], dtype=float)
 
-    def interval_power_mass(self, lo, hi, s):
-        key = ("pm", lo, hi, s)
-        got = self._cache.get(key)
-        if got is None:
-            if s < 0 and self._vanishes_on_a_stretch(lo, hi):
-                raise DomainError(f"w^{s} is infinite on a stretch of [{lo}, {hi}]")
-            got = adaptive_quad(
-                lambda x: self.value(x) ** s, lo, hi, breakpoints=self._breaks
-            )
-            self._cache[key] = got
-        return got
-
-    def _vanishes_on_a_stretch(self, lo, hi) -> bool:
-        """Whether w is 0 at two consecutive breakpoints whose stretch
-        overlaps [lo, hi]: quadrature nodes that land there give w^s = inf
-        for s < 0, and the quadrature counts such values as 0."""
+    def _diverges(self, lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
+        """Whether w^s, s < 0, is infinite on a stretch of each row: w is 0
+        at two consecutive breakpoints whose stretch overlaps [lo, hi].
+        Quadrature nodes that land there give w^s = inf, which the
+        quadrature counts as 0."""
         b = np.array(sorted(self._breaks))
         zero = self.value(b) == 0.0
-        overlap = np.maximum(b[:-1], lo) < np.minimum(b[1:], hi)
-        return bool(np.any(zero[:-1] & zero[1:] & overlap))
+        overlap = np.maximum(b[:-1], lo[:, None]) < np.minimum(b[1:], hi[:, None])
+        return (s < 0) & np.any(zero[:-1] & zero[1:] & overlap, axis=1)
 
     def ess_inf(self, lo, hi):
         # dense grid with one refinement plus the breakpoints inside, where a
-        # table weight takes its minimum; conservative (min of all points)
-        inside = [b for b in self._breaks if lo <= b <= hi]
-        xs = np.concatenate([np.linspace(lo, hi, 513), np.linspace(lo, hi, 1025), inside])
-        return float(np.min(self.value(xs)))
+        # table weight takes its minimum; conservative (min of all points).
+        # A breakpoint outside a row stands in as the row's left end.
+        b = np.array(self._breaks).reshape(-1, 1)
+        at = np.where((lo <= b) & (b <= hi), b, lo)
+        xs = np.concatenate([np.linspace(lo, hi, 513), np.linspace(lo, hi, 1025), at])
+        return np.min(self.value(xs), axis=0)
 
     def breakpoints(self):
         return self._breaks
@@ -325,11 +280,11 @@ class TableWeight(CallableWeight):
             label="table",
         )
 
-    def interval_power_mass(self, lo, hi, s):
+    def _diverges(self, lo, hi, s):
+        # also a zero knot in [lo, hi] at s <= -1
         knots = np.array(self._breaks)
-        if s <= -1 and np.any((self.value(knots) == 0.0) & (lo <= knots) & (knots <= hi)):
-            raise DomainError(f"w^{s} is not integrable at a zero knot in [{lo}, {hi}]")
-        return super().interval_power_mass(lo, hi, s)
+        at_zero = (self.value(knots) == 0.0) & (lo[:, None] <= knots) & (knots <= hi[:, None])
+        return ((s <= -1) & np.any(at_zero, axis=1)) | super()._diverges(lo, hi, s)
 
 
 # ---------------------------------------------------------------------------
@@ -356,52 +311,47 @@ class ApEstimate:
         return self.value**exponent * norm, True
 
 
-def ap_ratio(w: Weight, p: float, region) -> float:
-    """The per-cube constant ratio (exact arithmetic via closed-form masses)."""
-    if w.n != 1 and not isinstance(w, (ConstantWeight, ProductWeight)):
-        raise NotImplementedError("multi-d ratios need product structure")
-    box = float_box(region)
-    if w.n == 1:
-        ((lo, hi),) = box
-        if p == 1:
-            inf = w.ess_inf(lo, hi)
-            if inf == 0.0:
-                return math.inf
-            return w.mean(region) / inf
-        try:
-            dual = w.interval_power_mass(lo, hi, -1.0 / (p - 1.0)) / (hi - lo)
-        except DomainError:
-            return math.inf
-        if not math.isfinite(dual):
-            return math.inf
-        return w.mean(region) * dual ** (p - 1.0)
-    # product structure: per-dimension ratios multiply
-    if isinstance(w, ConstantWeight):
-        return 1.0
-    out = 1.0
-    for (lo, hi), f in zip(box, w.factors):
-        out *= ap_ratio(f, p, (lo, hi))
-    return out
+def _axis_ratios(w: Weight, p: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The constant ratio of each interval [lo[i], hi[i]] for a weight on R:
+    the mean of w over its ess inf at p = 1, otherwise the mean of w times
+    the mean of w^(-1/(p-1)) to the p - 1.  It is inf where the ess inf is
+    0 or the dual mass is not finite."""
+    mean = w.power_masses(lo, hi, 1.0) / (hi - lo)
+    if p == 1:
+        inf = w.ess_inf(lo, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(inf == 0.0, math.inf, mean / inf)
+    dual = w.power_masses(lo, hi, -1.0 / (p - 1.0)) / (hi - lo)
+    finite = np.isfinite(dual)
+    # Python's float ** per element, as the scalar form took it
+    powered = np.array([x ** (p - 1.0) for x in np.where(finite, dual, 0.0).tolist()])
+    return np.where(finite, mean * powered, math.inf)
 
 
-def ap_ratios(w: Weight, p: float, probes: Sequence):
-    """ap_ratio on each probe of a nonempty family in turn, for p >= 1."""
+def ap_ratios(w: Weight, p: float, probes: Sequence) -> np.ndarray:
+    """The constant ratio of each probe of a nonempty family, for p >= 1:
+    one kernel call for the masses, and one ess_inf call (p = 1) or one
+    dual kernel call (p > 1).  A product weight multiplies its per-axis
+    ratios in axis order; a constant weight on R^n, n >= 2, has ratio 1."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if not probes:
         raise ValueError("probe family must be nonempty")
-    for q in probes:
-        yield ap_ratio(w, p, q)
+    if w.n != 1 and not isinstance(w, (ConstantWeight, ProductWeight)):
+        raise NotImplementedError("multi-d ratios need product structure")
+    if isinstance(w, ConstantWeight) and w.n != 1:
+        return np.ones(len(probes))
+    box = np.array([float_box(q) for q in probes])  # (N, n, 2)
+    factors = w.factors if isinstance(w, ProductWeight) else [w]
+    out = _axis_ratios(factors[0], p, box[:, 0, 0], box[:, 0, 1])
+    for i, f in enumerate(factors[1:], 1):
+        out = out * _axis_ratios(f, p, box[:, i, 0], box[:, i, 1])
+    return out
 
 
 def ap_constant(w: Weight, p: float, probes: Sequence) -> ApEstimate:
     """Max constant ratio over the probe family (monotone in the family)."""
-    best = 0.0
-    for r in ap_ratios(w, p, probes):
-        best = max(best, r)
-        if math.isinf(best):
-            break
-    return ApEstimate(best)
+    return ApEstimate(max([0.0, *ap_ratios(w, p, probes).tolist()]))
 
 
 def standard_probes(

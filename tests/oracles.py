@@ -5,7 +5,9 @@ per-atom coefficient; the masked wavelet cascade; results.csv spelled cell
 by cell; omega of a non-linear function one interval at a time, over its
 monotone parts; the closed form of omega for an indicator; the exhaustive
 antichain search; the classical weight-constant checks with the
-discretized maximal function; and the paper's checks that no runner
+discretized maximal function; the scalar power mass and constant ratio,
+one interval at a time, as the bit-for-bit references of the array
+kernel; and the paper's checks that no runner
 reports: pointwise domination through ball means, chain sparsity of level
 sets, and dominating cubes with their multiplicity."""
 
@@ -25,7 +27,7 @@ from dyadicweights.funcspace import _CATALOG, Piece, TestFunction, omega_boxes
 from dyadicweights.grid import (
     AxisCube, Cube, GridWindow, Relation, Shift, _pow2, all_shifts, float_box, relate,
 )
-from dyadicweights.oscillation import REL_TOL, LevelMass, cube_weight, level_set
+from dyadicweights.oscillation import REL_TOL, LevelMass, level_set
 from dyadicweights.quadrature import _gl, adaptive_quad, adaptive_quads
 from dyadicweights.records import VerificationRecord
 from dyadicweights.wavelet import (
@@ -36,7 +38,15 @@ from dyadicweights.wavelet import (
     atom_weights,
     daubechies_filter,
 )
-from dyadicweights.weights import DomainError, Weight, ap_constant, ap_ratio
+from dyadicweights.weights import (
+    CallableWeight,
+    ConstantWeight,
+    DomainError,
+    PowerWeight,
+    Weight,
+    ap_constant,
+    ap_ratios,
+)
 
 
 def in_level_set(f, x: float, y: float, lam: float, s: float) -> bool:
@@ -111,7 +121,9 @@ def seq_norms(atoms, values: np.ndarray, beta: float, w: Weight, p: float) -> tu
     supremum is attained at coefficient magnitudes, so it is exact for finite
     families.
     """
-    return _norms(atom_weights(atoms, beta, w), values, p)
+    j = np.array([a.j for a in atoms])
+    k = np.array([a.k for a in atoms])
+    return _norms(atom_weights(j, k, beta, w), values, p)
 
 
 def exact_coefficient(f, system: WaveletSystem, idx: AtomIndex) -> float:
@@ -326,12 +338,103 @@ def max_antichain_weight_bruteforce(
     return best
 
 
+def cube_weight(q: Cube, sigma: float, w: Weight) -> float:
+    """|q|^(sigma - 1) w(q) of one cube on R, the mass by the scalar
+    reference of the weight."""
+    ((lo, hi),) = float_box(q)
+    return float(q.volume) ** (sigma - 1.0) * _scalar_axis_power_mass(w, lo, hi, 1.0)
+
+
+def scalar_power_mass(w: PowerWeight, lo: float, hi: float, s: float) -> float:
+    """Integral of |x - c|^(a s) over [lo, hi] by scalar float arithmetic,
+    as PowerWeight once computed it row by row; DomainError where it
+    diverges."""
+    if hi <= lo:
+        return 0.0
+    e = w.a * s
+    c = w.center
+    if e <= -1 and lo < c < hi:
+        raise DomainError(f"|x-{c}|^{e} is not integrable across its center")
+    if e <= -1 and (lo == c or hi == c):
+        raise DomainError(f"|x-{c}|^{e} has endpoint singularity")
+    if e == -1:  # log((near + (hi - lo)) / near), near the closer end's distance
+        return math.log1p((hi - lo) / (c - hi if hi <= c else lo - c))
+
+    def prim(d):  # integral of t^e over [0, d]
+        return d ** (e + 1) / (e + 1)
+
+    if hi <= c:
+        return prim(c - lo) - prim(c - hi)
+    if lo >= c:
+        return prim(hi - c) - prim(lo - c)
+    return prim(c - lo) + prim(hi - c)
+
+
+def _scalar_axis_power_mass(w: Weight, lo: float, hi: float, s: float) -> float:
+    # the scalar mass of w^s of a weight on R without zeros
+    if isinstance(w, PowerWeight):
+        return scalar_power_mass(w, lo, hi, s)
+    if isinstance(w, ConstantWeight):
+        return w.c**s * max(0.0, hi - lo)
+    assert isinstance(w, CallableWeight)
+    return adaptive_quad(lambda x: w.value(x) ** s, lo, hi, breakpoints=w.breakpoints())
+
+
+def _scalar_ess_inf(w: Weight, lo: float, hi: float) -> float:
+    if isinstance(w, ConstantWeight):
+        return w.c
+    if isinstance(w, PowerWeight):
+        c, a = w.center, w.a
+        if a == 0:
+            return 1.0
+        if a > 0:
+            if lo <= c <= hi:
+                return 0.0
+            return min(abs(lo - c), abs(hi - c)) ** a
+        return max(abs(lo - c), abs(hi - c)) ** a
+    inside = [b for b in w.breakpoints() if lo <= b <= hi]
+    xs = np.concatenate([np.linspace(lo, hi, 513), np.linspace(lo, hi, 1025), inside])
+    return float(np.min(w.value(xs)))
+
+
+def scalar_ap_ratio(w: Weight, p: float, region) -> float:
+    """The constant ratio of one region by scalar float arithmetic, as
+    ap_ratio once computed it probe by probe: the mean of w over its ess inf
+    at p = 1, otherwise the mean of w times the mean of w^(-1/(p-1)) to the
+    p - 1, inf where that dual mass diverges.  Product weights multiply their
+    per-axis ratios; a constant weight on R^n, n >= 2, gives 1.  Callable
+    and table weights are taken without zeros."""
+    box = float_box(region)
+    if w.n != 1:
+        if isinstance(w, ConstantWeight):
+            return 1.0
+        out = 1.0
+        for (lo, hi), f in zip(box, w.factors):
+            out *= scalar_ap_ratio(f, p, (lo, hi))
+        return out
+    ((lo, hi),) = box
+    mean = _scalar_axis_power_mass(w, lo, hi, 1.0) / (hi - lo)
+    if p == 1:
+        inf = _scalar_ess_inf(w, lo, hi)
+        if inf == 0.0:
+            return math.inf
+        return mean / inf
+    try:
+        dual = _scalar_axis_power_mass(w, lo, hi, -1.0 / (p - 1.0)) / (hi - lo)
+    except DomainError:
+        return math.inf
+    if not math.isfinite(dual):
+        return math.inf
+    return mean * dual ** (p - 1.0)
+
+
 def maximal_value(w: Weight, x: float, radii: Sequence[float]) -> float:
     """Discretized centered/one-sided maximal function at x over given radii."""
     best = 0.0
     for u in radii:
         for v in radii:
-            best = max(best, w.mean((x - u, x + v)))
+            lo, hi = x - u, x + v
+            best = max(best, w.mass((lo, hi)) / (hi - lo))
     return best
 
 
@@ -380,7 +483,7 @@ def check_ap_properties(
     for q in probes:
         ((lo, hi),) = float_box(q)
         length = hi - lo
-        wq = w.interval_mass(lo, hi)
+        wq = w.mass((lo, hi))
         for _ in range(3):
             # random union of depth-2 dyadic subintervals
             k = int(rng.integers(1, 4))
@@ -388,27 +491,24 @@ def check_ap_properties(
             s_mass, s_len = 0.0, 0.0
             for i in picks:
                 a0 = lo + i * length / 4
-                s_mass += w.interval_mass(a0, a0 + length / 4)
+                s_mass += w.mass((a0, a0 + length / 4))
                 s_len += length / 4
             rhs, certified = est.bound((length / s_len) ** p * s_mass, 1.0)
             add("doubling", wq, rhs, 1.0 + 1e-6, certified, interval=(lo, hi))
 
     if p > 1:
         pprime = p / (p - 1.0)
-        for q in probes:
+        direct_ratios = ap_ratios(w, p, probes).tolist()
+        for q, direct in zip(probes, direct_ratios):
             ((lo, hi),) = float_box(q)
-            try:
-                dual_mass = w.interval_power_mass(lo, hi, 1.0 - pprime)
-            except DomainError:
-                continue
+            dual_mass = float(w.power_masses(np.array([lo]), np.array([hi]), 1.0 - pprime)[0])
             if not math.isfinite(dual_mass) or dual_mass <= 0:
                 continue
-            direct = ap_ratio(w, p, (lo, hi))
             if not math.isfinite(direct):
                 continue
             mean_f = dual_mass / (hi - lo)
             # extremal f = w^{1-p'}: integral of |f|^p w equals dual_mass
-            extremal = mean_f**p * w.interval_mass(lo, hi) / dual_mass
+            extremal = mean_f**p * w.mass((lo, hi)) / dual_mass
             gap = abs(extremal - direct)
             add("dual", gap, abs(direct), 1e-9, True, interval=(lo, hi))
 

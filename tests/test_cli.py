@@ -252,14 +252,13 @@ def test_a1_battery_digest_is_the_benchmark_reference():
 @pytest.mark.parametrize("function", ["tent", "smoothed_indicator"])
 def test_verify_cddd_takes_no_per_cube_scalar_path(tmp_path, monkeypatch, function):
     # the window arrays come from NumPy blocks, never axis_interval, and the
-    # window masses from one array pass: the scalar mass calls are one per
-    # probe of the constant estimate and at most one per piece of f in the
-    # gradient norm, against 6,158 window cubes
-    from dyadicweights import grid, oscillation
-    from dyadicweights.funcspace import catalog
-    from dyadicweights.weights import PowerWeight
+    # masses from a few array passes of the power kernel: the window, the
+    # probes of the constant estimate and the linear pieces of the gradient
+    # norm take one kernel call each, against 6,158 window cubes and
+    # hundreds of probes
+    from dyadicweights import grid, oscillation, weights
 
-    calls = {"axis_interval": 0, "mass": 0, "probes": 0}
+    calls = {"axis_interval": 0, "kernel": 0, "probes": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -273,16 +272,14 @@ def test_verify_cddd_takes_no_per_cube_scalar_path(tmp_path, monkeypatch, functi
         return _orig(w, p, probes)
 
     monkeypatch.setattr(grid, "axis_interval", counted("axis_interval", grid.axis_interval))
-    monkeypatch.setattr(
-        PowerWeight, "interval_power_mass", counted("mass", PowerWeight.interval_power_mass)
-    )
+    monkeypatch.setattr(weights, "power_integrals", counted("kernel", weights.power_integrals))
     monkeypatch.setattr(oscillation, "ap_constant", ap_constant)
     argv = ["verify-cddd", "--config", str(CONFIGS / "a1_battery.cfg")]
     argv += ["--set", f"function.name={function}", "--out", str(tmp_path)]
     assert main(argv) == 0
     assert calls["axis_interval"] == 0
-    assert 0 < calls["probes"] <= calls["mass"]
-    assert calls["mass"] <= calls["probes"] + len(catalog(function).pieces)
+    assert calls["probes"] > 100
+    assert 0 < calls["kernel"] <= 3
 
 
 @pytest.mark.parametrize("name", sorted(ARGV_RUNS))
@@ -677,21 +674,21 @@ def test_ap_constant_cli(tmp_path):
 
 
 def test_ap_constant_cli_takes_one_ratio_per_probe(tmp_path, monkeypatch):
-    # the rows and the estimate share one ap_ratio call per probe
-    from dyadicweights import weights
+    # the rows and the estimate share one ap_ratios call, over every probe
+    from dyadicweights import cli
 
     calls = []
 
-    def counted(w, p, region, _orig=weights.ap_ratio):
-        calls.append(region)
-        return _orig(w, p, region)
+    def counted(w, p, probes, _orig=cli.ap_ratios):
+        calls.append(len(probes))
+        return _orig(w, p, probes)
 
-    monkeypatch.setattr(weights, "ap_ratio", counted)
+    monkeypatch.setattr(cli, "ap_ratios", counted)
     for name in ("ap-constant", "ap-constant-unbounded"):
         calls.clear()
         assert main([*ARGV_RUNS[name][0], "--out", str(tmp_path)]) == 0
         probes = load_strict(tmp_path / "summary.json")["probe_count"]
-        assert len(calls) == probes
+        assert calls == [probes]
 
 
 def test_good_cubes_cli(tmp_path):

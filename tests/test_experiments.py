@@ -201,7 +201,7 @@ def test_probe_rows_masses_match_the_scalar_path(weight):
     # one family over the widest generation range, masked by j, against a
     # family built fresh for each range by a loop of axis_index and
     # axis_interval calls; the masses come from one Weight.masses pass, each
-    # row keeping the bits of interval_mass on its cube.  The centre
+    # row keeping the bits of Weight.mass on its cube alone.  The centre
     # 2^20 + 0.1 takes axis_index past int64.
     f = experiments._linear_plateau()
     centers = [0.0, 0.3, 1.0, 2.0**20 + 0.1]
@@ -223,7 +223,7 @@ def test_probe_rows_masses_match_the_scalar_path(weight):
         rows = experiments._probe_rows(f, weight, part)
         oms = omega_intervals(f, *zip(*ends))
         want_rows = [
-            (j, om, 2.0**j, weight.interval_mass(lo, hi))
+            (j, om, 2.0**j, weight.mass((lo, hi)))
             for (_, j, _), (lo, hi), om in zip(want, ends, oms.tolist())
             if om > 0
         ]

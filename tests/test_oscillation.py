@@ -17,7 +17,6 @@ from dyadicweights.oscillation import (
     oscillation_functional,
     check_domination,
     classify_good,
-    cube_weight,
     level_set,
     mean_functional,
     verify_oscillation,
@@ -34,7 +33,7 @@ from dyadicweights.grid import (
 )
 from dyadicweights.records import VerificationRecord
 from dyadicweights.weights import ConstantWeight, PowerWeight
-from oracles import max_antichain_weight_bruteforce, sparse_chain_check
+from oracles import cube_weight, max_antichain_weight_bruteforce, sparse_chain_check
 
 S0 = Shift((0,))
 

@@ -295,18 +295,19 @@ def test_closed_form_cells_far_from_0_match_exact_arithmetic():
 )
 def test_atom_weights_match_the_scalar_loop_bit_for_bit(db4, w):
     # the centre 1/4 is an atom end from generation 2 on
-    atoms = IndexSet(j_max=4, lo=-8.0, hi=10.0).atoms(db4)
+    index_set = IndexSet(j_max=4, lo=-8.0, hi=10.0)
+    atoms = index_set.atoms(db4)
+    _, gens, ks = index_set.arrays(db4)
+    assert gens.tolist() == [a.j for a in atoms] and ks.tolist() == [a.k for a in atoms]
     for beta in (2.0, 1.5, -1.0):
         want = np.array(
             [
-                (2.0**-a.j) ** (beta - 1.0)
-                * w.interval_mass(a.k / 2**a.j, (a.k + 1) / 2**a.j)
+                (2.0**-a.j) ** (beta - 1.0) * w.mass((a.k / 2**a.j, (a.k + 1) / 2**a.j))
                 for a in atoms
             ]
         )
-        assert atom_weights(atoms, beta, w).tobytes() == want.tobytes()
+        assert atom_weights(gens, ks, beta, w).tobytes() == want.tobytes()
         vols = np.array([(2.0**-a.j) ** beta for a in atoms])
-        gens = np.array([a.j for a in atoms])
         assert _volume_powers(gens, beta).tobytes() == vols.tobytes()
 
 
