@@ -540,8 +540,8 @@ def run_wavelet_check(cfg: dict):
         j_max=j_max, lo=float(g.get("lo", -8.0)), hi=float(g.get("hi", 10.0))
     )
     atoms, vals = wavelet.coefficients(f, system, idx)
-    rec = wavelet.verify_almost_char(f, w, beta, system, idx, coeffs=(atoms, vals))
-    rows = list(zip(*(c.tolist() for c in idx.arrays(system)), vals))
+    rec = wavelet.verify_almost_char(f, w, beta, system, idx, values=vals)
+    rows = [(*a, v) for a, v in zip(atoms, vals)]
     moments = [abs(system.moment(k)) for k in range(order)]
     summary = {
         **rec.summary(),

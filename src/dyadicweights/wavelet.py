@@ -11,7 +11,7 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from math import comb, sqrt
 from typing import NamedTuple
@@ -170,8 +170,6 @@ class IndexSet:
     j_max: int
     lo: float
     hi: float
-    # arrays() by filter length
-    _arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.j_max < 0 or self.hi <= self.lo:
@@ -187,31 +185,25 @@ class IndexSet:
         )
 
     def arrays(self, system: WaveletSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The atoms' (e, j, k) as read-only int arrays, generation by
-        generation, k ascending; at j = 0 the scaling atom of each k comes
-        just before its wavelet atom.  Built once per index set and filter
-        length."""
-        taps = len(system.h)
-        if taps not in self._arrays:
-            es, js, ks = [], [], []
-            for j in range(0, self.j_max + 1):
-                ts = self.translations(system, j)
-                kinds = 2 if j == 0 else 1
-                es.append(np.tile(np.arange(2 - kinds, 2), len(ts)))
-                js.append(np.full(kinds * len(ts), j))
-                ks.append(np.repeat(np.arange(ts.start, ts.stop), kinds))
-            self._arrays[taps] = tuple(np.concatenate(c) for c in (es, js, ks))
-            for c in self._arrays[taps]:
-                c.flags.writeable = False
-        return self._arrays[taps]
+        """The atoms' (e, j, k) as int arrays, generation by generation, k
+        ascending; at j = 0 the scaling atom of each k comes just before its
+        wavelet atom."""
+        es, js, ks = [], [], []
+        for j in range(0, self.j_max + 1):
+            ts = self.translations(system, j)
+            kinds = 2 if j == 0 else 1
+            es.append(np.tile(np.arange(2 - kinds, 2), len(ts)))
+            js.append(np.full(kinds * len(ts), j))
+            ks.append(np.repeat(np.arange(ts.start, ts.stop), kinds))
+        return tuple(np.concatenate(c) for c in (es, js, ks))
 
     def atoms(self, system: WaveletSystem) -> list[AtomIndex]:
         """The rows of ``arrays`` as AtomIndex tuples."""
         return list(map(_atom, zip(*(c.tolist() for c in self.arrays(system)))))
 
-    def boundary_flags(self, system: WaveletSystem) -> np.ndarray:
-        """Whether each atom's support [k, k + 2N - 1]/2^j leaves the window."""
-        _, j, k = self.arrays(system)
+    def boundary_flags(self, system: WaveletSystem, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Whether the support [k, k + 2N - 1]/2^j of each atom, given by its
+        ``arrays`` j and k, leaves the window."""
         scale = np.ldexp(1.0, j)
         return (k / scale < self.lo) | ((k + len(system.h) - 1) / scale > self.hi)
 
@@ -334,14 +326,14 @@ def verify_almost_char(
     beta: float,
     system: WaveletSystem,
     index_set: IndexSet,
-    coeffs=None,
+    values=None,
 ) -> VerificationRecord:
     """Weak sequence norm of the scale-deflated coefficients against the
     estimated-constant weighted Sobolev norm of ApEstimate.bound, passed up
     to RATIO_CEILING, with the strong-norm comparison reported when the
-    truncated strong norm looks convergent.  ``coeffs`` is the (atoms,
-    values) pair of ``coefficients(f, system, index_set)`` when already
-    computed; otherwise it is computed here.
+    truncated strong norm looks convergent.  ``values`` are the coefficient
+    values of ``coefficients(f, system, index_set)`` when already computed;
+    otherwise they are computed here.
     """
     n = 1
     if system.order <= n + 1:
@@ -349,8 +341,10 @@ def verify_almost_char(
     if not (beta < 1.0 - 1.0 / n or beta > 1.0):
         # n = 1: admissible beta is anything below 0 or above 1
         raise ValueError(f"beta={beta} outside the admissible range")
-    _, vals = coeffs or coefficients(f, system, index_set)
     _, gens, ks = index_set.arrays(system)
+    vals = coefficients(f, system, index_set)[1] if values is None else values
+    if len(vals) != len(gens):
+        raise ValueError(f"{len(vals)} coefficient values for {len(gens)} atoms")
     deflated = vals / _volume_powers(gens, beta)
     u = atom_weights(gens, ks, beta, w)
     strong, weak = _norms(u, deflated, 1.0)
@@ -380,6 +374,6 @@ def verify_almost_char(
             "right_ratio": right_ratio,
             "strong_convergent": bool(tail_decaying),
             "n_atoms": len(vals),
-            "boundary_atoms": int(index_set.boundary_flags(system).sum()),
+            "boundary_atoms": int(index_set.boundary_flags(system, gens, ks).sum()),
         },
     )

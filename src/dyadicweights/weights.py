@@ -33,9 +33,9 @@ def power_integrals(e: float, center, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     from hi, and a row on one side prim of the farther end's distance less
     prim of the nearer one's; at e = -1 that row gives
     log1p(length / nearer distance), by math.log1p.  Each prim is Python's
-    float ** (NumPy's SIMD power can differ from it in the last bit); on a
-    long array it is taken once per distinct distance, since the cubes of a
-    window share their ends."""
+    float ** (NumPy's SIMD power can differ from it in the last bit), taken
+    once per distinct distance, since the cubes of a window share their
+    ends."""
     c = center
     out = np.zeros(lo.shape)
     live = hi > lo
@@ -51,12 +51,9 @@ def power_integrals(e: float, center, lo: np.ndarray, hi: np.ndarray) -> np.ndar
         return out
     e1 = e + 1
     dist = np.concatenate([to_lo, to_hi])
-    if len(dist) > 64:  # below that np.unique costs more than it saves
-        # return_inverse also keeps np.unique from importing numpy.ma (1.7 MB)
-        uniq, inv = np.unique(dist, return_inverse=True)
-        prim = np.array([x**e1 / e1 for x in uniq.tolist()])[inv]
-    else:
-        prim = np.array([x**e1 / e1 for x in dist.tolist()])
+    # return_inverse also keeps np.unique from importing numpy.ma (1.7 MB)
+    uniq, inv = np.unique(dist, return_inverse=True)
+    prim = np.array([x**e1 / e1 for x in uniq.tolist()])[inv]
     a, b = prim[: len(to_lo)], prim[len(to_lo) :]
     out[live] = np.where(across[live], a + b, np.where(to_lo > to_hi, a - b, b - a))
     return out

@@ -382,10 +382,13 @@ def test_verify_almost_char_weighted(db4):
     assert rec.passed
     assert math.isfinite(rec.details["strong_norm"])
     assert rec.details["constant_estimate"] > 1.0
-    # coefficients already computed are used as they stand
-    coeffs = coefficients(f, db4, idx)
-    again = verify_almost_char(f, w, 2.0, db4, idx, coeffs=coeffs)
+    # coefficient values already computed are used as they stand
+    _, vals = coefficients(f, db4, idx)
+    again = verify_almost_char(f, w, 2.0, db4, idx, values=vals)
     assert (again.lhs, again.rhs, again.details) == (rec.lhs, rec.rhs, rec.details)
+    # values of another index set are refused
+    with pytest.raises(ValueError, match="coefficient values for"):
+        verify_almost_char(f, w, 2.0, db4, idx, values=vals[:-1])
 
 
 def test_verify_almost_char_unbounded_estimate_uncertified(db4):
