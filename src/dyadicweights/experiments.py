@@ -28,14 +28,7 @@ from dyadicweights.funcspace import (
     omega_boxes,
     omega_intervals,
 )
-from dyadicweights.grid import (
-    THIRDS,
-    Cube,
-    Shift,
-    axis_index,
-    axis_interval,
-    window_1d,
-)
+from dyadicweights.grid import THIRDS, Cube, Shift, axis_interval, window_1d
 from dyadicweights.records import ConfigError
 from dyadicweights.weights import (
     ConstantWeight,
@@ -255,65 +248,82 @@ def _sweep_beta(p, epsilons):
 # ---------------------------------------------------------------------------
 
 
-def _probe_family(centers, j_min: int, j_max: int):
-    """(generation, lo, hi) arrays of the cubes around the probe centers, the
-    ends (N, 1) by axis_interval.
+def _probe_cubes(centres, j_min: int, j_max: int):
+    """The probe cubes around each centre at the generations j_min ... j_max,
+    as (m0, lo, hi): m0[i, t, g] is the index of the cube of shift t and
+    generation j_min + g that holds centre i, and lo, hi[i, t, g, k] are the
+    float ends of its index neighbour m0 - 1 + k.  A centre is its Fraction
+    limited to denominators 3 * 2^40.
 
-    For each shift and generation the cube containing the center and its two
-    index neighbors enter the family, each cube once.  Rows are ordered by
-    center, shift and generation, so the family of a narrower generation
-    range is that of a wider one masked by j, in the same order.
-    """
-    seen = set()
-    gens, ends = [], []
-    for c in centers:
-        pt = Fraction(c).limit_denominator(3 * 2**40)
-        for t in THIRDS:
-            for j in range(j_min, j_max + 1):
-                m0 = axis_index(t, j, pt.numerator, pt.denominator)
-                for m in (m0 - 1, m0, m0 + 1):
-                    if (t, j, m) not in seen:
-                        seen.add((t, j, m))
-                        gens.append(j)
-                        ends.append(axis_interval(t, j, m))
-    ends = np.array(ends, dtype=float).reshape(-1, 2)
-    return np.array(gens, dtype=np.int64), ends[:, :1], ends[:, 1:]
-
-
-def _resolved_depth(center: float, depth: int) -> int:
-    """The deepest d <= depth at which the probe cubes of generation -d
-    around the center have distinct float ends (0 when none has)."""
-    while depth > 0 and not np.less(*_probe_family([center], -depth, -depth)[1:]).all():
-        depth -= 1
-    return depth
+    One pass in exact integer arithmetic, as axis_index and axis_interval
+    take one cube: m0 = floor(num / (den 2^j) - (-1)^j t / 3) by floor
+    division, and the ends (3m + (-1)^j t) 2^j / 3 and (3m + (-1)^j t + 3)
+    2^j / 3 by int / int true division, which is correctly rounded.  The
+    integers are int64 while every operand stays below 2^53 (int64 ->
+    float64 is then exact), and Python ints past that."""
+    frac = [Fraction(c).limit_denominator(3 * 2**40) for c in centres]
+    num = np.array([q.numerator for q in frac], dtype=object)[:, None, None]
+    den = np.array([q.denominator for q in frac], dtype=object)[:, None, None]
+    # top bounds 3 |num| 2^-j, 3 den 2^j and every end's |c + 3| 2^j, and
+    # the divisor 3 << -j stays below 2^53 down to j = -50
+    deep, high = max(-j_min, 0), max(j_max, 0)
+    top = (3 * max(map(abs, num.flat), default=0) << deep) + (32 * max(den.flat, default=1) << high)
+    ints = np.int64 if deep <= 50 and top < 2**53 else object
+    num, den = num.astype(ints), den.astype(ints)
+    js = np.arange(j_min, j_max + 1)
+    jn, jp = np.maximum(-js, 0).astype(ints), np.maximum(js, 0).astype(ints)
+    st = (np.where(js % 2 == 0, 1, -1) * np.array(THIRDS)[:, None]).astype(ints)
+    m0 = ((3 * num << jn) - st * (den << jp)) // (3 * den << jp)
+    c = 3 * (m0[..., None] + np.array([-1, 0, 1]).astype(ints)) + st[..., None]
+    shift, unit = jp[:, None], (3 << jn)[:, None]
+    return m0, ((c << shift) / unit).astype(float), (((c + 3) << shift) / unit).astype(float)
 
 
-def _generations(rows, j_min: int, j_max: int):
-    """The rows, arrays led by the generations, with j in [j_min, j_max]."""
-    sel = (j_min <= rows[0]) & (rows[0] <= j_max)
-    return tuple(a[sel] for a in rows)
+def _probe_family(m0, members, g0: int, g1: int) -> np.ndarray:
+    """Flat indices into the probe cubes of ``_probe_cubes`` of the family of
+    the centres ``members`` (indices) at the generation slots g0 ... g1 - 1:
+    for each centre, shift and generation the cube holding the centre and
+    its two index neighbours, each cube once, where the first centre to
+    reach it puts it, in the order centre, shift, generation and index."""
+    flat = np.arange(m0.size * 3).reshape(*m0.shape, 3)[members, :, g0:g1]
+    keep = np.ones(flat.shape, dtype=bool)
+    steps = np.array([-1, 0, 1]).astype(m0.dtype)
+    for a, i in enumerate(members):
+        for b in members[:a]:
+            keep[a] &= np.abs(m0[i, :, g0:g1, None] + steps - m0[b, :, g0:g1, None]) > 1
+    return flat[keep]
 
 
-def _probe_rows(f, weight: Weight, family):
-    """(generation, omega, volume, mass) arrays of the cubes of a probe
-    family with positive omega: omega by one omega_boxes call (one array
-    pass over the cubes inside one linear piece of f, the scalar exact path
-    on the others), the masses by one Weight.masses call."""
-    oms = omega_boxes(f, family[1], family[2])
-    j, lo, hi = (a[oms > 0] for a in family)
-    return j, oms[oms > 0], np.ldexp(1.0, j), weight.masses(lo, hi)
+def _probe_rows(probes, cubes, weight: Weight):
+    """(generation, omega, volume, mass) arrays of the rows of every probe of
+    a nonempty list, end to end: probe k is (f, rows), its rows indexing
+    the flat (generation, lo, hi) arrays ``cubes``.  Omega comes from one
+    omega_intervals call over the per-row function table, and the masses
+    from one Weight.masses call on the distinct cubes with positive omega;
+    the others read mass 0.0."""
+    gen, lo, hi = cubes
+    fs, rows = zip(*probes)
+    of = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    rows = np.concatenate(rows)
+    oms = omega_intervals((fs, of), lo[rows], hi[rows])
+    need = np.unique(rows[oms > 0])
+    mass = np.zeros(lo.size)
+    mass[need] = weight.masses(lo[need, None], hi[need, None])
+    return gen[rows], oms, np.ldexp(1.0, gen[rows]), mass[rows]
 
 
-def _rows_sup(rows, p: float) -> float:
-    """Sup of the functional restricted to the probe rows, the larger of its
-    values at beta = 2 and beta = -1; a lower bound of the full-window value,
-    which is all blow-up detection needs."""
+def _rows_sup(rows, groups, p: float) -> list[float]:
+    """Sup of the functional restricted to each group of the probe rows
+    (an index array of rows with positive omega), the larger of its values
+    at beta = 2 and beta = -1; a lower bound of the full-window value,
+    which is all blow-up detection needs.  The thresholds and entry weights
+    are taken once for all rows, and each group takes its own LevelMass, so
+    its sort and prefix sum keep the float order of the group alone."""
     _, oms, vols, masses = rows
-    best = 0.0
+    best = [0.0] * len(groups)
     for beta in (2.0, -1.0):
-        b = beta + 1.0 - 1.0 / p
-        levels = LevelMass.of_cubes(oms, vols, masses, b, beta * p - 1.0)
-        best = max(best, levels.sup(p))
+        thr, wts = LevelMass.cube_entries(oms, vols, masses, beta + 1.0 - 1.0 / p, beta * p - 1.0)
+        best = [max(b, LevelMass(thr[g], wts[g]).sup(p)) for b, g in zip(best, groups)]
     return best
 
 
@@ -376,60 +386,70 @@ def weight_classifier(
         "plateau": _linear_plateau(),
         "ramp10": catalog("linear_ramp", slope=1.0, cutoff=10.0),
     }
-    ratios: dict[str, list[float]] = {k: [] for k in fixed}
-    ratios["step_probe"] = []
-    ratios["tail_ramp"] = []
-
     ranges = [(-d, max(4, d // 2)) for d in depths]
     j_lo = min((r[0] for r in ranges), default=0)
     j_hi = max((r[1] for r in ranges), default=-1)
-    for c in centers + [1.0]:
+    ratios: dict[str, list[float]] = {
+        k: [0.0] * len(ranges) for k in [*fixed, "step_probe", "tail_ramp"]
+    }
+
+    # the probe cubes of every centre set in one build: the fixed members'
+    # centres, each step probe's and the tail ramps', which reach two
+    # generations above the others
+    every = centers + [1.0]
+    m0, lo, hi = _probe_cubes(every, j_lo, j_hi + 2)
+    gen = np.broadcast_to(np.arange(j_lo, j_hi + 3)[:, None], lo.shape).ravel()
+    distinct = np.all(lo < hi, axis=(1, 3))  # per centre and generation
+    for i, c in enumerate(every):
         # far from 0 the deepest probe cubes can be narrower than the float spacing
-        if (resolved := _resolved_depth(c, -j_lo)) < -j_lo:
+        if j_lo < 0 and not distinct[i, 0]:
+            resolved = next((d for d in range(-j_lo - 1, 0, -1) if distinct[i, -d - j_lo]), 0)
             raise ConfigError(
                 f"probe cubes of depth {-j_lo} around centre {c!r} are narrower than "
                 f"the float spacing there; the deepest depth whose probe cubes have "
                 f"distinct float ends there is {resolved}"
             )
-    # each centre set's family is built once, over its widest generation
-    # range, and masked by j per depth
-    fixed_family = _probe_family(centers + [1.0], j_lo, j_hi)
-    step_families = {c: _probe_family([c], j_lo, j_hi) for c in centers}
-    tail_family = _probe_family(centers, 0, j_hi + 2)
-    # fixed battery: one norm and one set of rows per member
+    steps = j_hi - j_lo + 1
+    fixed_family = _probe_family(m0, list(range(len(every))), 0, steps)
+    step_families = [_probe_family(m0, [i], 0, steps) for i in range(len(centers))]
+    tail_family = _probe_family(m0, list(range(len(centers))), -j_lo, steps + 2)
+
+    # every probe with a positive norm, (f, family rows), and every ratio it
+    # gives: (member, depth index, probe, j_min, j_max, norm)
+    probes, slots = [], []
     for name, f in fixed.items():
         norm = grad_power_mass(f, -f.grad_radius - 1, f.grad_radius + 1, p, weight)
-        if norm <= 0 or not ranges:
-            ratios[name] = [0.0] * len(ranges)
-            continue
-        rows = _probe_rows(f, weight, fixed_family)
-        ratios[name] = [
-            _rows_sup(_generations(rows, j_min, j_max), p) / norm
-            for j_min, j_max in ranges
-        ]
-    for j_min, j_max in ranges:
+        if norm > 0:
+            probes.append((f, fixed_family))
+            slots += [(name, r, len(probes) - 1, *jr, norm) for r, jr in enumerate(ranges)]
+    for r, (j_min, j_max) in enumerate(ranges):
         # adaptive step probe at each candidate singular center
         wprobe = 2.0**j_min
-        best = 0.0
-        for c in centers:
+        for c, family in zip(centers, step_families):
             f = catalog("linear_ramp", slope=0.5 / wprobe, cutoff=wprobe, center=c)
             norm = grad_power_mass(f, c - wprobe, c + wprobe, p, weight)
-            if norm <= 0:
-                continue
-            family = _generations(step_families[c], j_min, j_max)
-            sup = _rows_sup(_probe_rows(f, weight, family), p)
-            best = max(best, sup / norm)
-        ratios["step_probe"].append(best)
+            if norm > 0:
+                probes.append((f, family[(j_min <= gen[family]) & (gen[family] <= j_max)]))
+                slots.append(("step_probe", r, len(probes) - 1, j_min, j_max, norm))
         # window-scale ramp probing the weight's tail
         big = 2.0**j_max
         f = catalog("linear_ramp", slope=1.0, cutoff=big)
         norm = grad_power_mass(f, -big, big, p, weight)
-        best = 0.0
         if norm > 0:
-            family = _generations(tail_family, 0, j_max + 2)
-            sup = _rows_sup(_probe_rows(f, weight, family), p)
-            best = max(best, sup / norm)
-        ratios["tail_ramp"].append(best)
+            probes.append((f, tail_family[gen[tail_family] <= j_max + 2]))
+            slots.append(("tail_ramp", r, len(probes) - 1, 0, j_max + 2, norm))
+    if probes:
+        rows = _probe_rows(probes, (gen, lo.ravel(), hi.ravel()), weight)
+        # each ratio's rows: its probe's rows of positive omega, masked by j
+        j, oms = rows[:2]
+        start = np.cumsum([0] + [len(r) for _, r in probes])
+        groups = []
+        for _, _, k, j_min, j_max, _ in slots:
+            at = slice(start[k], start[k + 1])
+            live = (oms[at] > 0) & (j_min <= j[at]) & (j[at] <= j_max)
+            groups.append(start[k] + np.flatnonzero(live))
+        for (name, r, *_, norm), sup in zip(slots, _rows_sup(rows, groups, p)):
+            ratios[name][r] = sup / norm if name in fixed else max(ratios[name][r], sup / norm)
 
     if with_quotient:
         cfg = DiffQuotConfig(

@@ -31,7 +31,7 @@ import numpy as np
 
 from dyadicweights.grid import Cube, GridWindow, float_box
 from dyadicweights.quadrature import _gl, adaptive_quad, adaptive_quads
-from dyadicweights.weights import ConstantWeight, PowerWeight, Weight, power_integrals
+from dyadicweights.weights import ConstantWeight, PowerWeight, Weight, power_integrals, powers
 
 
 @dataclass
@@ -452,37 +452,55 @@ def catalog(name: str, **params):
 # ---------------------------------------------------------------------------
 
 
-def _segment_table(f: TestFunction, lo: np.ndarray, hi: np.ndarray):
-    """The linear segments of f on each interval [lo[i], hi[i]], as
-    ``(groups, other)``.  A group ``(rows, seg)`` holds the intervals that
-    meet k pieces of f, all linear, and the (4, rows, k) array of each
-    segment's ends (its piece clipped to the interval), slope and intercept
-    in piece order.  ``other`` lists the intervals that meet a piece that is
-    not linear.  An end on a breakpoint meets only the piece on its side."""
+def _segment_table(f, lo: np.ndarray, hi: np.ndarray):
+    """The linear segments on each interval [lo[i], hi[i]] of its function,
+    f itself or, for a pair f = (fs, of), fs[of[i]], as ``(groups, other)``.
+    A group ``(rows, seg)`` holds the intervals that meet k pieces of their
+    function, all linear, and the (4, rows, k) array of each segment's ends
+    (its piece clipped to the interval), slope and intercept in piece order.
+    ``other`` lists the intervals that meet a piece that is not linear.  An
+    end on a breakpoint meets only the piece on its side.
+
+    The pieces of every function stand end to end in one table, and each
+    row finds its pieces among its own function's breakpoints, padded with
+    +inf; one f is the one-function case."""
     if not np.all(lo < hi):
         raise ValueError("need lo < hi on every interval")
-    first = np.searchsorted(f._edges, lo, side="right")
-    count = np.searchsorted(f._edges, hi, side="left") + 1 - first
+    fs, of = _functions(f, lo.size)
+    lines = np.hstack([g._lines for g in fs])
+    size = np.array([len(g.pieces) for g in fs])
+    edges = np.full((len(fs), size.max() - 1), math.inf)
+    for k, g in enumerate(fs):
+        edges[k, : size[k] - 1] = g._edges
+    # a row's first piece is the count of its breakpoints <= lo, and its
+    # last the count of those < hi, as searchsorted would take them
+    first, last = np.zeros(lo.size, dtype=np.intp), np.zeros(lo.size, dtype=np.intp)
+    for col in edges.T:
+        at = col[of]
+        first += at <= lo
+        last += at < hi
+    count = last + 1 - first
+    first += (np.cumsum(size) - size)[of]
     # nonlinear pieces before each piece, so a span's count is one difference;
     # key is the segment count, 0 for an interval that meets a nonlinear piece
-    bent = np.concatenate(([0], np.cumsum(np.isnan(f._lines[2]))))
+    bent = np.concatenate(([0], np.cumsum(np.isnan(lines[2]))))
     key = np.where(bent[first + count] == bent[first], count, 0)
     groups = []
     for k in (np.flatnonzero(np.bincount(key)[1:]) + 1).tolist():
         rows = np.flatnonzero(key == k)
-        seg = np.take(f._lines, first[rows, None] + np.arange(k), axis=1)
+        seg = np.take(lines, first[rows, None] + np.arange(k), axis=1)
         seg[0, :, 0], seg[1, :, -1] = lo[rows], hi[rows]
         groups.append((rows, seg))
     return groups, np.flatnonzero(key == 0).tolist()
 
 
-def _pow(x: np.ndarray, e: int) -> np.ndarray:
-    """x ** e by Python's float power (C pow), from which NumPy's SIMD power
-    can differ in the last bit; blocks of 256 floats keep peak memory down."""
-    flat, out = x.ravel(), np.empty(x.size)
-    for i in range(0, x.size, 256):
-        out[i : i + 256] = [v**e for v in flat[i : i + 256].tolist()]
-    return out.reshape(x.shape)
+def _functions(f, rows: int):
+    """(fs, of) of the f of an omega call over ``rows`` intervals: the pair
+    itself, or ([f], zeros) for one function."""
+    if isinstance(f, tuple):
+        fs, of = f
+        return list(fs), np.asarray(of, dtype=np.intp)
+    return [f], np.zeros(rows, dtype=np.intp)
 
 
 def _sorted_values(a, b, s, c):
@@ -498,7 +516,7 @@ def _self_integral_sloped(a, b, s, c) -> np.ndarray:
     whose one cut is [u0, u1], divided by |s| |s|."""
     u0, u1 = _sorted_values(a, b, s, c)
     d, mid, sq = u1 - u0, 0.5 * (u0 + u1), u1 * u1 - u0 * u0
-    area, cube = 0.5 * sq, _pow(d, 3)
+    area, cube = 0.5 * sq, powers(d, 3)
     above = np.where(mid >= u1, 0.5 * d * sq - area * d, cube / 6.0 + cube / 6.0)
     moment = np.where(mid <= u0, area * d - 0.5 * d * sq, above)
     # where u0 == u1 the cut is empty and the moment is 0.0, as when skipped
@@ -508,7 +526,7 @@ def _self_integral_sloped(a, b, s, c) -> np.ndarray:
 def _spread(z, t0, t1):
     """Int |z - t| dt over [t0, t1] (t0 <= t1), per row."""
     area, width = 0.5 * (t1 * t1 - t0 * t0), t1 - t0
-    inside = 0.5 * (_pow(z - t0, 2) + _pow(t1 - z, 2))
+    inside = 0.5 * (powers(z - t0, 2) + powers(t1 - z, 2))
     above = np.where(z >= t1, z * width - area, inside)
     return np.where(z <= t0, area - z * width, above)
 
@@ -520,7 +538,7 @@ def _spread_int(u0, u1, t0, t1):
     inner = (np.where(u0 > t, u0, t) for t in (t0, t1))
     cuts = np.stack([u0, *(np.where(u1 < t, u1, t) for t in inner), u1])
     area, width = 0.5 * (t1 * t1 - t0 * t0), t1 - t0
-    up, down = _pow(cuts - t0, 3), _pow(t1 - cuts, 3)
+    up, down = powers(cuts - t0, 3), powers(t1 - cuts, 3)
     a, b = cuts[:-1], cuts[1:]
     mid, step, sq = 0.5 * (a + b), b - a, b * b - a * a
     inside = (up[1:] - up[:-1]) / 6.0 + (down[:-1] - down[1:]) / 6.0
@@ -549,15 +567,19 @@ def _cross_segments(one, two) -> np.ndarray:
     return out
 
 
-def omega_intervals(f: TestFunction, lo, hi) -> np.ndarray:
-    """omega of the one-dimensional f on each interval [lo[i], hi[i]].
+def omega_intervals(f, lo, hi) -> np.ndarray:
+    """omega of the one-dimensional f on each interval [lo[i], hi[i]]; f is
+    one function, or a pair (fs, of) giving interval i the function
+    fs[of[i]].
 
-    Where f is piecewise linear on the interval, omega sums the integral of
-    |f(x) - f(y)| over every ordered pair of its segments, p-major as a double
-    loop would, and divides by (hi - lo) ** 2.  One array pass computes the
-    pairs: a segment with itself by the one-cut closed form, two segments by
-    the general cut arithmetic.  The intervals that meet a piece of f that
-    is not linear take the monotone-parts sum, all in one more array pass.
+    Where the row's function is piecewise linear on the interval, omega sums
+    the integral of |f(x) - f(y)| over every ordered pair of its segments,
+    p-major as a double loop would, and divides by (hi - lo) ** 2.  One
+    array pass over the segment table of every row computes the pairs: a
+    segment with itself by the one-cut closed form, two segments by the
+    general cut arithmetic.  The intervals that meet a piece that is not
+    linear take the monotone-parts sum, one array pass per function.  Each
+    row's value is bit for bit what it is alone.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     groups, other = _segment_table(f, lo, hi)
@@ -584,9 +606,13 @@ def omega_intervals(f: TestFunction, lo, hi) -> np.ndarray:
             start, stop = start + m * k, stop + m * p.size
             out[rows] = reduce(np.add, pairs.reshape(m, -1).T, np.zeros(m))
     if other:
-        out[other] = _monotone_sums(f, lo[other], hi[other])
+        fs, of = _functions(f, lo.size)
+        other = np.array(other)
+        for k in np.unique(of[other]).tolist():
+            rows = other[of[other] == k]
+            out[rows] = _monotone_sums(fs[k], lo[rows], hi[rows])
     live = np.flatnonzero(out)  # 0.0 stays 0.0 without the division
-    out[live] /= _pow(hi[live] - lo[live], 2)
+    out[live] /= powers(hi[live] - lo[live], 2)
     return out
 
 

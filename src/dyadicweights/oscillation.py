@@ -30,7 +30,7 @@ from dyadicweights.records import (
     VerificationRecord,
     ratio,
 )
-from dyadicweights.weights import Weight, ap_constant, standard_probes
+from dyadicweights.weights import Weight, ap_constant, powers, standard_probes
 
 # Relative margin within which a threshold comparison or an inequality is
 # decided only up to the accuracy of omega and of floating-point sums.
@@ -120,9 +120,10 @@ class LevelMass:
         # prefix[k] = weight of the k largest thresholds
         self.prefix = np.concatenate(([0.0], np.cumsum(self.weights)))
 
-    @classmethod
-    def of_cubes(cls, values, vols, masses, b: float, wexp: float) -> LevelMass:
-        """The level rule of every weak-type functional of the package.
+    @staticmethod
+    def cube_entries(values, vols, masses, b: float, wexp: float):
+        """(thresholds, weights) of the level rule of every weak-type
+        functional of the package.
 
         Cube i, with criterion value values[i] (its omega or its mean of |f|),
         volume vols[i] and weight mass masses[i], enters above lam when
@@ -130,12 +131,15 @@ class LevelMass:
         wexp is beta p - 1 in every functional.
         """
         values = np.asarray(values, dtype=float)
-        # the powers by Python's float **, once per distinct volume
+        # the cubes share few volumes: each distinct one is raised once
         uniq, inv = np.unique(np.asarray(vols, dtype=float), return_inverse=True)
-        vb = np.array([v**b for v in uniq.tolist()])[inv]
-        vw = np.array([v**wexp for v in uniq.tolist()])[inv]
-        thr = np.where(values > 0, values / vb, 0.0)
-        return cls(thr, vw * np.asarray(masses, dtype=float))
+        thr = np.where(values > 0, values / powers(uniq, b)[inv], 0.0)
+        return thr, powers(uniq, wexp)[inv] * np.asarray(masses, dtype=float)
+
+    @classmethod
+    def of_cubes(cls, values, vols, masses, b: float, wexp: float) -> LevelMass:
+        """The LevelMass of the cubes' entries by ``cube_entries``."""
+        return cls(*cls.cube_entries(values, vols, masses, b, wexp))
 
     def above(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """(count, mass) of the entries with threshold > lam, per lam."""

@@ -21,7 +21,7 @@ import numpy as np
 from dyadicweights.funcspace import TestFunction, grad_power_mass, weighted_lp_mass
 from dyadicweights.oscillation import LevelMass
 from dyadicweights.records import RATIO_CEILING, VerificationRecord
-from dyadicweights.weights import Weight, ap_constant, standard_probes
+from dyadicweights.weights import Weight, ap_constant, powers, standard_probes
 
 
 def daubechies_filter(order: int) -> np.ndarray:
@@ -300,8 +300,7 @@ def coefficients(
 
 def _volume_powers(gens: np.ndarray, e: float) -> np.ndarray:
     """|I|^e = (2^-j)^e per generation j in ``gens``, one power per distinct j."""
-    uniq, inv = np.unique(gens, return_inverse=True)
-    return np.array([(2.0 ** -int(j)) ** e for j in uniq])[inv]
+    return powers(np.ldexp(1.0, -gens), e)
 
 
 def atom_weights(j: np.ndarray, k: np.ndarray, beta: float, w: Weight) -> np.ndarray:

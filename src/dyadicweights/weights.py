@@ -7,6 +7,7 @@ therefore track scaling of the estimate rather than absolute values.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -22,6 +23,16 @@ class DomainError(ValueError):
     """Non-integrable singularity inside the integration region."""
 
 
+def powers(x, e) -> np.ndarray:
+    """x ** e per element by Python's float ** (C pow), from which NumPy's
+    SIMD power can differ in the last bit, each distinct value raised once:
+    values are told apart by their bits, so -0.0 keeps its own power."""
+    x = np.asarray(x, dtype=float)
+    # return_inverse also keeps np.unique from importing numpy.ma (1.7 MB)
+    uniq, inv = np.unique(x.view(np.int64), return_inverse=True)
+    return np.array([v**e for v in uniq.view(float).tolist()], dtype=float)[inv].reshape(x.shape)
+
+
 def power_integrals(e: float, center, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integral of |x - center|^e over each row [lo[i], hi[i]], in one array
     pass; ``center`` is one float or one per row.  Rows with hi <= lo give
@@ -32,10 +43,9 @@ def power_integrals(e: float, center, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     centre gives prim of the distance from lo plus prim of the distance
     from hi, and a row on one side prim of the farther end's distance less
     prim of the nearer one's; at e = -1 that row gives
-    log1p(length / nearer distance), by math.log1p.  Each prim is Python's
-    float ** (NumPy's SIMD power can differ from it in the last bit), taken
-    once per distinct distance, since the cubes of a window share their
-    ends."""
+    log1p(length / nearer distance), by math.log1p.  The powers are taken
+    by ``powers``, once per distinct distance, since the cubes of a window
+    share their ends."""
     c = center
     out = np.zeros(lo.shape)
     live = hi > lo
@@ -50,10 +60,7 @@ def power_integrals(e: float, center, lo: np.ndarray, hi: np.ndarray) -> np.ndar
         out[live] = [math.log1p(x) for x in ratio.tolist()]
         return out
     e1 = e + 1
-    dist = np.concatenate([to_lo, to_hi])
-    # return_inverse also keeps np.unique from importing numpy.ma (1.7 MB)
-    uniq, inv = np.unique(dist, return_inverse=True)
-    prim = np.array([x**e1 / e1 for x in uniq.tolist()])[inv]
+    prim = powers(np.concatenate([to_lo, to_hi]), e1) / e1
     a, b = prim[: len(to_lo)], prim[len(to_lo) :]
     out[live] = np.where(across[live], a + b, np.where(to_lo > to_hi, a - b, b - a))
     return out
@@ -150,8 +157,7 @@ class PowerWeight(Weight):
         if a == 0:
             return np.ones(lo.shape)
         near, far = np.abs(lo - c), np.abs(hi - c)
-        d = np.minimum(near, far) if a > 0 else np.maximum(near, far)
-        out = np.array([x**a for x in d.tolist()])
+        out = powers(np.minimum(near, far) if a > 0 else np.maximum(near, far), a)
         if a > 0:
             out[(lo <= c) & (c <= hi)] = 0.0
         return out
@@ -276,12 +282,65 @@ class TableWeight(CallableWeight):
             breakpoints=tuple(xs),
             label="table",
         )
+        self._knots = xs, values
+
+    def power_masses(self, lo, hi, s):
+        """Integral of w^s over each row in closed form, in one array pass:
+        each row is cut at the knots inside it, and on each segment w is
+        alpha + beta x, running from w0 at one end to w1 >= w0 at the other
+        over the length L.  The segment gives (w1^(s+1) - w0^(s+1)) /
+        (beta (s+1)), or its log at s = -1, taken as
+
+            L w0^s expm1((s+1) log1p(r)) / ((s+1) r),   r = (w1 - w0) / w0,
+
+        which keeps its digits on a segment far shorter than its distance
+        from w's zero (the plain difference loses them all on a deep probe
+        cube); L w1^s / (s+1) where w0 = 0, and L w0^s where w is flat.  w0
+        is the value at the end nearer the segment's lower knot, that knot's
+        value plus |beta| times the distance, and w1 - w0 is |beta| L, so no
+        subtraction cancels.  A row adds its segments in x order; rows where
+        ``_diverges`` holds give +inf."""
+        xs, ys = self._knots
+        ends = np.concatenate(([-math.inf], xs, [math.inf]))
+        u, v = np.maximum(lo[:, None], ends[:-1]), np.minimum(hi[:, None], ends[1:])
+        row, seg = np.nonzero(v > u)
+        u, v = u[row, seg], v[row, seg]
+        # each segment's knots, the outer ones constant at the end values
+        xa, xb = np.append(xs[0], xs)[seg], np.append(xs, xs[-1])[seg]
+        ya, yb = np.append(ys[0], ys)[seg], np.append(ys, ys[-1])[seg]
+        flat = (ya == yb) | (xa == xb)
+        slope = np.divide(np.abs(yb - ya), xb - xa, out=np.zeros(seg.shape), where=~flat)
+        low = np.where(ya <= yb, xa, xb)
+        length = v - u
+        w0 = np.minimum(ya, yb) + slope * np.minimum(np.abs(u - low), np.abs(v - low))
+        rise, zero, e1 = slope * length, (w0 == 0.0) & ~flat, s + 1.0
+        r = np.divide(rise, w0, out=np.ones(seg.shape), where=~(flat | zero)).tolist()
+        if e1 == 0.0:
+            phi = [math.log1p(x) / x for x in r]
+        else:
+            phi = [math.expm1(e1 * math.log1p(x)) / (e1 * x) for x in r]
+        phi = np.where(flat, 1.0, phi)
+        with np.errstate(divide="ignore"):
+            parts = np.where(
+                zero, length * _base_powers(rise, s) / e1, length * _base_powers(w0, s) * phi
+            )
+        table = np.zeros((len(lo), len(ends) - 1))
+        table[row, seg] = parts
+        out = functools.reduce(np.add, table.T, np.zeros(len(lo)))
+        out[self._diverges(lo, hi, s) & (hi > lo)] = math.inf
+        return out
 
     def _diverges(self, lo, hi, s):
         # also a zero knot in [lo, hi] at s <= -1
         knots = np.array(self._breaks)
         at_zero = (self.value(knots) == 0.0) & (lo[:, None] <= knots) & (knots <= hi[:, None])
         return ((s <= -1) & np.any(at_zero, axis=1)) | super()._diverges(lo, hi, s)
+
+
+def _base_powers(x: np.ndarray, s: float) -> np.ndarray:
+    """x ** s of x >= 0 by ``powers``, with 0 ** s read as 0, 1 or +inf for
+    s > 0, s = 0 and s < 0, where Python's ** raises."""
+    return np.where(x > 0.0, powers(np.where(x > 0.0, x, 1.0), s), 0.0**s if s >= 0 else math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +379,8 @@ def _axis_ratios(w: Weight, p: float, lo: np.ndarray, hi: np.ndarray) -> np.ndar
             return np.where(inf == 0.0, math.inf, mean / inf)
     dual = w.power_masses(lo, hi, -1.0 / (p - 1.0)) / (hi - lo)
     finite = np.isfinite(dual)
-    # Python's float ** per element, as the scalar form took it
-    powered = np.array([x ** (p - 1.0) for x in np.where(finite, dual, 0.0).tolist()])
+    # Python's float **, as the scalar form took it
+    powered = powers(np.where(finite, dual, 0.0), p - 1.0)
     return np.where(finite, mean * powered, math.inf)
 
 

@@ -7,7 +7,8 @@ monotone parts; the closed form of omega for an indicator; the exhaustive
 antichain search; the classical weight-constant checks with the
 discretized maximal function; the scalar power mass and constant ratio,
 one interval at a time, as the bit-for-bit references of the array
-kernel; and the paper's checks that no runner
+kernel; the classifier's probe family built by one axis_index and
+axis_interval call per cube; and the paper's checks that no runner
 reports: pointwise domination through ball means, chain sparsity of level
 sets, and dominating cubes with their multiplicity."""
 
@@ -25,7 +26,8 @@ from dyadicweights.cli import _fmt
 from dyadicweights.diffquot import DiffQuotConfig, _warn_at_split_cap, inner_integral
 from dyadicweights.funcspace import _CATALOG, Piece, TestFunction, omega_boxes
 from dyadicweights.grid import (
-    AxisCube, Cube, GridWindow, Relation, Shift, _pow2, all_shifts, float_box, relate,
+    THIRDS, AxisCube, Cube, GridWindow, Relation, Shift, _pow2, all_shifts, axis_index,
+    axis_interval, float_box, relate,
 )
 from dyadicweights.oscillation import REL_TOL, LevelMass, level_set
 from dyadicweights.quadrature import _gl, adaptive_quad, adaptive_quads
@@ -43,6 +45,7 @@ from dyadicweights.weights import (
     ConstantWeight,
     DomainError,
     PowerWeight,
+    TableWeight,
     Weight,
     ap_constant,
     ap_ratios,
@@ -338,6 +341,30 @@ def max_antichain_weight_bruteforce(
     return best
 
 
+def probe_family(centers, j_min: int, j_max: int):
+    """(generation, lo, hi) arrays of the classifier's probe cubes around the
+    centers, the ends (N, 1), one axis_index and axis_interval call per cube.
+
+    For each shift and generation the cube containing the center and its two
+    index neighbors enter the family, each cube once, in the order center,
+    shift, generation and index: the loop form of the classifier's probe
+    geometry, its bit-for-bit reference."""
+    seen = set()
+    gens, ends = [], []
+    for c in centers:
+        pt = Fraction(c).limit_denominator(3 * 2**40)
+        for t in THIRDS:
+            for j in range(j_min, j_max + 1):
+                m0 = axis_index(t, j, pt.numerator, pt.denominator)
+                for m in (m0 - 1, m0, m0 + 1):
+                    if (t, j, m) not in seen:
+                        seen.add((t, j, m))
+                        gens.append(j)
+                        ends.append(axis_interval(t, j, m))
+    ends = np.array(ends, dtype=float).reshape(-1, 2)
+    return np.array(gens, dtype=np.int64), ends[:, :1], ends[:, 1:]
+
+
 def cube_weight(q: Cube, sigma: float, w: Weight) -> float:
     """|q|^(sigma - 1) w(q) of one cube on R, the mass by the scalar
     reference of the weight."""
@@ -370,12 +397,39 @@ def scalar_power_mass(w: PowerWeight, lo: float, hi: float, s: float) -> float:
     return prim(c - lo) + prim(hi - c)
 
 
+def scalar_table_power_mass(w: TableWeight, lo: float, hi: float, s: float) -> float:
+    """Integral of w^s over [lo, hi] for a table weight without zeros,
+    segment by segment by scalar float arithmetic: the closed form of
+    TableWeight.power_masses one row at a time, its bit-for-bit reference."""
+    xs, ys = (a.tolist() for a in w._knots)
+    ends = [-math.inf, *xs, math.inf]
+    knots = zip([xs[0], *xs], [*xs, xs[-1]], [ys[0], *ys], [*ys, ys[-1]])
+    total = 0.0
+    for x0, x1, (xa, xb, ya, yb) in zip(ends, ends[1:], knots):
+        u, v = max(lo, x0), min(hi, x1)
+        if not v > u:
+            continue
+        if ya == yb or xa == xb:
+            total += (v - u) * ya**s
+            continue
+        slope = abs(yb - ya) / (xb - xa)
+        low = xa if ya <= yb else xb
+        w0 = min(ya, yb) + slope * min(abs(u - low), abs(v - low))
+        r = slope * (v - u) / w0
+        e1 = s + 1.0
+        phi = math.log1p(r) / r if e1 == 0.0 else math.expm1(e1 * math.log1p(r)) / (e1 * r)
+        total += (v - u) * w0**s * phi
+    return total
+
+
 def _scalar_axis_power_mass(w: Weight, lo: float, hi: float, s: float) -> float:
     # the scalar mass of w^s of a weight on R without zeros
     if isinstance(w, PowerWeight):
         return scalar_power_mass(w, lo, hi, s)
     if isinstance(w, ConstantWeight):
         return w.c**s * max(0.0, hi - lo)
+    if isinstance(w, TableWeight):
+        return scalar_table_power_mass(w, lo, hi, s)
     assert isinstance(w, CallableWeight)
     return adaptive_quad(lambda x: w.value(x) ** s, lo, hi, breakpoints=w.breakpoints())
 

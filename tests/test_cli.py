@@ -104,6 +104,32 @@ ARGV_RUNS = {
         2,
         "ce2067fd9ba84f9101f660d58b209e83d0a70ebc7f620a5b4ec1d69dbd4b77b5",
     ),
+    # the benchmark's classify input: default depths 6 ... 48 with the
+    # quotient member, at centre 0 and off centre (3/16, the bench's seed
+    # 1), where the step probes take two centres
+    "classify-weight-bench": (
+        [
+            "classify-weight",
+            "--set", "weight.kind=power",
+            "--set", "weight.exponent=0.5",
+            "--set", "p=1",
+        ],
+        "bc480e0171516da2847631398872cc0fb745ebc7f742bce69bcfefa3c4d5e9fd",
+        2,
+        "7ad8e2805a34511e3fbbb4cfd5aa5819966c5bfee2ba73ebb017bf684421c876",
+    ),
+    "classify-weight-bench-off-centre": (
+        [
+            "classify-weight",
+            "--set", "weight.kind=power",
+            "--set", "weight.exponent=0.5",
+            "--set", "p=1",
+            "--set", "weight.center=0.1875",
+        ],
+        "6fbbd6c20575deeb25dc799447116153226bf6bef7bca741b032b85e3e56af57",
+        2,
+        "3320876ddfb35c7f9e49074c8804bf078fb26344eec9215b91856b65b4b434c5",
+    ),
     # |x|^(1/2) is not A_1: the constant estimate is unbounded, so each check
     # is uncertified and fails against the bare norm
     "mean-functional-unbounded": (

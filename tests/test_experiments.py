@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from dyadicweights import diffquot, experiments
-from dyadicweights.funcspace import omega_intervals
-from dyadicweights.grid import axis_index, axis_interval
+import oracles
+from dyadicweights import diffquot, experiments, grid
+from dyadicweights.funcspace import catalog, omega_intervals
 from dyadicweights.experiments import (
     classifier_reference,
     fit_loglog_slope,
@@ -160,33 +158,6 @@ def test_classifier_quotient_member_tracks_blowup():
     assert bs[-1] > 4.0 * bs[0]
 
 
-def test_classifier_quotient_step_is_one_linear_runs_call_per_refinement_step(monkeypatch):
-    # the bench input: every depth's probe shares one adaptive_quads call,
-    # and each of its refinement steps makes one _linear_runs call on the
-    # nodes of all of them (a quadrature per depth makes 37)
-    calls = {"quads": 0, "steps": 0, "runs": 0}
-    quads, runs = diffquot.adaptive_quads, diffquot._linear_runs
-
-    def counted_quads(f, problems):
-        calls["quads"] += 1
-
-        def step(x, owner):
-            calls["steps"] += 1
-            return f(x, owner)
-
-        return quads(step, problems)
-
-    def counted_runs(*args):
-        calls["runs"] += 1
-        return runs(*args)
-
-    monkeypatch.setattr(diffquot, "adaptive_quads", counted_quads)
-    monkeypatch.setattr(diffquot, "_linear_runs", counted_runs)
-    rep = weight_classifier(PowerWeight(0.5), 1.0)
-    assert rep.verdict == "violates"
-    assert calls == {"quads": 1, "steps": 10, "runs": 10}
-
-
 @pytest.mark.parametrize(
     "weight",
     [
@@ -198,34 +169,77 @@ def test_classifier_quotient_step_is_one_linear_runs_call_per_refinement_step(mo
     ids=repr,
 )
 def test_probe_rows_masses_match_the_scalar_path(weight):
-    # one family over the widest generation range, masked by j, against a
-    # family built fresh for each range by a loop of axis_index and
-    # axis_interval calls; the masses come from one Weight.masses pass, each
-    # row keeping the bits of Weight.mass on its cube alone.  The centre
-    # 2^20 + 0.1 takes axis_index past int64.
-    f = experiments._linear_plateau()
-    centers = [0.0, 0.3, 1.0, 2.0**20 + 0.1]
-    family = experiments._probe_family(centers, -12, 3)
-    for j_min, j_max in ((-12, 3), (-6, 1), (0, 3)):
-        want = []
-        for c in centers:
-            pt = Fraction(c).limit_denominator(3 * 2**40)
-            for t in (0, 1, 2):
-                for j in range(j_min, j_max + 1):
-                    m0 = axis_index(t, j, pt.numerator, pt.denominator)
-                    want.extend((t, j, m) for m in (m0 - 1, m0, m0 + 1))
-        want = list(dict.fromkeys(want))
-        assert len(want) < len(family[0]) or (j_min, j_max) == (-12, 3)
-        ends = [axis_interval(*k) for k in want]
-        part = experiments._generations(family, j_min, j_max)
-        assert part[0].tolist() == [j for _, j, _ in want]
-        assert np.hstack(part[1:]).tobytes() == np.array(ends).tobytes()
-        rows = experiments._probe_rows(f, weight, part)
-        oms = omega_intervals(f, *zip(*ends))
-        want_rows = [
-            (j, om, 2.0**j, weight.mass((lo, hi)))
-            for (_, j, _), (lo, hi), om in zip(want, ends, oms.tolist())
-            if om > 0
-        ]
-        assert len(rows[0]) == len(want_rows) > 0
-        assert np.column_stack(rows).tobytes() == np.array(want_rows).tobytes()
+    # the probe cubes of every centre set from one integer build, each
+    # family masked by j, against the family built fresh for each range by
+    # the loop of axis_index and axis_interval calls; then the rows of three
+    # functions end to end, omega from one omega_intervals call and the
+    # masses from one Weight.masses pass, each row keeping the bits of
+    # omega_intervals and Weight.mass on its cube alone.  The centre
+    # 2^20 + 0.1 takes the build past int64.
+    fs = [
+        experiments._linear_plateau(),
+        catalog("tent"),
+        catalog("linear_ramp", slope=3.0, cutoff=0.5),
+    ]
+    for centers in ([0.0, 0.3, 1.0, 2.0**20 + 0.1], [0.0, 0.1875, 1.0]):
+        m0, lo, hi = experiments._probe_cubes(centers, -12, 3)
+        assert (m0.dtype == object) == (len(centers) == 4)
+        gen = np.broadcast_to(np.arange(-12, 4)[:, None], lo.shape).ravel()
+        cubes = (gen, lo.ravel(), hi.ravel())
+        for members in (list(range(len(centers))), [1], [2, 0]):
+            for j_min, j_max in ((-12, 3), (-6, 1), (0, 3)):
+                family = experiments._probe_family(m0, members, j_min + 12, j_max + 13)
+                want = oracles.probe_family([centers[i] for i in members], j_min, j_max)
+                ends = np.column_stack([lo.ravel()[family], hi.ravel()[family]])
+                assert gen[family].tolist() == want[0].tolist()
+                assert ends.tobytes() == np.hstack(want[1:]).tobytes()
+        probes = [(f, family[k :: len(fs)]) for k, f in enumerate(fs)]
+        j, oms, vols, masses = experiments._probe_rows(probes, cubes, weight)
+        assert len(oms) == len(family) > 0
+        rows = np.concatenate([r for _, r in probes])
+        want_oms = [omega_intervals(f, cubes[1][r], cubes[2][r]) for f, r in probes]
+        assert oms.tobytes() == np.concatenate(want_oms).tobytes()
+        assert j.tolist() == gen[rows].tolist() and vols.tolist() == (2.0**j).tolist()
+        ends = zip(cubes[1][rows].tolist(), cubes[2][rows].tolist(), oms.tolist())
+        want = [weight.mass((a, b)) if om > 0 else 0.0 for a, b, om in ends]
+        assert masses.tobytes() == np.array(want).tobytes()
+
+
+def test_classifier_takes_one_omega_call_and_one_quotient_quadrature(monkeypatch):
+    # the bench input at centre 0 and off centre (two step-probe centres):
+    # every probe row of every member, depth and centre in one
+    # omega_intervals call, the cubes from one integer build and no
+    # per-cube axis_index or axis_interval call; every depth's quotient
+    # probe shares one adaptive_quads call, and each of its refinement
+    # steps makes one _linear_runs call on the nodes of all of them (a
+    # quadrature per depth makes 37)
+    calls = {"omega": 0, "axis": 0, "quads": 0, "steps": 0, "runs": 0}
+    quads, runs, omega = diffquot.adaptive_quads, diffquot._linear_runs, experiments.omega_intervals
+
+    def counted_quads(f, problems):
+        calls["quads"] += 1
+
+        def step(x, owner):
+            calls["steps"] += 1
+            return f(x, owner)
+
+        return quads(step, problems)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(diffquot, "adaptive_quads", counted_quads)
+    monkeypatch.setattr(diffquot, "_linear_runs", counted("runs", runs))
+    monkeypatch.setattr(experiments, "omega_intervals", counted("omega", omega))
+    axis = ((grid, "axis_index"), (grid, "axis_interval"), (experiments, "axis_interval"))
+    for module, name in axis:
+        monkeypatch.setattr(module, name, counted("axis", getattr(module, name)))
+    for center, steps in ((0.0, 10), (0.1875, 8)):
+        calls.update(dict.fromkeys(calls, 0))
+        rep = weight_classifier(PowerWeight(0.5, center), 1.0)
+        assert rep.verdict == "violates"
+        assert calls == {"omega": 1, "axis": 0, "quads": 1, "steps": steps, "runs": steps}

@@ -785,15 +785,22 @@ def test_one_batch_call_equals_one_call_per_interval():
     # value must not depend on the other intervals of its call
     rng = np.random.default_rng(36)
     smooth = catalog("smoothed_indicator", width=0.37)
-    for f in (catalog("tent"), smooth, _random_lines(rng, [-1.3, -0.2, 0.7, 1.1, 2.9])):
-        lo = rng.uniform(-3.0, 3.0, 120)
-        hi = lo + rng.uniform(1e-3, 5.0, 120)
-        counts, other = _pieces_met(f, lo, hi)
+    fs = (catalog("tent"), smooth, _random_lines(rng, [-1.3, -0.2, 0.7, 1.1, 2.9]))
+    lo = rng.uniform(-3.0, 3.0, (len(fs), 120))
+    hi = lo + rng.uniform(1e-3, 5.0, (len(fs), 120))
+    for f, a, b in zip(fs, lo, hi):
+        counts, other = _pieces_met(f, a, b)
         assert other > 0 if f is smooth else len(set(counts)) >= 3
         for fn in (funcspace.omega_intervals, mean_abs):
-            batch = fn(f, lo, hi)
-            alone = [fn(f, [a], [b])[0] for a, b in zip(lo.tolist(), hi.tolist())]
+            batch = fn(f, a, b)
+            alone = [fn(f, [x], [y])[0] for x, y in zip(a.tolist(), b.tolist())]
             assert np.array_equal(_bits(batch), _bits(alone)), (f, fn.__name__)
+    # every function's rows interleaved in one call over the per-row table
+    of = np.arange(lo.size) % len(fs)
+    rows = lo.T.ravel(), hi.T.ravel()
+    stacked = funcspace.omega_intervals((fs, of), *rows)
+    alone = np.array([funcspace.omega_intervals(f, a, b) for f, a, b in zip(fs, lo, hi)]).T.ravel()
+    assert np.array_equal(_bits(stacked), _bits(alone))
 
 
 def _a1_window():

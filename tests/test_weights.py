@@ -131,10 +131,7 @@ def test_table_weight_zero_knot_has_no_dual_mass_below_minus_one():
     assert _power_mass(w, -1.0, 1.0, -1.0) == math.inf
     assert _ratio(w, 2.0, (-1.0, 1.0)) == math.inf
     assert _ratio(w, 1.5, (-1.0, 1.0)) == math.inf
-    # (at p = 3 the quadrature's nodes next to the zero knot round w to 0,
-    # and count 0^-1/2 as 0)
-    with np.errstate(divide="ignore"):
-        assert math.isfinite(_ratio(w, 3.0, (-1.0, 1.0)))
+    assert math.isfinite(_ratio(w, 3.0, (-1.0, 1.0)))
     assert math.isfinite(_ratio(w, 2.0, (0.2, 1.0)))
     # the end 0.5 of (0.5, 1) is the end of a zero stretch
     w = parse_weight_spec(
@@ -145,9 +142,37 @@ def test_table_weight_zero_knot_has_no_dual_mass_below_minus_one():
     # over the length 0.5, and the ratio is its square times the mean of w
     mean_w = 4.0 / 7.0 * 0.25
     mean_dual = 2.0 * math.sqrt(7.0 / 4.0) * math.sqrt(0.5) / 0.5
-    with np.errstate(divide="ignore"):
-        got = _ratio(w, 3.0, (0.5, 1.0))
-    assert got == pytest.approx(mean_w * mean_dual**2, rel=1e-6)
+    got = _ratio(w, 3.0, (0.5, 1.0))
+    assert got == pytest.approx(mean_w * mean_dual**2, rel=1e-12)
+
+
+def test_table_weight_mass_next_to_a_zero_knot_is_the_closed_form(capsys):
+    # w falls to 0 at the knot 0.1 from 2 at -4 and 4: w^-1/2 over a short
+    # row across the knot is 2 sqrt(4.1/2) sqrt(d1) + 2 sqrt(3.9/2) sqrt(d2),
+    # d1 and d2 the row's reach left and right of the knot, to rounding and
+    # without the split-cap warning the quadrature printed there
+    w = parse_weight_spec({"kind": "table", "xs": [-4, 0.1, 4], "values": [2, 0, 2]})
+    lo, hi = 0.0990234375, 0.1009765625
+    d1, d2 = 0.1 - lo, hi - 0.1
+    want = 2.0 * math.sqrt(4.1 / 2.0) * math.sqrt(d1) + 2.0 * math.sqrt(3.9 / 2.0) * math.sqrt(d2)
+    assert _power_mass(w, lo, hi, -0.5) == pytest.approx(want, rel=4e-16)
+    assert capsys.readouterr().err == ""
+
+
+def test_table_weight_masses_match_quadrature_on_short_and_long_rows():
+    # the closed form against adaptive quadrature of w^s, on rows across
+    # knots, beyond the end knots, and a probe cube of width 2^-48, where
+    # the plain difference of the primitives would keep no digit
+    w = parse_weight_spec({"kind": "table", "xs": [-4, 0, 1.5, 4], "values": [2, 1, 3, 2]})
+    lo = np.array([-1.0, 0.3, -10.0, 5.0, -5.0, 0.25, 1.4])
+    hi = np.array([1.0, 0.3 + 2.0**-48, 10.0, 6.0, -4.5, 0.75, 3.0])
+    for s in (1.0, 2.0, -0.5, -1.0, -2.0):
+        got = w.power_masses(lo, hi, s)
+        for g, a, b in zip(got.tolist(), lo.tolist(), hi.tolist()):
+            want = adaptive_quad(
+                lambda x: w.value(x) ** s, a, b, breakpoints=w.breakpoints(), rel_tol=1e-13
+            )
+            assert g == pytest.approx(want, rel=1e-12), (s, a, b)
 
 
 def test_product_weight_box_mass():
