@@ -23,7 +23,6 @@ from dyadicweights.records import FunctionalProfile, VerificationRecord
 from dyadicweights.wavelet import IndexSet, build_daubechies, verify_almost_char
 from dyadicweights.weights import (
     ApEstimate,
-    CallableWeight,
     ConstantWeight,
     PowerWeight,
     ProductWeight,
@@ -34,7 +33,6 @@ __all__ = [
     "ApEstimate",
     "AxisCube",
     "DiffQuotConfig",
-    "CallableWeight",
     "OscillationConfig",
     "ConstantWeight",
     "Cube",

@@ -131,10 +131,8 @@ class LevelMass:
         wexp is beta p - 1 in every functional.
         """
         values = np.asarray(values, dtype=float)
-        # the cubes share few volumes: each distinct one is raised once
-        uniq, inv = np.unique(np.asarray(vols, dtype=float), return_inverse=True)
-        thr = np.where(values > 0, values / powers(uniq, b)[inv], 0.0)
-        return thr, powers(uniq, wexp)[inv] * np.asarray(masses, dtype=float)
+        thr = np.where(values > 0, values / powers(vols, b), 0.0)
+        return thr, powers(vols, wexp) * np.asarray(masses, dtype=float)
 
     @classmethod
     def of_cubes(cls, values, vols, masses, b: float, wexp: float) -> LevelMass:

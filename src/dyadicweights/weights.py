@@ -1,4 +1,4 @@
-"""Weights on R^n: pointwise values, exact or quadrature masses, and
+"""Weights on R^n: pointwise values, closed-form masses, and
 Muckenhoupt-type constant estimates from finite probe families.
 
 The probe supremum is a certified lower bound for the true constant; sweeps
@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from dyadicweights.grid import float_box
-from dyadicweights.quadrature import adaptive_quads
 
 
 class DomainError(ValueError):
@@ -198,91 +196,26 @@ class ProductWeight(Weight):
         return tuple(b for f in self.factors for b in f.breakpoints())
 
 
-class CallableWeight(Weight):
-    """Weight on R given by a pointwise oracle; masses by adaptive quadrature.
-
-    The breakpoints are where the oracle's formula changes, as the knots of
-    a table weight.  A weight that is 0 at two consecutive breakpoints is
-    taken to be 0 between them, as a table weight is.
-    """
-
-    def __init__(
-        self,
-        fn: Callable,
-        breakpoints: Sequence[float] = (),
-        label: str = "callable",
-    ):
-        self.fn = fn
-        self._breaks = tuple(float(b) for b in breakpoints)
-        self.label = label
-        # (lo, hi, s) -> mass: classify asks every battery member for the
-        # same cubes
-        self._cache: dict = {}
-
-    def value(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def power_masses(self, lo, hi, s):
-        """The rows not yet in the cache by one adaptive_quads call, each
-        total bit for bit one adaptive_quad on its row alone; rows where
-        ``_diverges`` holds give +inf."""
-        keys = [(a, b, s) for a, b in zip(lo.tolist(), hi.tolist())]
-        todo = [key for key in dict.fromkeys(keys) if key not in self._cache]
-        a, b, _ = np.array(todo).reshape(-1, 3).T
-        infinite = (self._diverges(a, b, s) & (b > a)).tolist()
-        self._cache.update((key, math.inf) for key, inf in zip(todo, infinite) if inf)
-        todo = [key for key, inf in zip(todo, infinite) if not inf]
-        problems = [(x, y, 1e-8, self._breaks, 20000) for x, y, _ in todo]
-        quads = adaptive_quads(lambda x, _owner: self.value(x) ** s, problems)
-        for (x, y, _), (total, met) in zip(todo, quads):
-            if not met:
-                print(
-                    f"warning: integral of {self!r}^{s!r} over [{x!r}, {y!r}] stopped"
-                    " at its split cap with the error estimate above tolerance",
-                    file=sys.stderr,
-                )
-            self._cache[x, y, s] = total
-        return np.array([self._cache[key] for key in keys], dtype=float)
-
-    def _diverges(self, lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
-        """Whether w^s, s < 0, is infinite on a stretch of each row: w is 0
-        at two consecutive breakpoints whose stretch overlaps [lo, hi].
-        Quadrature nodes that land there give w^s = inf, which the
-        quadrature counts as 0."""
-        b = np.array(sorted(self._breaks))
-        zero = self.value(b) == 0.0
-        overlap = np.maximum(b[:-1], lo[:, None]) < np.minimum(b[1:], hi[:, None])
-        return (s < 0) & np.any(zero[:-1] & zero[1:] & overlap, axis=1)
-
-    def ess_inf(self, lo, hi):
-        # dense grid with one refinement plus the breakpoints inside, where a
-        # table weight takes its minimum; conservative (min of all points).
-        # A breakpoint outside a row stands in as the row's left end.
-        b = np.array(self._breaks).reshape(-1, 1)
-        at = np.where((lo <= b) & (b <= hi), b, lo)
-        xs = np.concatenate([np.linspace(lo, hi, 513), np.linspace(lo, hi, 1025), at])
-        return np.min(self.value(xs), axis=0)
-
-    def breakpoints(self):
-        return self._breaks
-
-    def __repr__(self):
-        return f"CallableWeight({self.label})"
-
-
-class TableWeight(CallableWeight):
+class TableWeight(Weight):
     """The piecewise-linear weight through the knots (xs, values), constant
     beyond the end knots.  Next to a zero knot it vanishes to first order or
-    on a stretch, so w^s is not integrable across a zero knot for s <= -1."""
+    on a stretch, so w^s is not integrable across a zero knot for s <= -1,
+    nor over a zero stretch for s < 0."""
 
     def __init__(self, xs, values):
         xs, values = np.asarray(xs, dtype=float), np.asarray(values, dtype=float)
-        super().__init__(
-            lambda x: np.interp(np.asarray(x, dtype=float), xs, values),
-            breakpoints=tuple(xs),
-            label="table",
-        )
+        if xs.ndim != 1 or xs.shape != values.shape or not len(xs):
+            raise ValueError("table weight needs 1-D xs and values of one nonzero length")
+        if not (np.isfinite(xs).all() and np.isfinite(values).all()):
+            raise ValueError("table weight knots and values must be finite")
+        if np.any(np.diff(xs) <= 0):
+            raise ValueError("table weight knots must be strictly increasing")
+        if np.any(values < 0):
+            raise ValueError("table weight values must be nonnegative")
         self._knots = xs, values
+
+    def value(self, x):
+        return np.interp(np.asarray(x, dtype=float), *self._knots)
 
     def power_masses(self, lo, hi, s):
         """Integral of w^s over each row in closed form, in one array pass:
@@ -330,11 +263,31 @@ class TableWeight(CallableWeight):
         out[self._diverges(lo, hi, s) & (hi > lo)] = math.inf
         return out
 
-    def _diverges(self, lo, hi, s):
-        # also a zero knot in [lo, hi] at s <= -1
-        knots = np.array(self._breaks)
-        at_zero = (self.value(knots) == 0.0) & (lo[:, None] <= knots) & (knots <= hi[:, None])
-        return ((s <= -1) & np.any(at_zero, axis=1)) | super()._diverges(lo, hi, s)
+    def _diverges(self, lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
+        """Whether w^s is not integrable over each row: s <= -1 with a zero
+        knot in [lo, hi], or s < 0 with a zero stretch (two consecutive
+        zero knots) overlapping it."""
+        xs, ys = self._knots
+        zero = ys == 0.0
+        at_zero = zero & (lo[:, None] <= xs) & (xs <= hi[:, None])
+        overlap = np.maximum(xs[:-1], lo[:, None]) < np.minimum(xs[1:], hi[:, None])
+        stretch = zero[:-1] & zero[1:] & overlap
+        return ((s <= -1) & np.any(at_zero, axis=1)) | ((s < 0) & np.any(stretch, axis=1))
+
+    def ess_inf(self, lo, hi):
+        # w is linear between knots, so its minimum over a row is at one of
+        # its ends or at a knot inside it; a knot outside the row stands in
+        # as its left end
+        xs = self._knots[0][:, None]
+        at = np.where((lo <= xs) & (xs <= hi), xs, lo)
+        return np.min(self.value(np.concatenate([lo[None], hi[None], at])), axis=0)
+
+    def breakpoints(self):
+        return tuple(self._knots[0].tolist())
+
+    def __repr__(self):
+        xs, ys = self._knots
+        return f"TableWeight({xs.tolist()}, {ys.tolist()})"
 
 
 def _base_powers(x: np.ndarray, s: float) -> np.ndarray:
@@ -454,12 +407,6 @@ def parse_weight_spec(spec: dict) -> Weight:
         return ConstantWeight(float(spec.get("c", 1.0)), n=int(spec.get("n", 1)))
     if kind == "power":
         return PowerWeight(float(spec["exponent"]), float(spec.get("center", 0.0)))
-    if kind == "product":
-        if not all(isinstance(s, dict) for s in spec["factors"]):
-            raise ValueError("product factors must be weight spec mappings")
-        return ProductWeight([parse_weight_spec(s) for s in spec["factors"]])
     if kind == "table":
-        if np.any(np.asarray(spec["values"], dtype=float) < 0):
-            raise ValueError("table weight values must be nonnegative")
         return TableWeight(spec["xs"], spec["values"])
     raise ValueError(f"unknown weight kind {kind!r}")

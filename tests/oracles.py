@@ -41,7 +41,6 @@ from dyadicweights.wavelet import (
     daubechies_filter,
 )
 from dyadicweights.weights import (
-    CallableWeight,
     ConstantWeight,
     DomainError,
     PowerWeight,
@@ -428,13 +427,15 @@ def _scalar_axis_power_mass(w: Weight, lo: float, hi: float, s: float) -> float:
         return scalar_power_mass(w, lo, hi, s)
     if isinstance(w, ConstantWeight):
         return w.c**s * max(0.0, hi - lo)
-    if isinstance(w, TableWeight):
-        return scalar_table_power_mass(w, lo, hi, s)
-    assert isinstance(w, CallableWeight)
-    return adaptive_quad(lambda x: w.value(x) ** s, lo, hi, breakpoints=w.breakpoints())
+    assert isinstance(w, TableWeight)
+    return scalar_table_power_mass(w, lo, hi, s)
 
 
 def _scalar_ess_inf(w: Weight, lo: float, hi: float) -> float:
+    """The ess inf of w over [lo, hi] by scalar steps: the closed forms of
+    constant and power weights, and a table weight's minimum over two
+    sampling grids and the knots inside the row, the form TableWeight.ess_inf
+    once took and its bit-for-bit reference."""
     if isinstance(w, ConstantWeight):
         return w.c
     if isinstance(w, PowerWeight):
@@ -456,8 +457,8 @@ def scalar_ap_ratio(w: Weight, p: float, region) -> float:
     ap_ratio once computed it probe by probe: the mean of w over its ess inf
     at p = 1, otherwise the mean of w times the mean of w^(-1/(p-1)) to the
     p - 1, inf where that dual mass diverges.  Product weights multiply their
-    per-axis ratios; a constant weight on R^n, n >= 2, gives 1.  Callable
-    and table weights are taken without zeros."""
+    per-axis ratios; a constant weight on R^n, n >= 2, gives 1.  Table
+    weights are taken without zeros."""
     box = float_box(region)
     if w.n != 1:
         if isinstance(w, ConstantWeight):

@@ -361,14 +361,42 @@ def test_zero_function_passes_with_ratio_zero(tmp_path, subcommand):
     ids=["product-factors", "tensor-function", "two-dimensional-weight"],
 )
 def test_inputs_off_the_line_exit_one_with_one_error_line(tmp_path, capsys, sets):
-    # a flat config cannot nest factor specs, and the runners' windows are
-    # 1-D: each input is refused before any work, not met by a traceback
+    # a flat config cannot nest factor specs (product is no config kind), and
+    # the runners' windows are 1-D: each input is refused before any work,
+    # not met by a traceback
     argv = ["verify-cddd", "--out", str(tmp_path)]
     for pair in sets:
         argv += ["--set", pair]
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "xs, values",
+    [
+        ("[1,0,2]", "[1,2,3]"),
+        ("[0,0,2]", "[1,2,3]"),
+        ("[0,1,2]", "[1,2]"),
+        ("[]", "[]"),
+        ("5", "1"),
+        ("[0,inf]", "[1,1]"),
+        ("[0,1]", "[1,nan]"),
+        ("[0,1]", "[1,-0.5]"),
+    ],
+    ids=[
+        "unsorted", "repeated", "lengths", "empty", "scalar", "inf-knot", "nan-value",
+        "negative-value",
+    ],
+)
+def test_malformed_table_weight_is_a_bad_weight_spec(tmp_path, capsys, xs, values):
+    # knots np.interp cannot read are refused by the weight itself, before
+    # any probe is formed: exit 1 and one error line
+    argv = ["ap-constant", "--out", str(tmp_path), "--set", "weight.kind=table"]
+    argv += ["--set", f"weight.xs={xs}", "--set", f"weight.values={values}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad weight spec: table weight"), err
 
 
 def test_parse_config_text_sections_and_types():

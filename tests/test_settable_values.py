@@ -13,7 +13,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).parents[1] / "src" / "dyadicweights"
 CONFIG_CLASSES = {"OscillationConfig", "DiffQuotConfig", "Quadrature", "GridWindow"}
-SETTABLE_CEILING = 47
+SETTABLE_CEILING = 45
 
 
 def settable_values(source: str) -> int:

@@ -8,15 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadicweights import quadrature, weights
 from dyadicweights.grid import AxisCube, Shift, make_cube
 from dyadicweights.quadrature import adaptive_quad
 from dyadicweights.weights import (
-    CallableWeight,
     ConstantWeight,
     DomainError,
     PowerWeight,
     ProductWeight,
+    TableWeight,
     ap_constant,
     ap_ratios,
     parse_weight_spec,
@@ -25,6 +24,7 @@ from dyadicweights.weights import (
     standard_probes,
 )
 from oracles import (
+    _scalar_ess_inf,
     check_ap_properties,
     maximal_value,
     scalar_ap_ratio,
@@ -73,18 +73,6 @@ def test_power_mass_additive_under_split():
     assert total == pytest.approx(parts, rel=1e-13)
 
 
-def test_callable_mass_matches_closed_form():
-    w = CallableWeight(lambda x: np.abs(x) ** 0.5, breakpoints=(0.0,))
-    exact = PowerWeight(0.5).mass((-1.0, 2.0))
-    assert w.mass((-1.0, 2.0)) == pytest.approx(exact, rel=1e-9)
-
-
-def test_callable_mass_additivity():
-    w = CallableWeight(lambda x: 1.0 + np.sin(x) ** 2)
-    total = w.mass((0.0, 2.0))
-    assert total == pytest.approx(w.mass((0.0, 1.3)) + w.mass((1.3, 2.0)), rel=1e-9)
-
-
 def test_table_weight_ess_inf_and_ap_ratios():
     # w = 1 + |x|/4 on (-1, 1): mean 1.125, minimum 1 at 0, and mean of 1/w
     # equal to 4 ln(5/4)
@@ -97,13 +85,74 @@ def test_table_weight_ess_inf_and_ap_ratios():
 
 
 def test_table_weight_zero_at_a_knot_between_grid_points():
-    # w falls linearly to 0 at the knot 0.1, which neither grid of ess_inf on
-    # [-1, 1] hits; the minimum 0 makes the p = 1 ratio infinite
+    # w falls linearly to 0 at the knot 0.1, which no dyadic grid on [-1, 1]
+    # hits; ess_inf reads the knot, and the minimum 0 makes the p = 1 ratio
+    # infinite
     w = parse_weight_spec({"kind": "table", "xs": [-4, 0.1, 4], "values": [2, 0, 2]})
     lo, hi = np.array([-1.0, 0.2]), np.array([1.0, 1.0])
     inf = w.ess_inf(lo, hi)
     assert inf[0] == 0.0 and inf[1] > 0.0
     assert _ratio(w, 1.0, (-1.0, 1.0)) == math.inf
+
+
+def test_table_weight_ess_inf_is_the_sampled_minimum_bit_for_bit():
+    # the minimum over a row's ends and the knots inside it against the
+    # sampled reference (two grids of 513 and 1025 points and the knots), on
+    # random tables with zero knots, rows across knots, rows ending on a knot
+    # from either side and rows wholly outside the knots
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        xs = np.unique(rng.uniform(-4.0, 4.0, int(rng.integers(1, 6))))
+        if trial % 2:
+            xs = np.unique(np.round(xs * 8.0) / 8.0)
+        ys = rng.uniform(0.0, 3.0, len(xs))
+        ys[rng.random(len(xs)) < 0.3] = 0.0
+        w = TableWeight(xs, ys)
+        knot = rng.choice(xs, 6)
+        width = rng.uniform(0.01, 1.0, 6)
+        ends = np.sort(rng.uniform(-6.0, 6.0, (2, 6)), axis=0)
+        lo = np.concatenate([ends[0], knot, knot - width, [xs[-1] + 0.5, xs[0] - 3.0]])
+        hi = np.concatenate([ends[1], knot + width, knot, [xs[-1] + 2.0, xs[0] - 1.0]])
+        want = [_scalar_ess_inf(w, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        assert w.ess_inf(lo, hi).tobytes() == np.array(want).tobytes(), (xs, ys)
+
+
+def test_table_weight_ess_inf_evaluates_the_ends_and_the_knots_per_row():
+    # one value call on 2 + (number of knots) points per row
+    w = TableWeight([-4.0, 0.1, 4.0], [2.0, 0.5, 2.0])
+    calls = []
+
+    def value(x):
+        calls.append(np.size(x))
+        return TableWeight.value(w, x)
+
+    w.value = value
+    lo, hi = np.array([-1.0, 0.2, 5.0]), np.array([1.0, 1.0, 6.0])
+    assert w.ess_inf(lo, hi).tolist() == [0.5, float(TableWeight.value(w, 0.2)), 2.0]
+    assert calls == [3 * (2 + 3)]
+
+
+@pytest.mark.parametrize(
+    "xs, values, message",
+    [
+        ([1, 0, 2], [1, 2, 3], "strictly increasing"),
+        ([0, 0, 2], [1, 2, 3], "strictly increasing"),
+        ([0, 1, 2], [1, 2], "one nonzero length"),
+        ([], [], "one nonzero length"),
+        ([[0, 1], [2, 3]], [[1, 1], [1, 1]], "one nonzero length"),
+        (5, 1, "one nonzero length"),
+        ([0, math.inf], [1, 1], "finite"),
+        ([0, 1], [1, math.nan], "finite"),
+        ([0, 1], [1, -0.5], "nonnegative"),
+    ],
+    ids=[
+        "unsorted", "repeated", "lengths", "empty", "two-dimensional", "scalar",
+        "inf-knot", "nan-value", "negative-value",
+    ],
+)
+def test_table_weight_refuses_malformed_knots(xs, values, message):
+    with pytest.raises(ValueError, match=message):
+        TableWeight(xs, values)
 
 
 def test_table_weight_zero_on_a_stretch_has_no_dual_mass():
@@ -351,16 +400,10 @@ def test_parse_weight_specs():
     assert isinstance(w, PowerWeight) and w.center == 0.5
     w2 = parse_weight_spec({"kind": "constant", "c": 2.0})
     assert isinstance(w2, ConstantWeight)
-    w3 = parse_weight_spec(
-        {"kind": "product", "factors": [{"kind": "constant"}, {"kind": "power", "exponent": 0.5}]}
-    )
-    assert isinstance(w3, ProductWeight)
-    w4 = parse_weight_spec({"kind": "table", "xs": [0, 1, 2], "values": [1, 2, 1]})
-    assert w4.mass((0.0, 2.0)) == pytest.approx(3.0, rel=1e-9)
+    w3 = parse_weight_spec({"kind": "table", "xs": [0, 1, 2], "values": [1, 2, 1]})
+    assert w3.mass((0.0, 2.0)) == pytest.approx(3.0, rel=1e-9)
     with pytest.raises(ValueError):
         parse_weight_spec({"kind": "nope"})
-    with pytest.raises(ValueError, match="weight spec mappings"):
-        parse_weight_spec({"kind": "product", "factors": ["a", "b"]})
 
 
 def test_masses_reject_boxes_of_another_dimension():
@@ -490,25 +533,3 @@ def test_ap_ratios_match_the_scalar_reference_bit_for_bit():
     for w in (product, ConstantWeight(3.0, n=2)):
         for p in (1.0, 2.0):
             check(w, p, cubes)
-
-
-def test_callable_mass_warns_at_the_split_cap(monkeypatch, capsys):
-    # with one split, the quadrature of 1 / (1 + 4 x^2) over [-1, 1] stops
-    # above its tolerance, within the margin that raises: one warning line,
-    # which names the weight and the interval, for the two equal rows
-    def capped(f, problems):
-        return quadrature.adaptive_quads(f, [(a, b, tol, bps, 1) for a, b, tol, bps, _ in problems])
-
-    def runge(x):
-        return 1.0 / (1.0 + 4.0 * x * x)
-
-    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-    full = CallableWeight(runge, label="runge").power_masses(lo, hi, 1.0)
-    assert capsys.readouterr().err == ""
-    monkeypatch.setattr(weights, "adaptive_quads", capped)
-    got = CallableWeight(runge, label="runge").power_masses(lo, hi, 1.0)
-    assert capsys.readouterr().err.splitlines() == [
-        "warning: integral of CallableWeight(runge)^1.0 over [-1.0, 1.0] stopped at"
-        " its split cap with the error estimate above tolerance"
-    ]
-    assert got[0] == got[1] == pytest.approx(full[0], rel=1e-6)
