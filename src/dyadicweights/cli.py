@@ -429,7 +429,7 @@ def run_mean_functional(cfg: dict):
 def run_good_cubes(cfg: dict):
     import random
 
-    from dyadicweights.grid import children, make_cube
+    from dyadicweights.grid import Cube, children
 
     fp = cfg.get("functional", {})
     trials = int(fp.get("trials", 100))
@@ -441,7 +441,7 @@ def run_good_cubes(cfg: dict):
     rows, records = [], []
     for t in range(trials):
         shift = Shift((rng.choice((0, 1, 2)),))
-        root = make_cube(shift, rng.randint(-1, 2), (rng.randint(-3, 3),))
+        root = Cube(shift, rng.randint(-1, 2), (rng.randint(-3, 3),))
         fam = [root]
         frontier = [root]
         for _ in range(3):
@@ -564,10 +564,9 @@ def run_ap_constant(cfg: dict):
     p = float(fp.get("p", 1.0))
     scales = range(int(fp.get("scale_min", -10)), int(fp.get("scale_max", 11)))
     probes = standard_probes(w, scales=scales)
-    ratios = ap_ratios(w, p, probes).tolist()
-    # ap_constant on the same ratios
-    est = ApEstimate(max([0.0, *ratios]))
-    rows = [(lo, hi, r if math.isfinite(r) else math.inf) for (lo, hi), r in zip(probes, ratios)]
+    ratios = ap_ratios(w, p, probes)
+    est = ApEstimate.from_ratios(ratios)  # ap_constant on the same ratios
+    rows = [(lo, hi, r) for (lo, hi), r in zip(probes, ratios.tolist())]
     summary = {
         "verdict": "unbounded" if est.unbounded else "complete",
         "sup": est.value,

@@ -28,7 +28,7 @@ from dyadicweights.funcspace import (
     omega_boxes,
     omega_intervals,
 )
-from dyadicweights.grid import THIRDS, Cube, Shift, axis_interval, window_1d
+from dyadicweights.grid import THIRDS, Cube, Shift, axis_cubes, axis_interval, window_1d
 from dyadicweights.records import ConfigError
 from dyadicweights.weights import (
     ConstantWeight,
@@ -252,31 +252,14 @@ def _probe_cubes(centres, j_min: int, j_max: int):
     """The probe cubes around each centre at the generations j_min ... j_max,
     as (m0, lo, hi): m0[i, t, g] is the index of the cube of shift t and
     generation j_min + g that holds centre i, and lo, hi[i, t, g, k] are the
-    float ends of its index neighbour m0 - 1 + k.  A centre is its Fraction
-    limited to denominators 3 * 2^40.
-
-    One pass in exact integer arithmetic, as axis_index and axis_interval
-    take one cube: m0 = floor(num / (den 2^j) - (-1)^j t / 3) by floor
-    division, and the ends (3m + (-1)^j t) 2^j / 3 and (3m + (-1)^j t + 3)
-    2^j / 3 by int / int true division, which is correctly rounded.  The
-    integers are int64 while every operand stays below 2^53 (int64 ->
-    float64 is then exact), and Python ints past that."""
-    frac = [Fraction(c).limit_denominator(3 * 2**40) for c in centres]
-    num = np.array([q.numerator for q in frac], dtype=object)[:, None, None]
-    den = np.array([q.denominator for q in frac], dtype=object)[:, None, None]
-    # top bounds 3 |num| 2^-j, 3 den 2^j and every end's |c + 3| 2^j, and
-    # the divisor 3 << -j stays below 2^53 down to j = -50
-    deep, high = max(-j_min, 0), max(j_max, 0)
-    top = (3 * max(map(abs, num.flat), default=0) << deep) + (32 * max(den.flat, default=1) << high)
-    ints = np.int64 if deep <= 50 and top < 2**53 else object
-    num, den = num.astype(ints), den.astype(ints)
-    js = np.arange(j_min, j_max + 1)
-    jn, jp = np.maximum(-js, 0).astype(ints), np.maximum(js, 0).astype(ints)
-    st = (np.where(js % 2 == 0, 1, -1) * np.array(THIRDS)[:, None]).astype(ints)
-    m0 = ((3 * num << jn) - st * (den << jp)) // (3 * den << jp)
-    c = 3 * (m0[..., None] + np.array([-1, 0, 1]).astype(ints)) + st[..., None]
-    shift, unit = jp[:, None], (3 << jn)[:, None]
-    return m0, ((c << shift) / unit).astype(float), (((c + 3) << shift) / unit).astype(float)
+    float ends of its index neighbour m0 - 1 + k, all from one
+    ``grid.axis_cubes`` call.  A centre is its Fraction limited to
+    denominators 3 * 2^40."""
+    ratios = [Fraction(c).limit_denominator(3 * 2**40).as_integer_ratio() for c in centres]
+    num, den = (np.array(x, dtype=object).reshape(-1, 1, 1, 1) for x in zip(*ratios))
+    thirds, js = np.array(THIRDS)[:, None, None], np.arange(j_min, j_max + 1)[:, None]
+    m, _, lo, hi = axis_cubes(thirds, js, num, den, np.array([-1, 0, 1]), 0)
+    return m[..., 1], lo, hi
 
 
 def _probe_family(m0, members, g0: int, g1: int) -> np.ndarray:

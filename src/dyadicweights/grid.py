@@ -1,14 +1,17 @@
-"""Shifted dyadic grids in R^n with exact rational geometry.
+"""Shifted dyadic grids in R^n with exact integer geometry.
 
 A grid with shift ``alpha`` in {0, 1/3, 2/3}^n consists of the half-open cubes
 
     2^j * (m + [0,1)^n + (-1)^j * alpha),   j in Z,  m in Z^n.
 
-Shifts are stored as integer thirds so every corner is a rational with
-denominator 3 * 2^|j|; all geometric decisions in this module are exact
-(no floating point).  Floats appear only as outputs for closed forms: the
-correctly rounded value of an exact corner (axis_interval, float_box,
-WindowArrays).
+Shifts are stored as integer thirds t, so a cube's lower corner is, per
+axis, the integer c = 3m + (-1)^j t in units of 2^j / 3 (edge 3).  Every
+geometric decision reads it: ``relate`` at the finer generation, and
+``cube_at`` and window ranges by floor division (``axis_index``);
+``axis_cubes`` is the one array kernel for the index, corner and float ends
+of many cubes (window arrays, classifier probes).  Fractions remain only in
+the reporting accessors ``Cube.lower``, ``interval``, ``edge``, ``volume``
+and the repr; floats only as correctly rounded exact corners.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ class Relation(enum.Enum):
     P_INSIDE_Q = "p_inside_q"
     Q_INSIDE_P = "q_inside_p"
     INCOMPARABLE = "incomparable"
-
-
-def _pow2(j: int) -> Fraction:
-    return Fraction(2**j) if j >= 0 else Fraction(1, 2 ** (-j))
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,20 @@ class Cube:
 
     @property
     def edge(self) -> Fraction:
-        return _pow2(self.j)
+        return Fraction(2) ** self.j
 
     @property
     def volume(self) -> Fraction:
         return self.edge**self.n
 
-    def lower(self) -> tuple[Fraction, ...]:
-        h = self.edge
+    def corner(self) -> tuple[int, ...]:
+        """The exact lower corner in units of 2^j / 3: 3m + (-1)^j t per axis."""
         sgn = 1 if self.j % 2 == 0 else -1
-        return tuple(
-            h * (mi + Fraction(sgn * ti, 3))
-            for mi, ti in zip(self.m, self.shift.thirds)
-        )
+        return tuple(3 * mi + sgn * ti for mi, ti in zip(self.m, self.shift.thirds))
+
+    def lower(self) -> tuple[Fraction, ...]:
+        unit = self.edge / 3
+        return tuple(unit * c for c in self.corner())
 
     def interval(self) -> tuple[Fraction, Fraction]:
         """Endpoints (n = 1 convenience)."""
@@ -141,40 +141,36 @@ def axis_index(t: int, j: int, num: int, den: int) -> int:
     return ((3 * num << -j) - st * den) // (3 * den)
 
 
-def make_cube(shift: Shift, j: int, m: Sequence[int]) -> Cube:
+def cube_at(shift: Shift, j: int, point: Sequence) -> Cube:
+    """The unique generation-j cube of the shifted grid containing ``point``,
+    whose coordinates are ints, Fractions or floats."""
+    m = (axis_index(t, j, *x.as_integer_ratio()) for x, t in zip(point, shift.thirds))
     return Cube(shift, j, tuple(m))
 
 
-def cube_at(shift: Shift, j: int, point: Sequence[Fraction]) -> Cube:
-    """The unique generation-j cube of the shifted grid containing ``point``."""
-    h = _pow2(j)
-    sgn = 1 if j % 2 == 0 else -1
-    m = tuple(
-        math.floor(Fraction(x) / h - Fraction(sgn * t, 3))
-        for x, t in zip(point, shift.thirds)
-    )
-    return Cube(shift, j, m)
-
-
 def relate(p: Cube, q: Cube) -> Relation:
-    """Set relation of two cubes, decided by exact corner comparison.
+    """Set relation of two cubes, decided on their integer corners at the
+    finer generation j0: a generation-j corner c is c << (j - j0) there,
+    and the edge 3 << (j - j0).
 
     Same-shift pairs always land in the first four cases (nesting trichotomy);
     cross-shift pairs may be INCOMPARABLE.
     """
     if p.n != q.n:
         raise DimensionError("cubes must share dimension")
-    plo, qlo = p.lower(), q.lower()
-    phi = tuple(l + p.edge for l in plo)
-    qhi = tuple(l + q.edge for l in qlo)
-    for i in range(p.n):
-        if phi[i] <= qlo[i] or qhi[i] <= plo[i]:
-            return Relation.DISJOINT
-    if plo == qlo and p.edge == q.edge:
+    j0 = min(p.j, q.j)
+    dp, dq = p.j - j0, q.j - j0
+    plo = [c << dp for c in p.corner()]
+    qlo = [c << dq for c in q.corner()]
+    pe, qe = 3 << dp, 3 << dq
+    pairs = list(zip(plo, qlo))
+    if any(a + pe <= b or b + qe <= a for a, b in pairs):
+        return Relation.DISJOINT
+    if plo == qlo and pe == qe:
         return Relation.EQUAL
-    if all(qlo[i] <= plo[i] and phi[i] <= qhi[i] for i in range(p.n)):
+    if all(b <= a and a + pe <= b + qe for a, b in pairs):
         return Relation.P_INSIDE_Q
-    if all(plo[i] <= qlo[i] and qhi[i] <= phi[i] for i in range(p.n)):
+    if all(a <= b and b + qe <= a + pe for a, b in pairs):
         return Relation.Q_INSIDE_P
     return Relation.INCOMPARABLE
 
@@ -242,10 +238,9 @@ class WindowArrays:
     ``GridWindow.cubes()``.
 
     ``j`` (N,) holds each cube's generation as an int array, and ``j_min``
-    the window's lowest generation.  ``corner`` holds the exact lower
-    corners as Python ints: the corner of a cube is (3m + (-1)^j t)
-    2^(j - j_min) in units of 2^j_min / 3, and its edge is 3 * 2^(j - j_min)
-    of them.  ``lo`` and ``hi`` are (N, n) floats, each the correctly
+    the window's lowest generation.  ``corner`` holds each Cube.corner()
+    shifted left by j - j_min, as Python ints in units of 2^j_min / 3 (edge
+    3 * 2^(j - j_min)).  ``lo`` and ``hi`` are (N, n) floats, each the correctly
     rounded value of an exact corner, and ``vol`` the (N,) float volumes
     2^(j n).  The floats feed only closed forms; every nesting or boundary
     decision reads ``corner``.
@@ -347,7 +342,7 @@ class GridWindow:
         the same units, 2^j_min / 3, by cross-multiplication.
         """
         arr = self.arrays
-        unit = 3 / _pow2(self.j_min)
+        unit = 3 / Fraction(2) ** self.j_min
         # the edge of each generation, gathered onto the rows as Python ints
         edges = np.array([3 << k for k in range(self.j_max - self.j_min + 1)], dtype=object)
         edge = edges[arr.j - self.j_min]
@@ -360,47 +355,59 @@ class GridWindow:
 
     @functools.cached_property
     def arrays(self) -> WindowArrays:
-        js, corner, lo, hi = [], [], [], []
-        for shift, j, ranges in self._blocks():
-            axes = [
-                _axis_arrays(t, j, j - self.j_min, r)
-                for r, t in zip(ranges, shift.thirds)
-            ]
-            # the block's cubes are the product of the axes, last fastest
-            idx = np.indices([len(r) for r in ranges]).reshape(self.n, -1)
-            corner.append(np.stack([a[0][i] for a, i in zip(axes, idx)], axis=1))
-            lo.append(np.stack([a[1][i] for a, i in zip(axes, idx)], axis=1))
-            hi.append(np.stack([a[2][i] for a, i in zip(axes, idx)], axis=1))
-            js.append(np.full(idx.shape[1], j, dtype=np.int64))
-        js = np.concatenate(js)
+        # per axis, each cube lies step cubes past the one holding the box's
+        # lower end (the start of its block's index range); within a block
+        # the cubes are the product of the axes, last fastest
+        blocks = self._blocks()
+        lens = np.array([[len(r) for r in ranges] for _, _, ranges in blocks])
+        size = lens.prod(axis=1)
+        rest = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        step = np.empty((len(rest), self.n), dtype=np.int64)
+        for i in reversed(range(self.n)):
+            rest, step[:, i] = np.divmod(rest, np.repeat(lens[:, i], size))
+        thirds = np.repeat([shift.thirds for shift, _, _ in blocks], size, axis=0)
+        js = np.repeat([j for _, j, _ in blocks], size)
+        num, den = zip(*(end.as_integer_ratio() for end, _ in self.box))
+        j = js[:, None]
+        _, corner, lo, hi = axis_cubes(thirds, j, num, den, step, j - self.j_min)
         return WindowArrays(
             j_min=self.j_min,
             j=js,
-            corner=np.concatenate(corner).astype(object),
-            lo=np.concatenate(lo),
-            hi=np.concatenate(hi),
+            corner=corner.astype(object),
+            lo=lo,
+            hi=hi,
             vol=np.ldexp(1.0, self.n * js),
         )
 
 
-def _axis_arrays(t: int, j: int, k: int, r: range):
-    """Exact corners, in units of 2^(j - k) / 3, and float lower and upper
-    ends of the generation-j cubes with the indices r on an axis shifted by
-    t thirds.  In int64, c = 3m + (-1)^j t, the corner is c 2^k and the ends
-    are (c 2^j) / 3 and (c + 3) 2^j / 3, or c / (3 2^-j) for j < 0: int64 ->
-    float64 true division is Python's int / int bit for bit while both
-    operands are below 2^53.  Past that, Python ints and axis_interval."""
-    st = t if j % 2 == 0 else -t
-    bound = max(abs(3 * r.start + st), abs(3 * r.stop + st))  # |c| and |c + 3|
-    if (bound << max(j, 0)) < 2**53 and (3 << max(-j, 0)) < 2**53 and (bound << k) < 2**63:
-        c = 3 * np.arange(r.start, r.stop, dtype=np.int64) + st
-        if j >= 0:
-            return c << k, (c << j) / 3, ((c + 3) << j) / 3
-        den = 3 << -j
-        return c << k, c / den, (c + 3) / den
-    ends = np.array([axis_interval(t, j, m) for m in r], dtype=float).reshape(-1, 2)
-    corners = np.array([(3 * m + st) << k for m in r], dtype=object)
-    return corners, ends[:, 0], ends[:, 1]
+def axis_cubes(t, j, num, den, step, k):
+    """Index m, corner c << k and float ends of the generation-j cubes, on
+    axes shifted by t thirds, that lie step cubes past the cube holding
+    num / den (den > 0; num and den of one shape; all broadcast together):
+    m = floor(num / (den 2^j) - (-1)^j t / 3) + step, c = 3m + (-1)^j t, the
+    ends the correctly rounded c 2^j / 3 and (c + 3) 2^j / 3.  In int64 while
+    the floor-division operands stay below 2^63 and the divided ones below
+    2^53 (int64 -> float64 is exact, so true division is Python's int / int
+    bit for bit); the same expressions on object-dtype Python ints past that.
+    """
+    j, step, k = np.asarray(j), np.asarray(step), np.asarray(k)
+    nums, dens = np.ravel(np.asarray(num, dtype=object)).tolist(), np.ravel(den).tolist()
+    jn, jp = max(-int(j.min()), 0), max(int(j.max()), 0)
+    # |c| + 3 <= 3 |num / den| 2^-j + 3 |step| + 8, so top bounds both |c|
+    # and (|c| + 3) 2^max(j, 0)
+    x = max(abs(a) // b for a, b in zip(nums, dens)) + 1
+    top = (3 * x << jn) + (3 * int(np.abs(step).max()) + 8 << jp)
+    operands = (3 * max(map(abs, nums)) << jn) + (3 * max(dens) << jp)
+    small = operands < 2**63 and top < 2**53 and 3 << jn < 2**53
+    ints = np.int64 if small and top << int(k.max()) < 2**63 else object
+    t, j, num, den, step, k = (np.asarray(a, dtype=ints) for a in (t, j, num, den, step, k))
+    st = np.where(j % 2 == 0, t, -t)
+    jn, jp = np.maximum(-j, 0), np.maximum(j, 0)
+    m = ((3 * num << jn) - st * (den << jp)) // (3 * den << jp) + step
+    c = 3 * m + st
+    unit = 3 << jn
+    lo, hi = (c << jp) / unit, ((c + 3) << jp) / unit
+    return m, c << k, lo.astype(float, copy=False), hi.astype(float, copy=False)
 
 
 def window_1d(

@@ -446,9 +446,10 @@ def check_domination(
 
     which = 'all_over_good': with gamma = exponent < sigma, the full family
     sum is at most 1/(1 - 2^{n(gamma-sigma)}) times the good-cube sum.
-    which = 'good_chain': with alpha = exponent > sigma, the sum over good
-    cubes below the maximal good antichain is at most
-    1/(1 - 2^{n(sigma-alpha)}) times the sum over that antichain.
+    which = 'good_chain': with alpha = exponent > sigma, the sum over all
+    good cubes is at most 1/(1 - 2^{n(sigma-alpha)}) times the sum over the
+    maximal good cubes; every good cube lies in a maximal one, as a good
+    strict ancestor has a maximal good ancestor.
     """
     if not family:
         raise ValueError("empty family")
@@ -473,14 +474,7 @@ def check_domination(
                 relate(q, r) is Relation.P_INSIDE_Q for r in good if r != q
             )
         ]
-        covered = [
-            q
-            for q in good
-            if any(
-                q == r or relate(q, r) is Relation.P_INSIDE_Q for r in maximal
-            )
-        ]
-        lhs = sum(_cube_weights(covered, alpha, mass))
+        lhs = sum(_cube_weights(good, alpha, mass))
         factor = 1.0 / (1.0 - 2.0 ** (n * (sigma - alpha)))
         rhs = factor * sum(_cube_weights(maximal, alpha, mass))
     else:

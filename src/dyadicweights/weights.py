@@ -103,8 +103,8 @@ class Weight:
 
 class ConstantWeight(Weight):
     def __init__(self, c: float, n: int = 1):
-        if c <= 0:
-            raise ValueError("constant weight must be positive")
+        if not 0 < c < math.inf:
+            raise ValueError(f"constant weight must be positive and finite, got {c}")
         self.c = float(c)
         self.n = n
 
@@ -135,6 +135,8 @@ class PowerWeight(Weight):
     """w(x) = |x - center|^exponent on R (closed-form masses)."""
 
     def __init__(self, exponent: float, center: float = 0.0):
+        if not (math.isfinite(exponent) and math.isfinite(center)):
+            raise ValueError(f"power weight needs a finite exponent and center, got {exponent}, {center}")
         if exponent <= -1:
             raise DomainError("exponent <= -1 is not locally integrable")
         self.a = float(exponent)
@@ -307,6 +309,13 @@ class ApEstimate:
 
     value: float
 
+    @classmethod
+    def from_ratios(cls, ratios: np.ndarray) -> ApEstimate:
+        """The max of the ratios and 0.0: inf is unbounded, NaN is refused."""
+        if np.isnan(ratios).any():
+            raise ValueError(f"constant ratio NaN on {np.isnan(ratios).sum()} of {len(ratios)} probes")
+        return cls(max([0.0, *ratios.tolist()]))
+
     @property
     def unbounded(self) -> bool:
         return math.isinf(self.value)
@@ -360,7 +369,7 @@ def ap_ratios(w: Weight, p: float, probes: Sequence) -> np.ndarray:
 
 def ap_constant(w: Weight, p: float, probes: Sequence) -> ApEstimate:
     """Max constant ratio over the probe family (monotone in the family)."""
-    return ApEstimate(max([0.0, *ap_ratios(w, p, probes).tolist()]))
+    return ApEstimate.from_ratios(ap_ratios(w, p, probes))
 
 
 def standard_probes(

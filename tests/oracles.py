@@ -8,9 +8,10 @@ antichain search; the classical weight-constant checks with the
 discretized maximal function; the scalar power mass and constant ratio,
 one interval at a time, as the bit-for-bit references of the array
 kernel; the classifier's probe family built by one axis_index and
-axis_interval call per cube; and the paper's checks that no runner
-reports: pointwise domination through ball means, chain sparsity of level
-sets, and dominating cubes with their multiplicity."""
+axis_interval call per cube; the Fraction forms of grid.relate and
+grid.cube_at; and the paper's checks that no runner reports: pointwise
+domination through ball means, chain sparsity of level sets, and
+dominating cubes with their multiplicity."""
 
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from dyadicweights.cli import _fmt
 from dyadicweights.diffquot import DiffQuotConfig, _warn_at_split_cap, inner_integral
 from dyadicweights.funcspace import _CATALOG, Piece, TestFunction, omega_boxes
 from dyadicweights.grid import (
-    THIRDS, AxisCube, Cube, GridWindow, Relation, Shift, _pow2, all_shifts, axis_index,
-    axis_interval, float_box, relate,
+    THIRDS, AxisCube, Cube, GridWindow, Relation, Shift, all_shifts, axis_index, axis_interval,
+    float_box, relate,
 )
 from dyadicweights.oscillation import REL_TOL, LevelMass, level_set
 from dyadicweights.quadrature import _gl, adaptive_quad, adaptive_quads
@@ -762,6 +763,10 @@ def sparse_chain_check(
     }
 
 
+def _pow2(j: int) -> Fraction:
+    return Fraction(2) ** j
+
+
 def _forced_generation(edge: Fraction) -> int:
     # unique t with 2^t in (3*edge/2, 3*edge]
     target = 3 * edge
@@ -838,3 +843,34 @@ def coefficient(f, system: WaveletSystem, idx: AtomIndex, dual_p: float = 1.0) -
     cells = a0 * b0 + 0.5 * (a0 * (b1 - b0) + b0 * (a1 - a0)) + (a1 - a0) * (b1 - b0) / 3.0
     amp = 2.0 ** (idx.j / dual_p)  # L^p amplitude at n = 1
     return amp * (float(np.sum(cells) * system.dx) / scale)
+
+
+def fraction_relate(p: Cube, q: Cube) -> Relation:
+    """Set relation of two cubes by comparing their Fraction corners: the
+    reference of grid.relate, which compares integer corners."""
+    plo, qlo = p.lower(), q.lower()
+    phi = tuple(l + p.edge for l in plo)
+    qhi = tuple(l + q.edge for l in qlo)
+    for i in range(p.n):
+        if phi[i] <= qlo[i] or qhi[i] <= plo[i]:
+            return Relation.DISJOINT
+    if plo == qlo and p.edge == q.edge:
+        return Relation.EQUAL
+    if all(qlo[i] <= plo[i] and phi[i] <= qhi[i] for i in range(p.n)):
+        return Relation.P_INSIDE_Q
+    if all(plo[i] <= qlo[i] and qhi[i] <= phi[i] for i in range(p.n)):
+        return Relation.Q_INSIDE_P
+    return Relation.INCOMPARABLE
+
+
+def fraction_cube_at(shift: Shift, j: int, point: Sequence[Fraction]) -> Cube:
+    """The generation-j cube containing ``point`` by a Fraction floor,
+    floor(x / 2^j - (-1)^j t / 3) per axis: the reference of grid.cube_at
+    and axis_index."""
+    h = _pow2(j)
+    sgn = 1 if j % 2 == 0 else -1
+    m = tuple(
+        math.floor(Fraction(x) / h - Fraction(sgn * t, 3))
+        for x, t in zip(point, shift.thirds)
+    )
+    return Cube(shift, j, m)

@@ -27,11 +27,11 @@ from dyadicweights.funcspace import (
 )
 from dyadicweights.grid import (
     AxisCube,
+    Cube,
     Relation,
     Shift,
     children,
     float_box,
-    make_cube,
     relate,
     window_1d,
 )
@@ -233,7 +233,7 @@ def test_06_non_a1_blowup():
 
 def _random_family(rng, max_size=14):
     shift = Shift((rng.choice((0, 1, 2)),))
-    root = make_cube(shift, rng.randint(-1, 2), (rng.randint(-3, 3),))
+    root = Cube(shift, rng.randint(-1, 2), (rng.randint(-3, 3),))
     fam, frontier = [root], [root]
     for _ in range(3):
         nxt = [c for q in frontier for c in children(q) if rng.random() < 0.55]
@@ -303,15 +303,15 @@ def test_08_grid_laws_randomized():
     for n in (1, 2):
         for _ in range(1600):
             shift = Shift(tuple(rng.choice((0, 1, 2)) for _ in range(n)))
-            p = make_cube(shift, rng.randint(-5, 5), tuple(rng.randint(-8, 8) for _ in range(n)))
-            q = make_cube(shift, rng.randint(-5, 5), tuple(rng.randint(-8, 8) for _ in range(n)))
+            p = Cube(shift, rng.randint(-5, 5), tuple(rng.randint(-8, 8) for _ in range(n)))
+            q = Cube(shift, rng.randint(-5, 5), tuple(rng.randint(-8, 8) for _ in range(n)))
             assert relate(p, q) is not Relation.INCOMPARABLE
             checks += 1
     # child partition exactness
     for n in (1, 2):
         for _ in range(1300):
             shift = Shift(tuple(rng.choice((0, 1, 2)) for _ in range(n)))
-            q = make_cube(shift, rng.randint(-4, 4), tuple(rng.randint(-6, 6) for _ in range(n)))
+            q = Cube(shift, rng.randint(-4, 4), tuple(rng.randint(-6, 6) for _ in range(n)))
             kids = children(q)
             assert sum(k.volume for k in kids) == q.volume
             for i in range(len(kids)):

@@ -399,6 +399,27 @@ def test_malformed_table_weight_is_a_bad_weight_spec(tmp_path, capsys, xs, value
     assert len(err) == 1 and err[0].startswith("error: bad weight spec: table weight"), err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ["weight.kind=constant", "weight.c={}"],
+        ["weight.kind=power", "weight.exponent={}"],
+        ["weight.kind=power", "weight.exponent=0.5", "weight.center={}"],
+    ],
+    ids=["c", "exponent", "center"],
+)
+def test_non_finite_weight_parameter_is_a_bad_weight_spec(tmp_path, capsys, sets, value):
+    # a NaN or infinite parameter is refused by the weight itself: exit 1
+    # and one error line, not a constant estimate of 0.0 from NaN ratios
+    argv = ["ap-constant", "--out", str(tmp_path)]
+    for pair in sets:
+        argv += ["--set", pair.format(value)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad weight spec: "), err
+
+
 def test_parse_config_text_sections_and_types():
     cfg = parse_config_text(
         """

@@ -21,12 +21,19 @@ from dyadicweights.grid import (
     children,
     cube_at,
     float_box,
-    make_cube,
     parent,
     relate,
     window_1d,
 )
-from oracles import as_axis_cube, contains_point, dom_multiplicity, dominating_cube, dominating_set
+from oracles import (
+    as_axis_cube,
+    contains_point,
+    dom_multiplicity,
+    dominating_cube,
+    dominating_set,
+    fraction_cube_at,
+    fraction_relate,
+)
 
 S0 = Shift((0,))
 S13 = Shift((1,))
@@ -39,48 +46,48 @@ def ival(c: Cube):
 
 
 def test_make_cube_identity_case():
-    q = make_cube(S0, 0, (0,))
+    q = Cube(S0, 0, (0,))
     assert ival(q) == (0, 1)
 
 
 def test_make_cube_even_generation_adds_shift():
-    q = make_cube(S13, 0, (0,))
+    q = Cube(S13, 0, (0,))
     assert ival(q) == (Fraction(1, 3), Fraction(4, 3))
 
 
 def test_make_cube_odd_generation_subtracts_shift():
-    q = make_cube(S13, 1, (0,))
+    q = Cube(S13, 1, (0,))
     assert ival(q) == (Fraction(-2, 3), Fraction(4, 3))
 
 
 def test_make_cube_dimension_mismatch():
     with pytest.raises(Exception):
-        make_cube(S0, 0, (0, 1))
+        Cube(S0, 0, (0, 1))
 
 
 def test_relate_basic_nesting():
-    p = make_cube(S0, -1, (0,))  # [0, 1/2)
-    q = make_cube(S0, 0, (0,))  # [0, 1)
+    p = Cube(S0, -1, (0,))  # [0, 1/2)
+    q = Cube(S0, 0, (0,))  # [0, 1)
     assert relate(p, q) is Relation.P_INSIDE_Q
     assert relate(q, p) is Relation.Q_INSIDE_P
     assert relate(q, q) is Relation.EQUAL
 
 
 def test_relate_shifted_child():
-    p = make_cube(S13, 0, (0,))  # [1/3, 4/3)
-    q = make_cube(S13, 1, (0,))  # [-2/3, 4/3)
+    p = Cube(S13, 0, (0,))  # [1/3, 4/3)
+    q = Cube(S13, 1, (0,))  # [-2/3, 4/3)
     assert relate(p, q) is Relation.P_INSIDE_Q
     assert p in children(q)
 
 
 def test_relate_cross_shift_incomparable():
-    p = make_cube(S0, 0, (0,))  # [0,1)
-    q = make_cube(S13, 0, (0,))  # [1/3, 4/3)
+    p = Cube(S0, 0, (0,))  # [0,1)
+    q = Cube(S13, 0, (0,))  # [1/3, 4/3)
     assert relate(p, q) is Relation.INCOMPARABLE
 
 
 def test_children_partition_unit_interval():
-    q = make_cube(S0, 0, (0,))
+    q = Cube(S0, 0, (0,))
     kids = children(q)
     assert sorted(ival(k) for k in kids) == [
         (0, Fraction(1, 2)),
@@ -89,20 +96,20 @@ def test_children_partition_unit_interval():
 
 
 def test_parent_of_shifted_cube():
-    p = make_cube(S13, 0, (0,))
+    p = Cube(S13, 0, (0,))
     assert ival(parent(p)) == (Fraction(-2, 3), Fraction(4, 3))
     # exhaustive: the parent is the only generation-1 shifted cube containing p
     hits = [
         m
         for m in range(-5, 5)
-        if relate(p, make_cube(S13, 1, (m,))) is Relation.P_INSIDE_Q
+        if relate(p, Cube(S13, 1, (m,))) is Relation.P_INSIDE_Q
     ]
-    assert len(hits) == 1 and make_cube(S13, 1, (hits[0],)) == parent(p)
+    assert len(hits) == 1 and Cube(S13, 1, (hits[0],)) == parent(p)
 
 
 def test_children_2d_partition():
     s = Shift((0, 0))
-    q = make_cube(s, 0, (0, 0))
+    q = Cube(s, 0, (0, 0))
     kids = children(q)
     assert len(kids) == 4
     for a in kids:
@@ -119,7 +126,7 @@ def test_parent_child_roundtrip_random(n):
         shift = Shift(tuple(rng.choice((0, 1, 2)) for _ in range(n)))
         j = rng.randint(-6, 6)
         m = tuple(rng.randint(-20, 20) for _ in range(n))
-        q = make_cube(shift, j, m)
+        q = Cube(shift, j, m)
         for c in children(q):
             assert parent(c) == q
             assert relate(c, q) is Relation.P_INSIDE_Q
@@ -130,17 +137,54 @@ def test_same_shift_trichotomy_random(n):
     rng = random.Random(11 + n)
     for _ in range(500):
         shift = Shift(tuple(rng.choice((0, 1, 2)) for _ in range(n)))
-        p = make_cube(
+        p = Cube(
             shift,
             rng.randint(-5, 5),
             tuple(rng.randint(-8, 8) for _ in range(n)),
         )
-        q = make_cube(
+        q = Cube(
             shift,
             rng.randint(-5, 5),
             tuple(rng.randint(-8, 8) for _ in range(n)),
         )
         assert relate(p, q) is not Relation.INCOMPARABLE
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_relate_matches_the_fraction_corners_random(n):
+    # integer corners scaled to the finer generation against Fraction
+    # corners, at every shift pair and generations on both sides of 0;
+    # every relation occurs
+    rng = random.Random(31 + n)
+    seen = set()
+    for _ in range(3000):
+        p, q = (
+            Cube(
+                Shift(tuple(rng.choice((0, 1, 2)) for _ in range(n))),
+                rng.randint(-6, 4),
+                tuple(rng.randint(-6, 6) for _ in range(n)),
+            )
+            for _ in range(2)
+        )
+        if rng.random() < 0.3:  # nested and equal pairs are rare by chance
+            q = p
+            for _ in range(rng.randint(0, 3)):
+                q = parent(q)
+            p, q = (p, q) if rng.random() < 0.5 else (q, p)
+        want = fraction_relate(p, q)
+        assert relate(p, q) is want, (p, q)
+        seen.add(want)
+    assert seen == set(Relation)
+
+
+def test_relate_and_cube_at_build_no_fraction(monkeypatch):
+    # both read the integer coordinate: a Fraction built through the grid
+    # module (Cube.lower, edge, volume) fails
+    x = Fraction(1, 4)
+    monkeypatch.setattr(grid, "Fraction", None)
+    p, q = Cube(S13, -3, (2,)), Cube(S13, 1, (0,))  # [5/24, 1/3) in [-2/3, 4/3)
+    assert relate(p, q) is Relation.P_INSIDE_Q and relate(q, p) is Relation.Q_INSIDE_P
+    assert cube_at(S13, -3, (x,)) == p and cube_at(S13, 1, (0.25,)) == q
 
 
 def test_cube_at_contains_point():
@@ -172,7 +216,9 @@ def test_axis_index_matches_cube_at():
         for shift in all_shifts(1):
             for j in range(-48, 27):
                 m = axis_index(shift.thirds[0], j, x.numerator, x.denominator)
-                assert m == cube_at(shift, j, (x,)).m[0], (x, shift, j)
+                assert m == fraction_cube_at(shift, j, (x,)).m[0], (x, shift, j)
+                y = (float(x),)  # a float point is its exact binary value
+                assert cube_at(shift, j, y) == fraction_cube_at(shift, j, y), (y, shift, j)
 
 
 def test_dominating_cube_unit_interval():
@@ -346,16 +392,16 @@ def test_window_arrays_far_from_origin():
         assert max(abs(3 * arr.cube(i).m[0]) for i in range(len(arr))) > 2**53
 
 
-def test_window_arrays_mix_int64_blocks_and_python_fallback(monkeypatch):
+def test_window_arrays_mix_int64_blocks_and_python_fallback():
     # near 2^49 the generations j >= -2 fit the int64 path (|3m| 2^max(j,0)
-    # below 2^53) and j = -3 does not: both kinds of block in one window
-    calls = []
-    axis_interval = grid.axis_interval
-    monkeypatch.setattr(grid, "axis_interval", lambda *a: calls.append(a) or axis_interval(*a))
+    # below 2^53) and j = -3 does not: the window down to j = -2 is built in
+    # int64, the one down to j = -3 in Python ints, both bit for bit
     lo = 2**49 + Fraction(2, 7)
-    arr = _assert_arrays_are_cubes(window_1d(lo, lo + 3, -3, 2, shifts=all_shifts(1)))
-    assert {j for _, j, _ in calls} == {-3}
-    assert len(calls) == int(np.sum(arr.j == -3)) > 0
+    num, den = lo.as_integer_ratio()
+    for j_min, ints in ((-2, np.int64), (-3, object)):
+        _assert_arrays_are_cubes(window_1d(lo, lo + 3, j_min, 2, shifts=all_shifts(1)))
+        m, *_ = grid.axis_cubes(1, np.arange(j_min, 3), num, den, 0, 0)
+        assert m.dtype == ints
 
 
 def test_window_index_ranges_are_the_cubes_meeting_the_open_box():
@@ -412,7 +458,7 @@ def test_window_budget_guard():
 
 
 def test_as_axis_cube_matches():
-    q = make_cube(S13, 1, (2,))
+    q = Cube(S13, 1, (2,))
     a = as_axis_cube(q)
     assert a.lower_corner == q.lower()
     assert a.edge == q.edge
@@ -427,7 +473,7 @@ def test_float_box_region_forms():
     box = ((0, 1), (third, 2), (-1, 5))
     assert float_box(box) == [(0.0, 1.0), (float(third), 2.0), (-1.0, 5.0)]
     assert float_box(np.array([[0.0, 1.0], [2.0, 3.0]])) == [(0.0, 1.0), (2.0, 3.0)]
-    for q in (make_cube(S13, -3, (2,)), make_cube(Shift((1, 2)), 1, (2, -1))):
+    for q in (Cube(S13, -3, (2,)), Cube(Shift((1, 2)), 1, (2, -1))):
         want = [(float(lo), float(lo + q.edge)) for lo in q.lower()]
         assert float_box(q) == want
         assert float_box(as_axis_cube(q)) == want

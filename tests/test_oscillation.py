@@ -24,11 +24,11 @@ from dyadicweights.oscillation import (
 )
 from dyadicweights.funcspace import catalog, omega_boxes
 from dyadicweights.grid import (
+    Cube,
     GridWindow,
     Shift,
     all_shifts,
     children,
-    make_cube,
     window_1d,
 )
 from dyadicweights.records import VerificationRecord
@@ -105,7 +105,7 @@ def test_level_set_bump_certifying_interval():
         b = beta + 1.0 - 1.0 / p
         w = window_1d(-8, 8, 0, 3)
         members, _ = level_set(_oms(f, w), w, lam, b)
-        target = make_cube(S0, 2, (0,))  # [0, 4)
+        target = Cube(S0, 2, (0,))  # [0, 4)
         assert float(target.interval()[0]) == 0.0 and float(target.edge) == 4.0
         assert target in members
 
@@ -348,7 +348,7 @@ def test_unbounded_estimate_leaves_both_functionals_uncertified():
 
 
 def unit_cube():
-    return make_cube(S0, 0, (0,))
+    return Cube(S0, 0, (0,))
 
 
 def test_singleton_family_good():
@@ -376,7 +376,7 @@ def test_parent_bad_at_sigma_zero():
 
 def random_family(rng: random.Random, max_size: int = 14):
     shift = Shift((rng.choice((0, 1, 2)),))
-    root = make_cube(shift, rng.randint(-1, 2), (rng.randint(-3, 3),))
+    root = Cube(shift, rng.randint(-1, 2), (rng.randint(-3, 3),))
     pool = [root]
     frontier = [root]
     for _ in range(3):
@@ -467,7 +467,7 @@ def test_domination_rejects_bad_exponent():
 
 
 def test_classify_rejects_cross_shift():
-    fam = [make_cube(S0, 0, (0,)), make_cube(Shift((1,)), 0, (0,))]
+    fam = [Cube(S0, 0, (0,)), Cube(Shift((1,)), 0, (0,))]
     with pytest.raises(ValueError):
         classify_good(fam, 1.0, ConstantWeight(1.0))
 

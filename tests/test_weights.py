@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dyadicweights.grid import AxisCube, Shift, make_cube
+from dyadicweights.grid import AxisCube, Cube, Shift
 from dyadicweights.quadrature import adaptive_quad
 from dyadicweights.weights import (
     ConstantWeight,
@@ -42,7 +42,7 @@ def _ratio(w, p: float, region) -> float:
 
 def test_constant_mass_unit_cube():
     w = ConstantWeight(1.0)
-    q = make_cube(Shift((0,)), 0, (0,))
+    q = Cube(Shift((0,)), 0, (0,))
     assert w.mass(q) == 1.0
 
 
@@ -277,6 +277,19 @@ def test_ap_constant_p1_unbounded_for_vanishing_weight():
     w = PowerWeight(0.5)  # vanishes at 0: ess inf 0 on cubes containing 0
     est = ap_constant(w, 1.0, [(-1.0, 1.0)])
     assert est.unbounded and math.isinf(est.value)
+
+
+def test_ap_constant_refuses_a_nan_ratio(monkeypatch):
+    # max([0.0, *ratios]) would drop a NaN; an inf ratio is the unbounded
+    # estimate
+    from dyadicweights import weights
+
+    w, probes = PowerWeight(-0.5), [(-1.0, 1.0)] * 3
+    monkeypatch.setattr(weights, "ap_ratios", lambda *_: np.array([2.0, math.nan, 1.0]))
+    with pytest.raises(ValueError, match="NaN on 1 of 3 probes"):
+        ap_constant(w, 1.0, probes)
+    monkeypatch.setattr(weights, "ap_ratios", lambda *_: np.array([2.0, math.inf, 1.0]))
+    assert ap_constant(w, 1.0, probes).unbounded
 
 
 def test_ap_estimate_bound_rule():
