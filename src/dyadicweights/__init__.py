@@ -18,7 +18,7 @@ from dyadicweights.oscillation import (
 )
 from dyadicweights.experiments import sharpness_sweep, weight_classifier
 from dyadicweights.funcspace import Quadrature, catalog, omega, sobolev_seminorm
-from dyadicweights.grid import AxisCube, Cube, GridWindow, Relation, Shift, window_1d
+from dyadicweights.grid import AxisCube, Cube, GridWindow, Shift, window_1d
 from dyadicweights.records import FunctionalProfile, VerificationRecord
 from dyadicweights.wavelet import IndexSet, build_daubechies, verify_almost_char
 from dyadicweights.weights import (
@@ -42,7 +42,6 @@ __all__ = [
     "PowerWeight",
     "ProductWeight",
     "Quadrature",
-    "Relation",
     "Shift",
     "VerificationRecord",
     "ap_constant",

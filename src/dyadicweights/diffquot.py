@@ -40,6 +40,7 @@ from dyadicweights.records import (
     FunctionalProfile,
     VerificationRecord,
     ratio,
+    require_finite,
 )
 from dyadicweights.weights import Weight
 
@@ -86,6 +87,9 @@ class DiffQuotConfig:
     exploratory: bool = False
 
     def __post_init__(self):
+        require_finite(
+            p=self.p, q=self.q, gamma=self.gamma, lambda_lo=self.lambda_lo, lambda_hi=self.lambda_hi
+        )
         if self.p < 1 or self.q <= 0:
             raise ValueError("need p >= 1 and q > 0")
         self.n = 1

@@ -29,7 +29,7 @@ from dyadicweights.funcspace import (
     omega_intervals,
 )
 from dyadicweights.grid import THIRDS, Cube, Shift, axis_cubes, axis_interval, window_1d
-from dyadicweights.records import ConfigError
+from dyadicweights.records import ConfigError, require_finite
 from dyadicweights.weights import (
     ConstantWeight,
     PowerWeight,
@@ -363,6 +363,7 @@ def weight_classifier(
     and smallest positive values are within a factor 2 are consistent with
     membership; sustained growth by a factor 4 per doubling is a violation.
     """
+    require_finite(p=p)
     centers = [0.0] + [c for c in weight.breakpoints() if c != 0.0]
     fixed = {
         "tent": catalog("tent"),

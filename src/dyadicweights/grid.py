@@ -6,17 +6,19 @@ A grid with shift ``alpha`` in {0, 1/3, 2/3}^n consists of the half-open cubes
 
 Shifts are stored as integer thirds t, so a cube's lower corner is, per
 axis, the integer c = 3m + (-1)^j t in units of 2^j / 3 (edge 3).  Every
-geometric decision reads it: ``relate`` at the finer generation, and
-``cube_at`` and window ranges by floor division (``axis_index``);
-``axis_cubes`` is the one array kernel for the index, corner and float ends
-of many cubes (window arrays, classifier probes).  Fractions remain only in
-the reporting accessors ``Cube.lower``, ``interval``, ``edge``, ``volume``
-and the repr; floats only as correctly rounded exact corners.
+geometric decision reads it: ``cube_at`` and window ranges by floor
+division (``axis_index``); nesting and window boundaries by comparing
+corners shifted to a common lowest generation j0, c << (j - j0) with edge
+3 << (j - j0) (``GridWindow.boundary_flags`` here, the good-cube families
+of ``oscillation``).  ``axis_cubes`` is the one array kernel for the index,
+corner and float ends of many cubes (window arrays, classifier probes).
+Fractions remain only in the reporting accessors ``Cube.lower``,
+``interval``, ``edge``, ``volume`` and the repr; floats only as correctly
+rounded exact corners.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -35,14 +37,6 @@ class BudgetError(RuntimeError):
 
 class DimensionError(ValueError):
     """Raised when operands have mismatched dimension."""
-
-
-class Relation(enum.Enum):
-    DISJOINT = "disjoint"
-    EQUAL = "equal"
-    P_INSIDE_Q = "p_inside_q"
-    Q_INSIDE_P = "q_inside_p"
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True)
@@ -148,33 +142,6 @@ def cube_at(shift: Shift, j: int, point: Sequence) -> Cube:
     return Cube(shift, j, tuple(m))
 
 
-def relate(p: Cube, q: Cube) -> Relation:
-    """Set relation of two cubes, decided on their integer corners at the
-    finer generation j0: a generation-j corner c is c << (j - j0) there,
-    and the edge 3 << (j - j0).
-
-    Same-shift pairs always land in the first four cases (nesting trichotomy);
-    cross-shift pairs may be INCOMPARABLE.
-    """
-    if p.n != q.n:
-        raise DimensionError("cubes must share dimension")
-    j0 = min(p.j, q.j)
-    dp, dq = p.j - j0, q.j - j0
-    plo = [c << dp for c in p.corner()]
-    qlo = [c << dq for c in q.corner()]
-    pe, qe = 3 << dp, 3 << dq
-    pairs = list(zip(plo, qlo))
-    if any(a + pe <= b or b + qe <= a for a, b in pairs):
-        return Relation.DISJOINT
-    if plo == qlo and pe == qe:
-        return Relation.EQUAL
-    if all(b <= a and a + pe <= b + qe for a, b in pairs):
-        return Relation.P_INSIDE_Q
-    if all(a <= b and b + qe <= a + pe for a, b in pairs):
-        return Relation.Q_INSIDE_P
-    return Relation.INCOMPARABLE
-
-
 def children(q: Cube) -> list[Cube]:
     """The 2^n next-generation cubes partitioning q (same shift)."""
     sgn = 1 if q.j % 2 == 0 else -1
@@ -184,20 +151,6 @@ def children(q: Cube) -> list[Cube]:
         t = tuple((mask >> i) & 1 for i in range(q.n))
         out.append(Cube(q.shift, q.j - 1, tuple(b + ti for b, ti in zip(base, t))))
     return out
-
-
-def parent(q: Cube) -> Cube:
-    """The unique same-shift cube of generation j+1 containing q.
-
-    Uses that 3*alpha is integral, so the index arithmetic never leaves Z^n.
-    """
-    jp = q.j + 1
-    sgn = 1 if jp % 2 == 0 else -1
-    mp = []
-    for mi, ti in zip(q.m, q.shift.thirds):
-        num = mi - sgn * ti
-        mp.append((num - (num % 2)) // 2)
-    return Cube(q.shift, jp, tuple(mp))
 
 
 @dataclass(frozen=True)
@@ -238,12 +191,13 @@ class WindowArrays:
     ``GridWindow.cubes()``.
 
     ``j`` (N,) holds each cube's generation as an int array, and ``j_min``
-    the window's lowest generation.  ``corner`` holds each Cube.corner()
-    shifted left by j - j_min, as Python ints in units of 2^j_min / 3 (edge
-    3 * 2^(j - j_min)).  ``lo`` and ``hi`` are (N, n) floats, each the correctly
-    rounded value of an exact corner, and ``vol`` the (N,) float volumes
-    2^(j n).  The floats feed only closed forms; every nesting or boundary
-    decision reads ``corner``.
+    the window's lowest generation.  ``corner`` (N, n) holds each
+    Cube.corner() shifted left by j - j_min, in units of 2^j_min / 3 (edge
+    3 * 2^(j - j_min)), in the dtype ``axis_cubes`` gives: int64 while its
+    guard holds, object-dtype Python ints past it.  ``lo`` and ``hi`` are
+    (N, n) floats, each the correctly rounded value of an exact corner, and
+    ``vol`` the (N,) float volumes 2^(j n).  The floats feed only closed
+    forms; every nesting or boundary decision reads ``corner``.
     """
 
     j_min: int
@@ -311,24 +265,18 @@ class GridWindow:
             ranges.append(range(m_lo, m_hi + 1))
         return ranges
 
-    def _block_list(self) -> list[tuple[Shift, int, list[range]]]:
-        """(shift, j, index ranges) of every block in enumeration order."""
-        return [
+    def _blocks(self) -> list[tuple[Shift, int, list[range]]]:
+        """(shift, j, index ranges) of every block in enumeration order,
+        after checking the cube count against the budget."""
+        blocks = [
             (shift, j, self._index_ranges(shift, j))
             for shift in self.shifts
             for j in range(self.j_max, self.j_min - 1, -1)
         ]
-
-    def _blocks(self) -> list[tuple[Shift, int, list[range]]]:
-        """_block_list, after checking the cube count against the budget."""
-        blocks = self._block_list()
         total = sum(math.prod(map(len, ranges)) for _, _, ranges in blocks)
         if total > self.budget:
             raise BudgetError(f"window holds {total} cubes, budget is {self.budget}")
         return blocks
-
-    def count(self) -> int:
-        return sum(math.prod(map(len, ranges)) for _, _, ranges in self._block_list())
 
     def cubes(self) -> Iterator[Cube]:
         for shift, j, ranges in self._blocks():
@@ -338,19 +286,18 @@ class GridWindow:
     def boundary_flags(self) -> np.ndarray:
         """Per row of ``arrays``: whether the cube reaches outside the box.
 
-        Exact: the integer corners are compared with the box scaled into
-        the same units, 2^j_min / 3, by cross-multiplication.
+        Exact: in units of 2^j_min / 3 a cube is [c, c + 3 << (j - j_min)),
+        and it leaves [lo, hi] when c < ceil(lo 3 / 2^j_min) or its top end
+        exceeds floor(hi 3 / 2^j_min).  The two integer bounds are taken
+        once per axis, and the comparisons run in the corners' own dtype.
         """
         arr = self.arrays
         unit = 3 / Fraction(2) ** self.j_min
-        # the edge of each generation, gathered onto the rows as Python ints
-        edges = np.array([3 << k for k in range(self.j_max - self.j_min + 1)], dtype=object)
-        edge = edges[arr.j - self.j_min]
+        edge = 3 << (arr.j - self.j_min).astype(arr.corner.dtype)
         out = np.zeros(len(arr), dtype=bool)
         for c, (blo, bhi) in zip(arr.corner.T, self.box):
             lo, hi = Fraction(blo) * unit, Fraction(bhi) * unit
-            out |= c * lo.denominator < lo.numerator
-            out |= (c + edge) * hi.denominator > hi.numerator
+            out |= (c < math.ceil(lo)) | (c + edge > math.floor(hi))
         return out
 
     @functools.cached_property
@@ -373,7 +320,7 @@ class GridWindow:
         return WindowArrays(
             j_min=self.j_min,
             j=js,
-            corner=corner.astype(object),
+            corner=corner,
             lo=lo,
             hi=hi,
             vol=np.ldexp(1.0, self.n * js),

@@ -23,12 +23,13 @@ from dyadicweights.funcspace import (
     sobolev_seminorm,
     weighted_lp_mass,
 )
-from dyadicweights.grid import AxisCube, Cube, GridWindow, Relation, float_box, relate
+from dyadicweights.grid import AxisCube, Cube, GridWindow, axis_interval
 from dyadicweights.records import (
     RATIO_CEILING,
     FunctionalProfile,
     VerificationRecord,
     ratio,
+    require_finite,
 )
 from dyadicweights.weights import Weight, ap_constant, powers, standard_probes
 
@@ -62,6 +63,7 @@ class OscillationConfig:
     exploratory: bool = False
 
     def __post_init__(self):
+        require_finite(p=self.p, beta=self.beta)
         if self.p < 1:
             raise ValueError("p must be >= 1")
         self.admissible = admissible_beta(self.p, self.beta, self.window.n)
@@ -313,6 +315,7 @@ def mean_functional(
     of |f| exceeds lam |Q|^(beta-1/p).  The lambda grid has 64 log-spaced
     points besides the thresholds.
     """
+    require_finite(p=p, beta=beta)
     if not mean_admissible_beta(p, beta):
         raise ValueError(
             f"beta={beta} rejected: the mean functional needs "
@@ -363,36 +366,33 @@ def verify_mean_functional(
 # ---------------------------------------------------------------------------
 
 
-def _containment_forest(family: list[Cube]) -> list[list[int]]:
-    """children[i] = indices of maximal family members strictly inside i."""
-    order = sorted(range(len(family)), key=lambda i: -family[i].j)
-    parent = [None] * len(family)
-    for pos, i in enumerate(order):
-        # smallest strict ancestor among already-placed (larger) cubes
-        best = None
-        for j in order[:pos]:
-            r = relate(family[i], family[j])
-            if r is Relation.P_INSIDE_Q:
-                if best is None or family[j].j < family[best].j:
-                    best = j
-        parent[i] = best
-    children: list[list[int]] = [[] for _ in family]
-    for i, par in enumerate(parent):
-        if par is not None:
-            children[par].append(i)
-    return children
+def _family_arrays(family: list[Cube], w: Weight):
+    """(j, inside, mass) of a same-shift family without repeats: each cube's
+    generation, inside[i, k] whether cube i lies strictly inside cube k, and
+    each mass w(q) from one Weight.masses call on the cubes' float ends.
+
+    Containment is one comparison of integer corners at the family's lowest
+    generation j0, where a generation-j corner c is c << (j - j0) and the
+    edge 3 << (j - j0), as Python ints: a family may span more than 63
+    generations.
+    """
+    if len({q.shift for q in family}) > 1:
+        raise ValueError("good/bad classification needs a same-shift family")
+    if len(set(family)) != len(family):
+        raise ValueError("family has repeated cubes")
+    j = np.array([q.j for q in family])
+    j0 = int(j.min())
+    lo = np.array([[c << (q.j - j0) for c in q.corner()] for q in family], dtype=object)
+    hi = lo + np.array([3 << (q.j - j0) for q in family], dtype=object)[:, None]
+    within = (lo[None, :] <= lo[:, None]) & (hi[:, None] <= hi[None, :])
+    inside = np.all(within, axis=2) & (j[:, None] < j[None, :])
+    ends = np.array([[axis_interval(t, q.j, m) for t, m in zip(q.shift.thirds, q.m)] for q in family])
+    return j, inside, w.masses(ends[..., 0], ends[..., 1])
 
 
-def _cube_masses(family: list[Cube], w: Weight) -> dict:
-    """w(q) of each cube of the family, by one Weight.masses call over the
-    cubes' float boxes."""
-    box = np.array([float_box(q) for q in family])
-    return dict(zip(family, w.masses(box[..., 0], box[..., 1]).tolist()))
-
-
-def _cube_weights(cubes, sigma: float, mass: dict) -> list[float]:
-    """|q|^(sigma - 1) w(q) of each cube, w(q) read from ``mass``."""
-    return [float(q.volume) ** (sigma - 1.0) * mass[q] for q in cubes]
+def _cube_weights(j, n: int, sigma: float, mass) -> np.ndarray:
+    """|q|^(sigma - 1) w(q) of each cube, |q| = 2^(j n)."""
+    return powers(np.ldexp(1.0, n * j), sigma - 1.0) * mass
 
 
 def classify_good(
@@ -406,32 +406,29 @@ def classify_good(
     """
     if not family:
         return [], []
-    return _classify(family, sigma, _cube_masses(family, w))
+    j, inside, mass = _family_arrays(family, w)
+    good = _good(j, inside, _cube_weights(j, family[0].n, sigma, mass))
+    return [q for q, g in zip(family, good) if g], [q for q, g in zip(family, good) if not g]
 
 
-def _classify(family: list[Cube], sigma: float, mass: dict) -> tuple[list[Cube], list[Cube]]:
-    """classify_good with the masses of the family's cubes given."""
-    shifts = {q.shift.thirds for q in family}
-    if len(shifts) > 1:
-        raise ValueError("good/bad classification needs a same-shift family")
-    if len(set(family)) != len(family):
-        raise ValueError("family has repeated cubes")
-    children = _containment_forest(family)
-    wgt = _cube_weights(family, sigma, mass)
-    best = [0.0] * len(family)
-    order = sorted(range(len(family)), key=lambda i: family[i].j)
-    for i in order:  # ascending generation: children first
-        below = sum(best[c] for c in children[i])
-        best[i] = max(wgt[i], below)
-    good, bad = [], []
-    for i, q in enumerate(family):
-        if not children[i]:
-            good.append(q)
-        elif sum(best[c] for c in children[i]) <= wgt[i] * (1 + 1e-12):
-            good.append(q)
-        else:
-            bad.append(q)
-    return good, bad
+def _good(j, inside, wgt: np.ndarray) -> list[bool]:
+    """Whether each cube of a family is good, from its arrays and weights.
+
+    A cube's parent in the containment forest is the member of the smallest
+    generation that holds it strictly (the ancestors of a cube in a
+    same-shift family form a chain)."""
+    wgt = wgt.tolist()
+    parent = np.where(inside, j[None, :], np.iinfo(np.int64).max).argmin(axis=1).tolist()
+    children: list[list[int]] = [[] for _ in wgt]
+    for i in np.flatnonzero(inside.any(axis=1)).tolist():
+        children[parent[i]].append(i)
+    best = [0.0] * len(wgt)
+    for i in np.argsort(j, kind="stable").tolist():  # ascending generation: children first
+        best[i] = max(wgt[i], sum(best[c] for c in children[i]))
+    return [
+        not kids or sum(best[c] for c in kids) <= own * (1 + 1e-12)
+        for kids, own in zip(children, wgt)
+    ]
 
 
 def check_domination(
@@ -454,29 +451,26 @@ def check_domination(
     if not family:
         raise ValueError("empty family")
     n = family[0].n
-    mass = _cube_masses(family, w)
-    good, _ = _classify(family, sigma, mass)
+    j, inside, mass = _family_arrays(family, w)
+    good = np.array(_good(j, inside, _cube_weights(j, n, sigma, mass)))
     if which == "all_over_good":
         gamma = exponent
         if gamma >= sigma:
             raise ValueError("needs exponent < sigma")
-        lhs = sum(_cube_weights(family, gamma, mass))
+        wgt = _cube_weights(j, n, gamma, mass)
+        lhs = sum(wgt.tolist())
         factor = 1.0 / (1.0 - 2.0 ** (n * (gamma - sigma)))
-        rhs = factor * sum(_cube_weights(good, gamma, mass))
+        rhs = factor * sum(wgt[good].tolist())
     elif which == "good_chain":
         alpha = exponent
         if alpha <= sigma:
             raise ValueError("needs exponent > sigma")
-        maximal = [
-            q
-            for q in good
-            if not any(
-                relate(q, r) is Relation.P_INSIDE_Q for r in good if r != q
-            )
-        ]
-        lhs = sum(_cube_weights(good, alpha, mass))
+        # the good cubes inside no other good cube
+        maximal = good & ~np.any(inside & good, axis=1)
+        wgt = _cube_weights(j, n, alpha, mass)
+        lhs = sum(wgt[good].tolist())
         factor = 1.0 / (1.0 - 2.0 ** (n * (sigma - alpha)))
-        rhs = factor * sum(_cube_weights(maximal, alpha, mass))
+        rhs = factor * sum(wgt[maximal].tolist())
     else:
         raise ValueError(f"unknown check {which!r}")
     return VerificationRecord(
@@ -485,5 +479,5 @@ def check_domination(
         rhs=rhs,
         ceiling=1.0 + REL_TOL,
         certified=True,
-        details={"sigma": sigma, "exponent": exponent, "n_good": len(good)},
+        details={"sigma": sigma, "exponent": exponent, "n_good": int(good.sum())},
     )

@@ -10,6 +10,13 @@ class ConfigError(ValueError):
     """An input the runners cannot act on, reported as one error line."""
 
 
+def require_finite(**values: float) -> None:
+    """Refuse a NaN or infinite value: ValueError naming the first one."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 # Largest lhs/rhs ratio a check passes when its bound carries a constant that
 # is only estimated.
 RATIO_CEILING = 100.0

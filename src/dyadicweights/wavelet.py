@@ -83,9 +83,6 @@ class WaveletSystem:
     def dx(self) -> float:
         return 2.0**-self.depth
 
-    def base(self, e: int) -> np.ndarray:
-        return self.phi if e == 0 else self.psi
-
     def moment(self, k: int) -> float:
         xs = np.arange(len(self.psi)) * self.dx
         return float(np.sum(xs**k * self.psi) * self.dx)

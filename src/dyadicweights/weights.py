@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from dyadicweights.grid import float_box
+from dyadicweights.records import require_finite
 
 
 class DomainError(ValueError):
@@ -351,6 +352,7 @@ def ap_ratios(w: Weight, p: float, probes: Sequence) -> np.ndarray:
     one kernel call for the masses, and one ess_inf call (p = 1) or one
     dual kernel call (p > 1).  A product weight multiplies its per-axis
     ratios in axis order; a constant weight on R^n, n >= 2, has ratio 1."""
+    require_finite(p=p)
     if p < 1:
         raise ValueError("p must be >= 1")
     if not probes:

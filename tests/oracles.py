@@ -1,20 +1,23 @@
 """Oracles and helpers used only by the tests: pointwise membership in the
 difference-quotient level sets, one pair (x, y) at a time by scalar
-arithmetic; value oracles and norms of single wavelet atoms, and the
-per-atom coefficient; the masked wavelet cascade; results.csv spelled cell
+arithmetic; value oracles and norms of single wavelet atoms, from their
+sampled mother function, and the per-atom coefficient; the masked wavelet cascade; results.csv spelled cell
 by cell; omega of a non-linear function one interval at a time, over its
 monotone parts; the closed form of omega for an indicator; the exhaustive
 antichain search; the classical weight-constant checks with the
 discretized maximal function; the scalar power mass and constant ratio,
 one interval at a time, as the bit-for-bit references of the array
 kernel; the classifier's probe family built by one axis_index and
-axis_interval call per cube; the Fraction forms of grid.relate and
+axis_interval call per cube; the set relation of one pair of cubes on
+integer corners (``relate``, the reference of the good-cube containment
+arrays) and a cube's parent; the Fraction forms of relate and
 grid.cube_at; and the paper's checks that no runner reports: pointwise
 domination through ball means, chain sparsity of level sets, and
 dominating cubes with their multiplicity."""
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 import sys
@@ -27,8 +30,8 @@ from dyadicweights.cli import _fmt
 from dyadicweights.diffquot import DiffQuotConfig, _warn_at_split_cap, inner_integral
 from dyadicweights.funcspace import _CATALOG, Piece, TestFunction, omega_boxes
 from dyadicweights.grid import (
-    THIRDS, AxisCube, Cube, GridWindow, Relation, Shift, all_shifts, axis_index, axis_interval,
-    float_box, relate,
+    THIRDS, AxisCube, Cube, DimensionError, GridWindow, Shift, all_shifts, axis_index,
+    axis_interval, float_box,
 )
 from dyadicweights.oscillation import REL_TOL, LevelMass, level_set
 from dyadicweights.quadrature import _gl, adaptive_quad, adaptive_quads
@@ -45,6 +48,7 @@ from dyadicweights.weights import (
     ConstantWeight,
     DomainError,
     PowerWeight,
+    ProductWeight,
     TableWeight,
     Weight,
     ap_constant,
@@ -84,10 +88,15 @@ def split_and_mean_sets(
     return in_e, in_e1, in_e2
 
 
+def base(system: WaveletSystem, e: int) -> np.ndarray:
+    """The sampled mother function of an atom: phi at e = 0, psi at e = 1."""
+    return system.phi if e == 0 else system.psi
+
+
 def sample_value(system: WaveletSystem, e: int, u: np.ndarray) -> np.ndarray:
     """Linear interpolation of the sampled mother function (phi at e = 0,
     psi at e = 1) at points u, 0 off its support."""
-    arr = system.base(e)
+    arr = base(system, e)
     pos = np.asarray(u, dtype=float) / system.dx
     idx = np.clip(np.floor(pos).astype(int), 0, len(arr) - 2)
     frac = pos - idx
@@ -110,10 +119,10 @@ def normalized_atom(system: WaveletSystem, idx: AtomIndex, p: float):
 
 def atom_lp_norm(system: WaveletSystem, idx: AtomIndex, p: float) -> float:
     """L^p norm of the normalized atom computed from the samples."""
-    base = system.base(idx.e)
+    samples = base(system, idx.e)
     if math.isinf(p):
-        return float(np.max(np.abs(base)))
-    return float(np.sum(np.abs(base) ** p) * system.dx) ** (1.0 / p)
+        return float(np.max(np.abs(samples)))
+    return float(np.sum(np.abs(samples) ** p) * system.dx) ** (1.0 / p)
 
 
 def seq_norms(atoms, values: np.ndarray, beta: float, w: Weight, p: float) -> tuple[float, float]:
@@ -135,16 +144,16 @@ def exact_coefficient(f, system: WaveletSystem, idx: AtomIndex) -> float:
     of x minus the piece's anchor taken exactly, at the atom's sample
     abscissae, against the atom's samples, both linearly interpolated
     between samples."""
-    base = [Fraction(v) for v in system.base(idx.e)]
+    samples = [Fraction(v) for v in base(system, idx.e)]
     dx = Fraction(system.dx)
     fv = []
-    for i in range(len(base)):
+    for i in range(len(samples)):
         x = (i * dx + idx.k) / 2**idx.j
         piece = f.pieces[int(np.searchsorted(f._edges, float(x), side="right"))]
         t = x - Fraction(piece.anchor)
         fv.append(sum(Fraction(c) * t**k for k, c in enumerate(piece.data)))
     total = Fraction(0)
-    for a0, a1, b0, b1 in zip(fv, fv[1:], base, base[1:]):
+    for a0, a1, b0, b1 in zip(fv, fv[1:], samples, samples[1:]):
         total += a0 * b0 + (a0 * (b1 - b0) + b0 * (a1 - a0)) / 2 + (a1 - a0) * (b1 - b0) / 3
     return float(total * dx)  # the amplitude 2^j and the scale 2^-j cancel
 
@@ -366,10 +375,14 @@ def probe_family(centers, j_min: int, j_max: int):
 
 
 def cube_weight(q: Cube, sigma: float, w: Weight) -> float:
-    """|q|^(sigma - 1) w(q) of one cube on R, the mass by the scalar
-    reference of the weight."""
-    ((lo, hi),) = float_box(q)
-    return float(q.volume) ** (sigma - 1.0) * _scalar_axis_power_mass(w, lo, hi, 1.0)
+    """|q|^(sigma - 1) w(q) of one cube, the mass by the scalar reference of
+    the weight on R, or of a product weight's factors multiplied in axis
+    order."""
+    factors = w.factors if isinstance(w, ProductWeight) else [w]
+    box = float_box(q)
+    assert len(factors) == len(box)
+    mass = math.prod(_scalar_axis_power_mass(f, lo, hi, 1.0) for f, (lo, hi) in zip(factors, box))
+    return float(q.volume) ** (sigma - 1.0) * mass
 
 
 def scalar_power_mass(w: PowerWeight, lo: float, hi: float, s: float) -> float:
@@ -834,20 +847,70 @@ def coefficient(f, system: WaveletSystem, idx: AtomIndex, dual_p: float = 1.0) -
     treated as piecewise linear between samples, so the cell integrals are
     closed forms.
     """
-    base = system.base(idx.e)
+    samples = base(system, idx.e)
     scale = 2.0**idx.j
-    us = np.arange(len(base)) * system.dx
+    us = np.arange(len(samples)) * system.dx
     xs = (us + idx.k) / scale
     fv = f.value(xs)
-    a0, a1, b0, b1 = fv[:-1], fv[1:], base[:-1], base[1:]
+    a0, a1, b0, b1 = fv[:-1], fv[1:], samples[:-1], samples[1:]
     cells = a0 * b0 + 0.5 * (a0 * (b1 - b0) + b0 * (a1 - a0)) + (a1 - a0) * (b1 - b0) / 3.0
     amp = 2.0 ** (idx.j / dual_p)  # L^p amplitude at n = 1
     return amp * (float(np.sum(cells) * system.dx) / scale)
 
 
+class Relation(enum.Enum):
+    DISJOINT = "disjoint"
+    EQUAL = "equal"
+    P_INSIDE_Q = "p_inside_q"
+    Q_INSIDE_P = "q_inside_p"
+    INCOMPARABLE = "incomparable"
+
+
+def relate(p: Cube, q: Cube) -> Relation:
+    """Set relation of two cubes, decided on their integer corners at the
+    finer generation j0: a generation-j corner c is c << (j - j0) there,
+    and the edge 3 << (j - j0).  The one-pair reference of the containment
+    arrays of the good-cube families.
+
+    Same-shift pairs always land in the first four cases (nesting trichotomy);
+    cross-shift pairs may be INCOMPARABLE.
+    """
+    if p.n != q.n:
+        raise DimensionError("cubes must share dimension")
+    j0 = min(p.j, q.j)
+    dp, dq = p.j - j0, q.j - j0
+    plo = [c << dp for c in p.corner()]
+    qlo = [c << dq for c in q.corner()]
+    pe, qe = 3 << dp, 3 << dq
+    pairs = list(zip(plo, qlo))
+    if any(a + pe <= b or b + qe <= a for a, b in pairs):
+        return Relation.DISJOINT
+    if plo == qlo and pe == qe:
+        return Relation.EQUAL
+    if all(b <= a and a + pe <= b + qe for a, b in pairs):
+        return Relation.P_INSIDE_Q
+    if all(a <= b and b + qe <= a + pe for a, b in pairs):
+        return Relation.Q_INSIDE_P
+    return Relation.INCOMPARABLE
+
+
+def parent(q: Cube) -> Cube:
+    """The unique same-shift cube of generation j+1 containing q.
+
+    Uses that 3*alpha is integral, so the index arithmetic never leaves Z^n.
+    """
+    jp = q.j + 1
+    sgn = 1 if jp % 2 == 0 else -1
+    mp = []
+    for mi, ti in zip(q.m, q.shift.thirds):
+        num = mi - sgn * ti
+        mp.append((num - (num % 2)) // 2)
+    return Cube(q.shift, jp, tuple(mp))
+
+
 def fraction_relate(p: Cube, q: Cube) -> Relation:
     """Set relation of two cubes by comparing their Fraction corners: the
-    reference of grid.relate, which compares integer corners."""
+    reference of relate, which compares integer corners."""
     plo, qlo = p.lower(), q.lower()
     phi = tuple(l + p.edge for l in plo)
     qhi = tuple(l + q.edge for l in qlo)

@@ -28,11 +28,9 @@ from dyadicweights.funcspace import (
 from dyadicweights.grid import (
     AxisCube,
     Cube,
-    Relation,
     Shift,
     children,
     float_box,
-    relate,
     window_1d,
 )
 from dyadicweights.wavelet import IndexSet, build_daubechies, verify_almost_char
@@ -43,7 +41,15 @@ from dyadicweights.weights import (
     standard_probes,
 )
 
-from oracles import cube_weight, dom_multiplicity, dominating_cube, max_antichain_weight_bruteforce
+from oracles import (
+    Relation,
+    cube_weight,
+    dom_multiplicity,
+    dominating_cube,
+    max_antichain_weight_bruteforce,
+    parent,
+    relate,
+)
 from oracles import omega_indicator, split_and_mean_sets
 
 
@@ -315,7 +321,7 @@ def test_08_grid_laws_randomized():
             kids = children(q)
             assert sum(k.volume for k in kids) == q.volume
             for i in range(len(kids)):
-                assert parent_is(kids[i], q)
+                assert parent(kids[i]) == q
                 for j in range(i + 1, len(kids)):
                     assert relate(kids[i], kids[j]) is Relation.DISJOINT
             checks += 1
@@ -369,12 +375,6 @@ def test_08_grid_laws_randomized():
         randomized_checks=checks,
         seconds=round(elapsed, 2),
     )
-
-
-def parent_is(child, q):
-    from dyadicweights.grid import parent
-
-    return parent(child) == q
 
 
 def test_09_dual_characterization_closed_forms():

@@ -420,6 +420,33 @@ def test_non_finite_weight_parameter_is_a_bad_weight_spec(tmp_path, capsys, sets
     assert len(err) == 1 and err[0].startswith("error: bad weight spec: "), err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "subcommand, key",
+    [
+        ("ap-constant", "p"),
+        ("classify-weight", "p"),
+        ("verify-cddd", "p"),
+        ("verify-cddd", "beta"),
+        ("mean-functional", "p"),
+        ("mean-functional", "beta"),
+        ("verify-bsvy", "p"),
+        ("verify-bsvy", "q"),
+        ("verify-bsvy", "gamma"),
+        ("verify-bsvy", "lambda_lo"),
+        ("verify-bsvy", "lambda_hi"),
+    ],
+)
+def test_non_finite_functional_parameter_exits_one(tmp_path, capsys, subcommand, key, value):
+    # the config class or kernel that reads the value refuses it by name:
+    # exit 1 and one error line, not a silent verdict, a NumPy warning or a
+    # math domain error
+    assert main([subcommand, "--out", str(tmp_path), "--set", f"{key}={value}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert f"{key} must be finite, got {value}" in err[0], err
+
+
 def test_parse_config_text_sections_and_types():
     cfg = parse_config_text(
         """

@@ -14,18 +14,16 @@ from dyadicweights.grid import (
     BudgetError,
     Cube,
     GridWindow,
-    Relation,
     Shift,
     all_shifts,
     axis_index,
     children,
     cube_at,
     float_box,
-    parent,
-    relate,
     window_1d,
 )
 from oracles import (
+    Relation,
     as_axis_cube,
     contains_point,
     dom_multiplicity,
@@ -33,6 +31,8 @@ from oracles import (
     dominating_set,
     fraction_cube_at,
     fraction_relate,
+    parent,
+    relate,
 )
 
 S0 = Shift((0,))
@@ -316,7 +316,7 @@ def test_window_count_matches_geometric_series():
     for k in range(1, 7):
         w = window_1d(0, 1, -k, 0)
         assert len(list(w.cubes())) == 2 ** (k + 1) - 1
-        assert w.count() == 2 ** (k + 1) - 1
+        assert len(w.arrays) == 2 ** (k + 1) - 1
 
 
 def test_window_enumeration_order_and_uniqueness():
@@ -339,7 +339,7 @@ def _assert_arrays_are_cubes(w: GridWindow):
     arr = w.arrays
     assert w.arrays is arr
     cubes = list(w.cubes())
-    assert len(arr) == len(cubes) == w.count()
+    assert len(arr) == len(cubes)
     assert [arr.cube(i) for i in range(len(arr))] == cubes
     assert arr.j.tolist() == [q.j for q in cubes]
     unit = Fraction(2) ** w.j_min / 3
@@ -399,9 +399,15 @@ def test_window_arrays_mix_int64_blocks_and_python_fallback():
     lo = 2**49 + Fraction(2, 7)
     num, den = lo.as_integer_ratio()
     for j_min, ints in ((-2, np.int64), (-3, object)):
-        _assert_arrays_are_cubes(window_1d(lo, lo + 3, j_min, 2, shifts=all_shifts(1)))
+        w = window_1d(lo, lo + 3, j_min, 2, shifts=all_shifts(1))
+        arr = _assert_arrays_are_cubes(w)
         m, *_ = grid.axis_cubes(1, np.arange(j_min, 3), num, den, 0, 0)
-        assert m.dtype == ints
+        assert m.dtype == arr.corner.dtype == ints
+        # the boundary flags in the corners' own dtype against Fraction ends
+        ((blo, bhi),) = w.box
+        outside = [a < blo or b > bhi for a, b in (q.interval() for q in w.cubes())]
+        assert w.boundary_flags().tolist() == outside
+        assert any(outside) and not all(outside)
 
 
 def test_window_index_ranges_are_the_cubes_meeting_the_open_box():

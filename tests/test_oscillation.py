@@ -21,6 +21,7 @@ from dyadicweights.oscillation import (
     mean_functional,
     verify_oscillation,
     verify_mean_functional,
+    _family_arrays,
 )
 from dyadicweights.funcspace import catalog, omega_boxes
 from dyadicweights.grid import (
@@ -32,8 +33,14 @@ from dyadicweights.grid import (
     window_1d,
 )
 from dyadicweights.records import VerificationRecord
-from dyadicweights.weights import ConstantWeight, PowerWeight
-from oracles import cube_weight, max_antichain_weight_bruteforce, sparse_chain_check
+from dyadicweights.weights import ConstantWeight, PowerWeight, ProductWeight
+from oracles import (
+    Relation,
+    cube_weight,
+    max_antichain_weight_bruteforce,
+    relate,
+    sparse_chain_check,
+)
 
 S0 = Shift((0,))
 
@@ -418,6 +425,41 @@ def test_classify_good_agrees_with_bruteforce():
                 assert q in good
             else:
                 assert q in bad
+
+
+def descent_family(rng: random.Random, shift: Shift, top: int, levels: int):
+    """Up to 14 distinct cubes of one shift: a root at generation top and
+    some of its descendants over the given number of levels (a few children
+    kept per level, at least one), the root and a deepest cube always in."""
+    root = Cube(shift, top, tuple(rng.randint(-3, 3) for _ in range(shift.n)))
+    pool, frontier = [root], [root]
+    for _ in range(levels):
+        kids = [c for q in frontier for c in children(q)]
+        frontier = [c for c in kids if rng.random() < 0.3][:4] or [rng.choice(kids)]
+        pool.extend(frontier)
+    return list(dict.fromkeys([root, pool[-1], *rng.sample(pool, min(len(pool), 12))]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_family_arrays_match_relate_and_the_antichain_oracle(n):
+    # every shift; shallow families, and families spanning 70 generations,
+    # whose corners at the lowest generation exceed int64
+    rng = random.Random(60 + n)
+    for shift in all_shifts(n):
+        for top, levels in ((2, 3), (40, 70)):
+            for _ in range(3):
+                fam = descent_family(rng, shift, top, levels)
+                w = random_weight(rng) if n == 1 else ProductWeight([random_weight(rng) for _ in range(n)])
+                j, inside, _ = _family_arrays(fam, w)
+                assert (j.max() - j.min() > 63) == (levels > 63)
+                assert inside.tolist() == [[relate(p, q) is Relation.P_INSIDE_Q for q in fam] for p in fam]
+                sigma = rng.uniform(-2.0, 2.0)
+                good, bad = classify_good(fam, sigma, w)
+                assert sorted(good + bad, key=fam.index) == fam
+                for q in fam:
+                    strict = max_antichain_weight_bruteforce(fam, sigma, w, q)
+                    own = cube_weight(q, sigma, w)
+                    assert (q in good) == (strict == 0.0 or strict <= own * (1 + 1e-12)), (fam, q)
 
 
 def test_domination_all_good_trivial():
