@@ -20,9 +20,10 @@ closed form, so no tail is cut.  The outer quadratures of every (f, lam)
 problem of a call run in lock step, so a refinement step is one exact
 `_linear_runs` call, over a per-node piece table, on the nodes of every f
 whose pieces are all linear, and one inner-integral call on the nodes of
-each other f; on the sampled path membership and boundary bisection are
-fused across all of that f's nodes, one vectorized membership call per
-bisection step.
+each other f; the quadrature evaluates panels ahead of need, so one such
+step also serves the steps after it.  On the sampled path membership and
+boundary bisection are fused across all of that f's nodes, one vectorized
+membership call per bisection step.
 """
 
 from __future__ import annotations
@@ -538,8 +539,10 @@ def diffquot_functionals(cfg: DiffQuotConfig, fs) -> list[FunctionalProfile]:
     over every (f, lam) problem, so each refinement step is one exact
     `_linear_runs` call on the nodes of every f whose pieces are all linear,
     over a per-node piece table, and one `inner_integral` call on the nodes
-    of each other f.  An outer integral that stops at its split cap above
-    tolerance prints one warning line naming its f and lam."""
+    of each other f; its panels include those the quadrature will need
+    next, so a step often serves several.  An outer integral that stops at
+    its split cap above tolerance prints one warning line naming its f and
+    lam."""
     lambdas = np.logspace(math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count)
     lines = [getattr(f, "_lines", None) for f in fs]
     exact = np.array([t is not None and bool(np.isfinite(t[2]).all()) for t in lines], dtype=bool)
@@ -605,6 +608,7 @@ def verify_diffquot(cfg: DiffQuotConfig, f, tol: float = 0.05) -> VerificationRe
     of the grid in that direction and certifies the record (vacuously when
     the gradient norm is 0).  The other side is passed up to RATIO_CEILING.
     """
+    require_finite(tol=tol)
     prof = diffquot_functional(cfg, f)
     lo, hi = cfg.window
     norm = grad_power_mass(f, lo, hi, cfg.p, cfg.weight) ** (1.0 / cfg.p)

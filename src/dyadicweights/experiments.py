@@ -25,6 +25,7 @@ from dyadicweights.oscillation import LevelMass, level_set
 from dyadicweights.funcspace import (
     catalog,
     grad_power_mass,
+    grad_power_masses,
     omega_boxes,
     omega_intervals,
 )
@@ -108,6 +109,7 @@ def sharpness_sweep(case: str, p: float, grid) -> SweepResult:
     """Reproduce one of the three lower-bound constructions over a parameter
     grid and fit the scaling exponent of the certifying-family functional;
     the slope passes within 0.05 (a1) or 0.15 (ap, betalimit) of its target."""
+    require_finite(p=p)
     case = case.lower()
     grid = [float(g) for g in grid]
     if case == "a1":
@@ -278,7 +280,7 @@ def _probe_family(m0, members, g0: int, g1: int) -> np.ndarray:
 
 
 def _probe_rows(probes, cubes, weight: Weight):
-    """(generation, omega, volume, mass) arrays of the rows of every probe of
+    """(generation, omega, mass) arrays of the rows of every probe of
     a nonempty list, end to end: probe k is (f, rows), its rows indexing
     the flat (generation, lo, hi) arrays ``cubes``.  Omega comes from one
     omega_intervals call over the per-row function table, and the masses
@@ -292,7 +294,7 @@ def _probe_rows(probes, cubes, weight: Weight):
     need = np.unique(rows[oms > 0])
     mass = np.zeros(lo.size)
     mass[need] = weight.masses(lo[need, None], hi[need, None])
-    return gen[rows], oms, np.ldexp(1.0, gen[rows]), mass[rows]
+    return gen[rows], oms, mass[rows]
 
 
 def _rows_sup(rows, groups, p: float) -> list[float]:
@@ -302,10 +304,10 @@ def _rows_sup(rows, groups, p: float) -> list[float]:
     which is all blow-up detection needs.  The thresholds and entry weights
     are taken once for all rows, and each group takes its own LevelMass, so
     its sort and prefix sum keep the float order of the group alone."""
-    _, oms, vols, masses = rows
+    gen, oms, masses = rows
     best = [0.0] * len(groups)
     for beta in (2.0, -1.0):
-        thr, wts = LevelMass.cube_entries(oms, vols, masses, beta + 1.0 - 1.0 / p, beta * p - 1.0)
+        thr, wts = LevelMass.cube_entries(oms, gen, masses, beta + 1.0 - 1.0 / p, beta * p - 1.0)
         best = [max(b, LevelMass(thr[g], wts[g]).sup(p)) for b, g in zip(best, groups)]
     return best
 
@@ -398,27 +400,36 @@ def weight_classifier(
     step_families = [_probe_family(m0, [i], 0, steps) for i in range(len(centers))]
     tail_family = _probe_family(m0, list(range(len(centers))), -j_lo, steps + 2)
 
+    # every probe's function and gradient norm, the norms' masses from one
+    # Weight.masses call: the fixed members; per depth, the adaptive step
+    # probe at each candidate singular center and the window-scale ramp
+    # probing the weight's tail; the quotient step's probes
+    normed = [(f, -f.grad_radius - 1, f.grad_radius + 1) for f in fixed.values()]
+    for j_min, j_max in ranges:
+        wprobe, big = 2.0**j_min, 2.0**j_max
+        normed += [
+            (catalog("linear_ramp", slope=0.5 / wprobe, cutoff=wprobe, center=c), c - wprobe, c + wprobe)
+            for c in centers
+        ]
+        normed.append((catalog("linear_ramp", slope=1.0, cutoff=big), -big, big))
+    # centred at 0, not at weight.center: bench/reference.json pins the values this gives
+    widths = [2.0**-d for d in depths] if with_quotient else []
+    normed += [(catalog("linear_ramp", slope=0.5 / wp, cutoff=wp), -wp, wp) for wp in widths]
+    norms = iter(zip([f for f, _, _ in normed], grad_power_masses(normed, p, weight)))
+
     # every probe with a positive norm, (f, family rows), and every ratio it
     # gives: (member, depth index, probe, j_min, j_max, norm)
     probes, slots = [], []
-    for name, f in fixed.items():
-        norm = grad_power_mass(f, -f.grad_radius - 1, f.grad_radius + 1, p, weight)
+    for name, (f, norm) in zip(fixed, norms):
         if norm > 0:
             probes.append((f, fixed_family))
             slots += [(name, r, len(probes) - 1, *jr, norm) for r, jr in enumerate(ranges)]
     for r, (j_min, j_max) in enumerate(ranges):
-        # adaptive step probe at each candidate singular center
-        wprobe = 2.0**j_min
-        for c, family in zip(centers, step_families):
-            f = catalog("linear_ramp", slope=0.5 / wprobe, cutoff=wprobe, center=c)
-            norm = grad_power_mass(f, c - wprobe, c + wprobe, p, weight)
+        for family, (f, norm) in zip(step_families, norms):
             if norm > 0:
                 probes.append((f, family[(j_min <= gen[family]) & (gen[family] <= j_max)]))
                 slots.append(("step_probe", r, len(probes) - 1, j_min, j_max, norm))
-        # window-scale ramp probing the weight's tail
-        big = 2.0**j_max
-        f = catalog("linear_ramp", slope=1.0, cutoff=big)
-        norm = grad_power_mass(f, -big, big, p, weight)
+        f, norm = next(norms)
         if norm > 0:
             probes.append((f, tail_family[gen[tail_family] <= j_max + 2]))
             slots.append(("tail_ramp", r, len(probes) - 1, 0, j_max + 2, norm))
@@ -447,14 +458,11 @@ def weight_classifier(
             lambda_count=5,
             exploratory=True,
         )
-        # centred at 0, not at weight.center: bench/reference.json pins the values this gives
-        widths = [2.0**-d for d in depths]
-        probes = [catalog("linear_ramp", slope=0.5 / wp, cutoff=wp) for wp in widths]
-        vals = []
-        for wp, f, prof in zip(widths, probes, diffquot_functionals(cfg, probes)):
-            norm = grad_power_mass(f, -wp, wp, p, weight)
-            vals.append(prof.sup**p / norm if norm > 0 else 0.0)
-        ratios["quotient_step"] = vals
+        quotient = list(norms)
+        profiles = diffquot_functionals(cfg, [f for f, _ in quotient])
+        ratios["quotient_step"] = [
+            prof.sup**p / norm if norm > 0 else 0.0 for (_, norm), prof in zip(quotient, profiles)
+        ]
 
     growth = {}
     for name, vals in ratios.items():

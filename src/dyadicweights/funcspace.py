@@ -885,15 +885,33 @@ def omega_window(f, window: GridWindow) -> dict[tuple, float]:
 
 
 def grad_power_mass(f: TestFunction, lo: float, hi: float, p: float, w: Weight) -> float:
-    """Integral of |f'|^p * w over [lo, hi]; exact piece-by-piece when
-    possible, with the masses under the linear pieces from one w.masses
-    call, and the pieces added in order."""
-    spans = [(max(lo, piece.x0), min(hi, piece.x1)) for piece in f.pieces]
-    slopes = [piece.line()[0] for piece in f.pieces]
+    """Integral of |f'|^p * w over [lo, hi]: `grad_power_masses` on one f."""
+    return grad_power_masses([(f, lo, hi)], p, w)[0]
+
+
+def grad_power_masses(probes, p: float, w: Weight) -> list[float]:
+    """Integral of |f'|^p * w over [lo, hi] for each ``(f, lo, hi)`` of
+    ``probes``; exact piece-by-piece when possible, with the masses under
+    the linear pieces of every probe from one w.masses call, and each
+    probe's pieces added in order."""
+    spans = [[(max(lo, piece.x0), min(hi, piece.x1)) for piece in f.pieces] for f, lo, hi in probes]
+    slopes = [[piece.line()[0] for piece in f.pieces] for f, _, _ in probes]
     ends = np.array([
-        (a, b) for (a, b), s in zip(spans, slopes) if b > a and s != 0.0 and not math.isnan(s)
+        (a, b)
+        for row, ss in zip(spans, slopes)
+        for (a, b), s in zip(row, ss)
+        if b > a and s != 0.0 and not math.isnan(s)
     ]).reshape(-1, 2)
     masses = iter(w.masses(ends[:, :1], ends[:, 1:]).tolist())
+    return [
+        _grad_pieces(f, row, ss, masses, p, w)
+        for (f, _, _), row, ss in zip(probes, spans, slopes)
+    ]
+
+
+def _grad_pieces(f: TestFunction, spans, slopes, masses, p: float, w: Weight) -> float:
+    """The sum over f's pieces of |f'|^p * w on each piece's span, the linear
+    pieces' masses read in order from ``masses``."""
     total = 0.0
     for piece, (a, b), s in zip(f.pieces, spans, slopes):
         if b <= a or s == 0.0:

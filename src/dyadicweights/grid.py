@@ -190,14 +190,15 @@ class WindowArrays:
     """The cubes of a window as arrays; row i is the i-th cube of
     ``GridWindow.cubes()``.
 
-    ``j`` (N,) holds each cube's generation as an int array, and ``j_min``
-    the window's lowest generation.  ``corner`` (N, n) holds each
-    Cube.corner() shifted left by j - j_min, in units of 2^j_min / 3 (edge
-    3 * 2^(j - j_min)), in the dtype ``axis_cubes`` gives: int64 while its
-    guard holds, object-dtype Python ints past it.  ``lo`` and ``hi`` are
-    (N, n) floats, each the correctly rounded value of an exact corner, and
-    ``vol`` the (N,) float volumes 2^(j n).  The floats feed only closed
-    forms; every nesting or boundary decision reads ``corner``.
+    ``j`` (N,) holds each cube's generation as an int array, so a cube's
+    volume is 2^(n j), and ``j_min`` the window's lowest generation.
+    ``corner`` (N, n) holds each Cube.corner() shifted left by j - j_min,
+    in units of 2^j_min / 3 (edge 3 * 2^(j - j_min)), in the dtype
+    ``axis_cubes`` gives: int64 while its guard holds, object-dtype Python
+    ints past it.  ``lo`` and ``hi`` are
+    (N, n) floats, each the correctly rounded value of an exact corner.
+    The floats feed only closed forms; every nesting or boundary decision
+    reads ``corner``.
     """
 
     j_min: int
@@ -205,7 +206,6 @@ class WindowArrays:
     corner: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    vol: np.ndarray
 
     def __len__(self) -> int:
         return len(self.j)
@@ -323,7 +323,6 @@ class GridWindow:
             corner=corner,
             lo=lo,
             hi=hi,
-            vol=np.ldexp(1.0, self.n * js),
         )
 
 

@@ -31,7 +31,7 @@ from dyadicweights.records import (
     ratio,
     require_finite,
 )
-from dyadicweights.weights import Weight, ap_constant, powers, standard_probes
+from dyadicweights.weights import Weight, ap_constant, dyadic_powers, standard_probes
 
 # Relative margin within which a threshold comparison or an inequality is
 # decided only up to the accuracy of omega and of floating-point sums.
@@ -92,7 +92,7 @@ def level_set(oms, window: GridWindow, lam: float, b: float):
     if lam <= 0:
         raise ValueError("lam must be positive")
     arr = window.arrays
-    levels = LevelMass.of_cubes(oms, arr.vol, np.ones(len(arr)), b, 0.0)
+    levels = LevelMass.of_cubes(oms, window.n * arr.j, np.ones(len(arr)), b, 0.0)
     count, _ = levels.above(lam)
     thr = levels.thresholds
     near = np.abs(thr - lam) <= REL_TOL * np.maximum(thr, lam)
@@ -123,23 +123,24 @@ class LevelMass:
         self.prefix = np.concatenate(([0.0], np.cumsum(self.weights)))
 
     @staticmethod
-    def cube_entries(values, vols, masses, b: float, wexp: float):
+    def cube_entries(values, logvols, masses, b: float, wexp: float):
         """(thresholds, weights) of the level rule of every weak-type
         functional of the package.
 
         Cube i, with criterion value values[i] (its omega or its mean of |f|),
-        volume vols[i] and weight mass masses[i], enters above lam when
-        values[i] / vols[i]^b > lam, and then carries vols[i]^wexp * masses[i];
-        wexp is beta p - 1 in every functional.
+        volume |Q| = 2^logvols[i] (n j for a generation-j cube in R^n) and
+        weight mass masses[i], enters above lam when values[i] / |Q|^b > lam,
+        and then carries |Q|^wexp * masses[i]; wexp is beta p - 1 in every
+        functional.
         """
         values = np.asarray(values, dtype=float)
-        thr = np.where(values > 0, values / powers(vols, b), 0.0)
-        return thr, powers(vols, wexp) * np.asarray(masses, dtype=float)
+        thr = np.where(values > 0, values / dyadic_powers(logvols, b), 0.0)
+        return thr, dyadic_powers(logvols, wexp) * np.asarray(masses, dtype=float)
 
     @classmethod
-    def of_cubes(cls, values, vols, masses, b: float, wexp: float) -> LevelMass:
+    def of_cubes(cls, values, logvols, masses, b: float, wexp: float) -> LevelMass:
         """The LevelMass of the cubes' entries by ``cube_entries``."""
-        return cls(*cls.cube_entries(values, vols, masses, b, wexp))
+        return cls(*cls.cube_entries(values, logvols, masses, b, wexp))
 
     def above(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """(count, mass) of the entries with threshold > lam, per lam."""
@@ -172,7 +173,7 @@ def _window_profile(
     """
     arr = window.arrays
     masses = weight.masses(arr.lo, arr.hi)
-    levels = LevelMass.of_cubes(values, arr.vol, masses, b, beta * p - 1.0)
+    levels = LevelMass.of_cubes(values, window.n * arr.j, masses, b, beta * p - 1.0)
     thr = levels.thresholds
     base = levels.sup(p)
     near = thr * (1.0 - 2.0 * REL_TOL)
@@ -392,7 +393,7 @@ def _family_arrays(family: list[Cube], w: Weight):
 
 def _cube_weights(j, n: int, sigma: float, mass) -> np.ndarray:
     """|q|^(sigma - 1) w(q) of each cube, |q| = 2^(j n)."""
-    return powers(np.ldexp(1.0, n * j), sigma - 1.0) * mass
+    return dyadic_powers(n * j, sigma - 1.0) * mass
 
 
 def classify_good(

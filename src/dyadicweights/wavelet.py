@@ -21,7 +21,7 @@ import numpy as np
 from dyadicweights.funcspace import TestFunction, grad_power_mass, weighted_lp_mass
 from dyadicweights.oscillation import LevelMass
 from dyadicweights.records import RATIO_CEILING, VerificationRecord
-from dyadicweights.weights import Weight, ap_constant, powers, standard_probes
+from dyadicweights.weights import Weight, ap_constant, dyadic_powers, standard_probes
 
 
 def daubechies_filter(order: int) -> np.ndarray:
@@ -295,18 +295,13 @@ def coefficients(
     return atoms, vals
 
 
-def _volume_powers(gens: np.ndarray, e: float) -> np.ndarray:
-    """|I|^e = (2^-j)^e per generation j in ``gens``, one power per distinct j."""
-    return powers(np.ldexp(1.0, -gens), e)
-
-
 def atom_weights(j: np.ndarray, k: np.ndarray, beta: float, w: Weight) -> np.ndarray:
     """Entry weights |I|^(beta-1) v(I) of the atoms' cubes I = [k, k+1)/2^j,
     from the atoms' j and k arrays, with float ends k/2^j and (k+1)/2^j
     (exact: |k| < 2^53) and the masses by one ``Weight.masses`` call."""
     ks = k.astype(float)
     lo, hi = np.ldexp(ks, -j), np.ldexp(ks + 1.0, -j)
-    return _volume_powers(j, beta - 1.0) * w.masses(lo[:, None], hi[:, None])
+    return dyadic_powers(-j, beta - 1.0) * w.masses(lo[:, None], hi[:, None])
 
 
 def _norms(u: np.ndarray, values: np.ndarray, p: float) -> tuple[float, float]:
@@ -341,7 +336,7 @@ def verify_almost_char(
     vals = coefficients(f, system, index_set)[1] if values is None else values
     if len(vals) != len(gens):
         raise ValueError(f"{len(vals)} coefficient values for {len(gens)} atoms")
-    deflated = vals / _volume_powers(gens, beta)
+    deflated = vals / dyadic_powers(-gens, beta)
     u = atom_weights(gens, ks, beta, w)
     strong, weak = _norms(u, deflated, 1.0)
     probes = standard_probes(w, scales=range(-index_set.j_max - 2, 6))

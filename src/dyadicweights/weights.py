@@ -32,6 +32,17 @@ def powers(x, e) -> np.ndarray:
     return np.array([v**e for v in uniq.view(float).tolist()], dtype=float)[inv].reshape(x.shape)
 
 
+def dyadic_powers(k, e) -> np.ndarray:
+    """(2^k)^e per element of the integer array ``k``, by the same Python
+    float ** as ``powers``, without its sort: each power is taken once per
+    integer in k's range and indexed by k."""
+    k = np.asarray(k)
+    if not k.size:
+        return np.zeros(k.shape)
+    lo = int(k.min())
+    return np.array([math.ldexp(1.0, g) ** e for g in range(lo, int(k.max()) + 1)])[k - lo]
+
+
 def power_integrals(e: float, center, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integral of |x - center|^e over each row [lo[i], hi[i]], in one array
     pass; ``center`` is one float or one per row.  Rows with hi <= lo give

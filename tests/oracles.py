@@ -692,7 +692,7 @@ def point_domination_check(
     # one level-set mass per threshold lam_j
     arr = window.arrays
     levels = LevelMass.of_cubes(
-        omega_boxes(f, arr.lo, arr.hi), arr.vol, weight.masses(arr.lo, arr.hi),
+        omega_boxes(f, arr.lo, arr.hi), window.n * arr.j, weight.masses(arr.lo, arr.hi),
         beta + 1.0 - 1.0 / p, beta * p - 1.0,
     )
     lam_js = [lam * 2.0 ** (j * (1.0 + n * (beta - 1.0 / p) - eps)) for j in range(11)]

@@ -435,6 +435,8 @@ def test_non_finite_weight_parameter_is_a_bad_weight_spec(tmp_path, capsys, sets
         ("verify-bsvy", "gamma"),
         ("verify-bsvy", "lambda_lo"),
         ("verify-bsvy", "lambda_hi"),
+        ("verify-bsvy", "tol"),
+        ("sharpness", "p"),
     ],
 )
 def test_non_finite_functional_parameter_exits_one(tmp_path, capsys, subcommand, key, value):

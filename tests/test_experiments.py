@@ -194,15 +194,37 @@ def test_probe_rows_masses_match_the_scalar_path(weight):
                 assert gen[family].tolist() == want[0].tolist()
                 assert ends.tobytes() == np.hstack(want[1:]).tobytes()
         probes = [(f, family[k :: len(fs)]) for k, f in enumerate(fs)]
-        j, oms, vols, masses = experiments._probe_rows(probes, cubes, weight)
+        j, oms, masses = experiments._probe_rows(probes, cubes, weight)
         assert len(oms) == len(family) > 0
         rows = np.concatenate([r for _, r in probes])
         want_oms = [omega_intervals(f, cubes[1][r], cubes[2][r]) for f, r in probes]
         assert oms.tobytes() == np.concatenate(want_oms).tobytes()
-        assert j.tolist() == gen[rows].tolist() and vols.tolist() == (2.0**j).tolist()
+        assert j.tolist() == gen[rows].tolist()
         ends = zip(cubes[1][rows].tolist(), cubes[2][rows].tolist(), oms.tolist())
         want = [weight.mass((a, b)) if om > 0 else 0.0 for a, b, om in ends]
         assert masses.tobytes() == np.array(want).tobytes()
+
+
+def test_classifier_takes_its_norms_from_one_mass_call(monkeypatch):
+    # the gradient norms of every probe (fixed members, step probes, tail
+    # ramps and quotient probes) in one grad_power_masses call, whose
+    # linear pieces take one Weight.masses call (19 calls before, off
+    # centre); the probe rows take the other
+    calls = {"norms": 0, "masses": 0}
+    norms, masses = experiments.grad_power_masses, PowerWeight.masses
+
+    def counted_norms(probes, p, w):
+        calls["norms"] += 1
+        return norms(probes, p, w)
+
+    def counted_masses(self, lo, hi):
+        calls["masses"] += 1
+        return masses(self, lo, hi)
+
+    monkeypatch.setattr(experiments, "grad_power_masses", counted_norms)
+    monkeypatch.setattr(PowerWeight, "masses", counted_masses)
+    assert weight_classifier(PowerWeight(0.5, 0.1875), 1.0).verdict == "violates"
+    assert calls == {"norms": 1, "masses": 2}
 
 
 def test_classifier_takes_one_omega_call_and_one_quotient_quadrature(monkeypatch):
@@ -210,17 +232,21 @@ def test_classifier_takes_one_omega_call_and_one_quotient_quadrature(monkeypatch
     # every probe row of every member, depth and centre in one
     # omega_intervals call, the cubes from one integer build and no
     # per-cube axis_index or axis_interval call; every depth's quotient
-    # probe shares one adaptive_quads call, and each of its refinement
-    # steps makes one _linear_runs call on the nodes of all of them (a
-    # quadrature per depth makes 37)
+    # probe shares one adaptive_quads call, and each of its integrand
+    # calls makes one _linear_runs call on the nodes of all of them (a
+    # quadrature per depth makes 37); with panels evaluated ahead of need
+    # the sequential loop's 10 calls (8 off centre) are 6, on no more nodes
+    # than its 5,236 (4,576)
     calls = {"omega": 0, "axis": 0, "quads": 0, "steps": 0, "runs": 0}
     quads, runs, omega = diffquot.adaptive_quads, diffquot._linear_runs, experiments.omega_intervals
+    nodes = []
 
     def counted_quads(f, problems):
         calls["quads"] += 1
 
         def step(x, owner):
             calls["steps"] += 1
+            nodes.append(x.size)
             return f(x, owner)
 
         return quads(step, problems)
@@ -238,8 +264,10 @@ def test_classifier_takes_one_omega_call_and_one_quotient_quadrature(monkeypatch
     axis = ((grid, "axis_index"), (grid, "axis_interval"), (experiments, "axis_interval"))
     for module, name in axis:
         monkeypatch.setattr(module, name, counted("axis", getattr(module, name)))
-    for center, steps in ((0.0, 10), (0.1875, 8)):
+    for center, steps, most in ((0.0, 6, 5236), (0.1875, 6, 4576)):
         calls.update(dict.fromkeys(calls, 0))
+        nodes.clear()
         rep = weight_classifier(PowerWeight(0.5, center), 1.0)
         assert rep.verdict == "violates"
         assert calls == {"omega": 1, "axis": 0, "quads": 1, "steps": steps, "runs": steps}
+        assert sum(nodes) <= most

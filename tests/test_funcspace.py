@@ -17,6 +17,7 @@ from dyadicweights.funcspace import (
     Quadrature,
     catalog,
     grad_power_mass,
+    grad_power_masses,
     mean_abs,
     omega,
     omega_boxes,
@@ -281,6 +282,31 @@ def test_sobolev_seminorm_tent_l2():
     assert sobolev_seminorm(f, w, 2.0, (-1.0, 3.0)) == pytest.approx(
         math.sqrt(2.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "w",
+    [ConstantWeight(2.0), PowerWeight(-0.5, center=0.25), PowerWeight(0.5), TableWeight([-4, 0.1, 4], [2, 0.5, 2])],
+    ids=["constant", "power-offcentre", "power", "table"],
+)
+def test_grad_power_masses_are_each_probe_alone(w):
+    # linear, cubic and power pieces, probes that miss every piece, and
+    # the same f twice: one masses call, each norm bit for bit its own
+    probes = [
+        (catalog("tent"), -2.0, 3.0),
+        (catalog("sharp2_fdelta", delta=0.5), 0.0, 1.0),
+        (catalog("smoothed_indicator"), -1.0, 2.0),
+        (catalog("linear_ramp", slope=4.0, cutoff=0.125, center=0.25), 0.0, 0.5),
+        (catalog("constant"), -1.0, 1.0),
+        (catalog("tent"), 5.0, 6.0),
+        (catalog("tent"), -0.5, 0.5),
+    ]
+    got = grad_power_masses(probes, 1.5, w)
+    want = [grad_power_mass(f, lo, hi, 1.5, w) for f, lo, hi in probes]
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert got[0] > 0 and got[4] == 0.0 and got[5] == 0.0
+    assert grad_power_masses([], 1.5, w) == []
 
 
 def test_grad_power_mass_power_weight_offcenter_quadrature():

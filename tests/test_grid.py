@@ -353,7 +353,7 @@ def _assert_arrays_are_cubes(w: GridWindow):
     if w.n == 1:
         ends = np.array([[float(x) for x in q.interval()] for q in cubes]).reshape(-1, 2)
         assert np.hstack([arr.lo, arr.hi]).tobytes() == ends.tobytes()
-    assert arr.vol.tobytes() == np.array([float(q.volume) for q in cubes]).tobytes()
+    assert np.ldexp(1.0, w.n * arr.j).tobytes() == np.array([float(q.volume) for q in cubes]).tobytes()
     outside = [
         any(x < blo or x + q.edge > bhi for x, (blo, bhi) in zip(q.lower(), w.box))
         for q in cubes

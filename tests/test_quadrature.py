@@ -1,6 +1,7 @@
-"""Adaptive quadrature: one integrand call per refinement step, with the
-same totals as evaluating every panel on its own; many problems in lock
-step, each with the total it has alone."""
+"""Adaptive quadrature: at most one integrand call per refinement step,
+with panels evaluated ahead of need, and the same totals as evaluating
+every panel on its own; many problems in lock step, each with the total it
+has alone."""
 
 from __future__ import annotations
 
@@ -98,8 +99,11 @@ def test_one_call_per_refinement_step_and_same_total(name):
     counted = Counted(f)
     got = adaptive_quad(counted, a, b, breakpoints=bps)
     assert splits > 0
-    assert counted.calls == 1 + splits
-    # 7 + 15 nodes per panel, as before
+    # the panels the loop needs next are evaluated with those it needs now
+    assert counted.calls <= 1 + splits
+    if name in ("kinked", "cusp-breakpoints"):
+        assert counted.calls < 1 + splits
+    # 7 + 15 nodes per panel, each panel the sequential loop's and evaluated once
     spans = len({a, b, *(t for t in bps if a < t < b)}) - 1
     assert counted.points == 22 * (spans + 2 * splits)
     assert type(got) is float
@@ -171,7 +175,7 @@ def test_empty_and_first_step_problems_leave_the_others_alone():
     assert k == 0 and got[1] == (first, True)
     want, k = reference_quad(kinked, -1.0, 2.0)
     assert got[2] == (want, True)
-    assert f.calls == 1 + k
+    assert f.calls < 1 + k
     assert adaptive_quads(by_owner([]), []) == []
 
 
@@ -196,3 +200,38 @@ def test_budget_error_propagates_from_lock_step():
     with pytest.raises(QuadratureBudgetError):
         adaptive_quads(f, [(-1.0, 2.0, 1e-8, (), 20000), (0.0, 1.0, 1e-8, (), 50)])
     assert f.calls == 1 + 50
+
+
+def test_a_panel_evaluated_ahead_of_need_never_raises():
+    # at a split cap of 8, kinked at 1e-7 is offered two halves the loop
+    # never splits; an integrand that raises on any node the sequential loop
+    # does not evaluate makes that step's call fail, and the step is redone
+    # on the needed spans alone, so the totals are the sequential ones
+    kinked, smooth = CASES["kinked"][0], CASES["smooth"][0]
+    problems = [(-1.0, 2.0, 1e-7, (), 8), (-1.0, 2.0, 1e-8, (), 20000)]
+    seen = []
+
+    def recorded(g):
+        def h(x):
+            seen.append(x)
+            return g(x)
+
+        return h
+
+    want = [reference_quad(recorded(g), *p) for g, p in zip((kinked, smooth), problems)]
+    looked = np.concatenate(seen)
+    refused = []
+
+    def f(x, owner):
+        if not np.isin(x, looked).all():
+            refused.append(x.size)
+            raise ValueError("a node the sequential loop never evaluates")
+        return np.where(owner == 0, kinked(x), smooth(x))
+
+    (capped, met), (other, other_met) = adaptive_quads(f, problems)
+    assert refused
+    assert not met and other_met
+    assert (capped, other) == (want[0][0], want[1][0])  # bit for bit
+    # an error on a needed node still surfaces
+    with pytest.raises(ValueError):
+        adaptive_quads(lambda x, owner: f(x + 1.0, owner), problems)

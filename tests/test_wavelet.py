@@ -11,14 +11,13 @@ from dyadicweights.funcspace import catalog
 from dyadicweights.wavelet import (
     AtomIndex,
     IndexSet,
-    _volume_powers,
     atom_weights,
     build_daubechies,
     coefficients,
     daubechies_filter,
     verify_almost_char,
 )
-from dyadicweights.weights import ConstantWeight, PowerWeight
+from dyadicweights.weights import ConstantWeight, PowerWeight, dyadic_powers
 from oracles import (
     atom_lp_norm,
     coefficient,
@@ -308,7 +307,7 @@ def test_atom_weights_match_the_scalar_loop_bit_for_bit(db4, w):
         )
         assert atom_weights(gens, ks, beta, w).tobytes() == want.tobytes()
         vols = np.array([(2.0**-a.j) ** beta for a in atoms])
-        assert _volume_powers(gens, beta).tobytes() == vols.tobytes()
+        assert dyadic_powers(-gens, beta).tobytes() == vols.tobytes()
 
 
 def test_seq_norms_single_entry():

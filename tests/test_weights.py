@@ -18,9 +18,11 @@ from dyadicweights.weights import (
     TableWeight,
     ap_constant,
     ap_ratios,
+    dyadic_powers,
     parse_weight_spec,
     power_ap_member,
     power_integrals,
+    powers,
     standard_probes,
 )
 from oracles import (
@@ -546,3 +548,13 @@ def test_ap_ratios_match_the_scalar_reference_bit_for_bit():
     for w in (product, ConstantWeight(3.0, n=2)):
         for p in (1.0, 2.0):
             check(w, p, cubes)
+
+
+@pytest.mark.parametrize("e", [0.5, -0.75, 2.0, np.float64(1.0 / 3.0), -1.0])
+def test_dyadic_powers_are_the_sorted_powers_bit_for_bit(e):
+    # generations of a window, out of order and repeated, in any shape
+    k = np.array([[3, -5, 0], [3, 12, -48], [-5, -5, 1]])
+    want = powers(np.ldexp(1.0, k), e)
+    got = dyadic_powers(k, e)
+    assert got.shape == k.shape and got.tobytes() == want.tobytes()
+    assert dyadic_powers(np.array([], dtype=int), e).shape == (0,)
