@@ -6,24 +6,21 @@ and the weak-type functional  sup over lam of
 lam * ( Int_window [ Int 1_E(x,y) |x-y|^(gamma-n) dy ]^(p/q) w(x) dx )^(1/p),
 with s = gamma/q, verified against the weighted gradient norm.
 
-The inner integral has two paths.  For the level set itself on f whose
-pieces are all linear (tent, linear, linear_ramp) it is exact: on each piece
-of the ray y = x +- r membership is a linear function of r against
-lam r^(1+s), whose roots are closed form or found by Newton's method, and
-runs to infinity are integrated in closed form, so nothing is sampled or
-truncated.  f with a cubic or power piece is sampled: radial shells open
-where a Lipschitz bound decides membership, so the |x-y|^(gamma-n)
-singularity is never probed where the indicator provably vanishes.  A shell
-with no certified outer radius is sampled only out to where y lies on an
-end piece of f; past that the exact runs of the level set are added in
-closed form, so no tail is cut.  The outer quadratures of every (f, lam)
-problem of a call run in lock step, so a refinement step is one exact
-`_linear_runs` call, over a per-node piece table, on the nodes of every f
-whose pieces are all linear, and one inner-integral call on the nodes of
-each other f; the quadrature evaluates panels ahead of need, so one such
-step also serves the steps after it.  On the sampled path membership and
-boundary bisection are fused across all of that f's nodes, one vectorized
-membership call per bisection step.
+The inner integral has two paths, and `inner_integral` alone picks one per
+f.  For the level set itself on f whose pieces are all linear (tent, linear,
+linear_ramp) it is exact: on each piece of the ray y = x +- r membership is
+a linear function of r against lam r^(1+s), whose roots are closed form or
+found by Newton's method, and runs to infinity are integrated in closed
+form, so nothing is sampled or truncated.  f with a cubic or power piece is
+sampled: radial shells open where a Lipschitz bound decides membership, so
+the |x-y|^(gamma-n) singularity is never probed where the indicator
+provably vanishes.  A shell with no certified outer radius is sampled only
+out to where y lies on an end piece of f; past that the exact runs of the
+level set are added in closed form, so no tail is cut.  The outer
+quadratures of every (f, lam) problem of a call run in lock step, so a
+refinement step is one `inner_integral` call on the pair (fs, of) of all
+their nodes, and the quadrature evaluates panels ahead of need, so one step
+also serves the steps after it.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dyadicweights.funcspace import grad_power_mass
+from dyadicweights.funcspace import _functions, _stacked_lines, grad_power_mass
 from dyadicweights.quadrature import adaptive_quads
 from dyadicweights.records import (
     RATIO_CEILING,
@@ -88,8 +85,10 @@ class DiffQuotConfig:
     exploratory: bool = False
 
     def __post_init__(self):
+        lo, hi = self.window
         require_finite(
-            p=self.p, q=self.q, gamma=self.gamma, lambda_lo=self.lambda_lo, lambda_hi=self.lambda_hi
+            p=self.p, q=self.q, gamma=self.gamma, lambda_lo=self.lambda_lo,
+            lambda_hi=self.lambda_hi, lo=lo, hi=hi,
         )
         if self.p < 1 or self.q <= 0:
             raise ValueError("need p >= 1 and q > 0")
@@ -176,8 +175,7 @@ def _signed_member_mass(
     40 bisection steps put each boundary within 2^-40 of its sample gap.
     Sub-grid membership islands are the only approximation; the sample grid
     is geometric and includes the kink radii of the function.  This is the
-    sampled path of `inner_integral`: f with a piece that is not linear, or
-    an explicit membership; the level set of an all-linear f never gets
+    kernel of `_sampled_shells`; the level set of an all-linear f never gets
     here.
     """
     n, width = radii.shape
@@ -334,12 +332,9 @@ def _linear_runs(
     run having r1 = r2, in the same order per node however many nodes, and
     whichever functions, there are.
 
-    ``lines`` is the piece table (x0, x1, slope, intercept) of each node's f,
-    of shape (4, nodes, pieces), or (4, 1, pieces) when every node has the
-    same f; a function with fewer pieces is padded with empty pieces at +inf
-    (x0 = x1 = +inf, slope and intercept 0), which no ray meets.
-    ``continuous`` says, per node or once, whether f is continuous (has a
-    finite Lipschitz hint).
+    ``lines`` is the piece table of each node's f, `funcspace._stacked_lines`
+    gathered per node, of shape (4, nodes, pieces); ``continuous`` says, per
+    node, whether its f is continuous (has a finite Lipschitz hint).
 
     On the ray each piece of f spans a radius interval, on which
     f(y) - f(x) = alpha + beta r, with alpha exactly 0 on the piece that holds
@@ -361,7 +356,7 @@ def _linear_runs(
     # the spans the ray meets past r_min
     node, way, piece = span = np.nonzero(hi > lo)
     lo, hi, held = lo[span], hi[span], held[span]
-    beta, alpha = np.broadcast_to(lines[2:], (2, len(xs), lines.shape[2]))[:, node, piece]
+    beta, alpha = lines[2:, node, piece]
     del span, piece
     if np.any(np.isnan(beta)):
         raise ValueError("f has a piece that is not linear past r_min")
@@ -411,15 +406,12 @@ def _run_mass(node: np.ndarray, r1: np.ndarray, r2: np.ndarray, gamma: float, n:
     return np.bincount(node, weights=mass, minlength=n)
 
 
-def inner_integral(
-    f,
-    x,
-    lam,
-    cfg: DiffQuotConfig,
-    membership=None,
-) -> tuple:
+def inner_integral(f, x, lam, cfg: DiffQuotConfig, membership=None):
     """Integral over y of 1_E(x,y) |x-y|^(gamma - 1) for n = 1, at one node
     or at an array of nodes, at one level ``lam`` or at one level per node.
+    f is one function, or a pair (fs, of) giving node i the function
+    fs[of[i]], as `omega_intervals` takes it.  Each node's value is bit for
+    bit what it is alone.
 
     Radial membership is resolved per direction as a union of intervals,
     and the power weight is integrated in closed form on each member
@@ -432,37 +424,58 @@ def inner_integral(
     membership calls, and to run the ball-mean membership of their
     pointwise domination oracle.
 
-    The level set of a `TestFunction` whose pieces are all linear takes the
-    exact path (`_linear_runs`): its intervals are exact to
-    rounding, with runs to infinity in closed form.  Every other input is
-    sampled (geometric sampling, kink radii included, boundaries bisected:
-    `_signed_member_mass`) inside a certified shell, taken once per distinct
-    level; membership and bisection are fused across all nodes and levels,
-    so a quadrature refinement step costs one membership call per bisection
-    step, not one per node.  A shell with no certified outer radius (gamma
-    < 0 only) is sampled out to ``reach``, REACH times the node's larger
-    distance to the outermost breakpoints of f, and the exact runs of the
-    level set past ``reach`` are added, f being linear there.  So a
-    ``membership`` must agree with the level set
-    |f(y) - f(x)| > lam |x-y|^(1+s) at every |x-y| > ``reach``, as the
-    oracle's ball-mean membership does: its ball then lies on one linear end
-    piece.
+    The level set of every f whose pieces are all linear is exact: its
+    nodes take one `_linear_runs` call over the stacked piece table
+    (`funcspace._stacked_lines`) gathered per node, exact to rounding with
+    runs to infinity in closed form.  Every other f is sampled, one
+    `_sampled_shells` call each, and the same `_linear_runs` call adds the
+    exact runs of its far tails.
 
-    A scalar ``x`` returns (float, diag), an array (array, diag).  On the
-    sampled path ``diag`` holds ``r_lo`` and ``r_hi``, the certified shell,
-    in the shape of ``lam``; on the exact path it is empty.
+    A scalar ``x`` returns a float, an array an array.
     """
-    gamma, s = cfg.gamma, cfg.s
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    lams = np.broadcast_to(np.asarray(lam, dtype=float), xs.shape)
-    n = len(xs)
-    fx = f.value(xs)
-    lines = getattr(f, "_lines", None)
-    if membership is None and lines is not None and np.isfinite(lines[2]).all():
-        continuous = math.isfinite(f.lipschitz)
-        node, _, r1, r2 = _linear_runs(lines[:, None], continuous, xs, fx, lams, s, gamma, np.zeros(n))
-        vals = _run_mass(node, r1, r2, gamma, n)
-        return (float(vals[0]) if np.ndim(x) == 0 else vals), {}
+    lams = np.full(xs.shape, lam, dtype=float)
+    fs, of = _functions(f, xs.size)
+    table = _stacked_lines(fs)
+    exact = np.isfinite(table[2]).all(axis=1) & (membership is None)
+    continuous = np.array([math.isfinite(g.lipschitz) for g in fs])
+    # each node's sampled mass, and the radius past which its exact runs
+    # are added: 0 on the exact path, inf where a certified shell holds all
+    vals, fx = np.zeros(xs.size), np.empty(xs.size)
+    r_min = np.where(exact[of], 0.0, math.inf)
+    for k in np.unique(of).tolist():
+        at = np.flatnonzero(of == k)
+        fx[at] = fs[k].value(xs[at])
+        if not exact[k]:
+            vals[at], r_min[at] = _sampled_shells(fs[k], xs[at], fx[at], lams[at], cfg, membership)
+    rows = np.flatnonzero(r_min < math.inf)
+    if rows.size:
+        node, _, r1, r2 = _linear_runs(
+            table[:, of[rows]], continuous[of[rows]], xs[rows], fx[rows], lams[rows], cfg.s,
+            cfg.gamma, r_min[rows],
+        )
+        vals[rows] += _run_mass(node, r1, r2, cfg.gamma, rows.size)
+    return float(vals[0]) if np.ndim(x) == 0 else vals
+
+
+def _sampled_shells(f, xs, fx, lams, cfg: DiffQuotConfig, membership):
+    """The sampled path of `inner_integral` on one f, at the nodes ``xs``
+    (fx = f(xs)) at their levels, as (mass, r_min): the mass inside each
+    node's sampled shell, and the radius past which the exact runs of the
+    level set are still to be added, inf where none are.
+
+    Geometric sampling, kink radii included, boundaries bisected
+    (`_signed_member_mass`) inside a certified shell (`_radial_bounds`),
+    taken once per distinct level; membership and bisection are fused
+    across all nodes and levels, so a quadrature refinement step costs one
+    membership call per bisection step, not one per node.  A shell with no
+    certified outer radius (gamma < 0 only) is sampled out to ``reach``,
+    REACH times the node's larger distance to the outermost breakpoints of
+    f, and r_min is ``reach``, f being linear there.  So a ``membership``
+    must agree with the level set |f(y) - f(x)| > lam |x-y|^(1+s) at every
+    |x-y| > ``reach``, as the oracle's ball-mean membership does: its ball
+    then lies on one linear end piece."""
+    gamma, s = cfg.gamma, cfg.s
     if membership is None:
 
         def membership(xs, fx, ys, lam):
@@ -470,7 +483,7 @@ def inner_integral(
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.abs(f.value(ys) - fx) > lam * d ** (1.0 + s)
 
-    bps = np.asarray(getattr(f, "breakpoints", ()), dtype=float)
+    bps = np.asarray(f.breakpoints, dtype=float)
     levels, level_of = np.unique(lams, return_inverse=True)
     bounds = np.array([_radial_bounds(f, float(v), s) for v in levels]).reshape(-1, 2)
     r_lo, r_hi = bounds[level_of, 0], bounds[level_of, 1]
@@ -491,7 +504,7 @@ def inner_integral(
             membership, xs[rows], fx[rows], lams[rows], radii, gamma, extend[rows]
         )
 
-    vals = np.zeros(n)
+    vals, r_min = np.zeros(xs.size), np.full(xs.size, math.inf)
     lo = np.where(r_lo > 0, r_lo, 1e-12 * np.maximum(1.0, r_hi))
     finite = np.isfinite(r_hi)
     shell = np.flatnonzero(finite & (r_hi > lo))
@@ -505,16 +518,8 @@ def inner_integral(
         near = reach > lo[far]
         if near.any():
             vals[far[near]] = both_directions(far[near], lo[far[near]], reach[near])
-        node, _, r1, r2 = _linear_runs(
-            lines[:, None], math.isfinite(f.lipschitz), xs[far], fx[far], lams[far], s, gamma,
-            np.maximum(lo[far], reach),
-        )
-        vals[far] += _run_mass(node, r1, r2, gamma, len(far))
-
-    diag = {"r_lo": r_lo, "r_hi": r_hi}
-    if np.ndim(lam) == 0:
-        diag["r_lo"], diag["r_hi"] = (float(v) for v in bounds[0])
-    return (float(vals[0]) if np.ndim(x) == 0 else vals), diag
+        r_min[far] = np.maximum(lo[far], reach)
+    return vals, r_min
 
 
 def _warn_at_split_cap(what: str, f, lam: float) -> None:
@@ -536,42 +541,18 @@ def diffquot_functionals(cfg: DiffQuotConfig, fs) -> list[FunctionalProfile]:
     what it is alone.
 
     The outer integrals are taken to relative tolerance 1e-3, in lock step
-    over every (f, lam) problem, so each refinement step is one exact
-    `_linear_runs` call on the nodes of every f whose pieces are all linear,
-    over a per-node piece table, and one `inner_integral` call on the nodes
-    of each other f; its panels include those the quadrature will need
-    next, so a step often serves several.  An outer integral that stops at
-    its split cap above tolerance prints one warning line naming its f and
-    lam."""
+    over every (f, lam) problem, so each refinement step is one
+    `inner_integral` call on the pair (fs, of) of all of their nodes; its
+    panels include those the quadrature will need next, so a step often
+    serves several.  An outer integral that stops at its split cap above
+    tolerance prints one warning line naming its f and lam."""
     lambdas = np.logspace(math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count)
-    lines = [getattr(f, "_lines", None) for f in fs]
-    exact = np.array([t is not None and bool(np.isfinite(t[2]).all()) for t in lines], dtype=bool)
-    # the piece tables of the exact fs, padded with empty pieces at +inf
-    table = np.zeros((4, len(fs), max((lines[k].shape[1] for k in np.flatnonzero(exact)), default=0)))
-    table[:2] = math.inf
-    for k in np.flatnonzero(exact):
-        table[:, k, : lines[k].shape[1]] = lines[k]
-    continuous = np.array([e and math.isfinite(f.lipschitz) for f, e in zip(fs, exact)], dtype=bool)
 
     def outer(xs: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        of, lams = owner // len(lambdas), lambdas[owner % len(lambdas)]
-        inner, fx = np.empty(len(xs)), np.empty(len(xs))
-        for k in np.unique(of).tolist():
-            at = of == k
-            if exact[k]:
-                fx[at] = fs[k].value(xs[at])
-            else:
-                inner[at], _ = inner_integral(fs[k], xs[at], lams[at], cfg)
-        rows = np.flatnonzero(exact[of])
-        if len(rows):
-            node, _, r1, r2 = _linear_runs(
-                table[:, of[rows]], continuous[of[rows]], xs[rows], fx[rows], lams[rows],
-                cfg.s, cfg.gamma, np.zeros(len(rows)),
-            )
-            inner[rows] = _run_mass(node, r1, r2, cfg.gamma, len(rows))
+        inner = inner_integral((fs, owner // len(lambdas)), xs, lambdas[owner % len(lambdas)], cfg)
         return inner ** (cfg.p / cfg.q) * cfg.weight.value(xs)
 
-    bps = [list(getattr(f, "breakpoints", ())) + list(cfg.weight.breakpoints()) for f in fs]
+    bps = [list(f.breakpoints) + list(cfg.weight.breakpoints()) for f in fs]
     outers = adaptive_quads(outer, [(*cfg.window, 1e-3, b, 400) for b in bps for _ in lambdas])
     profiles = []
     for i, f in enumerate(fs):

@@ -31,6 +31,7 @@ import numpy as np
 
 from dyadicweights.grid import Cube, GridWindow, float_box
 from dyadicweights.quadrature import _gl, adaptive_quad, adaptive_quads
+from dyadicweights.records import require_finite
 from dyadicweights.weights import ConstantWeight, PowerWeight, Weight, power_integrals, powers
 
 
@@ -168,33 +169,44 @@ class TestFunction:
         # rows x0, x1, slope, intercept at 0 (nan if not linear) of each piece
         self._lines = np.array([(p.x0, p.x1, *p.line()) for p in self.pieces]).T
 
+    def _horner(self, x, t, cols, masks, power) -> np.ndarray:
+        """The Horner rows ``cols`` (a table's rows, highest degree first, at
+        the pieces of the points x) in t = x minus the pieces' anchors, and
+        ``power(piece, x)`` on each (power piece, mask of its points) of
+        ``masks``.  A bisection gathers the rows and masks once; `_table`
+        yields them one by one, each row freed in turn."""
+        out = np.zeros(t.shape)
+        for c in cols:
+            out *= t
+            out += c
+            del c
+        for pc, mask in masks:
+            if mask.any():
+                out[mask] = power(pc, x[mask])
+        return out
+
     def _table(self, x, table: np.ndarray, power):
         """Evaluate from the Horner rows ``table``; on a power piece p the
         value is ``power(p, x)``."""
         arr = np.asarray(x, dtype=float)
         idx = np.searchsorted(self._edges, arr, side="right")
         # a padded leading zero times +-inf is nan, so infinite points take
-        # the rows with 0 in their place, then their own Horner chain that
-        # takes 0 * t as 0 and so starts at each piece's first nonzero row
-        # (t = x - anchor is x there, anchors being finite)
+        # the rows with 0 in their place, then, off power pieces, their own
+        # Horner chain that takes 0 * t as 0 and so starts at each piece's
+        # first nonzero row (t = x - anchor is x there, anchors being finite)
         inf = np.isinf(arr)
         at_inf = inf.any()
         t = (np.where(inf, 0.0, arr) if at_inf else arr) - self._anchors[idx]
-        out = np.zeros(arr.shape)
-        for row in table:
-            out *= t
-            out += row[idx]
+        masks = ((self.pieces[i], idx == i) for i in self._power)
+        out = self._horner(arr, t, (row[idx] for row in table), masks, power)
         if at_inf:
+            inf &= ~np.isin(idx, self._power)
             x, at = arr[inf], idx[inf]
             val = np.zeros(x.shape)
             with np.errstate(invalid="ignore"):
                 for row in table:
                     val = np.where(val == 0.0, row[at], val * x + row[at])
             out[inf] = val
-        for i in self._power:
-            mask = idx == i
-            if mask.any():
-                out[mask] = power(self.pieces[i], arr[mask])
         return out[()] if out.ndim == 0 else out
 
     def value(self, x):
@@ -283,6 +295,7 @@ def _smoothstep_coeffs(x0: float, x1: float, width: float, rising: bool) -> tupl
 
 
 def constant(c: float = 0.0) -> TestFunction:
+    require_finite(c=c)
     return TestFunction(
         [Piece(-math.inf, math.inf, "poly", (float(c),))],
         name="constant",
@@ -294,6 +307,7 @@ def constant(c: float = 0.0) -> TestFunction:
 
 
 def linear(slope: float = 1.0) -> TestFunction:
+    require_finite(slope=slope)
     return TestFunction(
         [Piece(-math.inf, math.inf, "poly", (0.0, float(slope)))],
         name="linear",
@@ -313,6 +327,7 @@ def linear_ramp(
         if center != 0.0:
             raise ValueError("center requires a finite cutoff")
         return linear(slope)
+    require_finite(slope=slope, cutoff=cutoff, center=center)
     s, r, c = float(slope), float(cutoff), float(center)
     if r <= 0:
         raise ValueError("cutoff must be positive")
@@ -349,6 +364,7 @@ def tent() -> TestFunction:
 
 def indicator(a: float = 0.0, b: float = 1.0) -> TestFunction:
     """1 on (a, b); not weakly differentiable, for mean-type functionals."""
+    require_finite(a=a, b=b)
     if b <= a:
         raise ValueError("need a < b")
     return TestFunction(
@@ -367,6 +383,7 @@ def indicator(a: float = 0.0, b: float = 1.0) -> TestFunction:
 
 def smoothed_indicator(width: float = 0.25, a: float = 0.0, b: float = 1.0) -> TestFunction:
     """C^1 cubic-edged plateau: 1 on [a, b], 0 outside (a - width, b + width)."""
+    require_finite(width=width, a=a, b=b)
     w = float(width)
     if w <= 0 or b <= a:
         raise ValueError("need width > 0 and a < b")
@@ -396,6 +413,7 @@ def sharp1_bump() -> TestFunction:
 
 def sharp2_fdelta(delta: float) -> TestFunction:
     """x -> integral over (-inf, x] of t^(delta-1) 1_(0,1)(t) dt."""
+    require_finite(delta=delta)
     d = float(delta)
     if not 0 < d < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -415,6 +433,7 @@ def sharp2_fdelta(delta: float) -> TestFunction:
 
 def sharp3_fbeta(beta: float, p: float) -> TestFunction:
     """x -> integral of t^(beta-1/p) 1_(0,1)(t) dt; needs beta in (1/p-1, 1/p)."""
+    require_finite(beta=beta, p=p)
     eps = beta + 1.0 - 1.0 / p
     if not 0 < eps < 1:
         raise ValueError("beta must lie in (1/p - 1, 1/p)")
@@ -461,26 +480,24 @@ def _segment_table(f, lo: np.ndarray, hi: np.ndarray):
     ``other`` lists the intervals that meet a piece that is not linear.  An
     end on a breakpoint meets only the piece on its side.
 
-    The pieces of every function stand end to end in one table, and each
-    row finds its pieces among its own function's breakpoints, padded with
+    The pieces of every function stand in one `_stacked_lines` table, read
+    flat, and each row finds its pieces among its own function's
+    breakpoints, the right ends of all its pieces but the last, padded with
     +inf; one f is the one-function case."""
     if not np.all(lo < hi):
         raise ValueError("need lo < hi on every interval")
     fs, of = _functions(f, lo.size)
-    lines = np.hstack([g._lines for g in fs])
-    size = np.array([len(g.pieces) for g in fs])
-    edges = np.full((len(fs), size.max() - 1), math.inf)
-    for k, g in enumerate(fs):
-        edges[k, : size[k] - 1] = g._edges
+    table = _stacked_lines(fs)
+    lines = table.reshape(4, -1)
     # a row's first piece is the count of its breakpoints <= lo, and its
     # last the count of those < hi, as searchsorted would take them
     first, last = np.zeros(lo.size, dtype=np.intp), np.zeros(lo.size, dtype=np.intp)
-    for col in edges.T:
+    for col in table[1, :, :-1].T:
         at = col[of]
         first += at <= lo
         last += at < hi
     count = last + 1 - first
-    first += (np.cumsum(size) - size)[of]
+    first += of * table.shape[2]
     # nonlinear pieces before each piece, so a span's count is one difference;
     # key is the segment count, 0 for an interval that meets a nonlinear piece
     bent = np.concatenate(([0], np.cumsum(np.isnan(lines[2]))))
@@ -492,6 +509,18 @@ def _segment_table(f, lo: np.ndarray, hi: np.ndarray):
         seg[0, :, 0], seg[1, :, -1] = lo[rows], hi[rows]
         groups.append((rows, seg))
     return groups, np.flatnonzero(key == 0).tolist()
+
+
+def _stacked_lines(fs) -> np.ndarray:
+    """The piece tables ``_lines`` of the functions ``fs`` stacked, of shape
+    (4, functions, pieces): a function with fewer pieces is padded with
+    empty pieces at +inf (x0 = x1 = +inf, slope and intercept 0), which no
+    interval and no ray meets."""
+    table = np.zeros((4, len(fs), max(len(g.pieces) for g in fs)))
+    table[:2] = math.inf
+    for k, g in enumerate(fs):
+        table[:, k, : len(g.pieces)] = g._lines
+    return table
 
 
 def _functions(f, rows: int):
@@ -674,24 +703,13 @@ def _monotone_sums(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     every = np.arange(a.size)
 
     def on(table, power, k):
-        """x -> ``table`` by Horner in x minus the anchor on the pieces of
-        the parts k (of x's shape), ``power`` on power pieces: each part's
-        own piece, so an end on a breakpoint takes the same piece as the
-        part's inside."""
+        """x -> ``table`` on the pieces of the parts k (of x's shape), gathered
+        once: each part's own piece, so an end on a breakpoint takes the
+        same piece as the part's inside."""
         own = piece[k]
-        cols, masks = table[:, own], [(f.pieces[i], own == i) for i in f._power]
-        anchor = f._anchors[own]
-
-        def at(x):
-            out, t = np.zeros(x.shape), x - anchor
-            for c in cols:
-                out *= t
-                out += c
-            for pc, mask in masks:
-                out[mask] = power(pc, x[mask])
-            return out
-
-        return at
+        cols, anchor = np.take(table, own, axis=1), f._anchors[own]
+        masks = [(f.pieces[i], own == i) for i in f._power]
+        return lambda x: f._horner(x, x - anchor, cols, masks, power)
 
     # Piece.prim: the primitive rows, then a step that adds -0.0, an exact add
     local = np.vstack([f._prim_rows, np.full(len(f.pieces), -0.0)])
@@ -914,7 +932,7 @@ def _grad_pieces(f: TestFunction, spans, slopes, masses, p: float, w: Weight) ->
     pieces' masses read in order from ``masses``."""
     total = 0.0
     for piece, (a, b), s in zip(f.pieces, spans, slopes):
-        if b <= a or s == 0.0:
+        if not b > a or s == 0.0:
             continue
         if not math.isnan(s):
             total += abs(s) ** p * next(masses)

@@ -682,7 +682,7 @@ def point_domination_check(
     membership = ball_mean_membership(f, b)
 
     def outer(xs, _owner):
-        inner, _ = inner_integral(f, xs, lam, cfg, membership=membership)
+        inner = inner_integral(f, xs, lam, cfg, membership=membership)
         return inner ** (p / q) * weight.value(xs)
 
     [(lhs, met)] = adaptive_quads(outer, [(lo, hi, 1e-4, bps, 200)])

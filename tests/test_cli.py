@@ -206,6 +206,33 @@ ARGV_RUNS = {
         2,
         "f02ba644e553f2bd796088a89cce1bc4f38c2e7b5f7c4eb569b188b38763fca9",
     ),
+    # the default verify-bsvy run: the tent's exact level-set runs
+    "verify-bsvy": (
+        ["verify-bsvy"],
+        "88c4194168edceb108cde6e2e3ad3c1844e48e9aa74319c136fa63e8eb5b07d6",
+        0,
+        "10c6ca7dd68e6910680d5146388a2cb6c0e1a5b5ac3b18fb1d19f8ff0e332f6a",
+    ),
+    # a cubic-edged plateau: the sampled shells of the inner integral
+    "verify-bsvy-smoothed": (
+        ["verify-bsvy", "--set", "function.name=smoothed_indicator"],
+        "15356e030eea90424a90279696d56d2a5e9c2b732b7f6411348385cf8fabdc80",
+        0,
+        "7dae32f92868762a424e03851597cc41ed8dec8e715b53f39e8bd1f53daacc21",
+    ),
+    # gamma < 0 on the plateau: a shell with no certified outer radius,
+    # sampled out to its reach, plus the exact runs of the far tail
+    "verify-bsvy-smoothed-far-tail": (
+        [
+            "verify-bsvy",
+            "--set", "function.name=smoothed_indicator",
+            "--set", "gamma=-0.6",
+            "--set", "q=0.5",
+        ],
+        "ff08f20a17a2caabe0fc29198eca26001da7e6298e17a8eea50e123fa9f63f1f",
+        2,
+        "53011e2bd1e7679d18d67f074dff9536d4fc0983832da9a2049da547014066d4",
+    ),
     "ap-constant": (
         [
             "ap-constant",
@@ -420,33 +447,64 @@ def test_non_finite_weight_parameter_is_a_bad_weight_spec(tmp_path, capsys, sets
     assert len(err) == 1 and err[0].startswith("error: bad weight spec: "), err
 
 
+def _non_finite_case(subcommand, key, *sets):
+    """A parameter case named as subcommand-key, or for a function key
+    subcommand-key-function, and the other settings it needs."""
+    name = [s.split("=")[1] for s in sets if s.startswith("function.name=")]
+    return pytest.param(subcommand, key, sets, id="-".join([subcommand, key, *name]))
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "subcommand, key",
+    "subcommand, key, sets",
     [
-        ("ap-constant", "p"),
-        ("classify-weight", "p"),
-        ("verify-cddd", "p"),
-        ("verify-cddd", "beta"),
-        ("mean-functional", "p"),
-        ("mean-functional", "beta"),
-        ("verify-bsvy", "p"),
-        ("verify-bsvy", "q"),
-        ("verify-bsvy", "gamma"),
-        ("verify-bsvy", "lambda_lo"),
-        ("verify-bsvy", "lambda_hi"),
-        ("verify-bsvy", "tol"),
-        ("sharpness", "p"),
+        _non_finite_case("ap-constant", "p"),
+        _non_finite_case("classify-weight", "p"),
+        _non_finite_case("verify-cddd", "p"),
+        _non_finite_case("verify-cddd", "beta"),
+        _non_finite_case("mean-functional", "p"),
+        _non_finite_case("mean-functional", "beta"),
+        _non_finite_case("verify-bsvy", "p"),
+        _non_finite_case("verify-bsvy", "q"),
+        _non_finite_case("verify-bsvy", "gamma"),
+        _non_finite_case("verify-bsvy", "lambda_lo"),
+        _non_finite_case("verify-bsvy", "lambda_hi"),
+        _non_finite_case("verify-bsvy", "tol"),
+        _non_finite_case("sharpness", "p"),
+        _non_finite_case("verify-bsvy", "grid.lo"),
+        _non_finite_case("verify-bsvy", "grid.hi"),
+        # every numeric parameter of the catalog
+        _non_finite_case("verify-bsvy", "function.c", "function.name=constant"),
+        _non_finite_case("verify-bsvy", "function.slope", "function.name=linear"),
+        _non_finite_case("verify-bsvy", "function.slope", "function.name=linear_ramp"),
+        _non_finite_case("verify-bsvy", "function.cutoff", "function.name=linear_ramp"),
+        _non_finite_case("verify-bsvy", "function.center", "function.name=linear_ramp"),
+        _non_finite_case("verify-bsvy", "function.a", "function.name=indicator"),
+        _non_finite_case("verify-bsvy", "function.b", "function.name=indicator"),
+        _non_finite_case("verify-bsvy", "function.width", "function.name=smoothed_indicator"),
+        _non_finite_case("verify-bsvy", "function.a", "function.name=smoothed_indicator"),
+        _non_finite_case("verify-bsvy", "function.b", "function.name=smoothed_indicator"),
+        _non_finite_case("verify-bsvy", "function.delta", "function.name=sharp2_fdelta"),
+        _non_finite_case(
+            "verify-bsvy", "function.beta", "function.name=sharp3_fbeta", "function.p=1.0"
+        ),
+        _non_finite_case(
+            "verify-bsvy", "function.p", "function.name=sharp3_fbeta", "function.beta=0.5"
+        ),
     ],
 )
-def test_non_finite_functional_parameter_exits_one(tmp_path, capsys, subcommand, key, value):
-    # the config class or kernel that reads the value refuses it by name:
-    # exit 1 and one error line, not a silent verdict, a NumPy warning or a
-    # math domain error
-    assert main([subcommand, "--out", str(tmp_path), "--set", f"{key}={value}"]) == 1
+def test_non_finite_functional_parameter_exits_one(tmp_path, capsys, subcommand, key, sets, value):
+    # the config class, catalog constructor or kernel that reads the value
+    # refuses it by name: exit 1 and one error line, not a silent verdict,
+    # a NumPy warning, a math domain error or a traceback
+    argv = [subcommand, "--out", str(tmp_path), "--set", f"{key}={value}"]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    assert f"{key} must be finite, got {value}" in err[0], err
+    name = key.rpartition(".")[2]
+    assert f"{name} must be finite, got {value}" in err[0], err
 
 
 def test_parse_config_text_sections_and_types():

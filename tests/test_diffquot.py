@@ -11,6 +11,7 @@ from dyadicweights import diffquot, quadrature
 from dyadicweights.diffquot import (
     MASK_POINTS,
     DiffQuotConfig,
+    _radial_bounds,
     diffquot_functional,
     diffquot_functionals,
     gamma_admissible,
@@ -98,7 +99,7 @@ def test_scaling_invariance_of_membership():
 def test_inner_integral_constant_zero():
     f = catalog("constant", c=1.0)
     cfg = DiffQuotConfig(p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-1, 1))
-    val, _ = inner_integral(f, 0.2, 5.0, cfg)
+    val = inner_integral(f, 0.2, 5.0, cfg)
     assert val == 0.0
 
 
@@ -109,7 +110,7 @@ def test_inner_integral_linear_positive_gamma():
     cfg = DiffQuotConfig(p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-1, 1))
     for membership, rel in ((None, 1e-14), (_level_set(f, cfg.s), 1e-5)):
         for lam in (3.0, 40.0, 500.0):
-            val, diag = inner_integral(f, 0.1, lam, cfg, membership=membership)
+            val = inner_integral(f, 0.1, lam, cfg, membership=membership)
             assert val == pytest.approx(2.0 / lam, rel=rel)
 
 
@@ -121,7 +122,7 @@ def test_inner_integral_linear_negative_gamma():
     cfg = DiffQuotConfig(p=1, q=1, gamma=-2.0, weight=ConstantWeight(1.0), window=(-1, 1))
     for membership, rel in ((None, 1e-14), (_level_set(f, cfg.s), 1e-5)):
         for lam in (0.5, 4.0, 90.0):
-            val, diag = inner_integral(f, -0.3, lam, cfg, membership=membership)
+            val = inner_integral(f, -0.3, lam, cfg, membership=membership)
             assert val == pytest.approx(1.0 / lam, rel=rel)
 
 
@@ -340,29 +341,24 @@ def _assert_batch_is_single(f, cfg, lam, xs, membership=None):
     """inner_integral on an array of nodes equals, bit for bit, the same
     nodes one at a time, in either order of the array.  With one level per
     node, interleaving lam with two other levels, it equals the calls at
-    each level alone, in values and certified shells."""
+    each level alone."""
     if membership is not None:
         membership = CountedMembership(membership)
-    vals, diag = inner_integral(f, xs, lam, cfg, membership=membership)
-    rvals, rdiag = inner_integral(f, xs[::-1].copy(), lam, cfg, membership=membership)
+    vals = inner_integral(f, xs, lam, cfg, membership=membership)
+    rvals = inner_integral(f, xs[::-1].copy(), lam, cfg, membership=membership)
     assert np.array_equal(rvals[::-1], vals)
     for i, x in enumerate(xs):
-        v, d = inner_integral(f, float(x), lam, cfg, membership=membership)
+        v = inner_integral(f, float(x), lam, cfg, membership=membership)
         assert isinstance(v, float)
         assert v == vals[i]
     levels = [lam, 3.7 * lam, lam / 9.0]
-    mixed, mdiag = inner_integral(
+    mixed = inner_integral(
         f, np.repeat(xs, 3), np.tile(levels, len(xs)), cfg, membership=membership
     )
     for k, level in enumerate(levels):
-        alone, adiag = (vals, diag) if k == 0 else inner_integral(
-            f, xs, level, cfg, membership=membership
-        )
+        alone = vals if k == 0 else inner_integral(f, xs, level, cfg, membership=membership)
         _assert_same_bits(mixed[k::3], alone)
-        for key in ("r_lo", "r_hi"):
-            if key in adiag:
-                assert np.all(mdiag[key][k::3] == adiag[key])
-    return vals, diag
+    return vals
 
 
 BATCH_NODES = np.array([-3.0, -1.5, -0.4, 0.0, 0.3, 0.9, 2.5, 4.0])
@@ -371,12 +367,13 @@ BATCH_NODES = np.array([-3.0, -1.5, -0.4, 0.0, 0.3, 0.9, 2.5, 4.0])
 def test_inner_integral_batch_tent_kinks_and_empty_rows():
     f = catalog("tent")
     cfg = DiffQuotConfig(p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-2, 2))
-    exact, _ = _assert_batch_is_single(f, cfg, 0.5, BATCH_NODES)
-    vals, diag = _assert_batch_is_single(f, cfg, 0.5, BATCH_NODES, _level_set(f, cfg.s))
+    exact = _assert_batch_is_single(f, cfg, 0.5, BATCH_NODES)
+    vals = _assert_batch_is_single(f, cfg, 0.5, BATCH_NODES, _level_set(f, cfg.s))
     assert np.array_equal(exact == 0.0, vals == 0.0)
     # sampled rows carry 0 to 3 kink radii inside the certified shell
+    r_lo, r_hi = _radial_bounds(f, 0.5, cfg.s)
     r = np.abs(np.subtract.outer(BATCH_NODES, f.breakpoints))
-    kinks = np.sum((r > diag["r_lo"]) & (r < diag["r_hi"]), axis=1)
+    kinks = np.sum((r > r_lo) & (r < r_hi), axis=1)
     assert set(kinks.tolist()) == {0, 1, 2, 3}
     # nodes far outside the support have no member at this level
     assert np.any(vals == 0.0) and np.any(vals > 0.0)
@@ -391,7 +388,7 @@ def test_inner_integral_batch_ball_mean_membership():
             p=1, q=q, gamma=q * b, weight=ConstantWeight(1.0), window=(-8, 8),
             exploratory=True,
         )
-        vals, _ = _assert_batch_is_single(
+        vals = _assert_batch_is_single(
             f, cfg, lam, BATCH_NODES, membership=ball_mean_membership(f, b)
         )
         assert np.any(vals > 0.0)
@@ -408,13 +405,13 @@ def test_inner_integral_first_membership_call_in_blocks():
     nodes = np.repeat(xs, 3)
     level_set = _level_set(f, cfg.s)
     counted = CountedMembership(level_set)
-    vals, _ = inner_integral(f, nodes, lams, cfg, membership=counted)
+    vals = inner_integral(f, nodes, lams, cfg, membership=counted)
     width = 193 + len(f.breakpoints)
     blocks = -(-len(nodes) // (MASK_POINTS // (2 * width)))
     assert blocks > 1
     assert counted.calls == blocks + 40
     for k, lam in enumerate((0.3, 1.0, 4.0)):
-        alone, _ = inner_integral(f, xs, lam, cfg, membership=level_set)
+        alone = inner_integral(f, xs, lam, cfg, membership=level_set)
         _assert_same_bits(vals[k::3], alone)
 
 
@@ -427,11 +424,11 @@ def test_sampled_far_tail_closed_form_on_the_plateau():
         p=1, q=0.5, gamma=-0.6, weight=ConstantWeight(1.0), window=(-2, 2),
         exploratory=True,
     )
-    val, diag = inner_integral(f, 0.3, 1.0, cfg)
-    assert diag["r_hi"] == math.inf
+    val = inner_integral(f, 0.3, 1.0, cfg)
+    assert _radial_bounds(f, 1.0, cfg.s)[1] == math.inf
     assert val == pytest.approx(10.0 / 3.0, rel=1e-15)
     # on the rising edge; a sum over 20M log-spaced radii gives 0.0037495441
-    val, _ = inner_integral(f, -0.2, 1.0, cfg)
+    val = inner_integral(f, -0.2, 1.0, cfg)
     assert val == pytest.approx(0.0037495441, rel=2e-6)
 
 
@@ -450,9 +447,9 @@ def test_unbounded_shell_matches_the_exact_path():
                 p=1, q=q, gamma=gamma, weight=ConstantWeight(1.0), window=(-2, 2),
                 exploratory=True,
             )
-            exact, _ = inner_integral(f, xs, lam, cfg)
-            sampled, diag = _assert_batch_is_single(f, cfg, lam, xs, _level_set(f, cfg.s))
-            assert diag["r_hi"] == math.inf
+            exact = inner_integral(f, xs, lam, cfg)
+            sampled = _assert_batch_is_single(f, cfg, lam, xs, _level_set(f, cfg.s))
+            assert _radial_bounds(f, lam, cfg.s)[1] == math.inf
             assert np.all(np.abs(sampled - exact) <= rel * exact)
             assert np.any(exact > 0)
 
@@ -525,9 +522,10 @@ def test_sampled_shell_starts_at_its_certified_radius():
             p=2, q=q, gamma=gamma, weight=ConstantWeight(1.0), window=(-2, 2),
             exploratory=True,
         )
-        exact, _ = inner_integral(f, x, lam, cfg)
-        sampled, diag = inner_integral(f, x, lam, cfg, membership=_level_set(f, cfg.s))
-        assert diag["r_lo"] < 1e-12 * diag["r_hi"] < math.inf
+        exact = inner_integral(f, x, lam, cfg)
+        sampled = inner_integral(f, x, lam, cfg, membership=_level_set(f, cfg.s))
+        r_lo, r_hi = _radial_bounds(f, lam, cfg.s)
+        assert r_lo < 1e-12 * r_hi < math.inf
         assert abs(sampled - exact) <= 2e-6 * exact
 
 
@@ -566,20 +564,27 @@ def _runs(f, x, lam, s):
     return runs
 
 
+def _refuse_sampling(monkeypatch):
+    """Make a call of the sampled path, or of its kernel, fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact path fell back to sampling")
+
+    monkeypatch.setattr(diffquot, "_sampled_shells", refuse)
+    monkeypatch.setattr(diffquot, "_signed_member_mass", refuse)
+
+
 def test_exact_path_never_samples(monkeypatch):
     # default membership on f whose pieces are all linear takes no sampled
     # shell: the sampled kernel is never called, by inner_integral or by the
     # functional around it
-    def refuse(*args, **kwargs):
-        raise AssertionError("the exact path fell back to sampling")
-
-    monkeypatch.setattr(diffquot, "_signed_member_mass", refuse)
+    _refuse_sampling(monkeypatch)
     rng = np.random.default_rng(4)
     xs = rng.uniform(-3, 4, 30)
     for f in LINEAR_FUNCTIONS + (catalog("constant", c=1.0), catalog("indicator")):
         for q, gamma in EXPONENTS:
-            vals, diag = inner_integral(f, xs, 10 ** rng.uniform(-1, 1, 30), _cfg(q, gamma))
-            assert diag == {}
+            vals = inner_integral(f, xs, 10 ** rng.uniform(-1, 1, 30), _cfg(q, gamma))
+            assert np.all(np.isfinite(vals))
     cfg = DiffQuotConfig(
         p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-2, 4),
         lambda_lo=1e0, lambda_hi=1e4, lambda_count=5,
@@ -587,6 +592,41 @@ def test_exact_path_never_samples(monkeypatch):
     assert diffquot_functional(cfg, catalog("tent")).sup > 0
     with pytest.raises(AssertionError, match="fell back"):
         inner_integral(catalog("sharp1_bump"), xs, 1.0, _cfg(1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "q, gamma, names",
+    [
+        (1.0, 1.0, ("tent", "linear_ramp", "smoothed_indicator", "sharp2_fdelta")),
+        # s = -1.2: the plateau's shells have no certified outer radius, so
+        # its far tails join the exact rows in one _linear_runs call
+        (0.5, -0.6, ("tent", "linear_ramp", "smoothed_indicator")),
+    ],
+)
+def test_inner_integral_pair_rows_are_each_f_alone_bit_for_bit(q, gamma, names):
+    # one call on the nodes of several functions, one level per node, in
+    # either order of the nodes: each row is its f's call alone, on the
+    # exact path (tent, ramp) or the sampled one (plateau, power piece), and
+    # so with a membership given, which sends every f to the sampled path
+    params = {
+        "linear_ramp": {"slope": 0.3, "cutoff": 0.7, "center": 0.1},
+        "sharp2_fdelta": {"delta": 0.5},
+    }
+    fs = [catalog(name, **params.get(name, {})) for name in names]
+    cfg = _cfg(q, gamma)
+    rng = np.random.default_rng(21)
+    xs = np.concatenate([BATCH_NODES, rng.uniform(-3, 4, 40)])
+    lams = 10 ** rng.uniform(-1, 1, len(xs))
+    of = rng.permutation(np.arange(len(xs)) % len(fs))
+    for membership in (None, CountedMembership(_level_set(fs[0], cfg.s))):
+        vals = inner_integral((fs, of), xs, lams, cfg, membership=membership)
+        back = inner_integral((fs, of[::-1]), xs[::-1], lams[::-1], cfg, membership=membership)
+        _assert_same_bits(back[::-1], vals)
+        for k, f in enumerate(fs):
+            at = of == k
+            alone = inner_integral(f, xs[at], lams[at], cfg, membership=membership)
+            _assert_same_bits(vals[at], alone)
+        assert np.all(vals >= 0) and np.any(vals > 0)
 
 
 def test_exact_path_batch_is_single_and_one_level_per_node():
@@ -609,8 +649,8 @@ def test_exact_path_matches_sampled_path():
             if f.name == "tent" and gamma / q == 1.0:
                 continue
             cfg = _cfg(q, gamma)
-            exact, _ = inner_integral(f, xs, lams, cfg)
-            sampled, diag = inner_integral(f, xs, lams, cfg, membership=_level_set(f, cfg.s))
+            exact = inner_integral(f, xs, lams, cfg)
+            sampled = inner_integral(f, xs, lams, cfg, membership=_level_set(f, cfg.s))
             assert np.all(np.abs(exact - sampled) <= 1e-9 * exact)
             assert np.array_equal(exact == 0.0, sampled == 0.0)
 
@@ -625,8 +665,8 @@ def test_exact_path_on_a_kink_where_the_pieces_round_apart():
     lines = f._lines
     assert lines[3, 1] + lines[2, 1] * x != float(f.value(x))
     cfg = _cfg(2.0, -1.0)
-    exact, _ = inner_integral(f, x, 0.05, cfg)
-    sampled, _ = inner_integral(f, x, 0.05, cfg, membership=_level_set(f, cfg.s))
+    exact = inner_integral(f, x, 0.05, cfg)
+    sampled = inner_integral(f, x, 0.05, cfg, membership=_level_set(f, cfg.s))
     assert 0 < exact < math.inf
     assert abs(exact - sampled) <= 1e-9 * exact
 
@@ -644,8 +684,8 @@ def test_sampled_path_steps_over_an_island_the_exact_path_keeps():
     (_, _, gap_lo), (_, gap_hi, _) = runs
     assert gap_lo < 2 * (x - 1) < gap_hi
     assert not in_level_set(f, x, x - 0.5 * (gap_lo + gap_hi), lam, 1.0)
-    exact, _ = inner_integral(f, x, lam, cfg)
-    sampled, _ = inner_integral(f, x, lam, cfg, membership=_level_set(f, 1.0))
+    exact = inner_integral(f, x, lam, cfg)
+    sampled = inner_integral(f, x, lam, cfg, membership=_level_set(f, 1.0))
     assert sampled - exact == pytest.approx(gap_hi - gap_lo, rel=1e-6)
 
 
@@ -676,26 +716,26 @@ def test_exact_runs_match_scalar_level_set_on_dense_radii():
                 _assert_runs_match_level_set(f, x, lam, s, radii)
 
 
-def test_exact_path_closed_forms_and_unbounded_runs():
+def test_exact_path_closed_forms_and_unbounded_runs(monkeypatch):
     # linear f, slope 1: members r < lam^(-1/s) for s > 0, r > lam^(-1/s)
-    # for s < 0 (a run to infinity; r > lam at s = -1)
+    # for s < 0 (a run to infinity; r > lam at s = -1), on the exact path
+    _refuse_sampling(monkeypatch)
     f = catalog("linear", slope=1.0)
     for q, gamma in EXPONENTS:
         s = gamma / q
         for lam in (0.05, 0.7, 30.0):
-            val, diag = inner_integral(f, 0.3, lam, _cfg(q, gamma))
+            val = inner_integral(f, 0.3, lam, _cfg(q, gamma))
             want = 2.0 * lam ** (-gamma / s) / abs(gamma)
             assert val == pytest.approx(want, rel=1e-14)
-            assert diag == {}
     # x = 5 on the tent's flat right tail: f(y) - f(x) = 0 on its own piece
     # (beta = 0), so the only members lie toward the tent, at r in (3, 5)
     tent = catalog("tent")
-    val, _ = inner_integral(tent, 5.0, 1.0, _cfg(1.0, -2.0))
+    val = inner_integral(tent, 5.0, 1.0, _cfg(1.0, -2.0))
     runs = _runs(tent, 5.0, 1.0, -2.0)
     assert val > 0 and all(d == -1.0 and 3.0 <= a < b <= 5.0 for d, a, b in runs)
     # x = 0.5 inside the tent: both flat tails (beta = 0) are members from
     # 0.1 r^-1 < f(x) = 0.5 on, out to infinity, in closed form
-    val, _ = inner_integral(tent, 0.5, 0.1, _cfg(1.0, -2.0))
+    val = inner_integral(tent, 0.5, 0.1, _cfg(1.0, -2.0))
     runs = _runs(tent, 0.5, 0.1, -2.0)
     assert [(d, b) for d, _, b in runs if b == math.inf] == [(-1.0, math.inf), (1.0, math.inf)]
     assert math.isfinite(val) and val > 0
@@ -704,10 +744,10 @@ def test_exact_path_closed_forms_and_unbounded_runs():
 def test_exact_path_memberless_rows_are_zero():
     # constant f, and nodes whose level is above every difference quotient
     cfg = _cfg(2.0, -1.0)
-    vals, _ = inner_integral(catalog("constant", c=3.0), BATCH_NODES, 0.5, cfg)
+    vals = inner_integral(catalog("constant", c=3.0), BATCH_NODES, 0.5, cfg)
     assert vals.tolist() == [0.0] * len(BATCH_NODES)
     tent = catalog("tent")
-    vals, _ = inner_integral(tent, np.array([0.0, 1.0, 2.0, 0.3]), np.array([1e3, 1e3, 1e3, 1e-3]), cfg)
+    vals = inner_integral(tent, np.array([0.0, 1.0, 2.0, 0.3]), np.array([1e3, 1e3, 1e3, 1e-3]), cfg)
     assert vals[:3].tolist() == [0.0, 0.0, 0.0] and vals[3] > 0
 
 
@@ -718,7 +758,7 @@ def test_exact_path_refuses_a_root_past_the_float_range():
     xs = np.array([0.5, 1.5])
     with pytest.raises(ValueError, match="float range"):
         inner_integral(catalog("tent"), xs, 0.1, _cfg(1.0, -0.001))
-    vals, _ = inner_integral(catalog("tent"), xs, 0.01, _cfg(1.0, -1.001))
+    vals = inner_integral(catalog("tent"), xs, 0.01, _cfg(1.0, -1.001))
     assert np.all(np.isfinite(vals) & (vals > 0))
 
 
@@ -775,7 +815,7 @@ def _profile_by_inner_integral(cfg, f):
     lambdas = np.logspace(math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count)
 
     def outer(xs, owner):
-        inner, _ = inner_integral(f, xs, lambdas[owner], cfg)
+        inner = inner_integral(f, xs, lambdas[owner], cfg)
         return inner ** (cfg.p / cfg.q) * cfg.weight.value(xs)
 
     bps = list(f.breakpoints) + list(cfg.weight.breakpoints())

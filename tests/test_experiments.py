@@ -233,12 +233,13 @@ def test_classifier_takes_one_omega_call_and_one_quotient_quadrature(monkeypatch
     # omega_intervals call, the cubes from one integer build and no
     # per-cube axis_index or axis_interval call; every depth's quotient
     # probe shares one adaptive_quads call, and each of its integrand
-    # calls makes one _linear_runs call on the nodes of all of them (a
-    # quadrature per depth makes 37); with panels evaluated ahead of need
-    # the sequential loop's 10 calls (8 off centre) are 6, on no more nodes
-    # than its 5,236 (4,576)
-    calls = {"omega": 0, "axis": 0, "quads": 0, "steps": 0, "runs": 0}
-    quads, runs, omega = diffquot.adaptive_quads, diffquot._linear_runs, experiments.omega_intervals
+    # calls makes one inner_integral call, and in it one _linear_runs call,
+    # on the nodes of all of them (a quadrature per depth makes 37); with
+    # panels evaluated ahead of need the sequential loop's 10 calls (8 off
+    # centre) are 6, on no more nodes than its 5,236 (4,576)
+    calls = {"omega": 0, "axis": 0, "quads": 0, "steps": 0, "inner": 0, "runs": 0}
+    quads, omega = diffquot.adaptive_quads, experiments.omega_intervals
+    inner, runs = diffquot.inner_integral, diffquot._linear_runs
     nodes = []
 
     def counted_quads(f, problems):
@@ -259,6 +260,7 @@ def test_classifier_takes_one_omega_call_and_one_quotient_quadrature(monkeypatch
         return wrapper
 
     monkeypatch.setattr(diffquot, "adaptive_quads", counted_quads)
+    monkeypatch.setattr(diffquot, "inner_integral", counted("inner", inner))
     monkeypatch.setattr(diffquot, "_linear_runs", counted("runs", runs))
     monkeypatch.setattr(experiments, "omega_intervals", counted("omega", omega))
     axis = ((grid, "axis_index"), (grid, "axis_interval"), (experiments, "axis_interval"))
@@ -269,5 +271,6 @@ def test_classifier_takes_one_omega_call_and_one_quotient_quadrature(monkeypatch
         nodes.clear()
         rep = weight_classifier(PowerWeight(0.5, center), 1.0)
         assert rep.verdict == "violates"
-        assert calls == {"omega": 1, "axis": 0, "quads": 1, "steps": steps, "runs": steps}
+        want = {"omega": 1, "axis": 0, "quads": 1, "steps": steps, "inner": steps, "runs": steps}
+        assert calls == want
         assert sum(nodes) <= most
