@@ -92,6 +92,10 @@ class DiffQuotConfig:
         )
         if self.p < 1 or self.q <= 0:
             raise ValueError("need p >= 1 and q > 0")
+        if not lo < hi:
+            raise ValueError(f"bad grid window: need lo < hi, got lo={lo}, hi={hi}")
+        if self.lambda_count < 1:
+            raise ValueError(f"lambda_count must be >= 1, got {self.lambda_count}")
         self.n = 1
         self.admissible = gamma_admissible(self.p, self.q, self.gamma)
         self.scale_ok = scale_condition(self.n, self.p, self.q)

@@ -23,19 +23,18 @@ class DomainError(ValueError):
 
 
 def powers(x, e) -> np.ndarray:
-    """x ** e per element by Python's float ** (C pow), from which NumPy's
-    SIMD power can differ in the last bit, each distinct value raised once:
-    values are told apart by their bits, so -0.0 keeps its own power."""
+    """x ** e per element, bit for bit Python's float ** (the C pow that
+    float_power calls; NumPy's SIMD power can differ in the last bit), and
+    FloatingPointError where ** raises (0.0 ** -1, overflow) or is complex."""
     x = np.asarray(x, dtype=float)
-    # return_inverse also keeps np.unique from importing numpy.ma (1.7 MB)
-    uniq, inv = np.unique(x.view(np.int64), return_inverse=True)
-    return np.array([v**e for v in uniq.view(float).tolist()], dtype=float)[inv].reshape(x.shape)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        return np.float_power(x, e, out=np.empty(x.shape))
 
 
 def dyadic_powers(k, e) -> np.ndarray:
-    """(2^k)^e per element of the integer array ``k``, by the same Python
-    float ** as ``powers``, without its sort: each power is taken once per
-    integer in k's range and indexed by k."""
+    """(2^k)^e per element of the integer array ``k``, by Python's float **
+    as ``powers`` takes it: each power is taken once per integer in k's
+    range, fewer than one per cube, and indexed by k."""
     k = np.asarray(k)
     if not k.size:
         return np.zeros(k.shape)
@@ -53,9 +52,8 @@ def power_integrals(e: float, center, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     centre gives prim of the distance from lo plus prim of the distance
     from hi, and a row on one side prim of the farther end's distance less
     prim of the nearer one's; at e = -1 that row gives
-    log1p(length / nearer distance), by math.log1p.  The powers are taken
-    by ``powers``, once per distinct distance, since the cubes of a window
-    share their ends."""
+    log1p(length / nearer distance), by math.log1p.  The powers of both
+    distance columns are taken by one ``powers`` call."""
     c = center
     out = np.zeros(lo.shape)
     live = hi > lo

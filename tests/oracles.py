@@ -7,7 +7,8 @@ monotone parts; the closed form of omega for an indicator; the exhaustive
 antichain search; the classical weight-constant checks with the
 discretized maximal function; the scalar power mass and constant ratio,
 one interval at a time, as the bit-for-bit references of the array
-kernel; the classifier's probe family built by one axis_index and
+kernel; Python's float ** one value at a time, the reference of
+``weights.powers``; the classifier's probe family built by one axis_index and
 axis_interval call per cube; the set relation of one pair of cubes on
 integer corners (``relate``, the reference of the good-cube containment
 arrays) and a cube's parent; the Fraction forms of relate and
@@ -383,6 +384,21 @@ def cube_weight(q: Cube, sigma: float, w: Weight) -> float:
     assert len(factors) == len(box)
     mass = math.prod(_scalar_axis_power_mass(f, lo, hi, 1.0) for f, (lo, hi) in zip(factors, box))
     return float(q.volume) ** (sigma - 1.0) * mass
+
+
+def scalar_powers(x, e) -> np.ndarray:
+    """x ** e element by element by Python's float **, in x's shape.
+    Raises where ** raises (ZeroDivisionError, OverflowError), and
+    ValueError where it gives a complex (a negative base to a fractional
+    power)."""
+    x = np.asarray(x, dtype=float)
+    out = []
+    for v in x.ravel().tolist():
+        r = v**e
+        if isinstance(r, complex):
+            raise ValueError(f"{v!r} ** {e!r} is complex")
+        out.append(r)
+    return np.array(out, dtype=float).reshape(x.shape)
 
 
 def scalar_power_mass(w: PowerWeight, lo: float, hi: float, s: float) -> float:

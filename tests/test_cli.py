@@ -507,6 +507,27 @@ def test_non_finite_functional_parameter_exits_one(tmp_path, capsys, subcommand,
     assert f"{name} must be finite, got {value}" in err[0], err
 
 
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        (["functional.lambda_count=0"], "lambda_count must be >= 1, got 0"),
+        (["grid.lo=1", "grid.hi=-1"], "bad grid window: need lo < hi"),
+        (["grid.lo=1", "grid.hi=1"], "bad grid window: need lo < hi"),
+    ],
+    ids=["no-lambda", "reversed-window", "empty-window"],
+)
+def test_verify_bsvy_refuses_an_empty_profile_or_window(tmp_path, capsys, sets, message):
+    # no lambda or no window leaves nothing to take a supremum over: exit 1
+    # and one error line, not a NumPy argmax error or a "pass" on zeros
+    argv = ["verify-bsvy", "--out", str(tmp_path)]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_parse_config_text_sections_and_types():
     cfg = parse_config_text(
         """

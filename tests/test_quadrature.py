@@ -103,9 +103,10 @@ def test_one_call_per_refinement_step_and_same_total(name):
     assert counted.calls <= 1 + splits
     if name in ("kinked", "cusp-breakpoints"):
         assert counted.calls < 1 + splits
-    # 7 + 15 nodes per panel, each panel the sequential loop's and evaluated once
+    # 7 + 15 nodes per panel less the centre both rules share, each panel
+    # the sequential loop's and evaluated once
     spans = len({a, b, *(t for t in bps if a < t < b)}) - 1
-    assert counted.points == 22 * (spans + 2 * splits)
+    assert counted.points == 21 * (spans + 2 * splits)
     assert type(got) is float
     assert got == want  # bit for bit
 

@@ -31,6 +31,7 @@ from oracles import (
     maximal_value,
     scalar_ap_ratio,
     scalar_power_mass,
+    scalar_powers,
 )
 
 
@@ -550,8 +551,43 @@ def test_ap_ratios_match_the_scalar_reference_bit_for_bit():
             check(w, p, cubes)
 
 
+def _raises_by_python_pow(v: float, e) -> bool:
+    try:
+        scalar_powers(v, e)
+    except (ArithmeticError, ValueError):
+        return True
+    return False
+
+
+# the exponents the package passes: squares and cubes of the omega kernels,
+# the bench weights' a s + 1 and ratio exponents, p - 1 and table s
+@pytest.mark.parametrize("e", [2, 3, 0.25, 0.5, 1.5, -0.75, 1.0, 2.0, -0.5, -1.0])
+def test_powers_are_python_pow_bit_for_bit(e):
+    rng = np.random.default_rng(35)
+    mags = 10.0 ** rng.uniform(-300.0, 300.0, 3000)
+    special = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, math.inf, math.nan]
+    x = np.concatenate([mags, special, -mags[:500], np.negative(special[:-1])])
+    bad = np.array([_raises_by_python_pow(v, e) for v in x.tolist()])
+    ok = x[~bad]
+    for shaped in (ok, ok[:2000].reshape(40, 50), ok[:0].reshape(0, 3)):
+        got = powers(shaped, e)
+        assert isinstance(got, np.ndarray) and got.shape == shaped.shape
+        assert got.tobytes() == scalar_powers(shaped, e).tobytes()
+    for v in special + [-0.0]:
+        # 0-d in, 0-d out; -0.0 keeps its sign at odd e
+        if not _raises_by_python_pow(v, e):
+            got = powers(np.float64(v), e)
+            assert got.shape == () and got.tobytes() == scalar_powers(v, e).tobytes()
+    # 0.0 to a negative power, overflow and a negative base to a fractional
+    # power: each raises, alone and among values that do not
+    assert bad.any() == (e != 1.0)
+    for v in x[bad].tolist():
+        with pytest.raises(FloatingPointError):
+            powers(np.array([1.0, v]), e)
+
+
 @pytest.mark.parametrize("e", [0.5, -0.75, 2.0, np.float64(1.0 / 3.0), -1.0])
-def test_dyadic_powers_are_the_sorted_powers_bit_for_bit(e):
+def test_dyadic_powers_are_powers_bit_for_bit(e):
     # generations of a window, out of order and repeated, in any shape
     k = np.array([[3, -5, 0], [3, 12, -48], [-5, -5, 1]])
     want = powers(np.ldexp(1.0, k), e)
