@@ -96,6 +96,9 @@ class DiffQuotConfig:
             raise ValueError(f"bad grid window: need lo < hi, got lo={lo}, hi={hi}")
         if self.lambda_count < 1:
             raise ValueError(f"lambda_count must be >= 1, got {self.lambda_count}")
+        for name, value in (("lambda_lo", self.lambda_lo), ("lambda_hi", self.lambda_hi)):
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         self.n = 1
         self.admissible = gamma_admissible(self.p, self.q, self.gamma)
         self.scale_ok = scale_condition(self.n, self.p, self.q)
@@ -262,8 +265,10 @@ def _member_runs(a, b, lo, hi, lam, t: float, gamma: float):
         root = base**power
         # a root past the float range that is an end of its run (not cut off
         # by a finite end of the part) drops its term root^gamma from the mass
-        lost = (base > 0) & ((root == 0) & (lo == 0) | (root == math.inf) & (hi == math.inf))
-        if np.any(lost & (gamma * power * np.log(base) > -708.0)):
+        lost = np.flatnonzero(
+            (base > 0) & ((root == 0) & (lo == 0) | (root == math.inf) & (hi == math.inf))
+        )
+        if np.any(gamma * power[lost] * np.log(base[lost]) > -708.0):
             raise ValueError("a membership root lies outside the float range")
         del base, power, lost
         rising = (t < 0) | (~flat & (t < 1))
@@ -303,12 +308,13 @@ def _member_runs(a, b, lo, hi, lam, t: float, gamma: float):
     else:
         far = np.maximum((2 * aa / lam) ** (1 / t), (2 * bb / lam) ** (1 / (t - 1)))
     start = np.where(from_p, np.maximum(p, near), np.minimum(q, far))
-    change = rise | fall
-    side, row = np.nonzero(change)
-    r = start[side, row]
+    # the brackets with a root, flat over (side, row)
+    change = np.flatnonzero(rise | fall)
+    r = start.ravel()[change]
     if not np.all(np.isfinite(r) & (r > 0) | (r == 0) & (t > 1)):
         raise ValueError("a membership root lies outside the float range")
-    toward = np.where(from_p[side, row], 1.0, -1.0)
+    toward = np.where(from_p.ravel()[change], 1.0, -1.0)
+    row = change % rows.size
     ra, rb, rl = a[row], b[row], lam[row]
     for _ in range(100):
         new = r - (ra + rb * r - rl * r**t) / (rb - rl * t * r ** (t - 1.0))
@@ -319,15 +325,15 @@ def _member_runs(a, b, lo, hi, lam, t: float, gamma: float):
     else:
         raise ValueError("Newton's method did not settle on a membership root")
     root = np.zeros(p.shape)
-    root[side, row] = np.clip(r, p[side, row], q[side, row])
+    root.ravel()[change] = np.clip(r, p.ravel()[change], q.ravel()[change])
     m1[:, rows] = np.where(rise, root, p)
     m2[:, rows] = np.where(fall, root, np.where(rise | every, q, p))
     return m1, m2
 
 
 def _linear_runs(
-    lines: np.ndarray, continuous, xs: np.ndarray, fx: np.ndarray, lams: np.ndarray, s: float,
-    gamma: float, r_min: np.ndarray,
+    table: np.ndarray, continuous: np.ndarray, of: np.ndarray, xs: np.ndarray, fx: np.ndarray,
+    lams: np.ndarray, s: float, gamma: float, r_min: np.ndarray,
 ):
     """The member runs at r > ``r_min`` of every node x in ``xs`` at its
     level, exactly, where the pieces of the node's f the ray meets there are
@@ -336,41 +342,66 @@ def _linear_runs(
     run having r1 = r2, in the same order per node however many nodes, and
     whichever functions, there are.
 
-    ``lines`` is the piece table of each node's f, `funcspace._stacked_lines`
-    gathered per node, of shape (4, nodes, pieces); ``continuous`` says, per
-    node, whether its f is continuous (has a finite Lipschitz hint).
+    Node i has the function of[i], whose pieces are row of[i] of ``table``,
+    the stacked piece table `funcspace._stacked_lines` of shape
+    (4, functions, pieces), read flat at of[i] * pieces + piece;
+    ``continuous`` says, per function, whether it is continuous (has a
+    finite Lipschitz hint).
 
     On the ray each piece of f spans a radius interval, on which
     f(y) - f(x) = alpha + beta r, with alpha exactly 0 on the piece that holds
     x (and, for continuous f, the piece that ends at x).  Each span is split
     at the zero of alpha + beta r, so membership on each part is
     u(r) > lam r^(1+s) with u = |alpha + beta r| linear: `_member_runs`.
-    Arrays are updated in place and dropped once used, which keeps the
-    temporaries of a wide refinement step down."""
-    x0, x1 = lines[:2, :, None, :]
-    x = xs[:, None, None]
-    sign = np.array([1.0, -1.0])[:, None]
-    # signed radius of each end of each piece in each direction, then the
-    # nearer and the farther end
-    lo, hi = sign * (x0 - x), sign * (x1 - x)
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
+    None of that depends on the level, so it is done once per distinct
+    (f, x, f(x), r_min), and each node then takes the parts of its own in
+    their order.  Arrays are updated in place and dropped once used, which
+    keeps the temporaries of a wide refinement step down."""
+    # the distinct rows, by their bits: a stable sort on x puts the repeats
+    # of each row next to each other, and a row is new where any input
+    # differs from the row before it
+    order = np.argsort(xs.view(np.int64), kind="stable")
+    first = np.zeros(xs.size, dtype=bool)
+    first[0] = True
+    for col in (xs.view(np.int64), fx.view(np.int64), r_min.view(np.int64), of):
+        col = col[order]
+        first[1:] |= col[1:] != col[:-1]
+    distinct = np.empty(xs.size, dtype=np.intp)
+    distinct[order] = np.cumsum(first) - 1
+    rep = order[first]
+    del order, first
+    pieces = table.shape[2]
+    lines = table.reshape(4, -1)
+    base = of[rep] * pieces
+    at = base[:, None] + np.arange(pieces)
+    x = np.repeat(xs[rep], pieces).reshape(at.shape)
+    # signed radius of the nearer and the farther end of each piece in each
+    # direction, on (node, direction, piece) rows: x0 <= x1, and rounding
+    # keeps that order
+    x0, x1 = lines[0, at] - x, lines[1, at] - x
+    lo, hi = np.stack([x0, -x1], 1), np.stack([x1, -x0], 1)
+    del x0, x1, x, at
     np.maximum(lo, 0.0, out=lo)
-    held = (lo == 0.0) & (np.reshape(continuous, (-1, 1, 1)) | (sign > 0))
-    np.maximum(lo, r_min[:, None, None], out=lo)
-    # the spans the ray meets past r_min
-    node, way, piece = span = np.nonzero(hi > lo)
-    lo, hi, held = lo[span], hi[span], held[span]
-    beta, alpha = lines[2:, node, piece]
-    del span, piece
+    held = lo == 0.0
+    held[:, 1] &= continuous[of[rep], None]
+    np.maximum(lo, np.repeat(r_min[rep], 2 * pieces).reshape(lo.shape), out=lo)
+    # the spans the ray meets past r_min, by their flat index
+    span = np.flatnonzero(hi > lo)
+    node, way, piece = np.unravel_index(span, lo.shape)
+    lo, hi, held = lo.ravel()[span], hi.ravel()[span], held.ravel()[span]
+    piece += base[node]
+    beta, alpha = lines[2, piece], lines[3, piece]
+    del span, piece, base
     if np.any(np.isnan(beta)):
         raise ValueError("f has a piece that is not linear past r_min")
     # alpha = intercept + slope x - f(x), beta = direction * slope
-    alpha += beta * xs[node]
-    alpha -= fx[node]
+    rep_node = rep[node]
+    alpha += beta * xs[rep_node]
+    alpha -= fx[rep_node]
     alpha[held] = 0.0
-    direction = sign[way, 0]
+    direction = 1.0 - 2.0 * way
     beta *= direction
-    del held, way
+    del held, way, rep_node
     flat = beta == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         cut = np.divide(alpha, beta)
@@ -395,10 +426,18 @@ def _linear_runs(
     np.copyto(lo, cut, where=up)
     np.copyto(hi, cut, where=~up)
     del at, up, cut
+    # every node takes the parts of its distinct row, which are contiguous
+    count = np.bincount(node, minlength=rep.size)
+    take = count[distinct]
+    row = np.repeat(np.arange(xs.size), take)
+    at = np.arange(row.size) + np.repeat(
+        (np.cumsum(count) - count)[distinct] - (np.cumsum(take) - take), take
+    )
+    del count, take, distinct
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r1, r2 = _member_runs(a, b, lo, hi, lams[node], 1.0 + s, gamma)
+        r1, r2 = _member_runs(a[at], b[at], lo[at], hi[at], lams[row], 1.0 + s, gamma)
     del a, b, lo, hi
-    return np.repeat(node, 2), np.repeat(direction, 2), r1.T.ravel(), r2.T.ravel()
+    return np.repeat(row, 2), np.repeat(direction[at], 2), r1.T.ravel(), r2.T.ravel()
 
 
 def _run_mass(node: np.ndarray, r1: np.ndarray, r2: np.ndarray, gamma: float, n: int) -> np.ndarray:
@@ -430,8 +469,9 @@ def inner_integral(f, x, lam, cfg: DiffQuotConfig, membership=None):
 
     The level set of every f whose pieces are all linear is exact: its
     nodes take one `_linear_runs` call over the stacked piece table
-    (`funcspace._stacked_lines`) gathered per node, exact to rounding with
-    runs to infinity in closed form.  Every other f is sampled, one
+    (`funcspace._stacked_lines`), read flat, which forms the ray spans of
+    each distinct node once for all its levels, exact to rounding with runs
+    to infinity in closed form.  Every other f is sampled, one
     `_sampled_shells` call each, and the same `_linear_runs` call adds the
     exact runs of its far tails.
 
@@ -455,8 +495,8 @@ def inner_integral(f, x, lam, cfg: DiffQuotConfig, membership=None):
     rows = np.flatnonzero(r_min < math.inf)
     if rows.size:
         node, _, r1, r2 = _linear_runs(
-            table[:, of[rows]], continuous[of[rows]], xs[rows], fx[rows], lams[rows], cfg.s,
-            cfg.gamma, r_min[rows],
+            table, continuous, of[rows], xs[rows], fx[rows], lams[rows], cfg.s, cfg.gamma,
+            r_min[rows],
         )
         vals[rows] += _run_mass(node, r1, r2, cfg.gamma, rows.size)
     return float(vals[0]) if np.ndim(x) == 0 else vals

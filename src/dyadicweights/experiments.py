@@ -110,6 +110,8 @@ def sharpness_sweep(case: str, p: float, grid) -> SweepResult:
     grid and fit the scaling exponent of the certifying-family functional;
     the slope passes within 0.05 (a1) or 0.15 (ap, betalimit) of its target."""
     require_finite(p=p)
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     case = case.lower()
     grid = [float(g) for g in grid]
     if case == "a1":

@@ -8,7 +8,8 @@ antichain search; the classical weight-constant checks with the
 discretized maximal function; the scalar power mass and constant ratio,
 one interval at a time, as the bit-for-bit references of the array
 kernel; Python's float ** one value at a time, the reference of
-``weights.powers``; the classifier's probe family built by one axis_index and
+``weights.powers``; the panel sums of ``quadrature._panels`` one row at a
+time by np.dot; the classifier's probe family built by one axis_index and
 axis_interval call per cube; the set relation of one pair of cubes on
 integer corners (``relate``, the reference of the good-cube containment
 arrays) and a cube's parent; the Fraction forms of relate and
@@ -399,6 +400,23 @@ def scalar_powers(x, e) -> np.ndarray:
             raise ValueError(f"{v!r} ** {e!r} is complex")
         out.append(r)
     return np.array(out, dtype=float).reshape(x.shape)
+
+
+def rowwise_panels(v: np.ndarray, spans) -> list[tuple[float, float]]:
+    """(fine, |fine - coarse|) of each span from its row of 21 integrand
+    values in the column order of ``quadrature._panels`` (the 15 nodes, then
+    the 7 less the centre both share, column 7), one row at a time by
+    np.dot on a contiguous row, non-finite values taken as 0."""
+    _, w7 = _gl(7)
+    _, w15 = _gl(15)
+    out = []
+    for (lo, hi), row in zip(spans, np.asarray(v, dtype=float)):
+        h = 0.5 * (hi - lo)
+        row = np.where(np.isfinite(row), row, 0.0)
+        fine = h * float(np.dot(w15, row[:15]))
+        coarse = h * float(np.dot(w7, row[[15, 16, 17, 7, 18, 19, 20]]))
+        out.append((fine, abs(fine - coarse)))
+    return out
 
 
 def scalar_power_mass(w: PowerWeight, lo: float, hi: float, s: float) -> float:

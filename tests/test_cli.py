@@ -528,6 +528,23 @@ def test_verify_bsvy_refuses_an_empty_profile_or_window(tmp_path, capsys, sets, 
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, key, value, rule",
+    [
+        *(("verify-bsvy", key, v, "> 0") for key in ("lambda_lo", "lambda_hi") for v in ("0", "-1")),
+        *(("sharpness", "p", value, ">= 1") for value in ("0", "-1", "0.5")),
+    ],
+)
+def test_a_value_out_of_its_domain_exits_one(tmp_path, capsys, subcommand, key, value, rule):
+    # a lambda range that takes no logarithm and a sharpness p below 1 are
+    # refused by name: exit 1 and one error line, not a math domain error,
+    # a ZeroDivisionError traceback or a "pass"
+    assert main([subcommand, "--out", str(tmp_path), "--set", f"{key}={value}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {key} must be {rule}, got {float(value)}"]
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_parse_config_text_sections_and_types():
     cfg = parse_config_text(
         """

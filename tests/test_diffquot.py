@@ -552,8 +552,8 @@ def _runs(f, x, lam, s):
     triples, runs that meet at a piece end or an extremum joined."""
     xs = np.array([float(x)])
     _, direction, r1, r2 = diffquot._linear_runs(
-        f._lines[:, None], math.isfinite(f.lipschitz), xs, f.value(xs), np.array([lam]), s, s,
-        np.zeros(1),
+        f._lines[:, None], np.array([math.isfinite(f.lipschitz)]), np.zeros(1, dtype=np.intp),
+        xs, f.value(xs), np.array([lam]), s, s, np.zeros(1),
     )
     keep = r2 > r1
     runs = []
@@ -627,6 +627,30 @@ def test_inner_integral_pair_rows_are_each_f_alone_bit_for_bit(q, gamma, names):
             alone = inner_integral(f, xs[at], lams[at], cfg, membership=membership)
             _assert_same_bits(vals[at], alone)
         assert np.all(vals >= 0) and np.any(vals > 0)
+
+
+@pytest.mark.parametrize("q, gamma", [(1.0, 1.0), (0.5, -0.6)])
+def test_inner_integral_repeated_nodes_are_each_alone_bit_for_bit(q, gamma):
+    # each (f, x) at several levels in one call, as the lambda problems of
+    # the functional share their nodes, so the span work of a node is done
+    # once for all its levels: every (node, level) is its call alone.  The
+    # tent and the discontinuous indicator take the exact path; the plateau
+    # is sampled, and at s = -1.2 its far tails join the exact rows, at an
+    # r_min that moves with the level.  Nodes on kinks, on the jumps and at
+    # both signs of 0 included
+    fs = [catalog("tent"), catalog("indicator"), catalog("smoothed_indicator")]
+    cfg = _cfg(q, gamma)
+    rng = np.random.default_rng(36)
+    nodes = np.concatenate([[0.0, -0.0, 1.0, 2.0, -0.25, 1.25], rng.uniform(-3, 4, 10)])
+    levels = 10 ** np.array([-1.0, -0.2, 0.7, 2.0, 2.5])
+    of = np.repeat(np.arange(len(fs)), nodes.size * levels.size)
+    xs = np.tile(np.repeat(nodes, levels.size), len(fs))
+    lams = np.tile(levels, nodes.size * len(fs))
+    mix = rng.permutation(xs.size)
+    vals = inner_integral((fs, of[mix]), xs[mix], lams[mix], cfg)
+    alone = [inner_integral(fs[k], x, lam, cfg) for k, x, lam in zip(of[mix], xs[mix], lams[mix])]
+    _assert_same_bits(vals, np.array(alone))
+    assert np.all(vals >= 0) and np.any(vals > 0)
 
 
 def test_exact_path_batch_is_single_and_one_level_per_node():

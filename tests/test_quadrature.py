@@ -14,9 +14,12 @@ from dyadicweights.quadrature import (
     ABS_TOL,
     QuadratureBudgetError,
     _gl,
+    _panels,
     adaptive_quad,
     adaptive_quads,
 )
+
+from oracles import rowwise_panels
 
 
 def _panel(f, a, b, order):
@@ -236,3 +239,18 @@ def test_a_panel_evaluated_ahead_of_need_never_raises():
     # an error on a needed node still surfaces
     with pytest.raises(ValueError):
         adaptive_quads(lambda x, owner: f(x + 1.0, owner), problems)
+
+
+@pytest.mark.parametrize("rows", [1, 500])
+def test_panel_sums_are_the_rowwise_dots_bit_for_bit(rows):
+    # both rules of every panel, summed over all rows at once, are the
+    # np.dot of each row alone: values of both signs from 1e-300 to 1e300,
+    # a few non-finite ones (taken as 0), spans from 1e-6 to 10 wide
+    rng = np.random.default_rng(rows)
+    v = rng.choice([-1.0, 1.0], (rows, 21)) * 10 ** rng.uniform(-300, 300, (rows, 21))
+    bad = rng.choice(v.size, v.size // 50)
+    v.ravel()[bad] = rng.choice([np.inf, -np.inf, np.nan], bad.size)
+    lo = rng.uniform(-4, 4, rows)
+    spans = list(zip(lo.tolist(), (lo + 10 ** rng.uniform(-6, 1, rows)).tolist()))
+    got = _panels(lambda x, owner: v.ravel(), [(k % 3, span) for k, span in enumerate(spans)])
+    assert np.array(got).tobytes() == np.array(rowwise_panels(v, spans)).tobytes()
