@@ -502,6 +502,8 @@ def run_classify_weight(cfg: dict):
     fp = cfg.get("functional", {})
     p = float(fp.get("p", 1.0))
     depths = fp.get("depths", [6, 12, 24, 48])
+    if not isinstance(depths, list):
+        depths = [depths]
     rep = experiments.weight_classifier(
         w, p, depths=tuple(int(d) for d in depths),
         with_quotient=bool(fp.get("with_quotient", True)),

@@ -11,7 +11,9 @@ f.  For the level set itself on f whose pieces are all linear (tent, linear,
 linear_ramp) it is exact: on each piece of the ray y = x +- r membership is
 a linear function of r against lam r^(1+s), whose roots are closed form or
 found by Newton's method, and runs to infinity are integrated in closed
-form, so nothing is sampled or truncated.  f with a cubic or power piece is
+form, so nothing is sampled or truncated; the ray spans of a point are
+formed once for all the levels it is asked at, and only runs that hold
+members are carried on to the mass.  f with a cubic or power piece is
 sampled: radial shells open where a Lipschitz bound decides membership, so
 the |x-y|^(gamma-n) singularity is never probed where the indicator
 provably vanishes.  A shell with no certified outer radius is sampled only
@@ -237,20 +239,26 @@ def _signed_member_mass(
     return 0.0 + sums[:, 0] + sums[:, 1]
 
 
-def _member_runs(a, b, lo, hi, lam, t: float, gamma: float):
+def _member_runs(
+    parts: np.ndarray, side: np.ndarray, lam: np.ndarray, second: np.ndarray, t: float, gamma: float
+):
     """Runs of r in [lo, hi] on which a + b r > lam r^t, where a + b r >= 0,
-    as (m1, m2) arrays of shape (2, rows), an empty run having m1 = m2.
+    on each side: side i is of the part whose column of ``parts`` is
+    (a, b, lo, hi) at column side[i], at the level lam[i].  One run per
+    side, as (r1, r2) arrays, r2 <= r1 where the side holds none.
 
     h = a + b r - lam r^t is concave (t > 1 or t < 0) or convex (0 < t < 1)
     in r > 0, so it changes sign at most once on each side of its extremum
-    r* = (b / (lam t))^(1/(t-1)): one run per side.  Where h has one sign
-    change at most (t = 0 or 1, a = 0, b = 0) its root is closed form;
-    elsewhere each root is found by Newton's method from the end of its side
-    where h h'' > 0, from which the iterates move monotonically to the root,
-    or from a radius nearer the root where one term of h dominates the other
-    two, so that the sign of h is certain there.  A root past the float range
-    whose term root^gamma of the mass would not underflow raises ValueError."""
-    closed = (a == 0) | (b == 0)
+    r* = (b / (lam t))^(1/(t-1)).  Where h has one sign change at most (t = 0
+    or 1, a = 0, b = 0) the part is one side and its root is closed form.
+    Every other part is two sides, below r* and (``second``) above it, or
+    one where b t <= 0, as no r* > 0 splits it; each root is found by
+    Newton's method from the end of its side where h h'' > 0, from which
+    the iterates move monotonically to the root, or from a radius nearer the
+    root where one term of h dominates the other two, so that the sign of h
+    is certain there.  A root past the float range whose term root^gamma of
+    the mass would not underflow raises ValueError."""
+    a, b, lo, hi = np.take(parts, side, axis=1)
     if t in (0.0, 1.0):
         # h = a1 + b1 r is linear
         a1, b1 = (a - lam, b) if t == 0.0 else (a, b - lam)
@@ -260,38 +268,37 @@ def _member_runs(a, b, lo, hi, lam, t: float, gamma: float):
         # b = 0: lam r^t < a; a = 0: lam r^(t-1) < b; a nonpositive a or b
         # gives the root 0 or inf that leaves the run empty
         flat = b == 0
-        base = np.where(flat, np.maximum(a, 0.0), np.maximum(b, 0.0)) / lam
+        base = np.maximum(np.where(flat, a, b), 0.0) / lam
         power = np.where(flat, 1.0 / t, 1.0 / (t - 1.0))
         root = base**power
         # a root past the float range that is an end of its run (not cut off
         # by a finite end of the part) drops its term root^gamma from the mass
-        lost = np.flatnonzero(
-            (base > 0) & ((root == 0) & (lo == 0) | (root == math.inf) & (hi == math.inf))
-        )
-        if np.any(gamma * power[lost] * np.log(base[lost]) > -708.0):
-            raise ValueError("a membership root lies outside the float range")
-        del base, power, lost
+        edge = (base > 0) & ((root == 0) | (root == math.inf))
+        if edge.any():
+            lost = np.flatnonzero(edge & np.where(root == 0, lo == 0, hi == math.inf))
+            if np.any(gamma * power[lost] * np.log(base[lost]) > -708.0):
+                raise ValueError("a membership root lies outside the float range")
+        del base, power, edge
         rising = (t < 0) | (~flat & (t < 1))
-    one = np.where(rising, np.clip(root, lo, hi), lo)
-    two = np.where(rising, hi, np.clip(root, lo, hi))
-    m1, m2 = np.stack([one, lo]), np.stack([two, lo])
-    del one, two, root, rising
-    if t in (0.0, 1.0) or closed.all():
-        return m1, m2
-
-    rows = np.flatnonzero(~closed)
-    a, b, lo, hi, lam = a[rows], b[rows], lo[rows], hi[rows], lam[rows]
+    np.clip(root, lo, hi, out=root)
+    r1, r2 = np.where(rising, root, lo), np.where(rising, hi, root)
+    del root, rising
+    rows = np.flatnonzero((a != 0) & (b != 0) & (t not in (0.0, 1.0)))
+    if not rows.size:
+        return r1, r2
+    a, b, lo, hi, lam, second = a[rows], b[rows], lo[rows], hi[rows], lam[rows], second[rows]
     rstar = np.abs(b / (lam * t)) ** (1.0 / (t - 1.0))
     mid = np.where(b * t > 0, np.clip(rstar, lo, hi), hi)
-    p, q = np.stack([lo, mid]), np.stack([mid, hi])
+    p, q = np.where(second, mid, lo), np.where(second, hi, mid)
     h = lambda r: a + b * r - lam * r**t  # noqa: E731
     hp = h(p)
     # an unbounded side has b > 0: h tends to -inf for t > 1, to +inf else
-    hq = np.where(q == math.inf, -1.0 if t > 1 else 1.0, h(np.where(q == math.inf, 1.0, q)))
-    used = q > p
-    rise = used & (hp <= 0) & (hq > 0)
-    fall = used & (hp > 0) & (hq <= 0)
-    every = used & (hp > 0) & (hq > 0)
+    unbounded = q == math.inf
+    hq = np.where(unbounded, -1.0 if t > 1 else 1.0, h(np.where(unbounded, 1.0, q)))
+    used, p_in, q_in = q > p, hp > 0, hq > 0
+    rise = used & (hp <= 0) & q_in
+    fall = used & p_in & (hq <= 0)
+    every = used & p_in & q_in
     concave = t > 1 or t < 0
     from_p = rise == concave
     # within ``near`` lam r^t (t < 0) or a (0 < t < 1) is at least twice the
@@ -308,16 +315,16 @@ def _member_runs(a, b, lo, hi, lam, t: float, gamma: float):
     else:
         far = np.maximum((2 * aa / lam) ** (1 / t), (2 * bb / lam) ** (1 / (t - 1)))
     start = np.where(from_p, np.maximum(p, near), np.minimum(q, far))
-    # the brackets with a root, flat over (side, row)
+    # the sides with a root
     change = np.flatnonzero(rise | fall)
-    r = start.ravel()[change]
+    r = start[change]
     if not np.all(np.isfinite(r) & (r > 0) | (r == 0) & (t > 1)):
         raise ValueError("a membership root lies outside the float range")
-    toward = np.where(from_p.ravel()[change], 1.0, -1.0)
-    row = change % rows.size
-    ra, rb, rl = a[row], b[row], lam[row]
+    toward = np.where(from_p[change], 1.0, -1.0)
+    ra, rb, rl = a[change], b[change], lam[change]
+    rlt = rl * t
     for _ in range(100):
-        new = r - (ra + rb * r - rl * r**t) / (rb - rl * t * r ** (t - 1.0))
+        new = r - (ra + rb * r - rl * r**t) / (rb - rlt * r ** (t - 1.0))
         moved = (new - r) * toward > 0
         if not moved.any():
             break
@@ -325,128 +332,153 @@ def _member_runs(a, b, lo, hi, lam, t: float, gamma: float):
     else:
         raise ValueError("Newton's method did not settle on a membership root")
     root = np.zeros(p.shape)
-    root.ravel()[change] = np.clip(r, p.ravel()[change], q.ravel()[change])
-    m1[:, rows] = np.where(rise, root, p)
-    m2[:, rows] = np.where(fall, root, np.where(rise | every, q, p))
-    return m1, m2
+    root[change] = np.clip(r, p[change], q[change])
+    r1[rows] = np.where(rise, root, p)
+    r2[rows] = np.where(fall, root, np.where(rise | every, q, p))
+    return r1, r2
+
+
+def _distinct(*keys):
+    """The rows of the int64 arrays ``keys`` grouped by their bits, as (group,
+    first): group[i] numbers the group of row i, and row first[g] stands for
+    group g.  A sort on keys[0] puts the repeats of each row next to each
+    other, and a row opens a group where any key differs from the row before
+    it, so a repeat that the sort leaves apart from its kin only makes one
+    group more."""
+    order = np.argsort(keys[0])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
 
 
 def _linear_runs(
     table: np.ndarray, continuous: np.ndarray, of: np.ndarray, xs: np.ndarray, fx: np.ndarray,
-    lams: np.ndarray, s: float, gamma: float, r_min: np.ndarray,
+    r_min: np.ndarray, point: np.ndarray, lams: np.ndarray, s: float, gamma: float,
 ):
-    """The member runs at r > ``r_min`` of every node x in ``xs`` at its
-    level, exactly, where the pieces of the node's f the ray meets there are
-    all linear (a non-linear one raises ValueError): (node, direction, r1, r2)
-    arrays, one entry per run y = x + direction * r, r in (r1, r2), an empty
-    run having r1 = r2, in the same order per node however many nodes, and
-    whichever functions, there are.
+    """The member runs at r > r_min of every row, exactly, where the pieces
+    of its f the ray meets there are all linear (a non-linear one raises
+    ValueError): (row, direction, r1, r2) arrays, one entry per run
+    y = x + direction * r, r in (r1, r2), with r2 > r1, in (row, part, side)
+    order, so in the same order per row however many rows, and whichever
+    functions, there are.
 
-    Node i has the function of[i], whose pieces are row of[i] of ``table``,
-    the stacked piece table `funcspace._stacked_lines` of shape
-    (4, functions, pieces), read flat at of[i] * pieces + piece;
-    ``continuous`` says, per function, whether it is continuous (has a
-    finite Lipschitz hint).
+    Point j is xs[j] of the function of[j], fx[j] = f(xs[j]), with its
+    ``r_min``; row i is point point[i] at the level lams[i].  The pieces of
+    function k are row k of ``table``, the stacked piece table
+    `funcspace._stacked_lines` of shape (4, functions, pieces), and
+    ``continuous`` says, per function, whether it is continuous (has a finite
+    Lipschitz hint).
 
     On the ray each piece of f spans a radius interval, on which
     f(y) - f(x) = alpha + beta r, with alpha exactly 0 on the piece that holds
     x (and, for continuous f, the piece that ends at x).  Each span is split
     at the zero of alpha + beta r, so membership on each part is
-    u(r) > lam r^(1+s) with u = |alpha + beta r| linear: `_member_runs`.
-    None of that depends on the level, so it is done once per distinct
-    (f, x, f(x), r_min), and each node then takes the parts of its own in
-    their order.  Arrays are updated in place and dropped once used, which
-    keeps the temporaries of a wide refinement step down."""
-    # the distinct rows, by their bits: a stable sort on x puts the repeats
-    # of each row next to each other, and a row is new where any input
-    # differs from the row before it
-    order = np.argsort(xs.view(np.int64), kind="stable")
-    first = np.zeros(xs.size, dtype=bool)
-    first[0] = True
-    for col in (xs.view(np.int64), fx.view(np.int64), r_min.view(np.int64), of):
-        col = col[order]
-        first[1:] |= col[1:] != col[:-1]
-    distinct = np.empty(xs.size, dtype=np.intp)
-    distinct[order] = np.cumsum(first) - 1
-    rep = order[first]
-    del order, first
-    pieces = table.shape[2]
-    lines = table.reshape(4, -1)
-    base = of[rep] * pieces
-    at = base[:, None] + np.arange(pieces)
-    x = np.repeat(xs[rep], pieces).reshape(at.shape)
-    # signed radius of the nearer and the farther end of each piece in each
-    # direction, on (node, direction, piece) rows: x0 <= x1, and rounding
-    # keeps that order
-    x0, x1 = lines[0, at] - x, lines[1, at] - x
-    lo, hi = np.stack([x0, -x1], 1), np.stack([x1, -x0], 1)
-    del x0, x1, x, at
+    u(r) > lam r^(1+s) with u = |alpha + beta r| linear, on one side of the
+    part or on each side of its extremum: `_member_runs`.  None of that
+    depends on the level, so it is done once per point, and each row then
+    takes the sides of its point in their order; a side with no run is
+    dropped as soon as its ends are known.  Arrays are updated in place and
+    dropped once used, which keeps the temporaries of a wide refinement step
+    down."""
+    t = 1.0 + s
+    n, pieces = xs.size, table.shape[2]
+    shape = (n, 2, pieces)
+    # on (point, direction, piece) rows: the signed radius of the nearer and
+    # the farther end of each piece, lo = x0 - x or x - x1 and hi = x1 - x or
+    # x - x0 (x0 <= x1, and rounding keeps that order); on it
+    # f(y) - f(x) = alpha + beta r, alpha = intercept + slope x - f(x) and
+    # beta = direction * slope; and the cut where alpha + beta r is 0.  Each
+    # is formed on whole arrays of that shape from the piece table and x,
+    # both signed by direction, beta x being slope x exactly
+    lines = np.empty((6, table.shape[1], 2, pieces))
+    lines[0] = table[3, :, None]
+    lines[1, :, 0] = table[2]
+    np.negative(table[2], out=lines[1, :, 1])
+    lines[2:4, :, 0] = table[:2]
+    np.negative(table[1::-1], out=lines[2:4, :, 1])
+    lines[5] = ((1.0,), (-1.0,))
+    spans = np.take(lines, of, axis=1)
+    alpha, beta, lo, hi, cut, direction = spans
+    x = np.repeat(xs, 2 * pieces).reshape(shape)
+    x *= direction
+    lo -= x
+    hi -= x
     np.maximum(lo, 0.0, out=lo)
-    held = lo == 0.0
-    held[:, 1] &= continuous[of[rep], None]
-    np.maximum(lo, np.repeat(r_min[rep], 2 * pieces).reshape(lo.shape), out=lo)
-    # the spans the ray meets past r_min, by their flat index
-    span = np.flatnonzero(hi > lo)
-    node, way, piece = np.unravel_index(span, lo.shape)
-    lo, hi, held = lo.ravel()[span], hi.ravel()[span], held.ravel()[span]
-    piece += base[node]
-    beta, alpha = lines[2, piece], lines[3, piece]
-    del span, piece, base
-    if np.any(np.isnan(beta)):
+    # alpha is exactly 0 on the piece that holds x and, for continuous f, on
+    # the piece that ends at x
+    held = np.ones((continuous.size, 2, pieces), dtype=bool)
+    held[:, 1] = continuous[:, None]
+    held = np.take(held, of, axis=0)
+    held &= lo == 0.0
+    np.maximum(lo, np.repeat(r_min, 2 * pieces).reshape(shape), out=lo)
+    alpha += beta * x
+    alpha -= np.repeat(fx, 2 * pieces).reshape(shape)
+    np.putmask(alpha, held, 0.0)
+    del lines, x, held
+    # a span the ray does not meet past r_min has hi <= lo, and no part
+    if (np.isnan(beta) & (hi > lo)).any():
         raise ValueError("f has a piece that is not linear past r_min")
-    # alpha = intercept + slope x - f(x), beta = direction * slope
-    rep_node = rep[node]
-    alpha += beta * xs[rep_node]
-    alpha -= fx[rep_node]
-    alpha[held] = 0.0
-    direction = 1.0 - 2.0 * way
-    beta *= direction
-    del held, way, rep_node
     flat = beta == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        cut = np.divide(alpha, beta)
+        np.divide(alpha, beta, out=cut)
     # 0.0 - alpha/beta is +0.0 where alpha = 0
     np.clip(np.subtract(0.0, cut, out=cut), lo, hi, out=cut)
-    np.copyto(cut, hi, where=flat)
-    # the parts below and above the cut on which alpha + beta r is not 0
-    at, up = np.nonzero(np.stack([(cut > lo) & (~flat | (alpha != 0)), (hi > cut) & ~flat], -1))
-    up = up == 1
-    a, b = alpha[at], beta[at]
-    del alpha, beta, flat
+    np.putmask(cut, flat, hi)
+    # the parts below and above the cut on which alpha + beta r is not 0, by
+    # their flat index on (point, direction, piece, above) rows
+    part = np.empty((*shape, 2), dtype=bool)
+    below, above = part[..., 0], part[..., 1]
+    np.greater(cut, lo, out=below)
+    below &= ~flat | (alpha != 0)
+    np.greater(hi, cut, out=above)
+    above &= ~flat
+    part = np.flatnonzero(part)
+    span, up = part >> 1, (part & 1).astype(bool)
+    parts = np.take(spans.reshape(6, -1), span, axis=1)
+    a, b, lo, hi, cut, direction = parts
+    del spans, alpha, beta, flat, below, above, part
     # the sign of alpha + beta r on each part
-    sg = np.sign(b)
-    np.negative(sg, out=sg, where=~up)
-    np.copyto(sg, np.sign(a), where=b == 0)
+    sg = np.sign(np.where(b == 0, a, np.where(up, b, -b)))
     a *= sg
     b *= sg
-    del sg
     # each part runs from lo to the cut or from the cut to hi
-    node, direction = node[at], direction[at]
-    cut, lo, hi = cut[at], lo[at], hi[at]
-    np.copyto(lo, cut, where=up)
-    np.copyto(hi, cut, where=~up)
-    del at, up, cut
-    # every node takes the parts of its distinct row, which are contiguous
-    count = np.bincount(node, minlength=rep.size)
-    take = count[distinct]
-    row = np.repeat(np.arange(xs.size), take)
+    np.putmask(lo, up, cut)
+    np.putmask(hi, ~up, cut)
+    del sg, up
+    # the sides of each part, the second where it has two (`_member_runs`):
+    # at t = 0 or 1, a = 0 or b = 0, or b t <= 0, whose extremum is not past
+    # r = 0, the part is one side
+    side = np.repeat(np.arange(a.size), 1 + ((a != 0) & (b * t > 0) & (t not in (0.0, 1.0))))
+    second = np.zeros(side.size, dtype=bool)
+    np.equal(side[1:], side[:-1], out=second[1:])
+    # every row takes the sides of its point, which are contiguous
+    count = np.bincount(span[side] // (2 * pieces), minlength=n)
+    take = count[point]
+    row = np.repeat(np.arange(point.size), take)
     at = np.arange(row.size) + np.repeat(
-        (np.cumsum(count) - count)[distinct] - (np.cumsum(take) - take), take
+        (np.cumsum(count) - count)[point] - (np.cumsum(take) - take), take
     )
-    del count, take, distinct
+    side, second = side[at], second[at]
+    del count, take, at
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r1, r2 = _member_runs(a[at], b[at], lo[at], hi[at], lams[row], 1.0 + s, gamma)
-    del a, b, lo, hi
-    return np.repeat(row, 2), np.repeat(direction[at], 2), r1.T.ravel(), r2.T.ravel()
+        r1, r2 = _member_runs(parts[:4], side, lams[row], second, t, gamma)
+    live = np.flatnonzero(r2 > r1)
+    return row[live], direction[side[live]], r1[live], r2[live]
 
 
-def _run_mass(node: np.ndarray, r1: np.ndarray, r2: np.ndarray, gamma: float, n: int) -> np.ndarray:
-    """Integral of r^(gamma-1) over the runs (r1, r2) of each of ``n`` nodes,
-    (r2^gamma - r1^gamma)/gamma per run.  Each run is added after the one
-    before it, so every node's sum is the same however many nodes there are."""
+def _run_mass(row: np.ndarray, r1: np.ndarray, r2: np.ndarray, gamma: float, n: int) -> np.ndarray:
+    """Integral of r^(gamma-1) over the runs (r1, r2), r2 > r1, of each of
+    ``n`` rows, (r2^gamma - r1^gamma)/gamma per run.  Each run is added after
+    the one before it, so every row's sum is the same however many rows there
+    are."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        mass = np.where(r2 > r1, (r2**gamma - r1**gamma) / gamma, 0.0)
-    return np.bincount(node, weights=mass, minlength=n)
+        mass = (r2**gamma - r1**gamma) / gamma
+    return np.bincount(row, weights=mass, minlength=n)
 
 
 def inner_integral(f, x, lam, cfg: DiffQuotConfig, membership=None):
@@ -467,13 +499,14 @@ def inner_integral(f, x, lam, cfg: DiffQuotConfig, membership=None):
     membership calls, and to run the ball-mean membership of their
     pointwise domination oracle.
 
-    The level set of every f whose pieces are all linear is exact: its
-    nodes take one `_linear_runs` call over the stacked piece table
-    (`funcspace._stacked_lines`), read flat, which forms the ray spans of
-    each distinct node once for all its levels, exact to rounding with runs
-    to infinity in closed form.  Every other f is sampled, one
-    `_sampled_shells` call each, and the same `_linear_runs` call adds the
-    exact runs of its far tails.
+    Each f is evaluated once at each of its distinct points.  The level set
+    of every f whose pieces are all linear is exact: its nodes take one
+    `_linear_runs` call over the stacked piece table
+    (`funcspace._stacked_lines`), which forms the ray spans of each distinct
+    point once for all its levels, exact to rounding with runs to infinity
+    in closed form.  Every other f is sampled, one `_sampled_shells` call
+    each, and the same `_linear_runs` call adds the exact runs of its far
+    tails, once per distinct point and far-tail radius.
 
     A scalar ``x`` returns a float, an array an array.
     """
@@ -483,22 +516,36 @@ def inner_integral(f, x, lam, cfg: DiffQuotConfig, membership=None):
     table = _stacked_lines(fs)
     exact = np.isfinite(table[2]).all(axis=1) & (membership is None)
     continuous = np.array([math.isfinite(g.lipschitz) for g in fs])
-    # each node's sampled mass, and the radius past which its exact runs
-    # are added: 0 on the exact path, inf where a certified shell holds all
-    vals, fx = np.zeros(xs.size), np.empty(xs.size)
-    r_min = np.where(exact[of], 0.0, math.inf)
-    for k in np.unique(of).tolist():
-        at = np.flatnonzero(of == k)
-        fx[at] = fs[k].value(xs[at])
-        if not exact[k]:
-            vals[at], r_min[at] = _sampled_shells(fs[k], xs[at], fx[at], lams[at], cfg, membership)
-    rows = np.flatnonzero(r_min < math.inf)
-    if rows.size:
-        node, _, r1, r2 = _linear_runs(
-            table, continuous, of[rows], xs[rows], fx[rows], lams[rows], cfg.s, cfg.gamma,
-            r_min[rows],
+    # the distinct (f, x) points, by their bits, each with f(x) and the
+    # radius past which its exact runs are added: 0 on the exact path, inf
+    # where a certified shell holds all
+    point, first = _distinct(xs.view(np.int64), of)
+    pof, px = of[first], xs[first]
+    pfx = np.empty(first.size)
+    r_min = np.where(exact[pof], 0.0, math.inf)
+    vals = np.zeros(xs.size)
+    for k in np.flatnonzero(np.bincount(pof, minlength=len(fs))).tolist():
+        at = pof == k
+        pfx[at] = fs[k].value(px[at])
+        if exact[k]:
+            continue
+        # each row's sampled mass; the rows whose far tails are still to
+        # add take a new point per (point, radius)
+        rows = np.flatnonzero(of == k)
+        vals[rows], reach = _sampled_shells(
+            fs[k], xs[rows], pfx[point[rows]], lams[rows], cfg, membership
         )
-        vals[rows] += _run_mass(node, r1, r2, cfg.gamma, rows.size)
+        tail = np.isfinite(reach)
+        rows, reach = rows[tail], reach[tail]
+        group, lead = _distinct(reach.view(np.int64), point[rows])
+        same = point[rows[lead]]
+        point[rows] = pof.size + group
+        pof, px, pfx = (np.concatenate([v, v[same]]) for v in (pof, px, pfx))
+        r_min = np.concatenate([r_min, reach[lead]])
+    row, _, r1, r2 = _linear_runs(
+        table, continuous, pof, px, pfx, r_min, point, lams, cfg.s, cfg.gamma
+    )
+    vals += _run_mass(row, r1, r2, cfg.gamma, xs.size)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -632,8 +679,12 @@ def verify_diffquot(cfg: DiffQuotConfig, f, tol: float = 0.05) -> VerificationRe
     (gamma > 0) or lam = 0 (gamma < 0); it is tested on the last TAIL_DECADES
     of the grid in that direction and certifies the record (vacuously when
     the gradient norm is 0).  The other side is passed up to RATIO_CEILING.
+    ``tol`` is the relative slack of that lower check, in [0, 1): at 1 or
+    more the check passes whatever the profile.
     """
     require_finite(tol=tol)
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must be in [0, 1), got {tol}")
     prof = diffquot_functional(cfg, f)
     lo, hi = cfg.window
     norm = grad_power_mass(f, lo, hi, cfg.p, cfg.weight) ** (1.0 / cfg.p)

@@ -366,8 +366,16 @@ def weight_classifier(
     the larger of its values at beta = 2 and beta = -1.  Ratios whose largest
     and smallest positive values are within a factor 2 are consistent with
     membership; sustained growth by a factor 4 per doubling is a violation.
+    p must be at least 1 and the depths at least two, positive and strictly
+    increasing, so that each member has a growth to judge.
     """
     require_finite(p=p)
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    if len(depths) < 2 or min(depths) < 1 or any(b <= a for a, b in zip(depths, depths[1:])):
+        raise ValueError(
+            f"depths must be at least two strictly increasing positive integers, got {list(depths)}"
+        )
     centers = [0.0] + [c for c in weight.breakpoints() if c != 0.0]
     fixed = {
         "tent": catalog("tent"),

@@ -8,8 +8,10 @@ antichain search; the classical weight-constant checks with the
 discretized maximal function; the scalar power mass and constant ratio,
 one interval at a time, as the bit-for-bit references of the array
 kernel; Python's float ** one value at a time, the reference of
-``weights.powers``; the panel sums of ``quadrature._panels`` one row at a
-time by np.dot; the classifier's probe family built by one axis_index and
+``weights.powers``; the exact inner integral with every run added, empty
+ones included, the reference of the live runs of ``diffquot``; the panel
+sums of ``quadrature._panels`` one row at a time by np.dot; the
+classifier's probe family built by one axis_index and
 axis_interval call per cube; the set relation of one pair of cubes on
 integer corners (``relate``, the reference of the good-cube containment
 arrays) and a cube's parent; the Fraction forms of relate and
@@ -29,8 +31,20 @@ from typing import Sequence
 import numpy as np
 
 from dyadicweights.cli import _fmt
-from dyadicweights.diffquot import DiffQuotConfig, _warn_at_split_cap, inner_integral
-from dyadicweights.funcspace import _CATALOG, Piece, TestFunction, omega_boxes
+from dyadicweights.diffquot import (
+    DiffQuotConfig,
+    _sampled_shells,
+    _warn_at_split_cap,
+    inner_integral,
+)
+from dyadicweights.funcspace import (
+    _CATALOG,
+    Piece,
+    TestFunction,
+    _functions,
+    _stacked_lines,
+    omega_boxes,
+)
 from dyadicweights.grid import (
     THIRDS, AxisCube, Cube, DimensionError, GridWindow, Shift, all_shifts, axis_index,
     axis_interval, float_box,
@@ -400,6 +414,141 @@ def scalar_powers(x, e) -> np.ndarray:
             raise ValueError(f"{v!r} ** {e!r} is complex")
         out.append(r)
     return np.array(out, dtype=float).reshape(x.shape)
+
+
+def _all_sides(a, b, lo, hi, lam, t: float, gamma: float):
+    """Both sides of every part [lo, hi] with a + b r >= 0 on it, as (2, parts)
+    arrays (r1, r2): the runs on which a + b r > lam r^t, the second side of
+    a part with a closed-form root (t = 0 or 1, a = 0 or b = 0) the empty run
+    (lo, lo).  The closed form is taken on every part, and Newton's method
+    overwrites the others; each run of ``diffquot._member_runs`` is one of
+    these, by the same float operations."""
+    closed = (a == 0) | (b == 0)
+    if t in (0.0, 1.0):
+        a1, b1 = (a - lam, b) if t == 0.0 else (a, b - lam)
+        root = np.where(b1 != 0, -a1 / b1, np.where(a1 > 0, 0.0, math.inf))
+        rising = b1 >= 0
+    else:
+        flat = b == 0
+        base = np.where(flat, np.maximum(a, 0.0), np.maximum(b, 0.0)) / lam
+        root = base ** np.where(flat, 1.0 / t, 1.0 / (t - 1.0))
+        rising = (t < 0) | (~flat & (t < 1))
+    one = np.where(rising, np.clip(root, lo, hi), lo)
+    two = np.where(rising, hi, np.clip(root, lo, hi))
+    m1, m2 = np.stack([one, lo]), np.stack([two, lo])
+    if t in (0.0, 1.0) or closed.all():
+        return m1, m2
+    rows = np.flatnonzero(~closed)
+    a, b, lo, hi, lam = a[rows], b[rows], lo[rows], hi[rows], lam[rows]
+    rstar = np.abs(b / (lam * t)) ** (1.0 / (t - 1.0))
+    mid = np.where(b * t > 0, np.clip(rstar, lo, hi), hi)
+    p, q = np.stack([lo, mid]), np.stack([mid, hi])
+    h = lambda r: a + b * r - lam * r**t  # noqa: E731
+    hp = h(p)
+    hq = np.where(q == math.inf, -1.0 if t > 1 else 1.0, h(np.where(q == math.inf, 1.0, q)))
+    used = q > p
+    rise = used & (hp <= 0) & (hq > 0)
+    fall = used & (hp > 0) & (hq <= 0)
+    every = used & (hp > 0) & (hq > 0)
+    from_p = rise == (t > 1 or t < 0)
+    aa, bb = np.abs(a), np.abs(b)
+    near, far = 0.0, math.inf
+    if t < 0:
+        near = np.minimum((2 * aa / lam) ** (1 / t), (2 * bb / lam) ** (1 / (t - 1)))
+    elif t < 1:
+        near = np.minimum((aa / (2 * lam)) ** (1 / t), aa / (2 * bb))
+        far = np.maximum((2 * lam / bb) ** (1 / (1 - t)), 2 * aa / bb)
+    else:
+        far = np.maximum((2 * aa / lam) ** (1 / t), (2 * bb / lam) ** (1 / (t - 1)))
+    start = np.where(from_p, np.maximum(p, near), np.minimum(q, far))
+    change = np.flatnonzero(rise | fall)
+    r = start.ravel()[change]
+    toward = np.where(from_p.ravel()[change], 1.0, -1.0)
+    row = change % rows.size
+    ra, rb, rl = a[row], b[row], lam[row]
+    for _ in range(100):
+        new = r - (ra + rb * r - rl * r**t) / (rb - rl * t * r ** (t - 1.0))
+        moved = (new - r) * toward > 0
+        if not moved.any():
+            break
+        r = np.where(moved, new, r)
+    root = np.zeros(p.shape)
+    root.ravel()[change] = np.clip(r, p.ravel()[change], q.ravel()[change])
+    m1[:, rows] = np.where(rise, root, p)
+    m2[:, rows] = np.where(fall, root, np.where(rise | every, q, p))
+    return m1, m2
+
+
+def all_runs(table, continuous, of, xs, fx, lams, s: float, gamma: float, r_min):
+    """Every run at r > r_min of each node x in ``xs`` (of its function of[i]
+    in the stacked piece table ``table``, fx = f(xs), at its level), empty
+    ones included, as (node, direction, r1, r2) in (node, part, side) order:
+    each node forms its own ray spans and parts, with the float operations
+    of ``diffquot._linear_runs``, and every part has both sides."""
+    pieces = table.shape[2]
+    lines = table.reshape(4, -1)
+    base = of * pieces
+    at = base[:, None] + np.arange(pieces)
+    x = np.repeat(xs, pieces).reshape(at.shape)
+    x0, x1 = lines[0, at] - x, lines[1, at] - x
+    lo, hi = np.stack([x0, -x1], 1), np.stack([x1, -x0], 1)
+    np.maximum(lo, 0.0, out=lo)
+    held = lo == 0.0
+    held[:, 1] &= continuous[of, None]
+    np.maximum(lo, np.repeat(r_min, 2 * pieces).reshape(lo.shape), out=lo)
+    span = np.flatnonzero(hi > lo)
+    node, way, piece = np.unravel_index(span, lo.shape)
+    lo, hi, held = lo.ravel()[span], hi.ravel()[span], held.ravel()[span]
+    piece += base[node]
+    beta, alpha = lines[2, piece], lines[3, piece]
+    alpha += beta * xs[node]
+    alpha -= fx[node]
+    alpha[held] = 0.0
+    direction = 1.0 - 2.0 * way
+    beta *= direction
+    flat = beta == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = np.clip(0.0 - np.divide(alpha, beta), lo, hi)
+    cut = np.where(flat, hi, cut)
+    at, up = np.nonzero(np.stack([(cut > lo) & (~flat | (alpha != 0)), (hi > cut) & ~flat], -1))
+    up = up == 1
+    a, b = alpha[at], beta[at]
+    sg = np.where(b == 0, np.sign(a), np.where(up, np.sign(b), -np.sign(b)))
+    lo = np.where(up, cut[at], lo[at])
+    hi = np.where(up, hi[at], cut[at])
+    node = node[at]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r1, r2 = _all_sides(a * sg, b * sg, lo, hi, lams[node], 1.0 + s, gamma)
+    return np.repeat(node, 2), np.repeat(direction[at], 2), r1.T.ravel(), r2.T.ravel()
+
+
+def all_runs_inner_integral(f, x, lam, cfg: DiffQuotConfig) -> np.ndarray:
+    """``diffquot.inner_integral`` at an array of nodes with every run added:
+    each node evaluates its f, the runs of ``all_runs`` past its r_min each
+    add np.where(r2 > r1, (r2^gamma - r1^gamma)/gamma, 0.0), an empty run a
+    literal +0.0, in their order, and a sampled f's shells are
+    ``diffquot._sampled_shells``."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    lams = np.full(xs.shape, lam, dtype=float)
+    fs, of = _functions(f, xs.size)
+    table = _stacked_lines(fs)
+    exact = np.isfinite(table[2]).all(axis=1)
+    vals, fx = np.zeros(xs.size), np.empty(xs.size)
+    r_min = np.where(exact[of], 0.0, math.inf)
+    for k in np.unique(of).tolist():
+        at = np.flatnonzero(of == k)
+        fx[at] = fs[k].value(xs[at])
+        if not exact[k]:
+            vals[at], r_min[at] = _sampled_shells(fs[k], xs[at], fx[at], lams[at], cfg, None)
+    rows = np.flatnonzero(r_min < math.inf)
+    continuous = np.array([math.isfinite(g.lipschitz) for g in fs])
+    node, _, r1, r2 = all_runs(
+        table, continuous, of[rows], xs[rows], fx[rows], lams[rows], cfg.s, cfg.gamma, r_min[rows]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = np.where(r2 > r1, (r2**cfg.gamma - r1**cfg.gamma) / cfg.gamma, 0.0)
+    vals[rows] += np.bincount(node, weights=mass, minlength=rows.size)
+    return vals
 
 
 def rowwise_panels(v: np.ndarray, spans) -> list[tuple[float, float]]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dyadicweights import experiments
 from dyadicweights.cli import main, parse_config_text, write_csv
 from oracles import fmt_join_csv
 
@@ -533,15 +534,53 @@ def test_verify_bsvy_refuses_an_empty_profile_or_window(tmp_path, capsys, sets, 
     [
         *(("verify-bsvy", key, v, "> 0") for key in ("lambda_lo", "lambda_hi") for v in ("0", "-1")),
         *(("sharpness", "p", value, ">= 1") for value in ("0", "-1", "0.5")),
+        *(("classify-weight", "p", value, ">= 1") for value in ("0", "-1")),
+        *(("verify-bsvy", "tol", value, "in [0, 1)") for value in ("-1", "1", "1.5")),
     ],
 )
 def test_a_value_out_of_its_domain_exits_one(tmp_path, capsys, subcommand, key, value, rule):
-    # a lambda range that takes no logarithm and a sharpness p below 1 are
+    # a lambda range that takes no logarithm, a p below 1 and a tolerance
+    # that makes the lower check stricter than its constant or vacuous are
     # refused by name: exit 1 and one error line, not a math domain error,
-    # a ZeroDivisionError traceback or a "pass"
+    # a ZeroDivisionError traceback, a "fail" or a "pass"
     assert main([subcommand, "--out", str(tmp_path), "--set", f"{key}={value}"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {key} must be {rule}, got {float(value)}"]
+    assert not (tmp_path / "results.csv").exists()
+
+
+SCHEDULE_RULE = "depths must be at least two strictly increasing positive integers, got"
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        (["with_quotient=false", "p=0.5"], "p must be >= 1, got 0.5"),
+        (["with_quotient=false", "p=-1"], "p must be >= 1, got -1.0"),
+        (["depths=[]"], f"{SCHEDULE_RULE} []"),
+        (["depths=[0]"], f"{SCHEDULE_RULE} [0]"),
+        (["depths=[-3]"], f"{SCHEDULE_RULE} [-3]"),
+        (["depths=6"], f"{SCHEDULE_RULE} [6]"),
+        (["depths=[0, 6]"], f"{SCHEDULE_RULE} [0, 6]"),
+        (["depths=[12, 6]"], f"{SCHEDULE_RULE} [12, 6]"),
+        (["depths=[6, 6]"], f"{SCHEDULE_RULE} [6, 6]"),
+    ],
+)
+def test_classify_weight_refuses_a_p_or_depth_schedule_outside_its_domain(
+    tmp_path, capsys, monkeypatch, sets, message
+):
+    # without the quotient member a p below 1 used to give "violates", and
+    # a schedule of fewer than two depths "consistent" from empty growth
+    # lists; each is refused by name before any probe is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("probe work before the inputs were checked")
+
+    monkeypatch.setattr(experiments, "_probe_cubes", refuse)
+    argv = ["classify-weight", "--out", str(tmp_path)]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "results.csv").exists()
 
 

@@ -21,7 +21,7 @@ from dyadicweights.diffquot import (
     verify_diffquot,
 )
 from dyadicweights.experiments import _linear_plateau
-from dyadicweights.funcspace import catalog
+from dyadicweights.funcspace import _stacked_lines, catalog
 from dyadicweights.grid import all_shifts, window_1d
 from dyadicweights.records import RATIO_CEILING
 from dyadicweights.weights import ConstantWeight, PowerWeight
@@ -553,11 +553,10 @@ def _runs(f, x, lam, s):
     xs = np.array([float(x)])
     _, direction, r1, r2 = diffquot._linear_runs(
         f._lines[:, None], np.array([math.isfinite(f.lipschitz)]), np.zeros(1, dtype=np.intp),
-        xs, f.value(xs), np.array([lam]), s, s, np.zeros(1),
+        xs, f.value(xs), np.zeros(1), np.zeros(1, dtype=np.intp), np.array([lam]), s, s,
     )
-    keep = r2 > r1
     runs = []
-    for d, a, b in sorted(zip(direction[keep].tolist(), r1[keep].tolist(), r2[keep].tolist())):
+    for d, a, b in sorted(zip(direction.tolist(), r1.tolist(), r2.tolist())):
         if runs and runs[-1][0] == d and runs[-1][2] == a:
             a = runs.pop()[1]
         runs.append((d, a, b))
@@ -651,6 +650,86 @@ def test_inner_integral_repeated_nodes_are_each_alone_bit_for_bit(q, gamma):
     alone = [inner_integral(fs[k], x, lam, cfg) for k, x, lam in zip(of[mix], xs[mix], lams[mix])]
     _assert_same_bits(vals, np.array(alone))
     assert np.all(vals >= 0) and np.any(vals > 0)
+
+
+# tent and ramp: continuous, held (a = 0) on the piece holding x and on the
+# piece that ends at a kink, the ramp's pieces rounding apart at its kink;
+# indicator: discontinuous; flat pieces (b = 0) on every tail, the plateau
+# and the constant; linear: one unbounded sloped piece, whose runs reach
+# infinity at s < 0
+ORACLE_FUNCTIONS = (
+    catalog("tent"),
+    catalog("indicator"),
+    catalog("linear", slope=1.0),
+    catalog("linear_ramp", slope=0.3, cutoff=0.7, center=0.1),
+    catalog("constant", c=3.0),
+)
+
+
+def _every_node_at_every_level(fs, seed):
+    """(of, xs, lams): each f at each node at each level, shuffled; the
+    nodes include every breakpoint of every f, 0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    kinks = [b for f in fs for b in f.breakpoints]
+    nodes = np.concatenate([[0.0, -0.0], kinks, rng.uniform(-3, 4, 8)])
+    levels = 10 ** np.array([-1.0, -0.2, 0.7, 2.0])
+    of = np.repeat(np.arange(len(fs)), nodes.size * levels.size)
+    xs = np.tile(np.repeat(nodes, levels.size), len(fs))
+    lams = np.tile(levels, nodes.size * len(fs))
+    mix = rng.permutation(xs.size)
+    return of[mix], xs[mix], lams[mix]
+
+
+@pytest.mark.parametrize("q, gamma", EXPONENTS)
+def test_linear_runs_are_the_live_runs_of_every_run(q, gamma):
+    # `_linear_runs` forms each distinct (f, x) once and returns only runs
+    # with r2 > r1: they are, bit for bit and in (row, part, side) order,
+    # the runs of the oracle, which forms every row on its own and gives
+    # every part both sides, less its empty ones
+    fs = list(ORACLE_FUNCTIONS)
+    of, xs, lams = _every_node_at_every_level(fs, 37)
+    fx = np.empty(xs.size)
+    for k, f in enumerate(fs):
+        fx[of == k] = f.value(xs[of == k])
+    table = _stacked_lines(fs)
+    continuous = np.array([math.isfinite(f.lipschitz) for f in fs])
+    point, first = diffquot._distinct(xs.view(np.int64), of)
+    assert first.size < xs.size
+    s = gamma / q
+    r_min = np.zeros(first.size)
+    runs = diffquot._linear_runs(
+        table, continuous, of[first], xs[first], fx[first], r_min, point, lams, s, gamma
+    )
+    row, _, r1, r2 = runs
+    assert np.all(r2 > r1)
+    every = oracles.all_runs(table, continuous, of, xs, fx, lams, s, gamma, np.zeros(xs.size))
+    live = every[3] > every[2]
+    assert np.any(~live) and np.any(live)
+    assert row.dtype == every[0].dtype and np.array_equal(row, every[0][live])
+    for got, want in zip(runs[1:], every[1:]):
+        _assert_same_bits(got, want[live])
+
+
+@pytest.mark.parametrize(
+    "q, gamma, sampled",
+    [
+        *((q, gamma, ()) for q, gamma in EXPONENTS),
+        # s = -1.2: the plateau's shells have no certified outer radius, so
+        # its far tails join the exact runs past an r_min that moves with
+        # the level
+        (0.5, -0.6, ("smoothed_indicator",)),
+    ],
+)
+def test_inner_integral_adds_what_every_run_added_bit_for_bit(q, gamma, sampled):
+    # each empty run used to add a literal +0.0, which changes no partial
+    # sum of bincount (it starts at +0.0 and is never -0.0): dropping them,
+    # and forming each distinct (f, x) once, leaves every node's bits
+    fs = list(ORACLE_FUNCTIONS) + [catalog(name) for name in sampled]
+    of, xs, lams = _every_node_at_every_level(fs, 38)
+    cfg = _cfg(q, gamma)
+    vals = inner_integral((fs, of), xs, lams, cfg)
+    _assert_same_bits(vals, oracles.all_runs_inner_integral((fs, of), xs, lams, cfg))
+    assert np.all(vals >= 0) and np.any(vals > 0) and np.any(vals == 0)
 
 
 def test_exact_path_batch_is_single_and_one_level_per_node():
@@ -806,8 +885,22 @@ def test_member_runs_roots_on_every_side():
     ok = hi > lo
     a, b, lam, lo, hi = a[ok], b[ok], lam[ok], lo[ok], hi[ok]
     for t in (3.0, 2.0, 1.2, 1.0, 0.7, 0.3, 0.0, -0.2, -1.0, -3.0):
+        # the sides `_linear_runs` gives each part, as (2, parts) arrays with
+        # the empty run (lo, lo) where a part has one side
+        two = (a != 0) & (b * t > 0) & (t not in (0.0, 1.0))
+        part = np.repeat(np.arange(len(a)), two + 1)
+        second = np.zeros(part.size, dtype=bool)
+        second[1:] = part[1:] == part[:-1]
+        parts = np.stack([a, b, lo, hi])
         with np.errstate(all="ignore"):
-            r1, r2 = diffquot._member_runs(a, b, lo, hi, lam, t, t - 1.0)
+            s1, s2 = diffquot._member_runs(parts, part, lam[part], second, t, t - 1.0)
+            # a part with a and b nonzero that is given one side has no run
+            # on the other
+            one = np.flatnonzero(~two & (a != 0) & (b != 0) & (t not in (0.0, 1.0)))
+            o1, o2 = diffquot._member_runs(parts, one, lam[one], one >= 0, t, t - 1.0)
+        assert np.all(o2 <= o1)
+        r1, r2 = np.tile(lo, (2, 1)), np.tile(lo, (2, 1))
+        r1[second.astype(int), part], r2[second.astype(int), part] = s1, s2
         assert np.all((lo <= r1) & (r1 <= r2) & (r2 <= hi))
         h = lambda r, i: a[i] + b[i] * r - lam[i] * r**t  # noqa: E731
         scale = lambda r, i: abs(a[i]) + abs(b[i]) * r + lam[i] * r**t  # noqa: E731

@@ -236,7 +236,7 @@ def test_classifier_takes_one_omega_call_and_one_quotient_quadrature(monkeypatch
     # calls makes one inner_integral call, and in it one _linear_runs call,
     # on the nodes of all of them (a quadrature per depth makes 37); with
     # panels evaluated ahead of need the sequential loop's 10 calls (8 off
-    # centre) are 6, on no more nodes than its 5,236 (4,576)
+    # centre) are 6, on 4,998 (4,368) nodes, 21 a panel
     calls = {"omega": 0, "axis": 0, "quads": 0, "steps": 0, "inner": 0, "runs": 0}
     quads, omega = diffquot.adaptive_quads, experiments.omega_intervals
     inner, runs = diffquot.inner_integral, diffquot._linear_runs
@@ -266,11 +266,11 @@ def test_classifier_takes_one_omega_call_and_one_quotient_quadrature(monkeypatch
     axis = ((grid, "axis_index"), (grid, "axis_interval"), (experiments, "axis_interval"))
     for module, name in axis:
         monkeypatch.setattr(module, name, counted("axis", getattr(module, name)))
-    for center, steps, most in ((0.0, 6, 5236), (0.1875, 6, 4576)):
+    for center, steps, total in ((0.0, 6, 4998), (0.1875, 6, 4368)):
         calls.update(dict.fromkeys(calls, 0))
         nodes.clear()
         rep = weight_classifier(PowerWeight(0.5, center), 1.0)
         assert rep.verdict == "violates"
         want = {"omega": 1, "axis": 0, "quads": 1, "steps": steps, "inner": steps, "runs": steps}
         assert calls == want
-        assert sum(nodes) <= most
+        assert sum(nodes) == total
