@@ -101,6 +101,17 @@ def load_config(path: str | None) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _integer(key: str, value) -> int:
+    """An integer setting read as int: an int, or a float with an integral
+    value.  A bool or anything else is refused by the key's name, not
+    truncated by int()."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def build_function(cfg: dict):
     spec = dict(cfg.get("function", {}))
     name = spec.pop("name", "tent")
@@ -130,16 +141,16 @@ def build_window(cfg: dict) -> GridWindow:
     g = cfg.get("grid", {})
     lo = Fraction(str(g.get("lo", -8)))
     hi = Fraction(str(g.get("hi", 8)))
-    j_min = int(g.get("j_min", -5))
-    j_max = int(g.get("j_max", 3))
+    j_min = _integer("grid.j_min", g.get("j_min", -5))
+    j_max = _integer("grid.j_max", g.get("j_max", 3))
     shifts_spec = g.get("shifts", "all")
     if shifts_spec == "all":
         shifts = all_shifts(1)
     else:
         if not isinstance(shifts_spec, list):
             shifts_spec = [shifts_spec]
-        shifts = [Shift((int(t),)) for t in shifts_spec]
-    budget = int(g.get("budget", 10**7))
+        shifts = [Shift((_integer("grid.shifts", t),)) for t in shifts_spec]
+    budget = _integer("grid.budget", g.get("budget", 10**7))
     try:
         return window_1d(lo, hi, j_min, j_max, shifts=shifts, budget=budget)
     except ValueError as exc:
@@ -346,11 +357,11 @@ def run_verify_oscillation(cfg: dict):
             beta=float(fp.get("beta", 2.0)),
             weight=w,
             window=window,
-            lambda_count=int(fp.get("lambda_count", 64)),
+            lambda_count=_integer("lambda_count", fp.get("lambda_count", 64)),
             exploratory=bool(fp.get("exploratory", False)),
         )
     except ValueError as exc:
-        raise ConfigError(f"admissibility violation: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
     prof = oscillation.oscillation_functional(ccfg, f)
     rec = oscillation.verify_oscillation(ccfg, f, prof)
     rows = [(lam, val, n, prof.boundary_share) for lam, val, n in prof.as_rows()]
@@ -381,7 +392,7 @@ def run_verify_diffquot(cfg: dict):
             window=(float(g.get("lo", -1.0)), float(g.get("hi", 1.0))),
             lambda_lo=float(fp.get("lambda_lo", 1e0)),
             lambda_hi=float(fp.get("lambda_hi", 1e4)),
-            lambda_count=int(fp.get("lambda_count", 13)),
+            lambda_count=_integer("lambda_count", fp.get("lambda_count", 13)),
             exploratory=bool(fp.get("exploratory", False)),
         )
     except ValueError as exc:
@@ -432,10 +443,10 @@ def run_good_cubes(cfg: dict):
     from dyadicweights.grid import Cube, children
 
     fp = cfg.get("functional", {})
-    trials = int(fp.get("trials", 100))
+    trials = _integer("trials", fp.get("trials", 100))
     if trials < 1:
         raise ConfigError("good-cubes needs trials >= 1")
-    seed = int(cfg.get("run", {}).get("seed", 0))
+    seed = _integer("run.seed", cfg.get("run", {}).get("seed", 0))
     rng = random.Random(seed)
     w = build_weight(cfg)
     rows, records = [], []
@@ -473,7 +484,7 @@ def run_sharpness(cfg: dict):
     fp = cfg.get("functional", {})
     case = str(fp.get("case", "a1"))
     p = float(fp.get("p", 1.0 if case == "a1" else 2.0))
-    count = int(fp.get("deltas", 7))
+    count = _integer("deltas", fp.get("deltas", 7))
     grid = [2.0 ** (-k) for k in range(2, 2 + count)]
     res = experiments.sharpness_sweep(case, p, grid)
     rows = [
@@ -505,7 +516,7 @@ def run_classify_weight(cfg: dict):
     if not isinstance(depths, list):
         depths = [depths]
     rep = experiments.weight_classifier(
-        w, p, depths=tuple(int(d) for d in depths),
+        w, p, depths=tuple(_integer("depths", d) for d in depths),
         with_quotient=bool(fp.get("with_quotient", True)),
     )
     rows = []
@@ -527,10 +538,10 @@ def run_classify_weight(cfg: dict):
 
 def run_wavelet_check(cfg: dict):
     fp = cfg.get("functional", {})
-    order = int(fp.get("order", 4))
-    depth = int(fp.get("depth", 12))
+    order = _integer("order", fp.get("order", 4))
+    depth = _integer("depth", fp.get("depth", 12))
     beta = float(fp.get("beta", 2.0))
-    j_max = int(fp.get("j_max", 4))
+    j_max = _integer("j_max", fp.get("j_max", 4))
     try:
         system = wavelet.build_daubechies(order, depth)
     except ValueError as exc:
@@ -564,7 +575,8 @@ def run_ap_constant(cfg: dict):
     w = build_weight(cfg)
     fp = cfg.get("functional", {})
     p = float(fp.get("p", 1.0))
-    scales = range(int(fp.get("scale_min", -10)), int(fp.get("scale_max", 11)))
+    scale_min = _integer("scale_min", fp.get("scale_min", -10))
+    scales = range(scale_min, _integer("scale_max", fp.get("scale_max", 11)))
     probes = standard_probes(w, scales=scales)
     ratios = ap_ratios(w, p, probes)
     est = ApEstimate.from_ratios(ratios)  # ap_constant on the same ratios

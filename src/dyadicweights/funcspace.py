@@ -8,7 +8,8 @@ closed-form antiderivatives, so weighted gradient norms have exact paths.
 omega is exact for every one-dimensional function: `omega_intervals` and
 `mean_abs` take many intervals at once, and those on which f is piecewise
 linear take one array pass over a table of their linear segments
-(`_segment_table`).  On the others omega sums over pairs of the parts of f
+(`_segment_table`); omega is 0.0 with no further work on an interval
+inside one flat piece.  On the others omega sums over pairs of the parts of f
 on which it is monotone, in one array pass over a table of the parts of all
 of them (`_part_table`) with one quadrature call for the pairs whose values
 overlap.  Tensor functions (n >= 2) are sampled on the box.
@@ -493,7 +494,7 @@ def _segment_table(f, lo: np.ndarray, hi: np.ndarray):
     # last the count of those < hi, as searchsorted would take them
     first, last = np.zeros(lo.size, dtype=np.intp), np.zeros(lo.size, dtype=np.intp)
     for col in table[1, :, :-1].T:
-        at = col[of]
+        at = col[of] if col.size > 1 else col[0]
         first += at <= lo
         last += at < hi
     count = last + 1 - first
@@ -596,44 +597,58 @@ def _cross_segments(one, two) -> np.ndarray:
     return out
 
 
+def _pair_sums(groups, out: np.ndarray) -> None:
+    """Int Int |f(x) - f(y)| over each interval of the groups ``(rows, seg)``
+    of `_segment_table`, into out[rows]: the closed form over every ordered
+    pair (p, q) of the interval's segments, p-major as a double loop would
+    add them.  One array pass over the segments of all groups: a segment
+    with itself by the one-cut closed form, two segments by the general cut
+    arithmetic."""
+    own = np.hstack([seg.reshape(4, -1) for _, seg in groups])
+    diag = np.zeros(own.shape[1])
+    sloped = own[2] != 0.0
+    diag[sloped] = _self_integral_sloped(*own[:, sloped])
+    off = [np.nonzero(~np.eye(seg.shape[2], dtype=bool)) for _, seg in groups]
+    one, two = (
+        np.hstack([seg[:, :, i[j]].reshape(4, -1) for (_, seg), i in zip(groups, off)])
+        for j in (0, 1)
+    )
+    cross = _cross_segments(one, two)
+    start = stop = 0
+    for (rows, seg), (p, q) in zip(groups, off):
+        m, k = seg.shape[1:]
+        pairs = np.empty((m, k, k))
+        pairs[:, range(k), range(k)] = diag[start : start + m * k].reshape(m, k)
+        pairs[:, p, q] = cross[stop : stop + m * p.size].reshape(m, -1)
+        start, stop = start + m * k, stop + m * p.size
+        out[rows] = reduce(np.add, pairs.reshape(m, -1).T, np.zeros(m))
+
+
 def omega_intervals(f, lo, hi) -> np.ndarray:
     """omega of the one-dimensional f on each interval [lo[i], hi[i]]; f is
     one function, or a pair (fs, of) giving interval i the function
     fs[of[i]].
 
-    Where the row's function is piecewise linear on the interval, omega sums
-    the integral of |f(x) - f(y)| over every ordered pair of its segments,
-    p-major as a double loop would, and divides by (hi - lo) ** 2.  One
-    array pass over the segment table of every row computes the pairs: a
-    segment with itself by the one-cut closed form, two segments by the
-    general cut arithmetic.  The intervals that meet a piece that is not
-    linear take the monotone-parts sum, one array pass per function.  Each
-    row's value is bit for bit what it is alone.
+    An interval inside one piece of its function with slope exactly 0.0
+    has omega +0.0 and takes no further work.  Where the row's function is
+    otherwise piecewise linear on the interval, omega is `_pair_sums` over
+    its segments, divided by (hi - lo) ** 2.  The intervals that meet a
+    piece that is not linear (slope nan in the table, so never flat) take
+    the monotone-parts sum, one array pass per function.  Each row's value
+    is bit for bit what it is alone.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     groups, other = _segment_table(f, lo, hi)
     out = np.zeros(lo.shape)
+    # a flat row's pair sum is +0.0 + 0.0, which no division changes, so it
+    # keeps out's +0.0; only the one-segment group, first by segment count,
+    # can hold flat rows
+    if groups and groups[0][1].shape[2] == 1:
+        rows, seg = groups[0]
+        sloped = seg[2, :, 0] != 0.0
+        groups[:1] = [(rows[sloped], seg[:, sloped])] if sloped.any() else []
     if groups:
-        # each segment with itself, then each pair (p, q), p != q, of the
-        # segments of one interval, all groups in one array
-        own = np.hstack([seg.reshape(4, -1) for _, seg in groups])
-        diag = np.zeros(own.shape[1])
-        sloped = own[2] != 0.0
-        diag[sloped] = _self_integral_sloped(*own[:, sloped])
-        off = [np.nonzero(~np.eye(seg.shape[2], dtype=bool)) for _, seg in groups]
-        one, two = (
-            np.hstack([seg[:, :, i[j]].reshape(4, -1) for (_, seg), i in zip(groups, off)])
-            for j in (0, 1)
-        )
-        cross = _cross_segments(one, two)
-        start = stop = 0
-        for (rows, seg), (p, q) in zip(groups, off):
-            m, k = seg.shape[1:]
-            pairs = np.empty((m, k, k))
-            pairs[:, range(k), range(k)] = diag[start : start + m * k].reshape(m, k)
-            pairs[:, p, q] = cross[stop : stop + m * p.size].reshape(m, -1)
-            start, stop = start + m * k, stop + m * p.size
-            out[rows] = reduce(np.add, pairs.reshape(m, -1).T, np.zeros(m))
+        _pair_sums(groups, out)
     if other:
         fs, of = _functions(f, lo.size)
         other = np.array(other)

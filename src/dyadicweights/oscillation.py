@@ -66,6 +66,8 @@ class OscillationConfig:
         require_finite(p=self.p, beta=self.beta)
         if self.p < 1:
             raise ValueError("p must be >= 1")
+        if self.lambda_count < 0:
+            raise ValueError(f"lambda_count must be >= 0, got {self.lambda_count}")
         self.admissible = admissible_beta(self.p, self.beta, self.window.n)
         if not self.admissible and not self.exploratory:
             raise ValueError(
@@ -170,9 +172,13 @@ def _window_profile(
     flags["near_threshold"] is the relative supremum spread when every cube
     within REL_TOL of its threshold is counted as a member: strict membership
     cannot be certified closer than the accuracy of the criterion values.
+    Weight.masses, which takes each row alone, runs only on the cubes whose
+    criterion value is > 0; the others enter no level set, and read 0.0.
     """
     arr = window.arrays
-    masses = weight.masses(arr.lo, arr.hi)
+    live = np.flatnonzero(np.asarray(values, dtype=float) > 0)
+    masses = np.zeros(len(arr))
+    masses[live] = weight.masses(arr.lo[live], arr.hi[live])
     levels = LevelMass.of_cubes(values, window.n * arr.j, masses, b, beta * p - 1.0)
     thr = levels.thresholds
     base = levels.sup(p)

@@ -549,6 +549,59 @@ def test_a_value_out_of_its_domain_exits_one(tmp_path, capsys, subcommand, key, 
     assert not (tmp_path / "results.csv").exists()
 
 
+A1 = ("--config", str(CONFIGS / "a1_battery.cfg"))
+
+
+@pytest.mark.parametrize("value", ["2.5", "true"])
+@pytest.mark.parametrize(
+    "subcommand, key, setting",
+    [
+        ("verify-cddd", "grid.j_min", ("grid.j_min={}", *A1)),
+        ("verify-cddd", "grid.j_max", ("grid.j_max={}", *A1)),
+        ("verify-cddd", "grid.budget", ("grid.budget={}", *A1)),
+        ("verify-cddd", "grid.shifts", ("grid.shifts=[0, {}]", *A1)),
+        ("verify-cddd", "lambda_count", ("lambda_count={}", *A1)),
+        ("verify-bsvy", "lambda_count", ("lambda_count={}",)),
+        ("good-cubes", "trials", ("trials={}",)),
+        ("good-cubes", "run.seed", ("run.seed={}",)),
+        ("sharpness", "deltas", ("deltas={}",)),
+        ("classify-weight", "depths", ("depths=[6, {}]",)),
+        ("wavelet-check", "order", ("order={}",)),
+        ("wavelet-check", "depth", ("depth={}",)),
+        ("wavelet-check", "j_max", ("j_max={}",)),
+        ("ap-constant", "scale_min", ("scale_min={}",)),
+        ("ap-constant", "scale_max", ("scale_max={}",)),
+    ],
+)
+def test_an_integer_setting_refuses_a_bool_or_a_non_integral_value(
+    tmp_path, capsys, subcommand, key, setting, value
+):
+    # int() used to truncate each of these: grid.j_min = -5.5 ran j_min -5
+    # and exited 0 while summary.json echoed -5.5.  One reader refuses a
+    # bool or a non-integral number by the key's name, before any output
+    pair, *rest = setting
+    argv = [subcommand, "--out", str(tmp_path), "--set", pair.format(value), *rest]
+    assert main(argv) == 1
+    got = {"2.5": 2.5, "true": True}[value]
+    assert capsys.readouterr().err.splitlines() == [f"error: {key} must be an integer, got {got!r}"]
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_an_integral_float_setting_runs_as_its_integer(tmp_path):
+    # j_min = -5.0 is the integer -5: the a1 battery's results.csv holds
+    subcommand, csv_digest, code, _ = CONFIG_RUNS["a1_battery.cfg"]
+    assert main([subcommand, *A1, "--set", "grid.j_min=-5.0", "--out", str(tmp_path)]) == code
+    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == csv_digest
+
+
+def test_verify_cddd_refuses_a_negative_lambda_count(tmp_path, capsys):
+    # NumPy used to refuse it as "Number of samples, -3, must be
+    # non-negative"; OscillationConfig names it (0 stays allowed)
+    assert main(["verify-cddd", *A1, "--set", "lambda_count=-3", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: lambda_count must be >= 0, got -3"]
+    assert not (tmp_path / "results.csv").exists()
+
+
 SCHEDULE_RULE = "depths must be at least two strictly increasing positive integers, got"
 
 

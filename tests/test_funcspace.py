@@ -950,6 +950,63 @@ def test_omega_intervals_split_on_the_a1_window():
         assert _pieces_met(f, lo, hi)[1] == scalar
 
 
+def _flat_and_pair_rows(fs, of, lo, hi):
+    """The rows inside one piece of their function with slope exactly 0.0,
+    and the rows, sloped segments and ordered segment pairs of every other
+    piecewise linear row, from the segment table."""
+    groups, _ = funcspace._segment_table((fs, of), lo, hi)
+    flat = np.zeros(lo.size, dtype=bool)
+    for rows, seg in groups:
+        flat[rows] = (seg.shape[2] == 1) & (seg[2, :, 0] == 0.0)
+    rest = [(rows[~flat[rows]], seg[:, ~flat[rows]]) for rows, seg in groups]
+    sloped = sum(int(np.count_nonzero(seg[2] != 0.0)) for _, seg in rest)
+    pairs = sum(seg.shape[1] * seg.shape[2] * (seg.shape[2] - 1) for _, seg in rest)
+    return np.flatnonzero(flat), np.sort(np.concatenate([r for r, _ in rest])), sloped, pairs
+
+
+@pytest.mark.parametrize("case", ["tent", "smoothed_indicator", "pair"])
+def test_flat_rows_read_plus_zero_and_skip_the_pair_pass(monkeypatch, case):
+    # a window cube inside one flat piece has omega +0.0, sign bit clear,
+    # and never reaches the pair pass, its diagonal term or its cross
+    # segments; every other row keeps the per-interval oracle's bits, so a
+    # flat test that also caught a negative slope would fail here
+    lo, hi = _a1_window()
+    if case == "pair":
+        fs = (catalog("tent"), catalog("smoothed_indicator"), catalog("indicator", a=-0.3, b=2.2))
+        of = np.arange(lo.size) % len(fs)
+    else:
+        fs, of = (catalog(case),), np.zeros(lo.size, dtype=np.intp)
+    flat, linear, sloped, pairs = _flat_and_pair_rows(fs, of, lo, hi)
+    assert flat.size > 5000
+    seen = {"rows": [np.array([], dtype=np.intp)], "sloped": 0, "pairs": 0}
+    pair_sums, own, cross = (
+        funcspace._pair_sums, funcspace._self_integral_sloped, funcspace._cross_segments
+    )
+
+    def pair_sums_seen(groups, out):
+        seen["rows"] += [rows for rows, _ in groups]
+        return pair_sums(groups, out)
+
+    def own_seen(a, *rest):
+        seen["sloped"] += a.size
+        return own(a, *rest)
+
+    def cross_seen(one, two):
+        seen["pairs"] += one[0].size
+        return cross(one, two)
+
+    monkeypatch.setattr(funcspace, "_pair_sums", pair_sums_seen)
+    monkeypatch.setattr(funcspace, "_self_integral_sloped", own_seen)
+    monkeypatch.setattr(funcspace, "_cross_segments", cross_seen)
+    got = funcspace.omega_intervals((fs, of) if case == "pair" else fs[0], lo, hi)
+    assert np.all(_bits(got[flat]) == 0)
+    assert np.array_equal(np.sort(np.concatenate(seen["rows"])), linear)
+    assert (seen["sloped"], seen["pairs"]) == (sloped, pairs)
+    rest = np.setdiff1d(np.arange(lo.size), flat)
+    want = [_ref_omega(fs[k], a, b) for k, a, b in zip(of[rest], lo[rest], hi[rest])]
+    assert np.array_equal(_bits(got[rest]), _bits(want))
+
+
 def test_omega_inside_a_linear_piece_against_closed_form():
     # omega over [a, b] of a function of slope s there is |s| (b - a) / 3
     cfg = load_config(str(Path(__file__).parents[1] / "configs" / "a1_battery.cfg"))

@@ -23,7 +23,7 @@ from dyadicweights.oscillation import (
     verify_mean_functional,
     _family_arrays,
 )
-from dyadicweights.funcspace import catalog, omega_boxes
+from dyadicweights.funcspace import catalog, mean_abs, omega_boxes
 from dyadicweights.grid import (
     Cube,
     GridWindow,
@@ -174,6 +174,36 @@ def test_functional_matches_bruteforce_enumeration():
         i = prof.lambdas.index(lam)
         assert prof.values[i] == pytest.approx(total, rel=1e-9, abs=1e-300)
     assert prof.sup == pytest.approx(max(prof.values), rel=0)
+
+
+def test_window_profile_takes_masses_only_on_cubes_with_a_positive_value(monkeypatch):
+    # a cube whose criterion value is 0 enters no level set, so its mass is
+    # never read: Weight.masses takes only the other cubes, and the level
+    # table is the one the masses of every cube give, bit for bit
+    win = window_1d(-16, 16, -5, 4, shifts=all_shifts(1))
+    arr, w = win.arrays, PowerWeight(-0.75, 0.5)
+    full = w.masses(arr.lo, arr.hi)
+    seen = []
+
+    def masses(self, lo, hi, _real=PowerWeight.masses):
+        seen.append(len(lo))
+        return _real(self, lo, hi)
+
+    monkeypatch.setattr(PowerWeight, "masses", masses)
+    tent, step = catalog("tent"), catalog("indicator", a=-0.3, b=2.2)
+    for values, profile in (
+        (_oms(tent, win), lambda: oscillation_functional(OscillationConfig(1.0, 2.0, w, win), tent)),
+        (mean_abs(step, arr.lo[:, 0], arr.hi[:, 0]), lambda: mean_functional(step, w, 1.0, -1.0, win)),
+    ):
+        seen.clear()
+        profile()
+        live = values > 0
+        assert seen == [np.count_nonzero(live)] and 0 < seen[0] < len(arr) // 4
+        b, wexp = 2.0, 1.0
+        want = LevelMass.of_cubes(values, arr.j, full, b, wexp)
+        got = LevelMass.of_cubes(values, arr.j, np.where(live, full, 0.0), b, wexp)
+        for name in ("index", "thresholds", "weights", "prefix"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_level_mass_matches_direct_loop():

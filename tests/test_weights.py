@@ -491,6 +491,40 @@ def test_masses_match_the_scalar_path_bit_for_bit():
     assert got.tobytes() == np.array([m * (2.0 * y) for m, (_, y) in zip(mass, edges)]).tobytes()
 
 
+def test_masses_of_a_subset_of_rows_are_those_rows_of_the_full_call():
+    # every weight kind computes masses row by row: a call on some of the
+    # rows, in any order, gives each row the bits of the full call.  The
+    # window profile and the classifier's probe rows take masses only on
+    # the cubes with a positive criterion value and rest on this
+    rng = np.random.default_rng(22)
+    lo, hi = _rows(rng, (0.0, 0.3, 1.0 / 3.0))
+    table = TableWeight([-2.0, -1.0, 0.0, 0.5, 1.5, 2.5], [1.0, 0.0, 0.0, 2.0, 0.0, 3.0])
+    kinds = [
+        ConstantWeight(1.5),
+        PowerWeight(-0.75, 0.3),
+        PowerWeight(0.5, 1.0 / 3.0),
+        PowerWeight(2.0),
+        table,
+        ProductWeight([PowerWeight(-0.5, 0.3), table]),
+        ConstantWeight(2.0, n=2),
+    ]
+    subsets = [rng.permutation(lo.size)[: lo.size // 3], np.arange(lo.size)[::-7], [5], []]
+    for w in kinds:
+        boxes = [np.stack([x, x[::-1]], axis=1)[:, : w.n] for x in (lo, hi)]
+        full = w.masses(*boxes)
+        for rows in subsets:
+            got = w.masses(*(b[rows] for b in boxes))
+            assert got.tobytes() == full[rows].tobytes(), (w, len(rows))
+    # the kernel at other exponents: e = -1 (the log1p path), a zero knot
+    # (s <= -1) and a zero stretch (s < 0) that diverge, and s > 0
+    for w, s in ((PowerWeight(0.5, 0.3), -2.0), (PowerWeight(2.0), -0.5), (table, -1.0),
+                 (table, -0.5), (table, 0.5), (table, 2.0)):
+        full = w.power_masses(lo, hi, s)
+        assert np.isinf(full).any() == (s < 0)
+        for rows in subsets:
+            assert w.power_masses(lo[rows], hi[rows], s).tobytes() == full[rows].tobytes(), (w, s)
+
+
 def test_power_masses_read_inf_where_the_scalar_path_raises():
     # e = a s <= -1: a live row with the centre inside or on an end reads
     # +inf, where the scalar reference raises DomainError; rows with
