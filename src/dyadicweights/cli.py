@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -176,21 +177,31 @@ def _cell_format(t: type) -> str:
     return "%s"
 
 
+# Rows given one %-format at a time: bounds the format and result strings.
+_CSV_CHUNK_ROWS = 1024
+
+
 def write_csv(path: str, header: tuple[str, ...], rows: list[tuple]):
-    """One line per row, each cell as _fmt spells it, by one %-format per
-    row type signature, the rows streamed to the file."""
-    formats: dict[tuple[type, ...], str] = {}
-
-    def line(row: tuple) -> str:
-        sig = tuple(map(type, row))
-        fmt = formats.get(sig)
-        if fmt is None:
-            fmt = formats[sig] = ",".join(map(_cell_format, sig)) + "\n"
-        return fmt % tuple(row)
-
+    """One line per row, each cell as _fmt spells it: each run of
+    consecutive rows with one type signature is spelled by one %-format
+    over the run's cells, _CSV_CHUNK_ROWS rows at a time.  Every row has one
+    cell per header column."""
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"every row of {path} must have {width} cells")
+    cells = list(itertools.chain.from_iterable(rows))
+    # the type signature of each row, as one tuple per `width` cells
+    signatures = zip(*[iter(map(type, cells))] * width)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(line, rows))
+        start = 0
+        for sig, run in itertools.groupby(signatures):
+            stop = start + len(list(run))
+            fmt = ",".join(map(_cell_format, sig)) + "\n"
+            for first in range(start, stop, _CSV_CHUNK_ROWS):
+                last = min(first + _CSV_CHUNK_ROWS, stop)
+                fh.write((fmt * (last - first)) % tuple(cells[first * width : last * width]))
+            start = stop
 
 
 def write_summary(path: str, summary: dict):
@@ -555,12 +566,11 @@ def run_wavelet_check(cfg: dict):
     atoms, vals = wavelet.coefficients(f, system, idx)
     rec = wavelet.verify_almost_char(f, w, beta, system, idx, values=vals)
     rows = [(*a, v) for a, v in zip(atoms, vals)]
-    moments = [abs(system.moment(k)) for k in range(order)]
     summary = {
         **rec.summary(),
         "sup": rec.lhs,
-        "moment_residuals": moments,
-        "orthonormality_residual": system.orthonormality_residual(),
+        "moment_residuals": list(system.moment_residuals),
+        "orthonormality_residual": system.orthonormality_residual,
         "refinement_residual": system.refinement_residual,
         "admissibility": {"order_ok": order > 2, "beta_ok": beta < 0 or beta > 1},
         "truncation": {

@@ -174,6 +174,8 @@ def _window_profile(
     cannot be certified closer than the accuracy of the criterion values.
     Weight.masses, which takes each row alone, runs only on the cubes whose
     criterion value is > 0; the others enter no level set, and read 0.0.
+    With no positive value the grid is the lambda_count log-spaced points
+    alone, so lambda_count must be >= 1 there.
     """
     arr = window.arrays
     live = np.flatnonzero(np.asarray(values, dtype=float) > 0)
@@ -186,6 +188,12 @@ def _window_profile(
     inclusive = float(np.max(near**p * levels.above(near)[1], initial=0.0))
     flags = {"near_threshold": abs(inclusive - base) / max(base, 1e-300)}
     if len(thr) == 0:
+        if lambda_count < 1:
+            # no threshold to add a grid point below: the grid would be empty
+            raise ValueError(
+                "lambda_count must be >= 1 when no cube has a positive "
+                f"criterion value, got {lambda_count}"
+            )
         lams = np.logspace(-3, 0, lambda_count)
     else:
         lo, hi = float(thr[-1]), float(thr[0])

@@ -11,8 +11,9 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 from math import comb, sqrt
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from dyadicweights.funcspace import TestFunction, grad_power_mass, weighted_lp_mass
 from dyadicweights.oscillation import LevelMass
-from dyadicweights.records import RATIO_CEILING, VerificationRecord
+from dyadicweights.records import RATIO_CEILING, VerificationRecord, require_finite
 from dyadicweights.weights import Weight, ap_constant, dyadic_powers, standard_probes
 
 
@@ -66,10 +67,14 @@ class CascadeError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WaveletSystem:
     """Sampled scaling function and wavelet on [0, 2N-1], spacing 2^-depth,
-    with the largest residual of the refinement equation on the samples."""
+    with the largest residual of the refinement equation on the samples.
+
+    One system is shared by every caller of ``build_daubechies`` with its
+    (order, depth): its arrays are read-only, and each value that depends
+    only on the system is computed on first use and kept on it."""
 
     order: int
     depth: int
@@ -78,6 +83,8 @@ class WaveletSystem:
     phi: np.ndarray
     psi: np.ndarray
     refinement_residual: float
+    # cell_moments tables by degree count
+    _moment_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dx(self) -> float:
@@ -87,6 +94,12 @@ class WaveletSystem:
         xs = np.arange(len(self.psi)) * self.dx
         return float(np.sum(xs**k * self.psi) * self.dx)
 
+    @cached_property
+    def moment_residuals(self) -> tuple[float, ...]:
+        """|moment(k)| of psi for k = 0 .. order - 1, all 0 in exact arithmetic."""
+        return tuple(abs(self.moment(k)) for k in range(self.order))
+
+    @cached_property
     def orthonormality_residual(self) -> float:
         """Largest deviation of <phi, phi(. - m)> from delta_m over the
         shifts m = 0 .. len(h) - 1."""
@@ -99,6 +112,39 @@ class WaveletSystem:
             ip = float(np.sum(self.phi[s:] * self.phi[: n - s]) * self.dx)
             worst = max(worst, abs(ip - (1.0 if m == 0 else 0.0)))
         return worst
+
+    @cached_property
+    def cell_masses(self) -> np.ndarray:
+        """(step + 1, 2S) matrix whose column s (S + s) is the P1 mass matrix
+        of one unit cell, (dx/6) tridiag(1, 4, 1) with corners 2, applied to
+        the samples of support cell s of phi (psi): a cell's samples of f
+        dotted with a column give the exact product integral of the
+        interpolants over that cell."""
+        step = 2**self.depth
+        span = len(self.h) - 1
+        out = np.empty((2 * span, step + 1))
+        for i, base in enumerate((self.phi, self.psi)):
+            cells = np.lib.stride_tricks.sliding_window_view(base, step + 1)[::step]
+            m = out[i * span : (i + 1) * span]
+            np.multiply(cells, 2.0, out=m)
+            m[:, 1:-1] *= 2.0
+            m[:, 1:] += cells[:, :-1]
+            m[:, :-1] += cells[:, 1:]
+        out *= self.dx / 6.0
+        out.setflags(write=False)
+        return out.T
+
+    def cell_moments(self, count: int) -> np.ndarray:
+        """(count, 2S) matrix M with M[k] = (u_i^k) @ cell_masses over the
+        sample abscissae u_i = i dx of one cell, k < count."""
+        table = self._moment_tables.get(count)
+        if table is None:
+            us = np.arange(2**self.depth + 1) * self.dx
+            # u_i^k (exact), contiguous: the strided product sums 10x less accurately
+            table = np.vander(us, count, increasing=True).T.copy() @ self.cell_masses
+            table.setflags(write=False)
+            self._moment_tables[count] = table
+        return table
 
 
 def _add_taps(dst: np.ndarray, src: np.ndarray, taps, step: int, base: int, shift: int):
@@ -122,10 +168,22 @@ def _refinement_residual(h: np.ndarray, phi: np.ndarray, depth: int) -> float:
     return float(np.max(np.abs(rec - coarse)))
 
 
+# Systems kept per process: an order-10 system at depth 16 holds about 20 MB
+# in phi and psi, and one run uses one system.
+_SYSTEMS_KEPT = 4
+
+
 def build_daubechies(order: int, depth: int = 12) -> WaveletSystem:
-    """Construct the sampled order-N system; depth is the dyadic resolution."""
+    """The sampled order-N system at dyadic resolution depth, built once per
+    (order, depth) and process and shared by every later call."""
+    order, depth = operator.index(order), operator.index(depth)
     if not 8 <= depth <= 16:
         raise ValueError("depth must lie in [8, 16]")
+    return _build_daubechies(order, depth)  # daubechies_filter checks order
+
+
+@lru_cache(maxsize=_SYSTEMS_KEPT)
+def _build_daubechies(order: int, depth: int) -> WaveletSystem:
     h = daubechies_filter(order)
     last = len(h) - 1
     g = np.array([(-1.0) ** k * h[last - k] for k in range(last + 1)])
@@ -141,6 +199,8 @@ def build_daubechies(order: int, depth: int = 12) -> WaveletSystem:
     residual = _refinement_residual(h, phi, depth)
     if residual > 1e-8:
         raise CascadeError("refinement residual above 1e-8; cascade unreliable")
+    for a in (h, g, phi, psi):
+        a.setflags(write=False)
     return WaveletSystem(order, depth, h, g, phi, psi, residual)
 
 
@@ -169,6 +229,7 @@ class IndexSet:
     hi: float
 
     def __post_init__(self):
+        require_finite(lo=self.lo, hi=self.hi)
         if self.j_max < 0 or self.hi <= self.lo:
             raise ValueError("need j_max >= 0 and a nonempty window")
 
@@ -205,26 +266,6 @@ class IndexSet:
         return (k / scale < self.lo) | ((k + len(system.h) - 1) / scale > self.hi)
 
 
-def _cell_masses(system: WaveletSystem) -> np.ndarray:
-    """(step + 1, 2S) matrix whose column s (S + s) is the P1 mass matrix
-    of one unit cell, (dx/6) tridiag(1, 4, 1) with corners 2, applied to the
-    samples of support cell s of phi (psi): a cell's samples of f dotted
-    with a column give the exact product integral of the interpolants over
-    that cell."""
-    step = 2**system.depth
-    span = len(system.h) - 1
-    out = np.empty((2 * span, step + 1))
-    for i, base in enumerate((system.phi, system.psi)):
-        cells = np.lib.stride_tricks.sliding_window_view(base, step + 1)[::step]
-        m = out[i * span : (i + 1) * span]
-        np.multiply(cells, 2.0, out=m)
-        m[:, 1:-1] *= 2.0
-        m[:, 1:] += cells[:, :-1]
-        m[:, :-1] += cells[:, 1:]
-    out *= system.dx / 6.0
-    return out.T
-
-
 def _taylor_rows(coef: np.ndarray, x0: np.ndarray, scale: float) -> np.ndarray:
     """Rows b with sum_k coef[r, k] t^k = sum_k b[r, k] u^k at
     t = x0[r] + u / scale: a Taylor shift to x0 by repeated synthetic
@@ -246,26 +287,25 @@ def coefficients(
 
     Atom k of generation j covers the S support cells k .. k + S - 1 and sums
     its S diagonal entries of ``pair``, each cell's P1 pairing with every
-    support cell of phi and psi (``_cell_masses``).  A cell whose two ends
-    lie in one polynomial piece of f (the piece rule of
+    support cell of phi and psi (``WaveletSystem.cell_masses``).  A cell
+    whose two ends lie in one polynomial piece of f (the piece rule of
     ``TestFunction._table``) takes its row in closed form: with b the
     piece's coefficients in u = 2^j x - c, one Taylor shift of its row of
-    f's table from the piece's anchor to the cell, the row is b @ M, where
-    M[k] = (u_i^k) @ masses over the sample abscissae u_i.  Only the other
-    cells, which a breakpoint or a power piece meets, evaluate f, on the
-    per-atom abscissae bit for bit.  The per-atom oracle of the tests
+    f's table from the piece's anchor to the cell, the row is b @ M, with M
+    the system's ``cell_moments`` table.  Only the other cells, which a
+    breakpoint or a power piece meets, evaluate f, on the per-atom abscissae
+    bit for bit.  The per-atom oracle of the tests
     samples f on every cell; the two agree to rounding, and a psi atom inside one piece comes
     out at rounding level, not as an exact 0.
     """
     atoms = index_set.atoms(system)
     step = 2**system.depth
     span = len(system.h) - 1  # S, the support length in cells
-    masses = _cell_masses(system)
+    masses = system.cell_masses
     us = np.arange(step + 1) * system.dx
     # ascending coefficients in x minus each piece's anchor, 0 on power pieces
     anchors, coef = f._anchors, f._value_rows[::-1].T
-    # u_i^k (exact), contiguous: the strided product sums 10x less accurately
-    moments = np.vander(us, coef.shape[1], increasing=True).T.copy() @ masses
+    moments = system.cell_moments(coef.shape[1])
     poly = np.array([p.kind == "poly" for p in f.pieces])
     vals = np.empty(len(atoms))
     start = 0
@@ -327,6 +367,7 @@ def verify_almost_char(
     otherwise they are computed here.
     """
     n = 1
+    require_finite(beta=beta)
     if system.order <= n + 1:
         raise ValueError("wavelet order must exceed n + 1")
     if not (beta < 1.0 - 1.0 / n or beta > 1.0):

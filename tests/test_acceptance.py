@@ -416,7 +416,7 @@ def test_10_wavelet_suite():
     t0 = time.time()
     system = build_daubechies(4, depth=12)
     moments = [abs(system.moment(k)) for k in range(4)]
-    orth = system.orthonormality_residual()
+    orth = system.orthonormality_residual
     f = catalog("tent")
     ratios = {}
     for wname, w in (

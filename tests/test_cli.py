@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dyadicweights import experiments
-from dyadicweights.cli import main, parse_config_text, write_csv
+from dyadicweights.cli import _CSV_CHUNK_ROWS, main, parse_config_text, write_csv
 from oracles import fmt_join_csv
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -154,6 +154,17 @@ ARGV_RUNS = {
         "3b1a5e992a2ee85ea2f015672c97b81f312f044654505b7f342eda35ebd6dbe7",
         2,
         "5edae592d9f93179834e302c8c4eb34695470b6e0916ca06cbafad6bfeb3035d",
+    ),
+    # the benchmark's wavelet input: tent, |x|^-0.5, order 4, depth 12
+    "wavelet-check-bench": (
+        [
+            "wavelet-check",
+            "--set", "weight.kind=power",
+            "--set", "weight.exponent=-0.5",
+        ],
+        "3b1a5e992a2ee85ea2f015672c97b81f312f044654505b7f342eda35ebd6dbe7",
+        0,
+        "b26de6af793d22f2258f4d54026d4b40b3a4352a1c750fbb84faf124dca88b1d",
     ),
     "verify-cddd-unbounded": (
         [
@@ -346,6 +357,28 @@ def test_argv_results_csv_digest(tmp_path, name):
     load_strict(tmp_path / "summary.json")
 
 
+def test_two_wavelet_check_runs_build_the_cascade_once(tmp_path, monkeypatch):
+    # both runs read the order-4 depth-12 system of the first, and each
+    # writes its pinned bytes
+    from dyadicweights import wavelet
+
+    calls = []
+
+    def counted(h, _orig=wavelet._integer_values):
+        calls.append(len(h))
+        return _orig(h)
+
+    monkeypatch.setattr(wavelet, "_integer_values", counted)
+    wavelet._build_daubechies.cache_clear()
+    for name in ("wavelet-check-bench", "wavelet-check-unbounded"):
+        argv, digest, code, summary_digest = ARGV_RUNS[name]
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == code
+        assert sha256(out / "results.csv") == digest
+        assert sha256(out / "summary.json") == summary_digest
+    assert calls == [8]
+
+
 def test_write_csv_bytes_match_the_fmt_join(tmp_path):
     header = ("flag", "npflag", "n", "npn", "x", "npx", "x32", "text", "none", "frac", "mixed")
     rows = [
@@ -365,6 +398,29 @@ def test_write_csv_bytes_match_the_fmt_join(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(str(path), header, rows)
     assert read(path) == fmt_join_csv(header, rows)
+    # runs longer than one %-format chunk of rows, broken by rows of another
+    # type signature, one of them a single row between two long runs
+    chunk = _CSV_CHUNK_ROWS
+    run = [(k, k / 7, np.float64(-k / 3), "s") for k in range(2 * chunk + 5)]
+    rows = [
+        *run[: chunk + 3],
+        (True, 1, 0.5, "t"),
+        *run[chunk + 3 :],
+        (np.int64(3), 0.1, 2, None),
+        (np.int64(4), 0.2, 3, None),
+        *run[:chunk],
+        [-1, -1 / 7, np.float64(1 / 3), "list"],
+        *run[:2],
+    ]
+    write_csv(str(path), header[:4], rows)
+    assert read(path) == fmt_join_csv(header[:4], rows)
+
+
+def test_write_csv_refuses_a_row_of_another_width(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="must have 2 cells"):
+        write_csv(str(path), ("a", "b"), [(1, 2.0), (3, 4.0, 5)])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -536,17 +592,40 @@ def test_verify_bsvy_refuses_an_empty_profile_or_window(tmp_path, capsys, sets, 
         *(("sharpness", "p", value, ">= 1") for value in ("0", "-1", "0.5")),
         *(("classify-weight", "p", value, ">= 1") for value in ("0", "-1")),
         *(("verify-bsvy", "tol", value, "in [0, 1)") for value in ("-1", "1", "1.5")),
+        ("wavelet-check", "grid.hi", "inf", "finite"),
+        ("wavelet-check", "grid.lo", "nan", "finite"),
+        ("wavelet-check", "beta", "inf", "finite"),
     ],
 )
 def test_a_value_out_of_its_domain_exits_one(tmp_path, capsys, subcommand, key, value, rule):
-    # a lambda range that takes no logarithm, a p below 1 and a tolerance
-    # that makes the lower check stricter than its constant or vacuous are
-    # refused by name: exit 1 and one error line, not a math domain error,
-    # a ZeroDivisionError traceback, a "fail" or a "pass"
+    # a lambda range that takes no logarithm, a p below 1, a tolerance that
+    # makes the lower check stricter than its constant or vacuous and a
+    # non-finite wavelet window end or beta are refused by name: exit 1 and
+    # one error line, not a math domain error, an OverflowError or
+    # ZeroDivisionError traceback, a "fail" or a "pass"
     assert main([subcommand, "--out", str(tmp_path), "--set", f"{key}={value}"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {key} must be {rule}, got {float(value)}"]
+    name = key.rpartition(".")[2]
+    assert err == [f"error: {name} must be {rule}, got {float(value)}"]
     assert not (tmp_path / "results.csv").exists()
+
+
+def test_verify_cddd_lambda_count_zero_needs_a_positive_threshold(tmp_path, capsys):
+    # with no cube of positive oscillation the lambda grid is the
+    # lambda_count log-spaced points alone: at 0 it would be empty, and the
+    # run is refused by name before any output; the tent's thresholds give
+    # a grid of their own, so it runs at 0 and passes
+    argv = ["verify-cddd", *A1, "--set", "lambda_count=0"]
+    assert main([*argv, "--set", "function.name=constant", "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: lambda_count must be >= 1 when no cube has a positive "
+        "criterion value, got 0"
+    ]
+    assert not (tmp_path / "c" / "results.csv").exists()
+    assert main([*argv, "--out", str(tmp_path / "t")]) == 0
+    summary = load_strict(tmp_path / "t" / "summary.json")
+    assert summary["verdict"] == "pass" and summary["sup"] > 0
 
 
 A1 = ("--config", str(CONFIGS / "a1_battery.cfg"))

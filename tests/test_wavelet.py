@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from dyadicweights import wavelet
 from dyadicweights.funcspace import catalog
 from dyadicweights.wavelet import (
     AtomIndex,
@@ -98,8 +100,8 @@ def test_vanishing_moments(db4, db2):
 
 
 def test_orthonormality_residual(db4, db2):
-    assert db4.orthonormality_residual() < 1e-6
-    assert db2.orthonormality_residual() < 1e-6
+    assert db4.orthonormality_residual < 1e-6
+    assert db2.orthonormality_residual < 1e-6
 
 
 def test_build_rejects_bad_params():
@@ -107,6 +109,72 @@ def test_build_rejects_bad_params():
         build_daubechies(11)
     with pytest.raises(ValueError):
         build_daubechies(4, depth=4)
+
+
+def test_build_daubechies_returns_one_system_per_order_and_depth():
+    system = build_daubechies(4, 12)
+    assert build_daubechies(4, depth=12) is system
+    assert build_daubechies(4) is system
+    assert build_daubechies(np.int64(4), np.int64(12)) is system
+    assert build_daubechies(4, 11) is not system
+    assert build_daubechies(2, 12) is not system
+
+
+def test_a_shared_system_is_read_only(db4):
+    for name in ("h", "g", "phi", "psi"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(db4, name)[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        db4.cell_masses[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        db4.cell_moments(2)[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        db4.phi = np.zeros(3)
+
+
+def test_bad_params_and_an_unreliable_cascade_raise_on_every_call(monkeypatch):
+    for _ in range(3):
+        with pytest.raises(ValueError, match="order must lie"):
+            build_daubechies(11)
+        with pytest.raises(ValueError, match="depth must lie"):
+            build_daubechies(4, depth=4)
+    monkeypatch.setattr(wavelet, "_refinement_residual", lambda h, phi, depth: 1.0)
+    wavelet._build_daubechies.cache_clear()
+    for _ in range(3):
+        with pytest.raises(wavelet.CascadeError):
+            build_daubechies(3, 9)
+
+
+@pytest.mark.parametrize("order, depth", [(1, 10), (2, 8), (4, 12), (10, 8)])
+def test_stored_diagnostics_equal_a_fresh_computation_bit_for_bit(order, depth):
+    # the values each wavelet-check call used to compute, on an uncached
+    # build: the moment and orthonormality residuals, the cell masses and
+    # the per-degree moment table of coefficients
+    system = build_daubechies(order, depth)
+    stored = (system.moment_residuals, system.orthonormality_residual)
+    fresh = wavelet._build_daubechies.__wrapped__(order, depth)
+    assert fresh is not system
+    assert fresh.phi.tobytes() == system.phi.tobytes()
+    dx = 2.0**-depth
+    xs = np.arange(len(fresh.psi)) * dx
+    moments = tuple(abs(float(np.sum(xs**k * fresh.psi) * dx)) for k in range(order))
+    worst = 0.0
+    n = len(fresh.phi)
+    for m in range(len(fresh.h)):
+        s = m * 2**depth
+        if s >= n:
+            break
+        ip = float(np.sum(fresh.phi[s:] * fresh.phi[: n - s]) * dx)
+        worst = max(worst, abs(ip - (1.0 if m == 0 else 0.0)))
+    assert np.array(stored[0]).tobytes() == np.array(moments).tobytes()
+    assert np.float64(stored[1]).tobytes() == np.float64(worst).tobytes()
+    assert system.cell_masses.tobytes() == fresh.cell_masses.tobytes()
+    us = np.arange(2**depth + 1) * dx
+    table = np.vander(us, 4, increasing=True).T.copy() @ fresh.cell_masses
+    assert system.cell_moments(4).tobytes() == table.tobytes()
+    # each is computed once and kept
+    assert system.cell_masses is system.cell_masses
+    assert system.cell_moments(4) is system.cell_moments(4)
 
 
 def test_normalized_atom_haar_l2():
