@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -189,7 +190,7 @@ def write_csv(path: str, header: tuple[str, ...], rows: list[tuple]):
     width = len(header)
     if set(map(len, rows)) - {width}:
         raise ValueError(f"every row of {path} must have {width} cells")
-    cells = list(itertools.chain.from_iterable(rows))
+    cells = tuple(itertools.chain.from_iterable(rows))
     # the type signature of each row, as one tuple per `width` cells
     signatures = zip(*[iter(map(type, cells))] * width)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -200,17 +201,17 @@ def write_csv(path: str, header: tuple[str, ...], rows: list[tuple]):
             fmt = ",".join(map(_cell_format, sig)) + "\n"
             for first in range(start, stop, _CSV_CHUNK_ROWS):
                 last = min(first + _CSV_CHUNK_ROWS, stop)
-                fh.write((fmt * (last - first)) % tuple(cells[first * width : last * width]))
+                fh.write((fmt * (last - first)) % cells[first * width : last * width])
             start = stop
 
 
 def write_summary(path: str, summary: dict):
     """Strict JSON: a non-finite float is written as the string results.csv
-    uses for it ("inf", "-inf", "nan")."""
-    strict = _strict(summary)
+    uses for it ("inf", "-inf", "nan").  The text is formed whole and written
+    once: json.dump would write each piece the encoder yields."""
+    text = json.dumps(_strict(summary), indent=2, sort_keys=True, allow_nan=False, default=repr)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False, default=repr)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _strict(obj):
@@ -554,6 +555,7 @@ def run_wavelet_check(cfg: dict):
     beta = float(fp.get("beta", 2.0))
     j_max = _integer("j_max", fp.get("j_max", 4))
     try:
+        wavelet.require_admissible(order, beta)  # before any coefficient
         system = wavelet.build_daubechies(order, depth)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -572,7 +574,7 @@ def run_wavelet_check(cfg: dict):
         "moment_residuals": list(system.moment_residuals),
         "orthonormality_residual": system.orthonormality_residual,
         "refinement_residual": system.refinement_residual,
-        "admissibility": {"order_ok": order > 2, "beta_ok": beta < 0 or beta > 1},
+        "admissibility": {},  # an inadmissible order or beta was refused above
         "truncation": {
             "boundary_atoms": rec.details["boundary_atoms"],
             "strong_convergent": rec.details["strong_convergent"],
@@ -635,7 +637,12 @@ def _apply_overrides(cfg: dict, pairs: list[str]):
         cfg.setdefault(section, {})[name.strip()] = _parse_scalar(val)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The dyadw parser, built on the first main call and kept for the
+    process.  argparse reads the terminal width when it formats help or an
+    error, not here, and the append action copies --set's default list
+    before it adds to it, so calls share no state through the parser."""
     parser = argparse.ArgumentParser(
         prog="dyadw",
         description="Dyadic-grid weighted functional experiments",
@@ -662,8 +669,12 @@ def main(argv=None) -> int:
         "--out", default=None, help="output directory (default $DYADW_OUT or .)"
     )
     parser.add_argument("--plot", action="store_true", help="emit plot.svg")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 

@@ -173,7 +173,7 @@ def float_box(region) -> list[tuple[float, float]]:
     """The float (lo, hi) pair of each axis of a region: one (lo, hi) pair, a
     box given as a sequence of pairs, a Cube or an AxisCube.  Each end is the
     correctly rounded value of the exact end (float of a Fraction)."""
-    try:  # a (lo, hi) pair, one per cube in the hot loops, costs one unpack
+    try:  # a (lo, hi) pair costs one unpack
         lo, hi = region
         return [(float(lo), float(hi))]
     except (TypeError, ValueError):

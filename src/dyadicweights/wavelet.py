@@ -351,6 +351,18 @@ def _norms(u: np.ndarray, values: np.ndarray, p: float) -> tuple[float, float]:
     return strong, weak
 
 
+def require_admissible(order: int, beta: float) -> None:
+    """Refuse a wavelet order or a beta outside the characterization's range
+    on R^n, n = 1: the order must exceed n + 1, and beta must lie below
+    1 - 1/n = 0 or above 1."""
+    n = 1
+    require_finite(beta=beta)
+    if order <= n + 1:
+        raise ValueError("wavelet order must exceed n + 1")
+    if not (beta < 1.0 - 1.0 / n or beta > 1.0):
+        raise ValueError(f"beta={beta} outside the admissible range")
+
+
 def verify_almost_char(
     f,
     w: Weight,
@@ -366,13 +378,7 @@ def verify_almost_char(
     values of ``coefficients(f, system, index_set)`` when already computed;
     otherwise they are computed here.
     """
-    n = 1
-    require_finite(beta=beta)
-    if system.order <= n + 1:
-        raise ValueError("wavelet order must exceed n + 1")
-    if not (beta < 1.0 - 1.0 / n or beta > 1.0):
-        # n = 1: admissible beta is anything below 0 or above 1
-        raise ValueError(f"beta={beta} outside the admissible range")
+    require_admissible(system.order, beta)
     _, gens, ks = index_set.arrays(system)
     vals = coefficients(f, system, index_set)[1] if values is None else values
     if len(vals) != len(gens):

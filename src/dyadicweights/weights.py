@@ -356,6 +356,22 @@ def _axis_ratios(w: Weight, p: float, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return np.where(finite, mean * powered, math.inf)
 
 
+def _probe_boxes(probes: Sequence) -> np.ndarray:
+    """The (N, n, 2) float ends of a probe family, each end float() of
+    itself as grid.float_box takes it.  A family of (lo, hi) pairs, as
+    standard_probes gives, is one NumPy call; any other family (Cube or
+    AxisCube probes, boxes given as sequences of pairs) takes one float_box
+    per probe."""
+    try:
+        ends = np.array(probes, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if ends.shape == (len(probes), 2):
+            return ends[:, None, :]
+    return np.array([float_box(q) for q in probes])
+
+
 def ap_ratios(w: Weight, p: float, probes: Sequence) -> np.ndarray:
     """The constant ratio of each probe of a nonempty family, for p >= 1:
     one kernel call for the masses, and one ess_inf call (p = 1) or one
@@ -370,7 +386,7 @@ def ap_ratios(w: Weight, p: float, probes: Sequence) -> np.ndarray:
         raise NotImplementedError("multi-d ratios need product structure")
     if isinstance(w, ConstantWeight) and w.n != 1:
         return np.ones(len(probes))
-    box = np.array([float_box(q) for q in probes])  # (N, n, 2)
+    box = _probe_boxes(probes)
     factors = w.factors if isinstance(w, ProductWeight) else [w]
     out = _axis_ratios(factors[0], p, box[:, 0, 0], box[:, 0, 1])
     for i, f in enumerate(factors[1:], 1):

@@ -7,8 +7,9 @@ monotone parts; the closed form of omega for an indicator; the exhaustive
 antichain search; the classical weight-constant checks with the
 discretized maximal function; the scalar power mass and constant ratio,
 one interval at a time, as the bit-for-bit references of the array
-kernel; Python's float ** one value at a time, the reference of
-``weights.powers``; the exact inner integral with every run added, empty
+kernel; the constant ratios with one float_box per probe, the reference
+of the one-array probe boxes; Python's float ** one value at a time, the
+reference of ``weights.powers``; the exact inner integral with every run added, empty
 ones included, the reference of the live runs of ``diffquot``; the panel
 sums of ``quadrature._panels`` one row at a time by np.dot; the
 classifier's probe family built by one axis_index and
@@ -67,6 +68,7 @@ from dyadicweights.weights import (
     ProductWeight,
     TableWeight,
     Weight,
+    _axis_ratios,
     ap_constant,
     ap_ratios,
 )
@@ -678,6 +680,20 @@ def scalar_ap_ratio(w: Weight, p: float, region) -> float:
     if not math.isfinite(dual):
         return math.inf
     return mean * dual ** (p - 1.0)
+
+
+def per_probe_ap_ratios(w: Weight, p: float, probes: Sequence) -> np.ndarray:
+    """ap_ratios with its (N, n, 2) boxes formed one float_box per probe, as
+    it took every family before pair families became one NumPy call: the
+    bit-for-bit reference of that call."""
+    if isinstance(w, ConstantWeight) and w.n != 1:
+        return np.ones(len(probes))
+    box = np.array([float_box(q) for q in probes])
+    factors = w.factors if isinstance(w, ProductWeight) else [w]
+    out = _axis_ratios(factors[0], p, box[:, 0, 0], box[:, 0, 1])
+    for i, f in enumerate(factors[1:], 1):
+        out = out * _axis_ratios(f, p, box[:, i, 0], box[:, i, 1])
+    return out
 
 
 def maximal_value(w: Weight, x: float, radii: Sequence[float]) -> float:

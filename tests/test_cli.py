@@ -153,7 +153,7 @@ ARGV_RUNS = {
         ],
         "3b1a5e992a2ee85ea2f015672c97b81f312f044654505b7f342eda35ebd6dbe7",
         2,
-        "5edae592d9f93179834e302c8c4eb34695470b6e0916ca06cbafad6bfeb3035d",
+        "e79558d51f6e9d16945fba298e7c4014430b5ee3c9b8376eb21a969b8cdb966e",
     ),
     # the benchmark's wavelet input: tent, |x|^-0.5, order 4, depth 12
     "wavelet-check-bench": (
@@ -164,7 +164,14 @@ ARGV_RUNS = {
         ],
         "3b1a5e992a2ee85ea2f015672c97b81f312f044654505b7f342eda35ebd6dbe7",
         0,
-        "b26de6af793d22f2258f4d54026d4b40b3a4352a1c750fbb84faf124dca88b1d",
+        "b0671a93e24025348a4b8c393bdb8f17d5f380078d1c89ad922a112be539b09b",
+    ),
+    # the defaults (tent, constant weight, order 4) under one override
+    "wavelet-check-j-max-3": (
+        ["wavelet-check", "--set", "j_max=3"],
+        "ced17551b776365a5791b75f757542d8751ec70e1807f9276be069808ccf0d0c",
+        0,
+        "91e65694f40d2c53db623badb95b894f897fee65cf30c5b2aec3fbf8a4a9ced3",
     ),
     "verify-cddd-unbounded": (
         [
@@ -377,6 +384,88 @@ def test_two_wavelet_check_runs_build_the_cascade_once(tmp_path, monkeypatch):
         assert sha256(out / "results.csv") == digest
         assert sha256(out / "summary.json") == summary_digest
     assert calls == [8]
+
+
+def test_one_parser_serves_runs_with_and_without_overrides(tmp_path):
+    # the parser is built on the first main call and kept; each run sees
+    # its own --set pairs alone, and a run with none sees none
+    from dyadicweights import cli
+
+    cli._parser.cache_clear()
+    for name in ("verify-cddd-ramp", "wavelet-check-j-max-3", "mean-functional"):
+        argv, digest, code, summary_digest = ARGV_RUNS[name]
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == code
+        assert sha256(out / "results.csv") == digest
+        assert sha256(out / "summary.json") == summary_digest
+    assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 2)
+    assert cli._parser().get_default("set") == []
+
+
+def test_help_and_usage_errors_repeat_byte_for_byte(capsys, monkeypatch):
+    # the kept parser prints what a freshly built one prints, at the
+    # terminal width of each call
+    from dyadicweights import cli
+
+    fresh = cli._parser.__wrapped__
+    texts = []
+    for columns in ("100", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps = []
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            helps.append(capsys.readouterr())
+        assert helps[0] == helps[1] and helps[0].err == ""
+        assert helps[0].out == fresh().format_help()
+        texts.append(helps[0].out)
+    assert texts[0] != texts[1]
+    errors = []
+    for _ in range(2):
+        assert main(["no-such-command"]) == 1
+        errors.append(capsys.readouterr())
+    assert errors[0] == errors[1] and errors[0].out == ""
+    lines = errors[0].err.splitlines()
+    assert lines[0].startswith("usage: dyadw ")
+    assert lines[-1].startswith("dyadw: error: argument subcommand: invalid choice: 'no-such")
+
+
+def test_importing_the_cli_builds_no_parser():
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).parents[1] / "src")
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import dyadicweights.cli as c; "
+        "print(c._parser.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "0\n"
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ("order=2", "wavelet order must exceed n + 1"),
+        ("order=1", "wavelet order must exceed n + 1"),
+        ("beta=0.5", "beta=0.5 outside the admissible range"),
+        ("beta=0", "beta=0.0 outside the admissible range"),
+        ("beta=1", "beta=1.0 outside the admissible range"),
+    ],
+)
+def test_wavelet_check_refuses_order_and_beta_before_any_coefficient(
+    tmp_path, capsys, monkeypatch, pair, message
+):
+    from dyadicweights import wavelet
+
+    def no_coefficients(*args, **kwargs):
+        raise AssertionError("coefficients computed for a refused run")
+
+    monkeypatch.setattr(wavelet, "coefficients", no_coefficients)
+    assert main(["wavelet-check", "--out", str(tmp_path), "--set", pair]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_write_csv_bytes_match_the_fmt_join(tmp_path):

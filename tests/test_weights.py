@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,10 +30,14 @@ from oracles import (
     _scalar_ess_inf,
     check_ap_properties,
     maximal_value,
+    per_probe_ap_ratios,
     scalar_ap_ratio,
     scalar_power_mass,
     scalar_powers,
 )
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 def _power_mass(w, lo: float, hi: float, s: float) -> float:
@@ -583,6 +588,63 @@ def test_ap_ratios_match_the_scalar_reference_bit_for_bit():
     for w in (product, ConstantWeight(3.0, n=2)):
         for p in (1.0, 2.0):
             check(w, p, cubes)
+
+
+def test_ap_ratios_of_pair_probes_match_the_per_probe_boxes_bit_for_bit(tmp_path, monkeypatch):
+    # a family of (lo, hi) pairs is one NumPy call, no float_box per probe,
+    # with the bits of the per-probe boxes: the a1 battery's weight and
+    # |x|^(1/2) on their standard probes and on the filtered family that
+    # verify_oscillation builds, at p = 1 and p = 2
+    from dyadicweights import cli, oscillation, weights
+
+    a1 = cli.build_weight(cli.load_config(str(CONFIGS / "a1_battery.cfg")))
+    captured = []
+
+    def capture(w, p, probes, _orig=oscillation.ap_constant):
+        captured.append(probes)
+        return _orig(w, p, probes)
+
+    monkeypatch.setattr(oscillation, "ap_constant", capture)
+    argv = ["verify-cddd", "--config", str(CONFIGS / "a1_battery.cfg"), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    (filtered,) = captured
+    assert len(filtered) > 100
+
+    def no_float_box(region):
+        raise AssertionError("float_box called on a pair family")
+
+    monkeypatch.setattr(weights, "float_box", no_float_box)
+    root = PowerWeight(0.5)
+    for w, probes in (
+        (a1, standard_probes(a1)), (a1, filtered), (root, standard_probes(root)), (root, filtered)
+    ):
+        for p in (1.0, 2.0):
+            want = per_probe_ap_ratios(w, p, probes)
+            assert ap_ratios(w, p, probes).tobytes() == want.tobytes(), (w, p)
+
+
+def test_ap_ratios_of_cube_and_fraction_probes_keep_their_bits():
+    # Fraction-ended pairs take the one NumPy call, whose float() of each
+    # end is the correctly rounded one; Cube and AxisCube probes, one-pair
+    # boxes and mixed families take one float_box per probe
+    from dyadicweights.grid import all_shifts, window_1d
+
+    window = window_1d(Fraction(-3), Fraction(5, 3), -2, 1, shifts=all_shifts(1))
+    cubes = list(window.cubes())[::7]
+    thirds = [(Fraction(k, 3), Fraction(k + 1, 3) + Fraction(1, 7 ** abs(k))) for k in range(-9, 9)]
+    families = [
+        cubes,
+        thirds,
+        [AxisCube((lo,), hi - lo) for lo, hi in thirds],
+        [[q] for q in thirds],
+        [*thirds[:5], *cubes[:5], (0.25, 0.75)],
+    ]
+    table = parse_weight_spec({"kind": "table", "xs": [-1, 0, 1], "values": [1, 3, 2]})
+    for w in (PowerWeight(-0.75, 0.5), PowerWeight(0.5, Fraction(1, 3)), table):
+        for probes in families:
+            for p in (1.0, 2.0):
+                want = per_probe_ap_ratios(w, p, probes)
+                assert ap_ratios(w, p, probes).tobytes() == want.tobytes(), (w, p, probes[0])
 
 
 def _raises_by_python_pow(v: float, e) -> bool:
