@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+from collections import UserDict
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,7 @@ from dyadicweights import diffquot, experiments, oscillation, wavelet
 from dyadicweights.funcspace import catalog
 from dyadicweights.grid import BudgetError, GridWindow, Shift, all_shifts, window_1d
 from dyadicweights.quadrature import QuadratureBudgetError
-from dyadicweights.records import ConfigError
+from dyadicweights.records import ConfigError, typed
 from dyadicweights.weights import ApEstimate, ap_ratios, parse_weight_spec, standard_probes
 
 
@@ -103,15 +104,28 @@ def load_config(path: str | None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _integer(key: str, value) -> int:
-    """An integer setting read as int: an int, or a float with an integral
-    value.  A bool or anything else is refused by the key's name, not
-    truncated by int()."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
+def _section_key(key: str) -> tuple[str, str]:
+    """(section, name) of "section.name"; a bare name is in [functional]."""
+    return tuple(key.split(".", 1)) if "." in key else ("functional", key)
+
+
+def _read(cfg, key: str, default):
+    """The setting `key` ("section.name", or a bare [functional] name) of cfg,
+    read through its section's get and typed by its default (records.typed)."""
+    section, name = _section_key(key)
+    return typed(key, cfg.get(section, {}).get(name, default), type(default))
+
+
+class _Section(UserDict):
+    """A config section that records each key get or [] reads, not `in` or iteration."""
+
+    def __init__(self, values: dict):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
 
 
 def build_function(cfg: dict):
@@ -129,9 +143,8 @@ def build_function(cfg: dict):
 
 
 def build_weight(cfg: dict):
-    spec = dict(cfg.get("weight", {"kind": "constant"}))
     try:
-        w = parse_weight_spec(spec)
+        w = parse_weight_spec(cfg.get("weight", {}))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad weight spec: {exc}") from exc
     if w.n != 1:
@@ -140,19 +153,16 @@ def build_weight(cfg: dict):
 
 
 def build_window(cfg: dict) -> GridWindow:
-    g = cfg.get("grid", {})
-    lo = Fraction(str(g.get("lo", -8)))
-    hi = Fraction(str(g.get("hi", 8)))
-    j_min = _integer("grid.j_min", g.get("j_min", -5))
-    j_max = _integer("grid.j_max", g.get("j_max", 3))
-    shifts_spec = g.get("shifts", "all")
-    if shifts_spec == "all":
+    lo = _read(cfg, "grid.lo", Fraction(-8))
+    hi = _read(cfg, "grid.hi", Fraction(8))
+    j_min = _read(cfg, "grid.j_min", -5)
+    j_max = _read(cfg, "grid.j_max", 3)
+    shifts_spec = _read(cfg, "grid.shifts", ["all"])
+    if shifts_spec == ["all"]:
         shifts = all_shifts(1)
     else:
-        if not isinstance(shifts_spec, list):
-            shifts_spec = [shifts_spec]
-        shifts = [Shift((_integer("grid.shifts", t),)) for t in shifts_spec]
-    budget = _integer("grid.budget", g.get("budget", 10**7))
+        shifts = [Shift((typed("grid.shifts", t, int),)) for t in shifts_spec]
+    budget = _read(cfg, "grid.budget", 10**7)
     try:
         return window_1d(lo, hi, j_min, j_max, shifts=shifts, budget=budget)
     except ValueError as exc:
@@ -362,18 +372,14 @@ def run_verify_oscillation(cfg: dict):
     f = build_function(cfg)
     w = build_weight(cfg)
     window = build_window(cfg)
-    fp = cfg.get("functional", {})
-    try:
-        ccfg = oscillation.OscillationConfig(
-            p=float(fp.get("p", 1.0)),
-            beta=float(fp.get("beta", 2.0)),
-            weight=w,
-            window=window,
-            lambda_count=_integer("lambda_count", fp.get("lambda_count", 64)),
-            exploratory=bool(fp.get("exploratory", False)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    ccfg = oscillation.OscillationConfig(
+        p=_read(cfg, "p", 1.0),
+        beta=_read(cfg, "beta", 2.0),
+        weight=w,
+        window=window,
+        lambda_count=_read(cfg, "lambda_count", 64),
+        exploratory=_read(cfg, "exploratory", False),
+    )
     prof = oscillation.oscillation_functional(ccfg, f)
     rec = oscillation.verify_oscillation(ccfg, f, prof)
     rows = [(lam, val, n, prof.boundary_share) for lam, val, n in prof.as_rows()]
@@ -393,23 +399,18 @@ def run_verify_oscillation(cfg: dict):
 def run_verify_diffquot(cfg: dict):
     f = build_function(cfg)
     w = build_weight(cfg)
-    fp = cfg.get("functional", {})
-    g = cfg.get("grid", {})
-    try:
-        bcfg = diffquot.DiffQuotConfig(
-            p=float(fp.get("p", 1.0)),
-            q=float(fp.get("q", 1.0)),
-            gamma=float(fp.get("gamma", 1.0)),
-            weight=w,
-            window=(float(g.get("lo", -1.0)), float(g.get("hi", 1.0))),
-            lambda_lo=float(fp.get("lambda_lo", 1e0)),
-            lambda_hi=float(fp.get("lambda_hi", 1e4)),
-            lambda_count=_integer("lambda_count", fp.get("lambda_count", 13)),
-            exploratory=bool(fp.get("exploratory", False)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rec = diffquot.verify_diffquot(bcfg, f, tol=float(fp.get("tol", 0.05)))
+    bcfg = diffquot.DiffQuotConfig(
+        p=_read(cfg, "p", 1.0),
+        q=_read(cfg, "q", 1.0),
+        gamma=_read(cfg, "gamma", 1.0),
+        weight=w,
+        window=(_read(cfg, "grid.lo", -1.0), _read(cfg, "grid.hi", 1.0)),
+        lambda_lo=_read(cfg, "lambda_lo", 1e0),
+        lambda_hi=_read(cfg, "lambda_hi", 1e4),
+        lambda_count=_read(cfg, "lambda_count", 13),
+        exploratory=_read(cfg, "exploratory", False),
+    )
+    rec = diffquot.verify_diffquot(bcfg, f, tol=_read(cfg, "tol", 0.05))
     lams = rec.details.pop("profile_lambdas")
     vals = rec.details.pop("profile_values")
     rows = list(zip(lams, vals))
@@ -428,14 +429,10 @@ def run_mean_functional(cfg: dict):
     f = build_function(cfg)
     w = build_weight(cfg)
     window = build_window(cfg)
-    fp = cfg.get("functional", {})
-    p = float(fp.get("p", 1.0))
-    beta = float(fp.get("beta", 2.0))
-    try:
-        prof = oscillation.mean_functional(f, w, p, beta, window)
-        rec = oscillation.verify_mean_functional(f, w, p, beta, window, profile=prof)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    p = _read(cfg, "p", 1.0)
+    beta = _read(cfg, "beta", 2.0)
+    prof = oscillation.mean_functional(f, w, p, beta, window)
+    rec = oscillation.verify_mean_functional(f, w, p, beta, window, profile=prof)
     rows = [(lam, val, n, prof.boundary_share) for lam, val, n in prof.as_rows()]
     summary = {
         **rec.summary(),
@@ -454,11 +451,10 @@ def run_good_cubes(cfg: dict):
 
     from dyadicweights.grid import Cube, children
 
-    fp = cfg.get("functional", {})
-    trials = _integer("trials", fp.get("trials", 100))
+    trials = _read(cfg, "trials", 100)
     if trials < 1:
         raise ConfigError("good-cubes needs trials >= 1")
-    seed = _integer("run.seed", cfg.get("run", {}).get("seed", 0))
+    seed = _read(cfg, "run.seed", 0)
     rng = random.Random(seed)
     w = build_weight(cfg)
     rows, records = [], []
@@ -482,38 +478,23 @@ def run_good_cubes(cfg: dict):
     # every record is certified with ceiling 1 + REL_TOL, so the largest
     # ratio passes exactly when every record does
     worst = max(records, key=lambda r: r.ratio)
-    summary = {
-        **worst.summary(),
-        "sup": None,
-        "trials": trials,
-        "truncation": {},
-        "admissibility": {},
-    }
-    return rows, summary
+    return rows, {**worst.summary(), "trials": trials, "admissibility": {}}
 
 
 def run_sharpness(cfg: dict):
-    fp = cfg.get("functional", {})
-    case = str(fp.get("case", "a1"))
-    p = float(fp.get("p", 1.0 if case == "a1" else 2.0))
-    count = _integer("deltas", fp.get("deltas", 7))
+    case = _read(cfg, "case", "a1")
+    p = _read(cfg, "p", 1.0 if case == "a1" else 2.0)
+    count = _read(cfg, "deltas", 7)
     grid = [2.0 ** (-k) for k in range(2, 2 + count)]
     res = experiments.sharpness_sweep(case, p, grid)
-    rows = [
-        (g, l, c, gn, cert)
-        for g, l, c, gn, cert in zip(
-            res.grid, res.lhs, res.constants, res.grad_norms, res.certified
-        )
-    ]
+    rows = list(zip(res.grid, res.lhs, res.constants, res.grad_norms, res.certified))
     summary = {
         "verdict": res.verdict,
         "slope": res.slope,
         "expected_slope": res.expected_slope,
         "slope_residual": res.slope_residual,
         "sup": max(res.lhs),
-        "ratio": None,
         "admissibility": {},
-        "truncation": {},
         "case": res.case,
         "p": res.p,
     }
@@ -522,14 +503,11 @@ def run_sharpness(cfg: dict):
 
 def run_classify_weight(cfg: dict):
     w = build_weight(cfg)
-    fp = cfg.get("functional", {})
-    p = float(fp.get("p", 1.0))
-    depths = fp.get("depths", [6, 12, 24, 48])
-    if not isinstance(depths, list):
-        depths = [depths]
+    p = _read(cfg, "p", 1.0)
+    depths = _read(cfg, "depths", [6, 12, 24, 48])
     rep = experiments.weight_classifier(
-        w, p, depths=tuple(_integer("depths", d) for d in depths),
-        with_quotient=bool(fp.get("with_quotient", True)),
+        w, p, depths=tuple(typed("depths", d, int) for d in depths),
+        with_quotient=_read(cfg, "with_quotient", True),
     )
     rows = []
     for name in sorted(rep.ratios):
@@ -538,8 +516,6 @@ def run_classify_weight(cfg: dict):
     reference = experiments.classifier_reference(w, p)
     summary = {
         "verdict": rep.verdict,
-        "sup": None,
-        "ratio": None,
         "violating_members": rep.details["violating_members"],
         "analytic_reference": reference,
         "admissibility": {},
@@ -549,21 +525,16 @@ def run_classify_weight(cfg: dict):
 
 
 def run_wavelet_check(cfg: dict):
-    fp = cfg.get("functional", {})
-    order = _integer("order", fp.get("order", 4))
-    depth = _integer("depth", fp.get("depth", 12))
-    beta = float(fp.get("beta", 2.0))
-    j_max = _integer("j_max", fp.get("j_max", 4))
-    try:
-        wavelet.require_admissible(order, beta)  # before any coefficient
-        system = wavelet.build_daubechies(order, depth)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    order = _read(cfg, "order", 4)
+    depth = _read(cfg, "depth", 12)
+    beta = _read(cfg, "beta", 2.0)
+    j_max = _read(cfg, "j_max", 4)
+    wavelet.require_admissible(order, beta)  # before any coefficient
+    system = wavelet.build_daubechies(order, depth)
     f = build_function(cfg)
     w = build_weight(cfg)
-    g = cfg.get("grid", {})
     idx = wavelet.IndexSet(
-        j_max=j_max, lo=float(g.get("lo", -8.0)), hi=float(g.get("hi", 10.0))
+        j_max=j_max, lo=_read(cfg, "grid.lo", -8.0), hi=_read(cfg, "grid.hi", 10.0)
     )
     atoms, vals = wavelet.coefficients(f, system, idx)
     rec = wavelet.verify_almost_char(f, w, beta, system, idx, values=vals)
@@ -585,10 +556,8 @@ def run_wavelet_check(cfg: dict):
 
 def run_ap_constant(cfg: dict):
     w = build_weight(cfg)
-    fp = cfg.get("functional", {})
-    p = float(fp.get("p", 1.0))
-    scale_min = _integer("scale_min", fp.get("scale_min", -10))
-    scales = range(scale_min, _integer("scale_max", fp.get("scale_max", 11)))
+    p = _read(cfg, "p", 1.0)
+    scales = range(_read(cfg, "scale_min", -10), _read(cfg, "scale_max", 11))
     probes = standard_probes(w, scales=scales)
     ratios = ap_ratios(w, p, probes)
     est = ApEstimate.from_ratios(ratios)  # ap_constant on the same ratios
@@ -596,12 +565,10 @@ def run_ap_constant(cfg: dict):
     summary = {
         "verdict": "unbounded" if est.unbounded else "complete",
         "sup": est.value,
-        "ratio": None,
         "estimate": est.value,
         "unbounded": est.unbounded,
         "probe_count": len(probes),
         "admissibility": {},
-        "truncation": {},
     }
     return rows, summary
 
@@ -630,10 +597,7 @@ def _apply_overrides(cfg: dict, pairs: list[str]):
         if "=" not in pair:
             raise ConfigError(f"override must look like section.key=value: {pair!r}")
         key, val = pair.split("=", 1)
-        if "." not in key:
-            section, name = "functional", key
-        else:
-            section, name = key.split(".", 1)
+        section, name = _section_key(key)
         cfg.setdefault(section, {})[name.strip()] = _parse_scalar(val)
 
 
@@ -687,7 +651,11 @@ def main(argv=None) -> int:
                 cfg.setdefault("functional", {})[name] = val
         outdir = args.out or os.environ.get("DYADW_OUT", ".")
         os.makedirs(outdir, exist_ok=True)
-        rows, summary = RUNNERS[args.subcommand](cfg)
+        sections = {name: _Section(values) for name, values in cfg.items()}
+        rows, summary = RUNNERS[args.subcommand](sections)
+        unread = [f"{s}.{k}" for s, sec in sections.items() for k in sec if k not in sec.read]
+        if unread:
+            raise ConfigError(f"{args.subcommand} does not read {', '.join(unread)}")
     except (ValueError, KeyError, BudgetError, QuadratureBudgetError) as exc:
         # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
@@ -698,6 +666,10 @@ def main(argv=None) -> int:
     summary_full = {
         "subcommand": args.subcommand,
         "inputs": cfg,
+        # the keys every summary carries, for a run without a value for one
+        "sup": None,
+        "ratio": None,
+        "truncation": {},
         **summary,
     }
     write_summary(os.path.join(outdir, "summary.json"), summary_full)

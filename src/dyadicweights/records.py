@@ -4,10 +4,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 
 class ConfigError(ValueError):
     """An input the runners cannot act on, reported as one error line."""
+
+
+# The types a config value may have, by the type of its setting's default.
+_TAKES = {bool: bool, str: str, int: int, float: (int, float), Fraction: (int, float, Fraction)}
+_SPELLED = {bool: "true or false", str: "text", int: "an integer"}
+
+
+def typed(key: str, value, kind: type):
+    """value read as a setting of `kind`, or one ConfigError naming the key.
+    A bool is only true or false and never a number; an int setting takes an
+    integral float as its int; a Fraction setting is the decimal a number spells."""
+    if kind is list:
+        return value if isinstance(value, list) else [value]
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, _TAKES[kind]):
+        raise ConfigError(f"{key} must be {_SPELLED.get(kind, 'a number')}, got {value!r}")
+    try:  # Fraction("inf") and float() of an int past the float range fail
+        return Fraction(str(value)) if kind is Fraction else kind(value)
+    except (OverflowError, ValueError):
+        raise ConfigError(f"{key} must be finite, got {value}") from None
 
 
 def require_finite(**values: float) -> None:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from dyadicweights.grid import float_box
-from dyadicweights.records import require_finite
+from dyadicweights.records import require_finite, typed
 
 
 class DomainError(ValueError):
@@ -436,13 +436,17 @@ def power_ap_member(a: float, p: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def parse_weight_spec(spec: dict) -> Weight:
-    """Build a weight from a flat config mapping (kind + parameters)."""
-    kind = spec.get("kind", "constant")
+def parse_weight_spec(spec) -> Weight:
+    """A weight from a flat config mapping: kind and parameters, each typed by records.typed."""
+
+    def read(key, default):
+        return typed(key, spec.get(key, default), type(default))
+
+    kind = read("kind", "constant")
     if kind == "constant":
-        return ConstantWeight(float(spec.get("c", 1.0)), n=int(spec.get("n", 1)))
+        return ConstantWeight(read("c", 1.0), n=read("n", 1))
     if kind == "power":
-        return PowerWeight(float(spec["exponent"]), float(spec.get("center", 0.0)))
+        return PowerWeight(typed("exponent", spec["exponent"], float), read("center", 0.0))
     if kind == "table":
         return TableWeight(spec["xs"], spec["values"])
     raise ValueError(f"unknown weight kind {kind!r}")

@@ -149,11 +149,10 @@ ARGV_RUNS = {
             "wavelet-check",
             "--set", "weight.kind=power",
             "--set", "weight.exponent=0.5",
-            "--set", "p=1",
         ],
         "3b1a5e992a2ee85ea2f015672c97b81f312f044654505b7f342eda35ebd6dbe7",
         2,
-        "e79558d51f6e9d16945fba298e7c4014430b5ee3c9b8376eb21a969b8cdb966e",
+        "98f2d5723a76bab100ccf48ac4b93098393de4edc2bc0bdacb8e4c81d343c75d",
     ),
     # the benchmark's wavelet input: tent, |x|^-0.5, order 4, depth 12
     "wavelet-check-bench": (
@@ -752,6 +751,153 @@ def test_an_integer_setting_refuses_a_bool_or_a_non_integral_value(
     assert main(argv) == 1
     got = {"2.5": 2.5, "true": True}[value]
     assert capsys.readouterr().err.splitlines() == [f"error: {key} must be an integer, got {got!r}"]
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("value, got", [("true", "True"), ("abc", "'abc'")])
+@pytest.mark.parametrize(
+    "subcommand, key",
+    [
+        ("verify-cddd", "p"),
+        ("verify-cddd", "beta"),
+        ("verify-cddd", "grid.lo"),
+        ("verify-bsvy", "p"),
+        ("verify-bsvy", "q"),
+        ("verify-bsvy", "gamma"),
+        ("verify-bsvy", "lambda_lo"),
+        ("verify-bsvy", "lambda_hi"),
+        ("verify-bsvy", "tol"),
+        ("verify-bsvy", "grid.lo"),
+        ("verify-bsvy", "grid.hi"),
+        ("mean-functional", "p"),
+        ("mean-functional", "beta"),
+        ("mean-functional", "grid.hi"),
+        ("sharpness", "p"),
+        ("classify-weight", "p"),
+        ("wavelet-check", "beta"),
+        ("wavelet-check", "grid.lo"),
+        ("wavelet-check", "grid.hi"),
+        ("ap-constant", "p"),
+    ],
+)
+def test_a_number_setting_refuses_a_bool_or_text(tmp_path, capsys, subcommand, key, value, got):
+    # float() read true as 1.0, and "abc" failed with a message naming no
+    # key; the reader refuses both by the key's name, before any output
+    assert main([subcommand, "--out", str(tmp_path), "--set", f"{key}={value}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {key} must be a number, got {got}"]
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, pair, message",
+    [
+        ("verify-cddd", "exploratory=False", "exploratory must be true or false, got 'False'"),
+        ("verify-bsvy", "exploratory=False", "exploratory must be true or false, got 'False'"),
+        ("classify-weight", "with_quotient=False", "with_quotient must be true or false, got 'False'"),
+        ("classify-weight", "with_quotient=0.5", "with_quotient must be true or false, got 0.5"),
+        ("sharpness", "case=1", "case must be text, got 1"),
+        ("verify-cddd", "grid.hi=inf", "grid.hi must be finite, got inf"),
+        ("ap-constant", "p=1" + "0" * 400, "p must be finite, got 1" + "0" * 400),
+    ],
+)
+def test_a_flag_text_or_unrepresentable_setting_is_refused_by_key(
+    tmp_path, capsys, subcommand, pair, message
+):
+    # bool() read "False", "no" and 0.5 as True; str() ran case=1 as the
+    # unknown case "1"; Fraction(str(inf)) failed naming no key, and float()
+    # of an int past the float range ended in an OverflowError traceback
+    assert main([subcommand, "--out", str(tmp_path), "--set", pair]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        (["weight.n=1.5"], "n must be an integer, got 1.5"),
+        (["weight.n=true"], "n must be an integer, got True"),
+        (["weight.c=true"], "c must be a number, got True"),
+        (['weight.c="2"'], "c must be a number, got '2'"),
+        (["weight.kind=power", "weight.exponent=true"], "exponent must be a number, got True"),
+        (["weight.kind=power", "weight.exponent=0.5", "weight.center=abc"],
+         "center must be a number, got 'abc'"),
+    ],
+)
+def test_a_weight_parameter_follows_the_setting_types(tmp_path, capsys, sets, message):
+    # int() truncated n = 1.5 to a 1-D weight, and float() read a bool or
+    # quoted number; parse_weight_spec refuses each by its key
+    argv = ["ap-constant", "--out", str(tmp_path)]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: bad weight spec: {message}"]
+    assert not (tmp_path / "results.csv").exists()
+
+
+# The sections each subcommand reads.
+READ_SECTIONS = {
+    "verify-cddd": ("function", "weight", "grid", "functional"),
+    "verify-bsvy": ("function", "weight", "grid", "functional"),
+    "mean-functional": ("function", "weight", "grid", "functional"),
+    "good-cubes": ("weight", "functional", "run"),
+    "sharpness": ("functional",),
+    "classify-weight": ("weight", "functional"),
+    "wavelet-check": ("function", "weight", "grid", "functional"),
+    "ap-constant": ("weight", "functional"),
+}
+
+
+@pytest.mark.parametrize("given", ["set", "config"])
+@pytest.mark.parametrize(
+    "subcommand, section",
+    [(sub, section) for sub, sections in READ_SECTIONS.items() for section in sections],
+)
+def test_a_misspelled_key_is_refused_before_any_output(
+    tmp_path, capsys, subcommand, section, given
+):
+    # a key no read asks for used to be dropped without a word, and the run
+    # reported a verdict; a function key reaches the catalog, which refuses
+    # any parameter it does not take
+    out = tmp_path / "out"
+    if given == "set":
+        argv = ["--set", f"{section}.misspelt=1"]
+    else:
+        (tmp_path / "run.cfg").write_text(f"[{section}]\nmisspelt = 1\n")
+        argv = ["--config", str(tmp_path / "run.cfg")]
+    assert main([subcommand, *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    if section == "function":
+        assert len(err) == 1 and err[0].startswith("error: bad parameters for 'tent'"), err
+        assert "misspelt" in err[0], err
+    else:
+        assert err == [f"error: {subcommand} does not read {section}.misspelt"]
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "sets, unread",
+    [
+        (["wieght.kind=power"], "wieght.kind"),
+        (["weight.kind=power", "weight.exponent=0.5", "weight.c=2"], "weight.c"),
+        (["weight.centre=0.5", "grid.jmin=-3"], "weight.centre, grid.jmin"),
+    ],
+    ids=["section", "other-kind", "two-keys"],
+)
+def test_a_misspelled_section_or_another_kinds_key_is_unread(tmp_path, capsys, sets, unread):
+    argv = ["verify-cddd", "--out", str(tmp_path)]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: verify-cddd does not read {unread}"]
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_a_shortcut_the_subcommand_does_not_read_is_refused(tmp_path, capsys):
+    # --p sets functional.p, which wavelet-check never reads
+    assert main(["wavelet-check", "--p", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: wavelet-check does not read functional.p"
+    ]
     assert not (tmp_path / "results.csv").exists()
 
 
