@@ -418,8 +418,10 @@ def run_verify_diffquot(cfg: dict):
         **rec.summary(),
         "sup": rec.lhs,
         "lower_const": rec.details["lower_constant"],
-        "admissible": rec.details["admissible"],
-        "scale_ok": rec.details["scale_ok"],
+        "admissibility": {
+            "gamma_admissible": rec.details["admissible"],
+            "scale_ok": rec.details["scale_ok"],
+        },
         "truncation": {"tail_decades": diffquot.TAIL_DECADES},
     }
     return rows, summary
@@ -478,7 +480,7 @@ def run_good_cubes(cfg: dict):
     # every record is certified with ceiling 1 + REL_TOL, so the largest
     # ratio passes exactly when every record does
     worst = max(records, key=lambda r: r.ratio)
-    return rows, {**worst.summary(), "trials": trials, "admissibility": {}}
+    return rows, {**worst.summary(), "trials": trials}
 
 
 def run_sharpness(cfg: dict):
@@ -494,7 +496,6 @@ def run_sharpness(cfg: dict):
         "expected_slope": res.expected_slope,
         "slope_residual": res.slope_residual,
         "sup": max(res.lhs),
-        "admissibility": {},
         "case": res.case,
         "p": res.p,
     }
@@ -518,7 +519,6 @@ def run_classify_weight(cfg: dict):
         "verdict": rep.verdict,
         "violating_members": rep.details["violating_members"],
         "analytic_reference": reference,
-        "admissibility": {},
         "truncation": {"depths": rep.schedule},
     }
     return rows, summary
@@ -545,7 +545,6 @@ def run_wavelet_check(cfg: dict):
         "moment_residuals": list(system.moment_residuals),
         "orthonormality_residual": system.orthonormality_residual,
         "refinement_residual": system.refinement_residual,
-        "admissibility": {},  # an inadmissible order or beta was refused above
         "truncation": {
             "boundary_atoms": rec.details["boundary_atoms"],
             "strong_convergent": rec.details["strong_convergent"],
@@ -568,7 +567,6 @@ def run_ap_constant(cfg: dict):
         "estimate": est.value,
         "unbounded": est.unbounded,
         "probe_count": len(probes),
-        "admissibility": {},
     }
     return rows, summary
 
@@ -669,6 +667,9 @@ def main(argv=None) -> int:
         # the keys every summary carries, for a run without a value for one
         "sup": None,
         "ratio": None,
+        # empty for a run that checks no admissibility rule as it goes
+        # (wavelet-check refuses an inadmissible order or beta before any work)
+        "admissibility": {},
         "truncation": {},
         **summary,
     }

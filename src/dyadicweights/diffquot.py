@@ -233,7 +233,7 @@ def _signed_member_mass(
     # it would alone
     nseg = ncuts + 1
     sums = np.empty((n, 2))
-    for k in np.unique(nseg):
+    for k in np.flatnonzero(np.bincount(nseg.ravel())):
         sel = nseg == k
         sums[sel] = mass[sel][:, :k].sum(axis=1)
     return 0.0 + sums[:, 0] + sums[:, 1]

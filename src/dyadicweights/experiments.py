@@ -293,7 +293,7 @@ def _probe_rows(probes, cubes, weight: Weight):
     of = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
     rows = np.concatenate(rows)
     oms = omega_intervals((fs, of), lo[rows], hi[rows])
-    need = np.unique(rows[oms > 0])
+    need = np.flatnonzero(np.bincount(rows[oms > 0]))
     mass = np.zeros(lo.size)
     mass[need] = weight.masses(lo[need, None], hi[need, None])
     return gen[rows], oms, mass[rows]

@@ -19,6 +19,13 @@ piece table built once: one `searchsorted` picks each point's piece, one
 vectorized Horner step per table row in x minus the piece's anchor (its
 point nearest 0) evaluates every polynomial piece at once, and the few
 power pieces are filled in by mask.
+
+No path here loads a NumPy subpackage that ``import numpy`` does not:
+critical points come from `_polyroots` (the steps of
+``np.polynomial.polynomial.polyroots``), distinct floats from
+`_sorted_unique` and distinct non-negative ints from ``np.bincount``, in
+place of ``np.unique``, whose first plain call imports ``numpy.ma``; the
+Gauss-Legendre rules are `quadrature`'s literals.
 """
 
 from __future__ import annotations
@@ -229,7 +236,7 @@ class TestFunction:
         for i, p in enumerate(self.pieces):
             if p.kind == "poly" and len(p.data) > 2:
                 slope = [k * c for k, c in enumerate(p.data)][1:]
-                roots[i] = np.unique(np.polynomial.polynomial.polyroots(slope).real + p.anchor)
+                roots[i] = _sorted_unique(_polyroots(slope).real + p.anchor)
         return np.cumsum([0] + [r.size for r in roots]), np.concatenate(roots)
 
     def __repr__(self):
@@ -652,7 +659,7 @@ def omega_intervals(f, lo, hi) -> np.ndarray:
     if other:
         fs, of = _functions(f, lo.size)
         other = np.array(other)
-        for k in np.unique(of[other]).tolist():
+        for k in np.flatnonzero(np.bincount(of[other])).tolist():
             rows = other[of[other] == k]
             out[rows] = _monotone_sums(fs[k], lo[rows], hi[rows])
     live = np.flatnonzero(out)  # 0.0 stays 0.0 without the division
@@ -668,6 +675,38 @@ def _sorted_pair_sum(values: np.ndarray, weights: np.ndarray) -> float:
     wcum = np.cumsum(w) - w
     vwcum = np.cumsum(w * v) - w * v
     return 2.0 * float(np.sum(w * (v * wcum - vwcum)))
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) bit for bit on floats without NaN: x sorted, each value
+    once, the first of its run.  np.unique asks numpy.ma whether x is
+    masked, which imports numpy.ma on its first call."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
+def _polyroots(c) -> np.ndarray:
+    """np.polynomial.polynomial.polyroots(c) bit for bit, by its own steps:
+    the roots of sum c[k] x^k, trailing zeros trimmed, as -c0/c1 at degree
+    1 and otherwise the sorted eigenvalues of the companion matrix (a
+    complex array where any root is complex), without importing
+    numpy.polynomial."""
+    c = np.array(c, dtype=float, ndmin=1)
+    nonzero = np.flatnonzero(c)
+    c = c[: nonzero[-1] + 1 if nonzero.size else 1]
+    if c.size < 2:
+        return np.zeros(0)
+    if c.size == 2:
+        return np.array([-c[0] / c[1]])
+    n = c.size - 1
+    mat = np.zeros((n, n))
+    mat.reshape(-1)[n :: n + 1] = 1.0
+    mat[:, -1] -= c[:-1] / c[-1]
+    roots = np.linalg.eigvals(mat)
+    roots.sort()
+    return roots
 
 
 def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -743,7 +782,7 @@ def _monotone_sums(f: TestFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
         # no Horner rows: the table is 0 off the power pieces
         xp = on(f._value_rows[:0], Piece.xprim, both[:, power])(ends[:, power])
         moment[power] = (xp[1] - xp[0]) - mid[power] * mass[power]
-    for k in np.unique(rule[rule > 0]).tolist():
+    for k in np.flatnonzero(np.bincount(rule[rule > 0])).tolist():
         i = np.flatnonzero(rule == k)
         t, w = _gl(k)
         fx = value(i[:, None].repeat(k, 1))(mid[i, None] + half[i, None] * t)

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from dyadicweights.funcspace import (
+    _sorted_unique,
     grad_power_mass,
     mean_abs,
     omega_boxes,
@@ -198,8 +199,8 @@ def _window_profile(
     else:
         lo, hi = float(thr[-1]), float(thr[0])
         grid = np.logspace(math.log10(lo * 0.5), math.log10(hi * 1.5), lambda_count)
-        nudged = np.unique(thr) * (1.0 - 1e-12)
-        lams = np.unique(np.concatenate([grid, nudged]))
+        nudged = _sorted_unique(thr) * (1.0 - 1e-12)
+        lams = _sorted_unique(np.concatenate([grid, nudged]))
     idx, mass = levels.above(lams)
     vals = lams**p * mass
     k = int(np.argmax(vals))

@@ -19,6 +19,10 @@ problem.  Known singular points are passed as breakpoints so panels never
 straddle them; Gauss nodes are interior, so integrable endpoint
 singularities converge under refinement, and indicator-type jumps are chased
 only until their contribution to the global error is below budget.
+
+The Gauss-Legendre rules are float literals (`_GL`), the values
+``np.polynomial.legendre.leggauss`` gives, so a run loads no
+``numpy.polynomial``; only an order outside the table calls it.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 # Absolute error floor, so integrals that vanish still terminate.
 ABS_TOL = 1e-14
@@ -37,10 +39,57 @@ class QuadratureBudgetError(RuntimeError):
     pass
 
 
+# Gauss-Legendre nodes and weights on [-1, 1] by order, bit for bit those
+# of leggauss: orders 1-3 for the moments of polynomial parts of degree
+# <= 5 in funcspace._monotone_sums, 7 and 15 for the panels.  An order
+# outside the table is computed and kept on first use.
+_GL: dict[int, tuple[np.ndarray, np.ndarray]] = {
+    order: (np.array(x), np.array(w))
+    for order, x, w in [
+        (1, [0.0], [2.0]),
+        (2, [-0.5773502691896257, 0.5773502691896257], [1.0, 1.0]),
+        (
+            3,
+            [-0.7745966692414834, 0.0, 0.7745966692414834],
+            [0.5555555555555557, 0.8888888888888888, 0.5555555555555557],
+        ),
+        (
+            7,
+            [
+                -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+                0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+            ],
+            [
+                0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+                0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+                0.12948496616886973,
+            ],
+        ),
+        (
+            15,
+            [
+                -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+                -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+                -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+                0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+                0.9372733924007058, 0.9879925180204854,
+            ],
+            [
+                0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+                0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+                0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+                0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+                0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+            ],
+        ),
+    ]
+}
+
+
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+    if order not in _GL:
+        _GL[order] = np.polynomial.legendre.leggauss(order)
+    return _GL[order]
 
 
 def _panels(f, keys) -> list[tuple[float, float]]:

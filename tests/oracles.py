@@ -74,6 +74,12 @@ from dyadicweights.weights import (
 )
 
 
+def same_bits(got, want) -> bool:
+    """The same dtype, shape and bytes: a -0.0 for +0.0 differs."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def in_level_set(f, x: float, y: float, lam: float, s: float) -> bool:
     """Exact membership predicate of (x, y) in E(lam, s)[f]."""
     if x == y:

@@ -38,7 +38,7 @@ CONFIG_RUNS = {
         "verify-bsvy",
         "23ef43ce4ed0a1a563ac4ce12b890560c89ab7427493ab16515c0f5a67525206",
         0,
-        "d1a7abac69f801bc5c6f65710a66d0c4cedcc6926ae691d2ee998c437be26f85",
+        "b3c93c96cb562b7525a64546d8305888f0014137dc97819bd067d69d54d0692c",
     ),
 }
 
@@ -222,21 +222,21 @@ ARGV_RUNS = {
         ],
         "280a7184f6932bffd340661d24ac349741ba78ce1b6d69cea39e9700297a9942",
         2,
-        "f02ba644e553f2bd796088a89cce1bc4f38c2e7b5f7c4eb569b188b38763fca9",
+        "02e7d9ec38780bb6b504d7d07cf3f1ae5a915caf3cba8cb31381519647f6895f",
     ),
     # the default verify-bsvy run: the tent's exact level-set runs
     "verify-bsvy": (
         ["verify-bsvy"],
         "88c4194168edceb108cde6e2e3ad3c1844e48e9aa74319c136fa63e8eb5b07d6",
         0,
-        "10c6ca7dd68e6910680d5146388a2cb6c0e1a5b5ac3b18fb1d19f8ff0e332f6a",
+        "ea5403fa699b3a886015b67064aa2928fa561f38ba7fc4e10f2dfac6fe0b3c25",
     ),
     # a cubic-edged plateau: the sampled shells of the inner integral
     "verify-bsvy-smoothed": (
         ["verify-bsvy", "--set", "function.name=smoothed_indicator"],
         "15356e030eea90424a90279696d56d2a5e9c2b732b7f6411348385cf8fabdc80",
         0,
-        "7dae32f92868762a424e03851597cc41ed8dec8e715b53f39e8bd1f53daacc21",
+        "3034b93835a5ae9773e68124b8cfc2a65cef12c7467e50bd7986b1fc334ca198",
     ),
     # gamma < 0 on the plateau: a shell with no certified outer radius,
     # sampled out to its reach, plus the exact runs of the far tail
@@ -249,7 +249,7 @@ ARGV_RUNS = {
         ],
         "ff08f20a17a2caabe0fc29198eca26001da7e6298e17a8eea50e123fa9f63f1f",
         2,
-        "53011e2bd1e7679d18d67f074dff9536d4fc0983832da9a2049da547014066d4",
+        "641b0cebdfaa5d5dd295045a8def73207026f1b377952d2bd76827b605d0c42e",
     ),
     "ap-constant": (
         [
@@ -1501,3 +1501,69 @@ def test_env_var_default_outdir(tmp_path, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "envout" / "summary.json").exists()
+
+
+# Run in a fresh interpreter: every argv of argv[1] (JSON) through main, then
+# print the exit codes and, for numpy.ma and numpy.polynomial where `import
+# numpy` did not load them and the runs did, the package line that first
+# imported them.
+_IMPORT_WATCH = r"""
+import contextlib, json, sys, traceback
+from pathlib import Path
+import numpy
+
+WATCHED = ("numpy.ma", "numpy.polynomial")
+base, sites = set(sys.modules), {}
+
+
+class Watch:
+    # a finder that finds nothing: it notes the package line of each import
+    def find_spec(self, name, path=None, target=None):
+        if name in WATCHED:
+            frames = traceback.extract_stack()
+            at = [f for f in frames if "dyadicweights" in f.filename] or frames
+            sites.setdefault(name, f"{Path(at[-1].filename).name}:{at[-1].lineno} {at[-1].line}")
+        return None
+
+
+sys.meta_path.insert(0, Watch())
+from dyadicweights.cli import main
+
+with contextlib.redirect_stdout(sys.stderr):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+# a submodule loads its package first, so the two packages tell it all
+loaded = {m: sites[m] for m in WATCHED if m in sys.modules and m not in base}
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_no_run_loads_numpy_ma_or_numpy_polynomial(tmp_path):
+    # the benchmark inputs, every shipped config, and the default
+    # verify-bsvy and sharpness a1 runs load no NumPy subpackage beyond
+    # those `import numpy` loads: numpy.ma (a plain np.unique's first call)
+    # and numpy.polynomial (leggauss, polyroots) each cost memory
+    import os
+    import subprocess
+    import sys
+
+    runs = [
+        ([CONFIG_RUNS[p.name][0], "--config", str(p)], CONFIG_RUNS[p.name][2])
+        for p in sorted(CONFIGS.glob("*.cfg"))  # a1_battery.cfg is cddd-exact
+    ]
+    for name in (
+        "verify-cddd-smoothed",  # cddd-sampled
+        "classify-weight-bench",  # classify-quotient
+        "wavelet-check-bench",  # wavelet-atoms
+        "verify-bsvy",
+        "sharpness-a1",
+    ):
+        runs.append((ARGV_RUNS[name][0], ARGV_RUNS[name][2]))
+    argvs = [[*argv, "--out", str(tmp_path / str(i))] for i, (argv, _) in enumerate(runs)]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_WATCH, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["codes"] == [code for _, code in runs]
+    assert not got["loaded"], "; ".join(f"{m} imported at {at}" for m, at in got["loaded"].items())

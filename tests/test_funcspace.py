@@ -30,7 +30,7 @@ from dyadicweights.grid import Shift, axis_interval, float_box, window_1d
 from dyadicweights.quadrature import adaptive_quad
 from dyadicweights.weights import ConstantWeight, PowerWeight, TableWeight
 from oracles import catalog_names, double_integral_piecewise, omega_indicator
-from oracles import prim_offsets, primitive
+from oracles import prim_offsets, primitive, same_bits
 
 
 def test_catalog_names_exist():
@@ -897,8 +897,7 @@ def test_nonlinear_omega_finds_roots_once_and_takes_one_quadrature_call(monkeypa
 
         return wrapper
 
-    poly = np.polynomial.polynomial
-    monkeypatch.setattr(poly, "polyroots", counted("polyroots", poly.polyroots))
+    monkeypatch.setattr(funcspace, "_polyroots", counted("polyroots", funcspace._polyroots))
     quads = counted("adaptive_quads", quadrature.adaptive_quads)
     monkeypatch.setattr(funcspace, "adaptive_quads", quads)
     monkeypatch.setattr(quadrature, "adaptive_quads", quads)
@@ -1076,3 +1075,66 @@ def test_smoothed_indicator_is_mirror_symmetric_on_the_a1_window():
     live = np.maximum(one, two) > 0.0
     assert np.count_nonzero(live) == 73
     assert np.all(np.abs(one - two)[live] <= 1e-13 * np.maximum(one, two)[live])
+
+
+def _catalog_polys():
+    """Every catalog function of one variable, the two sharpness families
+    at one parameter each."""
+    made = {"sharp2_fdelta": {"delta": 0.25}, "sharp3_fbeta": {"beta": 0.5, "p": 1.0}}
+    fs = [catalog(name, **made.get(name, {})) for name in catalog_names() if name != "tensor_tent"]
+    return fs + [catalog("smoothed_indicator", width=0.1, a=-3.0, b=5.0)]
+
+
+def test_polyroots_is_numpy_polyroots_bit_for_bit():
+    polyroots = np.polynomial.polynomial.polyroots
+    cases = []
+    for f in _catalog_polys():
+        for p in f.pieces:
+            if p.kind == "poly":
+                cases += [p.data, [k * c for k, c in enumerate(p.data)][1:] or [0.0]]
+    # degree 0 and 1, roots at +-0.0, double roots and trailing zeros
+    cases += [
+        [0.0], [3.0], [0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [0.0, 1.0], [-0.0, 1.0],
+        [0.0, -2.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [-0.0, 0.0, 1.0],
+        [0.0, -0.0, -1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0, 2.0], [1.0, 0.0, 1.0],
+        [0.0, 6.0, -6.0], [0.0, 6.0, -6.0, 0.0],
+    ]
+    rng = np.random.default_rng(43)
+    for _ in range(400):
+        degree = int(rng.integers(2, 4))
+        roots = rng.choice([rng.uniform(-3, 3), 0.0, -0.0, 0.5], size=degree)
+        if rng.random() < 0.5:
+            roots[1] = roots[0]  # a double root
+        c = rng.uniform(0.1, 4.0) * np.polynomial.polynomial.polyfromroots(roots)
+        cases.append(c)
+        cases.append(rng.uniform(-2, 2, degree + 1))  # complex roots too
+        cases.append([*c, *[0.0] * int(rng.integers(1, 3))])
+    for c in cases:
+        assert same_bits(funcspace._polyroots(c), polyroots(c)), c
+
+
+def test_critical_points_are_the_numpy_ones_bit_for_bit():
+    polyroots = np.polynomial.polynomial.polyroots
+    for f in _catalog_polys():
+        start, crit = f._critical
+        for i, p in enumerate(f.pieces):
+            want = np.zeros(0)
+            if p.kind == "poly" and len(p.data) > 2:
+                slope = [k * c for k, c in enumerate(p.data)][1:]
+                want = np.unique(polyroots(slope).real + p.anchor)
+            assert same_bits(crit[start[i] : start[i + 1]], want), f
+
+
+def test_sorted_unique_is_numpy_unique_bit_for_bit():
+    rng = np.random.default_rng(43)
+    values = np.array([0.0, -0.0, 1e-300, 0.5, 0.5000000000000001, 2.0, 1e300, -3.0])
+    for size in [0, 1, 2, 3, 15, 16, 17, 64, 257, 1000]:
+        for x in (
+            rng.choice(values, size=size),
+            rng.uniform(-1.0, 1.0, size),
+            np.round(rng.uniform(0.0, 8.0, size)) / 8.0,
+            np.logspace(-3, 2, size),
+        ):
+            assert same_bits(funcspace._sorted_unique(x), np.unique(x))
+    x = rng.choice(values, size=(7, 9))
+    assert same_bits(funcspace._sorted_unique(x), np.unique(x))

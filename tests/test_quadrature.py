@@ -19,7 +19,25 @@ from dyadicweights.quadrature import (
     adaptive_quads,
 )
 
-from oracles import rowwise_panels
+from oracles import rowwise_panels, same_bits
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 15])
+def test_written_rules_are_leggauss_bit_for_bit(order):
+    x, w = _gl(order)
+    want_x, want_w = np.polynomial.legendre.leggauss(order)
+    assert same_bits(x, want_x) and same_bits(w, want_w)
+
+
+def test_a_rule_outside_the_table_is_leggauss_once(monkeypatch):
+    from dyadicweights import quadrature
+
+    written = {order: quadrature._GL[order] for order in (1, 2, 3, 7, 15)}
+    monkeypatch.setattr(quadrature, "_GL", written)
+    x, w = _gl(4)
+    want_x, want_w = np.polynomial.legendre.leggauss(4)
+    assert same_bits(x, want_x) and same_bits(w, want_w)
+    assert _gl(4)[0] is x
 
 
 def _panel(f, a, b, order):
