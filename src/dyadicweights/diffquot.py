@@ -6,23 +6,16 @@ and the weak-type functional  sup over lam of
 lam * ( Int_window [ Int 1_E(x,y) |x-y|^(gamma-n) dy ]^(p/q) w(x) dx )^(1/p),
 with s = gamma/q, verified against the weighted gradient norm.
 
-The inner integral has two paths, and `inner_integral` alone picks one per
-f.  For the level set itself on f whose pieces are all linear (tent, linear,
-linear_ramp) it is exact: on each piece of the ray y = x +- r membership is
-a linear function of r against lam r^(1+s), whose roots are closed form or
-found by Newton's method, and runs to infinity are integrated in closed
-form, so nothing is sampled or truncated; the ray spans of a point are
-formed once for all the levels it is asked at, and only runs that hold
-members are carried on to the mass.  f with a cubic or power piece is
-sampled: radial shells open where a Lipschitz bound decides membership, so
-the |x-y|^(gamma-n) singularity is never probed where the indicator
-provably vanishes.  A shell with no certified outer radius is sampled only
-out to where y lies on an end piece of f; past that the exact runs of the
-level set are added in closed form, so no tail is cut.  The outer
-quadratures of every (f, lam) problem of a call run in lock step, so a
-refinement step is one `inner_integral` call on the pair (fs, of) of all
-their nodes, and the quadrature evaluates panels ahead of need, so one step
-also serves the steps after it.
+The inner integral is exact for every f, whatever its pieces: on each
+piece of the ray y = x +- r the member runs of r are closed form or Newton
+roots on a linear piece, and bracketed crossings between the cuts of a
+polynomial or power piece; runs to infinity are integrated in closed form,
+so nothing is sampled or truncated.  The ray spans of a point are formed
+once for all the levels it is asked at.  The outer quadratures of every
+(f, lam) problem of a call run in lock step, so a refinement step is one
+`inner_integral` call on the pair (fs, of) of all their nodes, and the
+quadrature evaluates panels ahead of need, so one step also serves the
+steps after it.
 """
 
 from __future__ import annotations
@@ -33,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dyadicweights.funcspace import _functions, _stacked_lines, grad_power_mass
+from dyadicweights.funcspace import (
+    _companion_roots,
+    _functions,
+    _stacked_curves,
+    _stacked_lines,
+    _taylor_rows,
+    grad_power_mass,
+)
 from dyadicweights.quadrature import adaptive_quads
 from dyadicweights.records import (
     RATIO_CEILING,
@@ -44,20 +44,8 @@ from dyadicweights.records import (
 )
 from dyadicweights.weights import Weight
 
-# Geometric sample radii per shell of the inner integral, before kink radii.
-RADIAL_SAMPLES = 193
 # Decades of the lambda grid, toward the limit, that test the lower constant.
 TAIL_DECADES = 1.0
-# Points per membership call on the sample radii of an inner integral: the
-# rows are evaluated in blocks of at most this many (node, direction, radius)
-# points, which bounds the temporaries of a wide refinement step.
-MASK_POINTS = 2**15
-# Past REACH times a node's larger distance to the outermost breakpoints of
-# f, y and a ball of radius |x-y| / 20 around it lie on an end piece of f.
-# It stays 20/19 although no package path takes a ball mean: the sampled
-# verify-bsvy pins depend on it, and the ball-mean oracle of the tests, run
-# through the ``membership`` seam of `inner_integral`, needs it.
-REACH = 20.0 / 19.0
 
 
 def gamma_admissible(p: float, q: float, gamma: float) -> bool:
@@ -126,117 +114,6 @@ class DiffQuotConfig:
 # ---------------------------------------------------------------------------
 # inner radial integral
 # ---------------------------------------------------------------------------
-
-
-def _radial_bounds(f, lam: float, s: float):
-    """Certified radii (r_lo, r_hi) outside which membership is impossible.
-
-    Bounds use inflated Lipschitz/value hints so they stay valid for the
-    ball-mean membership of the test oracle as well (the mean sits within
-    1.05 |x-y| of x).  A Lipschitz hint of 0 (constant f) makes every radius
-    a non-member.
-    """
-    lip = 1.05 * getattr(f, "lipschitz", math.inf)
-    bound = 2.0 * getattr(f, "value_bound", math.inf)
-    one_plus = 1.0 + s
-
-    if s < 0:
-        if not math.isfinite(lip):
-            raise ValueError(
-                "negative-exponent shells need a finite Lipschitz hint"
-            )
-        r_lo = (lam / lip) ** (1.0 / (-s)) if lip > 0 else math.inf
-    else:
-        r_lo = 0.0
-
-    r_hi = math.inf
-    if one_plus > 0:
-        cands = []
-        if math.isfinite(lip) and s > 0:
-            cands.append((lip / lam) ** (1.0 / s))
-        if math.isfinite(bound):
-            cands.append((bound / lam) ** (1.0 / one_plus))
-        if cands:
-            r_hi = min(cands)
-    return r_lo, r_hi
-
-
-def _signed_member_mass(
-    membership,
-    xs: np.ndarray,
-    fx: np.ndarray,
-    lam: np.ndarray,
-    radii: np.ndarray,
-    gamma: float,
-    extend_to_zero: np.ndarray,
-) -> np.ndarray:
-    """Integral of 1_member r^(gamma-1) over both directions y = x +- r, for
-    every node x in ``xs`` at its level ``lam``.
-
-    ``radii`` holds one ascending row of sample radii per node, padded with
-    repeats of its last radius (a repeat never flips).  Membership of every
-    row in both directions is evaluated in blocks of rows of at most
-    MASK_POINTS points, and every boundary between consecutive sample radii,
-    of every row, is bisected together: one membership call per step.
-    Rows flagged in ``extend_to_zero`` count a member first radius as a
-    member run from radius 0.
-    Each member run contributes (r2^gamma - r1^gamma)/gamma in closed form;
-    40 bisection steps put each boundary within 2^-40 of its sample gap.
-    Sub-grid membership islands are the only approximation; the sample grid
-    is geometric and includes the kink radii of the function.  This is the
-    kernel of `_sampled_shells`; the level set of an all-linear f never gets
-    here.
-    """
-    n, width = radii.shape
-    sign = np.array([1.0, -1.0])[:, None]
-    block = max(1, MASK_POINTS // (2 * width))
-    mask = np.concatenate(
-        [
-            membership(
-                xs[i : i + block, None, None],
-                fx[i : i + block, None, None],
-                xs[i : i + block, None, None] + sign * radii[i : i + block, None, :],
-                lam[i : i + block, None, None],
-            )
-            for i in range(0, n, block)
-        ]
-    )
-    row, dirn, at = np.nonzero(mask[..., :-1] != mask[..., 1:])
-    lo_b = radii[row, at]
-    hi_b = radii[row, at + 1]
-    if len(lo_b):
-        xb, fb, lb = xs[row], fx[row], lam[row]
-        sg = sign[dirn, 0]
-        left_state = mask[row, dirn, at]
-        for _ in range(40):
-            mid = 0.5 * (lo_b + hi_b)
-            same = membership(xb, fb, xb + sg * mid, lb) == left_state
-            lo_b = np.where(same, mid, lo_b)
-            hi_b = np.where(same, hi_b, mid)
-    # cut radii per (node, direction), in increasing order, between the
-    # first and last sample radius; unused slots repeat the last radius
-    group = 2 * row + dirn
-    ncuts = np.bincount(group, minlength=2 * n)
-    rank = np.arange(len(row)) - (np.cumsum(ncuts) - ncuts)[group]
-    ncuts = ncuts.reshape(n, 2)
-    edges = np.empty((n, 2, int(ncuts.max()) + 2))
-    edges[...] = radii[:, None, -1:]
-    edges[..., 0] = radii[:, None, 0]
-    from_zero = mask[..., 0] & extend_to_zero[:, None]
-    edges[..., 0] = np.where(from_zero, 0.0, edges[..., 0])
-    edges[row, dirn, 1 + rank] = 0.5 * (lo_b + hi_b)
-    seg_member = (np.arange(edges.shape[-1] - 1) % 2 == 0) == mask[..., :1]
-    with np.errstate(divide="ignore"):
-        powers = edges**gamma
-    mass = np.where(seg_member, (powers[..., 1:] - powers[..., :-1]) / gamma, 0.0)
-    # sum each run list at its own length, so every row adds up exactly as
-    # it would alone
-    nseg = ncuts + 1
-    sums = np.empty((n, 2))
-    for k in np.flatnonzero(np.bincount(nseg.ravel())):
-        sel = nseg == k
-        sums[sel] = mass[sel][:, :k].sum(axis=1)
-    return 0.0 + sums[:, 0] + sums[:, 1]
 
 
 def _member_runs(
@@ -356,35 +233,49 @@ def _distinct(*keys):
     return group, order[new]
 
 
-def _linear_runs(
-    table: np.ndarray, continuous: np.ndarray, of: np.ndarray, xs: np.ndarray, fx: np.ndarray,
-    r_min: np.ndarray, point: np.ndarray, lams: np.ndarray, s: float, gamma: float,
-):
-    """The member runs at r > r_min of every row, exactly, where the pieces
-    of its f the ray meets there are all linear (a non-linear one raises
-    ValueError): (row, direction, r1, r2) arrays, one entry per run
-    y = x + direction * r, r in (r1, r2), with r2 > r1, in (row, part, side)
-    order, so in the same order per row however many rows, and whichever
-    functions, there are.
+def _rows_of(owner: np.ndarray, point: np.ndarray, n: int):
+    """(row, at): each row i takes, in their order, the items of its point
+    point[i] of the ``n`` points, the items' points ``owner`` ascending;
+    entry e is item at[e] of row row[e], in row order."""
+    count = np.bincount(owner, minlength=n)
+    take = count[point]
+    row = np.repeat(np.arange(point.size), take)
+    at = np.arange(row.size) + np.repeat(
+        (np.cumsum(count) - count)[point] - (np.cumsum(take) - take), take
+    )
+    return row, at
 
-    Point j is xs[j] of the function of[j], fx[j] = f(xs[j]), with its
-    ``r_min``; row i is point point[i] at the level lams[i].  The pieces of
-    function k are row k of ``table``, the stacked piece table
-    `funcspace._stacked_lines` of shape (4, functions, pieces), and
-    ``continuous`` says, per function, whether it is continuous (has a finite
-    Lipschitz hint).
+
+def _ray_runs(
+    fs, of: np.ndarray, xs: np.ndarray, fx: np.ndarray, point: np.ndarray, lams: np.ndarray,
+    s: float, gamma: float,
+):
+    """The member runs of every row, exactly: (row, direction, r1, r2)
+    arrays, one entry per run y = x + direction * r, r in (r1, r2), with
+    r2 > r1, the runs of the linear pieces of a row in (part, side) order,
+    then those of its other pieces in (span, bracket) order, so in the same
+    order per row however many rows, and whichever functions, there are.
+
+    Point j is xs[j] of the function fs[of[j]], fx[j] = f(xs[j]); row i is
+    point point[i] at the level lams[i].  The pieces of the functions stand
+    in one stacked piece table `funcspace._stacked_lines` of shape (4,
+    functions, pieces); a function is continuous where its Lipschitz hint
+    is finite.
 
     On the ray each piece of f spans a radius interval, on which
-    f(y) - f(x) = alpha + beta r, with alpha exactly 0 on the piece that holds
-    x (and, for continuous f, the piece that ends at x).  Each span is split
-    at the zero of alpha + beta r, so membership on each part is
-    u(r) > lam r^(1+s) with u = |alpha + beta r| linear, on one side of the
-    part or on each side of its extremum: `_member_runs`.  None of that
-    depends on the level, so it is done once per point, and each row then
-    takes the sides of its point in their order; a side with no run is
-    dropped as soon as its ends are known.  Arrays are updated in place and
-    dropped once used, which keeps the temporaries of a wide refinement step
-    down."""
+    f(y) - f(x) = alpha + beta r on a linear piece, with alpha exactly 0 on
+    the piece that holds x (and, for continuous f, the piece that ends at
+    x).  Each such span is split at the zero of alpha + beta r, so
+    membership on each part is u(r) > lam r^(1+s) with u = |alpha + beta r|
+    linear, on one side of the part or on each side of its extremum:
+    `_member_runs`.  The spans of the other pieces take `_curve_runs`.  None
+    of that depends on the level, so it is done once per point, and each
+    row then takes the sides of its point in their order; a side with no
+    run is dropped as soon as its ends are known.  Arrays are updated in
+    place and dropped once used, which keeps the temporaries of a wide
+    refinement step down."""
+    table = _stacked_lines(fs)
+    continuous = np.array([math.isfinite(g.lipschitz) for g in fs])
     t = 1.0 + s
     n, pieces = xs.size, table.shape[2]
     shape = (n, 2, pieces)
@@ -408,21 +299,27 @@ def _linear_runs(
     x *= direction
     lo -= x
     hi -= x
-    np.maximum(lo, 0.0, out=lo)
-    # alpha is exactly 0 on the piece that holds x and, for continuous f, on
-    # the piece that ends at x
+    # f(y) - f(x) is exactly 0 at r = 0 on the piece that holds x (lo <= 0,
+    # and < 0 toward -inf) and, for continuous f, on the piece that ends at x
     held = np.ones((continuous.size, 2, pieces), dtype=bool)
     held[:, 1] = continuous[:, None]
     held = np.take(held, of, axis=0)
+    held |= lo < 0.0
+    np.maximum(lo, 0.0, out=lo)
     held &= lo == 0.0
-    np.maximum(lo, np.repeat(r_min, 2 * pieces).reshape(shape), out=lo)
+    # the spans of pieces that are not linear, which the ray meets
+    curved = np.flatnonzero(np.isnan(beta) & (hi > lo))
+    if curved.size:
+        curves = _curve_runs(
+            fs, of, xs, fx, curved, lo.ravel()[curved], hi.ravel()[curved],
+            held.ravel()[curved], point, lams, t,
+        )
     alpha += beta * x
     alpha -= np.repeat(fx, 2 * pieces).reshape(shape)
     np.putmask(alpha, held, 0.0)
     del lines, x, held
-    # a span the ray does not meet past r_min has hi <= lo, and no part
-    if (np.isnan(beta) & (hi > lo)).any():
-        raise ValueError("f has a piece that is not linear past r_min")
+    # a span the ray does not meet has hi <= lo, and no part; nor has a
+    # curved one, whose beta is nan
     flat = beta == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(alpha, beta, out=cut)
@@ -457,160 +354,238 @@ def _linear_runs(
     second = np.zeros(side.size, dtype=bool)
     np.equal(side[1:], side[:-1], out=second[1:])
     # every row takes the sides of its point, which are contiguous
-    count = np.bincount(span[side] // (2 * pieces), minlength=n)
-    take = count[point]
-    row = np.repeat(np.arange(point.size), take)
-    at = np.arange(row.size) + np.repeat(
-        (np.cumsum(count) - count)[point] - (np.cumsum(take) - take), take
-    )
+    row, at = _rows_of(span[side] // (2 * pieces), point, n)
     side, second = side[at], second[at]
-    del count, take, at
+    del at
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r1, r2 = _member_runs(parts[:4], side, lams[row], second, t, gamma)
     live = np.flatnonzero(r2 > r1)
-    return row[live], direction[side[live]], r1[live], r2[live]
+    runs = row[live], direction[side[live]], r1[live], r2[live]
+    if curved.size:
+        runs = tuple(np.concatenate(pair) for pair in zip(runs, curves))
+    return runs
+
+
+def _nonzero_roots(c: np.ndarray):
+    """(row, x): the real part of each nonzero root of each row's polynomial
+    sum_k c[row, k] x^k, from one stack of companion matrices per degree
+    (`funcspace._companion_roots`), both as it comes and after two Newton
+    steps, which give a root far nearer 0 than the others its relative
+    precision.  As cuts, roots too many do no harm, and one too few would."""
+    nz = c != 0
+    low = np.argmax(nz, axis=1)
+    degree = np.where(nz.any(axis=1), c.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1) - low, 0)
+    rows, roots = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for deg in (np.flatnonzero(np.bincount(degree)[1:]) + 1).tolist():
+        at = np.flatnonzero(degree == deg)
+        sub = np.take_along_axis(c[at], low[at, None] + np.arange(deg + 1), axis=1)
+        x = [_companion_roots(sub).real]
+        with np.errstate(all="ignore"):
+            for _ in range(2):
+                val = slope = 0.0
+                for col in sub.T[::-1, :, None]:
+                    val, slope = val * x[-1] + col, slope * x[-1] + val
+                x.append(x[-1] - val / slope)
+        rows.append(np.repeat(at, 2 * deg))
+        roots.append(np.concatenate([x[0], x[2]], axis=1).ravel())
+    return np.concatenate(rows), np.concatenate(roots)
+
+
+def _bisect(same, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The radius in each bracket (a[i], b[i]), 0 <= a < b <= inf, where a
+    predicate turns once, to rounding: same(i, r) says whether r lies on the
+    side of a[i] in bracket i (i an index array).  Nonnegative floats order
+    as their bits, so halving those halves the floats between the ends: at
+    most 64 steps at any scale.  An unbounded bracket is first closed by
+    doubling from max(2 a, 1), and gives inf if the predicate never turns."""
+    lo, hi = np.abs(a).view(np.int64), np.abs(b).view(np.int64)
+    i = np.flatnonzero(b == math.inf)
+    r = np.maximum(2.0 * a[i], 1.0)
+    while i.size:
+        on = same(i, r) & (r < math.inf)
+        lo[i[on]], hi[i[~on]] = r[on].view(np.int64), r[~on].view(np.int64)
+        i, r = i[on], 2.0 * r[on]
+    i = np.flatnonzero(hi - lo > 1)
+    while i.size:
+        mid = lo[i] + (hi[i] - lo[i] >> 1)
+        on = same(i, mid.view(np.float64))
+        lo[i[on]], hi[i[~on]] = mid[on], mid[~on]
+        i = i[hi[i] - lo[i] > 1]
+    return hi.view(np.float64)
+
+
+def _curve_runs(fs, of, xs, fx, span, lo, hi, held, point, lams, t: float):
+    """The member runs on the spans of the pieces that are not linear, as
+    (row, direction, r1, r2) in (row, span, bracket) order, r2 > r1:
+    ``span`` holds their flat indices, ascending, on the (point, direction,
+    piece) rows of `_ray_runs`, (lo, hi) their radius intervals, and
+    ``held`` marks those on which D(0) is exactly 0.
+
+    On a span, with D(r) = f(x +- r) - f(x), phi = |D| / r^t is monotone
+    between the cuts, the zeros of D and of r D' - t D, as phi' has the sign
+    of D (r D' - t D).  So each bracket between consecutive cuts holds one
+    crossing of lam at most, which `_bisect` finds; the cuts, and phi at
+    them, are found once per point.  On a
+    polynomial piece D and r D' - t D are polynomials in rho = r - lo, from
+    one Taylor shift (`funcspace._taylor_rows`), and the cuts their real
+    roots.  On a power piece c (y - x0)^delta, u = x - x0, D has one zero,
+    in closed form, and r D' - t D is monotone on each side of
+    r* = s u / (+-(delta - 1 - s)); a sign change on a side is bisected.  A
+    power piece that reaches infinity raises ValueError.  phi is never formed
+    from a D that underflows: it reads its limit at r = 0 from D's lowest
+    nonzero term, at infinity from its leading one, and a power piece takes
+    the chord D / r.  The radius next past lo is a cut too, standing for
+    the cuts that round to lo."""
+    coef, anchor, power = _stacked_curves(fs)
+    j, way, piece = np.unravel_index(span, (xs.size, 2, coef.shape[1]))
+    k, x, d = of[j], xs[j], 1.0 - 2.0 * way
+    c, delta, center = power[:, k, piece]
+    poly = np.isnan(c)
+    if np.any(~poly & (hi == math.inf)):
+        raise ValueError("a power piece of f reaches infinity")
+    # D and r D' - t D in powers of rho on polynomial spans, 0 on power ones
+    e = _taylor_rows(coef[k, piece], x + d * lo - anchor[k, piece], 1.0)
+    e[:, 1::2] *= d[:, None]
+    e[:, 0] = np.where(held | ~poly, 0.0, e[:, 0] - fx[j])
+    deg = np.arange(e.shape[1])
+    g = (deg - t) * e
+    g[:, :-1] += lo[:, None] * deg[1:] * e[:, 1:]
+    sid, rho = _nonzero_roots(np.concatenate([e, g]))
+    sid %= span.size
+    cuts = [(sid, lo[sid] + rho), (np.arange(span.size), np.nextafter(lo, math.inf))]
+    # D = rho^m E(rho), with E(0) = d_m its lowest nonzero coefficient, and
+    # phi at infinity from its leading term d_top rho^top
+    m = np.argmax(e != 0, axis=1)
+    top = deg[-1] - np.argmax(e[:, ::-1] != 0, axis=1)
+    with np.errstate(all="ignore"):
+        at_inf = np.abs(e[np.arange(span.size), top]) * np.power(math.inf, top - t)
+        # power spans: the piece at x, D(0), phi at r = 0 from D's lowest term
+        # (D(0), c delta u^(delta - 1) r or c r^delta), D's zero, and r*, 0/0
+        # where u = 0 and delta = t, and r D' - t D is 0
+        u = x - center
+        pu = c * u**delta
+        base = np.where(held, pu, fx[j])
+        d0 = pu - base
+        lead = np.where(d0 != 0, d0, np.where(u > 0, c * delta * u ** (delta - 1.0), c))
+        lowest = np.where(d0 != 0, 0.0, np.where(u > 0, 1.0, delta))
+        at_zero = np.abs(lead) * np.power(0.0, lowest - t)
+        zero = d * ((base / c) ** (1.0 / delta) - u)
+        rstar = np.clip(np.nan_to_num((t - 1.0) * d * u / (delta - t)), lo, hi)
+
+    def chord(i, r):
+        """D / r on the power spans i at the radii r > 0: within |z| < 1,
+        z = +-r / u, from c u^delta expm1(delta log1p(z)) + D(0), which
+        keeps its digits, and to second order in z where that is exact to
+        rounding."""
+        z = d[i] * r / u[i]
+        near = np.abs(z) < 1.0
+        curve = np.where(
+            near,
+            pu[i] * np.expm1(delta[i] * np.log1p(np.where(near, z, 0.0))) + d0[i],
+            c[i] * np.maximum(u[i] + d[i] * r, 0.0) ** delta[i] - base[i],
+        )
+        small = pu[i] * delta[i] * d[i] / u[i] * (1.0 + 0.5 * (delta[i] - 1.0) * z) + d0[i] / r
+        return np.where(np.abs(z) < 1e-8, small, curve / r)
+
+    def psi(i, r):
+        """The sign of r D' - t D on the power spans i at the radii r."""
+        slope = c[i] * delta[i] * d[i] * np.maximum(u[i] + d[i] * r, 0.0) ** (delta[i] - 1.0)
+        return np.sign(np.where(r > 0, slope - t * chord(i, r), -t * d0[i]))
+
+    def phi(i, r):
+        """|D| / r^t on the spans i at the radii r: |E(rho)| (rho / r)^m
+        r^(m - t) on a polynomial span, the ratio 1 on a span from 0, and
+        |D / r| r^(1 - t) on a power span."""
+        out, pw = np.empty(r.shape), ~poly[i]
+        if not pw.all():
+            ip, rp = i[~pw], r[~pw]
+            rho, total, mp = rp - lo[ip], np.zeros(rp.shape), m[ip]
+            for kk, col in zip(deg[::-1], e[ip].T[::-1]):
+                total = np.where(kk >= mp, total * rho + col, total)
+            total = np.abs(total) * np.where(lo[ip] == 0, 1.0, rho / rp) ** mp
+            total *= np.where(total == 0, 0.0, rp ** (mp - t))
+            out[~pw] = np.where(rp == math.inf, at_inf[ip], total)
+        if pw.any():
+            ip, rp = i[pw], r[pw]
+            total = np.abs(chord(ip, rp))
+            total *= np.where(total == 0, 0.0, rp ** (1.0 - t))
+            out[pw] = np.where(rp == 0, at_zero[ip], total)
+        return out
+
+    with np.errstate(all="ignore"):
+        # the zero of r D' - t D on each side of r*, where its sign changes
+        pw = np.flatnonzero(~poly)
+        side = np.concatenate([pw, pw])
+        ends = np.concatenate([lo[pw], rstar[pw]]), np.concatenate([rstar[pw], hi[pw]])
+        sign = psi(side, ends[0])
+        turn = np.flatnonzero(sign * psi(side, ends[1]) < 0)
+        side, sign = side[turn], sign[turn]
+        root = _bisect(lambda i, r: psi(side[i], r) == sign[i], ends[0][turn], ends[1][turn])
+        cuts += [(pw, zero[pw]), (pw, rstar[pw]), (side, root)]
+        # the edges of each span, lo, its cuts and hi, in order, and phi there
+        sid, cut = (np.concatenate(v) for v in zip(*cuts))
+        keep = (lo[sid] < cut) & (cut < hi[sid])
+        owner = np.concatenate([np.arange(span.size), sid[keep], np.arange(span.size)])
+        edge = np.concatenate([lo, cut[keep], hi])
+        order = np.lexsort((edge, owner))
+        owner, edge = owner[order], edge[order]
+        level = phi(owner, edge)
+        # the brackets between consecutive edges of a span; every row takes
+        # those of its point in their order
+        bracket = np.flatnonzero((owner[1:] == owner[:-1]) & (edge[1:] > edge[:-1]))
+        row, at = _rows_of(j[owner[bracket]], point, xs.size)
+        bracket, lam = bracket[at], lams[row]
+        left, right = level[bracket] > lam, level[bracket + 1] > lam
+        r1, r2 = edge[bracket], edge[bracket + 1]
+        turn = np.flatnonzero(left != right)
+        sp, ln, was = owner[bracket[turn]], lam[turn], left[turn]
+        root = _bisect(lambda i, r: (phi(sp[i], r) > ln[i]) == was[i], r1[turn], r2[turn])
+        r1[turn[~was]], r2[turn[was]] = root[~was], root[was]
+    live = np.flatnonzero((left | right) & (r2 > r1))
+    return row[live], d[owner[bracket[live]]], r1[live], r2[live]
 
 
 def _run_mass(row: np.ndarray, r1: np.ndarray, r2: np.ndarray, gamma: float, n: int) -> np.ndarray:
     """Integral of r^(gamma-1) over the runs (r1, r2), r2 > r1, of each of
     ``n`` rows, (r2^gamma - r1^gamma)/gamma per run.  Each run is added after
     the one before it, so every row's sum is the same however many rows there
-    are."""
+    are; with no run at all it is a float 0 too."""
     with np.errstate(divide="ignore", invalid="ignore"):
         mass = (r2**gamma - r1**gamma) / gamma
-    return np.bincount(row, weights=mass, minlength=n)
+    return np.bincount(row, weights=mass, minlength=n) + 0.0
 
 
-def inner_integral(f, x, lam, cfg: DiffQuotConfig, membership=None):
+def inner_integral(f, x, lam, cfg: DiffQuotConfig):
     """Integral over y of 1_E(x,y) |x-y|^(gamma - 1) for n = 1, at one node
     or at an array of nodes, at one level ``lam`` or at one level per node.
     f is one function, or a pair (fs, of) giving node i the function
     fs[of[i]], as `omega_intervals` takes it.  Each node's value is bit for
     bit what it is alone.
 
-    Radial membership is resolved per direction as a union of intervals,
-    and the power weight is integrated in closed form on each member
-    interval.  The members are those of the difference-quotient level set.
-
-    ``membership(xs, fx, ys, lam)`` is a seam for the tests only, which no
-    package path passes: it decides pairs elementwise on broadcast arrays
-    (fx = f(xs), lam the nodes' levels) in place of the level set.  The
-    tests pass it to force the sampled path on linear f, to count
-    membership calls, and to run the ball-mean membership of their
-    pointwise domination oracle.
-
-    Each f is evaluated once at each of its distinct points.  The level set
-    of every f whose pieces are all linear is exact: its nodes take one
-    `_linear_runs` call over the stacked piece table
-    (`funcspace._stacked_lines`), which forms the ray spans of each distinct
-    point once for all its levels, exact to rounding with runs to infinity
-    in closed form.  Every other f is sampled, one `_sampled_shells` call
-    each, and the same `_linear_runs` call adds the exact runs of its far
-    tails, once per distinct point and far-tail radius.
+    Radial membership is resolved per direction as a union of runs, exact
+    to rounding, with runs to infinity in closed form, and the power weight
+    is integrated in closed form on each run: nothing is sampled or
+    truncated.  Each f is evaluated once at each of its distinct points, and
+    the nodes of every f take one `_ray_runs` call, which forms the ray
+    spans of each distinct point once for all its levels: closed-form or
+    Newton roots on linear pieces, bracketed crossings on polynomial and
+    power pieces.
 
     A scalar ``x`` returns a float, an array an array.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     lams = np.full(xs.shape, lam, dtype=float)
     fs, of = _functions(f, xs.size)
-    table = _stacked_lines(fs)
-    exact = np.isfinite(table[2]).all(axis=1) & (membership is None)
-    continuous = np.array([math.isfinite(g.lipschitz) for g in fs])
-    # the distinct (f, x) points, by their bits, each with f(x) and the
-    # radius past which its exact runs are added: 0 on the exact path, inf
-    # where a certified shell holds all
+    # the distinct (f, x) points, by their bits, each with f(x)
     point, first = _distinct(xs.view(np.int64), of)
     pof, px = of[first], xs[first]
     pfx = np.empty(first.size)
-    r_min = np.where(exact[pof], 0.0, math.inf)
-    vals = np.zeros(xs.size)
     for k in np.flatnonzero(np.bincount(pof, minlength=len(fs))).tolist():
         at = pof == k
         pfx[at] = fs[k].value(px[at])
-        if exact[k]:
-            continue
-        # each row's sampled mass; the rows whose far tails are still to
-        # add take a new point per (point, radius)
-        rows = np.flatnonzero(of == k)
-        vals[rows], reach = _sampled_shells(
-            fs[k], xs[rows], pfx[point[rows]], lams[rows], cfg, membership
-        )
-        tail = np.isfinite(reach)
-        rows, reach = rows[tail], reach[tail]
-        group, lead = _distinct(reach.view(np.int64), point[rows])
-        same = point[rows[lead]]
-        point[rows] = pof.size + group
-        pof, px, pfx = (np.concatenate([v, v[same]]) for v in (pof, px, pfx))
-        r_min = np.concatenate([r_min, reach[lead]])
-    row, _, r1, r2 = _linear_runs(
-        table, continuous, pof, px, pfx, r_min, point, lams, cfg.s, cfg.gamma
-    )
-    vals += _run_mass(row, r1, r2, cfg.gamma, xs.size)
+    row, _, r1, r2 = _ray_runs(fs, pof, px, pfx, point, lams, cfg.s, cfg.gamma)
+    vals = _run_mass(row, r1, r2, cfg.gamma, xs.size)
     return float(vals[0]) if np.ndim(x) == 0 else vals
-
-
-def _sampled_shells(f, xs, fx, lams, cfg: DiffQuotConfig, membership):
-    """The sampled path of `inner_integral` on one f, at the nodes ``xs``
-    (fx = f(xs)) at their levels, as (mass, r_min): the mass inside each
-    node's sampled shell, and the radius past which the exact runs of the
-    level set are still to be added, inf where none are.
-
-    Geometric sampling, kink radii included, boundaries bisected
-    (`_signed_member_mass`) inside a certified shell (`_radial_bounds`),
-    taken once per distinct level; membership and bisection are fused
-    across all nodes and levels, so a quadrature refinement step costs one
-    membership call per bisection step, not one per node.  A shell with no
-    certified outer radius (gamma < 0 only) is sampled out to ``reach``,
-    REACH times the node's larger distance to the outermost breakpoints of
-    f, and r_min is ``reach``, f being linear there.  So a ``membership``
-    must agree with the level set |f(y) - f(x)| > lam |x-y|^(1+s) at every
-    |x-y| > ``reach``, as the oracle's ball-mean membership does: its ball
-    then lies on one linear end piece."""
-    gamma, s = cfg.gamma, cfg.s
-    if membership is None:
-
-        def membership(xs, fx, ys, lam):
-            d = np.abs(ys - xs)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.abs(f.value(ys) - fx) > lam * d ** (1.0 + s)
-
-    bps = np.asarray(f.breakpoints, dtype=float)
-    levels, level_of = np.unique(lams, return_inverse=True)
-    bounds = np.array([_radial_bounds(f, float(v), s) for v in levels]).reshape(-1, 2)
-    r_lo, r_hi = bounds[level_of, 0], bounds[level_of, 1]
-    extend = (r_lo == 0.0) & (gamma > 0)
-
-    def both_directions(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        # one shell (lo, hi) per row; the sample radii of a shell are formed
-        # once, however many rows share it
-        shells, shell_of = np.unique(np.stack([lo, hi], axis=1), axis=0, return_inverse=True)
-        base = np.geomspace(shells[:, 0], shells[:, 1], RADIAL_SAMPLES, axis=-1)
-        kinks = np.abs(bps - xs[rows, None])
-        inside = (lo[:, None] < kinks) & (kinks < hi[:, None])
-        # geomspace ends exactly on hi, so an unused kink slot repeats it
-        kinks = np.where(inside, kinks, hi[:, None])
-        radii = np.concatenate([base[shell_of], kinks], axis=1)
-        radii.sort(axis=1)
-        return _signed_member_mass(
-            membership, xs[rows], fx[rows], lams[rows], radii, gamma, extend[rows]
-        )
-
-    vals, r_min = np.zeros(xs.size), np.full(xs.size, math.inf)
-    lo = np.where(r_lo > 0, r_lo, 1e-12 * np.maximum(1.0, r_hi))
-    finite = np.isfinite(r_hi)
-    shell = np.flatnonzero(finite & (r_hi > lo))
-    if len(shell):
-        vals[shell] = both_directions(shell, lo[shell], r_hi[shell])
-    far = np.flatnonzero(~finite)
-    if len(far):
-        if gamma >= 0:
-            raise ValueError("divergent far tail: gamma > 0 needs a usable hint")
-        reach = REACH * np.abs(np.subtract.outer(xs[far], bps)).max(axis=1, initial=0.0)
-        near = reach > lo[far]
-        if near.any():
-            vals[far[near]] = both_directions(far[near], lo[far[near]], reach[near])
-        r_min[far] = np.maximum(lo[far], reach)
-    return vals, r_min
 
 
 def _warn_at_split_cap(what: str, f, lam: float) -> None:

@@ -531,6 +531,35 @@ def _stacked_lines(fs) -> np.ndarray:
     return table
 
 
+def _stacked_curves(fs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coef, anchor, power) of piece i of fs[k] at [k, i]: the ascending
+    coefficients of a polynomial piece in x minus its anchor (0 on a power
+    piece), and at power[:, k, i] a power piece's (coef, expo, center), nan
+    on a polynomial one."""
+    shape = (len(fs), max(len(g.pieces) for g in fs))
+    coef = np.zeros((*shape, max(len(g._value_rows) for g in fs)))
+    anchor, power = np.zeros(shape), np.full((3, *shape), math.nan)
+    for k, g in enumerate(fs):
+        rows = g._value_rows[::-1].T
+        coef[k, : len(g.pieces), : rows.shape[1]] = rows
+        anchor[k, : len(g.pieces)] = g._anchors
+        for i in g._power:
+            power[:, k, i] = g.pieces[i].data
+    return coef, anchor, power
+
+
+def _taylor_rows(coef: np.ndarray, x0: np.ndarray, scale: float) -> np.ndarray:
+    """Rows b with sum_k coef[r, k] t^k = sum_k b[r, k] u^k at
+    t = x0[r] + u / scale: a Taylor shift to x0 by repeated synthetic
+    division, then the substitution u = scale (t - x0)."""
+    b = coef.copy()
+    deg = b.shape[1]
+    for k in range(deg - 1):
+        for i in range(deg - 2, k - 1, -1):
+            b[:, i] += x0 * b[:, i + 1]
+    return b / scale ** np.arange(deg)
+
+
 def _functions(f, rows: int):
     """(fs, of) of the f of an omega call over ``rows`` intervals: the pair
     itself, or ([f], zeros) for one function."""
@@ -700,13 +729,20 @@ def _polyroots(c) -> np.ndarray:
         return np.zeros(0)
     if c.size == 2:
         return np.array([-c[0] / c[1]])
-    n = c.size - 1
-    mat = np.zeros((n, n))
-    mat.reshape(-1)[n :: n + 1] = 1.0
-    mat[:, -1] -= c[:-1] / c[-1]
-    roots = np.linalg.eigvals(mat)
+    roots = _companion_roots(c[None])[0]
     roots.sort()
     return roots
+
+
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """The roots of each row's polynomial sum_k c[r, k] x^k, c[r, -1] != 0,
+    as the eigenvalues of its companion matrix, one row of the result per
+    row of c (complex where any root of any row is)."""
+    rows, n = c.shape[0], c.shape[1] - 1
+    mat = np.zeros((rows, n, n))
+    mat.reshape(rows, -1)[:, n :: n + 1] = 1.0
+    mat[..., -1] -= c[:, :-1] / c[:, -1:]
+    return np.linalg.eigvals(mat)
 
 
 def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dyadicweights.funcspace import TestFunction, grad_power_mass, weighted_lp_mass
+from dyadicweights.funcspace import TestFunction, _taylor_rows, grad_power_mass, weighted_lp_mass
 from dyadicweights.oscillation import LevelMass
 from dyadicweights.records import RATIO_CEILING, VerificationRecord, require_finite
 from dyadicweights.weights import Weight, ap_constant, dyadic_powers, standard_probes
@@ -264,18 +264,6 @@ class IndexSet:
         ``arrays`` j and k, leaves the window."""
         scale = np.ldexp(1.0, j)
         return (k / scale < self.lo) | ((k + len(system.h) - 1) / scale > self.hi)
-
-
-def _taylor_rows(coef: np.ndarray, x0: np.ndarray, scale: float) -> np.ndarray:
-    """Rows b with sum_k coef[r, k] t^k = sum_k b[r, k] u^k at
-    t = x0[r] + u / scale: a Taylor shift to x0 by repeated synthetic
-    division, then the substitution u = scale (t - x0)."""
-    b = coef.copy()
-    deg = b.shape[1]
-    for k in range(deg - 1):
-        for i in range(deg - 2, k - 1, -1):
-            b[:, i] += x0 * b[:, i + 1]
-    return b / scale ** np.arange(deg)
 
 
 def coefficients(

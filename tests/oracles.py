@@ -10,7 +10,9 @@ one interval at a time, as the bit-for-bit references of the array
 kernel; the constant ratios with one float_box per probe, the reference
 of the one-array probe boxes; Python's float ** one value at a time, the
 reference of ``weights.powers``; the exact inner integral with every run added, empty
-ones included, the reference of the live runs of ``diffquot``; the panel
+ones included, the reference of the live runs of ``diffquot``; the inner
+integral by radial sampling, with a membership seam, the reference of its
+runs on every piece kind; the panel
 sums of ``quadrature._panels`` one row at a time by np.dot; the
 classifier's probe family built by one axis_index and
 axis_interval call per cube; the set relation of one pair of cubes on
@@ -32,12 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from dyadicweights.cli import _fmt
-from dyadicweights.diffquot import (
-    DiffQuotConfig,
-    _sampled_shells,
-    _warn_at_split_cap,
-    inner_integral,
-)
+from dyadicweights.diffquot import DiffQuotConfig, _warn_at_split_cap
 from dyadicweights.funcspace import (
     _CATALOG,
     Piece,
@@ -492,7 +489,7 @@ def all_runs(table, continuous, of, xs, fx, lams, s: float, gamma: float, r_min)
     in the stacked piece table ``table``, fx = f(xs), at its level), empty
     ones included, as (node, direction, r1, r2) in (node, part, side) order:
     each node forms its own ray spans and parts, with the float operations
-    of ``diffquot._linear_runs``, and every part has both sides."""
+    of ``diffquot._ray_runs``, and every part has both sides."""
     pieces = table.shape[2]
     lines = table.reshape(4, -1)
     base = of * pieces
@@ -500,9 +497,10 @@ def all_runs(table, continuous, of, xs, fx, lams, s: float, gamma: float, r_min)
     x = np.repeat(xs, pieces).reshape(at.shape)
     x0, x1 = lines[0, at] - x, lines[1, at] - x
     lo, hi = np.stack([x0, -x1], 1), np.stack([x1, -x0], 1)
+    inside = lo[:, 1] < 0.0
     np.maximum(lo, 0.0, out=lo)
     held = lo == 0.0
-    held[:, 1] &= continuous[of, None]
+    held[:, 1] &= continuous[of, None] | inside
     np.maximum(lo, np.repeat(r_min, 2 * pieces).reshape(lo.shape), out=lo)
     span = np.flatnonzero(hi > lo)
     node, way, piece = np.unravel_index(span, lo.shape)
@@ -531,32 +529,237 @@ def all_runs(table, continuous, of, xs, fx, lams, s: float, gamma: float, r_min)
 
 
 def all_runs_inner_integral(f, x, lam, cfg: DiffQuotConfig) -> np.ndarray:
-    """``diffquot.inner_integral`` at an array of nodes with every run added:
-    each node evaluates its f, the runs of ``all_runs`` past its r_min each
-    add np.where(r2 > r1, (r2^gamma - r1^gamma)/gamma, 0.0), an empty run a
-    literal +0.0, in their order, and a sampled f's shells are
-    ``diffquot._sampled_shells``."""
+    """``diffquot.inner_integral`` at an array of nodes of f whose pieces are
+    all linear, with every run added: each node evaluates its f, and the
+    runs of ``all_runs`` each add np.where(r2 > r1, (r2^gamma -
+    r1^gamma)/gamma, 0.0), an empty run a literal +0.0, in their order."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     lams = np.full(xs.shape, lam, dtype=float)
     fs, of = _functions(f, xs.size)
-    table = _stacked_lines(fs)
-    exact = np.isfinite(table[2]).all(axis=1)
-    vals, fx = np.zeros(xs.size), np.empty(xs.size)
-    r_min = np.where(exact[of], 0.0, math.inf)
+    fx = np.empty(xs.size)
     for k in np.unique(of).tolist():
         at = np.flatnonzero(of == k)
         fx[at] = fs[k].value(xs[at])
-        if not exact[k]:
-            vals[at], r_min[at] = _sampled_shells(fs[k], xs[at], fx[at], lams[at], cfg, None)
+    continuous = np.array([math.isfinite(g.lipschitz) for g in fs])
+    node, _, r1, r2 = all_runs(
+        _stacked_lines(fs), continuous, of, xs, fx, lams, cfg.s, cfg.gamma, np.zeros(xs.size)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = np.where(r2 > r1, (r2**cfg.gamma - r1**cfg.gamma) / cfg.gamma, 0.0)
+    return 0.0 + np.bincount(node, weights=mass, minlength=xs.size)
+
+
+# Geometric sample radii per shell of the sampled inner integral, before
+# kink radii.
+RADIAL_SAMPLES = 193
+# Points per membership call on the sample radii of a sampled inner
+# integral: the rows are evaluated in blocks of at most this many (node,
+# direction, radius) points, which bounds the temporaries of a wide call.
+MASK_POINTS = 2**15
+# Past REACH times a node's larger distance to the outermost breakpoints of
+# f, y and a ball of radius |x-y| / BALL around it lie on an end piece of f,
+# so the ball-mean membership agrees there with the level set.
+REACH = 20.0 / 19.0
+
+
+def radial_bounds(f, lam: float, s: float):
+    """Certified radii (r_lo, r_hi) outside which membership is impossible.
+
+    Bounds use inflated Lipschitz/value hints so they stay valid for the
+    ball-mean membership as well (the mean sits within 1.05 |x-y| of x).  A
+    Lipschitz hint of 0 (constant f) makes every radius a non-member.
+    """
+    lip = 1.05 * getattr(f, "lipschitz", math.inf)
+    bound = 2.0 * getattr(f, "value_bound", math.inf)
+    one_plus = 1.0 + s
+
+    if s < 0:
+        if not math.isfinite(lip):
+            raise ValueError(
+                "negative-exponent shells need a finite Lipschitz hint"
+            )
+        r_lo = (lam / lip) ** (1.0 / (-s)) if lip > 0 else math.inf
+    else:
+        r_lo = 0.0
+
+    r_hi = math.inf
+    if one_plus > 0:
+        cands = []
+        if math.isfinite(lip) and s > 0:
+            cands.append((lip / lam) ** (1.0 / s))
+        if math.isfinite(bound):
+            cands.append((bound / lam) ** (1.0 / one_plus))
+        if cands:
+            r_hi = min(cands)
+    return r_lo, r_hi
+
+
+def signed_member_mass(
+    membership,
+    xs: np.ndarray,
+    fx: np.ndarray,
+    lam: np.ndarray,
+    radii: np.ndarray,
+    gamma: float,
+    extend_to_zero: np.ndarray,
+) -> np.ndarray:
+    """Integral of 1_member r^(gamma-1) over both directions y = x +- r, for
+    every node x in ``xs`` at its level ``lam``.
+
+    ``radii`` holds one ascending row of sample radii per node, padded with
+    repeats of its last radius (a repeat never flips).  Membership of every
+    row in both directions is evaluated in blocks of rows of at most
+    MASK_POINTS points, and every boundary between consecutive sample radii,
+    of every row, is bisected together: one membership call per step.
+    Rows flagged in ``extend_to_zero`` count a member first radius as a
+    member run from radius 0.
+    Each member run contributes (r2^gamma - r1^gamma)/gamma in closed form;
+    40 bisection steps put each boundary within 2^-40 of its sample gap.
+    Sub-grid membership islands are missed; the sample grid is geometric and
+    includes the kink radii of the function.
+    """
+    n, width = radii.shape
+    sign = np.array([1.0, -1.0])[:, None]
+    block = max(1, MASK_POINTS // (2 * width))
+    mask = np.concatenate(
+        [
+            membership(
+                xs[i : i + block, None, None],
+                fx[i : i + block, None, None],
+                xs[i : i + block, None, None] + sign * radii[i : i + block, None, :],
+                lam[i : i + block, None, None],
+            )
+            for i in range(0, n, block)
+        ]
+    )
+    row, dirn, at = np.nonzero(mask[..., :-1] != mask[..., 1:])
+    lo_b = radii[row, at]
+    hi_b = radii[row, at + 1]
+    if len(lo_b):
+        xb, fb, lb = xs[row], fx[row], lam[row]
+        sg = sign[dirn, 0]
+        left_state = mask[row, dirn, at]
+        for _ in range(40):
+            mid = 0.5 * (lo_b + hi_b)
+            same = membership(xb, fb, xb + sg * mid, lb) == left_state
+            lo_b = np.where(same, mid, lo_b)
+            hi_b = np.where(same, hi_b, mid)
+    # cut radii per (node, direction), in increasing order, between the
+    # first and last sample radius; unused slots repeat the last radius
+    group = 2 * row + dirn
+    ncuts = np.bincount(group, minlength=2 * n)
+    rank = np.arange(len(row)) - (np.cumsum(ncuts) - ncuts)[group]
+    ncuts = ncuts.reshape(n, 2)
+    edges = np.empty((n, 2, int(ncuts.max()) + 2))
+    edges[...] = radii[:, None, -1:]
+    edges[..., 0] = radii[:, None, 0]
+    from_zero = mask[..., 0] & extend_to_zero[:, None]
+    edges[..., 0] = np.where(from_zero, 0.0, edges[..., 0])
+    edges[row, dirn, 1 + rank] = 0.5 * (lo_b + hi_b)
+    seg_member = (np.arange(edges.shape[-1] - 1) % 2 == 0) == mask[..., :1]
+    with np.errstate(divide="ignore"):
+        powers = edges**gamma
+    mass = np.where(seg_member, (powers[..., 1:] - powers[..., :-1]) / gamma, 0.0)
+    # sum each run list at its own length, so every row adds up exactly as
+    # it would alone
+    nseg = ncuts + 1
+    sums = np.empty((n, 2))
+    for k in np.flatnonzero(np.bincount(nseg.ravel())):
+        sel = nseg == k
+        sums[sel] = mass[sel][:, :k].sum(axis=1)
+    return 0.0 + sums[:, 0] + sums[:, 1]
+
+
+def sampled_shells(f, xs, fx, lams, cfg: DiffQuotConfig, membership):
+    """The sampled inner integral on one f, at the nodes ``xs`` (fx = f(xs))
+    at their levels, as (mass, r_min): the mass inside each node's sampled
+    shell, and the radius past which the exact runs of the level set are
+    still to be added, inf where none are.
+
+    Geometric sampling, kink radii included, boundaries bisected
+    (`signed_member_mass`) inside a certified shell (`radial_bounds`),
+    taken once per distinct level; membership and bisection are fused
+    across all nodes and levels, so one call costs one membership call per
+    bisection step, not one per node.  A shell with no certified outer
+    radius (gamma < 0 only) is sampled out to ``reach``, REACH times the
+    node's larger distance to the outermost breakpoints of f, and r_min is
+    ``reach``, f being linear there.  So a ``membership`` must agree with
+    the level set |f(y) - f(x)| > lam |x-y|^(1+s) at every |x-y| >
+    ``reach``, as the ball-mean membership does: its ball then lies on one
+    linear end piece."""
+    gamma, s = cfg.gamma, cfg.s
+    if membership is None:
+
+        def membership(xs, fx, ys, lam):
+            d = np.abs(ys - xs)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.abs(f.value(ys) - fx) > lam * d ** (1.0 + s)
+
+    bps = np.asarray(f.breakpoints, dtype=float)
+    levels, level_of = np.unique(lams, return_inverse=True)
+    bounds = np.array([radial_bounds(f, float(v), s) for v in levels]).reshape(-1, 2)
+    r_lo, r_hi = bounds[level_of, 0], bounds[level_of, 1]
+    extend = (r_lo == 0.0) & (gamma > 0)
+
+    def both_directions(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # one shell (lo, hi) per row; the sample radii of a shell are formed
+        # once, however many rows share it
+        shells, shell_of = np.unique(np.stack([lo, hi], axis=1), axis=0, return_inverse=True)
+        base = np.geomspace(shells[:, 0], shells[:, 1], RADIAL_SAMPLES, axis=-1)
+        kinks = np.abs(bps - xs[rows, None])
+        inside = (lo[:, None] < kinks) & (kinks < hi[:, None])
+        # geomspace ends exactly on hi, so an unused kink slot repeats it
+        kinks = np.where(inside, kinks, hi[:, None])
+        radii = np.concatenate([base[shell_of], kinks], axis=1)
+        radii.sort(axis=1)
+        return signed_member_mass(
+            membership, xs[rows], fx[rows], lams[rows], radii, gamma, extend[rows]
+        )
+
+    vals, r_min = np.zeros(xs.size), np.full(xs.size, math.inf)
+    lo = np.where(r_lo > 0, r_lo, 1e-12 * np.maximum(1.0, r_hi))
+    finite = np.isfinite(r_hi)
+    shell = np.flatnonzero(finite & (r_hi > lo))
+    if len(shell):
+        vals[shell] = both_directions(shell, lo[shell], r_hi[shell])
+    far = np.flatnonzero(~finite)
+    if len(far):
+        if gamma >= 0:
+            raise ValueError("divergent far tail: gamma > 0 needs a usable hint")
+        reach = REACH * np.abs(np.subtract.outer(xs[far], bps)).max(axis=1, initial=0.0)
+        near = reach > lo[far]
+        if near.any():
+            vals[far[near]] = both_directions(far[near], lo[far[near]], reach[near])
+        r_min[far] = np.maximum(lo[far], reach)
+    return vals, r_min
+
+
+def sampled_inner_integral(f, x, lam, cfg: DiffQuotConfig, membership=None):
+    """The inner integral of ``diffquot.inner_integral`` by radial sampling,
+    the reference of its exact runs, with ``membership(xs, fx, ys, lam)``
+    deciding pairs elementwise on broadcast arrays (fx = f(xs), lam the
+    nodes' levels), or the level set where None.  Each f's nodes take one
+    `sampled_shells` call, and the runs of ``all_runs`` past each node's
+    r_min add the far tails exactly.  f and x are as ``inner_integral``
+    takes them, and each node's value is bit for bit what it is alone."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    lams = np.full(xs.shape, lam, dtype=float)
+    fs, of = _functions(f, xs.size)
+    vals, fx, r_min = np.zeros(xs.size), np.empty(xs.size), np.empty(xs.size)
+    for k in np.unique(of).tolist():
+        at = np.flatnonzero(of == k)
+        fx[at] = fs[k].value(xs[at])
+        vals[at], r_min[at] = sampled_shells(fs[k], xs[at], fx[at], lams[at], cfg, membership)
     rows = np.flatnonzero(r_min < math.inf)
     continuous = np.array([math.isfinite(g.lipschitz) for g in fs])
     node, _, r1, r2 = all_runs(
-        table, continuous, of[rows], xs[rows], fx[rows], lams[rows], cfg.s, cfg.gamma, r_min[rows]
+        _stacked_lines(fs), continuous, of[rows], xs[rows], fx[rows], lams[rows], cfg.s,
+        cfg.gamma, r_min[rows],
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         mass = np.where(r2 > r1, (r2**cfg.gamma - r1**cfg.gamma) / cfg.gamma, 0.0)
     vals[rows] += np.bincount(node, weights=mass, minlength=rows.size)
-    return vals
+    return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 def rowwise_panels(v: np.ndarray, spans) -> list[tuple[float, float]]:
@@ -865,7 +1068,7 @@ def point_domination_check(
     Informational: the constant is the observed ratio, so any finite ratio
     passes and only an inconclusive truncation fails.  The left side uses
     membership |f(x) - mean over B(y, |x-y|/20)| > lam |x-y|^(1 + n(beta-1/p)),
-    through the ``membership`` seam of `inner_integral`; the right side sums
+    through `sampled_inner_integral`; the right side sums
     2^(j n (beta p - 1)) times the oscillation functional at threshold
     lam(j) = lam * 2^(j (1 + n(beta-1/p) - eps)) over the three shifted
     grids, for j = 0..10; the reported tail estimate flags under-truncation.
@@ -887,7 +1090,7 @@ def point_domination_check(
     membership = ball_mean_membership(f, b)
 
     def outer(xs, _owner):
-        inner = inner_integral(f, xs, lam, cfg, membership=membership)
+        inner = sampled_inner_integral(f, xs, lam, cfg, membership)
         return inner ** (p / q) * weight.value(xs)
 
     [(lhs, met)] = adaptive_quads(outer, [(lo, hi, 1e-4, bps, 200)])
@@ -1000,20 +1203,23 @@ def _forced_generation(edge: Fraction) -> int:
 
 def dominating_set(p: AxisCube) -> list[Cube]:
     """All shifted dyadic cubes containing p with edge in (3e/2, 3e], their
-    shifts in lexicographic order of thirds."""
+    shifts in lexicographic order of thirds.  The index and the containment
+    are decided on integers, every length in units of 1 / (3 D 2^a), with D
+    the common denominator of p's corner and edge and 2^a that of 2^t."""
     t = _forced_generation(p.edge)
-    h = _pow2(t)
     sgn = 1 if t % 2 == 0 else -1
+    den = math.lcm(p.edge.denominator, *(lo.denominator for lo in p.lower_corner))
+    a = max(0, -t)
+    # p's corner and edge, and a third of the grid's edge 2^t, in those units
+    corner = [lo.numerator * (den // lo.denominator) * 3 << a for lo in p.lower_corner]
+    edge = p.edge.numerator * (den // p.edge.denominator) * 3 << a
+    third = den << (t + a)
     out = []
     for shift in all_shifts(p.n):
-        m = tuple(
-            math.floor(lo / h - Fraction(sgn * ti, 3))
-            for lo, ti in zip(p.lower_corner, shift.thirds)
-        )
-        q = Cube(shift, t, m)
-        corners = zip(q.lower(), p.lower_corner)
-        if all(ql <= pl and pl + p.edge <= ql + q.edge for ql, pl in corners):
-            out.append(q)
+        m = tuple((c - sgn * ti * third) // (3 * third) for c, ti in zip(corner, shift.thirds))
+        lower = [(3 * mi + sgn * ti) * third for mi, ti in zip(m, shift.thirds)]
+        if all(ql <= c and c + edge <= ql + 3 * third for ql, c in zip(lower, corner)):
+            out.append(Cube(shift, t, m))
     return out
 
 

@@ -231,15 +231,14 @@ ARGV_RUNS = {
         0,
         "ea5403fa699b3a886015b67064aa2928fa561f38ba7fc4e10f2dfac6fe0b3c25",
     ),
-    # a cubic-edged plateau: the sampled shells of the inner integral
+    # a cubic-edged plateau: the bracketed runs of its cubic pieces
     "verify-bsvy-smoothed": (
         ["verify-bsvy", "--set", "function.name=smoothed_indicator"],
-        "15356e030eea90424a90279696d56d2a5e9c2b732b7f6411348385cf8fabdc80",
+        "4efaab1c777cb79baead94490dd44ca36584f9c67c1bed74491d0c3e239ab37b",
         0,
-        "3034b93835a5ae9773e68124b8cfc2a65cef12c7467e50bd7986b1fc334ca198",
+        "3ef939bd6cf002f2763906b73345326db0e5113f6d8ab4db54bebc13fb30da08",
     ),
-    # gamma < 0 on the plateau: a shell with no certified outer radius,
-    # sampled out to its reach, plus the exact runs of the far tail
+    # gamma < 0 on the plateau: runs to infinity on its end pieces
     "verify-bsvy-smoothed-far-tail": (
         [
             "verify-bsvy",
@@ -247,9 +246,24 @@ ARGV_RUNS = {
             "--set", "gamma=-0.6",
             "--set", "q=0.5",
         ],
-        "ff08f20a17a2caabe0fc29198eca26001da7e6298e17a8eea50e123fa9f63f1f",
+        "9e5f6d82d406d9d04b90d02a8d177755c060ad765a07069a48d63ae749b225aa",
         2,
-        "641b0cebdfaa5d5dd295045a8def73207026f1b377952d2bd76827b605d0c42e",
+        "dc2baa60584024d6d5241b05904dba061df8f879bb50b58cbd8ec1f6b2485c23",
+    ),
+    # gamma < 0 on a power piece, which has no finite Lipschitz hint: the
+    # bracketed runs of the power piece and runs to infinity past it.  The
+    # run exited 1 before the bracket step, so this pin is its first
+    "verify-bsvy-fdelta-far-tail": (
+        [
+            "verify-bsvy",
+            "--set", "function.name=sharp2_fdelta",
+            "--set", "function.delta=0.5",
+            "--set", "gamma=-0.6",
+            "--set", "q=0.5",
+        ],
+        "4fb631885f1eb2174f443f61c9800ba0569d8376b847a656061874da079260ea",
+        2,
+        "4ab115b806aaf411ff85a0a0ff1a3c8a1d609637bca7b9a9987f9b7b2a5fd725",
     ),
     "ap-constant": (
         [

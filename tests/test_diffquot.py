@@ -7,11 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from dyadicweights import diffquot, quadrature
+from dyadicweights import diffquot, funcspace, quadrature
 from dyadicweights.diffquot import (
-    MASK_POINTS,
     DiffQuotConfig,
-    _radial_bounds,
     diffquot_functional,
     diffquot_functionals,
     gamma_admissible,
@@ -27,6 +25,7 @@ from dyadicweights.records import RATIO_CEILING
 from dyadicweights.weights import ConstantWeight, PowerWeight
 
 import oracles
+from oracles import MASK_POINTS, REACH, radial_bounds, sampled_inner_integral
 from oracles import ball_mean, ball_mean_membership, in_level_set, point_domination_check
 from oracles import split_and_mean_sets
 
@@ -105,24 +104,24 @@ def test_inner_integral_constant_zero():
 
 def test_inner_integral_linear_positive_gamma():
     # pure linear, gamma = q = p = 1: E-radius 1/lam, integral 2/lam; the
-    # exact path to rounding, the sampled path to its bisection
+    # exact path to rounding, the sampled oracle to its bisection
     f = catalog("linear", slope=1.0)
     cfg = DiffQuotConfig(p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-1, 1))
-    for membership, rel in ((None, 1e-14), (_level_set(f, cfg.s), 1e-5)):
+    for integral, rel in ((inner_integral, 1e-14), (sampled_inner_integral, 1e-5)):
         for lam in (3.0, 40.0, 500.0):
-            val = inner_integral(f, 0.1, lam, cfg, membership=membership)
+            val = integral(f, 0.1, lam, cfg)
             assert val == pytest.approx(2.0 / lam, rel=rel)
 
 
 def test_inner_integral_linear_negative_gamma():
     # gamma = -2, q = 1: membership |x-y| > sqrt(lam), integral 1/lam; the
     # exact path takes the unbounded run in closed form, and so does the
-    # sampled path, as linear f has no breakpoint to sample out to
+    # sampled oracle, as linear f has no breakpoint to sample out to
     f = catalog("linear", slope=1.0)
     cfg = DiffQuotConfig(p=1, q=1, gamma=-2.0, weight=ConstantWeight(1.0), window=(-1, 1))
-    for membership, rel in ((None, 1e-14), (_level_set(f, cfg.s), 1e-5)):
+    for integral, rel in ((inner_integral, 1e-14), (sampled_inner_integral, 1e-5)):
         for lam in (0.5, 4.0, 90.0):
-            val = inner_integral(f, -0.3, lam, cfg, membership=membership)
+            val = integral(f, -0.3, lam, cfg)
             assert val == pytest.approx(1.0 / lam, rel=rel)
 
 
@@ -337,26 +336,31 @@ def _assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def _integral(membership):
+    """inner_integral, or the sampled oracle with ``membership`` counted."""
+    if membership is None:
+        return inner_integral
+    counted = CountedMembership(membership)
+    return lambda f, x, lam, cfg: sampled_inner_integral(f, x, lam, cfg, counted)
+
+
 def _assert_batch_is_single(f, cfg, lam, xs, membership=None):
     """inner_integral on an array of nodes equals, bit for bit, the same
     nodes one at a time, in either order of the array.  With one level per
     node, interleaving lam with two other levels, it equals the calls at
-    each level alone."""
-    if membership is not None:
-        membership = CountedMembership(membership)
-    vals = inner_integral(f, xs, lam, cfg, membership=membership)
-    rvals = inner_integral(f, xs[::-1].copy(), lam, cfg, membership=membership)
+    each level alone.  So does the sampled oracle with a ``membership``."""
+    integral = _integral(membership)
+    vals = integral(f, xs, lam, cfg)
+    rvals = integral(f, xs[::-1].copy(), lam, cfg)
     assert np.array_equal(rvals[::-1], vals)
     for i, x in enumerate(xs):
-        v = inner_integral(f, float(x), lam, cfg, membership=membership)
+        v = integral(f, float(x), lam, cfg)
         assert isinstance(v, float)
         assert v == vals[i]
     levels = [lam, 3.7 * lam, lam / 9.0]
-    mixed = inner_integral(
-        f, np.repeat(xs, 3), np.tile(levels, len(xs)), cfg, membership=membership
-    )
+    mixed = integral(f, np.repeat(xs, 3), np.tile(levels, len(xs)), cfg)
     for k, level in enumerate(levels):
-        alone = vals if k == 0 else inner_integral(f, xs, level, cfg, membership=membership)
+        alone = vals if k == 0 else integral(f, xs, level, cfg)
         _assert_same_bits(mixed[k::3], alone)
     return vals
 
@@ -371,7 +375,7 @@ def test_inner_integral_batch_tent_kinks_and_empty_rows():
     vals = _assert_batch_is_single(f, cfg, 0.5, BATCH_NODES, _level_set(f, cfg.s))
     assert np.array_equal(exact == 0.0, vals == 0.0)
     # sampled rows carry 0 to 3 kink radii inside the certified shell
-    r_lo, r_hi = _radial_bounds(f, 0.5, cfg.s)
+    r_lo, r_hi = radial_bounds(f, 0.5, cfg.s)
     r = np.abs(np.subtract.outer(BATCH_NODES, f.breakpoints))
     kinks = np.sum((r > r_lo) & (r < r_hi), axis=1)
     assert set(kinks.tolist()) == {0, 1, 2, 3}
@@ -405,17 +409,17 @@ def test_inner_integral_first_membership_call_in_blocks():
     nodes = np.repeat(xs, 3)
     level_set = _level_set(f, cfg.s)
     counted = CountedMembership(level_set)
-    vals = inner_integral(f, nodes, lams, cfg, membership=counted)
+    vals = sampled_inner_integral(f, nodes, lams, cfg, counted)
     width = 193 + len(f.breakpoints)
     blocks = -(-len(nodes) // (MASK_POINTS // (2 * width)))
     assert blocks > 1
     assert counted.calls == blocks + 40
     for k, lam in enumerate((0.3, 1.0, 4.0)):
-        alone = inner_integral(f, xs, lam, cfg, membership=level_set)
+        alone = sampled_inner_integral(f, xs, lam, cfg, level_set)
         _assert_same_bits(vals[k::3], alone)
 
 
-def test_sampled_far_tail_closed_form_on_the_plateau():
+def test_far_tail_closed_form_on_the_plateau():
     # smoothed_indicator, q = 0.5, gamma = -0.6 (s = -1.2), lam = 1: at
     # x = 0.3 on the plateau the members are the radii past 1 on both end
     # pieces, |0 - 1| > r^-0.2, so the integral is 2 / |gamma| = 10/3
@@ -425,7 +429,7 @@ def test_sampled_far_tail_closed_form_on_the_plateau():
         exploratory=True,
     )
     val = inner_integral(f, 0.3, 1.0, cfg)
-    assert _radial_bounds(f, 1.0, cfg.s)[1] == math.inf
+    assert radial_bounds(f, 1.0, cfg.s)[1] == math.inf
     assert val == pytest.approx(10.0 / 3.0, rel=1e-15)
     # on the rising edge; a sum over 20M log-spaced radii gives 0.0037495441
     val = inner_integral(f, -0.2, 1.0, cfg)
@@ -449,7 +453,7 @@ def test_unbounded_shell_matches_the_exact_path():
             )
             exact = inner_integral(f, xs, lam, cfg)
             sampled = _assert_batch_is_single(f, cfg, lam, xs, _level_set(f, cfg.s))
-            assert _radial_bounds(f, lam, cfg.s)[1] == math.inf
+            assert radial_bounds(f, lam, cfg.s)[1] == math.inf
             assert np.all(np.abs(sampled - exact) <= rel * exact)
             assert np.any(exact > 0)
 
@@ -457,8 +461,6 @@ def test_unbounded_shell_matches_the_exact_path():
 def test_sampler_never_sees_a_radius_past_reach():
     # with no certified outer radius the membership is asked only up to
     # REACH times the node's larger distance to the outermost breakpoints
-    from dyadicweights.diffquot import REACH
-
     xs = np.array([-3.0, -0.4, 0.3, 0.9, 2.5, 40.0])
     for f in (catalog("tent"), catalog("smoothed_indicator")):
         reach = REACH * np.max(np.abs(np.subtract.outer(xs, f.breakpoints)), axis=1)
@@ -475,7 +477,7 @@ def test_sampler_never_sees_a_radius_past_reach():
                     seen.append((np.broadcast_to(xn, d.shape).ravel(), d.ravel()))
                     return membership(xn, fx, ys, lam)
 
-                inner_integral(f, xs, 1.0, cfg, membership=watched)
+                sampled_inner_integral(f, xs, 1.0, cfg, watched)
                 nodes = np.concatenate([n for n, _ in seen])
                 radii = np.concatenate([r for _, r in seen])
                 limit = reach[np.searchsorted(xs, nodes)]
@@ -483,9 +485,11 @@ def test_sampler_never_sees_a_radius_past_reach():
                 assert np.all(radii <= limit * (1 + 1e-12))
 
 
-def test_non_linear_end_piece_raises():
-    # x^2 past 0: with no certified outer radius the far runs need a linear
-    # end piece
+def test_non_linear_end_piece_in_closed_form():
+    # x^2 past 0, gamma = -2, q = 1 (t = -1), lam = 1, at x = 0.5: toward
+    # +inf the members are r + r^2 > 1/r, r past the root r0 of
+    # r^3 + r^2 - 1; toward -inf, |r^2 - r| < 1/8 < 1/r up to r = 1/2 and
+    # 1/4 > 1/r past 4.  The unbounded square is bracketed like any piece
     from dyadicweights.funcspace import Piece, TestFunction
 
     f = TestFunction(
@@ -496,8 +500,8 @@ def test_non_linear_end_piece_raises():
         p=1, q=1, gamma=-2.0, weight=ConstantWeight(1.0), window=(-2, 2),
         exploratory=True,
     )
-    with pytest.raises(ValueError, match="not linear"):
-        inner_integral(f, 0.5, 1.0, cfg)
+    r0 = max(r.real for r in np.roots([1.0, 1.0, 0.0, -1.0]) if abs(r.imag) < 1e-12)
+    assert inner_integral(f, 0.5, 1.0, cfg) == pytest.approx(r0**-2 / 2 + 4.0**-2 / 2, rel=1e-14)
 
 
 def test_unbounded_shell_at_nonnegative_gamma_raises():
@@ -509,7 +513,7 @@ def test_unbounded_shell_at_nonnegative_gamma_raises():
         exploratory=True,
     )
     with pytest.raises(ValueError, match="divergent"):
-        inner_integral(f, 0.5, 1.0, cfg, membership=_level_set(f, 0.0))
+        sampled_inner_integral(f, 0.5, 1.0, cfg, _level_set(f, 0.0))
 
 
 def test_sampled_shell_starts_at_its_certified_radius():
@@ -523,14 +527,14 @@ def test_sampled_shell_starts_at_its_certified_radius():
             exploratory=True,
         )
         exact = inner_integral(f, x, lam, cfg)
-        sampled = inner_integral(f, x, lam, cfg, membership=_level_set(f, cfg.s))
-        r_lo, r_hi = _radial_bounds(f, lam, cfg.s)
+        sampled = sampled_inner_integral(f, x, lam, cfg, _level_set(f, cfg.s))
+        r_lo, r_hi = radial_bounds(f, lam, cfg.s)
         assert r_lo < 1e-12 * r_hi < math.inf
         assert abs(sampled - exact) <= 2e-6 * exact
 
 
 # ---------------------------------------------------------------------------
-# the exact path: default membership on f whose pieces are all linear
+# the exact runs: f whose pieces are all linear
 # ---------------------------------------------------------------------------
 
 LINEAR_FUNCTIONS = (
@@ -547,37 +551,43 @@ def _cfg(q, gamma):
     return DiffQuotConfig(p=2, q=q, gamma=gamma, weight=ConstantWeight(1.0), window=(-2, 2))
 
 
-def _runs(f, x, lam, s):
-    """The exact path's member runs at x, as sorted (direction, r1, r2)
-    triples, runs that meet at a piece end or an extremum joined."""
-    xs = np.array([float(x)])
-    _, direction, r1, r2 = diffquot._linear_runs(
-        f._lines[:, None], np.array([math.isfinite(f.lipschitz)]), np.zeros(1, dtype=np.intp),
-        xs, f.value(xs), np.zeros(1), np.zeros(1, dtype=np.intp), np.array([lam]), s, s,
+def _rows_runs(f, xs, lams, s):
+    """The member runs at each node xs[i] at its level lams[i], from one
+    `_ray_runs` call, as a list of sorted (direction, r1, r2) triples per
+    node, runs that meet at a piece end, an extremum or a cut joined."""
+    xs, lams = np.asarray(xs, dtype=float), np.asarray(lams, dtype=float)
+    at = np.arange(xs.size)
+    row, direction, r1, r2 = diffquot._ray_runs(
+        [f], np.zeros(xs.size, dtype=np.intp), xs, f.value(xs), at, lams, s, s
     )
-    runs = []
-    for d, a, b in sorted(zip(direction.tolist(), r1.tolist(), r2.tolist())):
+    rows = [[] for _ in at]
+    for i, d, a, b in sorted(zip(row.tolist(), direction.tolist(), r1.tolist(), r2.tolist())):
+        runs = rows[i]
         if runs and runs[-1][0] == d and runs[-1][2] == a:
             a = runs.pop()[1]
         runs.append((d, a, b))
-    return runs
+    return rows
 
 
-def _refuse_sampling(monkeypatch):
-    """Make a call of the sampled path, or of its kernel, fail the test."""
+def _runs(f, x, lam, s):
+    """The member runs at x alone, as `_rows_runs` gives them."""
+    return _rows_runs(f, [x], [lam], s)[0]
+
+
+def _refuse_brackets(monkeypatch):
+    """Make a call of the bracket step of non-linear pieces fail the test."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the exact path fell back to sampling")
+        raise AssertionError("a linear f took the bracket step")
 
-    monkeypatch.setattr(diffquot, "_sampled_shells", refuse)
-    monkeypatch.setattr(diffquot, "_signed_member_mass", refuse)
+    monkeypatch.setattr(diffquot, "_curve_runs", refuse)
 
 
-def test_exact_path_never_samples(monkeypatch):
-    # default membership on f whose pieces are all linear takes no sampled
-    # shell: the sampled kernel is never called, by inner_integral or by the
+def test_linear_f_never_takes_the_bracket_step(monkeypatch):
+    # f whose pieces are all linear take `_member_runs` alone: the bracket
+    # step of the other pieces is never called, by inner_integral or by the
     # functional around it
-    _refuse_sampling(monkeypatch)
+    _refuse_brackets(monkeypatch)
     rng = np.random.default_rng(4)
     xs = rng.uniform(-3, 4, 30)
     for f in LINEAR_FUNCTIONS + (catalog("constant", c=1.0), catalog("indicator")):
@@ -589,7 +599,7 @@ def test_exact_path_never_samples(monkeypatch):
         lambda_lo=1e0, lambda_hi=1e4, lambda_count=5,
     )
     assert diffquot_functional(cfg, catalog("tent")).sup > 0
-    with pytest.raises(AssertionError, match="fell back"):
+    with pytest.raises(AssertionError, match="bracket step"):
         inner_integral(catalog("sharp1_bump"), xs, 1.0, _cfg(1.0, 1.0))
 
 
@@ -597,16 +607,15 @@ def test_exact_path_never_samples(monkeypatch):
     "q, gamma, names",
     [
         (1.0, 1.0, ("tent", "linear_ramp", "smoothed_indicator", "sharp2_fdelta")),
-        # s = -1.2: the plateau's shells have no certified outer radius, so
-        # its far tails join the exact rows in one _linear_runs call
+        # s = -1.2: the plateau's runs reach to infinity on its end pieces
         (0.5, -0.6, ("tent", "linear_ramp", "smoothed_indicator")),
     ],
 )
 def test_inner_integral_pair_rows_are_each_f_alone_bit_for_bit(q, gamma, names):
     # one call on the nodes of several functions, one level per node, in
-    # either order of the nodes: each row is its f's call alone, on the
-    # exact path (tent, ramp) or the sampled one (plateau, power piece), and
-    # so with a membership given, which sends every f to the sampled path
+    # either order of the nodes: each row is its f's call alone, whether its
+    # pieces are linear (tent, ramp) or not (plateau, power piece), and so
+    # is each row of the sampled oracle with a membership given
     params = {
         "linear_ramp": {"slope": 0.3, "cutoff": 0.7, "center": 0.1},
         "sharp2_fdelta": {"delta": 0.5},
@@ -617,13 +626,14 @@ def test_inner_integral_pair_rows_are_each_f_alone_bit_for_bit(q, gamma, names):
     xs = np.concatenate([BATCH_NODES, rng.uniform(-3, 4, 40)])
     lams = 10 ** rng.uniform(-1, 1, len(xs))
     of = rng.permutation(np.arange(len(xs)) % len(fs))
-    for membership in (None, CountedMembership(_level_set(fs[0], cfg.s))):
-        vals = inner_integral((fs, of), xs, lams, cfg, membership=membership)
-        back = inner_integral((fs, of[::-1]), xs[::-1], lams[::-1], cfg, membership=membership)
+    for membership in (None, _level_set(fs[0], cfg.s)):
+        integral = _integral(membership)
+        vals = integral((fs, of), xs, lams, cfg)
+        back = integral((fs, of[::-1]), xs[::-1], lams[::-1], cfg)
         _assert_same_bits(back[::-1], vals)
         for k, f in enumerate(fs):
             at = of == k
-            alone = inner_integral(f, xs[at], lams[at], cfg, membership=membership)
+            alone = integral(f, xs[at], lams[at], cfg)
             _assert_same_bits(vals[at], alone)
         assert np.all(vals >= 0) and np.any(vals > 0)
 
@@ -633,10 +643,9 @@ def test_inner_integral_repeated_nodes_are_each_alone_bit_for_bit(q, gamma):
     # each (f, x) at several levels in one call, as the lambda problems of
     # the functional share their nodes, so the span work of a node is done
     # once for all its levels: every (node, level) is its call alone.  The
-    # tent and the discontinuous indicator take the exact path; the plateau
-    # is sampled, and at s = -1.2 its far tails join the exact rows, at an
-    # r_min that moves with the level.  Nodes on kinks, on the jumps and at
-    # both signs of 0 included
+    # tent and the discontinuous indicator have linear pieces alone, the
+    # plateau cubic ones too.  Nodes on kinks, on the jumps and at both
+    # signs of 0 included
     fs = [catalog("tent"), catalog("indicator"), catalog("smoothed_indicator")]
     cfg = _cfg(q, gamma)
     rng = np.random.default_rng(36)
@@ -656,13 +665,19 @@ def test_inner_integral_repeated_nodes_are_each_alone_bit_for_bit(q, gamma):
 # piece that ends at a kink, the ramp's pieces rounding apart at its kink;
 # indicator: discontinuous; flat pieces (b = 0) on every tail, the plateau
 # and the constant; linear: one unbounded sloped piece, whose runs reach
-# infinity at s < 0
+# infinity at s < 0; a sloped piece stored about 2 between jumps, held on
+# both sides of x inside it
 ORACLE_FUNCTIONS = (
     catalog("tent"),
     catalog("indicator"),
     catalog("linear", slope=1.0),
     catalog("linear_ramp", slope=0.3, cutoff=0.7, center=0.1),
     catalog("constant", c=3.0),
+    funcspace.TestFunction([
+        funcspace.Piece(-math.inf, 2.0, "poly", (0.0,)),
+        funcspace.Piece(2.0, 3.0, "poly", (0.1, 0.3)),
+        funcspace.Piece(3.0, math.inf, "poly", (5.0,)),
+    ]),
 )
 
 
@@ -682,7 +697,7 @@ def _every_node_at_every_level(fs, seed):
 
 @pytest.mark.parametrize("q, gamma", EXPONENTS)
 def test_linear_runs_are_the_live_runs_of_every_run(q, gamma):
-    # `_linear_runs` forms each distinct (f, x) once and returns only runs
+    # `_ray_runs` forms each distinct (f, x) once and returns only runs
     # with r2 > r1: they are, bit for bit and in (row, part, side) order,
     # the runs of the oracle, which forms every row on its own and gives
     # every part both sides, less its empty ones
@@ -696,10 +711,7 @@ def test_linear_runs_are_the_live_runs_of_every_run(q, gamma):
     point, first = diffquot._distinct(xs.view(np.int64), of)
     assert first.size < xs.size
     s = gamma / q
-    r_min = np.zeros(first.size)
-    runs = diffquot._linear_runs(
-        table, continuous, of[first], xs[first], fx[first], r_min, point, lams, s, gamma
-    )
+    runs = diffquot._ray_runs(fs, of[first], xs[first], fx[first], point, lams, s, gamma)
     row, _, r1, r2 = runs
     assert np.all(r2 > r1)
     every = oracles.all_runs(table, continuous, of, xs, fx, lams, s, gamma, np.zeros(xs.size))
@@ -710,21 +722,12 @@ def test_linear_runs_are_the_live_runs_of_every_run(q, gamma):
         _assert_same_bits(got, want[live])
 
 
-@pytest.mark.parametrize(
-    "q, gamma, sampled",
-    [
-        *((q, gamma, ()) for q, gamma in EXPONENTS),
-        # s = -1.2: the plateau's shells have no certified outer radius, so
-        # its far tails join the exact runs past an r_min that moves with
-        # the level
-        (0.5, -0.6, ("smoothed_indicator",)),
-    ],
-)
-def test_inner_integral_adds_what_every_run_added_bit_for_bit(q, gamma, sampled):
+@pytest.mark.parametrize("q, gamma", EXPONENTS)
+def test_inner_integral_adds_what_every_run_added_bit_for_bit(q, gamma):
     # each empty run used to add a literal +0.0, which changes no partial
     # sum of bincount (it starts at +0.0 and is never -0.0): dropping them,
     # and forming each distinct (f, x) once, leaves every node's bits
-    fs = list(ORACLE_FUNCTIONS) + [catalog(name) for name in sampled]
+    fs = list(ORACLE_FUNCTIONS)
     of, xs, lams = _every_node_at_every_level(fs, 38)
     cfg = _cfg(q, gamma)
     vals = inner_integral((fs, of), xs, lams, cfg)
@@ -739,8 +742,8 @@ def test_exact_path_batch_is_single_and_one_level_per_node():
 
 
 def test_exact_path_matches_sampled_path():
-    # the sampled path (the default membership written out, so that it
-    # samples) agrees to its bisection on s < 1.  At s = 1 it is
+    # the sampled oracle (the default membership written out) agrees to its
+    # bisection on s < 1.  At s = 1 it is
     # checked too, except on the tent, whose non-member islands near the
     # kinks it can step over (test_sampled_path_steps_over_an_island_...);
     # there the scalar level set checks the runs (test_exact_runs_match_...)
@@ -753,7 +756,7 @@ def test_exact_path_matches_sampled_path():
                 continue
             cfg = _cfg(q, gamma)
             exact = inner_integral(f, xs, lams, cfg)
-            sampled = inner_integral(f, xs, lams, cfg, membership=_level_set(f, cfg.s))
+            sampled = sampled_inner_integral(f, xs, lams, cfg, _level_set(f, cfg.s))
             assert np.all(np.abs(exact - sampled) <= 1e-9 * exact)
             assert np.array_equal(exact == 0.0, sampled == 0.0)
 
@@ -769,16 +772,31 @@ def test_exact_path_on_a_kink_where_the_pieces_round_apart():
     assert lines[3, 1] + lines[2, 1] * x != float(f.value(x))
     cfg = _cfg(2.0, -1.0)
     exact = inner_integral(f, x, 0.05, cfg)
-    sampled = inner_integral(f, x, 0.05, cfg, membership=_level_set(f, cfg.s))
+    sampled = sampled_inner_integral(f, x, 0.05, cfg, _level_set(f, cfg.s))
     assert 0 < exact < math.inf
     assert abs(exact - sampled) <= 1e-9 * exact
+
+
+def test_discontinuous_f_has_no_jump_on_the_piece_that_holds_x():
+    # a sloped piece stored about 2 on an f with jumps (no Lipschitz hint):
+    # at x inside it, intercept + slope x rounds up to 7e-17 off f(x), which
+    # toward -inf was taken as a jump at r = 0, of infinite mass at
+    # -1 < s < 0
+    f = ORACLE_FUNCTIONS[-1]
+    cfg = _cfg(1.0, -0.6)
+    xs = np.linspace(2.05, 2.95, 19)
+    assert np.any(f._lines[3, 1] + f._lines[2, 1] * xs != f.value(xs))
+    vals = inner_integral(f, xs, 1.0, cfg)
+    assert np.all(np.isfinite(vals) & (vals > 0))
+    for x in xs[:4].tolist():
+        _assert_runs_match_level_set(f, x, 1.0, cfg.s, np.geomspace(1e-6, 1e2, 80))
 
 
 def test_sampled_path_steps_over_an_island_the_exact_path_keeps():
     # tent at x just right of the kink at 1, s = 1: to the left, f(y) - f(x)
     # vanishes at r = 2(x - 1), where a narrow non-member island opens.  The
     # scalar level set sees it, the exact path leaves it out, and the sampled
-    # path, whose radii straddle it, counts it as member
+    # oracle, whose radii straddle it, counts it as member
     f = catalog("tent")
     x, lam = 1.000708815108327, 19.154542606414445
     cfg = _cfg(1.0, 1.0)
@@ -788,24 +806,32 @@ def test_sampled_path_steps_over_an_island_the_exact_path_keeps():
     assert gap_lo < 2 * (x - 1) < gap_hi
     assert not in_level_set(f, x, x - 0.5 * (gap_lo + gap_hi), lam, 1.0)
     exact = inner_integral(f, x, lam, cfg)
-    sampled = inner_integral(f, x, lam, cfg, membership=_level_set(f, 1.0))
+    sampled = sampled_inner_integral(f, x, lam, cfg, _level_set(f, 1.0))
     assert sampled - exact == pytest.approx(gap_hi - gap_lo, rel=1e-6)
 
 
-def _assert_runs_match_level_set(f, x, lam, s, radii):
-    """The runs agree with the scalar in_level_set at every radius of a
-    dense grid and at the midpoint of every run and every gap between runs,
-    but within 1e-9 of a run end (relative), in both directions."""
-    runs = _runs(f, x, lam, s)
+def _assert_runs_match_level_set(f, x, lam, s, radii, runs=None):
+    """The runs agree with the scalar in_level_set, |f(x) - f(y)| >
+    lam |x-y|^(1+s) taken on arrays, at every radius of a dense grid and at
+    the midpoint of every run and every gap between runs, but within 1e-9
+    of a finite run end (relative) or where x +- r is not 1e-9 near r off x,
+    in both directions.  ``runs`` are those of ``_runs``, formed if None."""
+    runs = _runs(f, x, lam, s) if runs is None else runs
+    fx = f.value(np.array([x]))
     for direction in (1.0, -1.0):
-        ends = sorted((a, b) for d, a, b in runs if d == direction)
-        edges = [e for run in ends for e in run]
-        mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:]) if 0 < a < b < math.inf]
-        for r in np.concatenate([radii, mids]):
-            if any(abs(r - e) <= 1e-9 * e for e in edges):
-                continue
-            member = any(a < r < b for a, b in ends)
-            assert in_level_set(f, x, x + direction * r, lam, s) == member, (x, lam, s, r)
+        ends = np.array([(a, b) for d, a, b in runs if d == direction]).reshape(-1, 2)
+        edges = ends.ravel()
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        mids = mids[(0 < edges[:-1]) & (edges[:-1] < edges[1:]) & (edges[1:] < math.inf)]
+        r = np.concatenate([radii, mids])
+        finite = edges[edges < math.inf]
+        r = r[~np.any(np.abs(r[:, None] - finite) <= 1e-9 * finite, axis=1)]
+        y = x + direction * r
+        on = np.abs(np.abs(y - x) - r) <= 1e-9 * r
+        r, y = r[on], y[on]
+        member = np.any((ends[:, 0] < r[:, None]) & (r[:, None] < ends[:, 1]), axis=1)
+        level = np.abs(fx - f.value(y)) > lam * np.abs(x - y) ** (1.0 + s)
+        assert np.array_equal(level, member), (x, lam, s, direction, r[level != member][:3])
 
 
 def test_exact_runs_match_scalar_level_set_on_dense_radii():
@@ -819,10 +845,93 @@ def test_exact_runs_match_scalar_level_set_on_dense_radii():
                 _assert_runs_match_level_set(f, x, lam, s, radii)
 
 
+NONLINEAR_FUNCTIONS = (
+    catalog("smoothed_indicator"),
+    catalog("sharp1_bump"),
+    catalog("sharp2_fdelta", delta=0.3),
+    catalog("sharp2_fdelta", delta=0.5),
+    catalog("sharp2_fdelta", delta=0.8),
+    catalog("sharp3_fbeta", beta=0.2, p=2.0),
+)
+
+
+def test_curve_runs_match_scalar_level_set_on_dense_radii():
+    # cubic and power pieces, s > 0, -1 < s < 0 and s < -1: nodes on every
+    # breakpoint and critical point, one float to either side of it and
+    # 1e-9 off it, 1e-4 off it, where f' is near 0 on a cubic edge, and
+    # random ones, each at two random levels
+    rng = np.random.default_rng(44)
+    radii = np.geomspace(1e-6, 1e4, 160)
+    for f in NONLINEAR_FUNCTIONS:
+        special = np.concatenate([f.breakpoints, f._critical[1]])
+        nodes = np.concatenate([
+            special, np.nextafter(special, -math.inf), np.nextafter(special, math.inf),
+            special - 1e-9, special + 1e-9, special - 1e-4, special + 1e-4,
+            rng.uniform(-2, 3, 6),
+        ])
+        xs = np.repeat(nodes, 2)
+        for s in (-1.2, -0.6, 0.5, 1.0, 2.0):
+            lams = 10 ** rng.uniform(-2, 2, xs.size)
+            for x, lam, runs in zip(xs.tolist(), lams, _rows_runs(f, xs, lams, s)):
+                _assert_runs_match_level_set(f, x, lam, s, radii, runs)
+
+
+def test_curve_runs_keep_a_run_narrower_than_the_sample_radii():
+    # smoothed_indicator, p = q = gamma = 1: toward +inf the member run
+    # (0.98628.., 1.00352..) falls between two radii of the sampled oracle,
+    # which reads 0.73382.  Each bracket bisected to rounding gives
+    # 0.7510575160963, which an 8e6-point midpoint rule confirms to its
+    # resolution
+    f = catalog("smoothed_indicator")
+    x, lam = 0.2325707004093605, 0.9841174233541902
+    (run,) = [(a, b) for d, a, b in _runs(f, x, lam, 1.0) if d == 1.0 and a > 0.9]
+    assert run == pytest.approx((0.98628, 1.00352), abs=1e-5)
+    _assert_runs_match_level_set(f, x, lam, 1.0, np.linspace(0.98, 1.01, 301))
+    cfg = DiffQuotConfig(p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-1, 1))
+    assert inner_integral(f, x, lam, cfg) == pytest.approx(0.7510575160963, rel=1e-9)
+    assert sampled_inner_integral(f, x, lam, cfg) == pytest.approx(0.73382, rel=1e-5)
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.5, 0.8])
+def test_power_piece_in_closed_form(delta):
+    # sharp2_fdelta at x = 0, where f(x) = 0: toward -inf no member; toward
+    # +inf r^delta / delta > lam r^t on (0, 1) and 1 / delta > lam r^t on
+    # [1, inf), each r^a against a constant, so the integral is a sum of
+    # r^gamma / gamma terms, at gamma > 0 and gamma < 0.  The sampled path
+    # was 1.7e-14 to 1.3e-13 off at the first and second
+    f = catalog("sharp2_fdelta", delta=delta)
+    cases = ((1.0, 1.0, 4.0), (1.0, 2.0, 10.0), (1.0, 1.0, 0.8), (0.5, -0.6, 1.0), (0.5, -0.6, 9.0))
+    for q, gamma, lam in cases:
+        cfg = DiffQuotConfig(p=1, q=q, gamma=gamma, weight=ConstantWeight(1.0), window=(-1, 1))
+        t, c = 1.0 + cfg.s, lam * delta
+        # r^(delta - t) > c on (0, 1), r^t < 1 / c on [1, inf)
+        near, far = min(c ** (1.0 / (delta - t)), 1.0), max(c ** (-1.0 / t), 1.0)
+        runs = [(0.0, near) if delta < t else (near, 1.0), (1.0, far) if t > 0 else (far, math.inf)]
+        want = sum((b**gamma - a**gamma) / gamma for a, b in runs)
+        assert want > 0
+        assert inner_integral(f, 0.0, lam, cfg) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_power_piece_at_negative_s_is_finite_where_its_pieces_meet():
+    # -1 < s < 0, 1 + s < delta: a jump at x would be a member run from
+    # r = 0, of infinite mass for gamma < 0.  sharp2_fdelta's Lipschitz hint
+    # is inf, so it is not taken as continuous, yet at its kinks 0 and 1
+    # its pieces meet exactly, and no run starts at 0
+    for delta, q, gamma in ((0.3, 1.0, -0.75), (0.5, 1.0, -0.6), (0.8, 2.0, -1.2)):
+        f = catalog("sharp2_fdelta", delta=delta)
+        cfg = _cfg(q, gamma)
+        assert -1 < cfg.s < 0 and 1 + cfg.s < delta
+        for lam in (0.1, 1.0, 10.0):
+            vals = inner_integral(f, np.array([0.0, 1.0]), lam, cfg)
+            assert np.all(np.isfinite(vals)) and (lam > 0.1 or np.all(vals > 0))
+            for x in (0.0, 1.0):
+                assert all(a > 0 for _, a, _ in _runs(f, x, lam, cfg.s))
+
+
 def test_exact_path_closed_forms_and_unbounded_runs(monkeypatch):
     # linear f, slope 1: members r < lam^(-1/s) for s > 0, r > lam^(-1/s)
     # for s < 0 (a run to infinity; r > lam at s = -1), on the exact path
-    _refuse_sampling(monkeypatch)
+    _refuse_brackets(monkeypatch)
     f = catalog("linear", slope=1.0)
     for q, gamma in EXPONENTS:
         s = gamma / q
@@ -885,7 +994,7 @@ def test_member_runs_roots_on_every_side():
     ok = hi > lo
     a, b, lam, lo, hi = a[ok], b[ok], lam[ok], lo[ok], hi[ok]
     for t in (3.0, 2.0, 1.2, 1.0, 0.7, 0.3, 0.0, -0.2, -1.0, -3.0):
-        # the sides `_linear_runs` gives each part, as (2, parts) arrays with
+        # the sides `_ray_runs` gives each part, as (2, parts) arrays with
         # the empty run (lo, lo) where a part has one side
         two = (a != 0) & (b * t > 0) & (t not in (0.0, 1.0))
         part = np.repeat(np.arange(len(a)), two + 1)
@@ -945,7 +1054,8 @@ def _profile_by_inner_integral(cfg, f):
 def test_functionals_of_several_functions_are_each_alone_bit_for_bit():
     # tent and the classifier's step probes at depths 6 and 48 take the
     # stacked exact kernel, their four and three pieces padded with empty
-    # ones to the plateau's five; smoothed_indicator takes the sampled path
+    # ones to the plateau's five; smoothed_indicator's cubic pieces take the
+    # bracket step
     fs = [
         catalog("tent"),
         catalog("linear_ramp", slope=0.5 / 2.0**-6, cutoff=2.0**-6),

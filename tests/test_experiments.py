@@ -233,13 +233,13 @@ def test_classifier_takes_one_omega_call_and_one_quotient_quadrature(monkeypatch
     # omega_intervals call, the cubes from one integer build and no
     # per-cube axis_index or axis_interval call; every depth's quotient
     # probe shares one adaptive_quads call, and each of its integrand
-    # calls makes one inner_integral call, and in it one _linear_runs call,
+    # calls makes one inner_integral call, and in it one _ray_runs call,
     # on the nodes of all of them (a quadrature per depth makes 37); with
     # panels evaluated ahead of need the sequential loop's 10 calls (8 off
     # centre) are 6, on 4,998 (4,368) nodes, 21 a panel
     calls = {"omega": 0, "axis": 0, "quads": 0, "steps": 0, "inner": 0, "runs": 0}
     quads, omega = diffquot.adaptive_quads, experiments.omega_intervals
-    inner, runs = diffquot.inner_integral, diffquot._linear_runs
+    inner, runs = diffquot.inner_integral, diffquot._ray_runs
     nodes = []
 
     def counted_quads(f, problems):
@@ -261,7 +261,7 @@ def test_classifier_takes_one_omega_call_and_one_quotient_quadrature(monkeypatch
 
     monkeypatch.setattr(diffquot, "adaptive_quads", counted_quads)
     monkeypatch.setattr(diffquot, "inner_integral", counted("inner", inner))
-    monkeypatch.setattr(diffquot, "_linear_runs", counted("runs", runs))
+    monkeypatch.setattr(diffquot, "_ray_runs", counted("runs", runs))
     monkeypatch.setattr(experiments, "omega_intervals", counted("omega", omega))
     axis = ((grid, "axis_index"), (grid, "axis_interval"), (experiments, "axis_interval"))
     for module, name in axis:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).parents[1] / "src" / "dyadicweights"
 CONFIG_CLASSES = {"OscillationConfig", "DiffQuotConfig", "Quadrature", "GridWindow"}
-SETTABLE_CEILING = 45
+SETTABLE_CEILING = 44
 
 
 def settable_values(source: str) -> int:
