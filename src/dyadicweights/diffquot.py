@@ -15,7 +15,10 @@ once for all the levels it is asked at.  The outer quadratures of every
 (f, lam) problem of a call run in lock step, so a refinement step is one
 `inner_integral` call on the pair (fs, of) of all their nodes, and the
 quadrature evaluates panels ahead of need, so one step also serves the
-steps after it.
+steps after it.  Each outer integral is broken at the kinks of its own
+integrand x -> inner(x, lam), where a run end meets a breakpoint of f and
+where a run appears or vanishes between two linear pieces, so that its
+panels are smooth and a call usually takes one step.
 """
 
 from __future__ import annotations
@@ -248,7 +251,7 @@ def _rows_of(owner: np.ndarray, point: np.ndarray, n: int):
 
 def _ray_runs(
     fs, of: np.ndarray, xs: np.ndarray, fx: np.ndarray, point: np.ndarray, lams: np.ndarray,
-    s: float, gamma: float,
+    s: float, gamma: float, left: np.ndarray | None,
 ):
     """The member runs of every row, exactly: (row, direction, r1, r2)
     arrays, one entry per run y = x + direction * r, r in (r1, r2), with
@@ -256,11 +259,12 @@ def _ray_runs(
     then those of its other pieces in (span, bracket) order, so in the same
     order per row however many rows, and whichever functions, there are.
 
-    Point j is xs[j] of the function fs[of[j]], fx[j] = f(xs[j]); row i is
-    point point[i] at the level lams[i].  The pieces of the functions stand
-    in one stacked piece table `funcspace._stacked_lines` of shape (4,
-    functions, pieces); a function is continuous where its Lipschitz hint
-    is finite.
+    Point j is xs[j] of the function fs[of[j]], fx[j] = f(xs[j]), or where
+    left[j] holds, xs[j] a breakpoint, the limit of f from the left there;
+    row i is point point[i] at the level lams[i].  The pieces of the
+    functions stand in one stacked piece table `funcspace._stacked_lines` of
+    shape (4, functions, pieces); a function is continuous where its
+    Lipschitz hint is finite.
 
     On the ray each piece of f spans a radius interval, on which
     f(y) - f(x) = alpha + beta r on a linear piece, with alpha exactly 0 on
@@ -300,10 +304,13 @@ def _ray_runs(
     lo -= x
     hi -= x
     # f(y) - f(x) is exactly 0 at r = 0 on the piece that holds x (lo <= 0,
-    # and < 0 toward -inf) and, for continuous f, on the piece that ends at x
+    # and < 0 toward -inf) and, for continuous f, on the piece that ends at
+    # x; at a left limit, on the piece that ends at x alone
     held = np.ones((continuous.size, 2, pieces), dtype=bool)
     held[:, 1] = continuous[:, None]
     held = np.take(held, of, axis=0)
+    if left is not None:
+        held[left, 0], held[left, 1] = False, True
     held |= lo < 0.0
     np.maximum(lo, 0.0, out=lo)
     held &= lo == 0.0
@@ -583,9 +590,97 @@ def inner_integral(f, x, lam, cfg: DiffQuotConfig):
     for k in np.flatnonzero(np.bincount(pof, minlength=len(fs))).tolist():
         at = pof == k
         pfx[at] = fs[k].value(px[at])
-    row, _, r1, r2 = _ray_runs(fs, pof, px, pfx, point, lams, cfg.s, cfg.gamma)
+    row, _, r1, r2 = _ray_runs(fs, pof, px, pfx, point, lams, cfg.s, cfg.gamma, None)
     vals = _run_mass(row, r1, r2, cfg.gamma, xs.size)
     return float(vals[0]) if np.ndim(x) == 0 else vals
+
+
+def _outer_breakpoints(cfg: DiffQuotConfig, fs, lambdas: np.ndarray) -> list[list[float]]:
+    """The breakpoints of the outer integral of every (f, lam) problem, in
+    (f, lam) order: those of f and of the weight, then the points of the
+    window where x -> inner(x, lam) has a kink of its own, t = 1 + s.
+
+    - Where a run end of x meets a breakpoint b of f.  (x, b) is then on the
+      edge of E, so x is a run end of b's own level set
+      {x : |f(x) - v| > lam |x - b|^t}, v a one-sided value of f at b (both
+      at a jump): the finite nonzero run ends of one `_ray_runs` call on the
+      points (b, v) of every f, a row per level, once the runs that abut
+      (where a part, a side or a bracket ends) are merged.
+    - Where a run appears or vanishes inside a linear span: the double root
+      of |alpha + beta r| = lam r^t.  For x on a linear piece i and
+      y = x + d r on a linear piece k of other slope,
+      alpha = (s_k - s_i) x + c_k - c_i and beta = d s_k; the tangency is at
+      r* = (|beta| / (lam |t|))^(1/(t - 1)), where
+      alpha = sg lam r*^t - beta r*, sg the sign of beta t, so x is closed
+      form.  It counts where x lies in piece i and y in piece k; at t = 0
+      or 1 membership is linear in r and has none.
+
+    A point within a few ulps of a breakpoint, of an end of the window or
+    of the point before it is dropped, as it would only make a sliver
+    panel.  Each problem's points depend on its f and lam alone."""
+    if not fs:
+        return []
+    lo, hi = cfg.window
+    t, nl = 1.0 + cfg.s, lambdas.size
+    # the points (b, v): f(b) at each breakpoint, and where f jumps there
+    # its limit from the left too
+    points = []
+    for k, f in enumerate(fs):
+        b = f._edges
+        v = f.value(b)
+        points.append((np.full(b.size, k), b, v, np.zeros(b.size, dtype=bool)))
+        if not math.isfinite(f.lipschitz):
+            vl = np.array([p.eval(e) for p, e in zip(f.pieces, b.tolist())])
+            jump = vl != v
+            points.append((np.full(jump.sum(), k), b[jump], vl[jump], np.ones(jump.sum(), dtype=bool)))
+    of, xs, fx, left = (np.concatenate(v) for v in zip(*points))
+    found = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]
+    if xs.size:
+        point = np.repeat(np.arange(xs.size), nl)
+        row, d, r1, r2 = _ray_runs(fs, of, xs, fx, point, np.tile(lambdas, xs.size), cfg.s, cfg.gamma, left)
+        order = np.lexsort((r1, d, row))
+        row, d, r1, r2 = row[order], d[order], r1[order], r2[order]
+        abut = (row[1:] == row[:-1]) & (d[1:] == d[:-1]) & (r1[1:] == r2[:-1])
+        start, stop = np.ones((2, row.size), dtype=bool)
+        start[1:] = stop[:-1] = ~abut
+        row = np.concatenate([row[start], row[stop]])
+        d = np.concatenate([d[start], d[stop]])
+        r = np.concatenate([r1[start], r2[stop]])
+        end = (r > 0) & (r < math.inf)
+        row, d, r = row[end], d[end], r[end]
+        b = xs[point[row]]
+        found.append((of[point[row]] * nl + row % nl, b + d * r, 4.0 * np.spacing(np.abs(b) + r)))
+    if t not in (0.0, 1.0):
+        # (function, piece i, piece k, direction, level) arrays
+        x0, x1, slope, icpt = (v[:, :, None, None, None] for v in _stacked_lines(fs))
+        sk, ck, y0, y1 = (np.swapaxes(v, 1, 2) for v in (slope, icpt, x0, x1))
+        lam, d = lambdas[None, None, None, None, :], np.array([1.0, -1.0])[:, None]
+        beta = d * sk
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rstar = (np.abs(beta) / (lam * abs(t))) ** (1.0 / (t - 1.0))
+            alpha = np.sign(beta * t) * lam * rstar**t - beta * rstar
+            x = (alpha - (ck - icpt)) / (sk - slope)
+            y = x + d * rstar
+        ok = (beta != 0) & (sk != slope) & (x0 < x) & (x < x1) & (y0 < y) & (y < y1)
+        fk, _, _, _, lev = np.nonzero(ok)
+        x, rstar = x[ok], np.broadcast_to(rstar, x.shape)[ok]
+        found.append((fk * nl + lev, x, 4.0 * np.spacing(np.abs(x) + rstar)))
+    problem, x, tol = (np.concatenate(v) for v in zip(*found))
+    # each problem's points in order, those inside the window and apart from
+    # the breakpoints and from the point before them
+    order = np.lexsort((x, problem))
+    problem, x, tol = problem[order], x[order], tol[order]
+    keep = (lo < x) & (x < hi)
+    keep[1:] &= (problem[1:] != problem[:-1]) | (x[1:] - x[:-1] > tol[1:])
+    out = []
+    for k, f in enumerate(fs):
+        known = np.array(sorted({lo, hi, *f.breakpoints, *cfg.weight.breakpoints()}))
+        at = np.flatnonzero(keep & (problem // nl == k))
+        j = np.clip(np.searchsorted(known, x[at]), 1, known.size - 1)
+        at = at[(x[at] - known[j - 1] > tol[at]) & (known[j] - x[at] > tol[at])]
+        base = [*f.breakpoints, *cfg.weight.breakpoints()]
+        out += [base + x[at[problem[at] == k * nl + lev]].tolist() for lev in range(nl)]
+    return out
 
 
 def _warn_at_split_cap(what: str, f, lam: float) -> None:
@@ -610,16 +705,20 @@ def diffquot_functionals(cfg: DiffQuotConfig, fs) -> list[FunctionalProfile]:
     over every (f, lam) problem, so each refinement step is one
     `inner_integral` call on the pair (fs, of) of all of their nodes; its
     panels include those the quadrature will need next, so a step often
-    serves several.  An outer integral that stops at its split cap above
-    tolerance prints one warning line naming its f and lam."""
+    serves several.  Each problem's breakpoints are those of f, of the
+    weight and the kinks of its integrand (`_outer_breakpoints`, one
+    `_ray_runs` call for all of them), so on all-linear f the panels are
+    smooth and one step is usually all there is.  An outer integral that
+    stops at its split cap above tolerance prints one warning line naming
+    its f and lam."""
     lambdas = np.logspace(math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count)
 
     def outer(xs: np.ndarray, owner: np.ndarray) -> np.ndarray:
         inner = inner_integral((fs, owner // len(lambdas)), xs, lambdas[owner % len(lambdas)], cfg)
         return inner ** (cfg.p / cfg.q) * cfg.weight.value(xs)
 
-    bps = [list(f.breakpoints) + list(cfg.weight.breakpoints()) for f in fs]
-    outers = adaptive_quads(outer, [(*cfg.window, 1e-3, b, 400) for b in bps for _ in lambdas])
+    bps = _outer_breakpoints(cfg, fs, lambdas)
+    outers = adaptive_quads(outer, [(*cfg.window, 1e-3, b, 400) for b in bps])
     profiles = []
     for i, f in enumerate(fs):
         values = []

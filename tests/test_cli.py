@@ -220,21 +220,21 @@ ARGV_RUNS = {
             "--set", "lambda_count=3",
             "--gamma", "-1.2",
         ],
-        "280a7184f6932bffd340661d24ac349741ba78ce1b6d69cea39e9700297a9942",
+        "fb6961ddbbef3e8b91488d011dcfea378839b1fe4bc794dabdcd0ab504e6d0b1",
         2,
-        "02e7d9ec38780bb6b504d7d07cf3f1ae5a915caf3cba8cb31381519647f6895f",
+        "2de967659345339355138bca716374f0c0d7b786efb1d08ac4fe112d92a7f20f",
     ),
     # the default verify-bsvy run: the tent's exact level-set runs
     "verify-bsvy": (
         ["verify-bsvy"],
-        "88c4194168edceb108cde6e2e3ad3c1844e48e9aa74319c136fa63e8eb5b07d6",
+        "73b1a5111299993a0f323bfa5027831a31418c5feead761e15678d87988d1ec0",
         0,
-        "ea5403fa699b3a886015b67064aa2928fa561f38ba7fc4e10f2dfac6fe0b3c25",
+        "126ae04103f02e2392f992399cfe8839727c516268b53a24748febd4a4eedcdf",
     ),
     # a cubic-edged plateau: the bracketed runs of its cubic pieces
     "verify-bsvy-smoothed": (
         ["verify-bsvy", "--set", "function.name=smoothed_indicator"],
-        "4efaab1c777cb79baead94490dd44ca36584f9c67c1bed74491d0c3e239ab37b",
+        "adab8f1546fc8578346259aab39ddcc80c683093aa3262488ece1dd6be702ba7",
         0,
         "3ef939bd6cf002f2763906b73345326db0e5113f6d8ab4db54bebc13fb30da08",
     ),
@@ -246,9 +246,9 @@ ARGV_RUNS = {
             "--set", "gamma=-0.6",
             "--set", "q=0.5",
         ],
-        "9e5f6d82d406d9d04b90d02a8d177755c060ad765a07069a48d63ae749b225aa",
+        "c264d08d6af773ea67a4bedea05797282678c42697f1b1bba3d17be05b8d94a3",
         2,
-        "dc2baa60584024d6d5241b05904dba061df8f879bb50b58cbd8ec1f6b2485c23",
+        "bfb28d85e18e1798e2f879d58e6f4b83591e7b3529afea2dec6ed8613025c64f",
     ),
     # gamma < 0 on a power piece, which has no finite Lipschitz hint: the
     # bracketed runs of the power piece and runs to infinity past it.  The
@@ -261,9 +261,9 @@ ARGV_RUNS = {
             "--set", "gamma=-0.6",
             "--set", "q=0.5",
         ],
-        "4fb631885f1eb2174f443f61c9800ba0569d8376b847a656061874da079260ea",
+        "b60de8a7b57de2fe31dcb158975dc47943260f66f05671c851eb4c19a456bc14",
         2,
-        "4ab115b806aaf411ff85a0a0ff1a3c8a1d609637bca7b9a9987f9b7b2a5fd725",
+        "5b48f9d01d9a5501a38dbd4b677e0a963d111baa9d60acd077c7bd038339ffbf",
     ),
     "ap-constant": (
         [
@@ -1087,96 +1087,62 @@ def test_verify_diffquot_linear_run(tmp_path):
     assert summary["ratio"] == pytest.approx(2.0, rel=2e-2)
 
 
-def test_verify_bsvy_sampled_far_tail_in_closed_form(tmp_path):
-    # gamma = -0.6 with q = 0.5 (s = -1.2) on the cubic-edged plateau, which
-    # takes the sampled path with no certified outer radius: it samples out
-    # to reach and adds the exact runs on the flat end pieces past it, so no
-    # tail is cut (the x4 extension to a 1e12 cap wrote 12.423448253687395
-    # and flagged the level).  The tent (all pieces linear) takes the exact
-    # path.  Neither writes a tail column
-    for name, value in (("smoothed_indicator", 12.423465818878256), ("tent", 3.185987387699436)):
-        out = tmp_path / name
-        main(
-            [
-                "verify-bsvy",
-                "--set", f"function.name={name}",
-                "--set", "grid.lo=-2",
-                "--set", "grid.hi=2",
-                "--set", "q=0.5",
-                "--set", "lambda_lo=1.0",
-                "--set", "lambda_hi=1.0",
-                "--set", "lambda_count=1",
-                "--gamma", "-0.6",
-                "--out", str(out),
-            ]
-        )
-        lines = read(out / "results.csv").decode().splitlines()
-        assert lines[0] == "lambda,functional"
-        assert float(lines[1].split(",")[1]) == pytest.approx(value, rel=1e-12)
+def _bsvy_rows(out, *sets):
+    """The functional column of a verify-bsvy run on [-2, 2] with ``sets``."""
+    main(["verify-bsvy", "--set", "grid.lo=-2", "--set", "grid.hi=2", *sets, "--out", str(out)])
+    lines = read(out / "results.csv").decode().splitlines()
+    assert lines[0] == "lambda,functional"
+    return [float(line.split(",")[1]) for line in lines[1:]]
+
+
+def test_verify_bsvy_far_tail_in_closed_form(tmp_path):
+    # gamma = -0.6 with q = 0.5 (s = -1.2) on the cubic-edged plateau, whose
+    # member runs reach to infinity on its flat end pieces and are taken in
+    # closed form, and on the tent.  The tight values are the same runs at
+    # outer rel_tol 1e-9 and 20,000 splits
+    for name, value, tight in (
+        ("smoothed_indicator", 12.426113947663724, 12.426112232536692),
+        ("tent", 3.185987387699436, 3.185987387699554),
+    ):
+        sets = ["--set", "q=0.5", "--set", "lambda_lo=1.0", "--set", "lambda_hi=1.0"]
+        sets += ["--set", "lambda_count=1", "--gamma", "-0.6", "--set", f"function.name={name}"]
+        (got,) = _bsvy_rows(tmp_path / name, *sets)
+        assert got == pytest.approx(value, rel=1e-12)
+        assert got == pytest.approx(tight, rel=1e-6)
+
+
+_TENT_TAIL = ("--set", "function.name=tent", "--set", "lambda_lo=0.1", "--set", "lambda_hi=30.0")
 
 
 def test_verify_diffquot_memberless_nodes_not_flagged(tmp_path):
-    # gamma = -2 on the tent, which takes the exact path: nodes with no
-    # member add 0.  At lam = 30 every member lies on the flat tails,
-    # r > 30 / f(x), so the functional is 30 * (Int tent^2) / 900 = 1/45.
-    # The far-tail extension of the sampled path, whose memberless nodes
-    # stopped below its cap, wrote values within 1e-6 of these
-    out = tmp_path / "o"
-    main(
-        [
-            "verify-bsvy",
-            "--set", "function.name=tent",
-            "--set", "grid.lo=-2",
-            "--set", "grid.hi=2",
-            "--set", "lambda_lo=0.1",
-            "--set", "lambda_hi=30.0",
-            "--set", "lambda_count=3",
-            "--gamma", "-2.0",
-            "--out", str(out),
-        ]
-    )
-    rows = [line.split(",") for line in read(out / "results.csv").decode().splitlines()[1:]]
-    values = [float(row[1]) for row in rows]
+    # gamma = -2 on the tent: nodes with no member add 0.  At lam = 30 every
+    # member lies on the flat tails, r > 30 / f(x), so the functional is
+    # 30 * (Int tent^2) / 900 = 1/45.  The tight values are the same run at
+    # outer rel_tol 1e-9 and 20,000 splits.  At lam = 0.1 the run at x on
+    # (0, 1) in direction + over the tent's right piece is born at its top,
+    # y = 1, as x passes 1 - lam^(1/2): a square-root edge at a breakpoint
+    # of the integrand, which the panels at rel_tol 1e-3 leave 1.8e-5 high
+    values = _bsvy_rows(tmp_path, *_TENT_TAIL, "--set", "lambda_count=3", "--gamma", "-2.0")
     assert values == pytest.approx(
-        [1.7513423774970793, 0.4603035287326635, 0.022222222222222223], rel=1e-12
+        [1.751733630622524, 0.4595364757360815, 0.022222222222222223], rel=1e-12
     )
     assert values[2] == pytest.approx(1 / 45, rel=1e-15)
-    assert values == pytest.approx(
-        [1.7513418826234046, 0.46030344772060044, 0.022222217015271477], rel=1e-6
-    )
+    tight = [1.7517027256982804, 0.45953647566100464, 0.022222222222222223]
+    assert values[1:] == pytest.approx(tight[1:], rel=1e-6)
+    assert values[0] == pytest.approx(tight[0], rel=2e-5)
 
 
 def test_verify_diffquot_memberless_nodes_not_flagged_slow_tail(tmp_path):
-    # gamma = -1.2 on the tent, which takes the exact path: the members of
-    # nodes near the ends of the support lie beyond about 1e9, in runs to
-    # infinity taken in closed form.  They alone carry the functional at
-    # lam = 30, where the far-tail extension of the sampled path stopped
-    # those nodes as memberless and wrote 0; the exact values are those it
-    # wrote when it ran every node to its 1e12 cap, within 3e-6
-    out = tmp_path / "o"
-    main(
-        [
-            "verify-bsvy",
-            "--set", "function.name=tent",
-            "--set", "grid.lo=-2",
-            "--set", "grid.hi=2",
-            "--set", "lambda_lo=0.1",
-            "--set", "lambda_hi=30.0",
-            "--set", "lambda_count=3",
-            "--gamma", "-1.2",
-            "--out", str(out),
-        ]
-    )
-    rows = [line.split(",") for line in read(out / "results.csv").decode().splitlines()[1:]]
-    values = [float(row[1]) for row in rows]
+    # gamma = -1.2 on the tent: the members of nodes near the ends of the
+    # support lie beyond about 1e9, in runs to infinity taken in closed
+    # form.  They alone carry the functional at lam = 30.  The tight values
+    # are the same run at outer rel_tol 1e-9 and 20,000 splits
+    values = _bsvy_rows(tmp_path, *_TENT_TAIL, "--set", "lambda_count=3", "--gamma", "-1.2")
     assert values == pytest.approx(
-        [3.1338850159823552, 0.030547633290456341, 1.9596315892612141e-08], rel=1e-12
+        [3.1342087483116776, 0.03054763329045634, 1.959631589261214e-08], rel=1e-12
     )
-    # the values written when every node ran to the cap
-    assert values == pytest.approx(
-        [3.1338831472689517, 0.030547621515254957, 1.959629854249857e-08], abs=3e-6
-    )
-    assert values[0] == 3.1338850159823552
+    tight = [3.1342086445068493, 0.03054763329045634, 1.959631589261214e-08]
+    assert values == pytest.approx(tight, rel=1e-6)
 
 
 def test_sharpness_cli_matches_spec_shape(tmp_path):

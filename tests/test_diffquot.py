@@ -220,10 +220,11 @@ def test_lower_constant_matches_sphere_oracle():
 
 
 def test_functional_constant_zero():
-    f = catalog("constant", c=2.0)
+    # a flat ramp is constant with breakpoints, whose level sets hold no run
     cfg = DiffQuotConfig(p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-1, 1))
-    prof = diffquot_functional(cfg, f)
-    assert prof.sup == 0.0
+    for f in (catalog("constant", c=2.0), catalog("linear_ramp", slope=0.0, cutoff=0.5)):
+        prof = diffquot_functional(cfg, f)
+        assert prof.sup == 0.0
 
 
 def test_functional_linear_exactness_both_signs():
@@ -558,7 +559,7 @@ def _rows_runs(f, xs, lams, s):
     xs, lams = np.asarray(xs, dtype=float), np.asarray(lams, dtype=float)
     at = np.arange(xs.size)
     row, direction, r1, r2 = diffquot._ray_runs(
-        [f], np.zeros(xs.size, dtype=np.intp), xs, f.value(xs), at, lams, s, s
+        [f], np.zeros(xs.size, dtype=np.intp), xs, f.value(xs), at, lams, s, s, None
     )
     rows = [[] for _ in at]
     for i, d, a, b in sorted(zip(row.tolist(), direction.tolist(), r1.tolist(), r2.tolist())):
@@ -711,7 +712,7 @@ def test_linear_runs_are_the_live_runs_of_every_run(q, gamma):
     point, first = diffquot._distinct(xs.view(np.int64), of)
     assert first.size < xs.size
     s = gamma / q
-    runs = diffquot._ray_runs(fs, of[first], xs[first], fx[first], point, lams, s, gamma)
+    runs = diffquot._ray_runs(fs, of[first], xs[first], fx[first], point, lams, s, gamma, None)
     row, _, r1, r2 = runs
     assert np.all(r2 > r1)
     every = oracles.all_runs(table, continuous, of, xs, fx, lams, s, gamma, np.zeros(xs.size))
@@ -1037,15 +1038,16 @@ def test_member_runs_roots_on_every_side():
 
 def _profile_by_inner_integral(cfg, f):
     """The values, sup and argmax of the functional of f alone, with one
-    `inner_integral` call per refinement step (the single-f exact path)."""
+    `inner_integral` call per refinement step (the single-f exact path), on
+    the outer breakpoints of f alone."""
     lambdas = np.logspace(math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count)
 
     def outer(xs, owner):
         inner = inner_integral(f, xs, lambdas[owner], cfg)
         return inner ** (cfg.p / cfg.q) * cfg.weight.value(xs)
 
-    bps = list(f.breakpoints) + list(cfg.weight.breakpoints())
-    outers = quadrature.adaptive_quads(outer, [(*cfg.window, 1e-3, bps, 400)] * len(lambdas))
+    bps = diffquot._outer_breakpoints(cfg, [f], lambdas)
+    outers = quadrature.adaptive_quads(outer, [(*cfg.window, 1e-3, b, 400) for b in bps])
     values = [float(lam * integ ** (1.0 / cfg.p)) for lam, (integ, _) in zip(lambdas.tolist(), outers)]
     k = int(np.argmax(values))
     return values, values[k], float(lambdas[k])
@@ -1074,6 +1076,92 @@ def test_functionals_of_several_functions_are_each_alone_bit_for_bit():
     assert diffquot_functionals(cfg, []) == []
 
 
+def _default_bsvy(f):
+    """The default verify-bsvy run on f: the window [-1, 1], p = q = gamma =
+    1, a constant weight and 13 levels from 1 to 1e4."""
+    cfg = DiffQuotConfig(
+        p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-1.0, 1.0),
+        lambda_lo=1e0, lambda_hi=1e4, lambda_count=13,
+    )
+    return diffquot_functional(cfg, f)
+
+
+def test_default_run_on_the_indicator_is_three_halves():
+    # f = 1_(0, 1): x outside (0, 1) meets (0, 1) within a = lam^(-1/2) of
+    # itself, x inside meets its outside so, and each of the three sides of
+    # a jump inside the window adds Int_0^a (a - u) du = 1/(2 lam), so every
+    # row is lam * 3/(2 lam) = 3/2 for lam >= 1.  Of its kinks -a, a and
+    # 1 - a, a comes from the limit of f from the left at 0
+    prof = _default_bsvy(catalog("indicator"))
+    assert prof.values == pytest.approx([1.5] * 13, abs=1e-6)
+
+
+def test_default_run_on_the_tent_follows_its_law():
+    # the rows measured on dense Gauss panels follow 2 - 1/(2 lam) to
+    # within 4.2e-8; the outer integrals at tolerance 1e-3, broken at the
+    # kinks of x -> inner(x, lam), come within 2.2e-5
+    prof = _default_bsvy(catalog("tent"))
+    law = 2.0 - 0.5 / np.array(prof.lambdas)
+    assert prof.values == pytest.approx(law.tolist(), rel=1e-4)
+
+
+def test_outer_breakpoints_of_the_classifier_step_probes():
+    # a ramp of half-width w and slope 1/(2 w) from -1/2 to 1/2, at
+    # p = q = gamma = 1: a run of x outside the ramp ends at the far end of
+    # the ramp where |x -+ w| = lam^(-1/2), so x = +-(lam^(-1/2) - w) is a
+    # kink, inside the window [-2, 2] for lam >= 0.316 and outside it at
+    # lam = 0.1; every other point is a breakpoint of f or of the weight
+    cfg = DiffQuotConfig(
+        p=1, q=1, gamma=1.0, weight=PowerWeight(0.5), window=(-2.0, 2.0),
+        lambda_lo=1e-1, lambda_hi=1e1, lambda_count=5, exploratory=True,
+    )
+    lambdas = np.logspace(-1, 1, 5)
+    for depth in (6, 12, 24, 48):
+        w = 2.0**-depth
+        f = catalog("linear_ramp", slope=0.5 / w, cutoff=w)
+        for lam, bps in zip(lambdas, diffquot._outer_breakpoints(cfg, [f], lambdas)):
+            assert bps[:3] == [-w, w, 0.0]
+            kink = lam**-0.5 - w
+            want = [-kink, kink] if kink < 2.0 else []
+            assert sorted(bps[3:]) == pytest.approx(want, rel=1e-15)
+
+
+def _tight_profiles(cfg, fs):
+    """The profile values of every f in ``fs`` at rel_tol 1e-9 and 20,000
+    splits, on the breakpoints of f and of the weight alone."""
+    lambdas = np.logspace(math.log10(cfg.lambda_lo), math.log10(cfg.lambda_hi), cfg.lambda_count)
+
+    def outer(xs, owner):
+        inner = inner_integral((fs, owner // lambdas.size), xs, lambdas[owner % lambdas.size], cfg)
+        return inner ** (cfg.p / cfg.q) * cfg.weight.value(xs)
+
+    bps = [[*f.breakpoints, *cfg.weight.breakpoints()] for f in fs for _ in lambdas]
+    outers = quadrature.adaptive_quads(outer, [(*cfg.window, 1e-9, b, 20000) for b in bps])
+    assert all(met for _, met in outers)
+    values = np.array([total for total, _ in outers]).reshape(len(fs), -1)
+    return lambdas * values ** (1.0 / cfg.p)
+
+
+@pytest.mark.parametrize("center", [0.0, 0.1875, -0.1875, 0.25, -0.25])
+def test_classifier_quotient_profiles_against_a_tight_reference(center):
+    # the quotient step of the classify bench input, at each of the bench's
+    # weight centres, against a reference that takes none of the kinks as
+    # breakpoints and splits to rel_tol 1e-9.  What is left, at most 1.05e-4
+    # (centre 0, depths 24 and 48), comes from the weight's |x - c|^0.5 at
+    # an end of a panel, not from a kink: at depth 6 and centre 0 the rows
+    # are within 4.2e-6
+    cfg = DiffQuotConfig(
+        p=1, q=1, gamma=1.0, weight=PowerWeight(0.5, center), window=(-2.0, 2.0),
+        lambda_lo=1e-1, lambda_hi=1e1, lambda_count=5, exploratory=True,
+    )
+    fs = [catalog("linear_ramp", slope=0.5 / 2.0**-d, cutoff=2.0**-d) for d in (6, 12, 24, 48)]
+    got = np.array([prof.values for prof in diffquot_functionals(cfg, fs)])
+    want = _tight_profiles(cfg, fs)
+    assert np.abs(got / want - 1.0).max() < 1.5e-4
+    if center == 0.0:
+        assert got[0] == pytest.approx(want[0], rel=5e-6)
+
+
 def _small_split_cap(monkeypatch, cap):
     """Run the outer quadratures of diffquot and of the point domination
     oracle with a split cap of ``cap``."""
@@ -1088,11 +1176,13 @@ def _small_split_cap(monkeypatch, cap):
 
 
 def test_functional_warns_once_per_lambda_at_the_split_cap(monkeypatch, capsys):
-    # with five splits the outer integrals at lam = 1 and 10 stop above
-    # their tolerance, within the margin that raises: one warning line each,
-    # which names its function and level, in a call with two functions too
-    f = catalog("tent")
-    g = catalog("linear_ramp", slope=0.5, cutoff=1.0, center=0.3)
+    # with five splits the outer integrals of the power piece at lam = 10
+    # and 100 stop above their tolerance, within the margin that raises: one
+    # warning line each, which names its function and level, in a call with
+    # two functions too.  (The tent, whose kinks are all breakpoints of its
+    # outer integrals, converges at every level without a split.)
+    f = catalog("sharp2_fdelta", delta=0.5)
+    g = catalog("smoothed_indicator")
     cfg = DiffQuotConfig(
         p=1, q=1, gamma=1.0, weight=ConstantWeight(1.0), window=(-2, 4),
         lambda_lo=1e0, lambda_hi=1e4, lambda_count=5,
@@ -1103,20 +1193,23 @@ def test_functional_warns_once_per_lambda_at_the_split_cap(monkeypatch, capsys):
     capped = diffquot_functional(cfg, f)
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2
-    for line, lam in zip(lines, ("1.0", "10.0")):
+    for line, lam in zip(lines, ("10.0", "100.0")):
         assert line.startswith("warning: ") and f"lambda={lam} " in line
-        assert " of tent() at " in line
+        assert f" of {f!r} at " in line
     # the capped levels moved, the converged ones did not
     moved = [a != b for a, b in zip(full.values, capped.values)]
-    assert moved == [True, True, False, False, False]
-    # the ramp stops at its cap at lam = 1 only
+    assert moved == [False, True, True, False, False]
+    # the plateau stops at its cap at lam = 10 only
     both = diffquot_functionals(cfg, [f, g])
     lines = capsys.readouterr().err.splitlines()
-    want = [("tent()", "1.0"), ("tent()", "10.0"), (repr(g), "1.0")]
+    want = [(repr(f), "10.0"), (repr(f), "100.0"), (repr(g), "10.0")]
     assert len(lines) == len(want)
     for line, (name, lam) in zip(lines, want):
         assert line.startswith("warning: ") and f" of {name} at lambda={lam} " in line
     assert both[0] == capped
+    tent = catalog("tent")
+    diffquot_functional(cfg, tent)
+    assert capsys.readouterr().err == ""
 
 
 def test_point_domination_warns_at_the_split_cap(monkeypatch, capsys):
